@@ -3,7 +3,9 @@
 Subcommands: validate, inspect, check, solve, stationary.  Output is
 deterministic (byte-identical for identical inputs and flags).  Exit codes:
 0 property holds / success, 1 property fails (witness printed), 2 input
-error, 3 resource cap exceeded, 4 inconclusive.
+error, 3 resource cap exceeded (a search would pass its configured cap, or
+the interpreter ran out of recursion depth or memory; a one-line message goes
+to stderr, never a traceback), 4 inconclusive.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys as _sys
 from fractions import Fraction
 
 from . import convergence, fileio, game as game_mod, stationary as stat_mod
-from .core import ALL_AXIOMS, check_axioms
+from .core import ALL_AXIOMS, Pentaform, check_axioms
 from .numbers import render_scalar
 from .partition import piece_partition, subroots
 
@@ -73,9 +75,8 @@ def cmd_validate(args) -> int:
             print(f"[{axiom}] pass")
     if violations:
         return EXIT_FAILS
-    from .core import validate as _validate
-
-    print(f"root: {_validate(quintuples).root!r}")
+    # The axioms were just checked on these exact quintuples.
+    print(f"root: {Pentaform(quintuples).root!r}")
     return EXIT_HOLDS
 
 
@@ -294,6 +295,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except game_mod.ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=_sys.stderr)
+        return EXIT_RESOURCE
+    except (RecursionError, MemoryError) as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"resource limit exceeded: {detail}", file=_sys.stderr)
         return EXIT_RESOURCE
     except (fileio.FileFormatError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -161,20 +161,25 @@ def check_axioms(q: Iterable[Quintuple]) -> list[AxiomViolation]:
 
     decision_nodes = {t.decision_node for t in quintuples}
     successors = set(preds)
-    nodes = decision_nodes | successors
 
     # [Py]: walking the predecessor map must escape Y within |X| steps.  When
     # [Pw<-y] fails the map is not a function; the walk then follows the
-    # lexicographically smallest predecessor to stay deterministic.
+    # lexicographically smallest predecessor to stay deterministic.  A walk
+    # that has not escaped within |X| steps has entered a cycle, so each node
+    # is resolved once as escaping or not and the result is shared by every
+    # walk that passes through it.
     pred_choice = {y: min(ws) for y, ws in preds.items()}
-    bound = len(nodes)
+    escapes: dict[str, bool] = {}
     for y in sorted(successors):
+        path: dict[str, None] = {}
         x = y
-        for _ in range(bound):
+        while x in successors and x not in escapes and x not in path:
+            path[x] = None
             x = pred_choice[x]
-            if x not in successors:
-                break
-        else:
+        result = escapes[x] if x in escapes else x not in successors
+        for z in path:
+            escapes[z] = result
+        if not escapes[y]:
             violations.append(AxiomViolation(
                 AXIOM_NO_CYCLES,
                 f"predecessor walk from {y!r} never leaves the successor set (cycle)"))

@@ -138,27 +138,37 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str,
     branch choices achieving it, and the endnode reached.  Deterministic:
     actions are explored in sorted order and the first maximum is kept.
     """
-    best: list = [None, None, None]
-
-    def walk(x: str, assign: dict) -> None:
+    best: tuple = (None, None, None)
+    assign: dict[str, str] = {}
+    # One frame per open branch point: [node, situation, sorted actions, index].
+    # An explicit stack keeps the Python call depth fixed however deep the form.
+    stack: list[list] = []
+    x = form.root
+    while True:
         while x in form.decision_nodes:
             j = form.situation_of(x)
             if j in deviate_at and form.player_of(j) == i:
                 if j not in assign:
-                    for a in sorted(form.action_set(j)):
-                        assign[j] = a
-                        walk(form.next_node(x, a), assign)
-                        del assign[j]
-                    return
+                    actions = sorted(form.action_set(j))
+                    stack.append([x, j, actions, 0])
+                    assign[j] = actions[0]
                 x = form.next_node(x, assign[j])
             else:
                 x = form.next_node(x, s[j])
         v = value_of_endnode(x)
         if best[0] is None or v > best[0]:
-            best[0], best[1], best[2] = v, dict(assign), x
-
-    walk(form.root, {})
-    return best[0], best[1], best[2]
+            best = (v, dict(assign), x)
+        while stack:
+            frame = stack[-1]
+            frame[3] += 1
+            if frame[3] < len(frame[2]):
+                assign[frame[1]] = frame[2][frame[3]]
+                x = form.next_node(frame[0], assign[frame[1]])
+                break
+            del assign[frame[1]]
+            stack.pop()
+        else:
+            return best
 
 
 def _nash_witness(g: Game, s: Mapping[str, str], players: Iterable[str]) -> dict | None:

@@ -21,15 +21,38 @@ from .core import Pentaform, Quintuple, validate
 @lru_cache(maxsize=None)
 def subroots(p: Pentaform) -> frozenset:
     """Decision nodes whose subsequent situations occur nowhere else."""
-    # One DFS per decision node; at desk scale clarity beats the incremental
-    # algorithms from the literature.
+    # Euler-tour criterion: in preorder every subtree is a contiguous block
+    # [pos(w), pos(w) + size(w)), so w is a subroot exactly when every
+    # situation met below w has its preorder span [lo, hi] inside that block.
+    # One post-order sweep folds the spans upwards, which makes this O(N).  The
+    # sweep stores only ints in dicts: no container per node, so no garbage
+    # collection pass lands inside it on large heaps.
+    order = p.subtree_nodes(p.root)
+    pos = {x: i for i, x in enumerate(order)}
+    lo: dict[str, int] = {}
+    hi: dict[str, int] = {}
+    for i, x in enumerate(order):
+        if x in p.decision_nodes:
+            j = p.situation_of(x)
+            lo.setdefault(j, i)
+            hi[j] = i
+    size: dict[str, int] = {}
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
     result = set()
-    for w in p.decision_nodes:
-        inside = {x for x in p.subtree_nodes(w) if x in p.decision_nodes}
-        inside_situations = {p.situation_of(x) for x in inside}
-        outside_situations = {p.situation_of(x) for x in p.decision_nodes if x not in inside}
-        if inside_situations.isdisjoint(outside_situations):
-            result.add(w)
+    for x in reversed(order):
+        if x not in p.decision_nodes:
+            continue
+        j = p.situation_of(x)
+        n, a, b = 1, lo[j], hi[j]
+        for _, y in p.children(x):
+            n += size.get(y, 1)
+            if y in first:
+                a = min(a, first[y])
+                b = max(b, last[y])
+        size[x], first[x], last[x] = n, a, b
+        if a >= pos[x] and b < pos[x] + n:
+            result.add(x)
     assert p.root in result
     return frozenset(result)
 
@@ -88,21 +111,13 @@ def piece_partition(p: Pentaform) -> PiecePartition:
     """
     ts = subroots(p)
     owner: dict[str, str] = {}
-
-    def piece_of(w: str) -> str:
-        if w in owner:
-            return owner[w]
-        chain = p.weak_predecessors(w)
-        t = next(x for x in reversed(chain) if x in ts)
-        for x in reversed(chain):
-            owner.setdefault(x, t)
-            if x == t:
-                break
-        return t
+    for x in p.subtree_nodes(p.root):
+        if x in p.decision_nodes:
+            owner[x] = x if x in ts else owner[p.predecessor(x)]
 
     buckets: dict[str, list[Quintuple]] = {t: [] for t in subroots_sorted(p)}
     for q in p.quintuples:
-        buckets[piece_of(q.decision_node)].append(q)
+        buckets[owner[q.decision_node]].append(q)
     pieces = {t: _build(qs) for t, qs in buckets.items()}
     return PiecePartition(MappingProxyType(pieces))
 

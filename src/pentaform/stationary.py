@@ -94,6 +94,7 @@ class StationarySystem:
         self.stakeholders = frozenset(str(k) for k in stakeholders)
         self.model = model
         self.initial = initial
+        self._extremes = None  # discounted value extremes, filled on first use
         if not classes:
             raise ValueError("a stationary system needs at least one class")
         if initial not in classes:
@@ -564,16 +565,12 @@ def conceivable_bounds(sys: StationarySystem, cid: str, k: str) -> tuple[Scalar,
     return min(values), max(values)
 
 
-_EXTREMES_CACHE: dict[int, tuple[StationarySystem, dict]] = {}
-
-
 def _discounted_extremes(sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
     """Per-class, per-stakeholder value extremes over all stationary exit
     policies (optimal continuations are stationary, so these are the true
     sup/inf over all runs)."""
-    cached = _EXTREMES_CACHE.get(id(sys))
-    if cached is not None and cached[0] is sys:
-        return cached[1]
+    if sys._extremes is not None:
+        return sys._extremes
     cap = profile_cap()
     count = 1
     for cls in sys.classes.values():
@@ -603,7 +600,7 @@ def _discounted_extremes(sys: StationarySystem) -> dict[str, dict[str, tuple[Sca
 
     rec(0, {})
     table = {c: {k: (lo[c][k], hi[c][k]) for k in sys.stakeholders} for c in class_ids}
-    _EXTREMES_CACHE[id(sys)] = (sys, table)
+    sys._extremes = table
     return table
 
 

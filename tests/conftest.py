@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from pentaform import Game, outcome, player_situations, random_game, utility_of_run
-from pentaform.core import Pentaform
+from pentaform.core import AXIOM_NO_CYCLES, AxiomViolation, Pentaform
 
 
 def random_strategy(form: Pentaform, rng: random.Random) -> dict:
@@ -55,6 +55,42 @@ def brute_force_nash(g: Game, s: dict, cap: int = 50_000) -> bool | None:
             if u[i] > base[i]:
                 return False
     return True
+
+
+def brute_force_subroots(form: Pentaform) -> frozenset:
+    """Subroots by definition, one DFS per decision node: w qualifies when the
+    situations met weakly after w occur at no other decision node."""
+    result = set()
+    for w in form.decision_nodes:
+        inside = {x for x in form.subtree_nodes(w) if x in form.decision_nodes}
+        inside_situations = {form.situation_of(x) for x in inside}
+        outside_situations = {form.situation_of(x) for x in form.decision_nodes if x not in inside}
+        if inside_situations.isdisjoint(outside_situations):
+            result.add(w)
+    return frozenset(result)
+
+
+def bounded_predecessor_walk(quintuples) -> list[AxiomViolation]:
+    """The [Py] diagnosis by walking at most |X| steps from every successor
+    (smallest predecessor first where [Pw<-y] fails), stopping at the first
+    successor whose walk never leaves the successor set."""
+    qs = set(quintuples)
+    preds: dict[str, set[str]] = {}
+    for q in qs:
+        preds.setdefault(q.successor, set()).add(q.decision_node)
+    successors = set(preds)
+    bound = len({q.decision_node for q in qs} | successors)
+    pred_choice = {y: min(ws) for y, ws in preds.items()}
+    for y in sorted(successors):
+        x = y
+        for _ in range(bound):
+            x = pred_choice[x]
+            if x not in successors:
+                break
+        else:
+            return [AxiomViolation(
+                AXIOM_NO_CYCLES, f"predecessor walk from {y!r} never leaves the successor set (cycle)")]
+    return []
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
+from pentaform import cli
 from pentaform.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -170,3 +173,16 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "inspect", FIXTURES / "crywolf_depth2.pentaform", "--pieces")
     _, second, _ = run(capsys, "inspect", FIXTURES / "crywolf_depth2.pentaform", "--pieces")
     assert first == second
+
+
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+def test_interpreter_limits_exit_without_traceback(capsys, monkeypatch, error):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_solve", exhausted)
+    code, out, err = run(capsys, "solve", FIXTURES / "entry.game")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit exceeded: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -290,6 +292,15 @@ def test_conceivable_bounds_cry_wolf_kid():
         conceivable_bounds(WOLF, "night", "Kid")
     with pytest.raises(ValueError, match="unknown stakeholder"):
         conceivable_bounds(WOLF, "day", "Shepherd")
+
+
+def test_conceivable_bounds_do_not_keep_the_system_alive():
+    system = cry_wolf()
+    assert conceivable_bounds(system, "day", "Kid") == conceivable_bounds(WOLF, "day", "Kid")
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
 
 
 # -- quotient property checkers -----------------------------------------------------------

@@ -30,7 +30,6 @@ from .partition import (
 )
 from .strategy import (
     SubrootSequence,
-    next_node,
     outcome,
     piece_outcome,
     player_situations,

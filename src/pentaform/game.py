@@ -19,7 +19,9 @@ the definitions exactly:
 
 Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
-player's full strategy space without materializing it.
+player's full strategy space without materializing it.  No situation straddles
+a subroot, so the subgame at t is searched in place: every walk for it starts
+at t in the whole form and never leaves the subform weakly after t.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Iterable, Mapping
 
 from .core import Pentaform, Quintuple, validate
 from .numbers import Profile, Scalar, make_profile, profiles_equal
-from .partition import piece_form, subform, subroots, subroots_sorted
-from .strategy import restrict, trace, validate_strategy
+from .partition import piece_form, subroots, subroots_sorted
+from .strategy import outcome, validate_strategy
 
 PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
 
@@ -128,9 +130,9 @@ def check_value_function(g: Game, values: Mapping[str, Mapping[str, object]]) ->
 # -- deviation search ---------------------------------------------------------
 
 
-def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str,
+def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str,
                     deviate_at: frozenset, value_of_endnode) -> tuple[Scalar, dict, str]:
-    """Exact maximum of value_of_endnode over player i's deviations.
+    """Exact maximum of value_of_endnode over player i's deviations from start.
 
     Branches at i's situations in `deviate_at` the first time each is reached
     and keeps the choice fixed afterwards (so absentminded repeats stay
@@ -143,7 +145,7 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str,
     # One frame per open branch point: [node, situation, sorted actions, index].
     # An explicit stack keeps the Python call depth fixed however deep the form.
     stack: list[list] = []
-    x = form.root
+    x = start
     while True:
         while x in form.decision_nodes:
             j = form.situation_of(x)
@@ -171,20 +173,20 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str,
             return best
 
 
-def _nash_witness(g: Game, s: Mapping[str, str], players: Iterable[str]) -> dict | None:
-    """First profitable unilateral deviation in canonical order, if any."""
-    base_run = trace(g.form, s)
-    base = g.utilities[base_run[-1]]
-    for i in sorted(players):
-        deviate_at = frozenset(j for j in g.form.situations if g.form.player_of(j) == i)
-        best, assign, endnode = _best_deviation(g.form, s, i, deviate_at, lambda y, i=i: g.utilities[y][i])
+def _nash_witness(g: Game, s: Mapping[str, str], start: str) -> dict | None:
+    """First profitable unilateral deviation from start in canonical order."""
+    base_end = outcome(g.form, s, start)[-1]
+    base = g.utilities[base_end]
+    for i in sorted(g.form.players):
+        best, assign, endnode = _best_deviation(g.form, s, i, start, g.form.situations,
+                                                lambda y, i=i: g.utilities[y][i])
         if best > base[i]:
             return {
                 "player": i,
                 "deviation": assign,
                 "strategy_utility": base[i],
                 "deviation_utility": best,
-                "strategy_endnode": base_run[-1],
+                "strategy_endnode": base_end,
                 "deviation_endnode": endnode,
             }
     return None
@@ -196,21 +198,15 @@ def nash_check(g: Game, s: Mapping[str, str]) -> Verdict:
     Bystanders take no decisions and are ignored.
     """
     s = validate_strategy(g.form, s)
-    witness = _nash_witness(g, s, g.form.players)
+    witness = _nash_witness(g, s, g.form.root)
     return Verdict(witness is None, witness)
-
-
-def _subgame(g: Game, t: str) -> Game:
-    sub = subform(g.form, t)
-    return Game(sub, g.stakeholders, {y: g.utilities[y] for y in sub.endnodes})
 
 
 def spe_check_direct(g: Game, s: Mapping[str, str]) -> Verdict:
     """Subgame perfection by definition: Nash in the subgame at every subroot."""
     s = validate_strategy(g.form, s)
     for t in subroots_sorted(g.form):
-        sub_game = _subgame(g, t)
-        witness = _nash_witness(sub_game, restrict(s, sub_game.form.situations), sub_game.form.players)
+        witness = _nash_witness(g, s, t)
         if witness is not None:
             witness["subroot"] = t
             return Verdict(False, witness)
@@ -244,8 +240,7 @@ def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, 
     v = check_value_function(g, values)
     ts = subroots(g.form)
     for t in subroots_sorted(g.form):
-        run = trace(piece_form(g.form, t), s)
-        last = run[-1]
+        last = outcome(piece_form(g.form, t), s)[-1]
         expected = v[last] if last in ts else g.utilities[last]
         if not profiles_equal(v[t], expected, tol):
             return Verdict(False, {
@@ -262,8 +257,7 @@ def authentic_value(g: Game, s: Mapping[str, str]) -> dict[str, Profile]:
     s = validate_strategy(g.form, s)
     out = {}
     for t in subroots_sorted(g.form):
-        run = trace(subform(g.form, t), s)
-        out[t] = dict(g.utilities[run[-1]])
+        out[t] = dict(g.utilities[outcome(g.form, s, t)[-1]])
     return out
 
 
@@ -307,7 +301,7 @@ def piecewise_nash(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[s
     v = check_value_function(g, values)
     for t in subroots_sorted(g.form):
         pg = piece_game(g, v, t)
-        witness = _nash_witness(pg, restrict(s, pg.form.situations), pg.form.players)
+        witness = _nash_witness(pg, s, pg.form.root)
         if witness is not None:
             witness["subroot"] = t
             return Verdict(False, witness)
@@ -318,12 +312,11 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
     """No player gains by deviating inside one piece and conforming after."""
     s = validate_strategy(g.form, s)
     for t in subroots_sorted(g.form):
-        sub = subform(g.form, t)
         piece = piece_form(g.form, t)
-        base = g.utilities[trace(sub, s)[-1]]
+        base = g.utilities[outcome(g.form, s, t)[-1]]
         for i in sorted(piece.players):
-            deviate_at = frozenset(j for j in piece.situations if piece.player_of(j) == i)
-            best, assign, endnode = _best_deviation(sub, s, i, deviate_at, lambda y, i=i: g.utilities[y][i])
+            best, assign, endnode = _best_deviation(g.form, s, i, t, piece.situations,
+                                                    lambda y, i=i: g.utilities[y][i])
             if best > base[i]:
                 return Verdict(False, {
                     "subroot": t, "player": i, "deviation": assign,
@@ -344,16 +337,16 @@ def enumerate_piece_profiles(piece: Pentaform, cap: int | None = None, largest_f
     count = 1
     for j in sits:
         count *= len(piece.action_set(j))
-        if count > cap:
-            raise ResourceCapError(
-                f"piece at {piece.root!r} has more than {cap} strategy profiles")
+    if count > cap:
+        raise ResourceCapError(
+            f"piece at {piece.root!r} has {count} strategy profiles, more than the cap of {cap}")
     pools = [sorted(piece.action_set(j), reverse=largest_first) for j in sits]
     for combo in product(*pools):
         yield dict(zip(sits, combo))
 
 
 def is_pure_nash(pg: Game, profile: Mapping[str, str]) -> bool:
-    return _nash_witness(pg, profile, pg.form.players) is None
+    return _nash_witness(pg, profile, pg.form.root) is None
 
 
 def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
@@ -372,7 +365,7 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
         pg = piece_game(g, values, t)
         for profile in enumerate_piece_profiles(pg.form):
             if is_pure_nash(pg, profile):
-                values[t] = dict(pg.utilities[trace(pg.form, profile)[-1]])
+                values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
                 chosen.update(profile)
                 break
         else:

@@ -128,14 +128,6 @@ def piece_form(p: Pentaform, t: str) -> Pentaform:
     return piece_partition(p)[t]
 
 
-def piece_situations(p: Pentaform, t: str) -> frozenset:
-    return piece_form(p, t).situations
-
-
-def subform_situations(p: Pentaform, t: str) -> frozenset:
-    return subform(p, t).situations
-
-
 @dataclass(frozen=True)
 class PieceEndnodes:
     """Per-piece endnodes split into subroot exits and final endnodes."""
@@ -169,12 +161,13 @@ def classify_piece_endnodes(p: Pentaform) -> PieceEndnodes:
 
 EXIT_TO_SUBROOT = "exit-to-subroot"
 FINAL_ENDNODE = "final-endnode"
-INFINITE_PIECE = "infinite-piece"  # never arises for explicit finite forms
 
 
 @dataclass(frozen=True)
 class PieceRunClass:
-    """Trichotomy tag for one piece run."""
+    """Tag for one piece run: an exit to a later subroot, or a final endnode
+    completing a full run (an infinite piece run cannot occur in a finite
+    form)."""
 
     kind: str
     subroot: str | None = None

@@ -33,11 +33,12 @@ from .game import (
     Verdict,
     enumerate_piece_profiles,
     is_pure_nash,
+    nash_check,
     profile_cap,
 )
 from .numbers import Profile, Scalar, is_finite, make_profile, profiles_equal
 from .partition import subroots
-from .strategy import trace, validate_strategy
+from .strategy import outcome, validate_strategy
 
 
 @dataclass(frozen=True)
@@ -212,34 +213,14 @@ def simple_cycles(graph: Mapping[str, set[str]]) -> list[tuple[str, ...]]:
     return sorted(cycles)
 
 
-def _sccs(graph: Mapping[str, set[str]]) -> list[frozenset]:
-    reach: dict[str, set[str]] = {}
-    for c in graph:
-        seen = {c}
-        stack = [c]
-        while stack:
-            for nxt in graph.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        reach[c] = seen
-    out = []
-    for c in graph:
-        comp = frozenset(d for d in graph if d in reach[c] and c in reach[d])
-        if comp not in out:
-            out.append(comp)
-    return out
-
-
 def has_aperiodic_runs(sys: StationarySystem) -> bool:
-    """True when some strongly connected component holds two distinct simple
-    cycles, i.e. infinite class paths exist that never settle into a lasso."""
+    """True when some class has two distinct continue-successors that both
+    reach back to it.  Its strongly connected component then holds two
+    distinct simple cycles (and conversely), so infinite class paths exist
+    that never settle into a lasso."""
     graph = sys.continue_graph()
-    cycles = simple_cycles(graph)
-    for comp in _sccs(graph):
-        if sum(1 for cyc in cycles if set(cyc) <= comp) >= 2:
-            return True
-    return False
+    reach = {c: sys.reachable_from(c) for c in graph}
+    return any(sum(c in reach[d] for d in successors) >= 2 for c, successors in graph.items())
 
 
 # -- instantiation -------------------------------------------------------------
@@ -445,7 +426,7 @@ def validate_stationary_strategy(sys: StationarySystem,
 
 def _sigma_exit(sys: StationarySystem, sigma: StationaryStrategy, cid: str) -> Exit:
     cls = sys.classes[cid]
-    end = trace(cls.template, sigma[cid])[-1]
+    end = outcome(cls.template, sigma[cid])[-1]
     return cls.exits[end]
 
 
@@ -575,8 +556,9 @@ def _discounted_extremes(sys: StationarySystem) -> dict[str, dict[str, tuple[Sca
     count = 1
     for cls in sys.classes.values():
         count *= len(cls.exits)
-        if count > cap:
-            raise ResourceCapError("stationary bound computation exceeds the policy cap")
+    if count > cap:
+        raise ResourceCapError(
+            f"stationary bound computation needs {count} exit policies, more than the cap of {cap}")
     class_ids = sorted(sys.classes)
     pools = [sorted(sys.classes[c].exits) for c in class_ids]
 
@@ -749,18 +731,12 @@ def stationary_piecewise_nash(sys: StationarySystem, sigma, values) -> Verdict:
     v = _check_class_values(sys, values)
     for c in sorted(sys.classes):
         qg = quotient_piece_game(sys, c, v)
-        verdict = _piece_nash(qg, sigma[c])
+        verdict = nash_check(qg, sigma[c])
         if not verdict.holds:
             witness = dict(verdict.witness)
             witness["class"] = c
             return Verdict(False, witness)
     return Verdict(True)
-
-
-def _piece_nash(qg: Game, profile) -> Verdict:
-    from .game import nash_check
-
-    return nash_check(qg, profile)
 
 
 def _check_class_values(sys: StationarySystem, values) -> dict[str, Profile]:
@@ -827,7 +803,12 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
                     "; upper-convergence not established"))
         return Certificate(SPE_CERTIFIED, w, up, lo, route=route)
     if lo.status == FAILS:
-        deviation = _stationary_deviation_scan(sys, sigma, w)
+        try:
+            deviation = _stationary_deviation_scan(sys, sigma, w)
+        except ResourceCapError as skipped:
+            return Certificate(INCONCLUSIVE, w, up, lo,
+                               reason="lower-convergence fails, so piecewise-Nashness does not "
+                                      f"certify, and the stationary deviation scan was not run: {skipped}")
         if deviation is not None:
             return Certificate(REFUTED, w, up, lo, witness=deviation,
                                reason="lower-convergence fails and a stationary unilateral "
@@ -841,7 +822,9 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
 
 def _stationary_deviation_scan(sys: StationarySystem, sigma, w) -> dict | None:
     """Search per-player stationary deviations for a true-utility improvement
-    at the root; exact because deviation values are quotient chain values."""
+    at the root; exact because deviation values are quotient chain values.
+    Raises ResourceCapError, before searching, for the first player whose
+    stationary choice profiles exceed the cap."""
     players = sorted({p for cls in sys.classes.values() for p in cls.template.players})
     base = w[sys.initial]
     for i in players:
@@ -852,8 +835,10 @@ def _stationary_deviation_scan(sys: StationarySystem, sigma, w) -> dict | None:
         count = 1
         for pool in pools:
             count *= len(pool)
-        if count > profile_cap():
-            return None
+        cap = profile_cap()
+        if count > cap:
+            raise ResourceCapError(
+                f"player {i!r} has {count} stationary choice profiles, more than the cap of {cap}")
         from itertools import product as _product
 
         for combo in _product(*pools):
@@ -916,7 +901,7 @@ def solve_stationary(sys: StationarySystem, tol: Fraction = Fraction(1, 10**12),
             if chosen is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
             new_sigma[c] = chosen
-            new_w[c] = dict(qg.utilities[trace(qg.form, chosen)[-1]])
+            new_w[c] = dict(qg.utilities[outcome(qg.form, chosen)[-1]])
         delta = max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c])
         stable = sigma_prev == new_sigma
         w, sigma_prev = new_w, new_sigma

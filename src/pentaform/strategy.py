@@ -4,6 +4,10 @@ A (grand) strategy is a total mapping from situations to feasible actions;
 player, subform, and piece restrictions are plain domain restrictions of that
 mapping.  Strategies are stored total even though tracing an outcome only
 ever reads on-path situations, which keeps the restriction algebra exact.
+
+`outcome` is the one tracer: it follows s from the root, or from any given
+node, so the outcome of the subgame at a subroot t is `outcome(p, s, t)`.
+Single moves are `Pentaform.next_node`.
 """
 
 from __future__ import annotations
@@ -54,14 +58,11 @@ def restrict_to_opponents(p: Pentaform, s: Mapping[str, str], i: str) -> Strateg
     return restrict(s, set(s) - player_situations(p, i))
 
 
-def next_node(p: Pentaform, w: str, a: str) -> str:
-    """The unique successor of a feasible decision-node/action pair."""
-    return p.next_node(w, a)
-
-
-def trace(p: Pentaform, s: Mapping[str, str]) -> tuple[str, ...]:
-    """Follow s from the root of p to an endnode of p."""
-    x = p.root
+def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None) -> tuple[str, ...]:
+    """The run traced from start (the root by default) by obeying s to an
+    endnode of p; finite, so it terminates.  Only the situations the run meets
+    are read, so s may be any restriction that covers them."""
+    x = p.root if start is None else start
     nodes = [x]
     while x in p.decision_nodes:
         j = p.situation_of(x)
@@ -74,23 +75,18 @@ def trace(p: Pentaform, s: Mapping[str, str]) -> tuple[str, ...]:
     return tuple(nodes)
 
 
-def outcome(p: Pentaform, s: Mapping[str, str]) -> tuple[str, ...]:
-    """The run traced from the root by obeying s (finite, so it terminates)."""
-    return trace(p, s)
-
-
 def subform_outcome(p: Pentaform, t: str, restriction: Mapping[str, str]) -> tuple[str, ...]:
     """The run of the subform at t under a restriction total on its situations."""
     sub = subform(p, t)
     _require_total(restriction, sub, "subform")
-    return trace(sub, restriction)
+    return outcome(sub, restriction)
 
 
 def piece_outcome(p: Pentaform, t: str, restriction: Mapping[str, str]) -> tuple[str, ...]:
     """The run of the piece at t under a restriction total on its situations."""
     piece = piece_form(p, t)
     _require_total(restriction, piece, "piece")
-    return trace(piece, restriction)
+    return outcome(piece, restriction)
 
 
 def _require_total(restriction: Mapping[str, str], form: Pentaform, what: str) -> None:
@@ -133,6 +129,6 @@ def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> SubrootSequ
 __all__ = [
     "Strategy", "SubrootSequence", "TERMINATED", "INFINITE_DETECTED",
     "validate_strategy", "player_situations", "restrict", "restrict_to_player",
-    "restrict_to_opponents", "next_node", "outcome", "subform_outcome",
-    "piece_outcome", "subroot_sequence", "trace",
+    "restrict_to_opponents", "outcome", "subform_outcome", "piece_outcome",
+    "subroot_sequence",
 ]

@@ -7,8 +7,22 @@ from itertools import product
 
 import pytest
 
-from pentaform import Game, outcome, player_situations, random_game, utility_of_run
+from pentaform import (
+    Game,
+    Verdict,
+    outcome,
+    piece_form,
+    player_situations,
+    random_game,
+    restrict,
+    subform,
+    subroots_sorted,
+    utility_of_run,
+    validate_strategy,
+)
 from pentaform.core import AXIOM_NO_CYCLES, AxiomViolation, Pentaform
+from pentaform.game import _best_deviation, _nash_witness
+from pentaform.stationary import simple_cycles
 
 
 def random_strategy(form: Pentaform, rng: random.Random) -> dict:
@@ -91,6 +105,71 @@ def bounded_predecessor_walk(quintuples) -> list[AxiomViolation]:
             return [AxiomViolation(
                 AXIOM_NO_CYCLES, f"predecessor walk from {y!r} never leaves the successor set (cycle)")]
     return []
+
+
+def _subgame(g: Game, t: str) -> Game:
+    sub = subform(g.form, t)
+    return Game(sub, g.stakeholders, {y: g.utilities[y] for y in sub.endnodes})
+
+
+def subform_spe_check_direct(g: Game, s: dict) -> Verdict:
+    """Subgame perfection with a subform Game built and searched at every
+    subroot; the reference for the in-place `spe_check_direct`."""
+    s = validate_strategy(g.form, s)
+    for t in subroots_sorted(g.form):
+        sub_game = _subgame(g, t)
+        witness = _nash_witness(sub_game, restrict(s, sub_game.form.situations), sub_game.form.root)
+        if witness is not None:
+            witness["subroot"] = t
+            return Verdict(False, witness)
+    return Verdict(True)
+
+
+def subform_one_piece_unimprovable(g: Game, s: dict) -> Verdict:
+    """One-piece unimprovability searched inside the subform at each subroot."""
+    s = validate_strategy(g.form, s)
+    for t in subroots_sorted(g.form):
+        sub = subform(g.form, t)
+        piece = piece_form(g.form, t)
+        base = g.utilities[outcome(sub, s)[-1]]
+        for i in sorted(piece.players):
+            deviate_at = frozenset(j for j in piece.situations if piece.player_of(j) == i)
+            best, assign, endnode = _best_deviation(sub, s, i, sub.root, deviate_at,
+                                                    lambda y, i=i: g.utilities[y][i])
+            if best > base[i]:
+                return Verdict(False, {
+                    "subroot": t, "player": i, "deviation": assign,
+                    "strategy_utility": base[i], "deviation_utility": best,
+                    "deviation_endnode": endnode,
+                })
+    return Verdict(True)
+
+
+def subform_authentic_value(g: Game, s: dict) -> dict:
+    """The authentic value function traced on the subform at each subroot."""
+    s = validate_strategy(g.form, s)
+    return {t: dict(g.utilities[outcome(subform(g.form, t), s)[-1]]) for t in subroots_sorted(g.form)}
+
+
+def scc_has_aperiodic_runs(graph: dict) -> bool:
+    """Some strongly connected component of the class graph holds two distinct
+    simple cycles; components by pairwise reachability, O(n²)."""
+    reach: dict[str, set[str]] = {}
+    for c in graph:
+        seen = {c}
+        stack = [c]
+        while stack:
+            for nxt in graph.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[c] = seen
+    cycles = simple_cycles(graph)
+    for c in graph:
+        comp = {d for d in graph if d in reach[c] and c in reach[d]}
+        if sum(1 for cyc in cycles if set(cyc) <= comp) >= 2:
+            return True
+    return False
 
 
 @pytest.fixture(scope="session")

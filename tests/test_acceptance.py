@@ -70,7 +70,7 @@ from pentaform.stationary import (
     truncated_game,
     value_at,
 )
-from pentaform.strategy import restrict, trace
+from pentaform.strategy import outcome, restrict
 
 from conftest import random_strategy
 
@@ -250,11 +250,11 @@ def test_criterion_6_finite_game_theorem_suite(corpus):
             sigma_piece = {j: rng.choice(sorted(piece.action_set(j)))
                            for j in sorted(piece.situations)}
             pg = piece_game(g, av, t)
-            rhs = pg.utilities[trace(pg.form, sigma_piece)[-1]]
+            rhs = pg.utilities[outcome(pg.form, sigma_piece)[-1]]
             sub = subform(g.form, t)
             merged = dict(restrict(s, sub.situations))
             merged.update(sigma_piece)
-            lhs = g.utilities[trace(sub, merged)[-1]]
+            lhs = g.utilities[outcome(sub, merged)[-1]]
             assert lhs == rhs
             checked_c10 += 1
     elapsed = time.perf_counter() - start
@@ -305,11 +305,11 @@ def test_criterion_7_structural_invariant_suite(corpus):
         for s in strategies[:2]:
             for t in sorted(ts):
                 sub = subform(form, t)
-                whole_end = trace(sub, s)[-1]
-                piece_run = trace(parts[t], s)
+                whole_end = outcome(sub, s)[-1]
+                piece_run = outcome(parts[t], s)
                 if piece_run[-1] in ts:
                     nxt = subform(form, piece_run[-1])
-                    assert trace(nxt, s)[-1] == whole_end
+                    assert outcome(nxt, s)[-1] == whole_end
                 else:
                     assert piece_run[-1] == whole_end
         # conceivable bounds shrink monotonically onto each run's utility

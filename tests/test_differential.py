@@ -1,26 +1,46 @@
-"""The linear-time structure layer against its brute-force oracles, and deep
-forms that must not exhaust the interpreter's recursion depth."""
+"""The linear-time structure layer against its brute-force oracles, subgame
+checks searched in place against searches of built subform games, the class
+graph test for aperiodic runs against its SCC definition, and deep forms that
+must not exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from pentaform import (
+    DiscountedAccumulation,
+    Exit,
     Game,
+    PieceClass,
     Quintuple,
+    StationarySystem,
+    authentic_value,
     check_axioms,
+    induced_strategy,
     nash_check,
+    one_piece_unimprovable,
     piece_partition,
+    random_game,
+    spe_check_direct,
     subroots,
     validate,
 )
 from pentaform.core import AXIOM_NO_CYCLES
 from pentaform.fixtures import cry_wolf, cry_wolf_calm_strategy
-from pentaform.stationary import continuation_values, truncated_game
+from pentaform.stationary import continuation_values, has_aperiodic_runs, truncated_game
 
-from conftest import bounded_predecessor_walk, brute_force_subroots
+from conftest import (
+    bounded_predecessor_walk,
+    brute_force_subroots,
+    random_strategy,
+    scc_has_aperiodic_runs,
+    subform_authentic_value,
+    subform_one_piece_unimprovable,
+    subform_spe_check_direct,
+)
 
 WOLF = cry_wolf()
 WOLF_TRUNCATIONS = [
@@ -51,6 +71,72 @@ def test_structure_matches_oracles_on_cry_wolf(depth):
     assert subroots(form) == brute_force_subroots(form)
     assert bounded_predecessor_walk(form.quintuples) == []
     _check_owners(form)
+
+
+def _assert_in_place_matches_subform_games(g: Game, s: dict) -> bool:
+    """Same verdicts, witnesses and values; True when the SPE check fails."""
+    spe = spe_check_direct(g, s)
+    assert spe == subform_spe_check_direct(g, s)
+    assert one_piece_unimprovable(g, s) == subform_one_piece_unimprovable(g, s)
+    assert authentic_value(g, s) == subform_authentic_value(g, s)
+    return not spe.holds
+
+
+def test_subgame_checks_in_place_match_subform_games_on_corpus():
+    failing = 0
+    for seed in range(600):
+        g = random_game(seed, max_nodes=40)
+        rng = random.Random(seed)
+        for _ in range(3):
+            failing += _assert_in_place_matches_subform_games(g, random_strategy(g.form, rng))
+    assert failing > 0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_subgame_checks_in_place_match_subform_games_on_cry_wolf(depth):
+    g = WOLF_TRUNCATIONS[depth - 1]
+    calm = induced_strategy(WOLF, cry_wolf_calm_strategy(), depth)
+    assert not _assert_in_place_matches_subform_games(g, calm)
+    rng = random.Random(depth)
+    failing = 0
+    for j in rng.sample(sorted(g.form.situations), 7):
+        other = sorted(g.form.action_set(j) - {calm[j]})
+        failing += _assert_in_place_matches_subform_games(g, {**calm, j: rng.choice(other)})
+    assert failing > 0
+
+
+def _class_graph_system(graph: dict) -> StationarySystem:
+    """A discounted system whose class graph is `graph`: each class is one
+    decision with a continue edge per successor and one terminal exit."""
+    classes = {}
+    for c, successors in graph.items():
+        qs = [Quintuple("p", "j", "", "t", "t")]
+        exits = {"t": Exit({"p": 0})}
+        for m, d in enumerate(sorted(successors)):
+            qs.append(Quintuple("p", "j", "", f"e{m}", f"e{m}"))
+            exits[f"e{m}"] = Exit({"p": 0}, d)
+        classes[c] = PieceClass(validate(qs), exits)
+    return StationarySystem(classes, "c0", DiscountedAccumulation(Fraction(1, 2)), ["p"])
+
+
+def test_aperiodic_runs_match_scc_definition():
+    rng = random.Random(0)
+    aperiodic = 0
+    for _ in range(3000):
+        names = [f"c{k}" for k in range(rng.randint(1, 6))]
+        edges = {c: {d for d in names if rng.random() < 0.3} for c in names}
+        reach, stack = {"c0"}, ["c0"]
+        while stack:
+            for d in edges[stack.pop()] - reach:
+                reach.add(d)
+                stack.append(d)
+        graph = {c: edges[c] for c in names if c in reach}
+        sys_ = _class_graph_system(graph)
+        assert sys_.continue_graph() == graph
+        expected = scc_has_aperiodic_runs(graph)
+        assert has_aperiodic_runs(sys_) is expected
+        aperiodic += expected
+    assert 0 < aperiodic < 3000
 
 
 def _drop(qs: list, rng: random.Random) -> list:

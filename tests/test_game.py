@@ -292,7 +292,7 @@ def test_resource_cap_refuses_huge_piece_enumerations():
 
     g = caterpillar_game()
     assert _subroots(g.form) == {"root"}
-    with pytest.raises(ResourceCapError, match="strategy profiles"):
+    with pytest.raises(ResourceCapError, match=f"piece at 'root' has {2**22} strategy profiles"):
         solve_backward(g)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from pentaform import (
     Quintuple,
+    ResourceCapError,
     piece_game,
     piece_partition,
     spe_check_direct,
@@ -358,6 +359,27 @@ def test_certify_refutes_bob_always_out():
     assert cert.witness["deviation_utility"] == F(0)
     assert cert.witness["strategy_utility"] == F(-1)
     assert cert.lower.status == "fails"
+
+
+def test_certify_names_a_skipped_deviation_scan(monkeypatch):
+    # Lower-convergence fails for Bob, so only the stationary deviation scan
+    # can refute; under a cap of 1 it must not run, and the reason says so.
+    bob = bob_chain()
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "1")
+    cert = certify_spe(bob, always_out(bob))
+    assert cert.kind == INCONCLUSIVE and cert.witness is None
+    assert "no improving stationary deviation was found" not in cert.reason
+    assert "player 'Bob' has 2 stationary choice profiles, more than the cap of 1" in cert.reason
+    monkeypatch.delenv("PENTAFORM_PROFILE_CAP")
+    assert certify_spe(bob, always_out(bob)).kind == REFUTED
+
+
+def test_policy_cap_error_reports_the_policy_count(monkeypatch):
+    wolf = cry_wolf()
+    policies = len(wolf.classes["day"].exits)
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "1")
+    with pytest.raises(ResourceCapError, match=f"needs {policies} exit policies, more than the cap of 1"):
+        conceivable_bounds(wolf, "day", "Kid")
 
 
 def test_certify_refutes_ann_always_in():

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from pentaform import (
-    next_node,
     outcome,
     piece_form,
     piece_outcome,
@@ -89,10 +88,10 @@ def test_restriction_compositions_commute():
 
 
 def test_next_node_examples():
-    assert next_node(F3_2, "63", "r~") == "67"
-    assert next_node(F1, "5", "e") == "6"
+    assert F3_2.next_node("63", "r~") == "67"
+    assert F1.next_node("5", "e") == "6"
     with pytest.raises(ValueError):
-        next_node(F1, "7", "e")  # endnode, not a decision node
+        F1.next_node("7", "e")  # endnode, not a decision node
 
 
 def test_outcome_examples():
@@ -135,6 +134,8 @@ def test_subform_and_piece_outcomes():
     assert piece_outcome(F3_2, "6", restrict(CALM_2, piece_form(F3_2, "6").situations)) \
         == ("6", "61", "63", "67")
     assert subform_outcome(F3_2, F3_2.root, CALM_2) == outcome(F3_2, CALM_2)
+    assert outcome(F3_2, CALM_2, "6") == subform_outcome(
+        F3_2, "6", restrict(CALM_2, subform(F3_2, "6").situations))
     assert piece_outcome(F1, "5", {"jE": "e"}) == ("5", "6")
     with pytest.raises(ValueError, match="partial"):
         piece_outcome(F3_2, "6", {"6": "a~"})

@@ -59,6 +59,10 @@ def _expect(cond: bool, where: str, msg: str) -> None:
         raise FileFormatError(f"{where}: {msg}")
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 # -- quintuples and pentaforms ---------------------------------------------------
 
 
@@ -141,8 +145,7 @@ def load_game(path) -> Game:
         _expect(key in data, where, f'missing "{key}"')
     form = validate(_parse_quintuples(data["quintuples"], f"{where}: quintuples"))
     stakeholders = data["stakeholders"]
-    _expect(isinstance(stakeholders, list) and all(isinstance(k, str) for k in stakeholders),
-            where, '"stakeholders" must be a list of strings')
+    _expect(_is_string_list(stakeholders), where, '"stakeholders" must be a list of strings')
     _expect(isinstance(data["utilities"], dict), where, '"utilities" must be an object')
     utilities = {y: _parse_profile(prof, f"{where}: utilities.{y}")
                  for y, prof in data["utilities"].items()}
@@ -225,14 +228,17 @@ def load_system(path) -> StationarySystem:
     for key in ("classes", "initial", "model", "stakeholders"):
         _expect(key in data, where, f'missing "{key}"')
     _expect(isinstance(data["classes"], dict), where, '"classes" must be an object')
+    _expect(isinstance(data["initial"], str), where, '"initial" must be a class id string')
+    _expect(_is_string_list(data["stakeholders"]), where, '"stakeholders" must be a list of strings')
 
     classes = {}
     for cid, spec in data["classes"].items():
         spot = f"{where}: classes.{cid}"
         _expect(isinstance(spec, dict) and "template" in spec and "exits" in spec,
                 spot, 'expected "template" and "exits"')
+        quintuples = _parse_quintuples(spec["template"], f"{spot}.template")
         try:
-            template = validate(_parse_quintuples(spec["template"], f"{spot}.template"))
+            template = validate(quintuples)
         except ValueError as exc:
             raise FileFormatError(f"{spot}.template: {exc}") from exc
         exits = {}
@@ -245,6 +251,7 @@ def load_system(path) -> StationarySystem:
             else:
                 _expect("class" in entry and "reward" in entry, espot,
                         'expected "terminal" or "class"+"reward"')
+                _expect(isinstance(entry["class"], str), espot, '"class" must be a class id string')
                 exits[label] = Exit(_parse_profile(entry["reward"], espot),
                                     next_class=entry["class"])
         classes[cid] = PieceClass(template, exits)
@@ -252,7 +259,8 @@ def load_system(path) -> StationarySystem:
     mspec = data["model"]
     _expect(isinstance(mspec, dict) and "kind" in mspec, where, '"model" needs a "kind"')
     if mspec["kind"] == "discounted":
-        _expect("beta" in mspec, where, 'discounted model needs "beta"')
+        _expect(isinstance(mspec.get("beta"), str), where,
+                'discounted model needs "beta" written as a string')
         beta = parse_scalar(mspec["beta"])
         model = DiscountedAccumulation(beta)
     elif mspec["kind"] == "absolute-terminal":
@@ -262,6 +270,7 @@ def load_system(path) -> StationarySystem:
             cspot = f"{where}: model.cycles[{idx}]"
             _expect(isinstance(entry, dict) and "classes" in entry and "utility" in entry,
                     cspot, 'expected "classes" and "utility"')
+            _expect(_is_string_list(entry["classes"]), cspot, '"classes" must be a list of class ids')
             cycles[tuple(entry["classes"])] = _parse_profile(entry["utility"], cspot)
         model = AbsoluteTerminal(cycles)
     else:

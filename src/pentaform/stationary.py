@@ -14,8 +14,15 @@ as-is and requires an explicit utility profile for every simple class cycle;
 infinite runs that settle into a cycle get that profile, and systems whose
 class graph admits aperiodic infinite runs are only partially specified.
 
+Each model holds one pricing rule, `step(reward, w)`: the value of a continue
+exit with that reward into a piece worth w (r + β·w, or w as-is), plus the
+value of circling a class cycle forever.  Everything else prices by folding
+`step`: a class value steps back from the class its exit enters, a piece
+game's continue exits step to the next class value, and an endnode of an
+unfolding folds `step` over the continue exits on its class path.
+
 Everything infinite is analyzed on the finite class quotient: continuation
-values solve w_c = r(σ-exit) + β·w_next exactly, and the utility of any
+values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
 concrete subgame is a positive affine image of the quotient, so one Nash scan
 per class settles piecewise-Nashness for all infinitely many pieces at once.
 """
@@ -68,12 +75,34 @@ class PieceClass:
 class DiscountedAccumulation:
     beta: Fraction
 
+    def step(self, reward: Mapping[str, Scalar], w: Mapping[str, Scalar]) -> Profile:
+        """The value of a continue exit with `reward` into a piece worth `w`."""
+        beta = self.beta
+        return {k: reward[k] + beta * w[k] for k in w}
+
+    def cycle_value(self, cycle: tuple[str, ...], rewards: list[Profile]) -> Profile:
+        """The value at cycle[0] of circling `cycle` forever, earning
+        rewards[m] on leaving cycle[m]: the geometric series of one lap."""
+        lap = {k: Fraction(0) for k in rewards[0]}
+        for reward in reversed(rewards):
+            lap = self.step(reward, lap)
+        denom = 1 - self.beta ** len(cycle)
+        return {k: x / denom for k, x in lap.items()}
+
 
 @dataclass(frozen=True)
 class AbsoluteTerminal:
     # canonical cycle tuple (min rotation) -> utility profile of runs that
     # settle into that cycle
     cycle_utilities: Mapping[tuple[str, ...], Mapping[str, Scalar]]
+
+    def step(self, reward: Mapping[str, Scalar], w: Mapping[str, Scalar]) -> Profile:
+        """Continue rewards count for nothing: the value is `w` as-is."""
+        return dict(w)
+
+    def cycle_value(self, cycle: tuple[str, ...], rewards: list[Profile]) -> Profile:
+        """The declared utility of runs that settle into `cycle`."""
+        return dict(self.cycle_utilities[canonical_cycle(cycle)])
 
 
 StationaryStrategy = dict  # class id -> {template situation -> action}
@@ -226,57 +255,57 @@ def has_aperiodic_runs(sys: StationarySystem) -> bool:
 # -- instantiation -------------------------------------------------------------
 
 
-def _relabel_node(prefix: str, local: str) -> str:
-    return prefix + local
-
-
 def _relabel_situation(prefix: str, local: str) -> str:
     return "+".join(prefix + part for part in local.split("+"))
+
+
+def _continue_exits(sys: StationarySystem, cid: str) -> list[tuple[str, Exit]]:
+    exits = sys.classes[cid].exits
+    return [(label, exits[label]) for label in sorted(exits) if not exits[label].is_terminal]
 
 
 @dataclass(frozen=True)
 class _PieceInstance:
     prefix: str
     class_id: str
-    level: int
-    accrued: tuple  # sorted (stakeholder, Fraction) pairs; () when unused
+    path: tuple[Exit, ...]  # the continue exits taken from the root to this piece
 
 
-def _expand(sys: StationarySystem, depth: int, with_accrued: bool):
-    """All piece instances with class-path length ≤ depth, plus the boundary
-    continue-exits of the deepest layer."""
+def _expand(sys: StationarySystem, depth: int):
+    """All piece instances with class-path length ≤ depth, plus the cut
+    endnodes (the continue exits of the deepest layer) as (node, class
+    entered, class path ending in that exit) triples.
+
+    Before building anything, counts the unfolding's quintuples level by
+    level from the class multiplicities and raises ResourceCapError past the
+    cap."""
     if depth < 1:
         raise ValueError("instantiation depth must be at least 1")
-    beta = sys.model.beta if with_accrued else None
-    zero = tuple(sorted(sys.zero_profile().items()))
-    pieces = [_PieceInstance("", sys.initial, 0, zero)]
-    boundary: list[tuple[str, str, _PieceInstance, str]] = []
-    frontier = pieces[:]
-    for level in range(depth):
-        nxt = []
-        for inst in frontier:
-            cls = sys.classes[inst.class_id]
-            for label in sorted(cls.exits):
-                e = cls.exits[label]
-                if e.is_terminal:
-                    continue
-                if with_accrued:
-                    acc = dict(inst.accrued)
-                    step = beta ** inst.level
-                    accrued = tuple(sorted((k, acc[k] + step * e.reward[k]) for k in acc))
-                else:
-                    accrued = zero
-                child = _PieceInstance(inst.prefix + label, e.next_class, inst.level + 1, accrued)
-                nxt.append(child)
-        pieces.extend(nxt)
-        frontier = nxt
-    for inst in frontier:
-        cls = sys.classes[inst.class_id]
-        for label in sorted(cls.exits):
-            e = cls.exits[label]
-            if not e.is_terminal:
-                boundary.append((inst.prefix + label, e.next_class, inst, label))
-    return pieces, boundary
+    cap = profile_cap()
+    count, multiplicity = 0, {sys.initial: 1}
+    for level in range(depth + 1):
+        count += sum(m * len(sys.classes[c].template) for c, m in multiplicity.items())
+        if count > cap:
+            needed = count if level == depth else f"at least {count}"
+            raise ResourceCapError(
+                f"instantiation to depth {depth} needs {needed} quintuples, more than the cap of {cap}")
+        nxt: dict[str, int] = {}
+        for c, m in multiplicity.items():
+            for _, e in _continue_exits(sys, c):
+                nxt[e.next_class] = nxt.get(e.next_class, 0) + m
+        if not nxt:
+            break
+        multiplicity = nxt
+
+    root = _PieceInstance("", sys.initial, ())
+    pieces, frontier = [root], [root]
+    for _ in range(level):  # no piece lies deeper than the last counted level
+        frontier = [_PieceInstance(inst.prefix + label, e.next_class, inst.path + (e,))
+                    for inst in frontier for label, e in _continue_exits(sys, inst.class_id)]
+        pieces.extend(frontier)
+    cuts = [(inst.prefix + label, e.next_class, inst.path + (e,))
+            for inst in frontier for label, e in _continue_exits(sys, inst.class_id)]
+    return pieces, cuts
 
 
 def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
@@ -286,13 +315,55 @@ def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
             out.append(Quintuple(
                 q.player,
                 _relabel_situation(inst.prefix, q.situation),
-                _relabel_node(inst.prefix, q.decision_node),
+                inst.prefix + q.decision_node,
                 q.action,
-                _relabel_node(inst.prefix, q.successor),
+                inst.prefix + q.successor,
             ))
     if len(set(out)) != len(out):
         raise ValueError("template labels collide when concatenated; rename template nodes")
     return out
+
+
+def _price(model, path: tuple[Exit, ...], w: Mapping[str, Scalar]) -> Profile:
+    """The value at the start of a class path of reaching its end worth `w`:
+    the model's `step` folded over the path's continue exits, last one first."""
+    w = dict(w)
+    for e in reversed(path):
+        w = model.step(e.reward, w)
+    return w
+
+
+@dataclass(frozen=True)
+class _Unfolding:
+    """A depth-bounded unfolding: true terminals priced exactly, each cut
+    endnode kept as (node, class entered, class path) until a continuation
+    prices it."""
+
+    form: Pentaform
+    stakeholders: frozenset
+    model: object
+    terminal_utilities: Mapping[str, Profile]
+    cuts: tuple
+
+    def game(self, continuation: Mapping[str, Mapping[str, object]]) -> Game:
+        """Point-instantiate the cut endnodes with one continuation profile per class."""
+        utilities = dict(self.terminal_utilities)
+        for node, class_id, path in self.cuts:
+            if class_id not in continuation:
+                raise ValueError(f"continuation missing class {class_id!r}")
+            w = make_profile(continuation[class_id], self.stakeholders)
+            utilities[node] = _price(self.model, path, w)
+        return Game(self.form, self.stakeholders, utilities)
+
+
+def _unfold(sys: StationarySystem, depth: int) -> _Unfolding:
+    pieces, cuts = _expand(sys, depth)
+    terminal_utilities = {
+        inst.prefix + label: _price(sys.model, inst.path, e.reward)
+        for inst in pieces for label, e in sys.classes[inst.class_id].exits.items() if e.is_terminal
+    }
+    form = validate(_piece_quintuples(sys, pieces))
+    return _Unfolding(form, sys.stakeholders, sys.model, terminal_utilities, tuple(cuts))
 
 
 @dataclass(frozen=True)
@@ -306,25 +377,10 @@ class BoundaryExit:
 
 
 @dataclass(frozen=True)
-class BoundedInstantiation:
+class BoundedInstantiation(_Unfolding):
     """A depth-bounded unfolding whose cut endnodes carry exact value brackets."""
 
-    form: Pentaform
-    stakeholders: frozenset
-    beta: Fraction
-    terminal_utilities: Mapping[str, Profile]
     boundary: Mapping[str, BoundaryExit]
-
-    def game(self, continuation: Mapping[str, Mapping[str, object]]) -> Game:
-        """Point-instantiate the brackets with one continuation profile per class."""
-        utilities = {y: dict(p) for y, p in self.terminal_utilities.items()}
-        for node, b in self.boundary.items():
-            if b.class_id not in continuation:
-                raise ValueError(f"continuation missing class {b.class_id!r}")
-            w = make_profile(continuation[b.class_id], self.stakeholders)
-            factor = self.beta ** b.level
-            utilities[node] = {k: b.accrued[k] + factor * w[k] for k in b.accrued}
-        return Game(self.form, self.stakeholders, utilities)
 
 
 def instantiate(sys: StationarySystem, depth: int, mode: str = "structural"):
@@ -332,76 +388,42 @@ def instantiate(sys: StationarySystem, depth: int, mode: str = "structural"):
 
     Structural mode returns the validated pentaform only.  Bounded mode
     (discounted models only) additionally prices every true terminal exactly
-    and brackets every cut endnode by accrued ± β^level · conceivable bounds.
+    and brackets every cut endnode by the conceivable bounds of the class it
+    enters, priced along its class path.
     """
     if mode == "structural":
-        pieces, _ = _expand(sys, depth, with_accrued=False)
+        pieces, _ = _expand(sys, depth)
         return validate(_piece_quintuples(sys, pieces))
     if mode != "bounded":
         raise ValueError(f"unknown instantiation mode {mode!r}")
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("bounded instantiation is unsupported for absolute-terminal models")
-    beta = sys.model.beta
-    pieces, boundary_exits = _expand(sys, depth, with_accrued=True)
-    form = validate(_piece_quintuples(sys, pieces))
-
-    terminal_utilities: dict[str, Profile] = {}
-    for inst in pieces:
-        cls = sys.classes[inst.class_id]
-        acc = dict(inst.accrued)
-        step = beta ** inst.level
-        for label, e in cls.exits.items():
-            if e.is_terminal:
-                node = _relabel_node(inst.prefix, label)
-                terminal_utilities[node] = {k: acc[k] + step * e.reward[k] for k in acc}
-
+    unfolding = _unfold(sys, depth)
     boundary: dict[str, BoundaryExit] = {}
-    for node, class_id, inst, label in boundary_exits:
-        e = sys.classes[inst.class_id].exits[label]
-        acc = dict(inst.accrued)
-        step = beta ** inst.level
-        accrued = {k: acc[k] + step * e.reward[k] for k in acc}
-        level = inst.level + 1
+    for node, class_id, path in unfolding.cuts:
         lo, hi = {}, {}
         for k in sorted(sys.stakeholders):
-            b_lo, b_hi = conceivable_bounds(sys, class_id, k)
-            factor = beta ** level
-            lo[k] = accrued[k] + factor * b_lo
-            hi[k] = accrued[k] + factor * b_hi
-        boundary[node] = BoundaryExit(node, class_id, accrued, level, lo, hi)
-    return BoundedInstantiation(form, sys.stakeholders, beta, terminal_utilities, boundary)
+            lo[k], hi[k] = conceivable_bounds(sys, class_id, k)
+        boundary[node] = BoundaryExit(node, class_id, _price(sys.model, path, sys.zero_profile()),
+                                      len(path), _price(sys.model, path, lo), _price(sys.model, path, hi))
+    return BoundedInstantiation(**vars(unfolding), boundary=boundary)
 
 
 def truncated_game(sys: StationarySystem, depth: int,
                    continuation: Mapping[str, Mapping[str, object]]) -> Game:
     """A finite game cut at `depth` with explicit per-class boundary profiles.
 
-    Works for both utility models; under discounting the boundary profile is
-    discounted and added to the accrued rewards, under absolute-terminal it
-    is used as-is.
+    Works for both utility models: every endnode is priced by folding the
+    model's `step` over the continue exits on its class path.
     """
-    if isinstance(sys.model, DiscountedAccumulation):
-        return instantiate(sys, depth, "bounded").game(continuation)
-    pieces, boundary_exits = _expand(sys, depth, with_accrued=False)
-    form = validate(_piece_quintuples(sys, pieces))
-    utilities: dict[str, Profile] = {}
-    for inst in pieces:
-        cls = sys.classes[inst.class_id]
-        for label, e in cls.exits.items():
-            if e.is_terminal:
-                utilities[_relabel_node(inst.prefix, label)] = dict(e.reward)
-    for node, class_id, _inst, _label in boundary_exits:
-        if class_id not in continuation:
-            raise ValueError(f"continuation missing class {class_id!r}")
-        utilities[node] = make_profile(continuation[class_id], sys.stakeholders)
-    return Game(form, sys.stakeholders, utilities)
+    return _unfold(sys, depth).game(continuation)
 
 
 def induced_strategy(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str]],
                      depth: int) -> dict[str, str]:
     """Replicate a stationary strategy over every piece of a truncation."""
     sigma = validate_stationary_strategy(sys, sigma)
-    pieces, _ = _expand(sys, depth, with_accrued=False)
+    pieces, _ = _expand(sys, depth)
     out: dict[str, str] = {}
     for inst in pieces:
         for local_sit, action in sigma[inst.class_id].items():
@@ -431,21 +453,13 @@ def _sigma_exit(sys: StationarySystem, sigma: StationaryStrategy, cid: str) -> E
 
 
 def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[str, Profile]:
-    """Exact per-class run values when each class commits to one exit.
-
-    Discounted chains fold terminal tails and solve σ-cycles geometrically;
-    absolute-terminal chains copy the eventual terminal or declared cycle
-    profile back along the chain.
+    """Exact per-class run values when each class commits to one exit: a
+    terminal exit is its profile, the first class of a σ-cycle gets the
+    model's cycle value, and every other class steps back from the class its
+    exit enters.
     """
-    discounted = isinstance(sys.model, DiscountedAccumulation)
-    beta = sys.model.beta if discounted else None
+    model = sys.model
     w: dict[str, Profile] = {}
-
-    def step(e: Exit, nxt: Profile) -> Profile:
-        if discounted:
-            return {k: e.reward[k] + beta * nxt[k] for k in nxt}
-        return dict(nxt)
-
     for start in sorted(sys.classes):
         if start in w:
             continue
@@ -461,27 +475,13 @@ def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[st
                 break
             cur = e.next_class
         if path[-1] not in w and cur in pos:
-            cyc = path[pos[cur]:]
-            if discounted:
-                total = sys.zero_profile()
-                for m, d in enumerate(cyc):
-                    r = exit_of[d].reward
-                    total = {k: total[k] + beta**m * r[k] for k in total}
-                denom = 1 - beta ** len(cyc)
-                w[cyc[0]] = {k: total[k] / denom for k in total}
-                for m in range(len(cyc) - 1, 0, -1):
-                    nxt = w[cyc[0]] if m == len(cyc) - 1 else w[cyc[m + 1]]
-                    w[cyc[m]] = step(exit_of[cyc[m]], nxt)
-            else:
-                key = canonical_cycle(tuple(cyc))
-                profile = sys.model.cycle_utilities[key]
-                for d in cyc:
-                    w[d] = dict(profile)
+            cyc = tuple(path[pos[cur]:])
+            w[cur] = model.cycle_value(cyc, [exit_of[d].reward for d in cyc])
         for d in reversed(path):
             if d in w:
                 continue
             e = exit_of[d]
-            w[d] = step(e, w[e.next_class])
+            w[d] = model.step(e.reward, w[e.next_class])
     return w
 
 
@@ -515,18 +515,10 @@ def parse_subroot_label(sys: StationarySystem, label: str) -> tuple[list[Exit], 
 
 
 def value_at(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str]], label: str) -> Profile:
-    """Authentic value at a concrete subroot: accrued rewards plus the
-    discounted continuation of its class (continuation alone when absolute)."""
+    """Authentic value at a concrete subroot: the continuation of its class,
+    priced back along the subroot's class path."""
     exits, cid = parse_subroot_label(sys, label)
-    w = continuation_values(sys, sigma)
-    if not isinstance(sys.model, DiscountedAccumulation):
-        return dict(w[cid])
-    beta = sys.model.beta
-    total = sys.zero_profile()
-    for m, e in enumerate(exits):
-        total = {k: total[k] + beta**m * e.reward[k] for k in total}
-    factor = beta ** len(exits)
-    return {k: total[k] + factor * w[cid][k] for k in total}
+    return _price(sys.model, exits, continuation_values(sys, sigma)[cid])
 
 
 # -- conceivable bounds -----------------------------------------------------------
@@ -661,21 +653,16 @@ def _max_abs_reward(sys: StationarySystem) -> Scalar:
 
 def quotient_piece_game(sys: StationarySystem, cid: str,
                         continuation: Mapping[str, Mapping[str, object]]) -> Game:
-    """The class template priced as a piece game: terminal exits
-    keep their profiles, continue exits get reward + β·w (or w as-is)."""
+    """The class template priced as a piece game: terminal exits keep their
+    profiles, continue exits step to the continuation of the class they enter."""
     cls = sys.classes[cid]
-    discounted = isinstance(sys.model, DiscountedAccumulation)
-    beta = sys.model.beta if discounted else None
     utils: dict[str, Profile] = {}
     for label, e in cls.exits.items():
         if e.is_terminal:
             utils[label] = dict(e.reward)
         else:
             w = make_profile(continuation[e.next_class], sys.stakeholders)
-            if discounted:
-                utils[label] = {k: e.reward[k] + beta * w[k] for k in w}
-            else:
-                utils[label] = dict(w)
+            utils[label] = sys.model.step(e.reward, w)
     return Game(cls.template, sys.stakeholders, utils)
 
 
@@ -694,16 +681,9 @@ def stationary_persistent(sys: StationarySystem, sigma, values, tol: Scalar = Fr
     (terminal exits compare against the terminal profile itself)."""
     sigma = validate_stationary_strategy(sys, sigma)
     v = _check_class_values(sys, values)
-    discounted = isinstance(sys.model, DiscountedAccumulation)
-    beta = sys.model.beta if discounted else None
     for c in sorted(sys.classes):
         e = _sigma_exit(sys, sigma, c)
-        if e.is_terminal:
-            expected = dict(e.reward)
-        elif discounted:
-            expected = {k: e.reward[k] + beta * v[e.next_class][k] for k in v[e.next_class]}
-        else:
-            expected = dict(v[e.next_class])
+        expected = dict(e.reward) if e.is_terminal else sys.model.step(e.reward, v[e.next_class])
         if not profiles_equal(v[c], expected, tol):
             return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
     return Verdict(True)
@@ -874,21 +854,28 @@ class StationarySolveFailure:
     class_id: str | None = None
 
 
-def solve_stationary(sys: StationarySystem, tol: Fraction = Fraction(1, 10**12),
-                     max_sweeps: int = 500) -> StationarySolution | StationarySolveFailure:
+SOLVE_TOL = Fraction(1, 10**12)
+SOLVE_MAX_SWEEPS = 500
+
+
+def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
     """Value iteration over class profiles for discounted models.
 
     Each sweep replaces every class value by the payoff profile of a pure
     Nash point of its quotient piece game under the current continuation
     (ties broken toward the lexicographically largest action profile, which
-    favors staying in the game when indifferent).  Stops when the sup-norm
-    change drops below tol and the selected strategy repeats.
+    favors staying in the game when indifferent).  When the sup-norm change
+    drops below SOLVE_TOL and the selected strategy repeats, the strategy is
+    evaluated exactly; it is returned only if every class still plays a Nash
+    point under those exact values, and otherwise the sweeps go on from them.
+    The returned values are therefore always the exact continuation values
+    of a strategy that passes the piecewise-Nash scan.
     """
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("solve_stationary requires a discounted-accumulation model")
     w = {c: sys.zero_profile() for c in sys.classes}
     sigma_prev: dict | None = None
-    for _ in range(max_sweeps):
+    for _ in range(SOLVE_MAX_SWEEPS):
         new_w: dict[str, Profile] = {}
         new_sigma: dict[str, dict] = {}
         for c in sorted(sys.classes):
@@ -905,14 +892,12 @@ def solve_stationary(sys: StationarySystem, tol: Fraction = Fraction(1, 10**12),
         delta = max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c])
         stable = sigma_prev == new_sigma
         w, sigma_prev = new_w, new_sigma
-        if delta < tol and stable:
-            # Polish: evaluate the stabilized strategy exactly and keep the
-            # exact fixed point when it still supports the same equilibria.
+        if delta < SOLVE_TOL and stable:
             exact = continuation_values(sys, new_sigma)
             if all(is_pure_nash(quotient_piece_game(sys, c, exact), new_sigma[c])
                    for c in sorted(sys.classes)):
                 return StationarySolution(new_sigma, exact)
-            return StationarySolution(new_sigma, w)
+            w = exact
     return StationarySolveFailure("no-convergence", None)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -20,9 +22,20 @@ from pentaform import (
     utility_of_run,
     validate_strategy,
 )
-from pentaform.core import AXIOM_NO_CYCLES, AxiomViolation, Pentaform
+from pentaform.core import AXIOM_NO_CYCLES, AxiomViolation, Pentaform, Quintuple, validate
 from pentaform.game import _best_deviation, _nash_witness
-from pentaform.stationary import simple_cycles
+from pentaform.numbers import make_profile, profiles_equal
+from pentaform.stationary import (
+    BoundaryExit,
+    DiscountedAccumulation,
+    Exit,
+    PieceClass,
+    StationarySystem,
+    canonical_cycle,
+    parse_subroot_label,
+    simple_cycles,
+    validate_stationary_strategy,
+)
 
 
 def random_strategy(form: Pentaform, rng: random.Random) -> dict:
@@ -170,6 +183,288 @@ def scc_has_aperiodic_runs(graph: dict) -> bool:
         if sum(1 for cyc in cycles if set(cyc) <= comp) >= 2:
             return True
     return False
+
+
+def random_discounted_system(seed: int) -> StationarySystem | None:
+    """One to three one-decision classes with two or three exits each and
+    random rewards; None when the draw leaves a class unreachable."""
+    rng = random.Random(seed)
+    cids = [f"c{i}" for i in range(rng.randint(1, 3))]
+    players = [f"p{i}" for i in range(1, rng.randint(1, 2) + 1)]
+    classes = {}
+    for ci, cid in enumerate(cids):
+        quintuples, exits = [], {}
+        player = rng.choice(players)
+        has_continue = False
+        n_actions = rng.randint(2, 3)
+        for a in range(n_actions):
+            local = f"e{a}"
+            quintuples.append(Quintuple(player, "", "", f"a{a}", local))
+            reward = {p: Fraction(rng.randint(-20, 20), rng.choice([1, 2, 4])) for p in players}
+            if rng.random() < 0.5 or (a == n_actions - 1 and not has_continue and ci == 0):
+                exits[local] = Exit(reward, next_class=rng.choice(cids))
+                has_continue = True
+            else:
+                exits[local] = Exit(reward)
+        classes[cid] = PieceClass(validate(quintuples), exits)
+    try:
+        return StationarySystem(classes, "c0",
+                                DiscountedAccumulation(Fraction(rng.randint(1, 9), 10)), players)
+    except ValueError:
+        return None  # drew unreachable classes
+
+
+# -- stationary reference oracles: the unfolding and the value code written
+# with one branch per utility model, as they stood before each model held its
+# own pricing rule -------------------------------------------------------------
+
+
+def _reference_sigma_exit(sys, sigma, cid) -> Exit:
+    cls = sys.classes[cid]
+    return cls.exits[outcome(cls.template, sigma[cid])[-1]]
+
+
+def reference_chain_values(sys, exit_of) -> dict:
+    discounted = isinstance(sys.model, DiscountedAccumulation)
+    beta = sys.model.beta if discounted else None
+    w: dict = {}
+
+    def step(e, nxt):
+        if discounted:
+            return {k: e.reward[k] + beta * nxt[k] for k in nxt}
+        return dict(nxt)
+
+    for start in sorted(sys.classes):
+        if start in w:
+            continue
+        path: list = []
+        pos: dict = {}
+        cur = start
+        while cur not in w and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            e = exit_of[cur]
+            if e.is_terminal:
+                w[cur] = dict(e.reward)
+                break
+            cur = e.next_class
+        if path[-1] not in w and cur in pos:
+            cyc = path[pos[cur]:]
+            if discounted:
+                total = sys.zero_profile()
+                for m, d in enumerate(cyc):
+                    r = exit_of[d].reward
+                    total = {k: total[k] + beta**m * r[k] for k in total}
+                denom = 1 - beta ** len(cyc)
+                w[cyc[0]] = {k: total[k] / denom for k in total}
+                for m in range(len(cyc) - 1, 0, -1):
+                    nxt = w[cyc[0]] if m == len(cyc) - 1 else w[cyc[m + 1]]
+                    w[cyc[m]] = step(exit_of[cyc[m]], nxt)
+            else:
+                profile = sys.model.cycle_utilities[canonical_cycle(tuple(cyc))]
+                for d in cyc:
+                    w[d] = dict(profile)
+        for d in reversed(path):
+            if d in w:
+                continue
+            e = exit_of[d]
+            w[d] = step(e, w[e.next_class])
+    return w
+
+
+def reference_continuation_values(sys, sigma) -> dict:
+    sigma = validate_stationary_strategy(sys, sigma)
+    return reference_chain_values(sys, {c: _reference_sigma_exit(sys, sigma, c) for c in sys.classes})
+
+
+def reference_discounted_extremes(sys) -> dict:
+    """Per class and stakeholder, (min, max) of the chain values over every
+    exit policy, enumerated as a product."""
+    class_ids = sorted(sys.classes)
+    table: dict = {}
+    for choice in product(*(list(sys.classes[c].exits.values()) for c in class_ids)):
+        values = reference_chain_values(sys, dict(zip(class_ids, choice)))
+        for c in class_ids:
+            for k, v in values[c].items():
+                lo, hi = table.get((c, k), (v, v))
+                table[(c, k)] = (min(lo, v), max(hi, v))
+    return table
+
+
+@dataclass(frozen=True)
+class _ReferencePiece:
+    prefix: str
+    class_id: str
+    level: int
+    accrued: tuple  # sorted (stakeholder, Fraction) pairs
+
+
+def reference_expand(sys, depth: int, with_accrued: bool):
+    if depth < 1:
+        raise ValueError("instantiation depth must be at least 1")
+    beta = sys.model.beta if with_accrued else None
+    zero = tuple(sorted(sys.zero_profile().items()))
+    pieces = [_ReferencePiece("", sys.initial, 0, zero)]
+    boundary = []
+    frontier = pieces[:]
+    for _ in range(depth):
+        nxt = []
+        for inst in frontier:
+            cls = sys.classes[inst.class_id]
+            for label in sorted(cls.exits):
+                e = cls.exits[label]
+                if e.is_terminal:
+                    continue
+                if with_accrued:
+                    acc = dict(inst.accrued)
+                    step = beta ** inst.level
+                    accrued = tuple(sorted((k, acc[k] + step * e.reward[k]) for k in acc))
+                else:
+                    accrued = zero
+                nxt.append(_ReferencePiece(inst.prefix + label, e.next_class, inst.level + 1, accrued))
+        pieces.extend(nxt)
+        frontier = nxt
+    for inst in frontier:
+        cls = sys.classes[inst.class_id]
+        for label in sorted(cls.exits):
+            e = cls.exits[label]
+            if not e.is_terminal:
+                boundary.append((inst.prefix + label, e.next_class, inst, label))
+    return pieces, boundary
+
+
+def _reference_situation(prefix: str, local: str) -> str:
+    return "+".join(prefix + part for part in local.split("+"))
+
+
+def reference_piece_form(sys, pieces) -> Pentaform:
+    return validate([
+        Quintuple(q.player, _reference_situation(inst.prefix, q.situation),
+                  inst.prefix + q.decision_node, q.action, inst.prefix + q.successor)
+        for inst in pieces for q in sys.classes[inst.class_id].template.quintuples
+    ])
+
+
+@dataclass(frozen=True)
+class ReferenceBoundedInstantiation:
+    form: Pentaform
+    stakeholders: frozenset
+    beta: Fraction
+    terminal_utilities: dict
+    boundary: dict
+
+    def game(self, continuation) -> Game:
+        utilities = {y: dict(p) for y, p in self.terminal_utilities.items()}
+        for node, b in self.boundary.items():
+            if b.class_id not in continuation:
+                raise ValueError(f"continuation missing class {b.class_id!r}")
+            w = make_profile(continuation[b.class_id], self.stakeholders)
+            factor = self.beta ** b.level
+            utilities[node] = {k: b.accrued[k] + factor * w[k] for k in b.accrued}
+        return Game(self.form, self.stakeholders, utilities)
+
+
+def reference_instantiate(sys, depth: int, mode: str = "structural"):
+    if mode == "structural":
+        pieces, _ = reference_expand(sys, depth, with_accrued=False)
+        return reference_piece_form(sys, pieces)
+    beta = sys.model.beta
+    pieces, boundary_exits = reference_expand(sys, depth, with_accrued=True)
+    form = reference_piece_form(sys, pieces)
+    terminal_utilities = {}
+    for inst in pieces:
+        acc = dict(inst.accrued)
+        step = beta ** inst.level
+        for label, e in sys.classes[inst.class_id].exits.items():
+            if e.is_terminal:
+                terminal_utilities[inst.prefix + label] = {k: acc[k] + step * e.reward[k] for k in acc}
+    extremes = reference_discounted_extremes(sys)
+    boundary = {}
+    for node, class_id, inst, label in boundary_exits:
+        e = sys.classes[inst.class_id].exits[label]
+        acc = dict(inst.accrued)
+        step = beta ** inst.level
+        accrued = {k: acc[k] + step * e.reward[k] for k in acc}
+        level = inst.level + 1
+        lo, hi = {}, {}
+        for k in sorted(sys.stakeholders):
+            b_lo, b_hi = extremes[(class_id, k)]
+            lo[k] = accrued[k] + beta ** level * b_lo
+            hi[k] = accrued[k] + beta ** level * b_hi
+        boundary[node] = BoundaryExit(node, class_id, accrued, level, lo, hi)
+    return ReferenceBoundedInstantiation(form, sys.stakeholders, beta, terminal_utilities, boundary)
+
+
+def reference_truncated_game(sys, depth: int, continuation) -> Game:
+    if isinstance(sys.model, DiscountedAccumulation):
+        return reference_instantiate(sys, depth, "bounded").game(continuation)
+    pieces, boundary_exits = reference_expand(sys, depth, with_accrued=False)
+    form = reference_piece_form(sys, pieces)
+    utilities = {}
+    for inst in pieces:
+        for label, e in sys.classes[inst.class_id].exits.items():
+            if e.is_terminal:
+                utilities[inst.prefix + label] = dict(e.reward)
+    for node, class_id, _inst, _label in boundary_exits:
+        if class_id not in continuation:
+            raise ValueError(f"continuation missing class {class_id!r}")
+        utilities[node] = make_profile(continuation[class_id], sys.stakeholders)
+    return Game(form, sys.stakeholders, utilities)
+
+
+def reference_induced_strategy(sys, sigma, depth: int) -> dict:
+    sigma = validate_stationary_strategy(sys, sigma)
+    pieces, _ = reference_expand(sys, depth, with_accrued=False)
+    return {_reference_situation(inst.prefix, j): a
+            for inst in pieces for j, a in sigma[inst.class_id].items()}
+
+
+def reference_value_at(sys, sigma, label: str) -> dict:
+    exits, cid = parse_subroot_label(sys, label)
+    w = reference_continuation_values(sys, sigma)
+    if not isinstance(sys.model, DiscountedAccumulation):
+        return dict(w[cid])
+    beta = sys.model.beta
+    total = sys.zero_profile()
+    for m, e in enumerate(exits):
+        total = {k: total[k] + beta**m * e.reward[k] for k in total}
+    factor = beta ** len(exits)
+    return {k: total[k] + factor * w[cid][k] for k in total}
+
+
+def reference_quotient_piece_game(sys, cid: str, continuation) -> Game:
+    cls = sys.classes[cid]
+    discounted = isinstance(sys.model, DiscountedAccumulation)
+    beta = sys.model.beta if discounted else None
+    utils = {}
+    for label, e in cls.exits.items():
+        if e.is_terminal:
+            utils[label] = dict(e.reward)
+        else:
+            w = make_profile(continuation[e.next_class], sys.stakeholders)
+            if discounted:
+                utils[label] = {k: e.reward[k] + beta * w[k] for k in w}
+            else:
+                utils[label] = dict(w)
+    return Game(cls.template, sys.stakeholders, utils)
+
+
+def reference_stationary_persistent(sys, sigma, values) -> Verdict:
+    sigma = validate_stationary_strategy(sys, sigma)
+    v = {c: make_profile(values[c], sys.stakeholders) for c in sorted(values)}
+    discounted = isinstance(sys.model, DiscountedAccumulation)
+    beta = sys.model.beta if discounted else None
+    for c in sorted(sys.classes):
+        e = _reference_sigma_exit(sys, sigma, c)
+        if e.is_terminal:
+            expected = dict(e.reward)
+        elif discounted:
+            expected = {k: e.reward[k] + beta * v[e.next_class][k] for k in v[e.next_class]}
+        else:
+            expected = dict(v[e.next_class])
+        if not profiles_equal(v[c], expected, Fraction(0)):
+            return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
+    return Verdict(True)
 
 
 @pytest.fixture(scope="session")

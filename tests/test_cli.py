@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,49 @@ def test_resource_cap_env_override(capsys, monkeypatch):
     monkeypatch.delenv("PENTAFORM_PROFILE_CAP")
     code, _, _ = run(capsys, "solve", FIXTURES / "entry.game")
     assert code == 0
+
+
+def test_instantiation_cap_exit_code(capsys):
+    code, out, err = run(capsys, "stationary", FIXTURES / "crywolf.system", "instantiate", 30)
+    assert code == 3 and out == ""
+    assert err == ("resource cap exceeded: instantiation to depth 30 needs at least 2125760 "
+                   "quintuples, more than the cap of 1000000\n")
+
+
+def _ann_system():
+    return json.loads((FIXTURES / "ann.system").read_text())
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(["initial"], ["c"]), '"initial" must be a class id string'),
+    (_set(["classes", "c", "exits", "i", "class"], ["c"]), 'classes.c.exits.i: "class" must be a class id string'),
+    (_set(["stakeholders"], 5), '"stakeholders" must be a list of strings'),
+    (_set(["model", "cycles", 0, "classes"], 5), 'model.cycles[0]: "classes" must be a list of class ids'),
+    (_set(["model", "cycles", 0, "classes"], [["c"]]), 'model.cycles[0]: "classes" must be a list of class ids'),
+    (_set(["model"], {"kind": "discounted", "beta": 0.5}), 'discounted model needs "beta" written as a string'),
+    (_set(["classes", "c", "template"], [["Ann", "", ""]]), "classes.c.template[0]: expected a 5-element list"),
+    (_set(["classes", "c", "template"], [["Ann", "", "", "in", ""]]), "classes.c.template: [Py]"),
+], ids=["initial-list", "exit-class-list", "stakeholders-int", "cycle-classes-int",
+        "cycle-classes-nested", "beta-float", "template-short", "template-cycle"])
+def test_malformed_system_is_input_error(capsys, tmp_path, edit, message):
+    data = _ann_system()
+    edit(data)
+    path = tmp_path / "bad.system"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "stationary", path, "convergence")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert message in err
+    assert err.count("template") <= 1
 
 
 def test_output_is_deterministic(capsys):

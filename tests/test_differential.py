@@ -1,7 +1,9 @@
 """The linear-time structure layer against its brute-force oracles, subgame
 checks searched in place against searches of built subform games, the class
-graph test for aperiodic runs against its SCC definition, and deep forms that
-must not exhaust the interpreter's recursion depth."""
+graph test for aperiodic runs against its SCC definition, the stationary
+unfolding and value code (one pricing rule per utility model) against the
+per-model branches they replaced, and deep forms that must not exhaust the
+interpreter's recursion depth."""
 
 from __future__ import annotations
 
@@ -29,13 +31,32 @@ from pentaform import (
     validate,
 )
 from pentaform.core import AXIOM_NO_CYCLES
-from pentaform.fixtures import cry_wolf, cry_wolf_calm_strategy
-from pentaform.stationary import continuation_values, has_aperiodic_runs, truncated_game
+from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
+from pentaform.numbers import INF, NEG_INF
+from pentaform.stationary import (
+    AbsoluteTerminal,
+    continuation_values,
+    has_aperiodic_runs,
+    instantiate,
+    quotient_piece_game,
+    simple_cycles,
+    stationary_persistent,
+    truncated_game,
+    value_at,
+)
 
 from conftest import (
     bounded_predecessor_walk,
     brute_force_subroots,
+    random_discounted_system,
     random_strategy,
+    reference_continuation_values,
+    reference_induced_strategy,
+    reference_instantiate,
+    reference_quotient_piece_game,
+    reference_stationary_persistent,
+    reference_truncated_game,
+    reference_value_at,
     scc_has_aperiodic_runs,
     subform_authentic_value,
     subform_one_piece_unimprovable,
@@ -137,6 +158,108 @@ def test_aperiodic_runs_match_scc_definition():
         assert has_aperiodic_runs(sys_) is expected
         aperiodic += expected
     assert 0 < aperiodic < 3000
+
+
+def _assert_priced(*profiles) -> None:
+    """Every priced value is exact: a Fraction or one of the two infinities."""
+    for profile in profiles:
+        for x in profile.values():
+            assert isinstance(x, Fraction) or x in (INF, NEG_INF), x
+
+
+def _random_scalar(rng: random.Random, infinite: bool) -> object:
+    draw = rng.random()
+    if infinite and draw < 0.1:
+        return INF if draw < 0.05 else NEG_INF
+    return Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 7]))
+
+
+def _random_class_values(sys_: StationarySystem, rng: random.Random) -> dict:
+    infinite = not isinstance(sys_.model, DiscountedAccumulation)
+    return {c: {k: _random_scalar(rng, infinite) for k in sorted(sys_.stakeholders)}
+            for c in sorted(sys_.classes)}
+
+
+def _random_stationary_strategy(sys_: StationarySystem, rng: random.Random) -> dict:
+    return {c: random_strategy(sys_.classes[c].template, rng) for c in sorted(sys_.classes)}
+
+
+def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: random.Random) -> None:
+    """The unfolding at each depth, value_at at every subroot, the quotient
+    piece games and the persistence verdicts agree with the reference code."""
+    sigma = _random_stationary_strategy(sys_, rng)
+    w = continuation_values(sys_, sigma)
+    assert w == reference_continuation_values(sys_, sigma)
+    _assert_priced(*w.values())
+    for values in (w, _random_class_values(sys_, rng)):
+        for c in sorted(sys_.classes):
+            game = quotient_piece_game(sys_, c, values)
+            assert game == reference_quotient_piece_game(sys_, c, values)
+        verdict = stationary_persistent(sys_, sigma, values)
+        assert verdict == reference_stationary_persistent(sys_, sigma, values)
+        if not verdict.holds:
+            _assert_priced(verdict.witness["expected"])
+    discounted = isinstance(sys_.model, DiscountedAccumulation)
+    for depth in depths:
+        continuation = _random_class_values(sys_, rng)
+        form = instantiate(sys_, depth)
+        assert form == reference_instantiate(sys_, depth)
+        game = truncated_game(sys_, depth, continuation)
+        assert game == reference_truncated_game(sys_, depth, continuation)
+        assert induced_strategy(sys_, sigma, depth) == reference_induced_strategy(sys_, sigma, depth)
+        if discounted:
+            bounded = instantiate(sys_, depth, "bounded")
+            expected = reference_instantiate(sys_, depth, "bounded")
+            assert bounded.form == expected.form == form
+            assert bounded.terminal_utilities == expected.terminal_utilities
+            assert bounded.boundary == expected.boundary
+            assert bounded.game(continuation) == expected.game(continuation) == game
+            _assert_priced(*bounded.terminal_utilities.values())
+            for b in bounded.boundary.values():
+                _assert_priced(b.accrued, b.low, b.high)
+        for t in sorted(subroots(form)):
+            v = value_at(sys_, sigma, t)
+            assert v == reference_value_at(sys_, sigma, t)
+            _assert_priced(v)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_stationary_pricing_matches_reference_on_cry_wolf(depth):
+    rng = random.Random(depth)
+    _assert_stationary_matches_reference(WOLF, [depth], rng)
+    calm = cry_wolf_calm_strategy()
+    w = continuation_values(WOLF, calm)
+    assert truncated_game(WOLF, depth, w) == reference_truncated_game(WOLF, depth, w) == WOLF_TRUNCATIONS[depth - 1]
+    for t in sorted(subroots(WOLF_TRUNCATIONS[depth - 1].form)):
+        assert value_at(WOLF, calm, t) == reference_value_at(WOLF, calm, t)
+
+
+@pytest.mark.parametrize("system", [ann_chain, bob_chain, eda_chain])
+def test_stationary_pricing_matches_reference_on_chains(system):
+    sys_ = system()
+    for seed in range(4):
+        _assert_stationary_matches_reference(sys_, [1, 2, 3, 4], random.Random(seed))
+
+
+def _absolute_twin(sys_: StationarySystem, rng: random.Random) -> StationarySystem:
+    """The same classes under the absolute-terminal model, with a random
+    utility (sometimes infinite) declared for every simple class cycle."""
+    cycles = {cyc: {k: _random_scalar(rng, True) for k in sorted(sys_.stakeholders)}
+              for cyc in simple_cycles(sys_.continue_graph())}
+    return StationarySystem(sys_.classes, sys_.initial, AbsoluteTerminal(cycles), sys_.stakeholders)
+
+
+def test_stationary_pricing_matches_reference_on_random_systems():
+    systems = 0
+    for seed in range(300):
+        sys_ = random_discounted_system(seed)
+        if sys_ is None:
+            continue
+        systems += 1
+        rng = random.Random(seed)
+        _assert_stationary_matches_reference(sys_, [1, 2, 3], rng)
+        _assert_stationary_matches_reference(_absolute_twin(sys_, rng), [1, 2, 3], rng)
+    assert systems >= 190
 
 
 def _drop(qs: list, rng: random.Random) -> list:

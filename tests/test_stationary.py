@@ -58,6 +58,8 @@ from pentaform.stationary import (
 )
 from pentaform.strategy import INFINITE_DETECTED, TERMINATED
 
+from conftest import random_discounted_system
+
 WOLF = cry_wolf()
 CALM = cry_wolf_calm_strategy()
 W_CALM = continuation_values(WOLF, CALM)
@@ -207,6 +209,51 @@ def test_bounded_instantiation_prices_terminals_exactly():
 def test_bounded_instantiation_rejected_for_absolute_model():
     with pytest.raises(ValueError, match="unsupported"):
         instantiate(ann_chain(), 2, "bounded")
+
+
+def _ring(n: int) -> StationarySystem:
+    """n classes in a ring, each one decision: continue into the next class
+    (reward 1) or stop (0); 2**n exit policies, two quintuples per piece."""
+    template = validate([Quintuple("p", "", "", "go", "i"), Quintuple("p", "", "", "stop", "x")])
+    classes = {f"c{m}": PieceClass(template, {"i": Exit({"p": 1}, next_class=f"c{(m + 1) % n}"),
+                                              "x": Exit({"p": 0})})
+               for m in range(n)}
+    return StationarySystem(classes, "c0", DiscountedAccumulation(F(1, 2)), ["p"])
+
+
+def test_truncated_game_computes_no_bounds(monkeypatch):
+    # 64 exit policies pass a cap of 10, the depth-2 truncation's 6
+    # quintuples do not: only the unused conceivable bounds would refuse.
+    ring = _ring(6)
+    continuation = {c: {"p": F(1, 3)} for c in ring.classes}
+    uncapped = truncated_game(ring, 2, continuation)
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "10")
+    assert truncated_game(ring, 2, continuation) == uncapped
+    assert uncapped.utilities["iii"] == {"p": 1 + F(1, 2) + F(1, 4) + F(1, 8) * F(1, 3)}
+    with pytest.raises(ResourceCapError, match="needs 64 exit policies"):
+        instantiate(ring, 2, "bounded")
+
+
+def test_instantiation_cap_counts_quintuples_before_building(monkeypatch):
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", str(13 * 8))
+    assert len(instantiate(WOLF, 2)) == 13 * 8
+    with pytest.raises(ResourceCapError,
+                       match="instantiation to depth 3 needs 320 quintuples, more than the cap of 104"):
+        instantiate(WOLF, 3)
+    # counting stops at the first level past the cap, so a huge depth is cheap
+    with pytest.raises(ResourceCapError, match="depth 1000000000 needs at least 320 quintuples"):
+        truncated_game(WOLF, 10**9, W_CALM)
+    with pytest.raises(ResourceCapError, match="depth 3 needs 320"):
+        induced_strategy(WOLF, CALM, 3)
+
+
+def test_instantiation_of_a_finite_class_graph_stops_at_its_last_piece():
+    template = validate([Quintuple("p", "", "", "go", "i"), Quintuple("p", "", "", "stop", "x")])
+    classes = {"a": PieceClass(template, {"i": Exit({"p": 1}, next_class="b"), "x": Exit({"p": 0})}),
+               "b": PieceClass(template, {"i": Exit({"p": 2}), "x": Exit({"p": 0})})}
+    sys_ = StationarySystem(classes, "a", DiscountedAccumulation(F(1, 2)), ["p"])
+    assert instantiate(sys_, 10**9) == instantiate(sys_, 1)
+    assert truncated_game(sys_, 10**9, {}).utilities["ii"] == {"p": 2}
 
 
 def test_truncated_game_absolute_boundary():
@@ -445,6 +492,22 @@ def test_solve_stationary_cry_wolf():
     assert certify_spe(WOLF, sol.strategy).kind == SPE_CERTIFIED
 
 
+def test_solve_stationary_returns_exact_nash_values_only():
+    # Value iteration settles on "stop" (1 - 10^-20) before B's value has
+    # climbed to 2, which makes "go" worth exactly 1; the exact polish must
+    # not fall back to the approximate values.
+    choice = validate([Quintuple("P", "", "", "stop", "x"), Quintuple("P", "", "", "go", "i")])
+    loop = validate([Quintuple("P", "", "", "go", "i")])
+    sys_ = StationarySystem({
+        "A": PieceClass(choice, {"x": Exit({"P": 1 - F(1, 10**20)}), "i": Exit({"P": 0}, next_class="B")}),
+        "B": PieceClass(loop, {"i": Exit({"P": 1}, next_class="B")}),
+    }, "A", DiscountedAccumulation(F(1, 2)), ["P"])
+    sol = solve_stationary(sys_)
+    assert sol.strategy == {"A": {"": "go"}, "B": {"": "go"}}
+    assert sol.values == {"A": {"P": F(1)}, "B": {"P": F(2)}}
+    assert certify_spe(sys_, sol.strategy).kind == SPE_CERTIFIED
+
+
 def test_solve_stationary_requires_discounting():
     with pytest.raises(ValueError, match="discounted"):
         solve_stationary(ann_chain())
@@ -471,41 +534,12 @@ def test_solve_stationary_fails_on_matching_pennies_class():
     assert result.kind == "no-pure-equilibrium" and result.class_id == "c"
 
 
-def _random_discounted_system(seed: int) -> StationarySystem | None:
-    import random
-
-    rng = random.Random(seed)
-    cids = [f"c{i}" for i in range(rng.randint(1, 3))]
-    players = [f"p{i}" for i in range(1, rng.randint(1, 2) + 1)]
-    classes = {}
-    for ci, cid in enumerate(cids):
-        quintuples, exits = [], {}
-        player = rng.choice(players)
-        has_continue = False
-        n_actions = rng.randint(2, 3)
-        for a in range(n_actions):
-            local = f"e{a}"
-            quintuples.append(Quintuple(player, "", "", f"a{a}", local))
-            reward = {p: F(rng.randint(-20, 20), rng.choice([1, 2, 4])) for p in players}
-            if rng.random() < 0.5 or (a == n_actions - 1 and not has_continue and ci == 0):
-                exits[local] = Exit(reward, next_class=rng.choice(cids))
-                has_continue = True
-            else:
-                exits[local] = Exit(reward)
-        classes[cid] = PieceClass(validate(quintuples), exits)
-    try:
-        return StationarySystem(classes, "c0",
-                                DiscountedAccumulation(F(rng.randint(1, 9), 10)), players)
-    except ValueError:
-        return None  # drew unreachable classes
-
-
 def test_random_discounted_systems_solve_certify_and_truncate():
     from itertools import product as iproduct
 
     solved = 0
     for seed in range(60):
-        sys_ = _random_discounted_system(seed)
+        sys_ = random_discounted_system(seed)
         if sys_ is None:
             continue
         # conceivable bounds bracket the value of every stationary strategy

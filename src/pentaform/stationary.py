@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping
 
 from .core import Pentaform, Quintuple, validate
@@ -525,7 +526,12 @@ def value_at(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str]], labe
 
 
 def conceivable_bounds(sys: StationarySystem, cid: str, k: str) -> tuple[Scalar, Scalar]:
-    """Exact [inf, sup] of continuation utility from a fresh class-c piece."""
+    """Exact [inf, sup] of continuation utility from a fresh class-c piece.
+
+    Under discounting these are the optimal values of two single-agent
+    problems per stakeholder, solved by policy iteration (see
+    `_discounted_extremes`); under the absolute-terminal model they range
+    over the reachable terminal exits and declared cycle utilities."""
     if cid not in sys.classes:
         raise ValueError(f"unknown class {cid!r}")
     if k not in sys.stakeholders:
@@ -539,43 +545,63 @@ def conceivable_bounds(sys: StationarySystem, cid: str, k: str) -> tuple[Scalar,
 
 
 def _discounted_extremes(sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
-    """Per-class, per-stakeholder value extremes over all stationary exit
-    policies (optimal continuations are stationary, so these are the true
-    sup/inf over all runs)."""
+    """Per-class, per-stakeholder (inf, sup) of run values, filled once per
+    system.
+
+    For one stakeholder k, choosing a run through the class quotient is a
+    deterministic single-agent problem with finitely many states (the
+    classes) and rewards discounted by β < 1.  Its Bellman operator, which
+    prices every exit of a class against a value vector and keeps the best,
+    is a β-contraction, so it has one fixed point, and an exit policy that is
+    greedy with respect to that fixed point attains it from every class
+    (Howard 1960; Puterman 1994, ch. 6).  The sup over all runs, stationary
+    or not, is therefore the value of one stationary exit policy, and so is
+    the inf (maximize -u_k).  `_optimal_values` finds that policy exactly."""
     if sys._extremes is not None:
         return sys._extremes
-    cap = profile_cap()
-    count = 1
-    for cls in sys.classes.values():
-        count *= len(cls.exits)
-    if count > cap:
-        raise ResourceCapError(
-            f"stationary bound computation needs {count} exit policies, more than the cap of {cap}")
-    class_ids = sorted(sys.classes)
-    pools = [sorted(sys.classes[c].exits) for c in class_ids]
-
-    lo: dict[str, dict[str, Scalar]] = {c: {} for c in class_ids}
-    hi: dict[str, dict[str, Scalar]] = {c: {} for c in class_ids}
-
-    def rec(idx: int, choice: dict[str, Exit]) -> None:
-        if idx == len(class_ids):
-            values = _chain_values(sys, choice)
-            for c in class_ids:
-                for k, v in values[c].items():
-                    if k not in lo[c] or v < lo[c][k]:
-                        lo[c][k] = v
-                    if k not in hi[c] or v > hi[c][k]:
-                        hi[c][k] = v
-            return
-        c = class_ids[idx]
-        for label in pools[idx]:
-            choice[c] = sys.classes[c].exits[label]
-            rec(idx + 1, choice)
-
-    rec(0, {})
-    table = {c: {k: (lo[c][k], hi[c][k]) for k in sys.stakeholders} for c in class_ids}
+    table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {c: {} for c in sorted(sys.classes)}
+    for k in sorted(sys.stakeholders):
+        hi = _optimal_values(sys, k, 1)
+        lo = _optimal_values(sys, k, -1)
+        for c in table:
+            table[c][k] = (lo[c], hi[c])
     sys._extremes = table
     return table
+
+
+def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scalar]:
+    """Howard policy iteration for stakeholder k: the per-class sup of k's
+    run value (sign 1) or its inf (sign -1).
+
+    Every class starts at its smallest exit label.  Each round evaluates the
+    policy exactly with `_chain_values`, then prices every exit one step
+    ahead of those values and switches a class to the first exit, in label
+    order, that strictly beats its current one.  A strict switch makes the
+    new policy's value at least as good in every class and strictly better
+    in the switched ones (the policy improvement theorem), so no policy
+    recurs and the rounds end; the policy they end with admits no strict
+    improvement, so its values are the Bellman fixed point."""
+    model = sys.model
+    exits = {c: [cls.exits[label] for label in sorted(cls.exits)] for c, cls in sorted(sys.classes.items())}
+    policy = {c: options[0] for c, options in exits.items()}
+    while True:
+        w = _chain_values(sys, policy)
+
+        def ahead(e: Exit) -> Scalar:
+            return sign * (e.reward[k] if e.is_terminal else model.step(e.reward, w[e.next_class])[k])
+
+        switched = False
+        for c, options in exits.items():
+            best, best_value = policy[c], ahead(policy[c])
+            for e in options:
+                value = ahead(e)
+                if value > best_value:
+                    best, best_value = e, value
+            if best is not policy[c]:
+                policy[c] = best
+                switched = True
+        if not switched:
+            return {c: w[c][k] for c in exits}
 
 
 def _absolute_candidates(sys: StationarySystem, cid: str) -> list[Profile]:
@@ -819,9 +845,7 @@ def _stationary_deviation_scan(sys: StationarySystem, sigma, w) -> dict | None:
         if count > cap:
             raise ResourceCapError(
                 f"player {i!r} has {count} stationary choice profiles, more than the cap of {cap}")
-        from itertools import product as _product
-
-        for combo in _product(*pools):
+        for combo in product(*pools):
             if all(sigma[c][j] == a for (c, j), a in zip(slots, combo)):
                 continue
             alt = {c: dict(sigma[c]) for c in sigma}

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -212,6 +213,46 @@ def random_discounted_system(seed: int) -> StationarySystem | None:
                                 DiscountedAccumulation(Fraction(rng.randint(1, 9), 10)), players)
     except ValueError:
         return None  # drew unreachable classes
+
+
+def random_ring_system(seed: int, shape: tuple[int, int] | None = None) -> StationarySystem:
+    """Two stakeholders; each class is one decision whose exits are a
+    continue into the next class of a ring (so every class is reachable),
+    random continue exits (self-loops among them) and terminal exits.
+
+    `shape` = (classes, exits per class) fixes the size; by default it draws
+    3–6 classes with 2–5 exits each, trimmed to at most 5**5 exit policies.
+    β is drawn up to 19/20."""
+    rng = random.Random(seed)
+    if shape is None:
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(3, 6))]
+        while prod(sizes) > 5**5:
+            sizes[sizes.index(max(sizes))] -= 1
+    else:
+        sizes = [shape[1]] * shape[0]
+    cids = [f"c{i}" for i in range(len(sizes))]
+    players = ["p1", "p2"]
+    classes = {}
+    for ci, (cid, size) in enumerate(zip(cids, sizes)):
+        labels = [f"e{a}" for a in range(size)]
+        ring = rng.choice(labels)
+        player = rng.choice(players)
+        exits = {}
+        for label in labels:
+            reward = {p: Fraction(rng.randint(-20, 20), rng.choice([1, 2, 4])) for p in players}
+            draw = rng.random()
+            if label == ring:
+                exits[label] = Exit(reward, next_class=cids[(ci + 1) % len(cids)])
+            elif draw < 0.2:
+                exits[label] = Exit(reward, next_class=cid)
+            elif draw < 0.5:
+                exits[label] = Exit(reward, next_class=rng.choice(cids))
+            else:
+                exits[label] = Exit(reward)
+        template = validate([Quintuple(player, "", "", f"a{a}", label) for a, label in enumerate(labels)])
+        classes[cid] = PieceClass(template, exits)
+    beta = Fraction(rng.randint(1, 19), 20)
+    return StationarySystem(classes, "c0", DiscountedAccumulation(beta), players)
 
 
 # -- stationary reference oracles: the unfolding and the value code written

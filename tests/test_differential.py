@@ -2,13 +2,15 @@
 checks searched in place against searches of built subform games, the class
 graph test for aperiodic runs against its SCC definition, the stationary
 unfolding and value code (one pricing rule per utility model) against the
-per-model branches they replaced, and deep forms that must not exhaust the
-interpreter's recursion depth."""
+per-model branches they replaced, the discounted conceivable bounds (policy
+iteration) against the enumeration of every exit policy, and deep forms that
+must not exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -30,11 +32,13 @@ from pentaform import (
     subroots,
     validate,
 )
+from pentaform import stationary
 from pentaform.core import AXIOM_NO_CYCLES
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
 from pentaform.numbers import INF, NEG_INF
 from pentaform.stationary import (
     AbsoluteTerminal,
+    conceivable_bounds,
     continuation_values,
     has_aperiodic_runs,
     instantiate,
@@ -49,8 +53,10 @@ from conftest import (
     bounded_predecessor_walk,
     brute_force_subroots,
     random_discounted_system,
+    random_ring_system,
     random_strategy,
     reference_continuation_values,
+    reference_discounted_extremes,
     reference_induced_strategy,
     reference_instantiate,
     reference_quotient_piece_game,
@@ -260,6 +266,60 @@ def test_stationary_pricing_matches_reference_on_random_systems():
         _assert_stationary_matches_reference(sys_, [1, 2, 3], rng)
         _assert_stationary_matches_reference(_absolute_twin(sys_, rng), [1, 2, 3], rng)
     assert systems >= 190
+
+
+CHAIN_VALUES = stationary._chain_values
+
+
+def _assert_bounds_match_enumeration(sys_: StationarySystem, monkeypatch) -> None:
+    """Policy iteration's (inf, sup) for every class and stakeholder equals
+    the min and max over the product of all exit policies.  Each of its runs
+    (one per stakeholder and direction) evaluates no policy twice, so a
+    look-ahead that breaks the improvement theorem fails the evaluation
+    budget instead of cycling forever."""
+    budget = 2 * len(sys_.stakeholders) * prod(len(cls.exits) for cls in sys_.classes.values())
+    evaluations = 0
+
+    def counted(*args):
+        nonlocal evaluations
+        evaluations += 1
+        assert evaluations <= budget, "policy iteration evaluated a policy twice"
+        return CHAIN_VALUES(*args)
+
+    monkeypatch.setattr(stationary, "_chain_values", counted)
+    expected = reference_discounted_extremes(sys_)
+    for c in sorted(sys_.classes):
+        for k in sorted(sys_.stakeholders):
+            lo, hi = conceivable_bounds(sys_, c, k)
+            assert (lo, hi) == expected[(c, k)], (c, k)
+            assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+
+
+def test_discounted_extremes_match_enumeration_on_random_systems(monkeypatch):
+    systems = 0
+    for seed in range(1500):
+        sys_ = random_discounted_system(seed)
+        if sys_ is not None:
+            systems += 1
+            _assert_bounds_match_enumeration(sys_, monkeypatch)
+    assert systems >= 1000
+
+
+def test_discounted_extremes_match_enumeration_on_ring_systems(monkeypatch):
+    for seed in range(60):
+        _assert_bounds_match_enumeration(random_ring_system(seed), monkeypatch)
+
+
+def _discounted_twin(sys_: StationarySystem, beta: Fraction) -> StationarySystem:
+    """The same classes under discounting by `beta`."""
+    return StationarySystem(sys_.classes, sys_.initial, DiscountedAccumulation(beta), sys_.stakeholders)
+
+
+def test_discounted_extremes_match_enumeration_on_fixtures(monkeypatch):
+    _assert_bounds_match_enumeration(cry_wolf(), monkeypatch)
+    for system in (ann_chain, bob_chain, eda_chain):
+        for beta in (Fraction(1, 10), Fraction(1, 2), Fraction(19, 20)):
+            _assert_bounds_match_enumeration(_discounted_twin(system(), beta), monkeypatch)
 
 
 def _drop(qs: list, rng: random.Random) -> list:

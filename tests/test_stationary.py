@@ -17,6 +17,7 @@ from pentaform import (
     subroots,
     validate,
 )
+from pentaform import stationary
 from pentaform.fixtures import (
     always_in,
     always_out,
@@ -29,6 +30,7 @@ from pentaform.fixtures import (
 from pentaform.game import authentic_value
 from pentaform.stationary import (
     AbsoluteTerminal,
+    BoundaryExit,
     DiscountedAccumulation,
     Exit,
     INCONCLUSIVE,
@@ -58,7 +60,7 @@ from pentaform.stationary import (
 )
 from pentaform.strategy import INFINITE_DETECTED, TERMINATED
 
-from conftest import random_discounted_system
+from conftest import random_discounted_system, random_ring_system, reference_discounted_extremes
 
 WOLF = cry_wolf()
 CALM = cry_wolf_calm_strategy()
@@ -222,16 +224,47 @@ def _ring(n: int) -> StationarySystem:
 
 
 def test_truncated_game_computes_no_bounds(monkeypatch):
-    # 64 exit policies pass a cap of 10, the depth-2 truncation's 6
-    # quintuples do not: only the unused conceivable bounds would refuse.
+    # The depth-2 truncation's 6 quintuples pass a cap of 10; the ring's 64
+    # exit policies are never enumerated, so the bounds pass it too.
     ring = _ring(6)
     continuation = {c: {"p": F(1, 3)} for c in ring.classes}
     uncapped = truncated_game(ring, 2, continuation)
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "10")
     assert truncated_game(ring, 2, continuation) == uncapped
+    assert ring._extremes is None
     assert uncapped.utilities["iii"] == {"p": 1 + F(1, 2) + F(1, 4) + F(1, 8) * F(1, 3)}
-    with pytest.raises(ResourceCapError, match="needs 64 exit policies"):
-        instantiate(ring, 2, "bounded")
+    assert instantiate(_ring(6), 2, "bounded").boundary["iii"].high == {"p": 2}
+
+
+def test_bounded_instantiation_of_a_ring_with_two_to_the_forty_policies():
+    # Going on forever is worth 1 + 1/2 + 1/4 + ... = 2 and stopping 0, from
+    # every class; the depth-2 cut enters c3 after three go exits.
+    ring = _ring(40)
+    for c in ring.classes:
+        assert conceivable_bounds(ring, c, "p") == (0, 2)
+    bounded = instantiate(ring, 2, "bounded")
+    accrued = 1 + F(1, 2) + F(1, 4)
+    assert bounded.boundary == {"iii": BoundaryExit("iii", "c3", {"p": accrued}, 3,
+                                                    {"p": accrued}, {"p": accrued + F(1, 8) * 2})}
+
+
+def test_bounds_make_few_chain_evaluations(monkeypatch):
+    # Five classes of five exits: 3,125 exit policies, the benchmark's shape.
+    chain_values = stationary._chain_values
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 100, "more than 100 policy evaluations for one system"
+        return chain_values(*args)
+
+    monkeypatch.setattr(stationary, "_chain_values", counted)
+    for seed in range(20):
+        calls = 0
+        sys_ = random_ring_system(seed, (5, 5))
+        conceivable_bounds(sys_, "c0", "p1")
+        assert calls > 0
 
 
 def test_instantiation_cap_counts_quintuples_before_building(monkeypatch):
@@ -421,12 +454,9 @@ def test_certify_names_a_skipped_deviation_scan(monkeypatch):
     assert certify_spe(bob, always_out(bob)).kind == REFUTED
 
 
-def test_policy_cap_error_reports_the_policy_count(monkeypatch):
-    wolf = cry_wolf()
-    policies = len(wolf.classes["day"].exits)
+def test_conceivable_bounds_ignore_the_profile_cap(monkeypatch):
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "1")
-    with pytest.raises(ResourceCapError, match=f"needs {policies} exit policies, more than the cap of 1"):
-        conceivable_bounds(wolf, "day", "Kid")
+    assert conceivable_bounds(cry_wolf(), "day", "Kid") == reference_discounted_extremes(WOLF)[("day", "Kid")]
 
 
 def test_certify_refutes_ann_always_in():

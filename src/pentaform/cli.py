@@ -15,7 +15,7 @@ import sys as _sys
 from fractions import Fraction
 
 from . import convergence, fileio, game as game_mod, stationary as stat_mod
-from .core import ALL_AXIOMS, Pentaform, check_axioms
+from .core import ALL_AXIOMS, InvalidPentaform, validate
 from .numbers import render_scalar
 from .partition import piece_partition, subroots
 
@@ -67,7 +67,10 @@ def cmd_validate(args) -> int:
     quintuples = fileio.load_quintuples(args.path)
     print(f"validate {args.path}")
     print(f"quintuples: {len(set(quintuples))}")
-    violations = {v.axiom: v for v in check_axioms(quintuples)}
+    try:
+        root, violations = validate(quintuples).root, {}
+    except InvalidPentaform as exc:
+        violations = {v.axiom: v for v in exc.violations}
     for axiom in ALL_AXIOMS:
         if axiom in violations:
             print(f"[{axiom}] FAIL  {violations[axiom].witness}")
@@ -75,8 +78,7 @@ def cmd_validate(args) -> int:
             print(f"[{axiom}] pass")
     if violations:
         return EXIT_FAILS
-    # The axioms were just checked on these exact quintuples.
-    print(f"root: {Pentaform(quintuples).root!r}")
+    print(f"root: {root!r}")
     return EXIT_HOLDS
 
 

@@ -106,52 +106,49 @@ def check_axioms(q: Iterable[Quintuple]) -> list[AxiomViolation]:
     The axioms are independent diagnostics, so a single bad input can violate
     several at once; each violation comes with one concrete witness.
     """
-    quintuples = sorted(set(q), key=Quintuple.key)
-    violations: list[AxiomViolation] = []
+    return _diagnosed(q)[1]
 
-    player_of: dict[str, str] = {}
-    situation_of: dict[str, str] = {}
-    succ_of: dict[tuple[str, str], str] = {}
-    preds: dict[str, set[str]] = {}
-    action_of: dict[str, str] = {}
+
+def _diagnosed(q: Iterable[Quintuple]) -> tuple[Pentaform, list[AxiomViolation]]:
+    """Index the set once and diagnose every violated axiom from that index,
+    each with one witness.  The form is not grown: it has no root yet."""
+    form = Pentaform.__new__(Pentaform)
+    form._index(q)
+    found: dict[str, str] = {}  # axiom → witness, in order of discovery
+    extra_preds: dict[str, set[str]] = {}  # successor → all its predecessors, where several
     pairs_by_situation: dict[str, set[tuple[str, str]]] = {}
 
-    for t in quintuples:
-        prev = player_of.setdefault(t.situation, t.player)
-        if prev != t.player and not _seen(violations, AXIOM_PLAYER_OF_SITUATION):
-            violations.append(AxiomViolation(
-                AXIOM_PLAYER_OF_SITUATION,
-                f"situation {t.situation!r} is assigned players {prev!r} and {t.player!r}"))
-        prev = situation_of.setdefault(t.decision_node, t.situation)
-        if prev != t.situation and not _seen(violations, AXIOM_SITUATION_OF_NODE):
-            violations.append(AxiomViolation(
-                AXIOM_SITUATION_OF_NODE,
-                f"decision node {t.decision_node!r} lies in situations {prev!r} and {t.situation!r}"))
-        prev = succ_of.setdefault((t.decision_node, t.action), t.successor)
-        if prev != t.successor and not _seen(violations, AXIOM_SUCCESSOR_FUNCTION):
-            violations.append(AxiomViolation(
-                AXIOM_SUCCESSOR_FUNCTION,
-                f"pair ({t.decision_node!r}, {t.action!r}) leads to both {prev!r} and {t.successor!r}"))
-        preds.setdefault(t.successor, set()).add(t.decision_node)
-        prev = action_of.setdefault(t.successor, t.action)
-        if prev != t.action and not _seen(violations, AXIOM_ACTION_OF_SUCCESSOR):
-            violations.append(AxiomViolation(
-                AXIOM_ACTION_OF_SUCCESSOR,
-                f"successor {t.successor!r} is reached by actions {prev!r} and {t.action!r}"))
+    for t in form.quintuples:
+        prev = form._player_of[t.situation]
+        if prev != t.player and AXIOM_PLAYER_OF_SITUATION not in found:
+            found[AXIOM_PLAYER_OF_SITUATION] = (
+                f"situation {t.situation!r} is assigned players {prev!r} and {t.player!r}")
+        prev = form._situation_of[t.decision_node]
+        if prev != t.situation and AXIOM_SITUATION_OF_NODE not in found:
+            found[AXIOM_SITUATION_OF_NODE] = (
+                f"decision node {t.decision_node!r} lies in situations {prev!r} and {t.situation!r}")
+        prev = form._next[(t.decision_node, t.action)]
+        if prev != t.successor and AXIOM_SUCCESSOR_FUNCTION not in found:
+            found[AXIOM_SUCCESSOR_FUNCTION] = (
+                f"pair ({t.decision_node!r}, {t.action!r}) leads to both {prev!r} and {t.successor!r}")
+        prev = form._pred[t.successor]
+        if prev != t.decision_node:
+            extra_preds.setdefault(t.successor, {prev}).add(t.decision_node)
+        prev = form._pred_action[t.successor]
+        if prev != t.action and AXIOM_ACTION_OF_SUCCESSOR not in found:
+            found[AXIOM_ACTION_OF_SUCCESSOR] = (
+                f"successor {t.successor!r} is reached by actions {prev!r} and {t.action!r}")
         pairs_by_situation.setdefault(t.situation, set()).add((t.decision_node, t.action))
+    violations = [AxiomViolation(axiom, witness) for axiom, witness in found.items()]
 
-    for y in sorted(preds):
-        ws = preds[y]
-        if len(ws) > 1:
-            violations.append(AxiomViolation(
-                AXIOM_PREDECESSOR_FUNCTION,
-                f"successor {y!r} has two predecessors {sorted(ws)[0]!r} and {sorted(ws)[1]!r}"))
-            break
+    if extra_preds:
+        y = min(extra_preds)
+        w1, w2 = sorted(extra_preds[y])[:2]
+        violations.append(AxiomViolation(
+            AXIOM_PREDECESSOR_FUNCTION, f"successor {y!r} has two predecessors {w1!r} and {w2!r}"))
 
-    for j in sorted(pairs_by_situation):
-        pairs = pairs_by_situation[j]
-        nodes = {w for w, _ in pairs}
-        acts = {a for _, a in pairs}
+    for j, pairs in sorted(pairs_by_situation.items()):
+        nodes, acts = form._info_sets[j], form._action_sets[j]
         if len(pairs) != len(nodes) * len(acts):
             w, a = sorted((w, a) for w in nodes for a in acts if (w, a) not in pairs)[0]
             violations.append(AxiomViolation(
@@ -159,52 +156,41 @@ def check_axioms(q: Iterable[Quintuple]) -> list[AxiomViolation]:
                 f"situation {j!r}: node {w!r} lacks action {a!r} present elsewhere in the situation"))
             break
 
-    decision_nodes = {t.decision_node for t in quintuples}
-    successors = set(preds)
+    # [Py]: every predecessor walk must leave Y.  Where [Pw<-y] fails, a walk
+    # follows the lexicographically smallest predecessor.  A walk from y
+    # leaves Y exactly when y is reached from a root (a decision node outside
+    # Y) along the edges that the walks follow backwards.
+    pred_choice = {**form._pred, **{y: min(ws) for y, ws in extra_preds.items()}}
+    roots = form._situation_of.keys() - form._pred.keys()
+    reached, stack = set(roots), list(roots)
+    while stack:
+        w = stack.pop()
+        for _, y in form._children.get(w, ()):
+            if pred_choice[y] == w and y not in reached:
+                reached.add(y)
+                stack.append(y)
+    cycling = form._pred.keys() - reached
+    if cycling:
+        y = min(cycling)
+        violations.append(AxiomViolation(
+            AXIOM_NO_CYCLES, f"predecessor walk from {y!r} never leaves the successor set (cycle)"))
 
-    # [Py]: walking the predecessor map must escape Y within |X| steps.  When
-    # [Pw<-y] fails the map is not a function; the walk then follows the
-    # lexicographically smallest predecessor to stay deterministic.  A walk
-    # that has not escaped within |X| steps has entered a cycle, so each node
-    # is resolved once as escaping or not and the result is shared by every
-    # walk that passes through it.
-    pred_choice = {y: min(ws) for y, ws in preds.items()}
-    escapes: dict[str, bool] = {}
-    for y in sorted(successors):
-        path: dict[str, None] = {}
-        x = y
-        while x in successors and x not in escapes and x not in path:
-            path[x] = None
-            x = pred_choice[x]
-        result = escapes[x] if x in escapes else x not in successors
-        for z in path:
-            escapes[z] = result
-        if not escapes[y]:
-            violations.append(AxiomViolation(
-                AXIOM_NO_CYCLES,
-                f"predecessor walk from {y!r} never leaves the successor set (cycle)"))
-            break
-
-    roots = decision_nodes - successors
     if len(roots) != 1:
         shown = ", ".join(repr(r) for r in sorted(roots)[:3]) if roots else "none"
         violations.append(AxiomViolation(
             AXIOM_SINGLE_ROOT,
             f"decision nodes that are not successors should be a singleton; found {shown}"))
 
-    return violations
-
-
-def _seen(violations: list[AxiomViolation], axiom: str) -> bool:
-    return any(v.axiom == axiom for v in violations)
+    return form, violations
 
 
 class Pentaform:
     """A validated quintuple set with its derived tree structure.
 
-    Instances are immutable and are produced by :func:`validate` (or trusted
-    internal construction); direct use of ``Pentaform(...)`` skips the axiom
-    checks and must only receive known-valid input.
+    Instances are immutable and are produced by :func:`validate` or by trusted
+    ``Pentaform(...)`` construction, which checks no axiom and must only
+    receive a pentaform.  Subforms and pieces are pentaforms by the paper's
+    propositions; the differential tests check every one they build.
     """
 
     __slots__ = (
@@ -215,22 +201,20 @@ class Pentaform:
     )
 
     def __init__(self, quintuples: Iterable[Quintuple]):
-        qs = tuple(sorted(set(quintuples), key=Quintuple.key))
-        self.quintuples = qs
-        self.players = frozenset(t.player for t in qs)
-        self.situations = frozenset(t.situation for t in qs)
-        self.decision_nodes = frozenset(t.decision_node for t in qs)
-        self.actions = frozenset(t.action for t in qs)
-        self.successors = frozenset(t.successor for t in qs)
-        self.nodes = self.decision_nodes | self.successors
-        self.endnodes = self.successors - self.decision_nodes
-        (self.root,) = self.decision_nodes - self.successors
+        self._index(quintuples)
+        self._grow()
 
-        self._pred = {t.successor: t.decision_node for t in qs}
-        self._pred_action = {t.successor: t.action for t in qs}
-        self._next = {(t.decision_node, t.action): t.successor for t in qs}
-        self._situation_of = {t.decision_node: t.situation for t in qs}
-        self._player_of = {t.situation: t.player for t in qs}
+    def _index(self, q: Iterable[Quintuple]) -> None:
+        """The one place a quintuple set is sorted and indexed.  Each map keeps
+        the first value met in canonical order (the reversed sweep writes it
+        last), against which the diagnosis finds every conflict."""
+        qs = self.quintuples = tuple(sorted(set(q), key=Quintuple.key))
+        first = qs[::-1]
+        self._player_of = {t.situation: t.player for t in first}
+        self._situation_of = {t.decision_node: t.situation for t in first}
+        self._next = {(t.decision_node, t.action): t.successor for t in first}
+        self._pred = {t.successor: t.decision_node for t in first}
+        self._pred_action = {t.successor: t.action for t in first}
         children: dict[str, list[tuple[str, str]]] = {}
         info: dict[str, set[str]] = {}
         acts: dict[str, set[str]] = {}
@@ -241,6 +225,20 @@ class Pentaform:
         self._children = {w: tuple(sorted(cs)) for w, cs in children.items()}
         self._info_sets = {j: frozenset(v) for j, v in info.items()}
         self._action_sets = {j: frozenset(v) for j, v in acts.items()}
+
+    def _grow(self) -> None:
+        """Node sets, root and depths of an indexed pentaform."""
+        # Filled in canonical order as before: a set's iteration order depends
+        # on how it was filled, and random_game draws in endnode order.
+        qs = self.quintuples
+        self.players = frozenset(t.player for t in qs)
+        self.situations = frozenset(t.situation for t in qs)
+        self.decision_nodes = frozenset(t.decision_node for t in qs)
+        self.actions = frozenset(t.action for t in qs)
+        self.successors = frozenset(t.successor for t in qs)
+        self.nodes = self.decision_nodes | self.successors
+        self.endnodes = self.successors - self.decision_nodes
+        (self.root,) = self.decision_nodes - self.successors
 
         depth = {self.root: 0}
         stack = [self.root]
@@ -395,8 +393,8 @@ def validate(q: Iterable[Quintuple]) -> Pentaform:
     Raises :class:`InvalidPentaform` carrying every violated axiom with a
     concrete witness; an empty set fails the single-root axiom.
     """
-    qs = list(q)
-    violations = check_axioms(qs)
+    form, violations = _diagnosed(q)
     if violations:
         raise InvalidPentaform(violations)
-    return Pentaform(qs)
+    form._grow()
+    return form

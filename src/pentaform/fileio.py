@@ -92,7 +92,7 @@ def save_pentaform(path, p) -> None:
 
 
 def load_quintuples(path) -> list[Quintuple]:
-    """Raw quintuples, unvalidated (cmd_validate checks the axioms itself)."""
+    """Raw quintuples, unvalidated (cmd_validate reports every axiom itself)."""
     data = _read(path)
     _expect(isinstance(data, dict) and "quintuples" in data, str(path),
             'expected a top-level object with a "quintuples" list')

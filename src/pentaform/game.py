@@ -42,9 +42,14 @@ PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
 
 
 def profile_cap() -> int:
-    """The exhaustive-search cap; PENTAFORM_PROFILE_CAP overrides the default."""
+    """The exhaustive-search cap; PENTAFORM_PROFILE_CAP overrides the default
+    with a positive integer (anything else raises ValueError)."""
     raw = os.environ.get("PENTAFORM_PROFILE_CAP")
-    return int(raw) if raw else PROFILE_CAP
+    if not raw:
+        return PROFILE_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"PENTAFORM_PROFILE_CAP must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 class ResourceCapError(RuntimeError):
@@ -233,8 +238,7 @@ def admissible(g: Game, values: Mapping[str, Mapping[str, object]]) -> Verdict:
     return Verdict(True)
 
 
-def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]],
-               tol: Scalar = Fraction(0)) -> Verdict:
+def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]]) -> Verdict:
     """v(t) equals v at the next on-path subroot, or the completed run utility."""
     s = validate_strategy(g.form, s)
     v = check_value_function(g, values)
@@ -242,7 +246,7 @@ def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, 
     for t in subroots_sorted(g.form):
         last = outcome(piece_form(g.form, t), s)[-1]
         expected = v[last] if last in ts else g.utilities[last]
-        if not profiles_equal(v[t], expected, tol):
+        if not profiles_equal(v[t], expected):
             return Verdict(False, {
                 "subroot": t,
                 "value": dict(v[t]),
@@ -261,13 +265,12 @@ def authentic_value(g: Game, s: Mapping[str, str]) -> dict[str, Profile]:
     return out
 
 
-def authentic(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]],
-              tol: Scalar = Fraction(0)) -> Verdict:
+def authentic(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]]) -> Verdict:
     """v equals the authentic value function pointwise."""
     v = check_value_function(g, values)
     truth = authentic_value(g, s)
     for t in subroots_sorted(g.form):
-        if not profiles_equal(v[t], truth[t], tol):
+        if not profiles_equal(v[t], truth[t]):
             return Verdict(False, {"subroot": t, "value": dict(v[t]), "true_value": dict(truth[t])})
     return Verdict(True)
 
@@ -329,10 +332,9 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
 # -- solver ---------------------------------------------------------------------
 
 
-def enumerate_piece_profiles(piece: Pentaform, cap: int | None = None, largest_first: bool = False):
+def enumerate_piece_profiles(piece: Pentaform, largest_first: bool = False):
     """All piece strategy profiles in lexicographic order over sorted situations."""
-    if cap is None:
-        cap = profile_cap()
+    cap = profile_cap()
     sits = sorted(piece.situations)
     count = 1
     for j in sits:

@@ -138,19 +138,16 @@ def make_profile(values: Mapping[str, object], stakeholders: Iterable[str] | Non
     return prof
 
 
-def profiles_equal(a: Mapping[str, Scalar], b: Mapping[str, Scalar], tol: Scalar = Fraction(0)) -> bool:
-    """Pointwise equality of profiles; `tol` loosens finite comparisons only."""
+def profiles_equal(a: Mapping[str, Scalar], b: Mapping[str, Scalar]) -> bool:
+    """Exact pointwise equality of profiles."""
     if set(a) != set(b):
         return False
-    return all(scalars_equal(a[k], b[k], tol) for k in a)
+    return all(scalars_equal(a[k], b[k]) for k in a)
 
 
-def scalars_equal(x: Scalar, y: Scalar, tol: Scalar = Fraction(0)) -> bool:
-    if is_finite(x) != is_finite(y):
-        return False
-    if not is_finite(x):
-        return x == y
-    return abs(x - y) <= tol
+def scalars_equal(x: Scalar, y: Scalar) -> bool:
+    """Exact equality; a finite value never equals an infinity."""
+    return is_finite(x) == is_finite(y) and x == y
 
 
 def profile_str(prof: Mapping[str, Scalar]) -> str:

@@ -6,6 +6,10 @@ at t collects everything weakly after t, and the piece form at t is the
 subform minus everything weakly after a strictly later subroot.  The piece
 forms partition the whole form, and every piece run ends either at a later
 subroot or at a final endnode (never infinitely, for explicit finite forms).
+
+Subforms and pieces are built by trusted ``Pentaform(...)`` construction: the
+paper's propositions prove each is a pentaform, and the differential tests
+check them against a reference axiom check.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .core import Pentaform, Quintuple, validate
+from .core import Pentaform, Quintuple
 
 
 @lru_cache(maxsize=None)
@@ -67,20 +71,12 @@ def _require_subroot(p: Pentaform, t: str) -> None:
         raise ValueError(f"{t!r} is not a subroot")
 
 
-def _build(quintuples: Sequence[Quintuple]) -> Pentaform:
-    # Propositions guarantee validity of subforms/pieces; revalidate while
-    # assertions are on to catch engine bugs, trust the result under -O.
-    if __debug__:
-        return validate(quintuples)
-    return Pentaform(quintuples)
-
-
 @lru_cache(maxsize=None)
 def subform(p: Pentaform, t: str) -> Pentaform:
     """The pentaform of all quintuples weakly after subroot t (root t)."""
     _require_subroot(p, t)
     below = set(p.subtree_nodes(t))
-    return _build([q for q in p.quintuples if q.decision_node in below])
+    return Pentaform(q for q in p.quintuples if q.decision_node in below)
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def piece_partition(p: Pentaform) -> PiecePartition:
     buckets: dict[str, list[Quintuple]] = {t: [] for t in subroots_sorted(p)}
     for q in p.quintuples:
         buckets[owner[q.decision_node]].append(q)
-    pieces = {t: _build(qs) for t, qs in buckets.items()}
+    pieces = {t: Pentaform(qs) for t, qs in buckets.items()}
     return PiecePartition(MappingProxyType(pieces))
 
 

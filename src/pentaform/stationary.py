@@ -692,17 +692,17 @@ def quotient_piece_game(sys: StationarySystem, cid: str,
     return Game(cls.template, sys.stakeholders, utils)
 
 
-def stationary_authentic(sys: StationarySystem, sigma, values, tol: Scalar = Fraction(0)) -> Verdict:
+def stationary_authentic(sys: StationarySystem, sigma, values) -> Verdict:
     """Per class: the claimed continuation equals the true value of obeying σ."""
     v = _check_class_values(sys, values)
     truth = continuation_values(sys, sigma)
     for c in sorted(sys.classes):
-        if not profiles_equal(v[c], truth[c], tol):
+        if not profiles_equal(v[c], truth[c]):
             return Verdict(False, {"class": c, "value": dict(v[c]), "true_value": dict(truth[c])})
     return Verdict(True)
 
 
-def stationary_persistent(sys: StationarySystem, sigma, values, tol: Scalar = Fraction(0)) -> Verdict:
+def stationary_persistent(sys: StationarySystem, sigma, values) -> Verdict:
     """Per class: the value steps to the next class's value through the σ-exit
     (terminal exits compare against the terminal profile itself)."""
     sigma = validate_stationary_strategy(sys, sigma)
@@ -710,7 +710,7 @@ def stationary_persistent(sys: StationarySystem, sigma, values, tol: Scalar = Fr
     for c in sorted(sys.classes):
         e = _sigma_exit(sys, sigma, c)
         expected = dict(e.reward) if e.is_terminal else sys.model.step(e.reward, v[e.next_class])
-        if not profiles_equal(v[c], expected, tol):
+        if not profiles_equal(v[c], expected):
             return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
     return Verdict(True)
 

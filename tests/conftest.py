@@ -23,7 +23,20 @@ from pentaform import (
     utility_of_run,
     validate_strategy,
 )
-from pentaform.core import AXIOM_NO_CYCLES, AxiomViolation, Pentaform, Quintuple, validate
+from pentaform.core import (
+    AXIOM_ACTION_OF_SUCCESSOR,
+    AXIOM_ACTION_RECTANGLE,
+    AXIOM_NO_CYCLES,
+    AXIOM_PLAYER_OF_SITUATION,
+    AXIOM_PREDECESSOR_FUNCTION,
+    AXIOM_SINGLE_ROOT,
+    AXIOM_SITUATION_OF_NODE,
+    AXIOM_SUCCESSOR_FUNCTION,
+    AxiomViolation,
+    Pentaform,
+    Quintuple,
+    validate,
+)
 from pentaform.game import _best_deviation, _nash_witness
 from pentaform.numbers import make_profile, profiles_equal
 from pentaform.stationary import (
@@ -119,6 +132,159 @@ def bounded_predecessor_walk(quintuples) -> list[AxiomViolation]:
             return [AxiomViolation(
                 AXIOM_NO_CYCLES, f"predecessor walk from {y!r} never leaves the successor set (cycle)")]
     return []
+
+
+# -- structure reference oracles: the axiom check and the structure build as
+# they stood when each sorted and indexed the quintuples itself -----------------
+
+
+def reference_check_axioms(q) -> list[AxiomViolation]:
+    """All eight axioms in one sweep of their own maps, first value kept."""
+    quintuples = sorted(set(q), key=Quintuple.key)
+    violations: list[AxiomViolation] = []
+
+    def seen(axiom: str) -> bool:
+        return any(v.axiom == axiom for v in violations)
+
+    player_of: dict[str, str] = {}
+    situation_of: dict[str, str] = {}
+    succ_of: dict[tuple[str, str], str] = {}
+    preds: dict[str, set[str]] = {}
+    action_of: dict[str, str] = {}
+    pairs_by_situation: dict[str, set[tuple[str, str]]] = {}
+
+    for t in quintuples:
+        prev = player_of.setdefault(t.situation, t.player)
+        if prev != t.player and not seen(AXIOM_PLAYER_OF_SITUATION):
+            violations.append(AxiomViolation(
+                AXIOM_PLAYER_OF_SITUATION,
+                f"situation {t.situation!r} is assigned players {prev!r} and {t.player!r}"))
+        prev = situation_of.setdefault(t.decision_node, t.situation)
+        if prev != t.situation and not seen(AXIOM_SITUATION_OF_NODE):
+            violations.append(AxiomViolation(
+                AXIOM_SITUATION_OF_NODE,
+                f"decision node {t.decision_node!r} lies in situations {prev!r} and {t.situation!r}"))
+        prev = succ_of.setdefault((t.decision_node, t.action), t.successor)
+        if prev != t.successor and not seen(AXIOM_SUCCESSOR_FUNCTION):
+            violations.append(AxiomViolation(
+                AXIOM_SUCCESSOR_FUNCTION,
+                f"pair ({t.decision_node!r}, {t.action!r}) leads to both {prev!r} and {t.successor!r}"))
+        preds.setdefault(t.successor, set()).add(t.decision_node)
+        prev = action_of.setdefault(t.successor, t.action)
+        if prev != t.action and not seen(AXIOM_ACTION_OF_SUCCESSOR):
+            violations.append(AxiomViolation(
+                AXIOM_ACTION_OF_SUCCESSOR,
+                f"successor {t.successor!r} is reached by actions {prev!r} and {t.action!r}"))
+        pairs_by_situation.setdefault(t.situation, set()).add((t.decision_node, t.action))
+
+    for y in sorted(preds):
+        ws = preds[y]
+        if len(ws) > 1:
+            violations.append(AxiomViolation(
+                AXIOM_PREDECESSOR_FUNCTION,
+                f"successor {y!r} has two predecessors {sorted(ws)[0]!r} and {sorted(ws)[1]!r}"))
+            break
+
+    for j in sorted(pairs_by_situation):
+        pairs = pairs_by_situation[j]
+        nodes = {w for w, _ in pairs}
+        acts = {a for _, a in pairs}
+        if len(pairs) != len(nodes) * len(acts):
+            w, a = sorted((w, a) for w in nodes for a in acts if (w, a) not in pairs)[0]
+            violations.append(AxiomViolation(
+                AXIOM_ACTION_RECTANGLE,
+                f"situation {j!r}: node {w!r} lacks action {a!r} present elsewhere in the situation"))
+            break
+
+    decision_nodes = {t.decision_node for t in quintuples}
+    successors = set(preds)
+
+    pred_choice = {y: min(ws) for y, ws in preds.items()}
+    escapes: dict[str, bool] = {}
+    for y in sorted(successors):
+        path: dict[str, None] = {}
+        x = y
+        while x in successors and x not in escapes and x not in path:
+            path[x] = None
+            x = pred_choice[x]
+        result = escapes[x] if x in escapes else x not in successors
+        for z in path:
+            escapes[z] = result
+        if not escapes[y]:
+            violations.append(AxiomViolation(
+                AXIOM_NO_CYCLES,
+                f"predecessor walk from {y!r} never leaves the successor set (cycle)"))
+            break
+
+    roots = decision_nodes - successors
+    if len(roots) != 1:
+        shown = ", ".join(repr(r) for r in sorted(roots)[:3]) if roots else "none"
+        violations.append(AxiomViolation(
+            AXIOM_SINGLE_ROOT,
+            f"decision nodes that are not successors should be a singleton; found {shown}"))
+
+    return violations
+
+
+class ReferencePentaform:
+    """The derived structure built from its own sort of the quintuples, with
+    the same attribute names as `Pentaform`."""
+
+    FIELDS = (
+        "quintuples", "players", "situations", "decision_nodes", "actions",
+        "successors", "nodes", "endnodes", "root",
+        "_pred", "_pred_action", "_children", "_situation_of", "_player_of",
+        "_info_sets", "_action_sets", "_next", "_depth",
+    )
+
+    def __init__(self, quintuples):
+        qs = tuple(sorted(set(quintuples), key=Quintuple.key))
+        self.quintuples = qs
+        self.players = frozenset(t.player for t in qs)
+        self.situations = frozenset(t.situation for t in qs)
+        self.decision_nodes = frozenset(t.decision_node for t in qs)
+        self.actions = frozenset(t.action for t in qs)
+        self.successors = frozenset(t.successor for t in qs)
+        self.nodes = self.decision_nodes | self.successors
+        self.endnodes = self.successors - self.decision_nodes
+        (self.root,) = self.decision_nodes - self.successors
+
+        self._pred = {t.successor: t.decision_node for t in qs}
+        self._pred_action = {t.successor: t.action for t in qs}
+        self._next = {(t.decision_node, t.action): t.successor for t in qs}
+        self._situation_of = {t.decision_node: t.situation for t in qs}
+        self._player_of = {t.situation: t.player for t in qs}
+        children: dict[str, list[tuple[str, str]]] = {}
+        info: dict[str, set[str]] = {}
+        acts: dict[str, set[str]] = {}
+        for t in qs:
+            children.setdefault(t.decision_node, []).append((t.action, t.successor))
+            info.setdefault(t.situation, set()).add(t.decision_node)
+            acts.setdefault(t.situation, set()).add(t.action)
+        self._children = {w: tuple(sorted(cs)) for w, cs in children.items()}
+        self._info_sets = {j: frozenset(v) for j, v in info.items()}
+        self._action_sets = {j: frozenset(v) for j, v in acts.items()}
+
+        depth = {self.root: 0}
+        stack = [self.root]
+        while stack:
+            w = stack.pop()
+            for _, y in self._children.get(w, ()):
+                depth[y] = depth[w] + 1
+                if y in self.decision_nodes:
+                    stack.append(y)
+        self._depth = depth
+
+
+def assert_same_structure(form: Pentaform, expected) -> None:
+    """Every derived field of `form` equals the reference structure's, and
+    every node set iterates in the same order (random_game draws its
+    utilities in endnode iteration order)."""
+    for name in ReferencePentaform.FIELDS:
+        value = getattr(form, name)
+        assert value == getattr(expected, name), name
+        if isinstance(value, frozenset):
+            assert list(value) == list(getattr(expected, name)), name
 
 
 def _subgame(g: Game, t: str) -> Game:
@@ -503,7 +669,7 @@ def reference_stationary_persistent(sys, sigma, values) -> Verdict:
             expected = {k: e.reward[k] + beta * v[e.next_class][k] for k in v[e.next_class]}
         else:
             expected = dict(v[e.next_class])
-        if not profiles_equal(v[c], expected, Fraction(0)):
+        if not profiles_equal(v[c], expected):
             return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
     return Verdict(True)
 

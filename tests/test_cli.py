@@ -170,6 +170,14 @@ def test_resource_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_bad_profile_cap_is_input_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", raw)
+    code, out, err = run(capsys, "solve", FIXTURES / "entry.game")
+    assert code == 2
+    assert err == f"error: PENTAFORM_PROFILE_CAP must be a positive integer, not {raw!r}\n"
+
+
 def test_instantiation_cap_exit_code(capsys):
     code, out, err = run(capsys, "stationary", FIXTURES / "crywolf.system", "instantiate", 30)
     assert code == 3 and out == ""

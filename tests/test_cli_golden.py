@@ -1,12 +1,17 @@
 """Byte-exact CLI output: every README command, every `check` property on the
-fixture game/strategy pairs, the stationary actions on the fixture systems and
-`certify` of the calm cry-wolf strategy, compared against recorded files.
+fixture game/strategy pairs, the stationary actions on the fixture systems,
+`certify` of the calm cry-wolf strategy and `validate` on one malformed
+quintuple set per axiom, compared against recorded files.
 
 Each command runs in-process through `cli.main` from a copy of the repository
-root's `fixtures/` (so relative paths print as in the README).  A case's exit
+root's `fixtures/` (so relative paths print as in the README), into which the
+malformed sets of `MALFORMED` are written as `.pentaform` files.  A case's exit
 code and stdout are compared with `tests/golden/<case>.out`, whose first line
 is `exit <code>`; a file written through `--dot` or `--out` is compared with
 `tests/golden/<case>.<ext>`.
+
+The README commands run a second time in one `python -O` subprocess, which
+drops assertions, and must print the same.
 
 After an intended output change, re-record with
 `PYTHONPATH=src python tests/test_cli_golden.py --record` and review the diff.
@@ -16,8 +21,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,7 +83,29 @@ def _stationary_cases():
                                          "fixtures/crywolf_calm.strategy"]
 
 
-CASES = dict([*_README, *_check_cases(), *_stationary_cases()])
+# axiom → a quintuple set that violates exactly that axiom
+MALFORMED = {
+    "player-of-situation": [("A", "j", "w", "a", "y1"), ("B", "j", "w", "b", "y2")],
+    "situation-of-node": [("A", "j", "w", "a", "y1"), ("A", "k", "w", "b", "y2")],
+    "action-rectangle": [("A", "jr", "r", "x", "w1"), ("A", "jr", "r", "z", "w2"),
+                         ("B", "j", "w1", "a", "y1"), ("B", "j", "w1", "b", "y2"),
+                         ("B", "j", "w2", "a", "y3")],
+    "successor-function": [("A", "j", "w", "a", "y1"), ("A", "j", "w", "a", "y2")],
+    "predecessor-function": [("A", "jr", "r", "l", "w1"), ("A", "jr", "r", "m", "w2"),
+                             ("B", "j1", "w1", "a", "y"), ("C", "j2", "w2", "a", "y")],
+    "action-of-successor": [("A", "j", "w", "a", "y"), ("A", "j", "w", "b", "y")],
+    "no-cycles": [("A", "j", "r", "a", "y"), ("A", "k", "u", "b", "v"), ("A", "m", "v", "c", "u")],
+    "single-root": [("A", "j1", "r1", "a", "y1"), ("A", "j2", "r2", "a", "y2"),
+                    ("A", "j3", "r3", "a", "y3"), ("A", "j4", "r4", "a", "y4")],
+}
+
+
+def _validate_cases():
+    for name in MALFORMED:
+        yield f"validate-{name}", ["validate", f"fixtures/{name}.pentaform"]
+
+
+CASES = dict([*_README, *_check_cases(), *_stationary_cases(), *_validate_cases()])
 
 
 def _written_file(argv):
@@ -103,6 +132,9 @@ def _run(argv, workdir: Path):
 
 def _workdir(base: Path) -> Path:
     shutil.copytree(ROOT / "fixtures", base / "fixtures")
+    for name, quintuples in MALFORMED.items():
+        payload = {"quintuples": [list(q) for q in quintuples]}
+        (base / "fixtures" / f"{name}.pentaform").write_text(json.dumps(payload), encoding="utf-8")
     return base
 
 
@@ -127,6 +159,32 @@ def test_cli_output_matches_golden(name, workdir):
 def test_golden_instantiation_is_the_fixture():
     assert ((GOLDEN / "readme-instantiate.pentaform").read_text(encoding="utf-8")
             == (ROOT / "fixtures" / "crywolf_depth2.pentaform").read_text(encoding="utf-8"))
+
+
+_OPTIMIZED_RUN = """
+import json, sys
+from pathlib import Path
+import test_cli_golden as golden
+work = golden._workdir(Path(sys.argv[1]))
+print(json.dumps({"debug": __debug__,
+                  "runs": {name: golden._run(argv, work) for name, argv in golden._README}}))
+"""
+
+
+def test_readme_commands_match_golden_under_optimize(tmp_path):
+    """`python -O` drops assertions; the README commands must print the same."""
+    path = os.pathsep.join([str(ROOT / "src"), str(Path(__file__).resolve().parent)])
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["debug"] is False
+    for name, argv in _README:
+        code, stdout, written = report["runs"][name]
+        assert f"exit {code}\n{stdout}" == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+        if written is not None:
+            assert written == _golden_file(name, argv).read_text(encoding="utf-8"), name
 
 
 def _record() -> None:

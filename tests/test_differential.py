@@ -1,10 +1,13 @@
-"""The linear-time structure layer against its brute-force oracles, subgame
-checks searched in place against searches of built subform games, the class
-graph test for aperiodic runs against its SCC definition, the stationary
-unfolding and value code (one pricing rule per utility model) against the
-per-model branches they replaced, the discounted conceivable bounds (policy
-iteration) against the enumeration of every exit policy, and deep forms that
-must not exhaust the interpreter's recursion depth."""
+"""The linear-time structure layer against its brute-force oracles, the axiom
+diagnosis and `validate` against the reference check and structure build
+(on every axiom's mutations too), trusted subforms and pieces against the
+reference axiom check, subgame checks searched in place against searches of
+built subform games, the class graph test for aperiodic runs against its SCC
+definition, the stationary unfolding and value code (one pricing rule per
+utility model) against the per-model branches they replaced, the discounted
+conceivable bounds (policy iteration) against the enumeration of every exit
+policy, and deep forms that must not exhaust the interpreter's recursion
+depth."""
 
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from pentaform import (
     DiscountedAccumulation,
     Exit,
     Game,
+    InvalidPentaform,
     PieceClass,
     Quintuple,
     StationarySystem,
@@ -29,11 +33,21 @@ from pentaform import (
     piece_partition,
     random_game,
     spe_check_direct,
+    subform,
     subroots,
     validate,
 )
 from pentaform import stationary
-from pentaform.core import AXIOM_NO_CYCLES
+from pentaform.core import (
+    AXIOM_ACTION_OF_SUCCESSOR,
+    AXIOM_ACTION_RECTANGLE,
+    AXIOM_NO_CYCLES,
+    AXIOM_PLAYER_OF_SITUATION,
+    AXIOM_PREDECESSOR_FUNCTION,
+    AXIOM_SINGLE_ROOT,
+    AXIOM_SITUATION_OF_NODE,
+    AXIOM_SUCCESSOR_FUNCTION,
+)
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
 from pentaform.numbers import INF, NEG_INF
 from pentaform.stationary import (
@@ -50,11 +64,14 @@ from pentaform.stationary import (
 )
 
 from conftest import (
+    ReferencePentaform,
+    assert_same_structure,
     bounded_predecessor_walk,
     brute_force_subroots,
     random_discounted_system,
     random_ring_system,
     random_strategy,
+    reference_check_axioms,
     reference_continuation_values,
     reference_discounted_extremes,
     reference_induced_strategy,
@@ -360,6 +377,139 @@ def test_axiom_diagnosis_matches_bounded_walk_on_mutations(small_corpus, mutate)
             assert subroots(form) == brute_force_subroots(form)
     if mutate is _redirect_to_ancestor:
         assert cycles > 0
+
+
+def _second_player(qs: list, rng: random.Random) -> list:
+    """Copy an edge under another player: a situation with two players."""
+    q = rng.choice(qs)
+    qs.append(Quintuple(q.player + "'", q.situation, q.decision_node, q.action, q.successor))
+    return qs
+
+
+def _second_situation(qs: list, rng: random.Random) -> list:
+    """Copy an edge into another situation: a node in two situations."""
+    q = rng.choice(qs)
+    qs.append(Quintuple(q.player, q.situation + "'", q.decision_node, q.action, q.successor))
+    return qs
+
+
+def _missing_rectangle_action(qs: list, rng: random.Random) -> list:
+    """Give one node of a situation with several nodes an action that the
+    situation's other nodes lack."""
+    nodes: dict[str, set[str]] = {}
+    for q in qs:
+        nodes.setdefault(q.situation, set()).add(q.decision_node)
+    q = rng.choice([q for q in qs if len(nodes[q.situation]) > 1] or qs)
+    qs.append(Quintuple(q.player, q.situation, q.decision_node, "extra", q.decision_node + "+"))
+    return qs
+
+
+def _second_successor(qs: list, rng: random.Random) -> list:
+    """Lead a (node, action) pair to a second, fresh successor."""
+    q = rng.choice(qs)
+    qs.append(Quintuple(q.player, q.situation, q.decision_node, q.action, q.successor + "+"))
+    return qs
+
+
+def _second_action(qs: list, rng: random.Random) -> list:
+    """Reach a successor by a second action from the same node."""
+    q = rng.choice(qs)
+    qs.append(Quintuple(q.player, q.situation, q.decision_node, q.action + "'", q.successor))
+    return qs
+
+
+def _no_root(qs: list, rng: random.Random) -> list:
+    """Point an edge that ends at an endnode back at the root: every
+    decision node becomes a successor."""
+    form = validate(qs)
+    k = rng.choice([k for k, q in enumerate(qs) if q.successor in form.endnodes])
+    q = qs[k]
+    qs[k] = Quintuple(q.player, q.situation, q.decision_node, q.action, form.root)
+    return qs
+
+
+def _two_faults(qs: list, rng: random.Random) -> list:
+    """Two of the faults above at random edges, so the order in which the
+    diagnosis meets them matters."""
+    for fault in rng.sample([_second_player, _second_situation, _second_successor, _second_action], 2):
+        qs = fault(qs, rng)
+    return qs
+
+
+# mutation → the axiom it must violate somewhere in the corpus (None: any)
+MUTATIONS = [
+    (_drop, None),
+    (_redirect_to_ancestor, AXIOM_NO_CYCLES),
+    (_second_predecessor, AXIOM_PREDECESSOR_FUNCTION),
+    (_second_player, AXIOM_PLAYER_OF_SITUATION),
+    (_second_situation, AXIOM_SITUATION_OF_NODE),
+    (_missing_rectangle_action, AXIOM_ACTION_RECTANGLE),
+    (_second_successor, AXIOM_SUCCESSOR_FUNCTION),
+    (_second_action, AXIOM_ACTION_OF_SUCCESSOR),
+    (_no_root, AXIOM_SINGLE_ROOT),
+    (_two_faults, None),
+]
+
+
+@pytest.mark.parametrize("mutate, axiom", MUTATIONS, ids=[m.__name__.strip("_") for m, _ in MUTATIONS])
+def test_axiom_diagnosis_matches_reference_on_mutations(small_corpus, mutate, axiom):
+    """Full violation lists, witness text included, equal the reference check;
+    `validate` raises exactly them, or builds the reference structure."""
+    rng = random.Random(mutate.__name__)
+    reached = 0
+    for g in small_corpus:
+        qs = mutate(list(g.form.quintuples), rng)
+        rng.shuffle(qs)
+        expected = reference_check_axioms(qs)
+        assert check_axioms(qs) == expected
+        reached += any(v.axiom == axiom for v in expected)
+        if expected:
+            with pytest.raises(InvalidPentaform) as raised:
+                validate(qs)
+            assert raised.value.violations == tuple(expected)
+        else:
+            assert_same_structure(validate(qs), ReferencePentaform(qs))
+    if axiom is not None:
+        assert reached > 0
+
+
+def _assert_validate_matches_reference(form, rng: random.Random) -> None:
+    qs = list(form.quintuples)
+    rng.shuffle(qs)
+    assert check_axioms(qs) == reference_check_axioms(qs) == []
+    assert_same_structure(validate(qs), ReferencePentaform(qs))
+
+
+def test_validate_matches_reference_structure_on_corpus(small_corpus):
+    rng = random.Random(0)
+    for g in small_corpus:
+        _assert_validate_matches_reference(g.form, rng)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_validate_matches_reference_structure_on_cry_wolf(depth):
+    _assert_validate_matches_reference(WOLF_TRUNCATIONS[depth - 1].form, random.Random(depth))
+
+
+def _assert_trusted_parts_are_pentaforms(form) -> int:
+    """Every subform and piece, built trusted, passes the reference axiom
+    check and equals the validated form of its quintuples."""
+    parts = piece_partition(form)
+    for t in subroots(form):
+        for part in (subform(form, t), parts[t]):
+            assert reference_check_axioms(part.quintuples) == []
+            assert_same_structure(part, validate(part.quintuples))
+            assert_same_structure(part, ReferencePentaform(part.quintuples))
+    return len(parts)
+
+
+def test_trusted_pieces_and_subforms_are_pentaforms_on_corpus(small_corpus):
+    assert sum(_assert_trusted_parts_are_pentaforms(g.form) for g in small_corpus) > len(small_corpus)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_trusted_pieces_and_subforms_are_pentaforms_on_cry_wolf(depth):
+    assert _assert_trusted_parts_are_pentaforms(WOLF_TRUNCATIONS[depth - 1].form) > 1
 
 
 def _chain(n: int) -> Game:

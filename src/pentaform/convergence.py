@@ -5,10 +5,14 @@ through x; sup/inf of a stakeholder's utility over them bound what can still
 happen.  A utility function is upper-convergent when that sup collapses to
 the run's own utility along every run (lower-convergence is the mirror
 image).  Finite games always converge; generated infinite-horizon systems
-are decided exactly on their class quotient: discounted accumulation gives a
-geometric certificate, and absolute-terminal models are checked lasso by
-lasso, with Unknown reserved for systems whose aperiodic infinite runs have
-no declared utility.
+are decided exactly on their class quotient by their utility model, which
+owns its validation, conceivable bounds and convergence verdicts:
+discounted accumulation gives a geometric certificate, and absolute-terminal
+models are checked lasso by lasso, with Unknown reserved for systems whose
+aperiodic infinite runs have no declared utility.
+
+`DEFAULT_DEPTH` is only the d at which a discounted certificate prints its
+bound (and the depth an Unknown certificate names).
 """
 
 from __future__ import annotations
@@ -52,22 +56,22 @@ def _conceivable(g: Game, x: str, k: str, pick) -> Scalar:
     return pick(g.utilities[y][k] for y in reachable)
 
 
-def upper_convergent(obj, depth: int = DEFAULT_DEPTH) -> ConvergenceVerdict:
+def upper_convergent(obj) -> ConvergenceVerdict:
     """Do conceivable utility increments vanish along every run?"""
-    return _convergent(obj, "upper", depth)
+    return _convergent(obj, "upper")
 
 
-def lower_convergent(obj, depth: int = DEFAULT_DEPTH) -> ConvergenceVerdict:
+def lower_convergent(obj) -> ConvergenceVerdict:
     """Do conceivable utility decrements vanish along every run?"""
-    return _convergent(obj, "lower", depth)
+    return _convergent(obj, "lower")
 
 
-def _convergent(obj, direction: str, depth: int) -> ConvergenceVerdict:
+def _convergent(obj, direction: str) -> ConvergenceVerdict:
     if isinstance(obj, Game):
         # Finite games: the last node of any run pins the tail down exactly.
         return ConvergenceVerdict(HOLDS, certificate="finite game: all runs end at endnodes")
-    from .stationary import StationarySystem, stationary_convergence
+    from .stationary import StationarySystem  # stationary imports this module
 
     if isinstance(obj, StationarySystem):
-        return stationary_convergence(obj, direction, depth)
+        return obj.model.convergence(obj, direction)
     raise TypeError(f"expected a Game or StationarySystem, got {type(obj).__name__}")

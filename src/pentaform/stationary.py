@@ -21,6 +21,14 @@ value of circling a class cycle forever.  Everything else prices by folding
 game's continue exits step to the next class value, and an endnode of an
 unfolding folds `step` over the continue exits on its class path.
 
+Each model also owns every other decision that depends on it: `validated`
+(β and finite rewards, or exactly the simple class cycles declared),
+`bounds` (the conceivable bounds of every class, by policy iteration or over
+the reachable terminal exits and cycles) and `convergence` (a geometric
+certificate, or a lasso-by-lasso decision).  The functions below call these
+hooks; only bounded instantiation and `solve_stationary`, which support
+discounting alone, still test the model's type.
+
 Everything infinite is analyzed on the finite class quotient: continuation
 values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
 concrete subgame is a positive affine image of the quotient, so one Nash scan
@@ -32,8 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
+from .convergence import DEFAULT_DEPTH, FAILS, HOLDS, UNKNOWN, ConvergenceVerdict, lower_convergent, upper_convergent
 from .core import Pentaform, Quintuple, validate
 from .game import (
     Game,
@@ -46,7 +55,7 @@ from .game import (
 )
 from .numbers import Profile, Scalar, is_finite, make_profile, profiles_equal
 from .partition import subroots
-from .strategy import outcome, validate_strategy
+from .strategy import INFINITE_DETECTED, TERMINATED, SubrootSequence, outcome, validate_strategy
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,17 @@ class PieceClass:
 @dataclass(frozen=True)
 class DiscountedAccumulation:
     beta: Fraction
+    kind = "discounted"
+
+    def validated(self, sys: StationarySystem) -> DiscountedAccumulation:
+        """This model, once β ∈ (0,1) and every reward is finite."""
+        if not isinstance(self.beta, Fraction) or not (0 < self.beta < 1):
+            raise ValueError("discount factor must be a Fraction in (0, 1)")
+        for cid, cls in sys.classes.items():
+            for label, e in cls.exits.items():
+                if any(not is_finite(x) for x in e.reward.values()):
+                    raise ValueError(f"class {cid!r}: discounted accumulation requires finite rewards ({label!r})")
+        return self
 
     def step(self, reward: Mapping[str, Scalar], w: Mapping[str, Scalar]) -> Profile:
         """The value of a continue exit with `reward` into a piece worth `w`."""
@@ -90,12 +110,63 @@ class DiscountedAccumulation:
         denom = 1 - self.beta ** len(cycle)
         return {k: x / denom for k, x in lap.items()}
 
+    def bounds(self, sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
+        """Per-class, per-stakeholder (inf, sup) of run values.
+
+        For one stakeholder k, choosing a run through the class quotient is a
+        deterministic single-agent problem with finitely many states (the
+        classes) and rewards discounted by β < 1.  Its Bellman operator, which
+        prices every exit of a class against a value vector and keeps the best,
+        is a β-contraction, so it has one fixed point, and an exit policy that is
+        greedy with respect to that fixed point attains it from every class
+        (Howard 1960; Puterman 1994, ch. 6).  The sup over all runs, stationary
+        or not, is therefore the value of one stationary exit policy, and so is
+        the inf (maximize -u_k).  `_optimal_values` finds that policy exactly."""
+        table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {c: {} for c in sorted(sys.classes)}
+        for k in sorted(sys.stakeholders):
+            hi = _optimal_values(sys, k, 1)
+            lo = _optimal_values(sys, k, -1)
+            for c in table:
+                table[c][k] = (lo[c], hi[c])
+        return table
+
+    def convergence(self, sys: StationarySystem, direction: str) -> ConvergenceVerdict:
+        """Always holds: every continuation value lies in [-M/(1-β), M/(1-β)]
+        for M = max absolute reward, so the conceivable increment (decrement)
+        after d pieces is at most β^d · 2M/(1-β)."""
+        beta = self.beta
+        bound_const = 2 * max(abs(x) for cls in sys.classes.values()
+                              for e in cls.exits.values() for x in e.reward.values()) / (1 - beta)
+        return ConvergenceVerdict(HOLDS, certificate=(
+            f"discounted accumulation with bounded rewards: the conceivable "
+            f"{'increment' if direction == 'upper' else 'decrement'} after d pieces is at most "
+            f"beta^d * {bound_const} with beta = {beta}, which vanishes "
+            f"(at d = {DEFAULT_DEPTH} the bound is {beta**DEFAULT_DEPTH * bound_const})"))
+
 
 @dataclass(frozen=True)
 class AbsoluteTerminal:
     # canonical cycle tuple (min rotation) -> utility profile of runs that
     # settle into that cycle
     cycle_utilities: Mapping[tuple[str, ...], Mapping[str, Scalar]]
+    kind = "absolute-terminal"
+
+    def validated(self, sys: StationarySystem) -> AbsoluteTerminal:
+        """This model with canonical cycles and profiles, once it declares
+        exactly the simple class cycles.  A declared cycle is checked on the
+        class graph directly; the walk over the simple cycles stops at the
+        first one that is not declared, which alone is named."""
+        declared = {canonical_cycle(tuple(cyc)): make_profile(prof, sys.stakeholders)
+                    for cyc, prof in self.cycle_utilities.items()}
+        graph = sys.continue_graph()
+        unknown = sorted(cyc for cyc in declared if len(set(cyc)) < len(cyc)
+                         or any(d not in graph.get(c, ()) for c, d in zip(cyc, cyc[1:] + cyc[:1])))
+        missing = next(([cyc] for cyc in _simple_cycle_walk(graph) if cyc not in declared), [])
+        if missing or unknown:
+            raise ValueError(
+                f"absolute-terminal model must declare exactly the simple class cycles; "
+                f"missing {missing}, unknown {unknown}")
+        return AbsoluteTerminal(declared)
 
     def step(self, reward: Mapping[str, Scalar], w: Mapping[str, Scalar]) -> Profile:
         """Continue rewards count for nothing: the value is `w` as-is."""
@@ -104,6 +175,48 @@ class AbsoluteTerminal:
     def cycle_value(self, cycle: tuple[str, ...], rewards: list[Profile]) -> Profile:
         """The declared utility of runs that settle into `cycle`."""
         return dict(self.cycle_utilities[canonical_cycle(cycle)])
+
+    def bounds(self, sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
+        """Per-class, per-stakeholder (inf, sup) over the defined runs from a
+        fresh class piece: the terminal exits and the declared cycles of the
+        classes it reaches (every class reaches one or the other)."""
+        terminals = {c: [e.reward for _, e in sorted(cls.exits.items()) if e.is_terminal]
+                     for c, cls in sys.classes.items()}
+        cycles = sorted(self.cycle_utilities.items())
+        table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {}
+        for c in sorted(sys.classes):
+            reach = sys.reachable_from(c)
+            runs = [r for d in sorted(reach) for r in terminals[d]]
+            runs += [prof for cyc, prof in cycles if cyc[0] in reach]
+            table[c] = {k: (min(r[k] for r in runs), max(r[k] for r in runs)) for k in sorted(sys.stakeholders)}
+        return table
+
+    def convergence(self, sys: StationarySystem, direction: str) -> ConvergenceVerdict:
+        """Decide each lasso exactly on the quotient.  Every class on a
+        declared cycle reaches the same classes, so one conceivable bound per
+        cycle and stakeholder is the limit along the lasso."""
+        upper = direction == "upper"
+        for cyc, run_utility in sorted(self.cycle_utilities.items()):
+            for k in sorted(sys.stakeholders):
+                lo, hi = conceivable_bounds(sys, cyc[0], k)
+                limit = hi if upper else lo
+                gap = limit - run_utility[k] if upper else run_utility[k] - limit
+                if gap > 0:
+                    return ConvergenceVerdict(FAILS, witness={
+                        "run": {"prefix": (), "cycle": cyc},
+                        "stakeholder": k,
+                        "gap": gap,
+                        "limit": limit,
+                        "run_utility": run_utility[k],
+                    })
+        if has_aperiodic_runs(sys):
+            return ConvergenceVerdict(
+                UNKNOWN,
+                certificate=f"every declared lasso converges, but aperiodic infinite runs exist whose "
+                            f"utility the model does not define (checked to depth {DEFAULT_DEPTH})")
+        return ConvergenceVerdict(HOLDS, certificate=(
+            "every infinite run settles into a declared class cycle and its conceivable "
+            f"{'increments' if upper else 'decrements'} vanish on the quotient"))
 
 
 StationaryStrategy = dict  # class id -> {template situation -> action}
@@ -115,9 +228,10 @@ class StationarySystem:
     Validation enforces what the quotient analysis needs: templates rooted at
     the empty label with no interior subroots (so instantiated subroots are
     exactly the class paths), classified endnodes, reachable classes,
-    prefix-free continue labels per class, finite rewards under discounting,
-    and a declared utility for every simple class cycle under the
-    absolute-terminal model.
+    prefix-free continue labels per class, and whatever the utility model's
+    `validated` hook demands (finite rewards under discounting, a declared
+    utility for exactly the simple class cycles under the absolute-terminal
+    model).
     """
 
     def __init__(self, classes: Mapping[str, PieceClass], initial: str, model,
@@ -125,7 +239,7 @@ class StationarySystem:
         self.stakeholders = frozenset(str(k) for k in stakeholders)
         self.model = model
         self.initial = initial
-        self._extremes = None  # discounted value extremes, filled on first use
+        self._extremes = None  # the model's conceivable bounds, filled on first use
         if not classes:
             raise ValueError("a stationary system needs at least one class")
         if initial not in classes:
@@ -160,27 +274,9 @@ class StationarySystem:
             normalized[cid] = PieceClass(tmpl, exits)
         self.classes = normalized
 
-        if isinstance(model, DiscountedAccumulation):
-            if not isinstance(model.beta, Fraction) or not (0 < model.beta < 1):
-                raise ValueError("discount factor must be a Fraction in (0, 1)")
-            for cid, cls in self.classes.items():
-                for label, e in cls.exits.items():
-                    if any(not is_finite(x) for x in e.reward.values()):
-                        raise ValueError(f"class {cid!r}: discounted accumulation requires finite rewards ({label!r})")
-        elif isinstance(model, AbsoluteTerminal):
-            declared = {}
-            for cyc, prof in model.cycle_utilities.items():
-                declared[canonical_cycle(tuple(cyc))] = make_profile(prof, self.stakeholders)
-            needed = set(self._simple_cycles())
-            missing = sorted(needed - set(declared))
-            extra = sorted(set(declared) - needed)
-            if missing or extra:
-                raise ValueError(
-                    f"absolute-terminal model must declare exactly the simple class cycles; "
-                    f"missing {missing}, unknown {extra}")
-            self.model = AbsoluteTerminal(declared)
-        else:
+        if not isinstance(model, (DiscountedAccumulation, AbsoluteTerminal)):
             raise ValueError(f"unknown utility model {model!r}")
+        self.model = model.validated(self)
 
         reachable = self.reachable_from(initial)
         unreachable = sorted(set(self.classes) - reachable)
@@ -206,15 +302,11 @@ class StationarySystem:
                     stack.append(nxt)
         return seen
 
-    def _simple_cycles(self) -> list[tuple[str, ...]]:
-        return simple_cycles(self.continue_graph())
-
     def zero_profile(self) -> Profile:
         return {k: Fraction(0) for k in self.stakeholders}
 
     def __repr__(self) -> str:
-        kind = "discounted" if isinstance(self.model, DiscountedAccumulation) else "absolute-terminal"
-        return f"StationarySystem(classes={sorted(self.classes)}, initial={self.initial!r}, model={kind})"
+        return f"StationarySystem(classes={sorted(self.classes)}, initial={self.initial!r}, model={self.model.kind})"
 
 
 def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
@@ -226,21 +318,29 @@ def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def simple_cycles(graph: Mapping[str, set[str]]) -> list[tuple[str, ...]]:
-    """All simple cycles of a small digraph, each starting at its min node."""
-    cycles: list[tuple[str, ...]] = []
+    """All simple cycles of a digraph, each starting at its min node, sorted."""
+    return list(_simple_cycle_walk(graph))
 
-    def walk(start: str, node: str, path: list[str], seen: set[str]) -> None:
-        for nxt in sorted(graph.get(node, ())):
-            if nxt == start:
-                cycles.append(tuple(path))
-            elif nxt > start and nxt not in seen:
-                seen.add(nxt)
-                walk(start, nxt, path + [nxt], seen)
-                seen.remove(nxt)
 
+def _simple_cycle_walk(graph: Mapping[str, set[str]]) -> Iterator[tuple[str, ...]]:
+    """Yield the simple cycles in sorted order: from each start, a depth-first
+    walk on an explicit stack through larger nodes in sorted order, which
+    meets each cycle before its extensions."""
     for start in sorted(graph):
-        walk(start, start, [start], {start})
-    return sorted(cycles)
+        path, on_path = [start], {start}
+        branches = [iter(sorted(graph[start]))]
+        while branches:
+            for nxt in branches[-1]:
+                if nxt == start:
+                    yield tuple(path)
+                elif nxt > start and nxt not in on_path:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    branches.append(iter(sorted(graph.get(nxt, ()))))
+                    break
+            else:
+                branches.pop()
+                on_path.discard(path.pop())
 
 
 def has_aperiodic_runs(sys: StationarySystem) -> bool:
@@ -526,47 +626,15 @@ def value_at(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str]], labe
 
 
 def conceivable_bounds(sys: StationarySystem, cid: str, k: str) -> tuple[Scalar, Scalar]:
-    """Exact [inf, sup] of continuation utility from a fresh class-c piece.
-
-    Under discounting these are the optimal values of two single-agent
-    problems per stakeholder, solved by policy iteration (see
-    `_discounted_extremes`); under the absolute-terminal model they range
-    over the reachable terminal exits and declared cycle utilities."""
+    """Exact [inf, sup] of continuation utility from a fresh class-c piece:
+    one entry of the model's bounds table, filled once per system."""
     if cid not in sys.classes:
         raise ValueError(f"unknown class {cid!r}")
     if k not in sys.stakeholders:
         raise ValueError(f"unknown stakeholder {k!r}")
-    if isinstance(sys.model, DiscountedAccumulation):
-        table = _discounted_extremes(sys)
-        return table[cid][k]
-    candidates = _absolute_candidates(sys, cid)
-    values = [prof[k] for prof in candidates]
-    return min(values), max(values)
-
-
-def _discounted_extremes(sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
-    """Per-class, per-stakeholder (inf, sup) of run values, filled once per
-    system.
-
-    For one stakeholder k, choosing a run through the class quotient is a
-    deterministic single-agent problem with finitely many states (the
-    classes) and rewards discounted by β < 1.  Its Bellman operator, which
-    prices every exit of a class against a value vector and keeps the best,
-    is a β-contraction, so it has one fixed point, and an exit policy that is
-    greedy with respect to that fixed point attains it from every class
-    (Howard 1960; Puterman 1994, ch. 6).  The sup over all runs, stationary
-    or not, is therefore the value of one stationary exit policy, and so is
-    the inf (maximize -u_k).  `_optimal_values` finds that policy exactly."""
-    if sys._extremes is not None:
-        return sys._extremes
-    table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {c: {} for c in sorted(sys.classes)}
-    for k in sorted(sys.stakeholders):
-        hi = _optimal_values(sys, k, 1)
-        lo = _optimal_values(sys, k, -1)
-        for c in table:
-            table[c][k] = (lo[c], hi[c])
-    sys._extremes = table
-    return table
+    if sys._extremes is None:
+        sys._extremes = sys.model.bounds(sys)
+    return sys._extremes[cid][k]
 
 
 def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scalar]:
@@ -602,76 +670,6 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
                 switched = True
         if not switched:
             return {c: w[c][k] for c in exits}
-
-
-def _absolute_candidates(sys: StationarySystem, cid: str) -> list[Profile]:
-    """Utility profiles of all defined runs from a fresh class-c piece:
-    reachable terminal exits plus declared utilities of reachable cycles."""
-    reach = sys.reachable_from(cid)
-    out: list[Profile] = []
-    for d in sorted(reach):
-        for label in sorted(sys.classes[d].exits):
-            e = sys.classes[d].exits[label]
-            if e.is_terminal:
-                out.append(dict(e.reward))
-    for cyc, prof in sorted(sys.model.cycle_utilities.items()):
-        if cyc[0] in reach:
-            out.append(dict(prof))
-    if not out:
-        raise ValueError(f"class {cid!r} reaches no terminal exit and no declared cycle")
-    return out
-
-
-# -- convergence (called through the convergence module) ---------------------------
-
-
-def stationary_convergence(sys: StationarySystem, direction: str, depth: int):
-    from .convergence import ConvergenceVerdict, FAILS, HOLDS, UNKNOWN
-
-    if isinstance(sys.model, DiscountedAccumulation):
-        beta = sys.model.beta
-        # Every continuation value lies in [-M/(1-beta), M/(1-beta)] for
-        # M = max absolute reward, so the conceivable increment (decrement)
-        # after d pieces is at most beta^d * 2M/(1-beta).
-        bound_const = 2 * _max_abs_reward(sys) / (1 - beta)
-        return ConvergenceVerdict(HOLDS, certificate=(
-            f"discounted accumulation with bounded rewards: the conceivable "
-            f"{'increment' if direction == 'upper' else 'decrement'} after d pieces is at most "
-            f"beta^d * {bound_const} with beta = {beta}, which vanishes "
-            f"(at d = {depth} the bound is {beta**depth * bound_const})"))
-
-    # Absolute-terminal: decide each lasso exactly on the quotient.
-    for cyc in simple_cycles(sys.continue_graph()):
-        run_utility = sys.model.cycle_utilities[cyc]
-        for k in sorted(sys.stakeholders):
-            limits = []
-            for c in cyc:
-                lo, hi = conceivable_bounds(sys, c, k)
-                limits.append(hi if direction == "upper" else lo)
-            assert len(set(limits)) == 1, "conceivable bound must be constant along a cycle"
-            limit = limits[0]
-            gap = limit - run_utility[k] if direction == "upper" else run_utility[k] - limit
-            if gap > 0:
-                return ConvergenceVerdict(FAILS, witness={
-                    "run": {"prefix": (), "cycle": cyc},
-                    "stakeholder": k,
-                    "gap": gap,
-                    "limit": limit,
-                    "run_utility": run_utility[k],
-                })
-    if has_aperiodic_runs(sys):
-        return ConvergenceVerdict(
-            UNKNOWN,
-            certificate=f"every declared lasso converges, but aperiodic infinite runs exist whose "
-                        f"utility the model does not define (checked to depth {depth})")
-    return ConvergenceVerdict(HOLDS, certificate=(
-        "every infinite run settles into a declared class cycle and its conceivable "
-        f"{'increments' if direction == 'upper' else 'decrements'} vanish on the quotient"))
-
-
-def _max_abs_reward(sys: StationarySystem) -> Scalar:
-    values = [x for cls in sys.classes.values() for e in cls.exits.values() for x in e.reward.values()]
-    return max(abs(x) for x in values)
 
 
 # -- quotient piece games and property checkers -------------------------------------
@@ -788,8 +786,6 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
     route).  When lower-convergence fails, a stationary unilateral deviation
     scan may still refute; otherwise the verdict is inconclusive.
     """
-    from .convergence import FAILS, HOLDS, lower_convergent, upper_convergent
-
     sigma = validate_stationary_strategy(sys, sigma)
     up = upper_convergent(sys)
     lo = lower_convergent(sys)
@@ -800,10 +796,6 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
                            reason="a one-piece deviation improves on the strategy "
                                   "(the values are authentic, so the improvement is genuine)")
     if lo.status == HOLDS:
-        if __debug__:  # true by construction; a failure indicates an engine bug
-            assert stationary_authentic(sys, sigma, w).holds
-            assert stationary_persistent(sys, sigma, w).holds
-            assert stationary_admissible(sys, w).holds
         route = ("authentic values + piecewise-Nash under lower-convergence"
                  + ("; upper-convergence holds as well" if up.status == HOLDS else
                     "; upper-convergence not established"))
@@ -928,8 +920,6 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
 def quotient_subroot_sequence(sys: StationarySystem, sigma, start: str | None = None):
     """The class chain visited by obeying σ, as a symbolic subroot sequence;
     a revisited class is an infinite chain with the cycle as witness."""
-    from .strategy import INFINITE_DETECTED, SubrootSequence, TERMINATED
-
     sigma = validate_stationary_strategy(sys, sigma)
     cur = sys.initial if start is None else start
     if cur not in sys.classes:

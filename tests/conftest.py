@@ -23,6 +23,7 @@ from pentaform import (
     utility_of_run,
     validate_strategy,
 )
+from pentaform.convergence import DEFAULT_DEPTH, FAILS, HOLDS, UNKNOWN, ConvergenceVerdict
 from pentaform.core import (
     AXIOM_ACTION_OF_SUCCESSOR,
     AXIOM_ACTION_RECTANGLE,
@@ -672,6 +673,69 @@ def reference_stationary_persistent(sys, sigma, values) -> Verdict:
         if not profiles_equal(v[c], expected):
             return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
     return Verdict(True)
+
+
+# -- reference conceivable bounds and convergence: the absolute-terminal
+# candidate rule and the convergence verdicts as they stood before each model
+# owned its bounds and convergence --------------------------------------------
+
+
+def reference_absolute_bounds(sys, cid: str, k: str) -> tuple:
+    """(min, max) of k's utility over the reachable terminal exits and the
+    declared utilities of reachable cycles, recomputed per call."""
+    reach = sys.reachable_from(cid)
+    candidates = []
+    for d in sorted(reach):
+        for label in sorted(sys.classes[d].exits):
+            e = sys.classes[d].exits[label]
+            if e.is_terminal:
+                candidates.append(dict(e.reward))
+    for cyc, prof in sorted(sys.model.cycle_utilities.items()):
+        if cyc[0] in reach:
+            candidates.append(dict(prof))
+    values = [prof[k] for prof in candidates]
+    return min(values), max(values)
+
+
+def reference_stationary_convergence(sys, direction: str) -> ConvergenceVerdict:
+    """One branch per utility model; lassos enumerated from the class graph
+    and every class on a cycle checked against its own bound."""
+    depth = DEFAULT_DEPTH
+    if isinstance(sys.model, DiscountedAccumulation):
+        beta = sys.model.beta
+        rewards = [x for cls in sys.classes.values() for e in cls.exits.values() for x in e.reward.values()]
+        bound_const = 2 * max(abs(x) for x in rewards) / (1 - beta)
+        return ConvergenceVerdict(HOLDS, certificate=(
+            f"discounted accumulation with bounded rewards: the conceivable "
+            f"{'increment' if direction == 'upper' else 'decrement'} after d pieces is at most "
+            f"beta^d * {bound_const} with beta = {beta}, which vanishes "
+            f"(at d = {depth} the bound is {beta**depth * bound_const})"))
+    for cyc in simple_cycles(sys.continue_graph()):
+        run_utility = sys.model.cycle_utilities[cyc]
+        for k in sorted(sys.stakeholders):
+            limits = []
+            for c in cyc:
+                lo, hi = reference_absolute_bounds(sys, c, k)
+                limits.append(hi if direction == "upper" else lo)
+            assert len(set(limits)) == 1, "conceivable bound must be constant along a cycle"
+            limit = limits[0]
+            gap = limit - run_utility[k] if direction == "upper" else run_utility[k] - limit
+            if gap > 0:
+                return ConvergenceVerdict(FAILS, witness={
+                    "run": {"prefix": (), "cycle": cyc},
+                    "stakeholder": k,
+                    "gap": gap,
+                    "limit": limit,
+                    "run_utility": run_utility[k],
+                })
+    if scc_has_aperiodic_runs(sys.continue_graph()):
+        return ConvergenceVerdict(
+            UNKNOWN,
+            certificate=f"every declared lasso converges, but aperiodic infinite runs exist whose "
+                        f"utility the model does not define (checked to depth {depth})")
+    return ConvergenceVerdict(HOLDS, certificate=(
+        "every infinite run settles into a declared class cycle and its conceivable "
+        f"{'increments' if direction == 'upper' else 'decrements'} vanish on the quotient"))
 
 
 @pytest.fixture(scope="session")

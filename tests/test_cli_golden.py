@@ -1,14 +1,17 @@
 """Byte-exact CLI output: every README command, every `check` property on the
 fixture game/strategy pairs, the stationary actions on the fixture systems,
-`certify` of the calm cry-wolf strategy and `validate` on one malformed
-quintuple set per axiom, compared against recorded files.
+`certify` of the calm cry-wolf strategy and of the chain fixtures' always-in
+and always-out strategies, `convergence` on the systems of `SYSTEMS`, and
+`validate` on one malformed quintuple set per axiom, compared against
+recorded files.
 
 Each command runs in-process through `cli.main` from a copy of the repository
 root's `fixtures/` (so relative paths print as in the README), into which the
-malformed sets of `MALFORMED` are written as `.pentaform` files.  A case's exit
-code and stdout are compared with `tests/golden/<case>.out`, whose first line
-is `exit <code>`; a file written through `--dot` or `--out` is compared with
-`tests/golden/<case>.<ext>`.
+malformed sets of `MALFORMED` are written as `.pentaform` files, the systems
+of `SYSTEMS` as `.system` files and the strategies of `STATIONARY_STRATEGIES`
+as `.strategy` files.  A case's exit code and stdout are compared with
+`tests/golden/<case>.out`, whose first line is `exit <code>`; a file written
+through `--dot` or `--out` is compared with `tests/golden/<case>.<ext>`.
 
 The README commands run a second time in one `python -O` subprocess, which
 drops assertions, and must print the same.
@@ -81,6 +84,49 @@ def _stationary_cases():
                    ["stationary", path, "instantiate", str(depth), "--out", f"depth{depth}.pentaform"])
     yield "stationary-crywolf-certify", ["stationary", "fixtures/crywolf.system", "certify",
                                          "fixtures/crywolf_calm.strategy"]
+    for system, strategy in (("ann", "chain_in"), ("ann", "chain_out"), ("bob", "chain_out"),
+                             ("eda", "eda_in")):
+        yield (f"stationary-{system}-certify-{strategy}",
+               ["stationary", f"fixtures/{system}.system", "certify", f"fixtures/{strategy}.strategy"])
+    for system in SYSTEMS:
+        yield f"stationary-{system}-convergence", ["stationary", f"fixtures/{system}.system", "convergence"]
+
+
+def _chain_class(player: str, next_class: str, out: str) -> dict:
+    return {"template": [[player, "", "", "in", "i"], [player, "", "", "out", "x"]],
+            "exits": {"i": {"class": next_class, "reward": {player: "0"}},
+                      "x": {"terminal": {player: out}}}}
+
+
+def _three_way_class() -> dict:
+    return {"template": [["Joe", "", "", "stay_a", "p"], ["Joe", "", "", "stay_b", "q"],
+                         ["Joe", "", "", "stop", "x"]],
+            "exits": {"p": {"class": "A", "reward": {"Joe": "0"}},
+                      "q": {"class": "B", "reward": {"Joe": "0"}},
+                      "x": {"terminal": {"Joe": "0"}}}}
+
+
+def _cycles(*cycles) -> list:
+    return [{"classes": list(cyc), "utility": {"Joe": "0"}} for cyc in cycles]
+
+
+# absolute-terminal systems beside the fixtures: one whose class graph has
+# aperiodic infinite runs (convergence unknown), and a one-class loop that
+# declares no cycle (rejected by the loader)
+SYSTEMS = {
+    "aperiodic": {"classes": {"A": _three_way_class(), "B": _three_way_class()}, "initial": "A",
+                  "model": {"kind": "absolute-terminal", "cycles": _cycles(["A"], ["B"], ["A", "B"])},
+                  "stakeholders": ["Joe"]},
+    "undeclared": {"classes": {"c": _chain_class("Ann", "c", "1")}, "initial": "c",
+                   "model": {"kind": "absolute-terminal", "cycles": []},
+                   "stakeholders": ["Ann"]},
+}
+
+STATIONARY_STRATEGIES = {
+    "chain_in": {"c": {"": "in"}},
+    "chain_out": {"c": {"": "out"}},
+    "eda_in": {"even": {"": "in"}, "odd": {"": "in"}},
+}
 
 
 # axiom → a quintuple set that violates exactly that axiom
@@ -135,6 +181,11 @@ def _workdir(base: Path) -> Path:
     for name, quintuples in MALFORMED.items():
         payload = {"quintuples": [list(q) for q in quintuples]}
         (base / "fixtures" / f"{name}.pentaform").write_text(json.dumps(payload), encoding="utf-8")
+    for name, system in SYSTEMS.items():
+        (base / "fixtures" / f"{name}.system").write_text(json.dumps(system), encoding="utf-8")
+    for name, sigma in STATIONARY_STRATEGIES.items():
+        (base / "fixtures" / f"{name}.strategy").write_text(json.dumps({"classes": sigma}),
+                                                             encoding="utf-8")
     return base
 
 
@@ -154,6 +205,13 @@ def test_cli_output_matches_golden(name, workdir):
     assert f"exit {code}\n{stdout}" == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     if written is not None:
         assert written == _golden_file(name, argv).read_text(encoding="utf-8")
+
+
+def test_undeclared_cycle_is_named_on_stderr(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    assert main(CASES["stationary-undeclared-convergence"]) == 2
+    assert capsys.readouterr().err == ("error: fixtures/undeclared.system: absolute-terminal model must "
+                                       "declare exactly the simple class cycles; missing [('c',)], unknown []\n")
 
 
 def test_golden_instantiation_is_the_fixture():

@@ -6,13 +6,16 @@ built subform games, the class graph test for aperiodic runs against its SCC
 definition, the stationary unfolding and value code (one pricing rule per
 utility model) against the per-model branches they replaced, the discounted
 conceivable bounds (policy iteration) against the enumeration of every exit
-policy, and deep forms that must not exhaust the interpreter's recursion
-depth."""
+policy, every model's bounds and convergence verdicts against the per-model
+reference code, the values of every certified stationary SPE against the
+authentic, persistent and admissible checks, and deep forms that must not
+exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -37,7 +40,8 @@ from pentaform import (
     subroots,
     validate,
 )
-from pentaform import stationary
+from pentaform import lower_convergent, stationary, upper_convergent
+from pentaform.convergence import FAILS, HOLDS, UNKNOWN
 from pentaform.core import (
     AXIOM_ACTION_OF_SUCCESSOR,
     AXIOM_ACTION_RECTANGLE,
@@ -51,13 +55,17 @@ from pentaform.core import (
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
 from pentaform.numbers import INF, NEG_INF
 from pentaform.stationary import (
+    SPE_CERTIFIED,
     AbsoluteTerminal,
+    certify_spe,
     conceivable_bounds,
     continuation_values,
     has_aperiodic_runs,
     instantiate,
     quotient_piece_game,
     simple_cycles,
+    stationary_admissible,
+    stationary_authentic,
     stationary_persistent,
     truncated_game,
     value_at,
@@ -71,12 +79,14 @@ from conftest import (
     random_discounted_system,
     random_ring_system,
     random_strategy,
+    reference_absolute_bounds,
     reference_check_axioms,
     reference_continuation_values,
     reference_discounted_extremes,
     reference_induced_strategy,
     reference_instantiate,
     reference_quotient_piece_game,
+    reference_stationary_convergence,
     reference_stationary_persistent,
     reference_truncated_game,
     reference_value_at,
@@ -163,18 +173,23 @@ def _class_graph_system(graph: dict) -> StationarySystem:
     return StationarySystem(classes, "c0", DiscountedAccumulation(Fraction(1, 2)), ["p"])
 
 
+def _random_class_graph(rng: random.Random) -> dict:
+    """One to six classes with random edges, cut to the classes reachable from c0."""
+    names = [f"c{k}" for k in range(rng.randint(1, 6))]
+    edges = {c: {d for d in names if rng.random() < 0.3} for c in names}
+    reach, stack = {"c0"}, ["c0"]
+    while stack:
+        for d in edges[stack.pop()] - reach:
+            reach.add(d)
+            stack.append(d)
+    return {c: edges[c] for c in names if c in reach}
+
+
 def test_aperiodic_runs_match_scc_definition():
     rng = random.Random(0)
     aperiodic = 0
     for _ in range(3000):
-        names = [f"c{k}" for k in range(rng.randint(1, 6))]
-        edges = {c: {d for d in names if rng.random() < 0.3} for c in names}
-        reach, stack = {"c0"}, ["c0"]
-        while stack:
-            for d in edges[stack.pop()] - reach:
-                reach.add(d)
-                stack.append(d)
-        graph = {c: edges[c] for c in names if c in reach}
+        graph = _random_class_graph(rng)
         sys_ = _class_graph_system(graph)
         assert sys_.continue_graph() == graph
         expected = scc_has_aperiodic_runs(graph)
@@ -337,6 +352,103 @@ def test_discounted_extremes_match_enumeration_on_fixtures(monkeypatch):
     for system in (ann_chain, bob_chain, eda_chain):
         for beta in (Fraction(1, 10), Fraction(1, 2), Fraction(19, 20)):
             _assert_bounds_match_enumeration(_discounted_twin(system(), beta), monkeypatch)
+
+
+def _assert_bounds_and_convergence_match_reference(sys_: StationarySystem) -> dict:
+    """Every conceivable bound, and both convergence verdicts (status,
+    certificate and witness), agree with the reference code; returns the
+    verdicts' statuses."""
+    discounted = isinstance(sys_.model, DiscountedAccumulation)
+    extremes = reference_discounted_extremes(sys_) if discounted else None
+    for c in sorted(sys_.classes):
+        for k in sorted(sys_.stakeholders):
+            expected = extremes[(c, k)] if discounted else reference_absolute_bounds(sys_, c, k)
+            assert conceivable_bounds(sys_, c, k) == expected, (c, k)
+    up, lo = upper_convergent(sys_), lower_convergent(sys_)
+    assert up == reference_stationary_convergence(sys_, "upper")
+    assert lo == reference_stationary_convergence(sys_, "lower")
+    return {up.status, lo.status}
+
+
+def test_bounds_and_convergence_match_reference_on_random_systems():
+    systems, statuses = 0, set()
+    for seed in range(300):
+        sys_ = random_discounted_system(seed)
+        if sys_ is None:
+            continue
+        systems += 1
+        _assert_bounds_and_convergence_match_reference(sys_)
+        statuses |= _assert_bounds_and_convergence_match_reference(_absolute_twin(sys_, random.Random(seed)))
+    assert systems >= 190
+    # zero utilities everywhere: no lasso fails, so aperiodic class graphs are unknown
+    rng = random.Random(1)
+    for _ in range(300):
+        sys_ = _class_graph_system(_random_class_graph(rng))
+        zero = AbsoluteTerminal({cyc: {"p": 0} for cyc in simple_cycles(sys_.continue_graph())})
+        statuses |= _assert_bounds_and_convergence_match_reference(
+            StationarySystem(sys_.classes, sys_.initial, zero, sys_.stakeholders))
+    assert statuses == {HOLDS, FAILS, UNKNOWN}
+
+
+@pytest.mark.parametrize("system", [ann_chain, bob_chain, eda_chain, cry_wolf])
+def test_bounds_and_convergence_match_reference_on_fixtures(system):
+    _assert_bounds_and_convergence_match_reference(system())
+
+
+def _stationary_strategies(sys_: StationarySystem) -> list[dict]:
+    """Every stationary strategy of a small system."""
+    slots = [(c, j) for c in sorted(sys_.classes) for j in sorted(sys_.classes[c].template.situations)]
+    pools = [sorted(sys_.classes[c].template.action_set(j)) for c, j in slots]
+    strategies = []
+    for combo in product(*pools):
+        sigma = {c: {} for c in sys_.classes}
+        for (c, j), a in zip(slots, combo):
+            sigma[c][j] = a
+        strategies.append(sigma)
+    return strategies
+
+
+def _certified_values_hold(sys_: StationarySystem, strategies) -> int:
+    """Each SPE_CERTIFIED certificate's continuation values are authentic,
+    persistent and admissible; returns how many certificates were checked."""
+    certified = 0
+    for sigma in strategies:
+        cert = certify_spe(sys_, sigma)
+        if cert.kind == SPE_CERTIFIED:
+            w = cert.continuation_values
+            assert stationary_authentic(sys_, sigma, w).holds
+            assert stationary_persistent(sys_, sigma, w).holds
+            assert stationary_admissible(sys_, w).holds
+            certified += 1
+    return certified
+
+
+def test_certified_values_hold_on_random_systems():
+    certified = twins_certified = 0
+    for seed in range(300):
+        sys_ = random_discounted_system(seed)
+        if sys_ is None:
+            continue
+        strategies = _stationary_strategies(sys_)
+        certified += _certified_values_hold(sys_, strategies)
+        twins_certified += _certified_values_hold(_absolute_twin(sys_, random.Random(seed)), strategies)
+    assert certified > 0 and twins_certified > 0
+
+
+def test_certified_values_hold_on_ring_systems():
+    certified = twins_certified = 0
+    for seed in range(30):
+        sys_ = random_ring_system(seed, (3, 3))
+        strategies = _stationary_strategies(sys_)
+        certified += _certified_values_hold(sys_, strategies)
+        twins_certified += _certified_values_hold(_absolute_twin(sys_, random.Random(seed)), strategies)
+    assert certified > 0 and twins_certified > 0
+
+
+@pytest.mark.parametrize("system", [ann_chain, bob_chain, eda_chain, cry_wolf])
+def test_certified_values_hold_on_fixtures(system):
+    sys_ = system()
+    _certified_values_hold(sys_, _stationary_strategies(sys_))
 
 
 def _drop(qs: list, rng: random.Random) -> list:

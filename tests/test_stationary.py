@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import sys
+import time
 import weakref
 from fractions import Fraction as F
 
@@ -141,6 +143,44 @@ def test_absolute_model_requires_exactly_the_simple_cycles():
     with pytest.raises(ValueError, match="unknown"):
         StationarySystem(_single_class(), "c",
                          AbsoluteTerminal({("c",): {"p": 0}, ("c", "d"): {"p": 0}}), ["p"])
+
+
+def test_absolute_model_names_the_undeclared_loop():
+    with pytest.raises(ValueError) as caught:
+        StationarySystem(_single_class(), "c", AbsoluteTerminal({}), ["p"])
+    assert str(caught.value) == ("absolute-terminal model must declare exactly the simple class cycles; "
+                                 "missing [('c',)], unknown []")
+
+
+def _absolute_ring(n: int) -> StationarySystem:
+    names = [f"c{m}" for m in range(n)]
+    template = validate([Quintuple("p", "", "", "go", "i"), Quintuple("p", "", "", "stop", "x")])
+    classes = {c: PieceClass(template, {"i": Exit({"p": 0}, next_class=names[(m + 1) % n]),
+                                        "x": Exit({"p": 1})})
+               for m, c in enumerate(names)}
+    return StationarySystem(classes, "c0", AbsoluteTerminal({tuple(names): {"p": 0}}), ["p"])
+
+
+def test_absolute_ring_past_the_recursion_limit_builds():
+    # 1,100 classes: past the default recursion limit, which a recursive
+    # cycle walk outgrows; validation is quadratic on a ring.
+    assert sys.getrecursionlimit() <= 1100
+    ring = _absolute_ring(1100)
+    assert list(ring.model.cycle_utilities) == [tuple(sorted(ring.classes, key=lambda c: int(c[1:])))]
+
+
+def test_complete_graph_with_no_cycle_declared_is_rejected_quickly():
+    # 12 classes that each continue into every class: 119,481,296 simple
+    # cycles, of which only the first is named.
+    names = [f"c{m:02d}" for m in range(12)]
+    template = validate([Quintuple("p", "", "", f"a{d}", d) for d in names])
+    cls = PieceClass(template, {d: Exit({"p": 0}, next_class=d) for d in names})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="missing") as caught:
+        StationarySystem(dict.fromkeys(names, cls), "c00", AbsoluteTerminal({}), ["p"])
+    assert time.perf_counter() - start < 1
+    assert str(caught.value).endswith("missing [('c00',)], unknown []")
+    assert len(str(caught.value)) < 1024
 
 
 def test_system_rejects_prefix_sharing_continue_labels():

@@ -22,6 +22,11 @@ deviating player's situations actually reached, which maximizes over the
 player's full strategy space without materializing it.  No situation straddles
 a subroot, so the subgame at t is searched in place: every walk for it starts
 at t in the whole form and never leaves the subform weakly after t.
+
+The solvers look for the first pure Nash point of a piece game among its
+enumerated profiles (`first_nash_point`).  A player's best deviation value
+depends only on the other players' choices, so it is searched once per
+(player, others' choices) and shared by every profile that agrees on them.
 """
 
 from __future__ import annotations
@@ -351,27 +356,54 @@ def is_pure_nash(pg: Game, profile: Mapping[str, str]) -> bool:
     return _nash_witness(pg, profile, pg.form.root) is None
 
 
+def first_nash_point(pg: Game, profiles: Iterable[Mapping[str, str]]) -> Mapping[str, str] | None:
+    """The first profile in `profiles` that is a pure Nash point of pg, or None.
+
+    Player i's best deviation value B_i(s₋ᵢ) depends only on the choices at
+    the situations i does not own, so it is searched once per (i, s₋ᵢ) and
+    shared by every later profile that agrees there; a profile is Nash exactly
+    when no player's B_i beats their utility at its outcome.  The memo lives
+    for one call and holds at most one entry per player and profile.
+    """
+    form = pg.form
+    players = sorted(form.players)
+    sits = sorted(form.situations)
+    others = {i: [j for j in sits if form.player_of(j) != i] for i in players}
+    best: dict[tuple, Scalar] = {}
+    for profile in profiles:
+        base = pg.utilities[outcome(form, profile)[-1]]
+        for i in players:
+            key = (i, tuple(profile[j] for j in others[i]))
+            if key not in best:
+                best[key] = _best_deviation(form, profile, i, form.root, form.situations,
+                                            lambda y, i=i: pg.utilities[y][i])[0]
+            if best[key] > base[i]:
+                break
+        else:
+            return profile
+    return None
+
+
 def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     """Generalized backward induction over the piece partition.
 
     Processes subroots deepest-first; at each one, enumerates the piece
     strategy profiles of the piece game priced by the values found so far and
-    keeps the lexicographically smallest pure Nash point.  On success the
-    result satisfies persistence and piecewise-Nashness, hence subgame
-    perfection in finite games.
+    keeps the lexicographically smallest pure Nash point, with best responses
+    shared between profiles (`first_nash_point`).  On success the result
+    satisfies persistence and piecewise-Nashness, hence subgame perfection in
+    finite games.
     """
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
     order = sorted(subroots_sorted(g.form), key=lambda t: (-g.form.depth(t), t))
     for t in order:
         pg = piece_game(g, values, t)
-        for profile in enumerate_piece_profiles(pg.form):
-            if is_pure_nash(pg, profile):
-                values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
-                chosen.update(profile)
-                break
-        else:
+        profile = first_nash_point(pg, enumerate_piece_profiles(pg.form))
+        if profile is None:
             return NoPureEquilibrium(t)
+        values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
+        chosen.update(profile)
     return BackwardSolution(chosen, values)
 
 

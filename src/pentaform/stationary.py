@@ -49,6 +49,7 @@ from .game import (
     ResourceCapError,
     Verdict,
     enumerate_piece_profiles,
+    first_nash_point,
     is_pure_nash,
     nash_check,
     profile_cap,
@@ -273,6 +274,11 @@ class StationarySystem:
                         raise ValueError(f"class {cid!r}: continue labels {a!r} and {b!r} are not prefix-free")
             normalized[cid] = PieceClass(tmpl, exits)
         self.classes = normalized
+        # the class graph, built once: the model's `validated` hook reads it
+        self._successors = {
+            cid: frozenset(e.next_class for e in cls.exits.values() if not e.is_terminal)
+            for cid, cls in normalized.items()
+        }
 
         if not isinstance(model, (DiscountedAccumulation, AbsoluteTerminal)):
             raise ValueError(f"unknown utility model {model!r}")
@@ -286,17 +292,14 @@ class StationarySystem:
     # -- class graph -----------------------------------------------------------
 
     def continue_graph(self) -> dict[str, set[str]]:
-        return {
-            cid: {e.next_class for e in cls.exits.values() if not e.is_terminal}
-            for cid, cls in self.classes.items()
-        }
+        """A copy of the class graph: class → classes its continue exits enter."""
+        return {cid: set(successors) for cid, successors in self._successors.items()}
 
     def reachable_from(self, cid: str) -> set[str]:
-        graph = self.continue_graph()
         seen = {cid}
         stack = [cid]
         while stack:
-            for nxt in graph[stack.pop()]:
+            for nxt in self._successors[stack.pop()]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -896,11 +899,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         new_sigma: dict[str, dict] = {}
         for c in sorted(sys.classes):
             qg = quotient_piece_game(sys, c, w)
-            chosen = None
-            for profile in enumerate_piece_profiles(qg.form, largest_first=True):
-                if is_pure_nash(qg, profile):
-                    chosen = profile
-                    break
+            chosen = first_nash_point(qg, enumerate_piece_profiles(qg.form, largest_first=True))
             if chosen is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
             new_sigma[c] = chosen

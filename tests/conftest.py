@@ -38,16 +38,30 @@ from pentaform.core import (
     Quintuple,
     validate,
 )
-from pentaform.game import _best_deviation, _nash_witness
+from pentaform.game import (
+    BackwardSolution,
+    NoPureEquilibrium,
+    _best_deviation,
+    _nash_witness,
+    enumerate_piece_profiles,
+    is_pure_nash,
+    piece_game,
+)
 from pentaform.numbers import make_profile, profiles_equal
 from pentaform.stationary import (
+    SOLVE_MAX_SWEEPS,
+    SOLVE_TOL,
     BoundaryExit,
     DiscountedAccumulation,
     Exit,
     PieceClass,
+    StationarySolution,
+    StationarySolveFailure,
     StationarySystem,
     canonical_cycle,
+    continuation_values,
     parse_subroot_label,
+    quotient_piece_game,
     simple_cycles,
     validate_stationary_strategy,
 )
@@ -736,6 +750,57 @@ def reference_stationary_convergence(sys, direction: str) -> ConvergenceVerdict:
     return ConvergenceVerdict(HOLDS, certificate=(
         "every infinite run settles into a declared class cycle and its conceivable "
         f"{'increments' if direction == 'upper' else 'decrements'} vanish on the quotient"))
+
+
+# -- reference solvers: one full Nash check per enumerated piece profile, as
+# both solvers scanned before best responses were shared between profiles ----
+
+
+def reference_solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
+    values: dict = {}
+    chosen: dict = {}
+    order = sorted(subroots_sorted(g.form), key=lambda t: (-g.form.depth(t), t))
+    for t in order:
+        pg = piece_game(g, values, t)
+        for profile in enumerate_piece_profiles(pg.form):
+            if is_pure_nash(pg, profile):
+                values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
+                chosen.update(profile)
+                break
+        else:
+            return NoPureEquilibrium(t)
+    return BackwardSolution(chosen, values)
+
+
+def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailure:
+    if not isinstance(sys.model, DiscountedAccumulation):
+        raise ValueError("solve_stationary requires a discounted-accumulation model")
+    w = {c: sys.zero_profile() for c in sys.classes}
+    sigma_prev: dict | None = None
+    for _ in range(SOLVE_MAX_SWEEPS):
+        new_w: dict = {}
+        new_sigma: dict = {}
+        for c in sorted(sys.classes):
+            qg = quotient_piece_game(sys, c, w)
+            chosen = None
+            for profile in enumerate_piece_profiles(qg.form, largest_first=True):
+                if is_pure_nash(qg, profile):
+                    chosen = profile
+                    break
+            if chosen is None:
+                return StationarySolveFailure("no-pure-equilibrium", c)
+            new_sigma[c] = chosen
+            new_w[c] = dict(qg.utilities[outcome(qg.form, chosen)[-1]])
+        delta = max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c])
+        stable = sigma_prev == new_sigma
+        w, sigma_prev = new_w, new_sigma
+        if delta < SOLVE_TOL and stable:
+            exact = continuation_values(sys, new_sigma)
+            if all(is_pure_nash(quotient_piece_game(sys, c, exact), new_sigma[c])
+                   for c in sorted(sys.classes)):
+                return StationarySolution(new_sigma, exact)
+            w = exact
+    return StationarySolveFailure("no-convergence", None)
 
 
 @pytest.fixture(scope="session")

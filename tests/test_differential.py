@@ -8,15 +8,22 @@ utility model) against the per-model branches they replaced, the discounted
 conceivable bounds (policy iteration) against the enumeration of every exit
 policy, every model's bounds and convergence verdicts against the per-model
 reference code, the values of every certified stationary SPE against the
-authentic, persistent and admissible checks, and deep forms that must not
+authentic, persistent and admissible checks, both solvers' Nash-point
+search (best responses shared between profiles) against the reference scans
+that run a full Nash check on every profile, and deep forms that must not
 exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +32,7 @@ from pentaform import (
     Exit,
     Game,
     InvalidPentaform,
+    NoPureEquilibrium,
     PieceClass,
     Quintuple,
     StationarySystem,
@@ -35,12 +43,13 @@ from pentaform import (
     one_piece_unimprovable,
     piece_partition,
     random_game,
+    solve_backward,
     spe_check_direct,
     subform,
     subroots,
     validate,
 )
-from pentaform import lower_convergent, stationary, upper_convergent
+from pentaform import fileio, lower_convergent, stationary, upper_convergent
 from pentaform.convergence import FAILS, HOLDS, UNKNOWN
 from pentaform.core import (
     AXIOM_ACTION_OF_SUCCESSOR,
@@ -86,6 +95,8 @@ from conftest import (
     reference_induced_strategy,
     reference_instantiate,
     reference_quotient_piece_game,
+    reference_solve_backward,
+    reference_solve_stationary,
     reference_stationary_convergence,
     reference_stationary_persistent,
     reference_truncated_game,
@@ -645,3 +656,172 @@ def test_deep_chain_needs_no_recursion():
     assert nash_check(g, always_in).holds
     verdict = nash_check(g, {**always_in, "s04999": "out"})
     assert not verdict.holds and verdict.witness["deviation_endnode"] == "end"
+
+
+# -- Nash-point search: best responses shared between profiles ----------------
+# `solve_backward` and `solve_stationary` must return exactly what the
+# reference solvers' one-full-Nash-check-per-profile scans return.
+
+
+SOLVER_POOL = [random_game(seed, max_nodes=60, max_info_set=6) for seed in range(100)]
+
+
+def _fixture_games(tmp_path) -> list[Game]:
+    from test_cli_golden import GAMES, _workdir
+
+    work = _workdir(tmp_path)
+    names = sorted(p.name for p in (work / "fixtures").glob("*.game"))
+    assert {f"{name}.game" for name in GAMES} | {"crywolf_depth2.game", "entry.game"} <= set(names)
+    return [fileio.load_game(work / "fixtures" / name) for name in names]
+
+
+def test_solve_backward_matches_reference_on_corpus():
+    for seed in range(600):
+        g = random_game(seed, max_nodes=40)
+        assert solve_backward(g) == reference_solve_backward(g), seed
+
+
+def test_solve_backward_matches_reference_on_solver_pool():
+    for seed, g in enumerate(SOLVER_POOL):
+        assert solve_backward(g) == reference_solve_backward(g), seed
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_solve_backward_matches_reference_on_cry_wolf(depth):
+    g = WOLF_TRUNCATIONS[depth - 1]
+    assert solve_backward(g) == reference_solve_backward(g)
+
+
+def test_solve_backward_matches_reference_on_fixtures(tmp_path):
+    games = _fixture_games(tmp_path)
+    results = [solve_backward(g) for g in games]
+    assert results == [reference_solve_backward(g) for g in games]
+    assert any(isinstance(r, NoPureEquilibrium) for r in results)
+
+
+def _matching_pennies_class(continue_on: str | None) -> PieceClass:
+    """A simultaneous matching-pennies day between p1 and p2; the exit
+    `continue_on`, if any, starts another day."""
+    template = validate([
+        Quintuple("p1", "", "", "h", "H"), Quintuple("p1", "", "", "t", "T"),
+        Quintuple("p2", "j", "H", "h", "Hh"), Quintuple("p2", "j", "H", "t", "Ht"),
+        Quintuple("p2", "j", "T", "h", "Th"), Quintuple("p2", "j", "T", "t", "Tt"),
+    ])
+    exits = {}
+    for label in ("Hh", "Ht", "Th", "Tt"):
+        sign = 1 if label[0] == label[1].upper() else -1
+        exits[label] = Exit({"p1": sign, "p2": -sign},
+                            next_class="day" if label == continue_on else None)
+    return PieceClass(template, exits)
+
+
+def _bimatrix_system(seed: int) -> StationarySystem | None:
+    """Two to three classes, each a simultaneous move of p1 (2–3 actions) and
+    p2 (2–3 actions, named like p1's) whose cells are random terminal or
+    continue exits; None when the draw leaves a class unreachable."""
+    rng = random.Random(seed)
+    cids = [f"c{i}" for i in range(rng.randint(2, 3))]
+    classes = {}
+    for ci, cid in enumerate(cids):
+        rows = [f"a{a}" for a in range(rng.randint(2, 3))]
+        cols = [f"a{b}" for b in range(rng.randint(2, 3))]
+        quintuples = [Quintuple("p1", "", "", r, r) for r in rows]
+        quintuples += [Quintuple("p2", "j", r, k, r + k) for r in rows for k in cols]
+        exits = {}
+        for r in rows:
+            for k in cols:
+                reward = {p: Fraction(rng.randint(-9, 9), rng.choice([1, 2])) for p in ("p1", "p2")}
+                cont = rng.random() < 0.5 or (r + k == rows[0] + cols[0] and ci == 0)
+                exits[r + k] = Exit(reward, next_class=rng.choice(cids) if cont else None)
+        classes[cid] = PieceClass(validate(quintuples), exits)
+    try:
+        return StationarySystem(classes, "c0",
+                                DiscountedAccumulation(Fraction(rng.randint(1, 9), 10)), ["p1", "p2"])
+    except ValueError:
+        return None
+
+
+def _assert_solve_stationary_matches_reference(sys_: StationarySystem) -> object:
+    result = stationary.solve_stationary(sys_)
+    assert result == reference_solve_stationary(sys_)
+    return result
+
+
+def test_solve_stationary_matches_reference_on_random_systems():
+    systems = 0
+    for seed in range(300):
+        sys_ = random_discounted_system(seed)
+        if sys_ is not None:
+            systems += 1
+            _assert_solve_stationary_matches_reference(sys_)
+    assert systems >= 190
+
+
+def test_solve_stationary_matches_reference_on_ring_systems():
+    for seed in range(10):
+        _assert_solve_stationary_matches_reference(random_ring_system(seed))
+    for shape in ((3, 3), (4, 2), (2, 5)):
+        for seed in range(3):
+            _assert_solve_stationary_matches_reference(random_ring_system(seed, shape))
+
+
+def test_solve_stationary_matches_reference_on_bimatrix_systems():
+    kinds = set()
+    for seed in range(40):
+        sys_ = _bimatrix_system(seed)
+        if sys_ is not None:
+            result = _assert_solve_stationary_matches_reference(sys_)
+            kinds.add(getattr(result, "kind", "solved"))
+    assert kinds == {"solved", "no-pure-equilibrium", "no-convergence"}
+
+
+@pytest.mark.parametrize("continue_on", [None, "Hh"])
+def test_solve_stationary_matches_reference_on_matching_pennies(continue_on):
+    sys_ = StationarySystem({"day": _matching_pennies_class(continue_on)}, "day",
+                            DiscountedAccumulation(Fraction(1, 2)), ["p1", "p2"])
+    result = _assert_solve_stationary_matches_reference(sys_)
+    assert result == stationary.StationarySolveFailure("no-pure-equilibrium", "day")
+
+
+def test_solve_stationary_matches_reference_on_cry_wolf():
+    _assert_solve_stationary_matches_reference(WOLF)
+
+
+# Counts every deviation search by patching `game._best_deviation`.  The pool
+# is SOLVER_POOL's, drawn under a fixed hash seed in a subprocess: random_game
+# draws its utilities in set order, so the pool, and with it the ratio of the
+# two counts, changes with the interpreter's hash seed.
+_SEARCH_COUNT = """
+import json
+from pentaform import game, random_game, solve_backward
+from conftest import reference_solve_backward
+search = game._best_deviation
+keys = []
+def counted(form, s, i, start, deviate_at, value_of_endnode):
+    others = tuple(s[j] for j in sorted(form.situations) if form.player_of(j) != i)
+    keys.append((index, form.root, i, others))
+    return search(form, s, i, start, deviate_at, value_of_endnode)
+game._best_deviation = counted
+counts = {}
+for name, solve in (("shared", solve_backward), ("reference", reference_solve_backward)):
+    keys.clear()
+    for index in range(100):
+        solve(random_game(index, max_nodes=60, max_info_set=6))
+    counts[name] = len(keys)
+    counts[name + "_keys"] = len(set(keys))
+print(json.dumps(counts))
+"""
+
+
+def test_solve_backward_searches_each_best_response_once():
+    """No (game, piece root, player, s₋ᵢ) key is searched twice, and the
+    reference scan runs at least four times as many searches."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run([sys.executable, "-c", _SEARCH_COUNT],
+                          env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": "0"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["shared"] == counts["shared_keys"] == counts["reference_keys"]
+    assert 4 * counts["shared"] <= counts["reference"]

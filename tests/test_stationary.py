@@ -169,6 +169,16 @@ def test_absolute_ring_past_the_recursion_limit_builds():
     assert list(ring.model.cycle_utilities) == [tuple(sorted(ring.classes, key=lambda c: int(c[1:])))]
 
 
+def test_continue_graph_is_a_copy():
+    ring = _absolute_ring(3)
+    graph = ring.continue_graph()
+    assert graph == {"c0": {"c1"}, "c1": {"c2"}, "c2": {"c0"}}
+    graph["c0"].clear()
+    graph["c1"] = {"c1"}
+    assert ring.continue_graph() == {"c0": {"c1"}, "c1": {"c2"}, "c2": {"c0"}}
+    assert ring.reachable_from("c0") == {"c0", "c1", "c2"}
+
+
 def test_complete_graph_with_no_cycle_declared_is_rejected_quickly():
     # 12 classes that each continue into every class: 119,481,296 simple
     # cycles, of which only the first is named.

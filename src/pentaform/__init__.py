@@ -18,7 +18,6 @@ from .core import (
     validate,
 )
 from .partition import (
-    PiecePartition,
     PieceRunClass,
     classify_piece_endnodes,
     classify_piece_run,

@@ -39,10 +39,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
 
 
-def _write(path, obj) -> None:
-    Path(path).write_text(_dumps(obj), encoding="utf-8")
-
-
 def _read(path):
     try:
         text = Path(path).read_text(encoding="utf-8")

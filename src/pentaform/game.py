@@ -15,13 +15,17 @@ the definitions exactly:
                       subroot
   piecewise_nash      s restricted to each piece is Nash in the piece game
                       whose exits are priced by the value function
-  one_piece_unimprovable   no profitable deviation confined to one piece
+  one_piece_unimprovable   no profitable deviation confined to one piece:
+                      piecewise_nash at the authentic value function, which
+                      the value recursion finds one piece at a time
 
 Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
-player's full strategy space without materializing it.  No situation straddles
-a subroot, so the subgame at t is searched in place: every walk for it starts
-at t in the whole form and never leaves the subform weakly after t.
+player's full strategy space without materializing it.  The piece checks
+search the piece form at each subroot with its endnodes priced.  No situation
+straddles a subroot, so `spe_check_direct` searches the subgame at t in place:
+every walk for it starts at t in the whole form and never leaves the subform
+weakly after t.
 
 The solvers look for the first pure Nash point of a piece game among its
 enumerated profiles (`first_nash_point`).  A player's best deviation value
@@ -40,7 +44,7 @@ from typing import Iterable, Mapping
 
 from .core import Pentaform, Quintuple, validate
 from .numbers import Profile, Scalar, make_profile, profiles_equal
-from .partition import piece_form, subroots, subroots_sorted
+from .partition import piece_form, piece_partition, subroots, subroots_sorted
 from .strategy import outcome, validate_strategy
 
 PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
@@ -141,14 +145,14 @@ def check_value_function(g: Game, values: Mapping[str, Mapping[str, object]]) ->
 
 
 def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str,
-                    deviate_at: frozenset, value_of_endnode) -> tuple[Scalar, dict, str]:
+                    value_of_endnode) -> tuple[Scalar, dict, str]:
     """Exact maximum of value_of_endnode over player i's deviations from start.
 
-    Branches at i's situations in `deviate_at` the first time each is reached
-    and keeps the choice fixed afterwards (so absentminded repeats stay
-    consistent); every other move follows s.  Returns the best value, the
-    branch choices achieving it, and the endnode reached.  Deterministic:
-    actions are explored in sorted order and the first maximum is kept.
+    Branches at i's situations the first time each is reached and keeps the
+    choice fixed afterwards (so absentminded repeats stay consistent); every
+    other move follows s.  Returns the best value, the branch choices
+    achieving it, and the endnode reached.  Deterministic: actions are
+    explored in sorted order and the first maximum is kept.
     """
     best: tuple = (None, None, None)
     assign: dict[str, str] = {}
@@ -159,7 +163,7 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str,
     while True:
         while x in form.decision_nodes:
             j = form.situation_of(x)
-            if j in deviate_at and form.player_of(j) == i:
+            if form.player_of(j) == i:
                 if j not in assign:
                     actions = sorted(form.action_set(j))
                     stack.append([x, j, actions, 0])
@@ -183,13 +187,13 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str,
             return best
 
 
-def _nash_witness(g: Game, s: Mapping[str, str], start: str) -> dict | None:
-    """First profitable unilateral deviation from start in canonical order."""
-    base_end = outcome(g.form, s, start)[-1]
-    base = g.utilities[base_end]
-    for i in sorted(g.form.players):
-        best, assign, endnode = _best_deviation(g.form, s, i, start, g.form.situations,
-                                                lambda y, i=i: g.utilities[y][i])
+def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Mapping) -> dict | None:
+    """First profitable unilateral deviation from start in canonical order,
+    with each endnode y of form worth the profile prices[y]."""
+    base_end = outcome(form, s, start)[-1]
+    base = prices[base_end]
+    for i in sorted(form.players):
+        best, assign, endnode = _best_deviation(form, s, i, start, lambda y, i=i: prices[y][i])
         if best > base[i]:
             return {
                 "player": i,
@@ -202,25 +206,30 @@ def _nash_witness(g: Game, s: Mapping[str, str], start: str) -> dict | None:
     return None
 
 
+def _subroot_nash(walks, s: Mapping[str, str], prices: Mapping) -> Verdict:
+    """Nash from t in form for each (subroot t, form) of walks, else the first witness."""
+    for t, form in walks:
+        witness = _nash_witness(form, s, t, prices)
+        if witness is not None:
+            witness["subroot"] = t
+            return Verdict(False, witness)
+    return Verdict(True)
+
+
 def nash_check(g: Game, s: Mapping[str, str]) -> Verdict:
     """Nash equilibrium: weak inequality, so ties never produce witnesses.
 
     Bystanders take no decisions and are ignored.
     """
     s = validate_strategy(g.form, s)
-    witness = _nash_witness(g, s, g.form.root)
+    witness = _nash_witness(g.form, s, g.form.root, g.utilities)
     return Verdict(witness is None, witness)
 
 
 def spe_check_direct(g: Game, s: Mapping[str, str]) -> Verdict:
     """Subgame perfection by definition: Nash in the subgame at every subroot."""
     s = validate_strategy(g.form, s)
-    for t in subroots_sorted(g.form):
-        witness = _nash_witness(g, s, t)
-        if witness is not None:
-            witness["subroot"] = t
-            return Verdict(False, witness)
-    return Verdict(True)
+    return _subroot_nash(((t, g.form) for t in subroots_sorted(g.form)), s, g.utilities)
 
 
 # -- value-function properties ------------------------------------------------
@@ -261,13 +270,19 @@ def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, 
     return Verdict(True)
 
 
+def _conforming_ends(form: Pentaform, s: Mapping[str, str]) -> dict[str, str]:
+    """The endnode reached by obeying s from each subroot and endnode: the
+    value recursion, one trace per piece, deepest subroot first."""
+    end = {y: y for y in form.endnodes}
+    for t, piece in reversed(piece_partition(form).items()):
+        end[t] = end[outcome(piece, s)[-1]]
+    return end
+
+
 def authentic_value(g: Game, s: Mapping[str, str]) -> dict[str, Profile]:
     """The value function v(t) = utility of obeying s after t, for every t."""
-    s = validate_strategy(g.form, s)
-    out = {}
-    for t in subroots_sorted(g.form):
-        out[t] = dict(g.utilities[outcome(g.form, s, t)[-1]])
-    return out
+    end = _conforming_ends(g.form, validate_strategy(g.form, s))
+    return {t: dict(g.utilities[end[t]]) for t in subroots_sorted(g.form)}
 
 
 def authentic(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]]) -> Verdict:
@@ -307,31 +322,20 @@ def piecewise_nash(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[s
     """s restricted to each piece is Nash in the piece game at t and v."""
     s = validate_strategy(g.form, s)
     v = check_value_function(g, values)
-    for t in subroots_sorted(g.form):
-        pg = piece_game(g, v, t)
-        witness = _nash_witness(pg, s, pg.form.root)
-        if witness is not None:
-            witness["subroot"] = t
-            return Verdict(False, witness)
-    return Verdict(True)
+    return _subroot_nash(piece_partition(g.form).items(), s, {**g.utilities, **v})
 
 
 def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
-    """No player gains by deviating inside one piece and conforming after."""
+    """No player gains by deviating inside one piece and conforming after:
+    the piece game at t whose exits are priced by the authentic values."""
     s = validate_strategy(g.form, s)
-    for t in subroots_sorted(g.form):
-        piece = piece_form(g.form, t)
-        base = g.utilities[outcome(g.form, s, t)[-1]]
-        for i in sorted(piece.players):
-            best, assign, endnode = _best_deviation(g.form, s, i, t, piece.situations,
-                                                    lambda y, i=i: g.utilities[y][i])
-            if best > base[i]:
-                return Verdict(False, {
-                    "subroot": t, "player": i, "deviation": assign,
-                    "strategy_utility": base[i], "deviation_utility": best,
-                    "deviation_endnode": endnode,
-                })
-    return Verdict(True)
+    end = _conforming_ends(g.form, s)
+    prices = {y: g.utilities[e] for y, e in end.items()}
+    verdict = _subroot_nash(piece_partition(g.form).items(), s, prices)
+    if not verdict:
+        del verdict.witness["strategy_endnode"]
+        verdict.witness["deviation_endnode"] = end[verdict.witness["deviation_endnode"]]
+    return verdict
 
 
 # -- solver ---------------------------------------------------------------------
@@ -353,7 +357,7 @@ def enumerate_piece_profiles(piece: Pentaform, largest_first: bool = False):
 
 
 def is_pure_nash(pg: Game, profile: Mapping[str, str]) -> bool:
-    return _nash_witness(pg, profile, pg.form.root) is None
+    return _nash_witness(pg.form, profile, pg.form.root, pg.utilities) is None
 
 
 def first_nash_point(pg: Game, profiles: Iterable[Mapping[str, str]]) -> Mapping[str, str] | None:
@@ -363,21 +367,31 @@ def first_nash_point(pg: Game, profiles: Iterable[Mapping[str, str]]) -> Mapping
     the situations i does not own, so it is searched once per (i, s₋ᵢ) and
     shared by every later profile that agrees there; a profile is Nash exactly
     when no player's B_i beats their utility at its outcome.  The memo lives
-    for one call and holds at most one entry per player and profile.
+    for one call and holds one dict per player, keyed by the mixed-radix
+    index of s₋ᵢ over the other players' sorted situations.
     """
     form = pg.form
     players = sorted(form.players)
-    sits = sorted(form.situations)
-    others = {i: [j for j in sits if form.player_of(j) != i] for i in players}
-    best: dict[tuple, Scalar] = {}
+    # per player: each other player's situation with its actions' place values
+    places: dict[str, list[tuple[str, dict]]] = {}
+    for i in players:
+        radix = 1
+        places[i] = []
+        for j in sorted(form.situations):
+            if form.player_of(j) != i:
+                actions = sorted(form.action_set(j))
+                places[i].append((j, {a: k * radix for k, a in enumerate(actions)}))
+                radix *= len(actions)
+    best: dict[str, dict[int, Scalar]] = {i: {} for i in players}
     for profile in profiles:
         base = pg.utilities[outcome(form, profile)[-1]]
         for i in players:
-            key = (i, tuple(profile[j] for j in others[i]))
-            if key not in best:
-                best[key] = _best_deviation(form, profile, i, form.root, form.situations,
+            memo = best[i]
+            key = sum(place[profile[j]] for j, place in places[i])
+            if key not in memo:
+                memo[key] = _best_deviation(form, profile, i, form.root,
                                             lambda y, i=i: pg.utilities[y][i])[0]
-            if best[key] > base[i]:
+            if memo[key] > base[i]:
                 break
         else:
             return profile

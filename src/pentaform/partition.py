@@ -79,28 +79,10 @@ def subform(p: Pentaform, t: str) -> Pentaform:
     return Pentaform(q for q in p.quintuples if q.decision_node in below)
 
 
-@dataclass(frozen=True)
-class PiecePartition:
-    """Mapping subroot → piece form covering the whole form exactly once."""
-
-    pieces: Mapping[str, Pentaform]
-
-    def __getitem__(self, t: str) -> Pentaform:
-        return self.pieces[t]
-
-    def __iter__(self):
-        return iter(self.pieces)
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def items(self):
-        return self.pieces.items()
-
-
 @lru_cache(maxsize=None)
-def piece_partition(p: Pentaform) -> PiecePartition:
-    """Partition the form into piece forms, deepest subroots last.
+def piece_partition(p: Pentaform) -> Mapping[str, Pentaform]:
+    """Partition the form into piece forms: a read-only mapping subroot →
+    piece form, in (depth, label) order, so deepest subroots come last.
 
     Each quintuple belongs to the piece of the nearest subroot weakly before
     its decision node.
@@ -115,7 +97,7 @@ def piece_partition(p: Pentaform) -> PiecePartition:
     for q in p.quintuples:
         buckets[owner[q.decision_node]].append(q)
     pieces = {t: Pentaform(qs) for t, qs in buckets.items()}
-    return PiecePartition(MappingProxyType(pieces))
+    return MappingProxyType(pieces)
 
 
 def piece_form(p: Pentaform, t: str) -> Pentaform:

@@ -41,8 +41,6 @@ from pentaform.core import (
 from pentaform.game import (
     BackwardSolution,
     NoPureEquilibrium,
-    _best_deviation,
-    _nash_witness,
     enumerate_piece_profiles,
     is_pure_nash,
     piece_game,
@@ -302,6 +300,62 @@ def assert_same_structure(form: Pentaform, expected) -> None:
             assert list(value) == list(getattr(expected, name)), name
 
 
+def reference_best_deviation(form: Pentaform, s: dict, i: str, start: str,
+                             deviate_at: frozenset, value_of_endnode) -> tuple:
+    """Exact maximum of value_of_endnode over player i's deviations from
+    start that branch only at i's situations in `deviate_at`, the first time
+    each is reached; every other move follows s.  Explores actions in sorted
+    order and keeps the first maximum, with its choices and endnode."""
+    best: tuple = (None, None, None)
+    assign: dict = {}
+    stack: list[list] = []  # [node, situation, sorted actions, index]
+    x = start
+    while True:
+        while x in form.decision_nodes:
+            j = form.situation_of(x)
+            if j in deviate_at and form.player_of(j) == i:
+                if j not in assign:
+                    actions = sorted(form.action_set(j))
+                    stack.append([x, j, actions, 0])
+                    assign[j] = actions[0]
+                x = form.next_node(x, assign[j])
+            else:
+                x = form.next_node(x, s[j])
+        v = value_of_endnode(x)
+        if best[0] is None or v > best[0]:
+            best = (v, dict(assign), x)
+        while stack:
+            frame = stack[-1]
+            frame[3] += 1
+            if frame[3] < len(frame[2]):
+                assign[frame[1]] = frame[2][frame[3]]
+                x = form.next_node(frame[0], assign[frame[1]])
+                break
+            del assign[frame[1]]
+            stack.pop()
+        else:
+            return best
+
+
+def reference_nash_witness(g: Game, s: dict, start: str) -> dict | None:
+    """First profitable unilateral deviation from start in canonical order."""
+    base_end = outcome(g.form, s, start)[-1]
+    base = g.utilities[base_end]
+    for i in sorted(g.form.players):
+        best, assign, endnode = reference_best_deviation(g.form, s, i, start, g.form.situations,
+                                                         lambda y, i=i: g.utilities[y][i])
+        if best > base[i]:
+            return {
+                "player": i,
+                "deviation": assign,
+                "strategy_utility": base[i],
+                "deviation_utility": best,
+                "strategy_endnode": base_end,
+                "deviation_endnode": endnode,
+            }
+    return None
+
+
 def _subgame(g: Game, t: str) -> Game:
     sub = subform(g.form, t)
     return Game(sub, g.stakeholders, {y: g.utilities[y] for y in sub.endnodes})
@@ -313,7 +367,7 @@ def subform_spe_check_direct(g: Game, s: dict) -> Verdict:
     s = validate_strategy(g.form, s)
     for t in subroots_sorted(g.form):
         sub_game = _subgame(g, t)
-        witness = _nash_witness(sub_game, restrict(s, sub_game.form.situations), sub_game.form.root)
+        witness = reference_nash_witness(sub_game, restrict(s, sub_game.form.situations), sub_game.form.root)
         if witness is not None:
             witness["subroot"] = t
             return Verdict(False, witness)
@@ -329,8 +383,8 @@ def subform_one_piece_unimprovable(g: Game, s: dict) -> Verdict:
         base = g.utilities[outcome(sub, s)[-1]]
         for i in sorted(piece.players):
             deviate_at = frozenset(j for j in piece.situations if piece.player_of(j) == i)
-            best, assign, endnode = _best_deviation(sub, s, i, sub.root, deviate_at,
-                                                    lambda y, i=i: g.utilities[y][i])
+            best, assign, endnode = reference_best_deviation(sub, s, i, sub.root, deviate_at,
+                                                             lambda y, i=i: g.utilities[y][i])
             if best > base[i]:
                 return Verdict(False, {
                     "subroot": t, "player": i, "deviation": assign,
@@ -754,6 +808,28 @@ def reference_stationary_convergence(sys, direction: str) -> ConvergenceVerdict:
 
 # -- reference solvers: one full Nash check per enumerated piece profile, as
 # both solvers scanned before best responses were shared between profiles ----
+
+
+def reference_first_nash_point(pg: Game, profiles) -> dict | None:
+    """The first Nash point of `profiles`, with best deviation values memoized
+    under (player, the other players' choices as a tuple of actions)."""
+    form = pg.form
+    players = sorted(form.players)
+    sits = sorted(form.situations)
+    others = {i: [j for j in sits if form.player_of(j) != i] for i in players}
+    best: dict = {}
+    for profile in profiles:
+        base = pg.utilities[outcome(form, profile)[-1]]
+        for i in players:
+            key = (i, tuple(profile[j] for j in others[i]))
+            if key not in best:
+                best[key] = reference_best_deviation(form, profile, i, form.root, form.situations,
+                                                     lambda y, i=i: pg.utilities[y][i])[0]
+            if best[key] > base[i]:
+                break
+        else:
+            return profile
+    return None
 
 
 def reference_solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:

@@ -1,17 +1,21 @@
 """Byte-exact CLI output: every README command, every `check` property on the
 fixture game/strategy pairs, the stationary actions on the fixture systems,
 `certify` of the calm cry-wolf strategy and of the chain fixtures' always-in
-and always-out strategies, `convergence` on the systems of `SYSTEMS`,
-`validate` on one malformed quintuple set per axiom, and `solve` on the games
-of `GAMES`, compared against recorded files.
+and always-out strategies, `convergence` on the systems of `SYSTEMS`, `solve`
+on the systems of `QUOTIENT_SYSTEMS`, `validate` on one malformed quintuple
+set per axiom, `solve` on the games of `GAMES`, and the subgame checks on
+cry-wolf under the strategies of `WOLF_STRATEGIES`, compared against recorded
+files.
 
 Each command runs in-process through `cli.main` from a copy of the repository
 root's `fixtures/` (so relative paths print as in the README), into which the
 malformed sets of `MALFORMED` are written as `.pentaform` files, the systems
-of `SYSTEMS` as `.system` files, the strategies of `STATIONARY_STRATEGIES`
-as `.strategy` files and the games of `GAMES` as `.game` files.  A case's exit code and stdout are compared with
-`tests/golden/<case>.out`, whose first line is `exit <code>`; a file written
-through `--dot` or `--out` is compared with `tests/golden/<case>.<ext>`.
+of `SYSTEMS` and `QUOTIENT_SYSTEMS` as `.system` files, the strategies of
+`STATIONARY_STRATEGIES` and `WOLF_STRATEGIES` as `.strategy` files and the
+games of `GAMES` as `.game` files.  A case's exit code and stdout are compared
+with `tests/golden/<case>.out`, whose first line is `exit <code>`; a file
+written through `--dot` or `--out` is compared with
+`tests/golden/<case>.<ext>`.
 
 The README commands run a second time in one `python -O` subprocess, which
 drops assertions, and must print the same.
@@ -90,6 +94,10 @@ def _stationary_cases():
                ["stationary", f"fixtures/{system}.system", "certify", f"fixtures/{strategy}.strategy"])
     for system in SYSTEMS:
         yield f"stationary-{system}-convergence", ["stationary", f"fixtures/{system}.system", "convergence"]
+    yield ("stationary-aperiodic-certify-aperiodic_stop",
+           ["stationary", "fixtures/aperiodic.system", "certify", "fixtures/aperiodic_stop.strategy"])
+    for system in QUOTIENT_SYSTEMS:
+        yield f"stationary-{system}-solve", ["stationary", f"fixtures/{system}.system", "solve"]
 
 
 def _chain_class(player: str, next_class: str, out: str) -> dict:
@@ -126,6 +134,55 @@ STATIONARY_STRATEGIES = {
     "chain_in": {"c": {"": "in"}},
     "chain_out": {"c": {"": "out"}},
     "eda_in": {"even": {"": "in"}, "odd": {"": "in"}},
+    "aperiodic_stop": {"A": {"": "stop"}, "B": {"": "stop"}},
+}
+
+_QUOTIENT_TEMPLATE = [["p1", "", "", "a0", "1"], ["p1", "", "", "a1", "2"], ["p1", "", "", "a2", "5"],
+                      ["p2", "1+2", "1", "b0", "3"], ["p2", "1+2", "1", "b1", "4"],
+                      ["p2", "1+2", "2", "b0", "6"], ["p2", "1+2", "2", "b1", "7"]]
+
+
+def _quotient_system(beta: str, classes: dict) -> dict:
+    """A five-class discounted system whose classes share `_QUOTIENT_TEMPLATE`;
+    each exit is (next class, or None for a terminal exit, p1's reward, p2's)."""
+    def exit_(nxt, p1, p2):
+        reward = {"p1": p1, "p2": p2}
+        return {"terminal": reward} if nxt is None else {"class": nxt, "reward": reward}
+
+    return {"classes": {c: {"template": _QUOTIENT_TEMPLATE,
+                            "exits": {y: exit_(*e) for y, e in exits.items()}}
+                        for c, exits in classes.items()},
+            "initial": "c0", "model": {"kind": "discounted", "beta": beta}, "stakeholders": ["p1", "p2"]}
+
+
+# two of the benchmark's generated quotient systems, copied literally: value
+# iteration meets a class with no pure Nash point under the zero continuation
+# on gen3, and cycles without stabilizing on gen5
+QUOTIENT_SYSTEMS = {
+    "gen3": _quotient_system("3/10", {
+        "c0": {"3": ("c4", "-3/4", "-13/2"), "4": ("c2", "17/4", "5/2"), "5": ("c4", "-7/4", "1/4"),
+               "6": ("c1", "1", "19"), "7": ("c0", "-2", "-4")},
+        "c1": {"3": ("c0", "4", "10"), "4": ("c4", "-4", "15/2"), "5": ("c3", "-7/4", "-16"),
+               "6": ("c2", "20", "-17/4"), "7": ("c0", "3/2", "9/2")},
+        "c2": {"3": (None, "-8", "-2"), "4": ("c3", "-7/2", "14"), "5": (None, "7", "1/2"),
+               "6": (None, "-17/2", "-4"), "7": (None, "-12", "-7")},
+        "c3": {"3": (None, "-1/2", "-5/4"), "4": (None, "0", "7/2"), "5": ("c4", "3/4", "-19"),
+               "6": (None, "2", "4"), "7": (None, "13", "5/2")},
+        "c4": {"3": ("c3", "-9", "12"), "4": ("c0", "15", "8"), "5": (None, "-5", "-15"),
+               "6": ("c1", "20", "-18"), "7": (None, "0", "10")},
+    }),
+    "gen5": _quotient_system("4/5", {
+        "c0": {"3": (None, "-11/4", "7/2"), "4": ("c3", "13", "-15"), "5": ("c1", "4", "-1/2"),
+               "6": (None, "4", "-17/2"), "7": (None, "9", "3")},
+        "c1": {"3": (None, "-11", "-1"), "4": ("c2", "-4", "-20"), "5": (None, "20", "-5"),
+               "6": (None, "13", "17"), "7": (None, "8", "-3")},
+        "c2": {"3": (None, "-2", "-3/4"), "4": ("c4", "15", "-10"), "5": ("c3", "10", "7/4"),
+               "6": (None, "-4", "1/4"), "7": (None, "-3", "-1")},
+        "c3": {"3": (None, "1/2", "7"), "4": ("c3", "5/2", "1/4"), "5": ("c4", "-5", "0"),
+               "6": ("c4", "15/2", "-8"), "7": ("c2", "11/4", "-18")},
+        "c4": {"3": (None, "-11", "19/4"), "4": ("c0", "-3", "13"), "5": ("c4", "-9/2", "9"),
+               "6": (None, "-15/2", "-17"), "7": ("c4", "1/2", "-6")},
+    }),
 }
 
 
@@ -257,7 +314,32 @@ def _solve_cases():
         yield f"solve-{name}", ["solve", f"fixtures/{name}.game"]
 
 
-CASES = dict([*_README, *_check_cases(), *_stationary_cases(), *_validate_cases(), *_solve_cases()])
+# strategies of the cry-wolf game, situation → action: under `wolf_kid`, Kid's
+# first improving one-piece deviation (at the root, '1' → 'c') leaves the root
+# piece through the subroot '6', so its witness names the end of obeying the
+# strategy from there
+WOLF_STRATEGIES = {
+    "wolf_kid": {
+        "": "a~", "1": "c~", "2+3": "r", "6": "a~", "61": "c~", "62+63": "r~", "66": "a~", "661": "c~",
+        "662+663": "r~", "67": "a", "671": "c", "672+673": "r~", "68": "a", "681": "c", "682+683": "r~",
+        "7": "a", "71": "c~", "72+73": "r", "76": "a", "761": "c~", "762+763": "r~", "77": "a",
+        "771": "c~", "772+773": "r~", "78": "a~", "781": "c", "782+783": "r~", "8": "a~", "81": "c~",
+        "82+83": "r", "86": "a", "861": "c", "862+863": "r~", "87": "a", "871": "c~", "872+873": "r~",
+        "88": "a", "881": "c~", "882+883": "r",
+    },
+}
+
+
+def _wolf_check_cases():
+    for strategy in WOLF_STRATEGIES:
+        base = ["check", "fixtures/crywolf_depth2.game", f"fixtures/{strategy}.strategy", "--property"]
+        yield f"check-{strategy}-one-piece", base + ["one-piece"]
+        yield f"check-{strategy}-spe", base + ["spe"]
+        yield f"check-{strategy}-piecewise-nash-authentic", base + ["piecewise-nash", "--authentic-value"]
+
+
+CASES = dict([*_README, *_check_cases(), *_stationary_cases(), *_validate_cases(), *_solve_cases(),
+              *_wolf_check_cases()])
 
 
 def _written_file(argv):
@@ -287,11 +369,13 @@ def _workdir(base: Path) -> Path:
     for name, quintuples in MALFORMED.items():
         payload = {"quintuples": [list(q) for q in quintuples]}
         (base / "fixtures" / f"{name}.pentaform").write_text(json.dumps(payload), encoding="utf-8")
-    for name, system in SYSTEMS.items():
+    for name, system in {**SYSTEMS, **QUOTIENT_SYSTEMS}.items():
         (base / "fixtures" / f"{name}.system").write_text(json.dumps(system), encoding="utf-8")
     for name, sigma in STATIONARY_STRATEGIES.items():
         (base / "fixtures" / f"{name}.strategy").write_text(json.dumps({"classes": sigma}),
                                                              encoding="utf-8")
+    for name, s in WOLF_STRATEGIES.items():
+        (base / "fixtures" / f"{name}.strategy").write_text(json.dumps(s), encoding="utf-8")
     for name, payload in GAMES.items():
         (base / "fixtures" / f"{name}.game").write_text(json.dumps(payload), encoding="utf-8")
     wolf = json.loads((base / "fixtures" / "crywolf_depth2.pentaform").read_text(encoding="utf-8"))

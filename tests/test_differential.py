@@ -1,17 +1,18 @@
 """The linear-time structure layer against its brute-force oracles, the axiom
 diagnosis and `validate` against the reference check and structure build
 (on every axiom's mutations too), trusted subforms and pieces against the
-reference axiom check, subgame checks searched in place against searches of
-built subform games, the class graph test for aperiodic runs against its SCC
-definition, the stationary unfolding and value code (one pricing rule per
-utility model) against the per-model branches they replaced, the discounted
-conceivable bounds (policy iteration) against the enumeration of every exit
-policy, every model's bounds and convergence verdicts against the per-model
-reference code, the values of every certified stationary SPE against the
-authentic, persistent and admissible checks, both solvers' Nash-point
-search (best responses shared between profiles) against the reference scans
-that run a full Nash check on every profile, and deep forms that must not
-exhaust the interpreter's recursion depth."""
+reference axiom check, subgame and piece checks (the piece checks search each
+piece form once) against searches of built subform games, the class graph
+test for aperiodic runs against its SCC definition, the stationary unfolding
+and value code (one pricing rule per utility model) against the per-model
+branches they replaced, the discounted conceivable bounds (policy iteration)
+against the enumeration of every exit policy, every model's bounds and
+convergence verdicts against the per-model reference code, the values of
+every certified stationary SPE against the authentic, persistent and
+admissible checks, both solvers' Nash-point search (best responses shared
+between profiles) against the reference scans that run a full Nash check on
+every profile and against the tuple-keyed memo (results and peak memory), and
+deep forms that must not exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -62,6 +64,7 @@ from pentaform.core import (
     AXIOM_SUCCESSOR_FUNCTION,
 )
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
+from pentaform.game import BackwardSolution, enumerate_piece_profiles, first_nash_point, piece_game
 from pentaform.numbers import INF, NEG_INF
 from pentaform.stationary import (
     SPE_CERTIFIED,
@@ -92,6 +95,7 @@ from conftest import (
     reference_check_axioms,
     reference_continuation_values,
     reference_discounted_extremes,
+    reference_first_nash_point,
     reference_induced_strategy,
     reference_instantiate,
     reference_quotient_piece_game,
@@ -675,6 +679,77 @@ def _fixture_games(tmp_path) -> list[Game]:
     return [fileio.load_game(work / "fixtures" / name) for name in names]
 
 
+def _backward_piece_games(g: Game):
+    """The piece games that solve_backward scans, deepest subroot first,
+    priced by the reference solver's values."""
+    solution = reference_solve_backward(g)
+    values = solution.values if isinstance(solution, BackwardSolution) else {}
+    for t in sorted(subroots(g.form), key=lambda t: (-g.form.depth(t), t)):
+        yield piece_game(g, values, t)
+        if t not in values:
+            return
+
+
+def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None:
+    def profiles():
+        return enumerate_piece_profiles(pg.form, largest_first)
+
+    assert first_nash_point(pg, profiles()) == reference_first_nash_point(pg, profiles())
+
+
+def test_first_nash_point_matches_reference_on_solver_pools():
+    for g in [*SOLVER_POOL, *WOLF_TRUNCATIONS[:3]]:
+        for pg in _backward_piece_games(g):
+            _assert_same_first_nash_point(pg)
+    rng = random.Random(0)
+    for seed in range(300):
+        sys_ = random_discounted_system(seed)
+        if sys_ is None:
+            continue
+        for w in ({c: sys_.zero_profile() for c in sys_.classes},
+                  continuation_values(sys_, _random_stationary_strategy(sys_, rng))):
+            for c in sorted(sys_.classes):
+                _assert_same_first_nash_point(quotient_piece_game(sys_, c, w), largest_first=True)
+
+
+def _pennies_piece(m: int) -> Game:
+    """One piece, three players: P1 (the first, binary situation) and P2 (one
+    information set) play matching pennies, then P3, who is indifferent, walks
+    a chain of m binary information sets that each span the four pennies
+    outcomes.  4·2^m profiles, and none is a pure Nash point."""
+    qs = [Quintuple("P1", "j1", "r", "h", "H"), Quintuple("P1", "j1", "r", "t", "T")]
+    utilities = {}
+    for a in "HT":
+        for b in "ht":
+            qs.append(Quintuple("P2", "j2", a, b, a + b))
+            sign = 1 if (a == "H") == (b == "h") else -1
+            pay = {"P1": sign, "P2": -sign, "P3": 0}
+            for k in range(m):
+                x = a + b + "." * k
+                qs.append(Quintuple("P3", f"k{k:02d}", x, "go", x + "."))
+                qs.append(Quintuple("P3", f"k{k:02d}", x, "stop", x + "x"))
+                utilities[x + "x"] = pay
+            utilities[a + b + "." * m] = pay
+    return Game(validate(qs), ["P1", "P2", "P3"], utilities)
+
+
+def test_first_nash_point_memo_is_at_most_half_the_tuple_keyed_one():
+    """P1 owns only the binary first situation, so the scan keeps a best
+    response for each of the other players' 2^15 choices."""
+    pg = _pennies_piece(14)
+    assert subroots(pg.form) == {"r"}
+    assert prod(len(pg.form.action_set(j)) for j in pg.form.situations) == 2**16
+    peaks = []
+    for search in (first_nash_point, reference_first_nash_point):
+        tracemalloc.start()
+        try:
+            assert search(pg, enumerate_piece_profiles(pg.form)) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 2 * peaks[0] <= peaks[1], peaks
+
+
 def test_solve_backward_matches_reference_on_corpus():
     for seed in range(600):
         g = random_game(seed, max_nodes=40)
@@ -797,10 +872,10 @@ from pentaform import game, random_game, solve_backward
 from conftest import reference_solve_backward
 search = game._best_deviation
 keys = []
-def counted(form, s, i, start, deviate_at, value_of_endnode):
+def counted(form, s, i, start, value_of_endnode):
     others = tuple(s[j] for j in sorted(form.situations) if form.player_of(j) != i)
     keys.append((index, form.root, i, others))
-    return search(form, s, i, start, deviate_at, value_of_endnode)
+    return search(form, s, i, start, value_of_endnode)
 game._best_deviation = counted
 counts = {}
 for name, solve in (("shared", solve_backward), ("reference", reference_solve_backward)):

@@ -447,6 +447,14 @@ def test_stationary_authentic_and_persistent():
     assert not stationary_persistent(WOLF, CALM, bumped).holds
 
 
+def test_stationary_admissible_names_a_value_above_the_conceivable_sup():
+    above = {"day": {**W_CALM["day"], "Kid": F(2, 3)}}
+    verdict = stationary_admissible(WOLF, above)
+    assert not verdict.holds
+    assert verdict.witness == {"class": "day", "stakeholder": "Kid", "value": F(2, 3),
+                               "inf_conceivable": F(0), "sup_conceivable": F(5, 9)}
+
+
 def test_quotient_piece_game_pricing():
     qg = quotient_piece_game(WOLF, "day", W_CALM)
     assert qg.utilities["5"] == {"Wolf": F(5, 9), "Kid": F(0), "Town": F(0)}
@@ -651,6 +659,15 @@ def test_quotient_subroot_sequence():
     bob = bob_chain()
     seq2 = quotient_subroot_sequence(bob, always_out(bob))
     assert seq2.termination == TERMINATED and seq2.subroots == ("c",)
+
+
+def test_quotient_subroot_sequence_across_two_classes():
+    eda = eda_chain()
+    seq = quotient_subroot_sequence(eda, always_in(eda))
+    assert seq.subroots == ("odd", "even")
+    assert seq.termination == INFINITE_DETECTED and seq.cycle == ("even", "odd")
+    seq2 = quotient_subroot_sequence(eda, {"odd": {"": "in"}, "even": {"": "out"}}, start="even")
+    assert seq2.termination == TERMINATED and seq2.subroots == ("even",)
 
 
 def test_cycle_helpers():

@@ -101,6 +101,13 @@ def test_outcome_examples():
     assert outcome(single, {"j": "x"}) == ("r", "1")
 
 
+def test_outcome_names_the_first_uncovered_situation_on_its_run():
+    # jE alone covers the run that stays out (e~); entering (e) meets jI
+    assert outcome(F1, {"jE": "e~"}) == ("5", "7")
+    with pytest.raises(ValueError, match="strategy does not cover situation 'jI'"):
+        outcome(F1, {"jE": "e"})
+
+
 def naive_outcome(form, s):
     """Re-derives the situation of each node by scanning the raw quintuples."""
     quintuples = list(form.quintuples)

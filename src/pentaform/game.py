@@ -21,11 +21,15 @@ the definitions exactly:
 
 Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
-player's full strategy space without materializing it.  The piece checks
-search the piece form at each subroot with its endnodes priced.  No situation
-straddles a subroot, so `spe_check_direct` searches the subgame at t in place:
-every walk for it starts at t in the whole form and never leaves the subform
-weakly after t.
+player's full strategy space without materializing it.  Every subgame check
+walks the whole form in place, from a subroot t up to the next subroot or a
+final endnode (`_piece_walks`), and builds no piece form.  The piece checks
+price each exit by the value function, or by the authentic values, which the
+value recursion finds one piece at a time.  No situation straddles a
+subroot, so `spe_check_direct` is the same recursion over each player's best
+deviation value: the exits of the piece at t are priced by the values
+already found at them, deepest subroot first, and each piece is searched
+once per player.
 
 The solvers look for the first pure Nash point of a piece game among its
 enumerated profiles (`first_nash_point`).  A player's best deviation value
@@ -40,11 +44,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .core import Pentaform, Quintuple, validate
 from .numbers import Profile, Scalar, make_profile, profiles_equal
-from .partition import piece_form, piece_partition, subroots, subroots_sorted
+from .partition import piece_form, subroots, subroots_sorted
 from .strategy import outcome, validate_strategy
 
 PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
@@ -144,16 +148,20 @@ def check_value_function(g: Game, values: Mapping[str, Mapping[str, object]]) ->
 # -- deviation search ---------------------------------------------------------
 
 
-def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str,
-                    value_of_endnode) -> tuple[Scalar, dict, str]:
+def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str, value_of_endnode,
+                    through: AbstractSet[str] | None = None) -> tuple[Scalar, dict, str]:
     """Exact maximum of value_of_endnode over player i's deviations from start.
 
     Branches at i's situations the first time each is reached and keeps the
     choice fixed afterwards (so absentminded repeats stay consistent); every
-    other move follows s.  Returns the best value, the branch choices
-    achieving it, and the endnode reached.  Deterministic: actions are
-    explored in sorted order and the first maximum is kept.
+    other move follows s.  The walk moves on the decision nodes in `through`
+    (all of form's by default) and stops at any other node, which it prices.
+    Returns the best value, the branch choices achieving it, and the node
+    reached.  Deterministic: actions are explored in sorted order and the
+    first maximum is kept.
     """
+    if through is None:
+        through = form.decision_nodes
     best: tuple = (None, None, None)
     assign: dict[str, str] = {}
     # One frame per open branch point: [node, situation, sorted actions, index].
@@ -161,7 +169,7 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str,
     stack: list[list] = []
     x = start
     while True:
-        while x in form.decision_nodes:
+        while x in through:
             j = form.situation_of(x)
             if form.player_of(j) == i:
                 if j not in assign:
@@ -187,13 +195,16 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str,
             return best
 
 
-def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Mapping) -> dict | None:
+def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Mapping,
+                  through: AbstractSet[str] | None = None) -> dict | None:
     """First profitable unilateral deviation from start in canonical order,
-    with each endnode y of form worth the profile prices[y]."""
-    base_end = outcome(form, s, start)[-1]
+    walking on the decision nodes in `through` (all of form's by default),
+    with each node y where a walk stops worth the profile prices[y]."""
+    base_end = outcome(form, s, start, through)[-1]
     base = prices[base_end]
     for i in sorted(form.players):
-        best, assign, endnode = _best_deviation(form, s, i, start, lambda y, i=i: prices[y][i])
+        best, assign, endnode = _best_deviation(form, s, i, start, lambda y, i=i: prices[y][i],
+                                                through)
         if best > base[i]:
             return {
                 "player": i,
@@ -206,10 +217,26 @@ def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Map
     return None
 
 
-def _subroot_nash(walks, s: Mapping[str, str], prices: Mapping) -> Verdict:
-    """Nash from t in form for each (subroot t, form) of walks, else the first witness."""
-    for t, form in walks:
-        witness = _nash_witness(form, s, t, prices)
+def _piece_walks(form: Pentaform, deepest_first: bool = False):
+    """Each subroot t in (depth, label) order, or deepest first, with the
+    decision nodes that a walk of the piece at t moves on: t and every
+    decision node that is not a subroot.  A walk from t therefore stops at
+    the next subroot or at a final endnode, and no piece form is built.  The
+    set is shared between the items: it holds t only until the next one."""
+    through = set(form.decision_nodes)
+    through -= subroots(form)
+    order = subroots_sorted(form)
+    for t in reversed(order) if deepest_first else order:
+        through.add(t)
+        yield t, through
+        through.discard(t)
+
+
+def _subroot_nash(form: Pentaform, s: Mapping[str, str], prices: Mapping) -> Verdict:
+    """Nash in the piece game at every subroot, its exits and final endnodes
+    priced by prices, else the first witness in (depth, label) order."""
+    for t, through in _piece_walks(form):
+        witness = _nash_witness(form, s, t, prices, through)
         if witness is not None:
             witness["subroot"] = t
             return Verdict(False, witness)
@@ -227,9 +254,48 @@ def nash_check(g: Game, s: Mapping[str, str]) -> Verdict:
 
 
 def spe_check_direct(g: Game, s: Mapping[str, str]) -> Verdict:
-    """Subgame perfection by definition: Nash in the subgame at every subroot."""
-    s = validate_strategy(g.form, s)
-    return _subroot_nash(((t, g.form) for t in subroots_sorted(g.form)), s, g.utilities)
+    """Subgame perfection by definition: Nash in the subgame at every subroot.
+
+    Player i's best deviation value B_i(t) in the subgame at t comes from a
+    value recursion, deepest subroot first: search the piece at t with each
+    exit t′ priced by B_i(t′).  No situation straddles a subroot, so i's
+    choices in the piece and below each exit are independent, and the first
+    maximum is the one a search of the whole subgame finds first.  The
+    witness is the first (t, i) in (depth, label) and player order whose
+    B_i(t) beats i's utility at the end of s's run from t.
+    """
+    form = g.form
+    s = validate_strategy(form, s)
+    end = _conforming_ends(form, s)
+    players = sorted(form.players)
+    # player → subroot → (B_i(t), i's choices in the piece at t, the piece exit)
+    best: dict[str, dict[str, tuple]] = {i: {} for i in players}
+    for t, through in _piece_walks(form, deepest_first=True):
+        for i in players:
+            deeper = best[i]
+            deeper[t] = _best_deviation(
+                form, s, i, t,
+                lambda y, i=i, deeper=deeper: deeper[y][0] if y in deeper else g.utilities[y][i],
+                through)
+    for t in subroots_sorted(form):
+        base = g.utilities[end[t]]
+        for i in players:
+            value, choices, y = best[i][t]
+            if value > base[i]:
+                deviation = dict(choices)
+                while y in best[i]:  # follow the best exits down to a final endnode
+                    _, choices, y = best[i][y]
+                    deviation.update(choices)
+                return Verdict(False, {
+                    "player": i,
+                    "deviation": deviation,
+                    "strategy_utility": base[i],
+                    "deviation_utility": value,
+                    "strategy_endnode": end[t],
+                    "deviation_endnode": y,
+                    "subroot": t,
+                })
+    return Verdict(True)
 
 
 # -- value-function properties ------------------------------------------------
@@ -257,8 +323,8 @@ def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, 
     s = validate_strategy(g.form, s)
     v = check_value_function(g, values)
     ts = subroots(g.form)
-    for t in subroots_sorted(g.form):
-        last = outcome(piece_form(g.form, t), s)[-1]
+    for t, through in _piece_walks(g.form):
+        last = outcome(g.form, s, t, through)[-1]
         expected = v[last] if last in ts else g.utilities[last]
         if not profiles_equal(v[t], expected):
             return Verdict(False, {
@@ -274,8 +340,8 @@ def _conforming_ends(form: Pentaform, s: Mapping[str, str]) -> dict[str, str]:
     """The endnode reached by obeying s from each subroot and endnode: the
     value recursion, one trace per piece, deepest subroot first."""
     end = {y: y for y in form.endnodes}
-    for t, piece in reversed(piece_partition(form).items()):
-        end[t] = end[outcome(piece, s)[-1]]
+    for t, through in _piece_walks(form, deepest_first=True):
+        end[t] = end[outcome(form, s, t, through)[-1]]
     return end
 
 
@@ -322,7 +388,7 @@ def piecewise_nash(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[s
     """s restricted to each piece is Nash in the piece game at t and v."""
     s = validate_strategy(g.form, s)
     v = check_value_function(g, values)
-    return _subroot_nash(piece_partition(g.form).items(), s, {**g.utilities, **v})
+    return _subroot_nash(g.form, s, {**g.utilities, **v})
 
 
 def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
@@ -331,7 +397,7 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
     s = validate_strategy(g.form, s)
     end = _conforming_ends(g.form, s)
     prices = {y: g.utilities[e] for y, e in end.items()}
-    verdict = _subroot_nash(piece_partition(g.form).items(), s, prices)
+    verdict = _subroot_nash(g.form, s, prices)
     if not verdict:
         del verdict.witness["strategy_endnode"]
         verdict.witness["deviation_endnode"] = end[verdict.witness["deviation_endnode"]]

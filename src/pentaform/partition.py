@@ -7,9 +7,9 @@ subform minus everything weakly after a strictly later subroot.  The piece
 forms partition the whole form, and every piece run ends either at a later
 subroot or at a final endnode (never infinitely, for explicit finite forms).
 
-Subforms and pieces are built by trusted ``Pentaform(...)`` construction: the
-paper's propositions prove each is a pentaform, and the differential tests
-check them against a reference axiom check.
+Subforms and pieces are built trusted from the parent's index
+(``Pentaform._part``): the paper's propositions prove each is a pentaform, and
+the differential tests check them against a reference axiom check.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def subform(p: Pentaform, t: str) -> Pentaform:
     """The pentaform of all quintuples weakly after subroot t (root t)."""
     _require_subroot(p, t)
     below = set(p.subtree_nodes(t))
-    return Pentaform(q for q in p.quintuples if q.decision_node in below)
+    return p._part(tuple(q for q in p.quintuples if q.decision_node in below))
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +96,7 @@ def piece_partition(p: Pentaform) -> Mapping[str, Pentaform]:
     buckets: dict[str, list[Quintuple]] = {t: [] for t in subroots_sorted(p)}
     for q in p.quintuples:
         buckets[owner[q.decision_node]].append(q)
-    pieces = {t: Pentaform(qs) for t, qs in buckets.items()}
+    pieces = {t: p._part(tuple(qs)) for t, qs in buckets.items()}
     return MappingProxyType(pieces)
 
 

@@ -13,7 +13,7 @@ Single moves are `Pentaform.next_node`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .core import Pentaform
 from .partition import piece_form, subform, subroots
@@ -58,13 +58,19 @@ def restrict_to_opponents(p: Pentaform, s: Mapping[str, str], i: str) -> Strateg
     return restrict(s, set(s) - player_situations(p, i))
 
 
-def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None) -> tuple[str, ...]:
+def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None,
+            through: AbstractSet[str] | None = None) -> tuple[str, ...]:
     """The run traced from start (the root by default) by obeying s to an
     endnode of p; finite, so it terminates.  Only the situations the run meets
-    are read, so s may be any restriction that covers them."""
+    are read, so s may be any restriction that covers them.  `through` is the
+    set of decision nodes the trace may move on (all of p's by default); it
+    stops at the first node outside it, so a piece run stops at the next
+    subroot."""
     x = p.root if start is None else start
+    if through is None:
+        through = p.decision_nodes
     nodes = [x]
-    while x in p.decision_nodes:
+    while x in through:
         j = p.situation_of(x)
         try:
             a = s[j]

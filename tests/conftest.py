@@ -400,6 +400,42 @@ def subform_authentic_value(g: Game, s: dict) -> dict:
     return {t: dict(g.utilities[outcome(subform(g.form, t), s)[-1]]) for t in subroots_sorted(g.form)}
 
 
+def piece_game_piecewise_nash(g: Game, s: dict, values: dict) -> Verdict:
+    """Piecewise Nashness with the piece game at each subroot built and
+    searched; the reference for the in-place `piecewise_nash`."""
+    s = validate_strategy(g.form, s)
+    for t in subroots_sorted(g.form):
+        pg = piece_game(g, values, t)
+        witness = reference_nash_witness(pg, restrict(s, pg.form.situations), pg.form.root)
+        if witness is not None:
+            witness["subroot"] = t
+            return Verdict(False, witness)
+    return Verdict(True)
+
+
+def piece_form_persistent(g: Game, s: dict, values: dict) -> Verdict:
+    """Persistence with each piece run traced on the built piece form; the
+    reference for the in-place `persistent`."""
+    s = validate_strategy(g.form, s)
+    v = {t: make_profile(p, g.stakeholders) for t, p in values.items()}
+    for t in subroots_sorted(g.form):
+        last = outcome(piece_form(g.form, t), s)[-1]
+        expected = v[last] if last in v else g.utilities[last]
+        if not profiles_equal(v[t], expected):
+            return Verdict(False, {"subroot": t, "value": dict(v[t]),
+                                   "expected": dict(expected), "via": last})
+    return Verdict(True)
+
+
+def is_absentminded(form: Pentaform) -> bool:
+    """Some root-to-endnode path meets one situation at two decision nodes."""
+    for y in form.endnodes:
+        path = form.weak_predecessors(y)[:-1]
+        if len({form.situation_of(w) for w in path}) < len(path):
+            return True
+    return False
+
+
 def scc_has_aperiodic_runs(graph: dict) -> bool:
     """Some strongly connected component of the class graph holds two distinct
     simple cycles; components by pairwise reachability, O(n²)."""

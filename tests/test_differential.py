@@ -1,8 +1,9 @@
 """The linear-time structure layer against its brute-force oracles, the axiom
 diagnosis and `validate` against the reference check and structure build
 (on every axiom's mutations too), trusted subforms and pieces against the
-reference axiom check, subgame and piece checks (the piece checks search each
-piece form once) against searches of built subform games, the class graph
+reference axiom check, subgame and piece checks (each walk runs in place up
+to the next subroot) against searches of built subform and piece games, with
+the moves and form builds they make counted on deep chains, the class graph
 test for aperiodic runs against its SCC definition, the stationary unfolding
 and value code (one pricing rule per utility model) against the per-model
 branches they replaced, the discounted conceivable bounds (policy iteration)
@@ -43,7 +44,9 @@ from pentaform import (
     induced_strategy,
     nash_check,
     one_piece_unimprovable,
+    persistent,
     piece_partition,
+    piecewise_nash,
     random_game,
     solve_backward,
     spe_check_direct,
@@ -62,6 +65,7 @@ from pentaform.core import (
     AXIOM_SINGLE_ROOT,
     AXIOM_SITUATION_OF_NODE,
     AXIOM_SUCCESSOR_FUNCTION,
+    Pentaform,
 )
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
 from pentaform.game import BackwardSolution, enumerate_piece_profiles, first_nash_point, piece_game
@@ -88,6 +92,9 @@ from conftest import (
     assert_same_structure,
     bounded_predecessor_walk,
     brute_force_subroots,
+    is_absentminded,
+    piece_form_persistent,
+    piece_game_piecewise_nash,
     random_discounted_system,
     random_ring_system,
     random_strategy,
@@ -172,6 +179,61 @@ def test_subgame_checks_in_place_match_subform_games_on_cry_wolf(depth):
         other = sorted(g.form.action_set(j) - {calm[j]})
         failing += _assert_in_place_matches_subform_games(g, {**calm, j: rng.choice(other)})
     assert failing > 0
+
+
+def _perturbed(values: dict, rng: random.Random) -> dict:
+    """values with one stakeholder's value moved by ±1 at about a third of
+    the subroots."""
+    out = {}
+    for t in sorted(values):
+        profile = dict(values[t])
+        if rng.random() < 1 / 3:
+            k = rng.choice(sorted(profile))
+            profile[k] += rng.choice((-1, 1))
+        out[t] = profile
+    return out
+
+
+def _assert_piece_checks_match_piece_forms(g: Game, s: dict, rng: random.Random) -> set:
+    """Same piecewise-Nash and persistence verdicts and witnesses as the
+    built piece forms give, at the authentic values and at a perturbed copy;
+    returns the (check, values) pairs that failed."""
+    failed = set()
+    authentic = authentic_value(g, s)
+    for kind, values in (("authentic", authentic), ("perturbed", _perturbed(authentic, rng))):
+        for name, check, reference in (("piecewise-nash", piecewise_nash, piece_game_piecewise_nash),
+                                       ("persistent", persistent, piece_form_persistent)):
+            verdict = check(g, s, values)
+            assert verdict == reference(g, s, values)
+            if not verdict.holds:
+                failed.add((name, kind))
+    return failed
+
+
+def test_piece_checks_in_place_match_piece_forms_on_corpus():
+    failed, absentminded = set(), 0
+    for seed in range(600):
+        g = random_game(seed, max_nodes=40)
+        absentminded += is_absentminded(g.form)
+        rng = random.Random(seed)
+        for _ in range(2):
+            failed |= _assert_piece_checks_match_piece_forms(g, random_strategy(g.form, rng), rng)
+    assert failed == {("piecewise-nash", "authentic"), ("piecewise-nash", "perturbed"),
+                      ("persistent", "perturbed")}
+    assert absentminded > 0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_piece_checks_in_place_match_piece_forms_on_cry_wolf(depth):
+    g = WOLF_TRUNCATIONS[depth - 1]
+    calm = induced_strategy(WOLF, cry_wolf_calm_strategy(), depth)
+    rng = random.Random(depth)
+    failed = _assert_piece_checks_match_piece_forms(g, calm, rng)
+    assert ("piecewise-nash", "authentic") not in failed
+    for j in rng.sample(sorted(g.form.situations), 7):
+        other = sorted(g.form.action_set(j) - {calm[j]})
+        failed |= _assert_piece_checks_match_piece_forms(g, {**calm, j: rng.choice(other)}, rng)
+    assert ("persistent", "perturbed") in failed
 
 
 def _class_graph_system(graph: dict) -> StationarySystem:
@@ -639,16 +701,16 @@ def test_trusted_pieces_and_subforms_are_pentaforms_on_cry_wolf(depth):
     assert _assert_trusted_parts_are_pentaforms(WOLF_TRUNCATIONS[depth - 1].form) > 1
 
 
-def _chain(n: int) -> Game:
+def _chain(n: int, player: str = "Bob") -> Game:
     """One-player in/out chain of n decision nodes: "out" pays -1, the end 0."""
     qs, utilities = [], {}
     for k in range(n):
         nxt = f"w{k + 1:05d}" if k + 1 < n else "end"
-        qs.append(Quintuple("Bob", f"s{k:05d}", f"w{k:05d}", "in", nxt))
-        qs.append(Quintuple("Bob", f"s{k:05d}", f"w{k:05d}", "out", f"x{k:05d}"))
-        utilities[f"x{k:05d}"] = {"Bob": -1}
-    utilities["end"] = {"Bob": 0}
-    return Game(validate(qs), ["Bob"], utilities)
+        qs.append(Quintuple(player, f"s{k:05d}", f"w{k:05d}", "in", nxt))
+        qs.append(Quintuple(player, f"s{k:05d}", f"w{k:05d}", "out", f"x{k:05d}"))
+        utilities[f"x{k:05d}"] = {player: -1}
+    utilities["end"] = {player: 0}
+    return Game(validate(qs), [player], utilities)
 
 
 def test_deep_chain_needs_no_recursion():
@@ -660,6 +722,47 @@ def test_deep_chain_needs_no_recursion():
     assert nash_check(g, always_in).holds
     verdict = nash_check(g, {**always_in, "s04999": "out"})
     assert not verdict.holds and verdict.witness["deviation_endnode"] == "end"
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of the Pentaform method `name` from now on."""
+    calls = []
+    method = getattr(Pentaform, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(Pentaform, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_spe_check_walks_each_piece_once_on_chains(n, monkeypatch):
+    """The value recursion walks each one-node piece once per player, plus
+    one conforming trace: at most 3n moves, where searching every subgame to
+    the end of the chain takes 3n(n + 1)/2."""
+    g = _chain(n)
+    always_in = {f"s{k:05d}": "in" for k in range(n)}
+    moves = _count_calls(monkeypatch, "next_node")
+    assert spe_check_direct(g, always_in).holds
+    assert len(moves) <= 3 * n
+
+
+def test_subgame_checks_build_no_form(monkeypatch):
+    """On a fresh form, no subgame or piece check builds a Pentaform:
+    every walk runs in place up to the next subroot.  The player's name keeps
+    the form unequal to every other test's, so no cached partition exists."""
+    g = _chain(1000, "Fresh")
+    s = {f"s{k:05d}": "in" for k in range(1000)}
+    s["s00500"] = "out"
+    builds = _count_calls(monkeypatch, "_grow")
+    assert not spe_check_direct(g, s).holds
+    assert not one_piece_unimprovable(g, s).holds
+    v = authentic_value(g, s)
+    assert not piecewise_nash(g, s, v).holds
+    assert persistent(g, s, v).holds
+    assert builds == []
 
 
 # -- Nash-point search: best responses shared between profiles ----------------
@@ -872,10 +975,10 @@ from pentaform import game, random_game, solve_backward
 from conftest import reference_solve_backward
 search = game._best_deviation
 keys = []
-def counted(form, s, i, start, value_of_endnode):
+def counted(form, s, i, start, value_of_endnode, *through):
     others = tuple(s[j] for j in sorted(form.situations) if form.player_of(j) != i)
     keys.append((index, form.root, i, others))
-    return search(form, s, i, start, value_of_endnode)
+    return search(form, s, i, start, value_of_endnode, *through)
 game._best_deviation = counted
 counts = {}
 for name, solve in (("shared", solve_backward), ("reference", reference_solve_backward)):

@@ -31,10 +31,13 @@ deviation value: the exits of the piece at t are priced by the values
 already found at them, deepest subroot first, and each piece is searched
 once per player.
 
-The solvers look for the first pure Nash point of a piece game among its
-enumerated profiles (`first_nash_point`).  A player's best deviation value
-depends only on the other players' choices, so it is searched once per
-(player, others' choices) and shared by every profile that agrees on them.
+Both solvers find the first pure Nash point among rows that pair a profile
+with the endnode it reaches (`first_nash_point`).  A player's best deviation
+value depends only on the other players' choices, so a scan asks for it once
+per (player, others' choices) and shares it with every row that agrees on
+them.  `solve_backward` answers with one deviation walk of the piece;
+`solve_stationary` answers with the best current price among the exits the
+player can reach, a set it walks once per solve.
 """
 
 from __future__ import annotations
@@ -426,17 +429,20 @@ def is_pure_nash(pg: Game, profile: Mapping[str, str]) -> bool:
     return _nash_witness(pg.form, profile, pg.form.root, pg.utilities) is None
 
 
-def first_nash_point(pg: Game, profiles: Iterable[Mapping[str, str]]) -> Mapping[str, str] | None:
-    """The first profile in `profiles` that is a pure Nash point of pg, or None.
+def first_nash_point(form: Pentaform, rows: Iterable[tuple[Mapping[str, str], str]],
+                     prices: Mapping[str, Mapping[str, Scalar]], deviation_value
+                     ) -> Mapping[str, str] | None:
+    """The first profile among `rows` that is a pure Nash point, or None.
 
-    Player i's best deviation value B_i(s₋ᵢ) depends only on the choices at
-    the situations i does not own, so it is searched once per (i, s₋ᵢ) and
-    shared by every later profile that agrees there; a profile is Nash exactly
-    when no player's B_i beats their utility at its outcome.  The memo lives
-    for one call and holds one dict per player, keyed by the mixed-radix
-    index of s₋ᵢ over the other players' sorted situations.
+    Each row pairs a profile of `form` with the endnode its walk from the
+    root reaches, and an endnode y pays prices[y].  Player i's best deviation
+    value B_i(s₋ᵢ) depends only on the choices at the situations i does not
+    own, so deviation_value(i, key, profile) is asked once per (i, s₋ᵢ) and
+    its answer is shared by every later row that agrees there; key is the
+    mixed-radix index of s₋ᵢ over the other players' sorted situations.  A
+    profile is Nash exactly when no player's B_i beats their price at its
+    endnode.  The memo lives for one call and holds one dict per player.
     """
-    form = pg.form
     players = sorted(form.players)
     # per player: each other player's situation with its actions' place values
     places: dict[str, list[tuple[str, dict]]] = {}
@@ -449,14 +455,13 @@ def first_nash_point(pg: Game, profiles: Iterable[Mapping[str, str]]) -> Mapping
                 places[i].append((j, {a: k * radix for k, a in enumerate(actions)}))
                 radix *= len(actions)
     best: dict[str, dict[int, Scalar]] = {i: {} for i in players}
-    for profile in profiles:
-        base = pg.utilities[outcome(form, profile)[-1]]
+    for profile, end in rows:
+        base = prices[end]
         for i in players:
             memo = best[i]
             key = sum(place[profile[j]] for j, place in places[i])
             if key not in memo:
-                memo[key] = _best_deviation(form, profile, i, form.root,
-                                            lambda y, i=i: pg.utilities[y][i])[0]
+                memo[key] = deviation_value(i, key, profile)
             if memo[key] > base[i]:
                 break
         else:
@@ -470,19 +475,25 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     Processes subroots deepest-first; at each one, enumerates the piece
     strategy profiles of the piece game priced by the values found so far and
     keeps the lexicographically smallest pure Nash point, with best responses
-    shared between profiles (`first_nash_point`).  On success the result
-    satisfies persistence and piecewise-Nashness, hence subgame perfection in
-    finite games.
+    shared between profiles (`first_nash_point`): each is one deviation walk
+    of the piece.  On success the result satisfies persistence and
+    piecewise-Nashness, hence subgame perfection in finite games.
     """
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
     order = sorted(subroots_sorted(g.form), key=lambda t: (-g.form.depth(t), t))
     for t in order:
         pg = piece_game(g, values, t)
-        profile = first_nash_point(pg, enumerate_piece_profiles(pg.form))
+        form, prices = pg.form, pg.utilities
+
+        def walk(i, key, profile):
+            return _best_deviation(form, profile, i, form.root, lambda y: prices[y][i])[0]
+
+        rows = ((profile, outcome(form, profile)[-1]) for profile in enumerate_piece_profiles(form))
+        profile = first_nash_point(form, rows, prices, walk)
         if profile is None:
             return NoPureEquilibrium(t)
-        values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
+        values[t] = dict(prices[outcome(form, profile)[-1]])
         chosen.update(profile)
     return BackwardSolution(chosen, values)
 

@@ -48,9 +48,9 @@ from .game import (
     Game,
     ResourceCapError,
     Verdict,
+    _best_deviation,
     enumerate_piece_profiles,
     first_nash_point,
-    is_pure_nash,
     nash_check,
     profile_cap,
 )
@@ -877,40 +877,97 @@ SOLVE_TOL = Fraction(1, 10**12)
 SOLVE_MAX_SWEEPS = 500
 
 
+class _ClassTable:
+    """What value iteration scans in one class, none of which depends on the
+    continuation: the template's profiles in scan order (largest first), each
+    with the exit it reaches, and for each (player i, s₋ᵢ) the exits that i
+    can reach by deviating.  Both are filled on first need, so the rows
+    extend only as far as some sweep's scan has gone, and each reach set is
+    one deviation walk."""
+
+    def __init__(self, template: Pentaform):
+        self.template = template
+        self._rows: list[tuple[dict, str]] = []
+        self._profiles = enumerate_piece_profiles(template, largest_first=True)
+        self._reach: dict[str, dict[int, set[str]]] = {i: {} for i in template.players}
+
+    def rows(self) -> Iterator[tuple[dict, str]]:
+        rows = self._rows
+        yield from rows
+        for profile in self._profiles:
+            row = (profile, outcome(self.template, profile)[-1])
+            rows.append(row)
+            yield row
+
+    def reach(self, i: str, key: int, profile: Mapping[str, str]) -> set[str]:
+        ends = self._reach[i].get(key)
+        if ends is None:
+            ends = self._reach[i][key] = set()
+
+            def record(y: str) -> int:
+                ends.add(y)
+                return 0
+
+            _best_deviation(self.template, profile, i, self.template.root, record)
+        return ends
+
+    def nash_point(self, rows: Iterable[tuple[dict, str]], prices: Mapping[str, Profile]):
+        """The first Nash point among rows when exit y pays prices[y]: B_i
+        is the best price in i's reach set."""
+        return first_nash_point(self.template, rows, prices, lambda i, key, profile: max(
+            prices[y][i] for y in self.reach(i, key, profile)))
+
+
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
     """Value iteration over class profiles for discounted models.
 
     Each sweep replaces every class value by the payoff profile of a pure
     Nash point of its quotient piece game under the current continuation
     (ties broken toward the lexicographically largest action profile, which
-    favors staying in the game when indifferent).  When the sup-norm change
-    drops below SOLVE_TOL and the selected strategy repeats, the strategy is
-    evaluated exactly; it is returned only if every class still plays a Nash
-    point under those exact values, and otherwise the sweeps go on from them.
-    The returned values are therefore always the exact continuation values
-    of a strategy that passes the piecewise-Nash scan.
+    favors staying in the game when indifferent).  A sweep prices each
+    class's exits once (the reward of a terminal exit, the model's step into
+    the current value of the class a continue exit enters) and scans the
+    class's table (`_ClassTable`), which is built once per solve: it builds
+    no game, enumerates no profile twice and walks no deviation again.  When
+    the selected strategy repeats and the sup-norm change is below
+    SOLVE_TOL, the strategy is evaluated exactly; it is returned only if
+    every class still plays a Nash point under those exact values, and
+    otherwise the sweeps go on from them.  The returned values are therefore
+    always the exact continuation values of a strategy that passes the
+    piecewise-Nash scan.
     """
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("solve_stationary requires a discounted-accumulation model")
+    step = sys.model.step
+    tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
+
+    def priced(w: Mapping[str, Profile]) -> dict[str, dict[str, Profile]]:
+        return {c: {y: e.reward if e.is_terminal else step(e.reward, w[e.next_class])
+                    for y, e in cls.exits.items()}
+                for c, cls in sys.classes.items()}
+
     w = {c: sys.zero_profile() for c in sys.classes}
     sigma_prev: dict | None = None
     for _ in range(SOLVE_MAX_SWEEPS):
+        prices = priced(w)
         new_w: dict[str, Profile] = {}
         new_sigma: dict[str, dict] = {}
-        for c in sorted(sys.classes):
-            qg = quotient_piece_game(sys, c, w)
-            chosen = first_nash_point(qg, enumerate_piece_profiles(qg.form, largest_first=True))
+        ends: dict[str, str] = {}
+        for c, table in tables.items():
+            chosen = table.nash_point(table.rows(), prices[c])
             if chosen is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
             new_sigma[c] = chosen
-            new_w[c] = dict(qg.utilities[outcome(qg.form, chosen)[-1]])
-        delta = max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c])
-        stable = sigma_prev == new_sigma
+            ends[c] = outcome(table.template, chosen)[-1]
+            new_w[c] = prices[c][ends[c]]
+        settled = (new_sigma == sigma_prev
+                   and max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c]) < SOLVE_TOL)
         w, sigma_prev = new_w, new_sigma
-        if delta < SOLVE_TOL and stable:
-            exact = continuation_values(sys, new_sigma)
-            if all(is_pure_nash(quotient_piece_game(sys, c, exact), new_sigma[c])
-                   for c in sorted(sys.classes)):
+        if settled:
+            exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
+            prices = priced(exact)
+            if all(table.nash_point([(new_sigma[c], ends[c])], prices[c]) is not None
+                   for c, table in tables.items()):
                 return StationarySolution(new_sigma, exact)
             w = exact
     return StationarySolveFailure("no-convergence", None)

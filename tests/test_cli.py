@@ -170,6 +170,23 @@ def test_resource_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_stationary_solve_cap_exit_code(capsys, monkeypatch, tmp_path):
+    # gen5's classes share a template of 6 profiles; the first class to be
+    # scanned meets the cap and nothing after the header reaches stdout.
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).parent))
+    from test_cli_golden import QUOTIENT_SYSTEMS
+
+    path = tmp_path / "gen5.system"
+    path.write_text(json.dumps(QUOTIENT_SYSTEMS["gen5"]), encoding="utf-8")
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "5")
+    code, out, err = run(capsys, "stationary", path, "solve")
+    assert code == cli.EXIT_RESOURCE == 3
+    assert out == f"stationary {path} solve\n"
+    assert err == "resource cap exceeded: piece at '' has 6 strategy profiles, more than the cap of 5\n"
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
 def test_bad_profile_cap_is_input_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", raw)

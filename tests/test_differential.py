@@ -12,8 +12,9 @@ convergence verdicts against the per-model reference code, the values of
 every certified stationary SPE against the authentic, persistent and
 admissible checks, both solvers' Nash-point search (best responses shared
 between profiles) against the reference scans that run a full Nash check on
-every profile and against the tuple-keyed memo (results and peak memory), and
-deep forms that must not exhaust the interpreter's recursion depth."""
+every profile and against the tuple-keyed memo (results and peak memory),
+value iteration's deviation walks and game builds counted, and deep forms
+that must not exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -54,7 +56,7 @@ from pentaform import (
     subroots,
     validate,
 )
-from pentaform import fileio, lower_convergent, stationary, upper_convergent
+from pentaform import fileio, game, lower_convergent, stationary, upper_convergent
 from pentaform.convergence import FAILS, HOLDS, UNKNOWN
 from pentaform.core import (
     AXIOM_ACTION_OF_SUCCESSOR,
@@ -68,11 +70,12 @@ from pentaform.core import (
     Pentaform,
 )
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
-from pentaform.game import BackwardSolution, enumerate_piece_profiles, first_nash_point, piece_game
+from pentaform.game import BackwardSolution, _best_deviation, enumerate_piece_profiles, first_nash_point, piece_game
 from pentaform.numbers import INF, NEG_INF
 from pentaform.stationary import (
     SPE_CERTIFIED,
     AbsoluteTerminal,
+    _ClassTable,
     certify_spe,
     conceivable_bounds,
     continuation_values,
@@ -86,6 +89,7 @@ from pentaform.stationary import (
     truncated_game,
     value_at,
 )
+from pentaform.strategy import outcome
 
 from conftest import (
     ReferencePentaform,
@@ -793,11 +797,27 @@ def _backward_piece_games(g: Game):
             return
 
 
+def _walked_first_nash_point(pg: Game, profiles) -> dict | None:
+    """`first_nash_point` on pg's rows, each B_i one deviation walk, as
+    `solve_backward` scans a piece."""
+    form, prices = pg.form, pg.utilities
+
+    def walk(i, key, profile):
+        return _best_deviation(form, profile, i, form.root, lambda y: prices[y][i])[0]
+
+    return first_nash_point(form, ((p, outcome(form, p)[-1]) for p in profiles), prices, walk)
+
+
 def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None:
     def profiles():
         return enumerate_piece_profiles(pg.form, largest_first)
 
-    assert first_nash_point(pg, profiles()) == reference_first_nash_point(pg, profiles())
+    expected = reference_first_nash_point(pg, profiles())
+    assert _walked_first_nash_point(pg, profiles()) == expected
+    if largest_first:  # a quotient piece game, scanned from its class table as the sweeps do
+        table = _ClassTable(pg.form)
+        for _ in range(2):  # the second scan reads the rows and reach sets the first one stored
+            assert table.nash_point(table.rows(), pg.utilities) == expected
 
 
 def test_first_nash_point_matches_reference_on_solver_pools():
@@ -843,7 +863,7 @@ def test_first_nash_point_memo_is_at_most_half_the_tuple_keyed_one():
     assert subroots(pg.form) == {"r"}
     assert prod(len(pg.form.action_set(j)) for j in pg.form.situations) == 2**16
     peaks = []
-    for search in (first_nash_point, reference_first_nash_point):
+    for search in (_walked_first_nash_point, reference_first_nash_point):
         tracemalloc.start()
         try:
             assert search(pg, enumerate_piece_profiles(pg.form)) is None
@@ -925,14 +945,19 @@ def _assert_solve_stationary_matches_reference(sys_: StationarySystem) -> object
     return result
 
 
+def _kind(result) -> str:
+    return getattr(result, "kind", "solved")
+
+
 def test_solve_stationary_matches_reference_on_random_systems():
-    systems = 0
+    # every outcome the corpus reaches is asserted, so no branch of the
+    # differential can drop out unnoticed
+    kinds = Counter()
     for seed in range(300):
         sys_ = random_discounted_system(seed)
         if sys_ is not None:
-            systems += 1
-            _assert_solve_stationary_matches_reference(sys_)
-    assert systems >= 190
+            kinds[_kind(_assert_solve_stationary_matches_reference(sys_))] += 1
+    assert kinds == {"solved": 196, "no-convergence": 1}
 
 
 def test_solve_stationary_matches_reference_on_ring_systems():
@@ -944,13 +969,12 @@ def test_solve_stationary_matches_reference_on_ring_systems():
 
 
 def test_solve_stationary_matches_reference_on_bimatrix_systems():
-    kinds = set()
+    kinds = Counter()
     for seed in range(40):
         sys_ = _bimatrix_system(seed)
         if sys_ is not None:
-            result = _assert_solve_stationary_matches_reference(sys_)
-            kinds.add(getattr(result, "kind", "solved"))
-    assert kinds == {"solved", "no-pure-equilibrium", "no-convergence"}
+            kinds[_kind(_assert_solve_stationary_matches_reference(sys_))] += 1
+    assert kinds == {"solved": 14, "no-pure-equilibrium": 18, "no-convergence": 1}
 
 
 @pytest.mark.parametrize("continue_on", [None, "Hh"])
@@ -1003,3 +1027,47 @@ def test_solve_backward_searches_each_best_response_once():
     counts = json.loads(proc.stdout)
     assert counts["shared"] == counts["shared_keys"] == counts["reference_keys"]
     assert 4 * counts["shared"] <= counts["reference"]
+
+
+def _quotient_system(name: str, tmp_path: Path) -> StationarySystem:
+    from test_cli_golden import QUOTIENT_SYSTEMS
+
+    path = tmp_path / f"{name}.system"
+    path.write_text(json.dumps(QUOTIENT_SYSTEMS[name]), encoding="utf-8")
+    return fileio.load_system(path)
+
+
+@pytest.mark.parametrize("name", ["gen5", "crywolf"])
+def test_solve_stationary_walks_each_deviation_once_and_builds_no_game(name, tmp_path, monkeypatch):
+    """Value iteration scans each class's table: a deviation walk per
+    distinct (class, player, s₋ᵢ), however many sweeps run, and no game.
+    gen5 runs all 500 sweeps (the scan that built a game per class and
+    sweep made 6,501 walks and 2,500 games there); cry-wolf stabilizes and
+    passes the exact check, which reads the reach sets already walked."""
+    sys_ = WOLF if name == "crywolf" else _quotient_system(name, tmp_path)
+    class_of = {id(cls.template): c for c, cls in sys_.classes.items()}
+    search = game._best_deviation
+    keys = []
+
+    def counted(form, s, i, start, value_of_endnode, *through):
+        others = tuple(s[j] for j in sorted(form.situations) if form.player_of(j) != i)
+        keys.append((class_of[id(form)], i, others))
+        return search(form, s, i, start, value_of_endnode, *through)
+
+    games = 0
+    build = Game.__init__
+
+    def built(self, *args):
+        nonlocal games
+        games += 1
+        build(self, *args)
+
+    monkeypatch.setattr(game, "_best_deviation", counted)
+    monkeypatch.setattr(stationary, "_best_deviation", counted)
+    monkeypatch.setattr(Game, "__init__", built)
+    result = stationary.solve_stationary(sys_)
+    monkeypatch.undo()
+    assert result == reference_solve_stationary(sys_)
+    assert _kind(result) == ("no-convergence" if name == "gen5" else "solved")
+    assert games == 0
+    assert 0 < len(keys) == len(set(keys))

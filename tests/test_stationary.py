@@ -601,7 +601,9 @@ def test_solve_stationary_requires_discounting():
         solve_stationary(ann_chain())
 
 
-def test_solve_stationary_fails_on_matching_pennies_class():
+def _pennies_class(continue_into: str | None = None) -> PieceClass:
+    """Matching pennies between P1 and P2; exit 1H continues into
+    `continue_into` if one is given."""
     template = validate([
         Quintuple("P1", "j1", "", "H", "1"),
         Quintuple("P1", "j1", "", "T", "2"),
@@ -610,16 +612,49 @@ def test_solve_stationary_fails_on_matching_pennies_class():
         Quintuple("P2", "j2", "2", "H", "2H"),
         Quintuple("P2", "j2", "2", "T", "2T"),
     ])
-    cls = PieceClass(template, {
-        "1H": Exit({"P1": 1, "P2": -1}),
+    return PieceClass(template, {
+        "1H": Exit({"P1": 1, "P2": -1}, next_class=continue_into),
         "1T": Exit({"P1": -1, "P2": 1}),
         "2H": Exit({"P1": -1, "P2": 1}),
         "2T": Exit({"P1": 1, "P2": -1}),
     })
-    sys_ = StationarySystem({"c": cls}, "c", DiscountedAccumulation(BETA), ["P1", "P2"])
+
+
+def _six_profile_class() -> PieceClass:
+    """P1 picks one of three actions, then P2 one of two in one information
+    set: 6 profiles, every exit terminal and worth nothing."""
+    template = validate([
+        Quintuple("P1", "", "", "a0", "1"), Quintuple("P1", "", "", "a1", "2"),
+        Quintuple("P1", "", "", "a2", "5"),
+        Quintuple("P2", "1+2", "1", "b0", "3"), Quintuple("P2", "1+2", "1", "b1", "4"),
+        Quintuple("P2", "1+2", "2", "b0", "6"), Quintuple("P2", "1+2", "2", "b1", "7"),
+    ])
+    return PieceClass(template, {y: Exit({"P1": 0, "P2": 0}) for y in "34567"})
+
+
+def test_solve_stationary_fails_on_matching_pennies_class():
+    sys_ = StationarySystem({"c": _pennies_class()}, "c", DiscountedAccumulation(BETA), ["P1", "P2"])
     result = solve_stationary(sys_)
     assert isinstance(result, StationarySolveFailure)
     assert result.kind == "no-pure-equilibrium" and result.class_id == "c"
+
+
+def test_solve_stationary_meets_the_cap_in_class_order(monkeypatch):
+    # The first class (4 profiles) has no pure Nash point, so the solve
+    # fails there before it enumerates the 6 profiles of the later class.
+    sys_ = StationarySystem({"a": _pennies_class(continue_into="b"), "b": _six_profile_class()}, "a",
+                            DiscountedAccumulation(BETA), ["P1", "P2"])
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "5")
+    assert solve_stationary(sys_) == StationarySolveFailure("no-pure-equilibrium", "a")
+
+
+def test_solve_stationary_cap_error_names_the_template(monkeypatch):
+    sys_ = StationarySystem({"b": _six_profile_class()}, "b", DiscountedAccumulation(BETA), ["P1", "P2"])
+    assert solve_stationary(sys_).strategy == {"b": {"": "a2", "1+2": "b1"}}
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "5")
+    with pytest.raises(ResourceCapError) as caught:
+        solve_stationary(sys_)
+    assert str(caught.value) == "piece at '' has 6 strategy profiles, more than the cap of 5"
 
 
 def test_random_discounted_systems_solve_certify_and_truncate():

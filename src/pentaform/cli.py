@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import convergence, fileio, game as game_mod, stationary as stat_mod
 from .core import ALL_AXIOMS, InvalidPentaform, validate
 from .numbers import render_scalar
-from .partition import piece_partition, subroots
+from .partition import piece_owners, subroots, subroots_sorted
 
 _PALETTE = ("lightblue", "lightyellow", "lightpink", "lightgreen", "lavender",
             "mistyrose", "honeydew", "aliceblue")
@@ -89,13 +89,15 @@ def cmd_inspect(args) -> int:
     ts = sorted(subroots(form))
     if args.subroots or not args.pieces:
         print(f"subroots ({len(ts)}): " + ", ".join(repr(t) for t in ts))
-    parts = piece_partition(form)
+    owner = piece_owners(form)
+    sizes = dict.fromkeys(ts, 0)  # quintuples per piece
+    for q in form.quintuples:
+        sizes[owner[q.decision_node]] += 1
     if args.pieces:
         print("pieces:")
         for t in ts:
-            print(f"  {t!r}: {len(parts[t])} quintuples")
-    covered = sum(len(piece) for _, piece in parts.items())
-    print(f"piece partition covers {covered}/{len(form)} quintuples in {len(parts)} pieces")
+            print(f"  {t!r}: {sizes[t]} quintuples")
+    print(f"piece partition covers {sum(sizes.values())}/{len(form)} quintuples in {len(ts)} pieces")
     if args.dot:
         text = _dot(form)
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -105,16 +107,16 @@ def cmd_inspect(args) -> int:
 
 
 def _dot(form) -> str:
+    """Each piece gets the next palette color in (depth, label) order.  A
+    node takes the color of the piece that moves into it, so an exit takes
+    the color of the piece it leaves; the root takes its own piece's."""
     ts = subroots(form)
-    parts = piece_partition(form)
-    color_of = {}
-    for idx, (t, piece) in enumerate(parts.items()):
-        color = _PALETTE[idx % len(_PALETTE)]
-        for x in piece.decision_nodes | piece.successors:
-            color_of.setdefault(x, color)
+    owner = piece_owners(form)
+    color_of = {t: _PALETTE[idx % len(_PALETTE)] for idx, t in enumerate(subroots_sorted(form))}
     lines = ["digraph pentaform {", "  rankdir=TB;", '  node [style=filled, shape=ellipse];']
     for x in sorted(form.nodes):
-        attrs = [f'fillcolor="{color_of.get(x, "white")}"']
+        piece = form.root if x == form.root else owner[form.predecessor(x)]
+        attrs = [f'fillcolor="{color_of[piece]}"']
         if x in ts:
             attrs.append("peripheries=2")
         if x in form.endnodes:
@@ -251,14 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the eight pentaform axioms of a file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("inspect", help="subroots, piece partition, optional DOT export")
     p.add_argument("path")
     p.add_argument("--subroots", action="store_true")
     p.add_argument("--pieces", action="store_true")
     p.add_argument("--dot", metavar="OUT")
-    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("check", help="check an equilibrium/value property")
     p.add_argument("game")
@@ -269,11 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", metavar="FILE")
     p.add_argument("--authentic-value", action="store_true",
                    help="derive the value function from the strategy")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="generalized backward induction")
     p.add_argument("game")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("stationary", help="analyze a generated infinite-horizon system")
     p.add_argument("system")
@@ -285,16 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     c = stat_sub.add_parser("instantiate")
     c.add_argument("depth", type=int)
     c.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_stationary)
 
     return parser
 
 
+_PARSER = build_parser()  # built once per process; see main for dispatch
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name at call time, so a replaced cmd_* function is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except game_mod.ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=_sys.stderr)
         return EXIT_RESOURCE

@@ -8,7 +8,10 @@
 * system: classes with template/exits, model section, initial class.
 * stationary strategy: {"classes": {class → {situation → action}}}.
 
-Profiles hold numbers as strings: decimals, 'p/q' rationals, 'inf'/'-inf'.
+Numbers (profile entries and β) are strings in one grammar: an optional
+'-' then digits with an optional decimal fraction, 'p/q' in digits, or
+'inf'/'-inf', each integer at most 4,300 digits (`numbers.parse_scalar`).
+Anything else fails the load with the file, the field and the text named.
 Saving always emits the canonical form, so load(save(x)) == x and
 save(load(text)) == text for canonical inputs.
 """
@@ -257,7 +260,10 @@ def load_system(path) -> StationarySystem:
     if mspec["kind"] == "discounted":
         _expect(isinstance(mspec.get("beta"), str), where,
                 'discounted model needs "beta" written as a string')
-        beta = parse_scalar(mspec["beta"])
+        try:
+            beta = parse_scalar(mspec["beta"])
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: model.beta: {exc}") from exc
         model = DiscountedAccumulation(beta)
     elif mspec["kind"] == "absolute-terminal":
         _expect(isinstance(mspec.get("cycles"), list), where, 'absolute-terminal model needs "cycles"')

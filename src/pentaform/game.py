@@ -31,13 +31,21 @@ deviation value: the exits of the piece at t are priced by the values
 already found at them, deepest subroot first, and each piece is searched
 once per player.
 
+`solve_backward` is the same in-place recursion: at each subroot, deepest
+first, it enumerates the profiles over the piece's situations, which the
+piece-owner map gives (`partition.piece_owners`), and prices the piece's
+exits by the values already found.  It builds no piece form and no piece
+game; `piece_game` stays as the API's (and the tests') explicit piece game.
+
 Both solvers find the first pure Nash point among rows that pair a profile
-with the endnode it reaches (`first_nash_point`).  A player's best deviation
+over a piece's situations with the endnode it reaches
+(`first_nash_point`), and `enumerate_piece_profiles` is the one enumerator
+of those profiles, counted against the cap first.  A player's best deviation
 value depends only on the other players' choices, so a scan asks for it once
 per (player, others' choices) and shares it with every row that agrees on
-them.  `solve_backward` answers with one deviation walk of the piece;
-`solve_stationary` answers with the best current price among the exits the
-player can reach, a set it walks once per solve.
+them.  `solve_backward` answers with one deviation walk of the piece from
+its subroot; `solve_stationary` answers with the best current price among
+the exits the player can reach, a set it walks once per solve.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from typing import AbstractSet, Iterable, Mapping
 
 from .core import Pentaform, Quintuple, validate
 from .numbers import Profile, Scalar, make_profile, profiles_equal
-from .partition import piece_form, subroots, subroots_sorted
+from .partition import piece_form, piece_owners, subroots, subroots_sorted
 from .strategy import outcome, validate_strategy
 
 PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
@@ -221,15 +229,18 @@ def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Map
 
 
 def _piece_walks(form: Pentaform, deepest_first: bool = False):
-    """Each subroot t in (depth, label) order, or deepest first, with the
-    decision nodes that a walk of the piece at t moves on: t and every
-    decision node that is not a subroot.  A walk from t therefore stops at
-    the next subroot or at a final endnode, and no piece form is built.  The
-    set is shared between the items: it holds t only until the next one."""
+    """Each subroot t in (depth, label) order, or in (−depth, label) order
+    (deepest first), with the decision nodes that a walk of the piece at t
+    moves on: t and every decision node that is not a subroot.  A walk from t
+    therefore stops at the next subroot or at a final endnode, and no piece
+    form is built.  The set is shared between the items: it holds t only
+    until the next one."""
     through = set(form.decision_nodes)
     through -= subroots(form)
     order = subroots_sorted(form)
-    for t in reversed(order) if deepest_first else order:
+    if deepest_first:
+        order.sort(key=form.depth, reverse=True)  # stable: labels stay ascending
+    for t in order:
         through.add(t)
         yield t, through
         through.discard(t)
@@ -410,17 +421,20 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
 # -- solver ---------------------------------------------------------------------
 
 
-def enumerate_piece_profiles(piece: Pentaform, largest_first: bool = False):
-    """All piece strategy profiles in lexicographic order over sorted situations."""
+def enumerate_piece_profiles(form: Pentaform, situations: AbstractSet[str], t: str,
+                             largest_first: bool = False):
+    """All strategy profiles of the piece at t, whose situations of `form`
+    are `situations`, in lexicographic order over the sorted situations.
+    The profiles are counted against the cap before the first is made."""
     cap = profile_cap()
-    sits = sorted(piece.situations)
+    sits = sorted(situations)
     count = 1
     for j in sits:
-        count *= len(piece.action_set(j))
+        count *= len(form.action_set(j))
     if count > cap:
         raise ResourceCapError(
-            f"piece at {piece.root!r} has {count} strategy profiles, more than the cap of {cap}")
-    pools = [sorted(piece.action_set(j), reverse=largest_first) for j in sits]
+            f"piece at {t!r} has {count} strategy profiles, more than the cap of {cap}")
+    pools = [sorted(form.action_set(j), reverse=largest_first) for j in sits]
     for combo in product(*pools):
         yield dict(zip(sits, combo))
 
@@ -429,27 +443,31 @@ def is_pure_nash(pg: Game, profile: Mapping[str, str]) -> bool:
     return _nash_witness(pg.form, profile, pg.form.root, pg.utilities) is None
 
 
-def first_nash_point(form: Pentaform, rows: Iterable[tuple[Mapping[str, str], str]],
+def first_nash_point(form: Pentaform, situations: AbstractSet[str],
+                     rows: Iterable[tuple[Mapping[str, str], str]],
                      prices: Mapping[str, Mapping[str, Scalar]], deviation_value
                      ) -> Mapping[str, str] | None:
     """The first profile among `rows` that is a pure Nash point, or None.
 
-    Each row pairs a profile of `form` with the endnode its walk from the
-    root reaches, and an endnode y pays prices[y].  Player i's best deviation
-    value B_i(s₋ᵢ) depends only on the choices at the situations i does not
-    own, so deviation_value(i, key, profile) is asked once per (i, s₋ᵢ) and
-    its answer is shared by every later row that agrees there; key is the
+    Each row pairs a profile of a piece of `form`, over the piece's
+    `situations`, with the endnode its walk of the piece reaches, and an
+    endnode y pays prices[y].  The players are the owners of those
+    situations.  Player i's best deviation value B_i(s₋ᵢ) depends only on
+    the choices at the situations i does not own, so
+    deviation_value(i, key, profile) is asked once per (i, s₋ᵢ) and its
+    answer is shared by every later row that agrees there; key is the
     mixed-radix index of s₋ᵢ over the other players' sorted situations.  A
     profile is Nash exactly when no player's B_i beats their price at its
     endnode.  The memo lives for one call and holds one dict per player.
     """
-    players = sorted(form.players)
+    sits = sorted(situations)
+    players = sorted({form.player_of(j) for j in sits})
     # per player: each other player's situation with its actions' place values
     places: dict[str, list[tuple[str, dict]]] = {}
     for i in players:
         radix = 1
         places[i] = []
-        for j in sorted(form.situations):
+        for j in sits:
             if form.player_of(j) != i:
                 actions = sorted(form.action_set(j))
                 places[i].append((j, {a: k * radix for k, a in enumerate(actions)}))
@@ -470,30 +488,37 @@ def first_nash_point(form: Pentaform, rows: Iterable[tuple[Mapping[str, str], st
 
 
 def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
-    """Generalized backward induction over the piece partition.
+    """Generalized backward induction over the piece partition, in place.
 
-    Processes subroots deepest-first; at each one, enumerates the piece
-    strategy profiles of the piece game priced by the values found so far and
-    keeps the lexicographically smallest pure Nash point, with best responses
-    shared between profiles (`first_nash_point`): each is one deviation walk
-    of the piece.  On success the result satisfies persistence and
-    piecewise-Nashness, hence subgame perfection in finite games.
+    Processes subroots in (−depth, label) order.  At each subroot t it
+    enumerates the profiles over the piece's situations (from the
+    piece-owner map), traces each to the piece's exit, and keeps the
+    lexicographically smallest pure Nash point of the piece game whose
+    final endnodes pay their utilities and whose exits pay the values found
+    so far.  Best responses are shared between profiles
+    (`first_nash_point`): each is one deviation walk of the piece from t.
+    No piece form and no piece game is built.  On success the result
+    satisfies persistence and piecewise-Nashness, hence subgame perfection
+    in finite games.
     """
+    form = g.form
+    situations: dict[str, set[str]] = {t: set() for t in subroots(form)}
+    for x, t in piece_owners(form).items():
+        situations[t].add(form.situation_of(x))
+    prices: dict[str, Profile] = dict(g.utilities)  # final endnodes, then each solved subroot
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
-    order = sorted(subroots_sorted(g.form), key=lambda t: (-g.form.depth(t), t))
-    for t in order:
-        pg = piece_game(g, values, t)
-        form, prices = pg.form, pg.utilities
+    for t, through in _piece_walks(form, deepest_first=True):
 
         def walk(i, key, profile):
-            return _best_deviation(form, profile, i, form.root, lambda y: prices[y][i])[0]
+            return _best_deviation(form, profile, i, t, lambda y: prices[y][i], through)[0]
 
-        rows = ((profile, outcome(form, profile)[-1]) for profile in enumerate_piece_profiles(form))
-        profile = first_nash_point(form, rows, prices, walk)
+        rows = ((profile, outcome(form, profile, t, through)[-1])
+                for profile in enumerate_piece_profiles(form, situations[t], t))
+        profile = first_nash_point(form, situations[t], rows, prices, walk)
         if profile is None:
             return NoPureEquilibrium(t)
-        values[t] = dict(prices[outcome(form, profile)[-1]])
+        values[t] = prices[t] = dict(prices[outcome(form, profile, t, through)[-1]])
         chosen.update(profile)
     return BackwardSolution(chosen, values)
 

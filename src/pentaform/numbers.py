@@ -11,6 +11,7 @@ A profile is a plain ``dict`` mapping stakeholder labels to scalars.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -43,17 +44,40 @@ def as_scalar(x) -> Scalar:
     raise ValueError(f"cannot interpret {x!r} as an extended-real value")
 
 
+MAX_DIGITS = 4300  # CPython's default limit on int ↔ str conversion
+# an optional '-', then digits with an optional decimal fraction or a '/q' in digits
+_NUMBER = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse 'inf', '-inf', 'p/q', integer, or decimal strings exactly."""
-    s = text.strip()
-    if s == "inf":
+    """Parse the file format's one number grammar exactly: 'inf', '-inf',
+    an optional '-' then digits with an optional decimal fraction ('-0.25'),
+    or 'p/q' in digits ('-19/45').  Nothing else is a number: no spaces,
+    '+', exponents or underscores.  Each integer read, the digits of a
+    decimal taken together, has at most MAX_DIGITS digits."""
+    if text == "inf":
         return INF
-    if s == "-inf":
+    if text == "-inf":
         return NEG_INF
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse number {text!r}") from exc
+    m = _NUMBER.fullmatch(text)
+    if m is None:
+        raise ValueError(f"cannot parse number {_shown(text)}")
+    sign, whole, fraction, den = m.groups()
+    digits = whole + (fraction or "")
+    if len(digits) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
+        raise ValueError(f"number {_shown(text)} has more than {MAX_DIGITS} digits")
+    d = 10 ** len(fraction) if fraction else int(den) if den else 1
+    if d == 0:
+        raise ValueError(f"number {_shown(text)} has a zero denominator")
+    n = int(digits)
+    return Fraction(-n if sign else n, d)
+
+
+def _shown(text: str) -> str:
+    """The text for an error message, cut short past 40 characters."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r}… ({len(text)} characters)"
 
 
 def format_scalar(x: Scalar) -> str:

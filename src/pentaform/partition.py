@@ -7,9 +7,15 @@ subform minus everything weakly after a strictly later subroot.  The piece
 forms partition the whole form, and every piece run ends either at a later
 subroot or at a final endnode (never infinitely, for explicit finite forms).
 
-Subforms and pieces are built trusted from the parent's index
-(``Pentaform._part``): the paper's propositions prove each is a pentaform, and
-the differential tests check them against a reference axiom check.
+The partition is fully described by which subroot owns each decision node:
+`piece_owners` fills that map once per form and keeps it on the form.  The
+engine walks pieces in place from it (`piece_decision_nodes`,
+`classify_piece_run`, the solvers and the CLI's piece listing); only the API
+functions `subform`, `piece_form`, `piece_partition` and
+`classify_piece_endnodes` build subforms and pieces.  They are built trusted
+from the parent's index (``Pentaform._part``): the paper's propositions prove
+each is a pentaform, and the differential tests check them against a
+reference axiom check.
 """
 
 from __future__ import annotations
@@ -79,20 +85,42 @@ def subform(p: Pentaform, t: str) -> Pentaform:
     return p._part(tuple(q for q in p.quintuples if q.decision_node in below))
 
 
+def piece_owners(p: Pentaform) -> Mapping[str, str]:
+    """The piece-owner map: each decision node → the subroot whose piece
+    holds it, the nearest subroot weakly before it.  One preorder pass, once
+    per form; the map is kept on the form."""
+    if p._owners is None:
+        ts = subroots(p)
+        owner: dict[str, str] = {}
+        for x in p.subtree_nodes(p.root):
+            if x in p.decision_nodes:
+                owner[x] = x if x in ts else owner[p.predecessor(x)]
+        p._owners = MappingProxyType(owner)
+    return p._owners
+
+
+def piece_decision_nodes(p: Pentaform, t: str) -> set[str]:
+    """The decision nodes of the piece at subroot t, walked in place from t
+    up to the next subroots and final endnodes."""
+    _require_subroot(p, t)
+    owner = piece_owners(p)
+    nodes, stack = {t}, [t]
+    while stack:
+        for _, y in p.children(stack.pop()):
+            if owner.get(y) == t:
+                nodes.add(y)
+                stack.append(y)
+    return nodes
+
+
 @lru_cache(maxsize=None)
 def piece_partition(p: Pentaform) -> Mapping[str, Pentaform]:
     """Partition the form into piece forms: a read-only mapping subroot →
     piece form, in (depth, label) order, so deepest subroots come last.
 
-    Each quintuple belongs to the piece of the nearest subroot weakly before
-    its decision node.
+    Each quintuple belongs to the piece that owns its decision node.
     """
-    ts = subroots(p)
-    owner: dict[str, str] = {}
-    for x in p.subtree_nodes(p.root):
-        if x in p.decision_nodes:
-            owner[x] = x if x in ts else owner[p.predecessor(x)]
-
+    owner = piece_owners(p)
     buckets: dict[str, list[Quintuple]] = {t: [] for t in subroots_sorted(p)}
     for q in p.quintuples:
         buckets[owner[q.decision_node]].append(q)
@@ -154,12 +182,15 @@ class PieceRunClass:
 
 def classify_piece_run(p: Pentaform, t: str, n: Sequence[str]) -> PieceRunClass:
     """Classify a run of the piece at t: exit to a later subroot, or a final
-    endnode completing a full run."""
-    piece = piece_form(p, t)
+    endnode completing a full run.  The run is checked in place: it is the
+    path from t to a node that the piece at t moves into but does not own."""
+    _require_subroot(p, t)
+    owner = piece_owners(p)
     nt = tuple(n)
-    if not piece.is_run(nt):
+    last = nt[-1] if nt else None
+    if not (last in p.successors and owner[p.predecessor(last)] == t and owner.get(last) != t
+            and nt == p.weak_predecessors(last)[p.depth(t):]):
         raise ValueError(f"{nt!r} is not a run of the piece at {t!r}")
-    last = nt[-1]
     if last in subroots(p):
         return PieceRunClass(EXIT_TO_SUBROOT, subroot=last)
     return PieceRunClass(FINAL_ENDNODE, completed_run=p.weak_predecessors(last))

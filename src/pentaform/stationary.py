@@ -888,7 +888,8 @@ class _ClassTable:
     def __init__(self, template: Pentaform):
         self.template = template
         self._rows: list[tuple[dict, str]] = []
-        self._profiles = enumerate_piece_profiles(template, largest_first=True)
+        self._profiles = enumerate_piece_profiles(template, template.situations, template.root,
+                                                  largest_first=True)
         self._reach: dict[str, dict[int, set[str]]] = {i: {} for i in template.players}
 
     def rows(self) -> Iterator[tuple[dict, str]]:
@@ -914,8 +915,10 @@ class _ClassTable:
     def nash_point(self, rows: Iterable[tuple[dict, str]], prices: Mapping[str, Profile]):
         """The first Nash point among rows when exit y pays prices[y]: B_i
         is the best price in i's reach set."""
-        return first_nash_point(self.template, rows, prices, lambda i, key, profile: max(
-            prices[y][i] for y in self.reach(i, key, profile)))
+        def best(i, key, profile):
+            return max(prices[y][i] for y in self.reach(i, key, profile))
+
+        return first_nash_point(self.template, self.template.situations, rows, prices, best)
 
 
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
@@ -935,6 +938,12 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     otherwise the sweeps go on from them.  The returned values are therefore
     always the exact continuation values of a strategy that passes the
     piecewise-Nash scan.
+
+    Each sweep is a function of the state (w, σ of the last sweep), so a
+    state met twice repeats a cycle that can never settle: the answer is
+    "no-convergence" at once.  Brent's method finds the repeat with one
+    marked state, re-marked at power-of-two sweep counts, and one
+    comparison per sweep.
     """
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("solve_stationary requires a discounted-accumulation model")
@@ -948,7 +957,13 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
 
     w = {c: sys.zero_profile() for c in sys.classes}
     sigma_prev: dict | None = None
-    for _ in range(SOLVE_MAX_SWEEPS):
+    marked = None
+    for sweep in range(SOLVE_MAX_SWEEPS):
+        state = (w, sigma_prev)
+        if state == marked:
+            break
+        if sweep & (sweep - 1) == 0:  # 0 or a power of two
+            marked = state
         prices = priced(w)
         new_w: dict[str, Profile] = {}
         new_sigma: dict[str, dict] = {}

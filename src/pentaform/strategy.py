@@ -7,7 +7,9 @@ ever reads on-path situations, which keeps the restriction algebra exact.
 
 `outcome` is the one tracer: it follows s from the root, or from any given
 node, so the outcome of the subgame at a subroot t is `outcome(p, s, t)`.
-Single moves are `Pentaform.next_node`.
+A piece run is the same trace confined to the piece's decision nodes, so
+`piece_outcome` and `subroot_sequence` walk the form in place and build no
+piece form.  Single moves are `Pentaform.next_node`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
 from .core import Pentaform
-from .partition import piece_form, subform, subroots
+from .partition import piece_decision_nodes, subform, subroots
 
 Strategy = dict  # situation -> action
 
@@ -84,19 +86,20 @@ def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None,
 def subform_outcome(p: Pentaform, t: str, restriction: Mapping[str, str]) -> tuple[str, ...]:
     """The run of the subform at t under a restriction total on its situations."""
     sub = subform(p, t)
-    _require_total(restriction, sub, "subform")
+    _require_total(restriction, sub.situations, "subform")
     return outcome(sub, restriction)
 
 
 def piece_outcome(p: Pentaform, t: str, restriction: Mapping[str, str]) -> tuple[str, ...]:
-    """The run of the piece at t under a restriction total on its situations."""
-    piece = piece_form(p, t)
-    _require_total(restriction, piece, "piece")
-    return outcome(piece, restriction)
+    """The run of the piece at t under a restriction total on its situations,
+    traced in place from t up to the next subroot or a final endnode."""
+    nodes = piece_decision_nodes(p, t)
+    _require_total(restriction, {p.situation_of(x) for x in nodes}, "piece")
+    return outcome(p, restriction, t, nodes)
 
 
-def _require_total(restriction: Mapping[str, str], form: Pentaform, what: str) -> None:
-    missing = sorted(form.situations - set(restriction))
+def _require_total(restriction: Mapping[str, str], situations: AbstractSet[str], what: str) -> None:
+    missing = sorted(situations - set(restriction))
     if missing:
         raise ValueError(f"restriction is partial on the {what}: missing {missing}")
 
@@ -125,8 +128,7 @@ def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> SubrootSequ
         raise ValueError(f"{t0!r} is not a subroot")
     seq = [t0]
     while True:
-        run = piece_outcome(p, seq[-1], restrict(s, piece_form(p, seq[-1]).situations))
-        last = run[-1]
+        last = piece_outcome(p, seq[-1], s)[-1]
         if last not in ts:
             return SubrootSequence(tuple(seq), TERMINATED)
         seq.append(last)

@@ -19,6 +19,7 @@ from pentaform import (
     random_game,
     restrict,
     subform,
+    subroots,
     subroots_sorted,
     utility_of_run,
     validate_strategy,
@@ -46,6 +47,7 @@ from pentaform.game import (
     piece_game,
 )
 from pentaform.numbers import make_profile, profiles_equal
+from pentaform.partition import EXIT_TO_SUBROOT, FINAL_ENDNODE, PieceRunClass
 from pentaform.stationary import (
     SOLVE_MAX_SWEEPS,
     SOLVE_TOL,
@@ -63,6 +65,7 @@ from pentaform.stationary import (
     simple_cycles,
     validate_stationary_strategy,
 )
+from pentaform.strategy import TERMINATED, SubrootSequence
 
 
 def random_strategy(form: Pentaform, rng: random.Random) -> dict:
@@ -425,6 +428,41 @@ def piece_form_persistent(g: Game, s: dict, values: dict) -> Verdict:
             return Verdict(False, {"subroot": t, "value": dict(v[t]),
                                    "expected": dict(expected), "via": last})
     return Verdict(True)
+
+
+# -- piece-form walks: each builds the piece form and traces it, as
+# `piece_outcome`, `subroot_sequence` and `classify_piece_run` did before they
+# walked the form in place ----------------------------------------------------
+
+
+def piece_form_piece_outcome(p: Pentaform, t: str, restriction: dict) -> tuple:
+    piece = piece_form(p, t)
+    missing = sorted(piece.situations - set(restriction))
+    if missing:
+        raise ValueError(f"restriction is partial on the piece: missing {missing}")
+    return outcome(piece, restriction)
+
+
+def piece_form_subroot_sequence(p: Pentaform, s: dict, t0: str) -> SubrootSequence:
+    ts = subroots(p)
+    if t0 not in ts:
+        raise ValueError(f"{t0!r} is not a subroot")
+    seq = [t0]
+    while True:
+        run = piece_form_piece_outcome(p, seq[-1], restrict(s, piece_form(p, seq[-1]).situations))
+        if run[-1] not in ts:
+            return SubrootSequence(tuple(seq), TERMINATED)
+        seq.append(run[-1])
+
+
+def piece_form_classify_piece_run(p: Pentaform, t: str, n) -> PieceRunClass:
+    piece = piece_form(p, t)
+    nt = tuple(n)
+    if not piece.is_run(nt):
+        raise ValueError(f"{nt!r} is not a run of the piece at {t!r}")
+    if nt[-1] in subroots(p):
+        return PieceRunClass(EXIT_TO_SUBROOT, subroot=nt[-1])
+    return PieceRunClass(FINAL_ENDNODE, completed_run=p.weak_predecessors(nt[-1]))
 
 
 def is_absentminded(form: Pentaform) -> bool:
@@ -874,7 +912,7 @@ def reference_solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     order = sorted(subroots_sorted(g.form), key=lambda t: (-g.form.depth(t), t))
     for t in order:
         pg = piece_game(g, values, t)
-        for profile in enumerate_piece_profiles(pg.form):
+        for profile in enumerate_piece_profiles(pg.form, pg.form.situations, t):
             if is_pure_nash(pg, profile):
                 values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
                 chosen.update(profile)
@@ -895,7 +933,8 @@ def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailu
         for c in sorted(sys.classes):
             qg = quotient_piece_game(sys, c, w)
             chosen = None
-            for profile in enumerate_piece_profiles(qg.form, largest_first=True):
+            for profile in enumerate_piece_profiles(qg.form, qg.form.situations, qg.form.root,
+                                                   largest_first=True):
                 if is_pure_nash(qg, profile):
                     chosen = profile
                     break

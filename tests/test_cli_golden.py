@@ -3,9 +3,10 @@ fixture game/strategy pairs, the stationary actions on the fixture systems,
 `certify` of the calm cry-wolf strategy and of the chain fixtures' always-in
 and always-out strategies, `convergence` on the systems of `SYSTEMS`, `solve`
 on the systems of `QUOTIENT_SYSTEMS`, `validate` on one malformed quintuple
-set per axiom, `solve` on the games of `GAMES`, and the subgame checks on
-cry-wolf under the strategies of `WOLF_STRATEGIES`, compared against recorded
-files.
+set per axiom, `solve` on the games of `GAMES`, the subgame checks on
+cry-wolf under the strategies of `WOLF_STRATEGIES`, and loads of the texts
+of `BAD_NUMBERS` (outside the number grammar) as a game utility, a system's
+beta and a system reward, compared against recorded files.
 
 Each command runs in-process through `cli.main` from a copy of the repository
 root's `fixtures/` (so relative paths print as in the README), into which the
@@ -314,6 +315,27 @@ def _solve_cases():
         yield f"solve-{name}", ["solve", f"fixtures/{name}.game"]
 
 
+# texts outside the number grammar, each written into a copy of
+# fixtures/entry.game as Ent's utility at endnode 7 (field utilities.7.Ent)
+# and into a copy of fixtures/crywolf.system as its beta (model.beta) or as
+# Kid's reward at the terminal exit 4 of class day
+BAD_NUMBERS = {
+    "exponent": "1e5000",
+    "underscore": "1_0",
+    "space": " 1",
+    "digits5000": "7" * 5000,
+    "zero-denominator": "1/0",
+}
+
+
+def _number_cases():
+    for name in BAD_NUMBERS:
+        yield f"solve-number-{name}", ["solve", f"fixtures/number-{name}.game"]
+        for field in ("beta", "reward"):
+            yield (f"stationary-number-{field}-{name}",
+                   ["stationary", f"fixtures/number-{field}-{name}.system", "solve"])
+
+
 # strategies of the cry-wolf game, situation → action: under `wolf_kid`, Kid's
 # first improving one-piece deviation (at the root, '1' → 'c') leaves the root
 # piece through the subroot '6', so its witness names the end of obeying the
@@ -339,7 +361,7 @@ def _wolf_check_cases():
 
 
 CASES = dict([*_README, *_check_cases(), *_stationary_cases(), *_validate_cases(), *_solve_cases(),
-              *_wolf_check_cases()])
+              *_wolf_check_cases(), *_number_cases()])
 
 
 def _written_file(argv):
@@ -381,6 +403,18 @@ def _workdir(base: Path) -> Path:
     wolf = json.loads((base / "fixtures" / "crywolf_depth2.pentaform").read_text(encoding="utf-8"))
     wolf_game = _game(["Kid", "Town", "Wolf"], wolf["quintuples"], CRYWOLF_DEPTH2_UTILITIES)
     (base / "fixtures" / "crywolf_depth2.game").write_text(json.dumps(wolf_game), encoding="utf-8")
+    for name, text in BAD_NUMBERS.items():
+        game = json.loads((ROOT / "fixtures" / "entry.game").read_text(encoding="utf-8"))
+        game["utilities"]["7"]["Ent"] = text
+        (base / "fixtures" / f"number-{name}.game").write_text(json.dumps(game), encoding="utf-8")
+        for field in ("beta", "reward"):
+            system = json.loads((ROOT / "fixtures" / "crywolf.system").read_text(encoding="utf-8"))
+            if field == "beta":
+                system["model"]["beta"] = text
+            else:
+                system["classes"]["day"]["exits"]["4"]["terminal"]["Kid"] = text
+            (base / "fixtures" / f"number-{field}-{name}.system").write_text(json.dumps(system),
+                                                                             encoding="utf-8")
     return base
 
 
@@ -407,6 +441,29 @@ def test_undeclared_cycle_is_named_on_stderr(workdir, monkeypatch, capsys):
     assert main(CASES["stationary-undeclared-convergence"]) == 2
     assert capsys.readouterr().err == ("error: fixtures/undeclared.system: absolute-terminal model must "
                                        "declare exactly the simple class cycles; missing [('c',)], unknown []\n")
+
+
+_NUMBER_ERRORS = {
+    "exponent": "cannot parse number '1e5000'",
+    "underscore": "cannot parse number '1_0'",
+    "space": "cannot parse number ' 1'",
+    "digits5000": "number '77777777777777777777'… (5000 characters) has more than 4300 digits",
+    "zero-denominator": "number '1/0' has a zero denominator",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+def test_bad_numbers_are_named_on_stderr(name, workdir, monkeypatch, capsys):
+    """Outside the number grammar, a load exits 2 before any stdout, naming
+    the file, the field and the text."""
+    monkeypatch.chdir(workdir)
+    for argv, where in (
+            (CASES[f"solve-number-{name}"], f"fixtures/number-{name}.game: utilities.7.Ent"),
+            (CASES[f"stationary-number-beta-{name}"], f"fixtures/number-beta-{name}.system: model.beta"),
+            (CASES[f"stationary-number-reward-{name}"],
+             f"fixtures/number-reward-{name}.system: classes.day.exits.4.Kid")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {where}: {_NUMBER_ERRORS[name]}\n")
 
 
 def test_golden_instantiation_is_the_fixture():

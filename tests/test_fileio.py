@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from pentaform.fixtures import (
     entry_spe_strategy,
     entry_values,
 )
-from pentaform.numbers import format_scalar, parse_scalar, repeating_decimal, render_scalar
+from pentaform.numbers import MAX_DIGITS, format_scalar, parse_scalar, repeating_decimal, render_scalar
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -36,6 +37,27 @@ def test_decimal_strings_parse_exactly():
     assert parse_scalar("0.40") == F(2, 5)
     with pytest.raises(ValueError):
         parse_scalar("zzz")
+
+
+def test_number_grammar_is_strict():
+    assert parse_scalar("-12.50") == F(-25, 2)
+    assert parse_scalar("-19/45") == F(-19, 45)
+    assert parse_scalar("007") == 7
+    assert parse_scalar("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+    for text in ("1e5", "1E5", "1_0", " 1", "1 ", "+1", ".5", "5.", "-", "", "1.5/2", "1/-2",
+                 "--1", "1/0", "0x10", "nan", "Infinity", "١", "9" * (MAX_DIGITS + 1),
+                 "1/" + "1" * (MAX_DIGITS + 1), "0." + "1" * MAX_DIGITS):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+def test_formatted_numbers_stay_inside_the_grammar():
+    rng = random.Random(0)
+    for _ in range(500):
+        x = F(rng.randint(-10**30, 10**30), rng.choice([1, 2, 3, 8, 10, 125, 7 * 10**9, 10**40]))
+        text = format_scalar(x)
+        assert parse_scalar(text) == x, text
+    assert format_scalar(F(10**MAX_DIGITS - 1, 3)) == "3" * MAX_DIGITS
 
 
 def test_repeating_decimal_rendering():

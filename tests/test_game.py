@@ -300,7 +300,7 @@ def test_solve_backward_no_pure_equilibrium():
     mp = matching_pennies()
     result = solve_backward(mp)
     assert isinstance(result, NoPureEquilibrium) and result.subroot == "r"
-    profiles = list(enumerate_piece_profiles(mp.form))
+    profiles = list(enumerate_piece_profiles(mp.form, mp.form.situations, "r"))
     assert len(profiles) == 4
     assert not any(is_pure_nash(mp, p) for p in profiles)
 

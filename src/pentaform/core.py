@@ -189,9 +189,10 @@ class Pentaform:
 
     Instances are immutable and are produced by :func:`validate` or by trusted
     ``Pentaform(...)`` construction, which checks no axiom and must only
-    receive a pentaform.  Subforms and pieces are pentaforms by the paper's
-    propositions, so `_part` builds them trusted from their parent's index;
-    the differential tests check every one they build.
+    receive a pentaform.  That constructor is the one trusted way to build a
+    form: subforms and pieces are pentaforms by the paper's propositions, so
+    `partition` builds them with it, and the differential tests check every
+    one they build.
     """
 
     __slots__ = (
@@ -226,24 +227,6 @@ class Pentaform:
         self._children = {w: tuple(sorted(cs)) for w, cs in children.items()}
         self._info_sets = {j: frozenset(v) for j, v in info.items()}
         self._action_sets = {j: frozenset(v) for j, v in acts.items()}
-
-    def _part(self, quintuples: tuple[Quintuple, ...]) -> Pentaform:
-        """The pentaform made of `quintuples`: a subsequence of this form's
-        canonical tuple that holds every quintuple of each situation it meets,
-        as a subform or a piece does.  Its maps are this form's, restricted:
-        no second sort, and no quintuple is hashed."""
-        part = Pentaform.__new__(Pentaform)
-        part.quintuples = quintuples
-        part._player_of = {t.situation: t.player for t in quintuples}
-        part._situation_of = {t.decision_node: t.situation for t in quintuples}
-        part._next = {(t.decision_node, t.action): t.successor for t in quintuples}
-        part._pred = {t.successor: t.decision_node for t in quintuples}
-        part._pred_action = {t.successor: t.action for t in quintuples}
-        part._children = {w: self._children[w] for w in part._situation_of}
-        part._info_sets = {j: self._info_sets[j] for j in part._player_of}
-        part._action_sets = {j: self._action_sets[j] for j in part._player_of}
-        part._grow()
-        return part
 
     def _grow(self) -> None:
         """Node sets, root and depths of an indexed pentaform."""

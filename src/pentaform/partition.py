@@ -10,12 +10,12 @@ subroot or at a final endnode (never infinitely, for explicit finite forms).
 The partition is fully described by which subroot owns each decision node:
 `piece_owners` fills that map once per form and keeps it on the form.  The
 engine walks pieces in place from it (`piece_decision_nodes`,
-`classify_piece_run`, the solvers and the CLI's piece listing); only the API
-functions `subform`, `piece_form`, `piece_partition` and
-`classify_piece_endnodes` build subforms and pieces.  They are built trusted
-from the parent's index (``Pentaform._part``): the paper's propositions prove
-each is a pentaform, and the differential tests check them against a
-reference axiom check.
+`classify_piece_run`, `classify_piece_endnodes`, the solvers and the CLI's
+piece listing); only the API functions `subform`, `piece_form` and
+`piece_partition` build subforms and pieces.  They are built with the
+trusted ``Pentaform(...)`` constructor: the paper's propositions prove each
+is a pentaform, and the differential tests check them against a reference
+axiom check.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def subform(p: Pentaform, t: str) -> Pentaform:
     """The pentaform of all quintuples weakly after subroot t (root t)."""
     _require_subroot(p, t)
     below = set(p.subtree_nodes(t))
-    return p._part(tuple(q for q in p.quintuples if q.decision_node in below))
+    return Pentaform(q for q in p.quintuples if q.decision_node in below)
 
 
 def piece_owners(p: Pentaform) -> Mapping[str, str]:
@@ -124,7 +124,7 @@ def piece_partition(p: Pentaform) -> Mapping[str, Pentaform]:
     buckets: dict[str, list[Quintuple]] = {t: [] for t in subroots_sorted(p)}
     for q in p.quintuples:
         buckets[owner[q.decision_node]].append(q)
-    pieces = {t: p._part(tuple(qs)) for t, qs in buckets.items()}
+    pieces = {t: Pentaform(qs) for t, qs in buckets.items()}
     return MappingProxyType(pieces)
 
 
@@ -145,23 +145,22 @@ class PieceEndnodes:
 def classify_piece_endnodes(p: Pentaform) -> PieceEndnodes:
     """Split each piece's endnodes and verify they tile T ∪ (Y \\ W).
 
+    A piece's endnodes are the children of its decision nodes that it does
+    not own, read from the piece-owner map: no piece form is built.
     {{r}} together with the nonempty piece-endnode sets partitions the union
     of the subroots and the final endnodes; a failure here is an engine bug,
     not a user error.
     """
     ts = subroots(p)
-    parts = piece_partition(p)
-    exits: dict[str, frozenset] = {}
-    finals: dict[str, frozenset] = {}
-    seen: list[str] = [p.root]
-    for t, piece in parts.items():
-        ends = piece.endnodes
-        exits[t] = frozenset(e for e in ends if e in ts)
-        finals[t] = frozenset(e for e in ends if e not in ts)
-        assert finals[t] <= p.endnodes
-        seen.extend(sorted(ends))
+    owner = piece_owners(p)
+    ends: dict[str, set[str]] = {t: set() for t in subroots_sorted(p)}
+    for x, t in owner.items():
+        ends[t].update(y for _, y in p.children(x) if owner.get(y) != t)
+    seen = [p.root] + [y for piece_ends in ends.values() for y in piece_ends]
     expected = sorted(ts | p.endnodes)
     assert sorted(seen) == expected, "piece endnodes do not tile the subroots and final endnodes"
+    exits = {t: frozenset(piece_ends & ts) for t, piece_ends in ends.items()}
+    finals = {t: frozenset(piece_ends - ts) for t, piece_ends in ends.items()}
     return PieceEndnodes(MappingProxyType(exits), MappingProxyType(finals))
 
 

@@ -17,9 +17,13 @@ class graph admits aperiodic infinite runs are only partially specified.
 Each model holds one pricing rule, `step(reward, w)`: the value of a continue
 exit with that reward into a piece worth w (r + β·w, or w as-is), plus the
 value of circling a class cycle forever.  Everything else prices by folding
-`step`: a class value steps back from the class its exit enters, a piece
-game's continue exits step to the next class value, and an endnode of an
-unfolding folds `step` over the continue exits on its class path.
+`step`: a class value steps back from the class its exit enters, and an
+endnode of an unfolding folds `step` over the continue exits on its class
+path.  One step of the value recursion is `_exit_prices`: every exit of a
+class priced against class values w, a terminal exit at its profile and a
+continue exit at step(reward, w[next]).  Persistence, piecewise-Nashness,
+the quotient piece game, policy iteration and value iteration all price
+exits with it.
 
 Each model also owns every other decision that depends on it: `validated`
 (β and finite rewards, or exactly the simple class cycles declared),
@@ -33,6 +37,7 @@ Everything infinite is analyzed on the finite class quotient: continuation
 values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
 concrete subgame is a positive affine image of the quotient, so one Nash scan
 per class settles piecewise-Nashness for all infinitely many pieces at once.
+The scans walk each class template in place and build no game.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ from .game import (
     ResourceCapError,
     Verdict,
     _best_deviation,
+    _nash_witness,
     enumerate_piece_profiles,
     first_nash_point,
-    nash_check,
     profile_cap,
 )
 from .numbers import Profile, Scalar, is_finite, make_profile, profiles_equal
@@ -646,51 +651,51 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
 
     Every class starts at its smallest exit label.  Each round evaluates the
     policy exactly with `_chain_values`, then prices every exit one step
-    ahead of those values and switches a class to the first exit, in label
-    order, that strictly beats its current one.  A strict switch makes the
-    new policy's value at least as good in every class and strictly better
-    in the switched ones (the policy improvement theorem), so no policy
-    recurs and the rounds end; the policy they end with admits no strict
-    improvement, so its values are the Bellman fixed point."""
-    model = sys.model
-    exits = {c: [cls.exits[label] for label in sorted(cls.exits)] for c, cls in sorted(sys.classes.items())}
-    policy = {c: options[0] for c, options in exits.items()}
+    ahead of those values (`_exit_prices`) and switches a class to the first
+    exit, in label order, that strictly beats its current one.  A strict
+    switch makes the new policy's value at least as good in every class and
+    strictly better in the switched ones (the policy improvement theorem), so
+    no policy recurs and the rounds end; the policy they end with admits no
+    strict improvement, so its values are the Bellman fixed point."""
+    labels = {c: sorted(cls.exits) for c, cls in sorted(sys.classes.items())}
+    policy = {c: ys[0] for c, ys in labels.items()}
     while True:
-        w = _chain_values(sys, policy)
-
-        def ahead(e: Exit) -> Scalar:
-            return sign * (e.reward[k] if e.is_terminal else model.step(e.reward, w[e.next_class])[k])
-
+        w = _chain_values(sys, {c: sys.classes[c].exits[y] for c, y in policy.items()})
         switched = False
-        for c, options in exits.items():
-            best, best_value = policy[c], ahead(policy[c])
-            for e in options:
-                value = ahead(e)
-                if value > best_value:
-                    best, best_value = e, value
-            if best is not policy[c]:
+        for c, ys in labels.items():
+            ahead = {y: sign * price[k] for y, price in _exit_prices(sys, c, w).items()}
+            best = policy[c]
+            for y in ys:
+                if ahead[y] > ahead[best]:
+                    best = y
+            if best != policy[c]:
                 policy[c] = best
                 switched = True
         if not switched:
-            return {c: w[c][k] for c in exits}
+            return {c: w[c][k] for c in labels}
 
 
 # -- quotient piece games and property checkers -------------------------------------
 
 
+def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> dict[str, Profile]:
+    """What each exit of class cid pays against class values w: a terminal
+    exit its profile, a continue exit the model's step into the value of the
+    class it enters.  This is one step of the value recursion, and every
+    quotient check and solver prices a class's exits with it."""
+    step = sys.model.step
+    return {y: e.reward if e.is_terminal else step(e.reward, w[e.next_class])
+            for y, e in sys.classes[cid].exits.items()}
+
+
 def quotient_piece_game(sys: StationarySystem, cid: str,
                         continuation: Mapping[str, Mapping[str, object]]) -> Game:
-    """The class template priced as a piece game: terminal exits keep their
-    profiles, continue exits step to the continuation of the class they enter."""
+    """The class template as a piece game whose exits pay `_exit_prices`
+    against the continuation of the classes they enter."""
     cls = sys.classes[cid]
-    utils: dict[str, Profile] = {}
-    for label, e in cls.exits.items():
-        if e.is_terminal:
-            utils[label] = dict(e.reward)
-        else:
-            w = make_profile(continuation[e.next_class], sys.stakeholders)
-            utils[label] = sys.model.step(e.reward, w)
-    return Game(cls.template, sys.stakeholders, utils)
+    w = {e.next_class: make_profile(continuation[e.next_class], sys.stakeholders)
+         for e in cls.exits.values() if not e.is_terminal}
+    return Game(cls.template, sys.stakeholders, _exit_prices(sys, cid, w))
 
 
 def stationary_authentic(sys: StationarySystem, sigma, values) -> Verdict:
@@ -709,10 +714,9 @@ def stationary_persistent(sys: StationarySystem, sigma, values) -> Verdict:
     sigma = validate_stationary_strategy(sys, sigma)
     v = _check_class_values(sys, values)
     for c in sorted(sys.classes):
-        e = _sigma_exit(sys, sigma, c)
-        expected = dict(e.reward) if e.is_terminal else sys.model.step(e.reward, v[e.next_class])
+        expected = _exit_prices(sys, c, v)[outcome(sys.classes[c].template, sigma[c])[-1]]
         if not profiles_equal(v[c], expected):
-            return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
+            return Verdict(False, {"class": c, "value": dict(v[c]), "expected": dict(expected)})
     return Verdict(True)
 
 
@@ -731,16 +735,16 @@ def stationary_admissible(sys: StationarySystem, values) -> Verdict:
 
 
 def stationary_piecewise_nash(sys: StationarySystem, sigma, values) -> Verdict:
-    """One Nash scan per class on the quotient piece game settles all pieces:
-    each concrete piece's utilities are a positive affine image of the
-    quotient's, which preserves best responses."""
+    """One Nash scan per class settles all pieces: each template is searched
+    in place with its exits priced by `_exit_prices` against the class
+    values, and each concrete piece's utilities are a positive affine image
+    of those prices, which preserves best responses.  No game is built."""
     sigma = validate_stationary_strategy(sys, sigma)
     v = _check_class_values(sys, values)
     for c in sorted(sys.classes):
-        qg = quotient_piece_game(sys, c, v)
-        verdict = nash_check(qg, sigma[c])
-        if not verdict.holds:
-            witness = dict(verdict.witness)
+        template = sys.classes[c].template
+        witness = _nash_witness(template, sigma[c], template.root, _exit_prices(sys, c, v))
+        if witness is not None:
             witness["class"] = c
             return Verdict(False, witness)
     return Verdict(True)
@@ -928,9 +932,8 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     Nash point of its quotient piece game under the current continuation
     (ties broken toward the lexicographically largest action profile, which
     favors staying in the game when indifferent).  A sweep prices each
-    class's exits once (the reward of a terminal exit, the model's step into
-    the current value of the class a continue exit enters) and scans the
-    class's table (`_ClassTable`), which is built once per solve: it builds
+    class's exits once against the current values (`_exit_prices`) and scans
+    the class's table (`_ClassTable`), which is built once per solve: it builds
     no game, enumerates no profile twice and walks no deviation again.  When
     the selected strategy repeats and the sup-norm change is below
     SOLVE_TOL, the strategy is evaluated exactly; it is returned only if
@@ -947,14 +950,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     """
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("solve_stationary requires a discounted-accumulation model")
-    step = sys.model.step
     tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
-
-    def priced(w: Mapping[str, Profile]) -> dict[str, dict[str, Profile]]:
-        return {c: {y: e.reward if e.is_terminal else step(e.reward, w[e.next_class])
-                    for y, e in cls.exits.items()}
-                for c, cls in sys.classes.items()}
-
     w = {c: sys.zero_profile() for c in sys.classes}
     sigma_prev: dict | None = None
     marked = None
@@ -964,24 +960,23 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
             break
         if sweep & (sweep - 1) == 0:  # 0 or a power of two
             marked = state
-        prices = priced(w)
         new_w: dict[str, Profile] = {}
         new_sigma: dict[str, dict] = {}
         ends: dict[str, str] = {}
         for c, table in tables.items():
-            chosen = table.nash_point(table.rows(), prices[c])
+            prices = _exit_prices(sys, c, w)
+            chosen = table.nash_point(table.rows(), prices)
             if chosen is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
             new_sigma[c] = chosen
             ends[c] = outcome(table.template, chosen)[-1]
-            new_w[c] = prices[c][ends[c]]
+            new_w[c] = prices[ends[c]]
         settled = (new_sigma == sigma_prev
                    and max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c]) < SOLVE_TOL)
         w, sigma_prev = new_w, new_sigma
         if settled:
             exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
-            prices = priced(exact)
-            if all(table.nash_point([(new_sigma[c], ends[c])], prices[c]) is not None
+            if all(table.nash_point([(new_sigma[c], ends[c])], _exit_prices(sys, c, exact)) is not None
                    for c, table in tables.items()):
                 return StationarySolution(new_sigma, exact)
             w = exact

@@ -8,17 +8,18 @@ ever reads on-path situations, which keeps the restriction algebra exact.
 `outcome` is the one tracer: it follows s from the root, or from any given
 node, so the outcome of the subgame at a subroot t is `outcome(p, s, t)`.
 A piece run is the same trace confined to the piece's decision nodes, so
-`piece_outcome` and `subroot_sequence` walk the form in place and build no
-piece form.  Single moves are `Pentaform.next_node`.
+`subform_outcome`, `piece_outcome` and `subroot_sequence` walk the form in
+place and build no subform or piece form.  Single moves are
+`Pentaform.next_node`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping
 
 from .core import Pentaform
-from .partition import piece_decision_nodes, subform, subroots
+from .partition import _require_subroot, piece_decision_nodes, subroots
 
 Strategy = dict  # situation -> action
 
@@ -84,10 +85,13 @@ def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None,
 
 
 def subform_outcome(p: Pentaform, t: str, restriction: Mapping[str, str]) -> tuple[str, ...]:
-    """The run of the subform at t under a restriction total on its situations."""
-    sub = subform(p, t)
-    _require_total(restriction, sub.situations, "subform")
-    return outcome(sub, restriction)
+    """The run of the subform at t under a restriction total on its situations,
+    traced in place from t: the subform's situations are those of the
+    decision nodes below t, and no subform is built."""
+    _require_subroot(p, t)
+    below = {p.situation_of(x) for x in p.subtree_nodes(t) if x in p.decision_nodes}
+    _require_total(restriction, below, "subform")
+    return outcome(p, restriction, t)
 
 
 def piece_outcome(p: Pentaform, t: str, restriction: Mapping[str, str]) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ import pytest
 from pentaform import (
     Game,
     Verdict,
+    nash_check,
     outcome,
     piece_form,
     player_situations,
@@ -814,6 +815,18 @@ def reference_stationary_persistent(sys, sigma, values) -> Verdict:
             expected = dict(v[e.next_class])
         if not profiles_equal(v[c], expected):
             return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
+    return Verdict(True)
+
+
+def reference_stationary_piecewise_nash(sys, sigma, values) -> Verdict:
+    """One `nash_check` per class on the reference quotient piece game, as the
+    check ran before it searched each template in place."""
+    sigma = validate_stationary_strategy(sys, sigma)
+    v = {c: make_profile(values[c], sys.stakeholders) for c in sorted(values)}
+    for c in sorted(sys.classes):
+        verdict = nash_check(reference_quotient_piece_game(sys, c, v), sigma[c])
+        if not verdict.holds:
+            return Verdict(False, {**verdict.witness, "class": c})
     return Verdict(True)
 
 

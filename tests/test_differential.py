@@ -6,15 +6,17 @@ to the next subroot) against searches of built subform and piece games, with
 the moves and form builds they make counted on deep chains, the class graph
 test for aperiodic runs against its SCC definition, the stationary unfolding
 and value code (one pricing rule per utility model) against the per-model
-branches they replaced, the discounted conceivable bounds (policy iteration)
-against the enumeration of every exit policy, every model's bounds and
-convergence verdicts against the per-model reference code, the values of
-every certified stationary SPE against the authentic, persistent and
-admissible checks, both solvers' Nash-point search (best responses shared
-between profiles) against the reference scans that run a full Nash check on
-every profile and against the tuple-keyed memo (results and peak memory),
-value iteration's deviation walks and game builds counted, and deep forms
-that must not exhaust the interpreter's recursion depth."""
+branches they replaced, the in-place piecewise-Nash scan of each class
+template against `nash_check` on the reference quotient piece game (and
+certification's game builds counted), the discounted conceivable bounds
+(policy iteration) against the enumeration of every exit policy, every
+model's bounds and convergence verdicts against the per-model reference
+code, the values of every certified stationary SPE against the authentic,
+persistent and admissible checks, both solvers' Nash-point search (best
+responses shared between profiles) against the reference scans that run a
+full Nash check on every profile and against the tuple-keyed memo (results
+and peak memory), value iteration's deviation walks and game builds counted,
+and deep forms that must not exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ from pentaform import (
     StationarySystem,
     authentic_value,
     check_axioms,
+    classify_piece_endnodes,
     classify_piece_run,
     induced_strategy,
     nash_check,
@@ -56,6 +59,7 @@ from pentaform import (
     solve_backward,
     spe_check_direct,
     subform,
+    subform_outcome,
     subroot_sequence,
     subroots,
     validate,
@@ -90,6 +94,7 @@ from pentaform.stationary import (
     stationary_admissible,
     stationary_authentic,
     stationary_persistent,
+    stationary_piecewise_nash,
     truncated_game,
     value_at,
 )
@@ -121,6 +126,7 @@ from conftest import (
     reference_solve_stationary,
     reference_stationary_convergence,
     reference_stationary_persistent,
+    reference_stationary_piecewise_nash,
     reference_truncated_game,
     reference_value_at,
     scc_has_aperiodic_runs,
@@ -407,6 +413,31 @@ def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: ra
             v = value_at(sys_, sigma, t)
             assert v == reference_value_at(sys_, sigma, t)
             _assert_priced(v)
+
+
+def test_stationary_piecewise_nash_matches_reference(tmp_path):
+    """The in-place scan of each class template gives the verdict and
+    witness of `nash_check` on the reference quotient piece game, at the
+    authentic values of random strategies and at those values perturbed in
+    one class, on random, ring, bimatrix and fixture systems."""
+    systems = [random_discounted_system(seed) for seed in range(80)]
+    systems += [random_ring_system(seed) for seed in range(6)]
+    systems += [_bimatrix_system(seed) for seed in range(30)]
+    systems += [WOLF, ann_chain(), bob_chain(), eda_chain()]
+    systems += [_quotient_system(name, tmp_path) for name in ("gen3", "gen5")]
+    rng = random.Random(2107)
+    verdicts = Counter()
+    for sys_ in filter(None, systems):
+        for _ in range(2):
+            sigma = _random_stationary_strategy(sys_, rng)
+            w = continuation_values(sys_, sigma)
+            c = rng.choice(sorted(w))
+            shifted = {**w, c: {k: x + rng.choice([-3, -1, 1, 3]) for k, x in w[c].items()}}
+            for values in (w, shifted):
+                verdict = stationary_piecewise_nash(sys_, sigma, values)
+                assert verdict == reference_stationary_piecewise_nash(sys_, sigma, values)
+                verdicts[verdict.holds] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -857,19 +888,18 @@ def test_solve_and_inspect_build_no_piece_form(tmp_path, monkeypatch, capsys):
     g = _chain(1000, "Solo")
     fileio.save_game(tmp_path / "chain.game", g)
     fileio.save_pentaform(tmp_path / "chain.pentaform", g.form)
-    parts = _count_calls(monkeypatch, "_part")
     grows = _count_calls(monkeypatch, "_grow")
     games = _count_games(monkeypatch)
     assert solve_backward(g) == BackwardSolution({f"s{k:05d}": "in" for k in range(1000)},
                                                  {f"w{k:05d}": {"Solo": 0} for k in range(1000)})
-    assert (len(parts), len(grows), len(games)) == (0, 0, 0)
+    assert (len(grows), len(games)) == (0, 0)
     assert cli.main(["solve", str(tmp_path / "chain.game")]) == 0
-    assert (len(parts), len(grows), len(games)) == (0, 1, 1)
+    assert (len(grows), len(games)) == (1, 1)
     grows.clear()
     games.clear()
     dot = tmp_path / "chain.dot"
     assert cli.main(["inspect", str(tmp_path / "chain.pentaform"), "--pieces", "--dot", str(dot)]) == 0
-    assert (len(parts), len(grows), len(games)) == (0, 1, 0)
+    assert (len(grows), len(games)) == (1, 0)
     assert "piece partition covers 2000/2000 quintuples in 1000 pieces" in capsys.readouterr().out
 
 
@@ -882,6 +912,19 @@ def test_subroot_sequences_build_no_piece_form(monkeypatch):
     grows = _count_calls(monkeypatch, "_grow")
     assert subroot_sequence(g.form, s, "w00999") == SubrootSequence(("w00999",), TERMINATED)
     assert len(subroot_sequence(g.form, s, "w00000").subroots) == 1000
+    assert grows == []
+
+
+def test_subform_outcome_and_piece_endnodes_build_no_form(monkeypatch):
+    """On a fresh 1,000-node chain, the subform outcome at a subroot and the
+    piece-endnode split walk the form in place: no form is built."""
+    g = _chain(1000, "Walker")
+    s = {f"s{k:05d}": "in" for k in range(1000)}
+    grows = _count_calls(monkeypatch, "_grow")
+    assert subform_outcome(g.form, "w00500", s)[-1] == outcome(g.form, s)[-1]
+    report = classify_piece_endnodes(g.form)
+    assert report.exits_to_subroots["w00998"] == {"w00999"}
+    assert len(report.final_endnodes["w00999"]) == 2
     assert grows == []
 
 
@@ -1242,3 +1285,17 @@ def test_solve_stationary_walks_each_deviation_once_and_builds_no_game(name, tmp
     assert _kind(result) == ("no-convergence" if name == "gen5" else "solved")
     assert games == 0
     assert 0 < len(keys) == len(set(keys))
+
+
+def test_certify_spe_builds_no_game(tmp_path, monkeypatch):
+    """Certification scans each class template in place: no game is built on
+    cry-wolf or on a generated five-class system (a game per class and
+    check before)."""
+    gen5 = _quotient_system("gen5", tmp_path)
+    first = {c: {j: min(cls.template.action_set(j)) for j in cls.template.situations}
+             for c, cls in gen5.classes.items()}
+    games = _count_games(monkeypatch)
+    assert certify_spe(WOLF, cry_wolf_calm_strategy()).kind == SPE_CERTIFIED
+    assert certify_spe(gen5, first).kind == stationary.REFUTED
+    assert len(gen5.classes) == 5
+    assert games == []

@@ -37,14 +37,15 @@ Everything infinite is analyzed on the finite class quotient: continuation
 values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
 concrete subgame is a positive affine image of the quotient, so one Nash scan
 per class settles piecewise-Nashness for all infinitely many pieces at once.
-The scans walk each class template in place and build no game.
+The scans walk each class template in place and build no game.  One
+breadth-first class-graph walk (`StationarySystem._walk`) serves reachability,
+the absolute-terminal bounds and `certify_spe`'s best stationary deviation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .convergence import DEFAULT_DEPTH, FAILS, HOLDS, UNKNOWN, ConvergenceVerdict, lower_convergent, upper_convergent
@@ -184,18 +185,23 @@ class AbsoluteTerminal:
 
     def bounds(self, sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
         """Per-class, per-stakeholder (inf, sup) over the defined runs from a
-        fresh class piece: the terminal exits and the declared cycles of the
-        classes it reaches (every class reaches one or the other)."""
-        terminals = {c: [e.reward for _, e in sorted(cls.exits.items()) if e.is_terminal]
-                     for c, cls in sys.classes.items()}
-        cycles = sorted(self.cycle_utilities.items())
+        fresh class piece: where the runs of a walk from the class can end
+        (every class reaches a terminal exit or a declared cycle)."""
         table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {}
         for c in sorted(sys.classes):
-            reach = sys.reachable_from(c)
-            runs = [r for d in sorted(reach) for r in terminals[d]]
-            runs += [prof for cyc, prof in cycles if cyc[0] in reach]
+            runs = [r for r, _, _ in self._run_ends(sys, *sys._walk(c))]
             table[c] = {k: (min(r[k] for r in runs), max(r[k] for r in runs)) for k in sorted(sys.stakeholders)}
         return table
+
+    def _run_ends(self, sys: StationarySystem, tree, edges, exits=None) -> list[tuple]:
+        """Where the stationary runs along a walk can end, as (utility, where,
+        label): each terminal exit `label` that `exits` allows (all by default)
+        of a walked class `where`, then each declared cycle `where` the walk
+        reaches whose edges `exits` all allows, with label None."""
+        ends = [(e.reward, c, y) for c in tree for y, e in sys.classes[c].exits.items()
+                if e.next_class is None and (exits is None or y in exits[c])]
+        return ends + [(prof, cyc, None) for cyc, prof in sorted(self.cycle_utilities.items()) if cyc[0] in tree
+                       and (exits is None or all(pair in edges for pair in zip(cyc, cyc[1:] + cyc[:1])))]
 
     def convergence(self, sys: StationarySystem, direction: str) -> ConvergenceVerdict:
         """Decide each lasso exactly on the quotient.  Every class on a
@@ -243,7 +249,6 @@ class StationarySystem:
     def __init__(self, classes: Mapping[str, PieceClass], initial: str, model,
                  stakeholders: Iterable[str]):
         self.stakeholders = frozenset(str(k) for k in stakeholders)
-        self.model = model
         self.initial = initial
         self._extremes = None  # the model's conceivable bounds, filled on first use
         if not classes:
@@ -279,36 +284,41 @@ class StationarySystem:
                         raise ValueError(f"class {cid!r}: continue labels {a!r} and {b!r} are not prefix-free")
             normalized[cid] = PieceClass(tmpl, exits)
         self.classes = normalized
-        # the class graph, built once: the model's `validated` hook reads it
-        self._successors = {
-            cid: frozenset(e.next_class for e in cls.exits.values() if not e.is_terminal)
-            for cid, cls in normalized.items()
-        }
+        # the class graph, built once: each class's continue exits as (label, exit), in label order
+        self._continues = {cid: [(y, e) for y, e in cls.exits.items() if not e.is_terminal]
+                           for cid, cls in normalized.items()}
 
         if not isinstance(model, (DiscountedAccumulation, AbsoluteTerminal)):
             raise ValueError(f"unknown utility model {model!r}")
         self.model = model.validated(self)
 
-        reachable = self.reachable_from(initial)
-        unreachable = sorted(set(self.classes) - reachable)
+        unreachable = sorted(set(self.classes) - self.reachable_from(initial))
         if unreachable:
             raise ValueError(f"classes {unreachable} are unreachable from the initial class")
 
     # -- class graph -----------------------------------------------------------
 
     def continue_graph(self) -> dict[str, set[str]]:
-        """A copy of the class graph: class → classes its continue exits enter."""
-        return {cid: set(successors) for cid, successors in self._successors.items()}
+        """The class graph: class → classes its continue exits enter."""
+        return {cid: {e.next_class for _, e in continues} for cid, continues in self._continues.items()}
 
     def reachable_from(self, cid: str) -> set[str]:
-        seen = {cid}
-        stack = [cid]
-        while stack:
-            for nxt in self._successors[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+        return set(self._walk(cid)[0])
+
+    def _walk(self, start: str, exits: Mapping[str, set[str]] | None = None):
+        """Breadth-first walk from `start` along the continue exits `exits`
+        allows per class (all by default): the tree, class → (class, label
+        first entering it) or None, in walk order, and each edge's first label."""
+        tree, edges, queue = {start: None}, {}, [start]
+        for c in queue:
+            for y, e in self._continues[c]:
+                if exits is None or y in exits[c]:
+                    d = e.next_class
+                    edges.setdefault((c, d), y)
+                    if d not in tree:
+                        tree[d] = (c, y)
+                        queue.append(d)
+        return tree, edges
 
     def zero_profile(self) -> Profile:
         return {k: Fraction(0) for k in self.stakeholders}
@@ -368,11 +378,6 @@ def _relabel_situation(prefix: str, local: str) -> str:
     return "+".join(prefix + part for part in local.split("+"))
 
 
-def _continue_exits(sys: StationarySystem, cid: str) -> list[tuple[str, Exit]]:
-    exits = sys.classes[cid].exits
-    return [(label, exits[label]) for label in sorted(exits) if not exits[label].is_terminal]
-
-
 @dataclass(frozen=True)
 class _PieceInstance:
     prefix: str
@@ -400,7 +405,7 @@ def _expand(sys: StationarySystem, depth: int):
                 f"instantiation to depth {depth} needs {needed} quintuples, more than the cap of {cap}")
         nxt: dict[str, int] = {}
         for c, m in multiplicity.items():
-            for _, e in _continue_exits(sys, c):
+            for _, e in sys._continues[c]:
                 nxt[e.next_class] = nxt.get(e.next_class, 0) + m
         if not nxt:
             break
@@ -410,10 +415,10 @@ def _expand(sys: StationarySystem, depth: int):
     pieces, frontier = [root], [root]
     for _ in range(level):  # no piece lies deeper than the last counted level
         frontier = [_PieceInstance(inst.prefix + label, e.next_class, inst.path + (e,))
-                    for inst in frontier for label, e in _continue_exits(sys, inst.class_id)]
+                    for inst in frontier for label, e in sys._continues[inst.class_id]]
         pieces.extend(frontier)
     cuts = [(inst.prefix + label, e.next_class, inst.path + (e,))
-            for inst in frontier for label, e in _continue_exits(sys, inst.class_id)]
+            for inst in frontier for label, e in sys._continues[inst.class_id]]
     return pieces, cuts
 
 
@@ -546,19 +551,20 @@ def induced_strategy(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str
 def validate_stationary_strategy(sys: StationarySystem,
                                  sigma: Mapping[str, Mapping[str, str]]) -> StationaryStrategy:
     """Total and feasible per class template."""
-    missing = sorted(set(sys.classes) - set(sigma))
-    if missing:
-        raise ValueError(f"stationary strategy missing classes {missing}")
-    extra = sorted(set(sigma) - set(sys.classes))
-    if extra:
-        raise ValueError(f"stationary strategy names unknown classes {extra}")
+    _require_classes(sys, sigma, "stationary strategy missing classes", "stationary strategy names unknown classes")
     return {c: validate_strategy(sys.classes[c].template, sigma[c]) for c in sorted(sigma)}
+
+
+def _require_classes(sys: StationarySystem, given: Mapping, missing: str, extra: str) -> None:
+    """Raise ValueError naming the classes that `given` lacks, else those it adds."""
+    for text, names in ((missing, set(sys.classes) - set(given)), (extra, set(given) - set(sys.classes))):
+        if names:
+            raise ValueError(f"{text} {sorted(names)}")
 
 
 def _sigma_exit(sys: StationarySystem, sigma: StationaryStrategy, cid: str) -> Exit:
     cls = sys.classes[cid]
-    end = outcome(cls.template, sigma[cid])[-1]
-    return cls.exits[end]
+    return cls.exits[outcome(cls.template, sigma[cid])[-1]]
 
 
 def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[str, Profile]:
@@ -598,8 +604,7 @@ def continuation_values(sys: StationarySystem,
                         sigma: Mapping[str, Mapping[str, str]]) -> dict[str, Profile]:
     """The value of entering a fresh piece of each class and obeying σ forever."""
     sigma = validate_stationary_strategy(sys, sigma)
-    exit_of = {c: _sigma_exit(sys, sigma, c) for c in sys.classes}
-    return _chain_values(sys, exit_of)
+    return _chain_values(sys, {c: _sigma_exit(sys, sigma, c) for c in sys.classes})
 
 
 def parse_subroot_label(sys: StationarySystem, label: str) -> tuple[list[Exit], str]:
@@ -678,6 +683,13 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
 # -- quotient piece games and property checkers -------------------------------------
 
 
+def _reachable_exits(template: Pentaform, profile: Mapping[str, str], i: str) -> set[str]:
+    """The exits player i can reach against profile: one deviation walk."""
+    ends: set[str] = set()
+    _best_deviation(template, profile, i, template.root, lambda y: ends.add(y) or 0)
+    return ends
+
+
 def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> dict[str, Profile]:
     """What each exit of class cid pays against class values w: a terminal
     exit its profile, a continue exit the model's step into the value of the
@@ -739,24 +751,23 @@ def stationary_piecewise_nash(sys: StationarySystem, sigma, values) -> Verdict:
     in place with its exits priced by `_exit_prices` against the class
     values, and each concrete piece's utilities are a positive affine image
     of those prices, which preserves best responses.  No game is built."""
-    sigma = validate_stationary_strategy(sys, sigma)
-    v = _check_class_values(sys, values)
+    witness = _class_nash_witness(sys, validate_stationary_strategy(sys, sigma), _check_class_values(sys, values))
+    return Verdict(witness is None, witness)
+
+
+def _class_nash_witness(sys: StationarySystem, sigma: StationaryStrategy, v) -> dict | None:
+    """The witness of the first class, in sorted order, where σ is not Nash at values v."""
     for c in sorted(sys.classes):
         template = sys.classes[c].template
         witness = _nash_witness(template, sigma[c], template.root, _exit_prices(sys, c, v))
         if witness is not None:
             witness["class"] = c
-            return Verdict(False, witness)
-    return Verdict(True)
+            return witness
+    return None
 
 
 def _check_class_values(sys: StationarySystem, values) -> dict[str, Profile]:
-    missing = sorted(set(sys.classes) - set(values))
-    if missing:
-        raise ValueError(f"class values missing {missing}")
-    extra = sorted(set(values) - set(sys.classes))
-    if extra:
-        raise ValueError(f"class values given for unknown classes {extra}")
+    _require_classes(sys, values, "class values missing", "class values given for unknown classes")
     return {c: make_profile(values[c], sys.stakeholders) for c in sorted(values)}
 
 
@@ -790,16 +801,17 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
     per class.  A failing scan is a genuine one-piece improvement, so it
     refutes regardless of convergence.  A passing scan certifies under
     lower-convergence (upper-convergence strengthens the certificate's
-    route).  When lower-convergence fails, a stationary unilateral deviation
-    scan may still refute; otherwise the verdict is inconclusive.
+    route).  When lower-convergence fails, each player's best stationary
+    unilateral deviation from the root (`_best_stationary_deviation`) may
+    still refute; otherwise the verdict is inconclusive.  σ is validated once.
     """
     sigma = validate_stationary_strategy(sys, sigma)
     up = upper_convergent(sys)
     lo = lower_convergent(sys)
-    w = continuation_values(sys, sigma)
-    pwn = stationary_piecewise_nash(sys, sigma, w)
-    if not pwn.holds:
-        return Certificate(REFUTED, w, up, lo, witness=pwn.witness,
+    w = _chain_values(sys, {c: _sigma_exit(sys, sigma, c) for c in sys.classes})
+    witness = _class_nash_witness(sys, sigma, w)
+    if witness is not None:
+        return Certificate(REFUTED, w, up, lo, witness=witness,
                            reason="a one-piece deviation improves on the strategy "
                                   "(the values are authentic, so the improvement is genuine)")
     if lo.status == HOLDS:
@@ -808,12 +820,7 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
                     "; upper-convergence not established"))
         return Certificate(SPE_CERTIFIED, w, up, lo, route=route)
     if lo.status == FAILS:
-        try:
-            deviation = _stationary_deviation_scan(sys, sigma, w)
-        except ResourceCapError as skipped:
-            return Certificate(INCONCLUSIVE, w, up, lo,
-                               reason="lower-convergence fails, so piecewise-Nashness does not "
-                                      f"certify, and the stationary deviation scan was not run: {skipped}")
+        deviation = _best_stationary_deviation(sys, sigma, w)
         if deviation is not None:
             return Certificate(REFUTED, w, up, lo, witness=deviation,
                                reason="lower-convergence fails and a stationary unilateral "
@@ -825,40 +832,33 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
                        reason=f"lower-convergence undecided: {lo.certificate}")
 
 
-def _stationary_deviation_scan(sys: StationarySystem, sigma, w) -> dict | None:
-    """Search per-player stationary deviations for a true-utility improvement
-    at the root; exact because deviation values are quotient chain values.
-    Raises ResourceCapError, before searching, for the first player whose
-    stationary choice profiles exceed the cap."""
-    players = sorted({p for cls in sys.classes.values() for p in cls.template.players})
+def _best_stationary_deviation(sys: StationarySystem, sigma: StationaryStrategy, w) -> dict | None:
+    """The best stationary deviation from the root of the first player, in
+    sorted order, who can improve.  Only absolute-terminal runs fail
+    lower-convergence, and each is worth the terminal exit or the declared
+    cycle it ends in, so player i's best deviation against σ₋ᵢ is the best
+    end (`_run_ends`) of a class-graph walk along the exits i can reach.  It
+    follows the walk's tree, entering a cycle at its first class in walk
+    order; an indicator-priced deviation walk gives each class's choices."""
     base = w[sys.initial]
-    for i in players:
-        slots = [(c, j) for c in sorted(sys.classes)
-                 for j in sorted(sys.classes[c].template.situations)
-                 if sys.classes[c].template.player_of(j) == i]
-        pools = [sorted(sys.classes[c].template.action_set(j)) for c, j in slots]
-        count = 1
-        for pool in pools:
-            count *= len(pool)
-        cap = profile_cap()
-        if count > cap:
-            raise ResourceCapError(
-                f"player {i!r} has {count} stationary choice profiles, more than the cap of {cap}")
-        for combo in product(*pools):
-            if all(sigma[c][j] == a for (c, j), a in zip(slots, combo)):
-                continue
-            alt = {c: dict(sigma[c]) for c in sigma}
-            for (c, j), a in zip(slots, combo):
-                alt[c][j] = a
-            w_alt = continuation_values(sys, alt)
-            if w_alt[sys.initial][i] > base[i]:
-                return {
-                    "player": i,
-                    "deviation": {f"{c}:{j}": a for (c, j), a in zip(slots, combo)
-                                  if sigma[c][j] != a},
-                    "strategy_utility": base[i],
-                    "deviation_utility": w_alt[sys.initial][i],
-                }
+    for i in sorted({p for cls in sys.classes.values() for p in cls.template.players}):
+        reach = {c: _reachable_exits(cls.template, sigma[c], i) for c, cls in sys.classes.items()}
+        tree, edges = sys._walk(sys.initial, reach)
+        value, where, label = max(sys.model._run_ends(sys, tree, edges, reach), key=lambda end: end[0][i])
+        if not value[i] > base[i]:
+            continue
+        chosen = ({where: label} if label is not None
+                  else {c: edges[c, d] for c, d in zip(where, where[1:] + where[:1])})
+        c = next(c for c in tree if c in chosen)
+        while tree[c] is not None:
+            c, y = tree[c]
+            chosen[c] = y
+        deviation = {}
+        for c in sorted(chosen):
+            template = sys.classes[c].template
+            _, assign, _ = _best_deviation(template, sigma[c], i, template.root, lambda y, c=c: y == chosen[c])
+            deviation.update({f"{c}:{j}": a for j, a in sorted(assign.items()) if sigma[c][j] != a})
+        return {"player": i, "deviation": deviation, "strategy_utility": base[i], "deviation_utility": value[i]}
     return None
 
 
@@ -905,16 +905,10 @@ class _ClassTable:
             yield row
 
     def reach(self, i: str, key: int, profile: Mapping[str, str]) -> set[str]:
-        ends = self._reach[i].get(key)
-        if ends is None:
-            ends = self._reach[i][key] = set()
-
-            def record(y: str) -> int:
-                ends.add(y)
-                return 0
-
-            _best_deviation(self.template, profile, i, self.template.root, record)
-        return ends
+        reach = self._reach[i]
+        if key not in reach:
+            reach[key] = _reachable_exits(self.template, profile, i)
+        return reach[key]
 
     def nash_point(self, rows: Iterable[tuple[dict, str]], prices: Mapping[str, Profile]):
         """The first Nash point among rows when exit y pays prices[y]: B_i

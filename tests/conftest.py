@@ -852,6 +852,29 @@ def reference_absolute_bounds(sys, cid: str, k: str) -> tuple:
     return min(values), max(values)
 
 
+def reference_stationary_deviation_scan(sys, sigma):
+    """Every stationary unilateral deviation, as (player, deviation, root
+    utility): each player's stationary choice profiles enumerated as a
+    product, σ's own skipped, each priced by `continuation_values`.  The
+    deviation maps "class:situation" to the action wherever it differs from
+    σ.  This is the enumeration `certify_spe` ran before it walked the class
+    graph, without its cap and its stop at the first improvement."""
+    sigma = validate_stationary_strategy(sys, sigma)
+    for i in sorted({p for cls in sys.classes.values() for p in cls.template.players}):
+        slots = [(c, j) for c in sorted(sys.classes)
+                 for j in sorted(sys.classes[c].template.situations)
+                 if sys.classes[c].template.player_of(j) == i]
+        pools = [sorted(sys.classes[c].template.action_set(j)) for c, j in slots]
+        for combo in product(*pools):
+            if all(sigma[c][j] == a for (c, j), a in zip(slots, combo)):
+                continue
+            alt = {c: dict(sigma[c]) for c in sigma}
+            for (c, j), a in zip(slots, combo):
+                alt[c][j] = a
+            deviation = {f"{c}:{j}": a for (c, j), a in zip(slots, combo) if sigma[c][j] != a}
+            yield i, deviation, continuation_values(sys, alt)[sys.initial][i]
+
+
 def reference_stationary_convergence(sys, direction: str) -> ConvergenceVerdict:
     """One branch per utility model; lassos enumerated from the class graph
     and every class on a cycle checked against its own bound."""

@@ -1,7 +1,8 @@
 """Byte-exact CLI output: every README command, every `check` property on the
 fixture game/strategy pairs, the stationary actions on the fixture systems,
-`certify` of the calm cry-wolf strategy and of the chain fixtures' always-in
-and always-out strategies, `convergence` on the systems of `SYSTEMS`, `solve`
+`certify` of the calm cry-wolf strategy, of the chain fixtures' always-in
+and always-out strategies and of the always-out strategy of a 21-class Bob
+ring, `convergence` on the systems of `SYSTEMS`, `solve`
 on the systems of `QUOTIENT_SYSTEMS`, `validate` on one malformed quintuple
 set per axiom, `solve` on the games of `GAMES`, the subgame checks on
 cry-wolf under the strategies of `WOLF_STRATEGIES`, and loads of the texts
@@ -97,6 +98,8 @@ def _stationary_cases():
         yield f"stationary-{system}-convergence", ["stationary", f"fixtures/{system}.system", "convergence"]
     yield ("stationary-aperiodic-certify-aperiodic_stop",
            ["stationary", "fixtures/aperiodic.system", "certify", "fixtures/aperiodic_stop.strategy"])
+    yield ("stationary-bob_ring21-certify-ring21_out",
+           ["stationary", "fixtures/bob_ring21.system", "certify", "fixtures/ring21_out.strategy"])
     for system in QUOTIENT_SYSTEMS:
         yield f"stationary-{system}-solve", ["stationary", f"fixtures/{system}.system", "solve"]
 
@@ -119,9 +122,20 @@ def _cycles(*cycles) -> list:
     return [{"classes": list(cyc), "utility": {"Joe": "0"}} for cyc in cycles]
 
 
+def _bob_ring(n: int) -> dict:
+    """n of Bob's chain classes in a ring: in enters the next class, out pays
+    -1, and circling the ring forever pays 0."""
+    names = [f"r{m:02d}" for m in range(n)]
+    return {"classes": {c: _chain_class("Bob", names[(m + 1) % n], "-1") for m, c in enumerate(names)},
+            "initial": names[0],
+            "model": {"kind": "absolute-terminal", "cycles": [{"classes": names, "utility": {"Bob": "0"}}]},
+            "stakeholders": ["Bob"]}
+
+
 # absolute-terminal systems beside the fixtures: one whose class graph has
-# aperiodic infinite runs (convergence unknown), and a one-class loop that
-# declares no cycle (rejected by the loader)
+# aperiodic infinite runs (convergence unknown), a one-class loop that
+# declares no cycle (rejected by the loader), and a 21-class Bob ring, whose
+# 2**21 stationary choice profiles exceed the default profile cap
 SYSTEMS = {
     "aperiodic": {"classes": {"A": _three_way_class(), "B": _three_way_class()}, "initial": "A",
                   "model": {"kind": "absolute-terminal", "cycles": _cycles(["A"], ["B"], ["A", "B"])},
@@ -129,6 +143,7 @@ SYSTEMS = {
     "undeclared": {"classes": {"c": _chain_class("Ann", "c", "1")}, "initial": "c",
                    "model": {"kind": "absolute-terminal", "cycles": []},
                    "stakeholders": ["Ann"]},
+    "bob_ring21": _bob_ring(21),
 }
 
 STATIONARY_STRATEGIES = {
@@ -136,6 +151,7 @@ STATIONARY_STRATEGIES = {
     "chain_out": {"c": {"": "out"}},
     "eda_in": {"even": {"": "in"}, "odd": {"": "in"}},
     "aperiodic_stop": {"A": {"": "stop"}, "B": {"": "stop"}},
+    "ring21_out": {f"r{m:02d}": {"": "out"} for m in range(21)},
 }
 
 _QUOTIENT_TEMPLATE = [["p1", "", "", "a0", "1"], ["p1", "", "", "a1", "2"], ["p1", "", "", "a2", "5"],

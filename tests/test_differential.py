@@ -81,6 +81,8 @@ from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_str
 from pentaform.game import BackwardSolution, _best_deviation, enumerate_piece_profiles, first_nash_point, piece_game
 from pentaform.numbers import INF, NEG_INF
 from pentaform.stationary import (
+    INCONCLUSIVE,
+    REFUTED,
     SPE_CERTIFIED,
     AbsoluteTerminal,
     _ClassTable,
@@ -125,6 +127,7 @@ from conftest import (
     reference_solve_backward,
     reference_solve_stationary,
     reference_stationary_convergence,
+    reference_stationary_deviation_scan,
     reference_stationary_persistent,
     reference_stationary_piecewise_nash,
     reference_truncated_game,
@@ -628,6 +631,54 @@ def test_certified_values_hold_on_ring_systems():
 def test_certified_values_hold_on_fixtures(system):
     sys_ = system()
     _certified_values_hold(sys_, _stationary_strategies(sys_))
+
+
+def _deviation_refutations_match_reference(sys_: StationarySystem) -> int:
+    """Where lower-convergence fails, under every stationary strategy that
+    passes the piecewise-Nash scan, `certify_spe` refutes exactly when the
+    reference enumeration finds an improving stationary deviation.  The
+    witness's player is the first, in sorted order, who improves; its
+    deviation, applied to σ, reproduces its utility, which is that player's
+    best.  Returns how many such refutations were checked."""
+    if lower_convergent(sys_).status != FAILS:
+        return 0
+    refuted = 0
+    for sigma in _stationary_strategies(sys_):
+        cert = certify_spe(sys_, sigma)
+        if not stationary_piecewise_nash(sys_, sigma, cert.continuation_values).holds:
+            continue
+        base = cert.continuation_values[sys_.initial]
+        improving = [(i, u) for i, _, u in reference_stationary_deviation_scan(sys_, sigma) if u > base[i]]
+        if not improving:
+            assert cert.kind == INCONCLUSIVE and cert.witness is None
+            continue
+        player = improving[0][0]
+        witness = cert.witness
+        assert cert.kind == REFUTED and witness["player"] == player
+        assert witness["strategy_utility"] == base[player]
+        assert witness["deviation_utility"] == max(u for i, u in improving if i == player)
+        deviated = {c: dict(sigma[c]) for c in sigma}
+        for slot, action in witness["deviation"].items():
+            c, j = slot.split(":", 1)
+            assert sigma[c][j] != action
+            deviated[c][j] = action
+        assert continuation_values(sys_, deviated)[sys_.initial][player] == witness["deviation_utility"]
+        refuted += 1
+    return refuted
+
+
+def test_best_stationary_deviation_matches_enumeration():
+    refuted = 0
+    for seed in range(300):
+        sys_ = random_discounted_system(seed)
+        if sys_ is not None:
+            refuted += _deviation_refutations_match_reference(_absolute_twin(sys_, random.Random(seed)))
+    for seed in range(30):
+        sys_ = random_ring_system(seed, (3, 3))
+        refuted += _deviation_refutations_match_reference(_absolute_twin(sys_, random.Random(seed)))
+    for system in (ann_chain, bob_chain, eda_chain, cry_wolf):
+        refuted += _deviation_refutations_match_reference(system())
+    assert refuted > 100
 
 
 def _drop(qs: list, rng: random.Random) -> list:

@@ -499,17 +499,86 @@ def test_certify_refutes_bob_always_out():
     assert cert.lower.status == "fails"
 
 
-def test_certify_names_a_skipped_deviation_scan(monkeypatch):
-    # Lower-convergence fails for Bob, so only the stationary deviation scan
-    # can refute; under a cap of 1 it must not run, and the reason says so.
+def test_certify_ignores_the_profile_cap(monkeypatch):
+    # Lower-convergence fails for Bob, so only the stationary deviation
+    # search can refute; it enumerates no choice profiles, so no cap applies.
     bob = bob_chain()
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "1")
     cert = certify_spe(bob, always_out(bob))
-    assert cert.kind == INCONCLUSIVE and cert.witness is None
-    assert "no improving stationary deviation was found" not in cert.reason
-    assert "player 'Bob' has 2 stationary choice profiles, more than the cap of 1" in cert.reason
-    monkeypatch.delenv("PENTAFORM_PROFILE_CAP")
-    assert certify_spe(bob, always_out(bob)).kind == REFUTED
+    assert cert.kind == REFUTED
+    assert cert.witness["deviation"] == {"c:": "in"}
+    assert cert.witness["deviation_utility"] == F(0)
+
+
+def _bob_ring(n: int) -> StationarySystem:
+    """n of Bob's chain classes in a ring: in enters the next class, out pays
+    -1, and circling the ring forever pays 0."""
+    names = [f"r{m:03d}" for m in range(n)]
+    template = validate([Quintuple("Bob", "", "", "in", "i"), Quintuple("Bob", "", "", "out", "x")])
+    classes = {c: PieceClass(template, {"i": Exit({"Bob": 0}, next_class=names[(m + 1) % n]),
+                                        "x": Exit({"Bob": -1})})
+               for m, c in enumerate(names)}
+    return StationarySystem(classes, names[0], AbsoluteTerminal({tuple(names): {"Bob": 0}}), ["Bob"])
+
+
+def test_certify_a_200_class_bob_ring_quickly():
+    # 2**200 stationary choice profiles per strategy: only a search that
+    # enumerates none of them finishes.
+    ring = _bob_ring(200)
+    start = time.perf_counter()
+    out = certify_spe(ring, always_out(ring))
+    assert time.perf_counter() - start < 1
+    assert out.kind == REFUTED
+    assert out.witness["deviation"] == {f"{c}:": "in" for c in sorted(ring.classes)}
+    assert out.witness["deviation_utility"] == F(0)
+    start = time.perf_counter()
+    stay = certify_spe(ring, always_in(ring))
+    assert time.perf_counter() - start < 1
+    assert stay.kind == INCONCLUSIVE
+    assert stay.reason.endswith("no improving stationary deviation was found")
+
+
+def _one_decision_system(graph: dict, cycles: dict) -> StationarySystem:
+    """Player p's one-decision classes: in class c, action "to" + label
+    continues into graph[c][label], and "out" pays -1; the initial class is
+    "a", and cycles maps each simple cycle to p's utility for it."""
+    classes = {}
+    for c, edges in graph.items():
+        exits = {label: Exit({"p": 0}, next_class=d) for label, d in edges.items()}
+        exits["x"] = Exit({"p": -1})
+        template = validate([Quintuple("p", "", "", "to" + y, y) for y in sorted(edges)]
+                            + [Quintuple("p", "", "", "out", "x")])
+        classes[c] = PieceClass(template, exits)
+    return StationarySystem(classes, "a", AbsoluteTerminal({cyc: {"p": u} for cyc, u in cycles.items()}), ["p"])
+
+
+def test_best_deviation_enters_a_cycle_at_its_first_class_in_walk_order():
+    # The cycle b→c→d→e is worth 1 and b→c→d→f worth 0.  A walk from a meets
+    # d first and enters b through f, so a deviation that entered the better
+    # cycle at b along the walk's tree would leave d for f and settle into
+    # the worse one; entering at d keeps the cycle whole.
+    sys_ = _one_decision_system(
+        {"a": {"1": "d"}, "b": {"1": "c"}, "c": {"1": "d"}, "d": {"1": "f", "2": "e"},
+         "e": {"1": "b"}, "f": {"1": "b"}},
+        {("b", "c", "d", "e"): 1, ("b", "c", "d", "f"): 0})
+    cert = certify_spe(sys_, always_out(sys_))
+    assert cert.kind == REFUTED and cert.lower.status == "fails"
+    assert cert.witness == {"player": "p", "deviation": {"a:": "to1", "b:": "to1", "c:": "to1", "d:": "to2",
+                                                         "e:": "to1"},
+                            "strategy_utility": -1, "deviation_utility": 1}
+
+
+def test_certify_validates_the_strategy_once(monkeypatch):
+    calls = []
+    validate_once = stationary.validate_stationary_strategy
+
+    def counted(*args):
+        calls.append(args)
+        return validate_once(*args)
+
+    monkeypatch.setattr(stationary, "validate_stationary_strategy", counted)
+    assert certify_spe(WOLF, CALM).kind == SPE_CERTIFIED
+    assert len(calls) == 1
 
 
 def test_conceivable_bounds_ignore_the_profile_cap(monkeypatch):

@@ -311,11 +311,6 @@ class Pentaform:
             raise ValueError(f"{y!r} has no predecessor (not a successor node)")
         return self._pred[y]
 
-    def incoming_action(self, y: str) -> str:
-        if y not in self._pred_action:
-            raise ValueError(f"{y!r} has no incoming edge")
-        return self._pred_action[y]
-
     def depth(self, x: str) -> int:
         self._require_node(x)
         return self._depth[x]

@@ -37,15 +37,16 @@ piece-owner map gives (`partition.piece_owners`), and prices the piece's
 exits by the values already found.  It builds no piece form and no piece
 game; `piece_game` stays as the API's (and the tests') explicit piece game.
 
-Both solvers find the first pure Nash point among rows that pair a profile
-over a piece's situations with the endnode it reaches
+Both solvers find the first pure Nash row, a profile over a piece's
+situations paired with the endnode it reaches, with one scan
 (`first_nash_point`), and `enumerate_piece_profiles` is the one enumerator
-of those profiles, counted against the cap first.  A player's best deviation
-value depends only on the other players' choices, so a scan asks for it once
-per (player, others' choices) and shares it with every row that agrees on
-them.  `solve_backward` answers with one deviation walk of the piece from
-its subroot; `solve_stationary` answers with the best current price among
-the exits the player can reach, a set it walks once per solve.
+of those profiles, counted against the cap first.  The endnodes a player
+can reach by deviating depend only on the other players' choices, so a scan
+asks for them once per (player, others' choices), and the player's best
+deviation value is the best price among them.  One deviation walk lists
+them (`_reachable_exits`): `solve_backward` walks the piece at each
+subroot, and `solve_stationary` keeps each class's reach sets for the whole
+solve.  Both read the chosen endnode, and so the value, from the row.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from itertools import product
 from typing import AbstractSet, Iterable, Mapping
 
 from .core import Pentaform, Quintuple, validate
-from .numbers import Profile, Scalar, make_profile, profiles_equal
+from .numbers import Profile, Scalar, make_profile
 from .partition import piece_form, piece_owners, subroots, subroots_sorted
 from .strategy import outcome, validate_strategy
 
@@ -206,6 +207,16 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str, v
             return best
 
 
+def _reachable_exits(form: Pentaform, s: Mapping[str, str], i: str, start: str | None = None,
+                     through: AbstractSet[str] | None = None) -> set[str]:
+    """The nodes where player i's deviations from start (form's root by
+    default) stop against s, walking on the decision nodes in `through`:
+    one deviation walk."""
+    ends: set[str] = set()
+    _best_deviation(form, s, i, form.root if start is None else start, lambda y: ends.add(y) or 0, through)
+    return ends
+
+
 def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Mapping,
                   through: AbstractSet[str] | None = None) -> dict | None:
     """First profitable unilateral deviation from start in canonical order,
@@ -340,7 +351,7 @@ def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, 
     for t, through in _piece_walks(g.form):
         last = outcome(g.form, s, t, through)[-1]
         expected = v[last] if last in ts else g.utilities[last]
-        if not profiles_equal(v[t], expected):
+        if v[t] != expected:
             return Verdict(False, {
                 "subroot": t,
                 "value": dict(v[t]),
@@ -370,7 +381,7 @@ def authentic(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, o
     v = check_value_function(g, values)
     truth = authentic_value(g, s)
     for t in subroots_sorted(g.form):
-        if not profiles_equal(v[t], truth[t]):
+        if v[t] != truth[t]:
             return Verdict(False, {"subroot": t, "value": dict(v[t]), "true_value": dict(truth[t])})
     return Verdict(True)
 
@@ -439,26 +450,23 @@ def enumerate_piece_profiles(form: Pentaform, situations: AbstractSet[str], t: s
         yield dict(zip(sits, combo))
 
 
-def is_pure_nash(pg: Game, profile: Mapping[str, str]) -> bool:
-    return _nash_witness(pg.form, profile, pg.form.root, pg.utilities) is None
-
-
 def first_nash_point(form: Pentaform, situations: AbstractSet[str],
                      rows: Iterable[tuple[Mapping[str, str], str]],
-                     prices: Mapping[str, Mapping[str, Scalar]], deviation_value
-                     ) -> Mapping[str, str] | None:
-    """The first profile among `rows` that is a pure Nash point, or None.
+                     prices: Mapping[str, Mapping[str, Scalar]], reach
+                     ) -> tuple[Mapping[str, str], str] | None:
+    """The first row that is a pure Nash point, or None.
 
-    Each row pairs a profile of a piece of `form`, over the piece's
-    `situations`, with the endnode its walk of the piece reaches, and an
-    endnode y pays prices[y].  The players are the owners of those
-    situations.  Player i's best deviation value B_i(s₋ᵢ) depends only on
-    the choices at the situations i does not own, so
-    deviation_value(i, key, profile) is asked once per (i, s₋ᵢ) and its
-    answer is shared by every later row that agrees there; key is the
-    mixed-radix index of s₋ᵢ over the other players' sorted situations.  A
-    profile is Nash exactly when no player's B_i beats their price at its
-    endnode.  The memo lives for one call and holds one dict per player.
+    Each row (profile, endnode) pairs a profile of a piece of `form`, over
+    the piece's `situations`, with the endnode its walk of the piece
+    reaches, and an endnode y pays prices[y].  The players are the owners of
+    those situations.  reach(i, key, profile) gives the endnodes player i
+    can reach by deviating from profile, and i's best deviation value B_i is
+    the best price among them.  Both depend only on the choices at the
+    situations i does not own, so reach is asked once per (i, s₋ᵢ) and B_i
+    is shared by every later row that agrees there; key is the mixed-radix
+    index of s₋ᵢ over the other players' sorted situations.  A row is Nash
+    exactly when no player's B_i beats their price at its endnode.  The memo
+    lives for one call and holds one dict per player.
     """
     sits = sorted(situations)
     players = sorted({form.player_of(j) for j in sits})
@@ -473,17 +481,18 @@ def first_nash_point(form: Pentaform, situations: AbstractSet[str],
                 places[i].append((j, {a: k * radix for k, a in enumerate(actions)}))
                 radix *= len(actions)
     best: dict[str, dict[int, Scalar]] = {i: {} for i in players}
-    for profile, end in rows:
+    for row in rows:
+        profile, end = row
         base = prices[end]
         for i in players:
             memo = best[i]
             key = sum(place[profile[j]] for j, place in places[i])
             if key not in memo:
-                memo[key] = deviation_value(i, key, profile)
+                memo[key] = max(prices[y][i] for y in reach(i, key, profile))
             if memo[key] > base[i]:
                 break
         else:
-            return profile
+            return row
     return None
 
 
@@ -493,13 +502,13 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     Processes subroots in (−depth, label) order.  At each subroot t it
     enumerates the profiles over the piece's situations (from the
     piece-owner map), traces each to the piece's exit, and keeps the
-    lexicographically smallest pure Nash point of the piece game whose
-    final endnodes pay their utilities and whose exits pay the values found
-    so far.  Best responses are shared between profiles
-    (`first_nash_point`): each is one deviation walk of the piece from t.
-    No piece form and no piece game is built.  On success the result
-    satisfies persistence and piecewise-Nashness, hence subgame perfection
-    in finite games.
+    lexicographically smallest pure Nash row of the piece game whose final
+    endnodes pay their utilities and whose exits pay the values found so far
+    (`first_nash_point`; each reach set is one deviation walk of the piece
+    from t).  The value at t is the price of the row's endnode.  No piece
+    form and no piece game is built.  On success the result satisfies
+    persistence and piecewise-Nashness, hence subgame perfection in finite
+    games.
     """
     form = g.form
     situations: dict[str, set[str]] = {t: set() for t in subroots(form)}
@@ -509,16 +518,14 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
     for t, through in _piece_walks(form, deepest_first=True):
-
-        def walk(i, key, profile):
-            return _best_deviation(form, profile, i, t, lambda y: prices[y][i], through)[0]
-
         rows = ((profile, outcome(form, profile, t, through)[-1])
                 for profile in enumerate_piece_profiles(form, situations[t], t))
-        profile = first_nash_point(form, situations[t], rows, prices, walk)
-        if profile is None:
+        row = first_nash_point(form, situations[t], rows, prices,
+                               lambda i, key, profile: _reachable_exits(form, profile, i, t, through))
+        if row is None:
             return NoPureEquilibrium(t)
-        values[t] = prices[t] = dict(prices[outcome(form, profile, t, through)[-1]])
+        profile, end = row
+        values[t] = prices[t] = dict(prices[end])
         chosen.update(profile)
     return BackwardSolution(chosen, values)
 

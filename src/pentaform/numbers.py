@@ -6,7 +6,9 @@ safe for comparison (Python orders Fractions against float infinities
 correctly); arithmetic on infinities only ever happens where the callers have
 already checked finiteness.
 
-A profile is a plain ``dict`` mapping stakeholder labels to scalars.
+A profile is a plain ``dict`` mapping stakeholder labels to scalars.  Every
+scalar that `as_scalar` admits is canonical, and a Fraction never equals an
+infinity, so ``==`` decides the exact equality of scalars and profiles.
 """
 
 from __future__ import annotations
@@ -160,18 +162,6 @@ def make_profile(values: Mapping[str, object], stakeholders: Iterable[str] | Non
             extra = sorted(set(prof) - expected)
             raise ValueError(f"profile domain mismatch: missing {missing}, unexpected {extra}")
     return prof
-
-
-def profiles_equal(a: Mapping[str, Scalar], b: Mapping[str, Scalar]) -> bool:
-    """Exact pointwise equality of profiles."""
-    if set(a) != set(b):
-        return False
-    return all(scalars_equal(a[k], b[k]) for k in a)
-
-
-def scalars_equal(x: Scalar, y: Scalar) -> bool:
-    """Exact equality; a finite value never equals an infinity."""
-    return is_finite(x) == is_finite(y) and x == y
 
 
 def profile_str(prof: Mapping[str, Scalar]) -> str:

@@ -56,11 +56,12 @@ from .game import (
     Verdict,
     _best_deviation,
     _nash_witness,
+    _reachable_exits,
     enumerate_piece_profiles,
     first_nash_point,
     profile_cap,
 )
-from .numbers import Profile, Scalar, is_finite, make_profile, profiles_equal
+from .numbers import Profile, Scalar, is_finite, make_profile
 from .partition import subroots
 from .strategy import INFINITE_DETECTED, TERMINATED, SubrootSequence, outcome, validate_strategy
 
@@ -203,10 +204,19 @@ class AbsoluteTerminal:
         return ends + [(prof, cyc, None) for cyc, prof in sorted(self.cycle_utilities.items()) if cyc[0] in tree
                        and (exits is None or all(pair in edges for pair in zip(cyc, cyc[1:] + cyc[:1])))]
 
+    def has_aperiodic_runs(self) -> bool:
+        """True when some class lies on two declared cycles.  The declared
+        cycles are exactly the simple class cycles, and a class lies on two
+        of them exactly when its strongly connected component holds two;
+        then infinite class paths exist that never settle into a lasso."""
+        on_cycles = [c for cyc in self.cycle_utilities for c in cyc]
+        return len(on_cycles) > len(set(on_cycles))
+
     def convergence(self, sys: StationarySystem, direction: str) -> ConvergenceVerdict:
         """Decide each lasso exactly on the quotient.  Every class on a
         declared cycle reaches the same classes, so one conceivable bound per
-        cycle and stakeholder is the limit along the lasso."""
+        cycle and stakeholder is the limit along the lasso.  Whether runs
+        escape every lasso is read off the declared cycles alone."""
         upper = direction == "upper"
         for cyc, run_utility in sorted(self.cycle_utilities.items()):
             for k in sorted(sys.stakeholders):
@@ -221,7 +231,7 @@ class AbsoluteTerminal:
                         "limit": limit,
                         "run_utility": run_utility[k],
                     })
-        if has_aperiodic_runs(sys):
+        if self.has_aperiodic_runs():
             return ConvergenceVerdict(
                 UNKNOWN,
                 certificate=f"every declared lasso converges, but aperiodic infinite runs exist whose "
@@ -359,16 +369,6 @@ def _simple_cycle_walk(graph: Mapping[str, set[str]]) -> Iterator[tuple[str, ...
             else:
                 branches.pop()
                 on_path.discard(path.pop())
-
-
-def has_aperiodic_runs(sys: StationarySystem) -> bool:
-    """True when some class has two distinct continue-successors that both
-    reach back to it.  Its strongly connected component then holds two
-    distinct simple cycles (and conversely), so infinite class paths exist
-    that never settle into a lasso."""
-    graph = sys.continue_graph()
-    reach = {c: sys.reachable_from(c) for c in graph}
-    return any(sum(c in reach[d] for d in successors) >= 2 for c, successors in graph.items())
 
 
 # -- instantiation -------------------------------------------------------------
@@ -683,13 +683,6 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
 # -- quotient piece games and property checkers -------------------------------------
 
 
-def _reachable_exits(template: Pentaform, profile: Mapping[str, str], i: str) -> set[str]:
-    """The exits player i can reach against profile: one deviation walk."""
-    ends: set[str] = set()
-    _best_deviation(template, profile, i, template.root, lambda y: ends.add(y) or 0)
-    return ends
-
-
 def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> dict[str, Profile]:
     """What each exit of class cid pays against class values w: a terminal
     exit its profile, a continue exit the model's step into the value of the
@@ -715,7 +708,7 @@ def stationary_authentic(sys: StationarySystem, sigma, values) -> Verdict:
     v = _check_class_values(sys, values)
     truth = continuation_values(sys, sigma)
     for c in sorted(sys.classes):
-        if not profiles_equal(v[c], truth[c]):
+        if v[c] != truth[c]:
             return Verdict(False, {"class": c, "value": dict(v[c]), "true_value": dict(truth[c])})
     return Verdict(True)
 
@@ -727,7 +720,7 @@ def stationary_persistent(sys: StationarySystem, sigma, values) -> Verdict:
     v = _check_class_values(sys, values)
     for c in sorted(sys.classes):
         expected = _exit_prices(sys, c, v)[outcome(sys.classes[c].template, sigma[c])[-1]]
-        if not profiles_equal(v[c], expected):
+        if v[c] != expected:
             return Verdict(False, {"class": c, "value": dict(v[c]), "expected": dict(expected)})
     return Verdict(True)
 
@@ -883,11 +876,12 @@ SOLVE_MAX_SWEEPS = 500
 
 class _ClassTable:
     """What value iteration scans in one class, none of which depends on the
-    continuation: the template's profiles in scan order (largest first), each
-    with the exit it reaches, and for each (player i, s₋ᵢ) the exits that i
-    can reach by deviating.  Both are filled on first need, so the rows
-    extend only as far as some sweep's scan has gone, and each reach set is
-    one deviation walk."""
+    continuation: the rows, the template's profiles in scan order (largest
+    first) each with the exit it reaches, and for each (player i, s₋ᵢ) the
+    exits that i can reach by deviating, which `first_nash_point` prices as
+    its `reach`.  Both are filled on first need, so the rows extend only as
+    far as some sweep's scan has gone, and each reach set is one deviation
+    walk."""
 
     def __init__(self, template: Pentaform):
         self.template = template
@@ -910,14 +904,6 @@ class _ClassTable:
             reach[key] = _reachable_exits(self.template, profile, i)
         return reach[key]
 
-    def nash_point(self, rows: Iterable[tuple[dict, str]], prices: Mapping[str, Profile]):
-        """The first Nash point among rows when exit y pays prices[y]: B_i
-        is the best price in i's reach set."""
-        def best(i, key, profile):
-            return max(prices[y][i] for y in self.reach(i, key, profile))
-
-        return first_nash_point(self.template, self.template.situations, rows, prices, best)
-
 
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
     """Value iteration over class profiles for discounted models.
@@ -927,11 +913,14 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     (ties broken toward the lexicographically largest action profile, which
     favors staying in the game when indifferent).  A sweep prices each
     class's exits once against the current values (`_exit_prices`) and scans
-    the class's table (`_ClassTable`), which is built once per solve: it builds
-    no game, enumerates no profile twice and walks no deviation again.  When
-    the selected strategy repeats and the sup-norm change is below
-    SOLVE_TOL, the strategy is evaluated exactly; it is returned only if
-    every class still plays a Nash point under those exact values, and
+    the rows of the class's table (`_ClassTable`), built once per solve, with
+    `first_nash_point`: a player's best response is the best price among the
+    exits in their stored reach set, and the Nash row gives the class's
+    choices and its exit together.  A sweep builds no game, enumerates no
+    profile twice and walks no deviation again.  When the selected strategy
+    repeats and the sup-norm change is below SOLVE_TOL, the strategy is
+    evaluated exactly; it is returned only if every class's row is still
+    Nash under those exact values (read from the same reach sets), and
     otherwise the sweeps go on from them.  The returned values are therefore
     always the exact continuation values of a strategy that passes the
     piecewise-Nash scan.
@@ -959,18 +948,18 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         ends: dict[str, str] = {}
         for c, table in tables.items():
             prices = _exit_prices(sys, c, w)
-            chosen = table.nash_point(table.rows(), prices)
-            if chosen is None:
+            row = first_nash_point(table.template, table.template.situations, table.rows(), prices, table.reach)
+            if row is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
-            new_sigma[c] = chosen
-            ends[c] = outcome(table.template, chosen)[-1]
+            new_sigma[c], ends[c] = row
             new_w[c] = prices[ends[c]]
         settled = (new_sigma == sigma_prev
                    and max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c]) < SOLVE_TOL)
         w, sigma_prev = new_w, new_sigma
         if settled:
             exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
-            if all(table.nash_point([(new_sigma[c], ends[c])], _exit_prices(sys, c, exact)) is not None
+            if all(first_nash_point(table.template, table.template.situations, [(new_sigma[c], ends[c])],
+                                    _exit_prices(sys, c, exact), table.reach) is not None
                    for c, table in tables.items()):
                 return StationarySolution(new_sigma, exact)
             w = exact

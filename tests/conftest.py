@@ -44,10 +44,9 @@ from pentaform.game import (
     BackwardSolution,
     NoPureEquilibrium,
     enumerate_piece_profiles,
-    is_pure_nash,
     piece_game,
 )
-from pentaform.numbers import make_profile, profiles_equal
+from pentaform.numbers import make_profile
 from pentaform.partition import EXIT_TO_SUBROOT, FINAL_ENDNODE, PieceRunClass
 from pentaform.stationary import (
     SOLVE_MAX_SWEEPS,
@@ -425,7 +424,7 @@ def piece_form_persistent(g: Game, s: dict, values: dict) -> Verdict:
     for t in subroots_sorted(g.form):
         last = outcome(piece_form(g.form, t), s)[-1]
         expected = v[last] if last in v else g.utilities[last]
-        if not profiles_equal(v[t], expected):
+        if v[t] != expected:
             return Verdict(False, {"subroot": t, "value": dict(v[t]),
                                    "expected": dict(expected), "via": last})
     return Verdict(True)
@@ -813,7 +812,7 @@ def reference_stationary_persistent(sys, sigma, values) -> Verdict:
             expected = {k: e.reward[k] + beta * v[e.next_class][k] for k in v[e.next_class]}
         else:
             expected = dict(v[e.next_class])
-        if not profiles_equal(v[c], expected):
+        if v[c] != expected:
             return Verdict(False, {"class": c, "value": dict(v[c]), "expected": expected})
     return Verdict(True)
 
@@ -949,7 +948,7 @@ def reference_solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     for t in order:
         pg = piece_game(g, values, t)
         for profile in enumerate_piece_profiles(pg.form, pg.form.situations, t):
-            if is_pure_nash(pg, profile):
+            if nash_check(pg, profile).holds:
                 values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
                 chosen.update(profile)
                 break
@@ -971,7 +970,7 @@ def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailu
             chosen = None
             for profile in enumerate_piece_profiles(qg.form, qg.form.situations, qg.form.root,
                                                    largest_first=True):
-                if is_pure_nash(qg, profile):
+                if nash_check(qg, profile).holds:
                     chosen = profile
                     break
             if chosen is None:
@@ -983,7 +982,7 @@ def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailu
         w, sigma_prev = new_w, new_sigma
         if delta < SOLVE_TOL and stable:
             exact = continuation_values(sys, new_sigma)
-            if all(is_pure_nash(quotient_piece_game(sys, c, exact), new_sigma[c])
+            if all(nash_check(quotient_piece_game(sys, c, exact), new_sigma[c]).holds
                    for c in sorted(sys.classes)):
                 return StationarySolution(new_sigma, exact)
             w = exact

@@ -78,7 +78,7 @@ from pentaform.core import (
     Pentaform,
 )
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
-from pentaform.game import BackwardSolution, _best_deviation, enumerate_piece_profiles, first_nash_point, piece_game
+from pentaform.game import BackwardSolution, _reachable_exits, enumerate_piece_profiles, first_nash_point, piece_game
 from pentaform.numbers import INF, NEG_INF
 from pentaform.stationary import (
     INCONCLUSIVE,
@@ -89,7 +89,6 @@ from pentaform.stationary import (
     certify_spe,
     conceivable_bounds,
     continuation_values,
-    has_aperiodic_runs,
     instantiate,
     quotient_piece_game,
     simple_cycles,
@@ -330,6 +329,13 @@ def _class_graph_system(graph: dict) -> StationarySystem:
     return StationarySystem(classes, "c0", DiscountedAccumulation(Fraction(1, 2)), ["p"])
 
 
+def _zero_absolute_twin(sys_: StationarySystem) -> StationarySystem:
+    """The same classes under the absolute-terminal model, with utility 0
+    declared for every simple class cycle."""
+    zero = AbsoluteTerminal({cyc: sys_.zero_profile() for cyc in simple_cycles(sys_.continue_graph())})
+    return StationarySystem(sys_.classes, sys_.initial, zero, sys_.stakeholders)
+
+
 def _random_class_graph(rng: random.Random) -> dict:
     """One to six classes with random edges, cut to the classes reachable from c0."""
     names = [f"c{k}" for k in range(rng.randint(1, 6))]
@@ -347,10 +353,10 @@ def test_aperiodic_runs_match_scc_definition():
     aperiodic = 0
     for _ in range(3000):
         graph = _random_class_graph(rng)
-        sys_ = _class_graph_system(graph)
+        sys_ = _zero_absolute_twin(_class_graph_system(graph))
         assert sys_.continue_graph() == graph
         expected = scc_has_aperiodic_runs(graph)
-        assert has_aperiodic_runs(sys_) is expected
+        assert sys_.model.has_aperiodic_runs() is expected
         aperiodic += expected
     assert 0 < aperiodic < 3000
 
@@ -565,10 +571,8 @@ def test_bounds_and_convergence_match_reference_on_random_systems():
     # zero utilities everywhere: no lasso fails, so aperiodic class graphs are unknown
     rng = random.Random(1)
     for _ in range(300):
-        sys_ = _class_graph_system(_random_class_graph(rng))
-        zero = AbsoluteTerminal({cyc: {"p": 0} for cyc in simple_cycles(sys_.continue_graph())})
         statuses |= _assert_bounds_and_convergence_match_reference(
-            StationarySystem(sys_.classes, sys_.initial, zero, sys_.stakeholders))
+            _zero_absolute_twin(_class_graph_system(_random_class_graph(rng))))
     assert statuses == {HOLDS, FAILS, UNKNOWN}
 
 
@@ -1009,15 +1013,12 @@ def _backward_piece_games(g: Game):
 
 
 def _walked_first_nash_point(pg: Game, profiles) -> dict | None:
-    """`first_nash_point` on pg's rows, each B_i one deviation walk, as
-    `solve_backward` scans a piece."""
-    form, prices = pg.form, pg.utilities
-
-    def walk(i, key, profile):
-        return _best_deviation(form, profile, i, form.root, lambda y: prices[y][i])[0]
-
-    return first_nash_point(form, form.situations, ((p, outcome(form, p)[-1]) for p in profiles),
-                            prices, walk)
+    """The profile of `first_nash_point`'s row on pg's rows, each reach set
+    one deviation walk, as `solve_backward` scans a piece."""
+    form = pg.form
+    row = first_nash_point(form, form.situations, ((p, outcome(form, p)[-1]) for p in profiles),
+                           pg.utilities, lambda i, key, profile: _reachable_exits(form, profile, i))
+    return None if row is None else row[0]
 
 
 def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None:
@@ -1029,7 +1030,8 @@ def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None
     if largest_first:  # a quotient piece game, scanned from its class table as the sweeps do
         table = _ClassTable(pg.form)
         for _ in range(2):  # the second scan reads the rows and reach sets the first one stored
-            assert table.nash_point(table.rows(), pg.utilities) == expected
+            row = first_nash_point(pg.form, pg.form.situations, table.rows(), pg.utilities, table.reach)
+            assert (None if row is None else row[0]) == expected
 
 
 def test_first_nash_point_matches_reference_on_solver_pools():

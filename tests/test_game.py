@@ -36,7 +36,7 @@ from pentaform.fixtures import (
     entry_game,
     entry_spe_strategy,
 )
-from pentaform.game import enumerate_piece_profiles, is_pure_nash
+from pentaform.game import enumerate_piece_profiles
 from pentaform.stationary import continuation_values, induced_strategy, truncated_game
 
 from conftest import brute_force_nash, random_strategy
@@ -302,7 +302,7 @@ def test_solve_backward_no_pure_equilibrium():
     assert isinstance(result, NoPureEquilibrium) and result.subroot == "r"
     profiles = list(enumerate_piece_profiles(mp.form, mp.form.situations, "r"))
     assert len(profiles) == 4
-    assert not any(is_pure_nash(mp, p) for p in profiles)
+    assert not any(nash_check(mp, p).holds for p in profiles)
 
 
 def test_solve_backward_output_is_spe(small_corpus):

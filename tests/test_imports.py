@@ -1,18 +1,24 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function and class the package defines is named somewhere else.
 
-The check reads each module's syntax tree with the standard library's `ast`:
-a name bound by an import must occur as a name somewhere else in the module.
+The checks read each module's syntax tree with the standard library's `ast`.
+A name bound by an import must occur as a name somewhere else in the module.
 `__init__` is skipped, because it imports names to re-export them, and so are
-`from __future__` imports, which bind no name."""
+`from __future__` imports, which bind no name.  A `def` or `class` name must
+occur as a word in the Python files of the source, tests, demos or benchmark
+more often than it is defined."""
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pentaform"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pentaform"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -33,3 +39,22 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def _is_dispatched(module: str, name: str) -> bool:
+    """Python's data model calls the dunder methods, and `cli.main` calls
+    each `cmd_*` function by its subcommand's name."""
+    return (name.startswith("__") and name.endswith("__")) or (module == "cli.py" and name.startswith("cmd_"))
+
+
+def test_every_definition_is_named_elsewhere():
+    words = Counter(word for folder in ("src", "tests", "demos", "perfbench")
+                    for path in sorted((ROOT / folder).rglob("*.py"))
+                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defined = [(path.name, node.name) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    definitions = Counter(name for _, name in defined)
+    unnamed = [f"{module}: {name}" for module, name in defined
+               if words[name] <= definitions[name] and not _is_dispatched(module, name)]
+    assert unnamed == []

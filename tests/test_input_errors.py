@@ -1,0 +1,161 @@
+"""Documented input errors: each bad input raises ValueError with its cause
+named, and a bad file given to the CLI exits 2 with empty stdout and the
+file named on stderr."""
+
+from __future__ import annotations
+
+import json
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from pentaform import (
+    DiscountedAccumulation,
+    Exit,
+    Game,
+    PieceClass,
+    Quintuple,
+    StationarySystem,
+    instantiate,
+    nash_check,
+    stationary_admissible,
+    stationary_authentic,
+    truncated_game,
+    validate,
+)
+from pentaform.cli import main
+from pentaform.fixtures import cry_wolf, cry_wolf_calm_strategy, entry_game, entry_spe_strategy, entry_values
+from pentaform.game import check_value_function
+from pentaform.numbers import as_scalar, make_profile
+from pentaform.stationary import quotient_subroot_sequence, validate_stationary_strategy
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+G1 = entry_game()
+WOLF = cry_wolf()
+CALM = cry_wolf_calm_strategy()
+DAY_VALUE = {"Wolf": 0, "Kid": 0, "Town": 0}
+HALF = DiscountedAccumulation(Fraction(1, 2))
+
+
+def _one_class_system(quintuples, exits, stakeholders=("p",), model=HALF) -> StationarySystem:
+    return StationarySystem({"c": PieceClass(validate(quintuples), exits)}, "c", model, stakeholders)
+
+
+def _chain_quintuples(root: str = "") -> list[Quintuple]:
+    return [Quintuple("p", "j", root, "in", "i"), Quintuple("p", "j", root, "out", "x")]
+
+
+def _chain_exits(next_class: str = "c") -> dict:
+    return {"i": Exit({"p": 0}, next_class), "x": Exit({"p": 1})}
+
+
+def _colliding_system() -> StationarySystem:
+    """A class whose continue exit "x" prefixes its own labels: the piece at
+    "x" relabels situation k, node m and endnode e to xk, xm and xe, which
+    the root piece already uses for the same move."""
+    qs = [Quintuple("p", "r", "", a, a) for a in ("x", "m", "n", "xm", "xn")]
+    exits = {"x": Exit({"p": 0}, "c")}
+    for prefix in ("", "x"):
+        for node, ends in (("m", "ef"), ("n", "gh")):
+            for action, end in zip("ab", ends):
+                qs.append(Quintuple("p", prefix + "k", prefix + node, action, prefix + end))
+                exits[prefix + end] = Exit({"p": 0})
+    return _one_class_system(qs, exits)
+
+
+LIBRARY_ERRORS = {
+    "profile-domain": (lambda: make_profile({"Ent": 0}, ["Ent", "Inc"]),
+                       r"profile domain mismatch: missing \['Inc'\]"),
+    "scalar-bool": (lambda: as_scalar(True), "booleans are not utility values"),
+    "scalar-float": (lambda: as_scalar(0.5), "finite values must be exact"),
+    "scalar-other": (lambda: as_scalar(None), "cannot interpret None"),
+    "strategy-missing-class": (lambda: validate_stationary_strategy(WOLF, {}),
+                               r"stationary strategy missing classes \['day'\]"),
+    "strategy-unknown-class": (lambda: validate_stationary_strategy(WOLF, {**CALM, "night": {}}),
+                               r"stationary strategy names unknown classes \['night'\]"),
+    "values-missing-class": (lambda: stationary_authentic(WOLF, CALM, {}),
+                             r"class values missing \['day'\]"),
+    "values-unknown-class": (lambda: stationary_admissible(WOLF, {"day": DAY_VALUE, "night": DAY_VALUE}),
+                             r"class values given for unknown classes \['night'\]"),
+    "value-function-missing": (lambda: check_value_function(G1, {"5": entry_values()["5"]}),
+                               r"value function missing subroots \['6'\]"),
+    "value-function-extra": (lambda: check_value_function(G1, {**entry_values(), "7": {"Ent": 0, "Inc": 0}}),
+                             r"value function defined at non-subroots \['7'\]"),
+    "game-non-endnode": (lambda: Game(G1.form, G1.stakeholders, {**G1.utilities, "6": {"Ent": 0, "Inc": 0}}),
+                         r"utilities given for non-endnodes \['6'\]"),
+    "strategy-unknown-situation": (lambda: nash_check(G1, {**entry_spe_strategy(), "jX": "e"}),
+                                   r"unknown situations \['jX'\]"),
+    "system-no-classes": (lambda: StationarySystem({}, "c", HALF, ["p"]),
+                          "a stationary system needs at least one class"),
+    "system-template-root": (lambda: _one_class_system(_chain_quintuples("r"), _chain_exits()),
+                             "template root must be the empty label, got 'r'"),
+    "system-player-not-stakeholder": (lambda: _one_class_system(_chain_quintuples(), _chain_exits(), ["q"]),
+                                      r"players \['p'\] not stakeholders"),
+    "system-unknown-next-class": (lambda: _one_class_system(_chain_quintuples(), _chain_exits("d")),
+                                  "continues into unknown class 'd'"),
+    "system-unknown-model": (lambda: _one_class_system(_chain_quintuples(), _chain_exits(), model=object()),
+                             "unknown utility model"),
+    "template-labels-collide": (lambda: instantiate(_colliding_system(), 1),
+                                "template labels collide when concatenated"),
+    "continuation-missing-class": (lambda: truncated_game(WOLF, 1, {}), "continuation missing class 'day'"),
+    "instantiate-unknown-mode": (lambda: instantiate(WOLF, 1, "exact"), "unknown instantiation mode 'exact'"),
+    "sequence-unknown-start": (lambda: quotient_subroot_sequence(WOLF, CALM, start="night"),
+                               "unknown class 'night'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_ERRORS))
+def test_library_input_error_names_its_cause(case):
+    call, message = LIBRARY_ERRORS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _entry_game_data(**utilities) -> dict:
+    data = json.loads((FIXTURES / "entry.game").read_text(encoding="utf-8"))
+    data["utilities"].update(utilities)
+    return data
+
+
+def _bob_system_data(edit) -> dict:
+    data = json.loads((FIXTURES / "bob.system").read_text(encoding="utf-8"))
+    edit(data)
+    return data
+
+
+def _root_at_r(data: dict) -> None:
+    for q in data["classes"]["c"]["template"]:
+        q[2] = "r"  # each quintuple's decision node
+
+
+CLI_ERRORS = {
+    "game-missing-stakeholder": ("solve", "bad.game", _entry_game_data(**{"8": {"Ent": "-1"}}),
+                                 r"profile domain mismatch: missing \['Inc'\]"),
+    "game-non-endnode": ("solve", "bad.game", _entry_game_data(**{"6": {"Ent": "0", "Inc": "0"}}),
+                         r"utilities given for non-endnodes \['6'\]"),
+    "system-no-classes": ("stationary", "bad.system", _bob_system_data(lambda d: d.update(classes={})),
+                          "needs at least one class"),
+    "system-template-root": ("stationary", "bad.system", _bob_system_data(_root_at_r),
+                             "template root must be the empty label"),
+    "system-player-not-stakeholder": ("stationary", "bad.system",
+                                      _bob_system_data(lambda d: d.update(stakeholders=["Ann"])),
+                                      r"players \['Bob'\] not stakeholders"),
+    "system-unknown-next-class": ("stationary", "bad.system",
+                                  _bob_system_data(lambda d: d["classes"]["c"]["exits"]["i"].update({"class": "d"})),
+                                  "continues into unknown class 'd'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_cli_input_error_exits_2_naming_the_file(case, tmp_path, capsys):
+    command, name, data, message = CLI_ERRORS[case]
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = [command, str(path)] + (["convergence"] if command == "stationary" else [])
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {path}: ")
+    assert re.search(message, out.err), out.err

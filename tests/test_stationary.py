@@ -45,7 +45,6 @@ from pentaform.stationary import (
     certify_spe,
     conceivable_bounds,
     continuation_values,
-    has_aperiodic_runs,
     induced_strategy,
     instantiate,
     parse_subroot_label,
@@ -778,4 +777,4 @@ def test_cycle_helpers():
     assert canonical_cycle(("b", "a")) == ("a", "b")
     graph = {"a": {"b"}, "b": {"a", "b"}}
     assert simple_cycles(graph) == [("a", "b"), ("b",)]
-    assert has_aperiodic_runs(eda_chain()) is False
+    assert eda_chain().model.has_aperiodic_runs() is False

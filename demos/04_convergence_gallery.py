@@ -7,14 +7,8 @@ which value-function arguments survive the infinite horizon.
 
 from fractions import Fraction as F
 
-from pentaform import certify_spe, lower_convergent, upper_convergent
+from pentaform import admissible, authentic, certify_spe, lower_convergent, persistent, piecewise_nash, upper_convergent
 from pentaform.fixtures import always_in, always_out, ann_chain, bob_chain, eda_chain
-from pentaform.stationary import (
-    stationary_admissible,
-    stationary_authentic,
-    stationary_persistent,
-    stationary_piecewise_nash,
-)
 
 print("convergence verdicts (out pays: Ann +1, Bob -1, Eda alternating -1/+1):")
 for name, sys_ in (("Ann", ann_chain()), ("Bob", bob_chain()), ("Eda", eda_chain())):
@@ -28,16 +22,16 @@ for name, sys_ in (("Ann", ann_chain()), ("Bob", bob_chain()), ("Eda", eda_chain
 ann = ann_chain()
 print("\nAnn, always-in, constant value 1/2:")
 v = {"c": {"Ann": F(1, 2)}}
-print(f"  admissible:  {stationary_admissible(ann, v).holds}   (0 <= 1/2 <= 1)")
-print(f"  persistent:  {stationary_persistent(ann, always_in(ann), v).holds}   (each in-step keeps the value)")
-print(f"  authentic:   {stationary_authentic(ann, always_in(ann), v).holds}  (true value is 0)")
+print(f"  admissible:  {admissible(ann, v).holds}   (0 <= 1/2 <= 1)")
+print(f"  persistent:  {persistent(ann, always_in(ann), v).holds}   (each in-step keeps the value)")
+print(f"  authentic:   {authentic(ann, always_in(ann), v).holds}  (true value is 0)")
 print("  admissible + persistent without authenticity needs the upper-convergence failure")
 
 bob = bob_chain()
 print("\nBob, always-out, constant value -1:")
 v = {"c": {"Bob": -1}}
-print(f"  authentic:      {stationary_authentic(bob, always_out(bob), v).holds}")
-print(f"  piecewise-Nash: {stationary_piecewise_nash(bob, always_out(bob), v).holds}")
+print(f"  authentic:      {authentic(bob, always_out(bob), v).holds}")
+print(f"  piecewise-Nash: {piecewise_nash(bob, always_out(bob), v).holds}")
 cert = certify_spe(bob, always_out(bob))
 print(f"  certificate:    {cert.kind}")
 print(f"  witness: playing in forever is worth {cert.witness['deviation_utility']} "

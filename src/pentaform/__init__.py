@@ -78,10 +78,6 @@ from .stationary import (
     induced_strategy,
     instantiate,
     solve_stationary,
-    stationary_admissible,
-    stationary_authentic,
-    stationary_persistent,
-    stationary_piecewise_nash,
     truncated_game,
     value_at,
 )

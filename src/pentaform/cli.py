@@ -5,7 +5,8 @@ deterministic (byte-identical for identical inputs and flags).  Exit codes:
 0 property holds / success, 1 property fails (witness printed), 2 input
 error, 3 resource cap exceeded (a search would pass its configured cap, or
 the interpreter ran out of recursion depth or memory; a one-line message goes
-to stderr, never a traceback), 4 inconclusive.
+to stderr, never a traceback), 4 inconclusive.  Every input is loaded and
+checked before the first line of stdout, so exit 2 leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import convergence, fileio, game as game_mod, stationary as stat_mod
 from .core import ALL_AXIOMS, InvalidPentaform, validate
 from .numbers import render_scalar
 from .partition import piece_owners, subroots, subroots_sorted
+from .strategy import validate_strategy
 
 _PALETTE = ("lightblue", "lightyellow", "lightpink", "lightgreen", "lavender",
             "mistyrose", "honeydew", "aliceblue")
@@ -132,21 +134,30 @@ def _dot(form) -> str:
 _VALUE_PROPERTIES = {"admissible", "persistent", "authentic", "piecewise-nash"}
 
 
+def _checked(path, check, *args):
+    """check(*args), with a ValueError it raises reported against the file at path."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise fileio.FileFormatError(f"{path}: {exc}") from None
+
+
 def cmd_check(args) -> int:
     g = fileio.load_game(args.game)
-    s = fileio.load_strategy(args.strategy)
+    s = _checked(args.strategy, validate_strategy, g.form, fileio.load_strategy(args.strategy))
     prop = args.property
-    print(f"check {args.game} {args.strategy} --property {prop}")
     values = None
     if prop in _VALUE_PROPERTIES:
         if args.values:
-            values = fileio.load_values(args.values)
+            values = _checked(args.values, game_mod.check_value_function, g, fileio.load_values(args.values))
         elif args.authentic_value:
             values = game_mod.authentic_value(g, s)
-            print("values: derived as the authentic value function of the strategy")
         else:
             raise fileio.FileFormatError(
                 f"property {prop!r} needs --values FILE or --authentic-value")
+    print(f"check {args.game} {args.strategy} --property {prop}")
+    if values is not None and not args.values:
+        print("values: derived as the authentic value function of the strategy")
     if prop == "nash":
         verdict = game_mod.nash_check(g, s)
     elif prop == "spe":
@@ -206,6 +217,7 @@ def cmd_stationary(args) -> int:
                 code = EXIT_INCONCLUSIVE
         return code
     if args.action == "solve":
+        stat_mod.check_solvable(sys_)
         print(f"stationary {args.system} solve")
         result = stat_mod.solve_stationary(sys_)
         if isinstance(result, stat_mod.StationarySolveFailure):
@@ -221,7 +233,8 @@ def cmd_stationary(args) -> int:
         _print_profile_table("continuation values:", result.values)
         return EXIT_HOLDS
     # certify
-    sigma = fileio.load_stationary_strategy(args.strategy)
+    sigma = _checked(args.strategy, stat_mod.validate_stationary_strategy, sys_,
+                     fileio.load_stationary_strategy(args.strategy))
     print(f"stationary {args.system} certify {args.strategy}")
     cert = stat_mod.certify_spe(sys_, sigma)
     print(f"certificate: {cert.kind}")

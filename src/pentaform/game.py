@@ -3,7 +3,11 @@
 A game attaches a stakeholder set K ⊇ I and a utility profile at every final
 endnode (the utility of a finite run is the profile at its endnode).  Value
 functions map subroots to profiles of extended reals.  The checkers follow
-the definitions exactly:
+the definitions exactly.  The value checks and `check_value_function` take a
+Game or a StationarySystem, whose values live on its classes, and read what
+differs between the two from the object's own members: the witness key, the
+value domain, the strategy check, the pieces with their exit prices, the
+conceivable bounds and the authentic values.
 
   nash_check          no player has a profitable unilateral deviation
   spe_check_direct    the restriction of s is Nash in every subgame
@@ -112,6 +116,28 @@ class Game:
     def __repr__(self) -> str:
         return f"Game(root={self.form.root!r}, endnodes={len(self.utilities)}, stakeholders={sorted(self.stakeholders)})"
 
+    # what the value checks (`admissible` and the rest) read of a game
+    witness_key = "subroot"
+
+    def _value_domain(self) -> tuple[list[str], str, str]:
+        return subroots_sorted(self.form), "value function missing subroots", "value function defined at non-subroots"
+
+    def _valid_strategy(self, s: Mapping[str, str]) -> dict[str, str]:
+        return validate_strategy(self.form, s)
+
+    def _pieces(self, s: Mapping[str, str], v: Mapping[str, Profile]):
+        """Each subroot t's piece as (t, form, s, t, the nodes its walk moves on, utilities and v)."""
+        prices = {**self.utilities, **v}
+        for t, through in _piece_walks(self.form):
+            yield t, self.form, s, t, through, prices
+
+    def _conceivable_bounds(self, t: str, k: str) -> tuple[Scalar, Scalar]:
+        from .convergence import inf_conceivable, sup_conceivable  # convergence imports this module
+        return inf_conceivable(self, t, k), sup_conceivable(self, t, k)
+
+    def _authentic_values(self, s: Mapping[str, str]) -> dict[str, Profile]:
+        return authentic_value(self, s)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -145,16 +171,20 @@ def utility_of_run(g: Game, z) -> Profile:
     return dict(g.utilities[zt[-1]])
 
 
-def check_value_function(g: Game, values: Mapping[str, Mapping[str, object]]) -> dict[str, Profile]:
-    """Normalize a value function and require its domain to be exactly T."""
-    ts = subroots(g.form)
-    missing = sorted(ts - set(values))
-    if missing:
-        raise ValueError(f"value function missing subroots {missing}")
-    extra = sorted(set(values) - ts)
-    if extra:
-        raise ValueError(f"value function defined at non-subroots {extra}")
-    return {t: make_profile(values[t], g.stakeholders) for t in sorted(values)}
+def check_value_function(obj, values: Mapping[str, Mapping[str, object]]) -> dict[str, Profile]:
+    """Normalize a value function of a Game or a StationarySystem, in the
+    order of its domain, which must be exactly the subroots or the classes."""
+    order, missing, extra = obj._value_domain()
+    _require_domain(order, values, missing, extra)
+    profiles = {t: make_profile(values[t], obj.stakeholders) for t in sorted(values)}
+    return {t: profiles[t] for t in order}
+
+
+def _require_domain(domain: Iterable[str], given: Mapping, missing: str, extra: str) -> None:
+    """Raise ValueError naming the keys that `given` lacks, else those it adds."""
+    for text, names in ((missing, set(domain) - set(given)), (extra, set(given) - set(domain))):
+        if names:
+            raise ValueError(f"{text} {sorted(names)}")
 
 
 # -- deviation search ---------------------------------------------------------
@@ -257,13 +287,14 @@ def _piece_walks(form: Pentaform, deepest_first: bool = False):
         through.discard(t)
 
 
-def _subroot_nash(form: Pentaform, s: Mapping[str, str], prices: Mapping) -> Verdict:
-    """Nash in the piece game at every subroot, its exits and final endnodes
-    priced by prices, else the first witness in (depth, label) order."""
-    for t, through in _piece_walks(form):
-        witness = _nash_witness(form, s, t, prices, through)
+def _piece_nash(obj, s, v) -> Verdict:
+    """Nash in every piece of a Game or StationarySystem under the valid
+    strategy s, the exits priced by the values v, else the first witness in
+    the order of v's domain, keyed by its subroot or class."""
+    for key, form, s_piece, start, through, prices in obj._pieces(s, v):
+        witness = _nash_witness(form, s_piece, start, prices, through)
         if witness is not None:
-            witness["subroot"] = t
+            witness[obj.witness_key] = key
             return Verdict(False, witness)
     return Verdict(True)
 
@@ -326,38 +357,32 @@ def spe_check_direct(g: Game, s: Mapping[str, str]) -> Verdict:
 # -- value-function properties ------------------------------------------------
 
 
-def admissible(g: Game, values: Mapping[str, Mapping[str, object]]) -> Verdict:
-    """Each value between the inf and sup of utilities over runs through t."""
-    from .convergence import inf_conceivable, sup_conceivable
-
-    v = check_value_function(g, values)
-    for t in subroots_sorted(g.form):
-        for k in sorted(g.stakeholders):
-            lo = inf_conceivable(g, t, k)
-            hi = sup_conceivable(g, t, k)
-            if not (lo <= v[t][k] <= hi):
+def admissible(obj, values: Mapping[str, Mapping[str, object]]) -> Verdict:
+    """Each value between the inf and sup of utilities over the runs through
+    its subroot, or from a fresh piece of its class."""
+    v = check_value_function(obj, values)
+    for t, vt in v.items():
+        for k in sorted(obj.stakeholders):
+            lo, hi = obj._conceivable_bounds(t, k)
+            if not (lo <= vt[k] <= hi):
                 return Verdict(False, {
-                    "subroot": t, "stakeholder": k, "value": v[t][k],
+                    obj.witness_key: t, "stakeholder": k, "value": vt[k],
                     "inf_conceivable": lo, "sup_conceivable": hi,
                 })
     return Verdict(True)
 
 
-def persistent(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]]) -> Verdict:
-    """v(t) equals v at the next on-path subroot, or the completed run utility."""
-    s = validate_strategy(g.form, s)
-    v = check_value_function(g, values)
-    ts = subroots(g.form)
-    for t, through in _piece_walks(g.form):
-        last = outcome(g.form, s, t, through)[-1]
-        expected = v[last] if last in ts else g.utilities[last]
-        if v[t] != expected:
-            return Verdict(False, {
-                "subroot": t,
-                "value": dict(v[t]),
-                "expected": dict(expected),
-                "via": last,
-            })
+def persistent(obj, s, values: Mapping[str, Mapping[str, object]]) -> Verdict:
+    """Each value equals the price of the exit that obeying s leaves its piece
+    by: the value at the next on-path subroot or the completed run utility,
+    or a class's σ-exit priced against the class values."""
+    s = obj._valid_strategy(s)
+    v = check_value_function(obj, values)
+    for t, form, s_piece, start, through, prices in obj._pieces(s, v):
+        last = outcome(form, s_piece, start, through)[-1]
+        if v[t] != prices[last]:
+            via = {"via": last} if isinstance(obj, Game) else {}  # a class exit is a template label
+            return Verdict(False, {obj.witness_key: t, "value": dict(v[t]), "expected": dict(prices[last]), **via})
     return Verdict(True)
 
 
@@ -376,13 +401,14 @@ def authentic_value(g: Game, s: Mapping[str, str]) -> dict[str, Profile]:
     return {t: dict(g.utilities[end[t]]) for t in subroots_sorted(g.form)}
 
 
-def authentic(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]]) -> Verdict:
-    """v equals the authentic value function pointwise."""
-    v = check_value_function(g, values)
-    truth = authentic_value(g, s)
-    for t in subroots_sorted(g.form):
-        if v[t] != truth[t]:
-            return Verdict(False, {"subroot": t, "value": dict(v[t]), "true_value": dict(truth[t])})
+def authentic(obj, s, values: Mapping[str, Mapping[str, object]]) -> Verdict:
+    """v equals the authentic value function pointwise (the continuation
+    values, for a stationary system)."""
+    v = check_value_function(obj, values)
+    truth = obj._authentic_values(s)
+    for t, vt in v.items():
+        if vt != truth[t]:
+            return Verdict(False, {obj.witness_key: t, "value": dict(vt), "true_value": dict(truth[t])})
     return Verdict(True)
 
 
@@ -409,11 +435,12 @@ def piece_game(g: Game, values: Mapping[str, Mapping[str, object]], t: str) -> G
     return Game(piece, g.stakeholders, utils)
 
 
-def piecewise_nash(g: Game, s: Mapping[str, str], values: Mapping[str, Mapping[str, object]]) -> Verdict:
-    """s restricted to each piece is Nash in the piece game at t and v."""
-    s = validate_strategy(g.form, s)
-    v = check_value_function(g, values)
-    return _subroot_nash(g.form, s, {**g.utilities, **v})
+def piecewise_nash(obj, s, values: Mapping[str, Mapping[str, object]]) -> Verdict:
+    """s restricted to each piece is Nash in the piece game whose exits are
+    priced by v.  A stationary system's pieces are its class templates: each
+    concrete piece's utilities are a positive affine image of its class's
+    exit prices, which preserves best responses."""
+    return _piece_nash(obj, obj._valid_strategy(s), check_value_function(obj, values))
 
 
 def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
@@ -421,8 +448,7 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
     the piece game at t whose exits are priced by the authentic values."""
     s = validate_strategy(g.form, s)
     end = _conforming_ends(g.form, s)
-    prices = {y: g.utilities[e] for y, e in end.items()}
-    verdict = _subroot_nash(g.form, s, prices)
+    verdict = _piece_nash(g, s, {t: g.utilities[end[t]] for t in subroots(g.form)})
     if not verdict:
         del verdict.witness["strategy_endnode"]
         verdict.witness["deviation_endnode"] = end[verdict.witness["deviation_endnode"]]

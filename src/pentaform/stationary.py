@@ -21,9 +21,10 @@ value of circling a class cycle forever.  Everything else prices by folding
 endnode of an unfolding folds `step` over the continue exits on its class
 path.  One step of the value recursion is `_exit_prices`: every exit of a
 class priced against class values w, a terminal exit at its profile and a
-continue exit at step(reward, w[next]).  Persistence, piecewise-Nashness,
-the quotient piece game, policy iteration and value iteration all price
-exits with it.
+continue exit at step(reward, w[next]).  The quotient piece game, policy
+iteration, value iteration and the value checks of the game module
+(`admissible`, `persistent`, `authentic` and `piecewise_nash`, which take a
+system as its classes in sorted order) all price exits with it.
 
 Each model also owns every other decision that depends on it: `validated`
 (β and finite rewards, or exactly the simple class cycles declared),
@@ -53,10 +54,10 @@ from .core import Pentaform, Quintuple, validate
 from .game import (
     Game,
     ResourceCapError,
-    Verdict,
     _best_deviation,
-    _nash_witness,
+    _piece_nash,
     _reachable_exits,
+    _require_domain,
     enumerate_piece_profiles,
     first_nash_point,
     profile_cap,
@@ -333,6 +334,27 @@ class StationarySystem:
     def zero_profile(self) -> Profile:
         return {k: Fraction(0) for k in self.stakeholders}
 
+    # what the value checks (`game.admissible` and the rest) read of a system
+    witness_key = "class"
+
+    def _value_domain(self) -> tuple[list[str], str, str]:
+        return sorted(self.classes), "class values missing", "class values given for unknown classes"
+
+    def _valid_strategy(self, sigma) -> StationaryStrategy:
+        return validate_stationary_strategy(self, sigma)
+
+    def _pieces(self, sigma: StationaryStrategy, w: Mapping[str, Profile]):
+        """Each class c's template as (c, template, σ(c), root, None, exit prices against w)."""
+        for c in sorted(self.classes):
+            template = self.classes[c].template
+            yield c, template, sigma[c], template.root, None, _exit_prices(self, c, w)
+
+    def _conceivable_bounds(self, c: str, k: str) -> tuple[Scalar, Scalar]:
+        return conceivable_bounds(self, c, k)
+
+    def _authentic_values(self, sigma) -> dict[str, Profile]:
+        return continuation_values(self, sigma)
+
     def __repr__(self) -> str:
         return f"StationarySystem(classes={sorted(self.classes)}, initial={self.initial!r}, model={self.model.kind})"
 
@@ -423,19 +445,19 @@ def _expand(sys: StationarySystem, depth: int):
 
 
 def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
-    out = []
+    made: dict[Quintuple, _PieceInstance] = {}  # each relabelled quintuple, with the piece that made it
     for inst in pieces:
         for q in sys.classes[inst.class_id].template.quintuples:
-            out.append(Quintuple(
-                q.player,
-                _relabel_situation(inst.prefix, q.situation),
-                inst.prefix + q.decision_node,
-                q.action,
-                inst.prefix + q.successor,
-            ))
-    if len(set(out)) != len(out):
-        raise ValueError("template labels collide when concatenated; rename template nodes")
-    return out
+            r = Quintuple(q.player, _relabel_situation(inst.prefix, q.situation), inst.prefix + q.decision_node,
+                          q.action, inst.prefix + q.successor)
+            if r in made:
+                first = made[r]
+                raise ValueError(
+                    f"template labels collide when concatenated: the piece of class {first.class_id!r} at "
+                    f"{first.prefix!r} and the piece of class {inst.class_id!r} at {inst.prefix!r} both make "
+                    f"move {r.action!r} at node {r.decision_node!r}; rename template nodes")
+            made[r] = inst
+    return list(made)
 
 
 def _price(model, path: tuple[Exit, ...], w: Mapping[str, Scalar]) -> Profile:
@@ -551,15 +573,9 @@ def induced_strategy(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str
 def validate_stationary_strategy(sys: StationarySystem,
                                  sigma: Mapping[str, Mapping[str, str]]) -> StationaryStrategy:
     """Total and feasible per class template."""
-    _require_classes(sys, sigma, "stationary strategy missing classes", "stationary strategy names unknown classes")
+    _require_domain(sys.classes, sigma, "stationary strategy missing classes",
+                    "stationary strategy names unknown classes")
     return {c: validate_strategy(sys.classes[c].template, sigma[c]) for c in sorted(sigma)}
-
-
-def _require_classes(sys: StationarySystem, given: Mapping, missing: str, extra: str) -> None:
-    """Raise ValueError naming the classes that `given` lacks, else those it adds."""
-    for text, names in ((missing, set(sys.classes) - set(given)), (extra, set(given) - set(sys.classes))):
-        if names:
-            raise ValueError(f"{text} {sorted(names)}")
 
 
 def _sigma_exit(sys: StationarySystem, sigma: StationaryStrategy, cid: str) -> Exit:
@@ -680,7 +696,7 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
             return {c: w[c][k] for c in labels}
 
 
-# -- quotient piece games and property checkers -------------------------------------
+# -- quotient piece games -------------------------------------------------------------
 
 
 def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> dict[str, Profile]:
@@ -701,67 +717,6 @@ def quotient_piece_game(sys: StationarySystem, cid: str,
     w = {e.next_class: make_profile(continuation[e.next_class], sys.stakeholders)
          for e in cls.exits.values() if not e.is_terminal}
     return Game(cls.template, sys.stakeholders, _exit_prices(sys, cid, w))
-
-
-def stationary_authentic(sys: StationarySystem, sigma, values) -> Verdict:
-    """Per class: the claimed continuation equals the true value of obeying σ."""
-    v = _check_class_values(sys, values)
-    truth = continuation_values(sys, sigma)
-    for c in sorted(sys.classes):
-        if v[c] != truth[c]:
-            return Verdict(False, {"class": c, "value": dict(v[c]), "true_value": dict(truth[c])})
-    return Verdict(True)
-
-
-def stationary_persistent(sys: StationarySystem, sigma, values) -> Verdict:
-    """Per class: the value steps to the next class's value through the σ-exit
-    (terminal exits compare against the terminal profile itself)."""
-    sigma = validate_stationary_strategy(sys, sigma)
-    v = _check_class_values(sys, values)
-    for c in sorted(sys.classes):
-        expected = _exit_prices(sys, c, v)[outcome(sys.classes[c].template, sigma[c])[-1]]
-        if v[c] != expected:
-            return Verdict(False, {"class": c, "value": dict(v[c]), "expected": dict(expected)})
-    return Verdict(True)
-
-
-def stationary_admissible(sys: StationarySystem, values) -> Verdict:
-    """Per class and stakeholder: the value lies inside the conceivable band."""
-    v = _check_class_values(sys, values)
-    for c in sorted(sys.classes):
-        for k in sorted(sys.stakeholders):
-            lo, hi = conceivable_bounds(sys, c, k)
-            if not (lo <= v[c][k] <= hi):
-                return Verdict(False, {
-                    "class": c, "stakeholder": k, "value": v[c][k],
-                    "inf_conceivable": lo, "sup_conceivable": hi,
-                })
-    return Verdict(True)
-
-
-def stationary_piecewise_nash(sys: StationarySystem, sigma, values) -> Verdict:
-    """One Nash scan per class settles all pieces: each template is searched
-    in place with its exits priced by `_exit_prices` against the class
-    values, and each concrete piece's utilities are a positive affine image
-    of those prices, which preserves best responses.  No game is built."""
-    witness = _class_nash_witness(sys, validate_stationary_strategy(sys, sigma), _check_class_values(sys, values))
-    return Verdict(witness is None, witness)
-
-
-def _class_nash_witness(sys: StationarySystem, sigma: StationaryStrategy, v) -> dict | None:
-    """The witness of the first class, in sorted order, where σ is not Nash at values v."""
-    for c in sorted(sys.classes):
-        template = sys.classes[c].template
-        witness = _nash_witness(template, sigma[c], template.root, _exit_prices(sys, c, v))
-        if witness is not None:
-            witness["class"] = c
-            return witness
-    return None
-
-
-def _check_class_values(sys: StationarySystem, values) -> dict[str, Profile]:
-    _require_classes(sys, values, "class values missing", "class values given for unknown classes")
-    return {c: make_profile(values[c], sys.stakeholders) for c in sorted(values)}
 
 
 # -- certification ------------------------------------------------------------------
@@ -802,9 +757,9 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
     up = upper_convergent(sys)
     lo = lower_convergent(sys)
     w = _chain_values(sys, {c: _sigma_exit(sys, sigma, c) for c in sys.classes})
-    witness = _class_nash_witness(sys, sigma, w)
-    if witness is not None:
-        return Certificate(REFUTED, w, up, lo, witness=witness,
+    verdict = _piece_nash(sys, sigma, w)
+    if not verdict:
+        return Certificate(REFUTED, w, up, lo, witness=verdict.witness,
                            reason="a one-piece deviation improves on the strategy "
                                   "(the values are authentic, so the improvement is genuine)")
     if lo.status == HOLDS:
@@ -905,6 +860,12 @@ class _ClassTable:
         return reach[key]
 
 
+def check_solvable(sys: StationarySystem) -> None:
+    """Raise ValueError unless `solve_stationary` supports the model: discounting alone."""
+    if not isinstance(sys.model, DiscountedAccumulation):
+        raise ValueError("solve_stationary requires a discounted-accumulation model")
+
+
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
     """Value iteration over class profiles for discounted models.
 
@@ -931,8 +892,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     marked state, re-marked at power-of-two sweep counts, and one
     comparison per sweep.
     """
-    if not isinstance(sys.model, DiscountedAccumulation):
-        raise ValueError("solve_stationary requires a discounted-accumulation model")
+    check_solvable(sys)
     tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
     w = {c: sys.zero_profile() for c in sys.classes}
     sigma_prev: dict | None = None

@@ -430,6 +430,39 @@ def piece_form_persistent(g: Game, s: dict, values: dict) -> Verdict:
     return Verdict(True)
 
 
+def _oracle_subroot_order(form: Pentaform) -> list[str]:
+    """The subroots by definition, in (depth, label) order, depth read off
+    the root-to-node paths of a plain DFS."""
+    paths = enumerate_paths_from_root(form)
+    return sorted(brute_force_subroots(form), key=lambda t: (len(paths[t]), t))
+
+
+def brute_force_admissible(g: Game, values: dict) -> Verdict:
+    """Admissibility by definition: each value lies between the least and the
+    greatest utility over the runs through its subroot, every run listed."""
+    runs = brute_force_runs(g.form)
+    v = {t: make_profile(p, g.stakeholders) for t, p in values.items()}
+    for t in _oracle_subroot_order(g.form):
+        ends = [run[-1] for run in runs if t in run]
+        for k in sorted(g.stakeholders):
+            lo = min(g.utilities[y][k] for y in ends)
+            hi = max(g.utilities[y][k] for y in ends)
+            if not lo <= v[t][k] <= hi:
+                return Verdict(False, {"subroot": t, "stakeholder": k, "value": v[t][k],
+                                       "inf_conceivable": lo, "sup_conceivable": hi})
+    return Verdict(True)
+
+
+def subform_authentic(g: Game, s: dict, values: dict) -> Verdict:
+    """Authenticity against the values traced on the subform at each subroot."""
+    truth = subform_authentic_value(g, s)
+    v = {t: make_profile(p, g.stakeholders) for t, p in values.items()}
+    for t in _oracle_subroot_order(g.form):
+        if v[t] != truth[t]:
+            return Verdict(False, {"subroot": t, "value": dict(v[t]), "true_value": dict(truth[t])})
+    return Verdict(True)
+
+
 # -- piece-form walks: each builds the piece form and traces it, as
 # `piece_outcome`, `subroot_sequence` and `classify_piece_run` did before they
 # walked the form in place ----------------------------------------------------
@@ -826,6 +859,33 @@ def reference_stationary_piecewise_nash(sys, sigma, values) -> Verdict:
         verdict = nash_check(reference_quotient_piece_game(sys, c, v), sigma[c])
         if not verdict.holds:
             return Verdict(False, {**verdict.witness, "class": c})
+    return Verdict(True)
+
+
+def reference_stationary_admissible(sys, values) -> Verdict:
+    """Each class value inside the reference bounds: every exit policy
+    enumerated under discounting, the reachable ends otherwise."""
+    v = {c: make_profile(values[c], sys.stakeholders) for c in sorted(values)}
+    if isinstance(sys.model, DiscountedAccumulation):
+        extremes = reference_discounted_extremes(sys)
+    else:
+        extremes = {(c, k): reference_absolute_bounds(sys, c, k) for c in sys.classes for k in sys.stakeholders}
+    for c in sorted(sys.classes):
+        for k in sorted(sys.stakeholders):
+            lo, hi = extremes[(c, k)]
+            if not lo <= v[c][k] <= hi:
+                return Verdict(False, {"class": c, "stakeholder": k, "value": v[c][k],
+                                       "inf_conceivable": lo, "sup_conceivable": hi})
+    return Verdict(True)
+
+
+def reference_stationary_authentic(sys, sigma, values) -> Verdict:
+    """Each class value against the reference continuation values."""
+    truth = reference_continuation_values(sys, sigma)
+    v = {c: make_profile(values[c], sys.stakeholders) for c in sorted(values)}
+    for c in sorted(sys.classes):
+        if v[c] != truth[c]:
+            return Verdict(False, {"class": c, "value": dict(v[c]), "true_value": dict(truth[c])})
     return Verdict(True)
 
 

@@ -63,10 +63,6 @@ from pentaform.stationary import (
     REFUTED,
     SPE_CERTIFIED,
     induced_strategy,
-    stationary_admissible,
-    stationary_authentic,
-    stationary_persistent,
-    stationary_piecewise_nash,
     truncated_game,
     value_at,
 )
@@ -161,21 +157,21 @@ def test_criterion_5_value_function_patterns():
     ann, bob = ann_chain(), bob_chain()
     for alpha in (F(3, 10), F(1)):
         v = {"c": {"Ann": alpha}}
-        assert stationary_admissible(ann, v).holds
-        assert stationary_persistent(ann, always_in(ann), v).holds
-        verdict = stationary_authentic(ann, always_in(ann), v)
+        assert admissible(ann, v).holds
+        assert persistent(ann, always_in(ann), v).holds
+        verdict = authentic(ann, always_in(ann), v)
         assert not verdict.holds and verdict.witness["true_value"] == {"Ann": F(0)}
     for beta in (F(-1), F(-2, 5)):
         v = {"c": {"Bob": beta}}
-        assert stationary_admissible(bob, v).holds
-        assert stationary_persistent(bob, always_in(bob), v).holds
-        verdict = stationary_authentic(bob, always_in(bob), v)
+        assert admissible(bob, v).holds
+        assert persistent(bob, always_in(bob), v).holds
+        verdict = authentic(bob, always_in(bob), v)
         assert not verdict.holds and verdict.witness["true_value"] == {"Bob": F(0)}
     # The concealment pattern: authentic and piecewise-Nash, yet not subgame
     # perfect, because lower-convergence fails.
     v_minus1 = {"c": {"Bob": -1}}
-    assert stationary_authentic(bob, always_out(bob), v_minus1).holds
-    assert stationary_piecewise_nash(bob, always_out(bob), v_minus1).holds
+    assert authentic(bob, always_out(bob), v_minus1).holds
+    assert piecewise_nash(bob, always_out(bob), v_minus1).holds
     cert = certify_spe(bob, always_out(bob))
     assert cert.kind == REFUTED
     assert cert.witness["deviation_utility"] == F(0)

@@ -12,7 +12,9 @@ certification's game builds counted), the discounted conceivable bounds
 (policy iteration) against the enumeration of every exit policy, every
 model's bounds and convergence verdicts against the per-model reference
 code, the values of every certified stationary SPE against the authentic,
-persistent and admissible checks, both solvers' Nash-point search (best
+persistent and admissible checks, the admissible and authentic checks'
+verdicts and witnesses against run enumeration, subform traces and the reference bounds
+and continuation values, both solvers' Nash-point search (best
 responses shared between profiles) against the reference scans that run a
 full Nash check on every profile and against the tuple-keyed memo (results
 and peak memory), value iteration's deviation walks and game builds counted,
@@ -43,6 +45,8 @@ from pentaform import (
     PieceClass,
     Quintuple,
     StationarySystem,
+    admissible,
+    authentic,
     authentic_value,
     check_axioms,
     classify_piece_endnodes,
@@ -92,10 +96,6 @@ from pentaform.stationary import (
     instantiate,
     quotient_piece_game,
     simple_cycles,
-    stationary_admissible,
-    stationary_authentic,
-    stationary_persistent,
-    stationary_piecewise_nash,
     truncated_game,
     value_at,
 )
@@ -105,6 +105,7 @@ from conftest import (
     ReferencePentaform,
     assert_same_structure,
     bounded_predecessor_walk,
+    brute_force_admissible,
     brute_force_subroots,
     is_absentminded,
     piece_form_classify_piece_run,
@@ -125,6 +126,8 @@ from conftest import (
     reference_quotient_piece_game,
     reference_solve_backward,
     reference_solve_stationary,
+    reference_stationary_admissible,
+    reference_stationary_authentic,
     reference_stationary_convergence,
     reference_stationary_deviation_scan,
     reference_stationary_persistent,
@@ -132,6 +135,7 @@ from conftest import (
     reference_truncated_game,
     reference_value_at,
     scc_has_aperiodic_runs,
+    subform_authentic,
     subform_authentic_value,
     subform_one_piece_unimprovable,
     subform_spe_check_direct,
@@ -396,7 +400,7 @@ def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: ra
         for c in sorted(sys_.classes):
             game = quotient_piece_game(sys_, c, values)
             assert game == reference_quotient_piece_game(sys_, c, values)
-        verdict = stationary_persistent(sys_, sigma, values)
+        verdict = persistent(sys_, sigma, values)
         assert verdict == reference_stationary_persistent(sys_, sigma, values)
         if not verdict.holds:
             _assert_priced(verdict.witness["expected"])
@@ -443,7 +447,7 @@ def test_stationary_piecewise_nash_matches_reference(tmp_path):
             c = rng.choice(sorted(w))
             shifted = {**w, c: {k: x + rng.choice([-3, -1, 1, 3]) for k, x in w[c].items()}}
             for values in (w, shifted):
-                verdict = stationary_piecewise_nash(sys_, sigma, values)
+                verdict = piecewise_nash(sys_, sigma, values)
                 assert verdict == reference_stationary_piecewise_nash(sys_, sigma, values)
                 verdicts[verdict.holds] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
@@ -602,9 +606,9 @@ def _certified_values_hold(sys_: StationarySystem, strategies) -> int:
         cert = certify_spe(sys_, sigma)
         if cert.kind == SPE_CERTIFIED:
             w = cert.continuation_values
-            assert stationary_authentic(sys_, sigma, w).holds
-            assert stationary_persistent(sys_, sigma, w).holds
-            assert stationary_admissible(sys_, w).holds
+            assert authentic(sys_, sigma, w).holds
+            assert persistent(sys_, sigma, w).holds
+            assert admissible(sys_, w).holds
             certified += 1
     return certified
 
@@ -649,7 +653,7 @@ def _deviation_refutations_match_reference(sys_: StationarySystem) -> int:
     refuted = 0
     for sigma in _stationary_strategies(sys_):
         cert = certify_spe(sys_, sigma)
-        if not stationary_piecewise_nash(sys_, sigma, cert.continuation_values).holds:
+        if not piecewise_nash(sys_, sigma, cert.continuation_values).holds:
             continue
         base = cert.continuation_values[sys_.initial]
         improving = [(i, u) for i, _, u in reference_stationary_deviation_scan(sys_, sigma) if u > base[i]]
@@ -683,6 +687,62 @@ def test_best_stationary_deviation_matches_enumeration():
     for system in (ann_chain, bob_chain, eda_chain, cry_wolf):
         refuted += _deviation_refutations_match_reference(system())
     assert refuted > 100
+
+
+def _moved_at_one(values: dict, rng: random.Random) -> dict:
+    """values with one stakeholder's value at one key moved by ±1 or ±25,
+    or set to one of the two infinities."""
+    out = {key: dict(profile) for key, profile in values.items()}
+    key = rng.choice(sorted(out))
+    k = rng.choice(sorted(out[key]))
+    draw = rng.randrange(6)
+    out[key][k] = (INF, NEG_INF)[draw - 4] if draw >= 4 else out[key][k] + (-1, 1, -25, 25)[draw]
+    return out
+
+
+def test_admissible_and_authentic_match_brute_force_on_corpus():
+    """Verdicts and witnesses of both value checks agree with the run
+    enumeration and the subform traces, at the authentic values of random
+    strategies and with those values moved at one subroot."""
+    verdicts = Counter()
+    for seed in range(300):
+        g = random_game(seed, max_nodes=20)
+        rng = random.Random(seed)
+        s = random_strategy(g.form, rng)
+        w = authentic_value(g, s)
+        for values in (w, _moved_at_one(w, rng)):
+            verdict = admissible(g, values)
+            assert verdict == brute_force_admissible(g, values)
+            verdicts["admissible", verdict.holds] += 1
+            verdict = authentic(g, s, values)
+            assert verdict == subform_authentic(g, s, values)
+            verdicts["authentic", verdict.holds] += 1
+    assert all(verdicts[name, holds] > 50 for name in ("admissible", "authentic") for holds in (True, False))
+
+
+def test_admissible_and_authentic_match_reference_on_stationary_systems():
+    """Verdicts and witnesses of both value checks agree with the reference
+    bounds and continuation values on random and ring systems, their
+    absolute twins and the fixtures, at the authentic values of random
+    strategies and with those values moved at one class."""
+    systems = [random_discounted_system(seed) for seed in range(150)]
+    systems = [sys_ for sys_ in systems if sys_ is not None]
+    systems += [random_ring_system(seed, (3, 3)) for seed in range(20)]
+    systems += [_absolute_twin(sys_, random.Random(n)) for n, sys_ in enumerate(systems)]
+    systems += [system() for system in (ann_chain, bob_chain, eda_chain, cry_wolf)]
+    rng = random.Random(1606)
+    verdicts = Counter()
+    for sys_ in systems:
+        sigma = _random_stationary_strategy(sys_, rng)
+        w = continuation_values(sys_, sigma)
+        for values in (w, _moved_at_one(w, rng)):
+            verdict = admissible(sys_, values)
+            assert verdict == reference_stationary_admissible(sys_, values)
+            verdicts["admissible", verdict.holds] += 1
+            verdict = authentic(sys_, sigma, values)
+            assert verdict == reference_stationary_authentic(sys_, sigma, values)
+            verdicts["authentic", verdict.holds] += 1
+    assert all(verdicts[name, holds] > 50 for name in ("admissible", "authentic") for holds in (True, False))
 
 
 def _drop(qs: list, rng: random.Random) -> list:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -36,10 +37,10 @@ from pentaform.fixtures import (
     entry_game,
     entry_spe_strategy,
 )
-from pentaform.game import enumerate_piece_profiles
+from pentaform.game import BackwardSolution, enumerate_piece_profiles
 from pentaform.stationary import continuation_values, induced_strategy, truncated_game
 
-from conftest import brute_force_nash, random_strategy
+from conftest import brute_force_nash, random_strategy, subform_spe_check_direct
 
 G1 = entry_game()
 WOLF = cry_wolf()
@@ -303,6 +304,45 @@ def test_solve_backward_no_pure_equilibrium():
     profiles = list(enumerate_piece_profiles(mp.form, mp.form.situations, "r"))
     assert len(profiles) == 4
     assert not any(nash_check(mp, p).holds for p in profiles)
+
+
+def missed_equilibrium_game() -> Game:
+    """13 nodes where backward induction commits too early.  At x, A and B
+    play a coordination game with two pure Nash points: (a1, b1) pays A and
+    B 2 and D 0, (a2, b2) pays everyone 1.  Above it, C enters (m, where D
+    moves) or not (n), and D's one situation covers both m and n.  Given
+    (a1, b1), no root profile is Nash; given (a2, b2), (in, l) is."""
+    quintuples = [("C", "r", "r", "in", "m"), ("C", "r", "r", "out", "n"),
+                  ("D", "d", "m", "l", "x"), ("D", "d", "m", "r", "z1"),
+                  ("D", "d", "n", "l", "z2"), ("D", "d", "n", "r", "z3"),
+                  ("A", "a", "x", "a1", "x1"), ("A", "a", "x", "a2", "x2"),
+                  ("B", "b", "x1", "b1", "e11"), ("B", "b", "x1", "b2", "e12"),
+                  ("B", "b", "x2", "b1", "e21"), ("B", "b", "x2", "b2", "e22")]
+    form = validate(Quintuple(*q) for q in quintuples)
+    payoffs = {"z1": (0, 0, 0, 1), "z2": (0, 0, 0, 1), "z3": (0, 0, 1, 0), "e11": (2, 2, 1, 0),
+               "e12": (0, 0, 0, 0), "e21": (0, 0, 0, 0), "e22": (1, 1, 1, 1)}
+    return Game(form, "ABCD", {y: dict(zip("ABCD", p)) for y, p in payoffs.items()})
+
+
+MISSED_SPE = {"a": "a2", "b": "b2", "d": "l", "r": "in"}
+
+
+def test_missed_equilibrium_game_has_exactly_one_pure_spe():
+    g = missed_equilibrium_game()
+    assert len(g.form.nodes) == 13 and subroots(g.form) == {"r", "x"}
+    assert spe_check_direct(g, MISSED_SPE).holds
+    sits = sorted(g.form.situations)
+    strategies = [dict(zip(sits, combo)) for combo in product(*(sorted(g.form.action_set(j)) for j in sits))]
+    assert len(strategies) == 16
+    spes = [s for s in strategies if spe_check_direct(g, s).holds]
+    assert spes == [MISSED_SPE]
+    assert [s for s in spes if subform_spe_check_direct(g, s).holds] == [MISSED_SPE]
+
+
+@pytest.mark.xfail(strict=True, reason="solve_backward commits to the first Nash row at x, (a1, b1), "
+                                       "and then finds no pure Nash point at r")
+def test_solve_backward_finds_the_missed_equilibrium():
+    assert isinstance(solve_backward(missed_equilibrium_game()), BackwardSolution)
 
 
 def test_solve_backward_output_is_spe(small_corpus):

@@ -18,10 +18,10 @@ from pentaform import (
     PieceClass,
     Quintuple,
     StationarySystem,
+    admissible,
+    authentic,
     instantiate,
     nash_check,
-    stationary_admissible,
-    stationary_authentic,
     truncated_game,
     validate,
 )
@@ -75,9 +75,9 @@ LIBRARY_ERRORS = {
                                r"stationary strategy missing classes \['day'\]"),
     "strategy-unknown-class": (lambda: validate_stationary_strategy(WOLF, {**CALM, "night": {}}),
                                r"stationary strategy names unknown classes \['night'\]"),
-    "values-missing-class": (lambda: stationary_authentic(WOLF, CALM, {}),
+    "values-missing-class": (lambda: authentic(WOLF, CALM, {}),
                              r"class values missing \['day'\]"),
-    "values-unknown-class": (lambda: stationary_admissible(WOLF, {"day": DAY_VALUE, "night": DAY_VALUE}),
+    "values-unknown-class": (lambda: admissible(WOLF, {"day": DAY_VALUE, "night": DAY_VALUE}),
                              r"class values given for unknown classes \['night'\]"),
     "value-function-missing": (lambda: check_value_function(G1, {"5": entry_values()["5"]}),
                                r"value function missing subroots \['6'\]"),
@@ -158,4 +158,55 @@ def test_cli_input_error_exits_2_naming_the_file(case, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"error: {path}: ")
+    assert re.search(message, out.err), out.err
+
+
+def test_template_label_collision_names_the_pieces_and_the_label():
+    with pytest.raises(ValueError) as caught:
+        instantiate(_colliding_system(), 1)
+    assert str(caught.value) == (
+        "template labels collide when concatenated: the piece of class 'c' at '' and the piece of "
+        "class 'c' at 'x' both make move 'a' at node 'xm'; rename template nodes")
+
+
+def _write(tmp_path: Path, name: str, data) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+# inputs that load but fail a later check: (argv built from tmp_path, the file
+# named on stderr or None, the cause)
+CHECKED_INPUTS = {
+    "check-strategy-extra-situation": (
+        lambda tmp: ["check", str(FIXTURES / "entry.game"),
+                     _write(tmp, "extra.strategy", {**entry_spe_strategy(), "jX": "e"}), "--property", "nash"],
+        "extra.strategy", r"invalid strategy: unknown situations \['jX'\]"),
+    "check-values-of-another-game": (
+        lambda tmp: ["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"),
+                     "--property", "admissible", "--values", str(FIXTURES / "ann_trunc_half.values")],
+        None, r"ann_trunc_half.values: value function missing subroots"),
+    "check-persistent-without-values": (
+        lambda tmp: ["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"),
+                     "--property", "persistent"],
+        None, "property 'persistent' needs --values FILE or --authentic-value"),
+    "certify-invalid-strategy": (
+        lambda tmp: ["stationary", str(FIXTURES / "bob.system"), "certify",
+                     _write(tmp, "sideways.strategy", {"classes": {"c": {"": "sideways"}}})],
+        "sideways.strategy", "invalid strategy"),
+    "solve-not-discounted": (
+        lambda tmp: ["stationary", str(FIXTURES / "ann.system"), "solve"],
+        None, "solve_stationary requires a discounted-accumulation model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_INPUTS))
+def test_cli_checks_every_input_before_any_stdout(case, tmp_path, capsys):
+    """An input that loads but fails a later check exits 2 with empty stdout;
+    a file that fails its check is named on stderr."""
+    argv, name, message = CHECKED_INPUTS[case]
+    assert main(argv(tmp_path)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {tmp_path / name}: " if name else "error: ")
     assert re.search(message, out.err), out.err

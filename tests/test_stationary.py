@@ -13,8 +13,12 @@ import pytest
 from pentaform import (
     Quintuple,
     ResourceCapError,
+    admissible,
+    authentic,
+    persistent,
     piece_game,
     piece_partition,
+    piecewise_nash,
     spe_check_direct,
     subroots,
     validate,
@@ -52,10 +56,6 @@ from pentaform.stationary import (
     quotient_subroot_sequence,
     simple_cycles,
     solve_stationary,
-    stationary_admissible,
-    stationary_authentic,
-    stationary_persistent,
-    stationary_piecewise_nash,
     truncated_game,
     value_at,
 )
@@ -437,18 +437,18 @@ def test_conceivable_bounds_do_not_keep_the_system_alive():
 
 
 def test_stationary_authentic_and_persistent():
-    assert stationary_authentic(WOLF, CALM, W_CALM).holds
-    assert stationary_persistent(WOLF, CALM, W_CALM).holds
-    assert stationary_admissible(WOLF, W_CALM).holds
-    assert stationary_piecewise_nash(WOLF, CALM, W_CALM).holds
+    assert authentic(WOLF, CALM, W_CALM).holds
+    assert persistent(WOLF, CALM, W_CALM).holds
+    assert admissible(WOLF, W_CALM).holds
+    assert piecewise_nash(WOLF, CALM, W_CALM).holds
     bumped = {"day": {**W_CALM["day"], "Kid": F(1, 3)}}
-    assert not stationary_authentic(WOLF, CALM, bumped).holds
-    assert not stationary_persistent(WOLF, CALM, bumped).holds
+    assert not authentic(WOLF, CALM, bumped).holds
+    assert not persistent(WOLF, CALM, bumped).holds
 
 
 def test_stationary_admissible_names_a_value_above_the_conceivable_sup():
     above = {"day": {**W_CALM["day"], "Kid": F(2, 3)}}
-    verdict = stationary_admissible(WOLF, above)
+    verdict = admissible(WOLF, above)
     assert not verdict.holds
     assert verdict.witness == {"class": "day", "stakeholder": "Kid", "value": F(2, 3),
                                "inf_conceivable": F(0), "sup_conceivable": F(5, 9)}

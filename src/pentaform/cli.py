@@ -5,8 +5,10 @@ deterministic (byte-identical for identical inputs and flags).  Exit codes:
 0 property holds / success, 1 property fails (witness printed), 2 input
 error, 3 resource cap exceeded (a search would pass its configured cap, or
 the interpreter ran out of recursion depth or memory; a one-line message goes
-to stderr, never a traceback), 4 inconclusive.  Every input is loaded and
-checked before the first line of stdout, so exit 2 leaves stdout empty.
+to stderr, never a traceback), 4 inconclusive.  Every command computes its
+whole answer before the first line of stdout, so exits 2 and 3 leave stdout
+empty.  A ValueError from a file's contents names the file
+(`fileio._checked`).
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ def _verdict_exit(verdict) -> int:
 
 def cmd_validate(args) -> int:
     quintuples = fileio.load_quintuples(args.path)
-    print(f"validate {args.path}")
-    print(f"quintuples: {len(set(quintuples))}")
     try:
         root, violations = validate(quintuples).root, {}
     except InvalidPentaform as exc:
         violations = {v.axiom: v for v in exc.violations}
+    print(f"validate {args.path}")
+    print(f"quintuples: {len(set(quintuples))}")
     for axiom in ALL_AXIOMS:
         if axiom in violations:
             print(f"[{axiom}] FAIL  {violations[axiom].witness}")
@@ -86,22 +88,22 @@ def cmd_validate(args) -> int:
 
 def cmd_inspect(args) -> int:
     form = fileio.load_pentaform(args.path)
-    print(f"inspect {args.path}")
-    print(f"root: {form.root!r}  nodes: {len(form.nodes)}  quintuples: {len(form)}")
     ts = sorted(subroots(form))
-    if args.subroots or not args.pieces:
-        print(f"subroots ({len(ts)}): " + ", ".join(repr(t) for t in ts))
     owner = piece_owners(form)
     sizes = dict.fromkeys(ts, 0)  # quintuples per piece
     for q in form.quintuples:
         sizes[owner[q.decision_node]] += 1
+    text = _dot(form) if args.dot else None
+    print(f"inspect {args.path}")
+    print(f"root: {form.root!r}  nodes: {len(form.nodes)}  quintuples: {len(form)}")
+    if args.subroots or not args.pieces:
+        print(f"subroots ({len(ts)}): " + ", ".join(repr(t) for t in ts))
     if args.pieces:
         print("pieces:")
         for t in ts:
             print(f"  {t!r}: {sizes[t]} quintuples")
     print(f"piece partition covers {sum(sizes.values())}/{len(form)} quintuples in {len(ts)} pieces")
     if args.dot:
-        text = _dot(form)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote DOT diagram to {args.dot}")
@@ -131,54 +133,43 @@ def _dot(form) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each --property, in the order `check --help` lists them, with its check of
+# (game, strategy, values); the checks are looked up through game_mod when called
+_PROPERTIES = {
+    "nash": lambda g, s, v: game_mod.nash_check(g, s),
+    "spe": lambda g, s, v: game_mod.spe_check_direct(g, s),
+    "admissible": lambda g, s, v: game_mod.admissible(g, v),
+    "persistent": lambda g, s, v: game_mod.persistent(g, s, v),
+    "authentic": lambda g, s, v: game_mod.authentic(g, s, v),
+    "piecewise-nash": lambda g, s, v: game_mod.piecewise_nash(g, s, v),
+    "one-piece": lambda g, s, v: game_mod.one_piece_unimprovable(g, s),
+}
 _VALUE_PROPERTIES = {"admissible", "persistent", "authentic", "piecewise-nash"}
-
-
-def _checked(path, check, *args):
-    """check(*args), with a ValueError it raises reported against the file at path."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise fileio.FileFormatError(f"{path}: {exc}") from None
 
 
 def cmd_check(args) -> int:
     g = fileio.load_game(args.game)
-    s = _checked(args.strategy, validate_strategy, g.form, fileio.load_strategy(args.strategy))
+    s = fileio._checked(args.strategy, validate_strategy, g.form, fileio.load_strategy(args.strategy))
     prop = args.property
     values = None
     if prop in _VALUE_PROPERTIES:
         if args.values:
-            values = _checked(args.values, game_mod.check_value_function, g, fileio.load_values(args.values))
+            values = fileio._checked(args.values, game_mod.check_value_function, g, fileio.load_values(args.values))
         elif args.authentic_value:
             values = game_mod.authentic_value(g, s)
         else:
             raise fileio.FileFormatError(
                 f"property {prop!r} needs --values FILE or --authentic-value")
+    verdict = _PROPERTIES[prop](g, s, values)
     print(f"check {args.game} {args.strategy} --property {prop}")
     if values is not None and not args.values:
         print("values: derived as the authentic value function of the strategy")
-    if prop == "nash":
-        verdict = game_mod.nash_check(g, s)
-    elif prop == "spe":
-        verdict = game_mod.spe_check_direct(g, s)
-    elif prop == "admissible":
-        verdict = game_mod.admissible(g, values)
-    elif prop == "persistent":
-        verdict = game_mod.persistent(g, s, values)
-    elif prop == "authentic":
-        verdict = game_mod.authentic(g, s, values)
-    elif prop == "piecewise-nash":
-        verdict = game_mod.piecewise_nash(g, s, values)
-    else:  # one-piece
-        verdict = game_mod.one_piece_unimprovable(g, s)
     return _verdict_exit(verdict)
 
 
 def cmd_solve(args) -> int:
-    g = fileio.load_game(args.game)
+    result = game_mod.solve_backward(fileio.load_game(args.game))
     print(f"solve {args.game}")
-    result = game_mod.solve_backward(g)
     if isinstance(result, game_mod.NoPureEquilibrium):
         print(f"no pure equilibrium: the piece game at {result.subroot!r} has no pure Nash point")
         return EXIT_FAILS
@@ -192,7 +183,9 @@ def cmd_solve(args) -> int:
 def cmd_stationary(args) -> int:
     sys_ = fileio.load_system(args.system)
     if args.action == "instantiate":
-        form = stat_mod.instantiate(sys_, args.depth)
+        # a depth below 1 is the argument's fault; any other error is the file's
+        form = (stat_mod.instantiate(sys_, args.depth) if args.depth < 1
+                else fileio._checked(args.system, stat_mod.instantiate, sys_, args.depth))
         print(f"stationary {args.system} instantiate {args.depth}")
         print(f"quintuples: {len(form)}")
         ts = sorted(subroots(form))
@@ -202,10 +195,10 @@ def cmd_stationary(args) -> int:
             print(f"wrote pentaform to {args.out}")
         return EXIT_HOLDS
     if args.action == "convergence":
+        verdicts = (("upper", convergence.upper_convergent(sys_)), ("lower", convergence.lower_convergent(sys_)))
         print(f"stationary {args.system} convergence")
         code = EXIT_HOLDS
-        for name, verdict in (("upper", convergence.upper_convergent(sys_)),
-                              ("lower", convergence.lower_convergent(sys_))):
+        for name, verdict in verdicts:
             print(f"{name}: {verdict.status.upper()}")
             if verdict.certificate:
                 print(f"  certificate: {verdict.certificate}")
@@ -217,9 +210,8 @@ def cmd_stationary(args) -> int:
                 code = EXIT_INCONCLUSIVE
         return code
     if args.action == "solve":
-        stat_mod.check_solvable(sys_)
-        print(f"stationary {args.system} solve")
         result = stat_mod.solve_stationary(sys_)
+        print(f"stationary {args.system} solve")
         if isinstance(result, stat_mod.StationarySolveFailure):
             if result.kind == "no-pure-equilibrium":
                 print(f"failure: quotient piece game of class {result.class_id!r} has no pure Nash point")
@@ -233,10 +225,10 @@ def cmd_stationary(args) -> int:
         _print_profile_table("continuation values:", result.values)
         return EXIT_HOLDS
     # certify
-    sigma = _checked(args.strategy, stat_mod.validate_stationary_strategy, sys_,
-                     fileio.load_stationary_strategy(args.strategy))
-    print(f"stationary {args.system} certify {args.strategy}")
+    sigma = fileio._checked(args.strategy, stat_mod.validate_stationary_strategy, sys_,
+                            fileio.load_stationary_strategy(args.strategy))
     cert = stat_mod.certify_spe(sys_, sigma)
+    print(f"stationary {args.system} certify {args.strategy}")
     print(f"certificate: {cert.kind}")
     for name, verdict in (("upper", cert.upper), ("lower", cert.lower)):
         print(f"{name}-convergence: {verdict.status.upper()}")
@@ -276,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check an equilibrium/value property")
     p.add_argument("game")
     p.add_argument("strategy")
-    p.add_argument("--property", required=True,
-                   choices=["nash", "spe", "admissible", "persistent", "authentic",
-                            "piecewise-nash", "one-piece"])
+    p.add_argument("--property", required=True, choices=list(_PROPERTIES))
     p.add_argument("--values", metavar="FILE")
     p.add_argument("--authentic-value", action="store_true",
                    help="derive the value function from the strategy")

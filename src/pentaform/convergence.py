@@ -2,7 +2,9 @@
 
 After reaching a node x, the runs still conceivable are exactly those passing
 through x; sup/inf of a stakeholder's utility over them bound what can still
-happen.  A utility function is upper-convergent when that sup collapses to
+happen.  A game finds both at once in one walk of x's subtree
+(`Game._conceivable_bounds`), which `inf_conceivable` and `sup_conceivable`
+read.  A utility function is upper-convergent when that sup collapses to
 the run's own utility along every run (lower-convergence is the mirror
 image).  Finite games always converge; generated infinite-horizon systems
 are decided exactly on their class quotient by their utility model, which
@@ -41,19 +43,12 @@ class ConvergenceVerdict:
 
 def sup_conceivable(g: Game, x: str, k: str) -> Scalar:
     """Highest stakeholder-k utility over runs through x (exact tree max)."""
-    return _conceivable(g, x, k, max)
+    return g._conceivable_bounds(x, k)[1]
 
 
 def inf_conceivable(g: Game, x: str, k: str) -> Scalar:
     """Lowest stakeholder-k utility over runs through x (exact tree min)."""
-    return _conceivable(g, x, k, min)
-
-
-def _conceivable(g: Game, x: str, k: str, pick) -> Scalar:
-    if k not in g.stakeholders:
-        raise ValueError(f"unknown stakeholder {k!r}")
-    reachable = [y for y in g.form.subtree_nodes(x) if y in g.form.endnodes]
-    return pick(g.utilities[y][k] for y in reachable)
+    return g._conceivable_bounds(x, k)[0]
 
 
 def upper_convergent(obj) -> ConvergenceVerdict:

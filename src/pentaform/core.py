@@ -54,9 +54,6 @@ class Quintuple:
         return (self.situation, self.decision_node, self.action, self.player, self.successor)
 
 
-QuintupleSet = frozenset  # of Quintuple
-
-
 @dataclass(frozen=True)
 class AxiomViolation:
     axiom: str

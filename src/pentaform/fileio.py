@@ -58,6 +58,14 @@ def _expect(cond: bool, where: str, msg: str) -> None:
         raise FileFormatError(f"{where}: {msg}")
 
 
+def _checked(where, make, *args):
+    """make(*args), with a ValueError it raises reported against `where`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
+
+
 def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
@@ -148,10 +156,7 @@ def load_game(path) -> Game:
     _expect(isinstance(data["utilities"], dict), where, '"utilities" must be an object')
     utilities = {y: _parse_profile(prof, f"{where}: utilities.{y}")
                  for y, prof in data["utilities"].items()}
-    try:
-        return Game(form, stakeholders, utilities)
-    except ValueError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+    return _checked(where, Game, form, stakeholders, utilities)
 
 
 # -- strategies and value functions ----------------------------------------------------
@@ -235,11 +240,7 @@ def load_system(path) -> StationarySystem:
         spot = f"{where}: classes.{cid}"
         _expect(isinstance(spec, dict) and "template" in spec and "exits" in spec,
                 spot, 'expected "template" and "exits"')
-        quintuples = _parse_quintuples(spec["template"], f"{spot}.template")
-        try:
-            template = validate(quintuples)
-        except ValueError as exc:
-            raise FileFormatError(f"{spot}.template: {exc}") from exc
+        template = _checked(f"{spot}.template", validate, _parse_quintuples(spec["template"], f"{spot}.template"))
         exits = {}
         _expect(isinstance(spec["exits"], dict), spot, '"exits" must be an object')
         for label, entry in spec["exits"].items():
@@ -260,11 +261,7 @@ def load_system(path) -> StationarySystem:
     if mspec["kind"] == "discounted":
         _expect(isinstance(mspec.get("beta"), str), where,
                 'discounted model needs "beta" written as a string')
-        try:
-            beta = parse_scalar(mspec["beta"])
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: model.beta: {exc}") from exc
-        model = DiscountedAccumulation(beta)
+        model = DiscountedAccumulation(_checked(f"{where}: model.beta", parse_scalar, mspec["beta"]))
     elif mspec["kind"] == "absolute-terminal":
         _expect(isinstance(mspec.get("cycles"), list), where, 'absolute-terminal model needs "cycles"')
         cycles = {}
@@ -278,10 +275,7 @@ def load_system(path) -> StationarySystem:
     else:
         raise FileFormatError(f'{where}: unknown model kind {mspec["kind"]!r}')
 
-    try:
-        return StationarySystem(classes, data["initial"], model, data["stakeholders"])
-    except ValueError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+    return _checked(where, StationarySystem, classes, data["initial"], model, data["stakeholders"])
 
 
 def dumps_stationary_strategy(sigma: Mapping[str, Mapping[str, str]]) -> str:

@@ -17,16 +17,20 @@ files under fixtures/.
 
 from __future__ import annotations
 
+import pathlib
 from fractions import Fraction
 
+from . import fileio
 from .core import Quintuple, validate
 from .game import Game
+from .partition import subroots
 from .stationary import (
     AbsoluteTerminal,
     DiscountedAccumulation,
     Exit,
     PieceClass,
     StationarySystem,
+    instantiate,
     truncated_game,
 )
 
@@ -147,17 +151,10 @@ def bob_truncation(depth: int = 8) -> Game:
 
 def constant_values(g: Game, profile: dict) -> dict:
     """A value function constant across all subroots of a finite game."""
-    from .partition import subroots
-
     return {t: dict(profile) for t in subroots(g.form)}
 
 
 def _write_fixture_files() -> None:
-    import pathlib
-
-    from . import fileio
-    from .stationary import instantiate
-
     root = pathlib.Path(__file__).resolve().parents[2] / "fixtures"
     root.mkdir(exist_ok=True)
 

@@ -94,12 +94,8 @@ class Game:
         self.stakeholders = frozenset(str(k) for k in stakeholders)
         if not form.players <= self.stakeholders:
             raise ValueError(f"players {sorted(form.players - self.stakeholders)} missing from stakeholders")
-        missing = sorted(form.endnodes - set(utilities))
-        if missing:
-            raise ValueError(f"utilities missing for endnodes {missing}")
-        extra = sorted(set(utilities) - form.endnodes)
-        if extra:
-            raise ValueError(f"utilities given for non-endnodes {extra}")
+        _require_domain(form.endnodes, utilities, "utilities missing for endnodes",
+                        "utilities given for non-endnodes")
         self.utilities: dict[str, Profile] = {
             y: make_profile(utilities[y], self.stakeholders) for y in sorted(form.endnodes)
         }
@@ -131,9 +127,12 @@ class Game:
         for t, through in _piece_walks(self.form):
             yield t, self.form, s, t, through, prices
 
-    def _conceivable_bounds(self, t: str, k: str) -> tuple[Scalar, Scalar]:
-        from .convergence import inf_conceivable, sup_conceivable  # convergence imports this module
-        return inf_conceivable(self, t, k), sup_conceivable(self, t, k)
+    def _conceivable_bounds(self, x: str, k: str) -> tuple[Scalar, Scalar]:
+        """(min, max) of stakeholder k's utility over the runs through x, from one walk of x's subtree."""
+        if k not in self.stakeholders:
+            raise ValueError(f"unknown stakeholder {k!r}")
+        ends = [self.utilities[y][k] for y in self.form.subtree_nodes(x) if y in self.form.endnodes]
+        return min(ends), max(ends)
 
     def _authentic_values(self, s: Mapping[str, str]) -> dict[str, Profile]:
         return authentic_value(self, s)

@@ -21,10 +21,11 @@ value of circling a class cycle forever.  Everything else prices by folding
 endnode of an unfolding folds `step` over the continue exits on its class
 path.  One step of the value recursion is `_exit_prices`: every exit of a
 class priced against class values w, a terminal exit at its profile and a
-continue exit at step(reward, w[next]).  The quotient piece game, policy
-iteration, value iteration and the value checks of the game module
-(`admissible`, `persistent`, `authentic` and `piecewise_nash`, which take a
-system as its classes in sorted order) all price exits with it.
+continue exit at step(reward, w[next]).  Policy iteration, value iteration
+and the value checks of the game module (`admissible`, `persistent`,
+`authentic` and `piecewise_nash`, which take a system as its classes in
+sorted order) all price exits with it: a class's quotient piece game is its
+template with these exit prices, and no code builds it as a game.
 
 Each model also owns every other decision that depends on it: `validated`
 (β and finite rewards, or exactly the simple class cycles declared),
@@ -170,7 +171,7 @@ class AbsoluteTerminal:
         graph = sys.continue_graph()
         unknown = sorted(cyc for cyc in declared if len(set(cyc)) < len(cyc)
                          or any(d not in graph.get(c, ()) for c, d in zip(cyc, cyc[1:] + cyc[:1])))
-        missing = next(([cyc] for cyc in _simple_cycle_walk(graph) if cyc not in declared), [])
+        missing = next(([cyc] for cyc in simple_cycles(graph) if cyc not in declared), [])
         if missing or unknown:
             raise ValueError(
                 f"absolute-terminal model must declare exactly the simple class cycles; "
@@ -367,15 +368,11 @@ def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
     return min(rotations)
 
 
-def simple_cycles(graph: Mapping[str, set[str]]) -> list[tuple[str, ...]]:
-    """All simple cycles of a digraph, each starting at its min node, sorted."""
-    return list(_simple_cycle_walk(graph))
-
-
-def _simple_cycle_walk(graph: Mapping[str, set[str]]) -> Iterator[tuple[str, ...]]:
-    """Yield the simple cycles in sorted order: from each start, a depth-first
-    walk on an explicit stack through larger nodes in sorted order, which
-    meets each cycle before its extensions."""
+def simple_cycles(graph: Mapping[str, set[str]]) -> Iterator[tuple[str, ...]]:
+    """Yield the simple cycles of a digraph, each starting at its min node,
+    in sorted order: from each start, a depth-first walk on an explicit stack
+    through larger nodes in sorted order, which meets each cycle before its
+    extensions."""
     for start in sorted(graph):
         path, on_path = [start], {start}
         branches = [iter(sorted(graph[start]))]
@@ -630,14 +627,11 @@ def parse_subroot_label(sys: StationarySystem, label: str) -> tuple[list[Exit], 
     rest = label
     exits: list[Exit] = []
     while rest:
-        cls = sys.classes[cur]
-        matches = [lab for lab, e in sorted(cls.exits.items())
-                   if not e.is_terminal and rest.startswith(lab)]
-        if not matches:
+        match = next(((lab, e) for lab, e in sys._continues[cur] if rest.startswith(lab)), None)
+        if match is None:
             raise ValueError(f"malformed subroot label {label!r}: no continue exit of class "
                              f"{cur!r} matches {rest!r}")
-        lab = matches[0]
-        e = cls.exits[lab]
+        lab, e = match
         exits.append(e)
         rest = rest[len(lab):]
         cur = e.next_class
@@ -696,7 +690,7 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
             return {c: w[c][k] for c in labels}
 
 
-# -- quotient piece games -------------------------------------------------------------
+# -- exit prices -------------------------------------------------------------
 
 
 def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> dict[str, Profile]:
@@ -707,16 +701,6 @@ def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> d
     step = sys.model.step
     return {y: e.reward if e.is_terminal else step(e.reward, w[e.next_class])
             for y, e in sys.classes[cid].exits.items()}
-
-
-def quotient_piece_game(sys: StationarySystem, cid: str,
-                        continuation: Mapping[str, Mapping[str, object]]) -> Game:
-    """The class template as a piece game whose exits pay `_exit_prices`
-    against the continuation of the classes they enter."""
-    cls = sys.classes[cid]
-    w = {e.next_class: make_profile(continuation[e.next_class], sys.stakeholders)
-         for e in cls.exits.values() if not e.is_terminal}
-    return Game(cls.template, sys.stakeholders, _exit_prices(sys, cid, w))
 
 
 # -- certification ------------------------------------------------------------------
@@ -860,12 +844,6 @@ class _ClassTable:
         return reach[key]
 
 
-def check_solvable(sys: StationarySystem) -> None:
-    """Raise ValueError unless `solve_stationary` supports the model: discounting alone."""
-    if not isinstance(sys.model, DiscountedAccumulation):
-        raise ValueError("solve_stationary requires a discounted-accumulation model")
-
-
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
     """Value iteration over class profiles for discounted models.
 
@@ -892,7 +870,8 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     marked state, re-marked at power-of-two sweep counts, and one
     comparison per sweep.
     """
-    check_solvable(sys)
+    if not isinstance(sys.model, DiscountedAccumulation):
+        raise ValueError("solve_stationary requires a discounted-accumulation model")
     tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
     w = {c: sys.zero_profile() for c in sys.classes}
     sigma_prev: dict | None = None

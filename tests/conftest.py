@@ -61,7 +61,6 @@ from pentaform.stationary import (
     canonical_cycle,
     continuation_values,
     parse_subroot_label,
-    quotient_piece_game,
     simple_cycles,
     validate_stationary_strategy,
 )
@@ -520,7 +519,7 @@ def scc_has_aperiodic_runs(graph: dict) -> bool:
                     seen.add(nxt)
                     stack.append(nxt)
         reach[c] = seen
-    cycles = simple_cycles(graph)
+    cycles = list(simple_cycles(graph))
     for c in graph:
         comp = {d for d in graph if d in reach[c] and c in reach[d]}
         if sum(1 for cyc in cycles if set(cyc) <= comp) >= 2:
@@ -1026,7 +1025,7 @@ def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailu
         new_w: dict = {}
         new_sigma: dict = {}
         for c in sorted(sys.classes):
-            qg = quotient_piece_game(sys, c, w)
+            qg = reference_quotient_piece_game(sys, c, w)
             chosen = None
             for profile in enumerate_piece_profiles(qg.form, qg.form.situations, qg.form.root,
                                                    largest_first=True):
@@ -1042,7 +1041,7 @@ def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailu
         w, sigma_prev = new_w, new_sigma
         if delta < SOLVE_TOL and stable:
             exact = continuation_values(sys, new_sigma)
-            if all(nash_check(quotient_piece_game(sys, c, exact), new_sigma[c]).holds
+            if all(nash_check(reference_quotient_piece_game(sys, c, exact), new_sigma[c]).holds
                    for c in sorted(sys.classes)):
                 return StationarySolution(new_sigma, exact)
             w = exact

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -170,9 +171,19 @@ def test_resource_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_solve_cap_exit_code(capsys, monkeypatch):
+    # entry.game's deepest piece, at 6, has 2 profiles: the search meets the
+    # cap before any stdout, so not even the header is printed.
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "1")
+    code, out, err = run(capsys, "solve", FIXTURES / "entry.game")
+    assert code == cli.EXIT_RESOURCE == 3
+    assert out == ""
+    assert err == "resource cap exceeded: piece at '6' has 2 strategy profiles, more than the cap of 1\n"
+
+
 def test_stationary_solve_cap_exit_code(capsys, monkeypatch, tmp_path):
     # gen5's classes share a template of 6 profiles; the first class to be
-    # scanned meets the cap and nothing after the header reaches stdout.
+    # scanned meets the cap before any stdout, so not even the header is printed.
     import sys
 
     sys.path.insert(0, str(Path(__file__).parent))
@@ -183,7 +194,7 @@ def test_stationary_solve_cap_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "5")
     code, out, err = run(capsys, "stationary", path, "solve")
     assert code == cli.EXIT_RESOURCE == 3
-    assert out == f"stationary {path} solve\n"
+    assert out == ""
     assert err == "resource cap exceeded: piece at '' has 6 strategy profiles, more than the cap of 5\n"
 
 
@@ -236,6 +247,26 @@ def test_malformed_system_is_input_error(capsys, tmp_path, edit, message):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert message in err
     assert err.count("template") <= 1
+
+
+def test_unknown_property_lists_the_choices_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
+    with pytest.raises(SystemExit) as caught:
+        main(["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"), "--property", "bogus"])
+    assert caught.value.code == 2
+    assert capsys.readouterr() == ("", (
+        "usage: pentaform check [-h] --property\n"
+        "                       {nash,spe,admissible,persistent,authentic,piecewise-nash,one-piece}\n"
+        "                       [--values FILE] [--authentic-value]\n"
+        "                       game strategy\n"
+        "pentaform check: error: argument --property: invalid choice: 'bogus' (choose from 'nash', "
+        "'spe', 'admissible', 'persistent', 'authentic', 'piecewise-nash', 'one-piece')\n"))
+
+
+def test_readme_lists_the_check_properties_in_order():
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Properties for `check`: (.*?)\.", readme, re.DOTALL).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(cli._PROPERTIES)
 
 
 def test_output_is_deterministic(capsys):

@@ -51,6 +51,7 @@ from pentaform import (
     check_axioms,
     classify_piece_endnodes,
     classify_piece_run,
+    inf_conceivable,
     induced_strategy,
     nash_check,
     one_piece_unimprovable,
@@ -66,6 +67,7 @@ from pentaform import (
     subform_outcome,
     subroot_sequence,
     subroots,
+    sup_conceivable,
     validate,
 )
 from pentaform import cli, fileio, game, lower_convergent, stationary, upper_convergent
@@ -94,7 +96,6 @@ from pentaform.stationary import (
     conceivable_bounds,
     continuation_values,
     instantiate,
-    quotient_piece_game,
     simple_cycles,
     truncated_game,
     value_at,
@@ -106,6 +107,7 @@ from conftest import (
     assert_same_structure,
     bounded_predecessor_walk,
     brute_force_admissible,
+    brute_force_runs,
     brute_force_subroots,
     is_absentminded,
     piece_form_classify_piece_run,
@@ -390,16 +392,13 @@ def _random_stationary_strategy(sys_: StationarySystem, rng: random.Random) -> d
 
 
 def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: random.Random) -> None:
-    """The unfolding at each depth, value_at at every subroot, the quotient
-    piece games and the persistence verdicts agree with the reference code."""
+    """The unfolding at each depth, value_at at every subroot and the
+    persistence verdicts agree with the reference code."""
     sigma = _random_stationary_strategy(sys_, rng)
     w = continuation_values(sys_, sigma)
     assert w == reference_continuation_values(sys_, sigma)
     _assert_priced(*w.values())
     for values in (w, _random_class_values(sys_, rng)):
-        for c in sorted(sys_.classes):
-            game = quotient_piece_game(sys_, c, values)
-            assert game == reference_quotient_piece_game(sys_, c, values)
         verdict = persistent(sys_, sigma, values)
         assert verdict == reference_stationary_persistent(sys_, sigma, values)
         if not verdict.holds:
@@ -718,6 +717,26 @@ def test_admissible_and_authentic_match_brute_force_on_corpus():
             assert verdict == subform_authentic(g, s, values)
             verdicts["authentic", verdict.holds] += 1
     assert all(verdicts[name, holds] > 50 for name in ("admissible", "authentic") for holds in (True, False))
+
+
+def test_conceivable_bounds_match_runs_at_every_node(small_corpus):
+    """inf_conceivable and sup_conceivable at every node and stakeholder are
+    the least and the greatest utility over the runs through the node."""
+    for g in [*small_corpus, *WOLF_TRUNCATIONS[:3]]:
+        runs = brute_force_runs(g.form)
+        for x in sorted(g.form.nodes):
+            ends = [run[-1] for run in runs if x in run]
+            for k in sorted(g.stakeholders):
+                assert inf_conceivable(g, x, k) == min(g.utilities[y][k] for y in ends)
+                assert sup_conceivable(g, x, k) == max(g.utilities[y][k] for y in ends)
+    g = small_corpus[0]
+    for bound in (inf_conceivable, sup_conceivable):
+        with pytest.raises(ValueError, match=r"^unknown stakeholder 'nobody'$"):
+            bound(g, g.form.root, "nobody")
+        with pytest.raises(ValueError, match=r"^unknown node 'nowhere'$"):
+            bound(g, "nowhere", min(g.stakeholders))
+        with pytest.raises(ValueError, match=r"^unknown stakeholder 'nobody'$"):
+            bound(g, "nowhere", "nobody")
 
 
 def test_admissible_and_authentic_match_reference_on_stationary_systems():
@@ -1106,7 +1125,7 @@ def test_first_nash_point_matches_reference_on_solver_pools():
         for w in ({c: sys_.zero_profile() for c in sys_.classes},
                   continuation_values(sys_, _random_stationary_strategy(sys_, rng))):
             for c in sorted(sys_.classes):
-                _assert_same_first_nash_point(quotient_piece_game(sys_, c, w), largest_first=True)
+                _assert_same_first_nash_point(reference_quotient_piece_game(sys_, c, w), largest_first=True)
 
 
 def _pennies_piece(m: int) -> Game:

@@ -24,8 +24,10 @@ from pentaform import (
     nash_check,
     truncated_game,
     validate,
+    value_at,
 )
 from pentaform.cli import main
+from pentaform.fileio import save_system
 from pentaform.fixtures import cry_wolf, cry_wolf_calm_strategy, entry_game, entry_spe_strategy, entry_values
 from pentaform.game import check_value_function
 from pentaform.numbers import as_scalar, make_profile
@@ -83,6 +85,8 @@ LIBRARY_ERRORS = {
                                r"value function missing subroots \['6'\]"),
     "value-function-extra": (lambda: check_value_function(G1, {**entry_values(), "7": {"Ent": 0, "Inc": 0}}),
                              r"value function defined at non-subroots \['7'\]"),
+    "game-missing-endnode": (lambda: Game(G1.form, G1.stakeholders, {y: G1.utilities[y] for y in ("8", "9")}),
+                             r"^utilities missing for endnodes \['7'\]$"),
     "game-non-endnode": (lambda: Game(G1.form, G1.stakeholders, {**G1.utilities, "6": {"Ent": 0, "Inc": 0}}),
                          r"utilities given for non-endnodes \['6'\]"),
     "strategy-unknown-situation": (lambda: nash_check(G1, {**entry_spe_strategy(), "jX": "e"}),
@@ -99,6 +103,8 @@ LIBRARY_ERRORS = {
                              "unknown utility model"),
     "template-labels-collide": (lambda: instantiate(_colliding_system(), 1),
                                 "template labels collide when concatenated"),
+    "value-at-malformed-label": (lambda: value_at(WOLF, CALM, "69"),
+                                 r"^malformed subroot label '69': no continue exit of class 'day' matches '9'$"),
     "continuation-missing-class": (lambda: truncated_game(WOLF, 1, {}), "continuation missing class 'day'"),
     "instantiate-unknown-mode": (lambda: instantiate(WOLF, 1, "exact"), "unknown instantiation mode 'exact'"),
     "sequence-unknown-start": (lambda: quotient_subroot_sequence(WOLF, CALM, start="night"),
@@ -169,6 +175,18 @@ def test_template_label_collision_names_the_pieces_and_the_label():
         "class 'c' at 'x' both make move 'a' at node 'xm'; rename template nodes")
 
 
+def test_cli_template_label_collision_names_the_file(tmp_path, capsys):
+    path = tmp_path / "collide.system"
+    save_system(path, _colliding_system())
+    assert main(["stationary", str(path), "instantiate", "1"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {path}: template labels collide when concatenated: the piece of class 'c' at '' and the "
+        "piece of class 'c' at 'x' both make move 'a' at node 'xm'; rename template nodes\n"))
+    # a depth below 1 is the argument's fault, not the file's
+    assert main(["stationary", str(path), "instantiate", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: instantiation depth must be at least 1\n")
+
+
 def _write(tmp_path: Path, name: str, data) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -210,3 +228,12 @@ def test_cli_checks_every_input_before_any_stdout(case, tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith(f"error: {tmp_path / name}: " if name else "error: ")
     assert re.search(message, out.err), out.err
+
+
+def test_system_template_axiom_failure_is_named_exactly(tmp_path, capsys):
+    data = _bob_system_data(lambda d: d["classes"]["c"].update(template=[["Bob", "", "", "in", ""]]))
+    path = _write(tmp_path, "cycle.system", data)
+    assert main(["stationary", path, "convergence"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {path}: classes.c.template: [Py] predecessor walk from '' never leaves the successor set "
+        "(cycle); [Pr] decision nodes that are not successors should be a singleton; found none\n"))

@@ -45,6 +45,7 @@ from pentaform.stationary import (
     SPE_CERTIFIED,
     StationarySolveFailure,
     StationarySystem,
+    _exit_prices,
     canonical_cycle,
     certify_spe,
     conceivable_bounds,
@@ -52,7 +53,6 @@ from pentaform.stationary import (
     induced_strategy,
     instantiate,
     parse_subroot_label,
-    quotient_piece_game,
     quotient_subroot_sequence,
     simple_cycles,
     solve_stationary,
@@ -455,16 +455,17 @@ def test_stationary_admissible_names_a_value_above_the_conceivable_sup():
 
 
 def test_quotient_piece_game_pricing():
-    qg = quotient_piece_game(WOLF, "day", W_CALM)
-    assert qg.utilities["5"] == {"Wolf": F(5, 9), "Kid": F(0), "Town": F(0)}
-    assert qg.utilities["7"] == W_CALM["day"]  # r7 + beta*w is the fixed point
-    assert qg.utilities["6"] == {"Wolf": F(5, 9), "Kid": F(19, 45), "Town": F(11, 45)}
+    prices = _exit_prices(WOLF, "day", W_CALM)
+    assert prices["5"] == {"Wolf": F(5, 9), "Kid": F(0), "Town": F(0)}
+    assert prices["7"] == W_CALM["day"]  # r7 + beta*w is the fixed point
+    assert prices["6"] == {"Wolf": F(5, 9), "Kid": F(19, 45), "Town": F(11, 45)}
 
 
 def test_affine_invariance_of_concrete_piece_games():
     # Every concrete piece game of a depth-1/2 truncation is the quotient
-    # piece game rescaled by beta^|t| and shifted by the accrued rewards.
-    qg = quotient_piece_game(WOLF, "day", W_CALM)
+    # piece game (the day template with its exit prices) rescaled by beta^|t|
+    # and shifted by the accrued rewards.
+    prices = _exit_prices(WOLF, "day", W_CALM)
     for depth in (1, 2):
         g = truncated_game(WOLF, depth, W_CALM)
         v = authentic_value(g, induced_strategy(WOLF, CALM, depth))
@@ -472,7 +473,7 @@ def test_affine_invariance_of_concrete_piece_games():
             concrete = piece_game(g, v, t)
             accrued = {k: value_at(WOLF, CALM, t)[k] - BETA**len(t) * W_CALM["day"][k]
                        for k in g.stakeholders}
-            for local, prof in qg.utilities.items():
+            for local, prof in prices.items():
                 node = t + local
                 assert concrete.utilities[node] == {
                     k: accrued[k] + BETA**len(t) * prof[k] for k in prof
@@ -776,5 +777,5 @@ def test_quotient_subroot_sequence_across_two_classes():
 def test_cycle_helpers():
     assert canonical_cycle(("b", "a")) == ("a", "b")
     graph = {"a": {"b"}, "b": {"a", "b"}}
-    assert simple_cycles(graph) == [("a", "b"), ("b",)]
+    assert list(simple_cycles(graph)) == [("a", "b"), ("b",)]
     assert eda_chain().model.has_aperiodic_runs() is False

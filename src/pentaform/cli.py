@@ -6,9 +6,10 @@ deterministic (byte-identical for identical inputs and flags).  Exit codes:
 error, 3 resource cap exceeded (a search would pass its configured cap, or
 the interpreter ran out of recursion depth or memory; a one-line message goes
 to stderr, never a traceback), 4 inconclusive.  Every command computes its
-whole answer before the first line of stdout, so exits 2 and 3 leave stdout
-empty.  A ValueError from a file's contents names the file
-(`fileio._checked`).
+whole answer, and writes any output file, before the first line of stdout,
+so exits 2 and 3 leave stdout empty.  A ValueError from a file's contents
+names the file (`fileio._checked`), and so does an output file that cannot
+be written (`fileio._write`).
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def cmd_inspect(args) -> int:
     sizes = dict.fromkeys(ts, 0)  # quintuples per piece
     for q in form.quintuples:
         sizes[owner[q.decision_node]] += 1
-    text = _dot(form) if args.dot else None
+    if args.dot:
+        fileio._write(args.dot, _dot(form))
     print(f"inspect {args.path}")
     print(f"root: {form.root!r}  nodes: {len(form.nodes)}  quintuples: {len(form)}")
     if args.subroots or not args.pieces:
@@ -104,8 +106,6 @@ def cmd_inspect(args) -> int:
             print(f"  {t!r}: {sizes[t]} quintuples")
     print(f"piece partition covers {sum(sizes.values())}/{len(form)} quintuples in {len(ts)} pieces")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"wrote DOT diagram to {args.dot}")
     return EXIT_HOLDS
 
@@ -186,12 +186,13 @@ def cmd_stationary(args) -> int:
         # a depth below 1 is the argument's fault; any other error is the file's
         form = (stat_mod.instantiate(sys_, args.depth) if args.depth < 1
                 else fileio._checked(args.system, stat_mod.instantiate, sys_, args.depth))
+        if args.out:
+            fileio._write(args.out, fileio.dumps_pentaform(form))
         print(f"stationary {args.system} instantiate {args.depth}")
         print(f"quintuples: {len(form)}")
         ts = sorted(subroots(form))
         print(f"subroots ({len(ts)}): " + ", ".join(repr(t) for t in ts))
         if args.out:
-            fileio.save_pentaform(args.out, form)
             print(f"wrote pentaform to {args.out}")
         return EXIT_HOLDS
     if args.action == "convergence":

@@ -6,9 +6,10 @@ happen.  A game finds both at once in one walk of x's subtree
 (`Game._conceivable_bounds`), which `inf_conceivable` and `sup_conceivable`
 read.  A utility function is upper-convergent when that sup collapses to
 the run's own utility along every run (lower-convergence is the mirror
-image).  Finite games always converge; generated infinite-horizon systems
-are decided exactly on their class quotient by their utility model, which
-owns its validation, conceivable bounds and convergence verdicts:
+image).  Each object gives its own verdict (`_convergence`), as it gives
+its own bounds: finite games always converge, and generated infinite-horizon
+systems are decided exactly on their class quotient by their utility model,
+which owns its validation, conceivable bounds and convergence verdicts:
 discounted accumulation gives a geometric certificate, and absolute-terminal
 models are checked lasso by lasso, with Unknown reserved for systems whose
 aperiodic infinite runs have no declared utility.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import Game
 from .numbers import Scalar
 
 HOLDS = "holds"
@@ -41,12 +41,12 @@ class ConvergenceVerdict:
         return self.status == HOLDS
 
 
-def sup_conceivable(g: Game, x: str, k: str) -> Scalar:
+def sup_conceivable(g, x: str, k: str) -> Scalar:
     """Highest stakeholder-k utility over runs through x (exact tree max)."""
     return g._conceivable_bounds(x, k)[1]
 
 
-def inf_conceivable(g: Game, x: str, k: str) -> Scalar:
+def inf_conceivable(g, x: str, k: str) -> Scalar:
     """Lowest stakeholder-k utility over runs through x (exact tree min)."""
     return g._conceivable_bounds(x, k)[0]
 
@@ -62,11 +62,6 @@ def lower_convergent(obj) -> ConvergenceVerdict:
 
 
 def _convergent(obj, direction: str) -> ConvergenceVerdict:
-    if isinstance(obj, Game):
-        # Finite games: the last node of any run pins the tail down exactly.
-        return ConvergenceVerdict(HOLDS, certificate="finite game: all runs end at endnodes")
-    from .stationary import StationarySystem  # stationary imports this module
-
-    if isinstance(obj, StationarySystem):
-        return obj.model.convergence(obj, direction)
-    raise TypeError(f"expected a Game or StationarySystem, got {type(obj).__name__}")
+    if not hasattr(obj, "_convergence"):
+        raise TypeError(f"expected a Game or StationarySystem, got {type(obj).__name__}")
+    return obj._convergence(direction)

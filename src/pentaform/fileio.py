@@ -53,6 +53,13 @@ def _read(path):
         raise FileFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def _expect(cond: bool, where: str, msg: str) -> None:
     if not cond:
         raise FileFormatError(f"{where}: {msg}")

@@ -62,6 +62,7 @@ from fractions import Fraction
 from itertools import product
 from typing import AbstractSet, Iterable, Mapping
 
+from .convergence import HOLDS, ConvergenceVerdict
 from .core import Pentaform, Quintuple, validate
 from .numbers import Profile, Scalar, make_profile
 from .partition import piece_form, piece_owners, subroots, subroots_sorted
@@ -136,6 +137,10 @@ class Game:
 
     def _authentic_values(self, s: Mapping[str, str]) -> dict[str, Profile]:
         return authentic_value(self, s)
+
+    def _convergence(self, direction: str) -> ConvergenceVerdict:
+        """Both directions hold: the last node of any run pins its tail down exactly."""
+        return ConvergenceVerdict(HOLDS, certificate="finite game: all runs end at endnodes")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ Each model also owns every other decision that depends on it: `validated`
 `bounds` (the conceivable bounds of every class, by policy iteration or over
 the reachable terminal exits and cycles) and `convergence` (a geometric
 certificate, or a lasso-by-lasso decision).  The functions below call these
-hooks; only bounded instantiation and `solve_stationary`, which support
-discounting alone, still test the model's type.
+hooks; only `solve_stationary`, which supports discounting alone, still
+tests the model's type.
 
 Everything infinite is analyzed on the finite class quotient: continuation
 values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
@@ -356,6 +356,9 @@ class StationarySystem:
     def _authentic_values(self, sigma) -> dict[str, Profile]:
         return continuation_values(self, sigma)
 
+    def _convergence(self, direction: str) -> ConvergenceVerdict:
+        return self.model.convergence(self, direction)
+
     def __repr__(self) -> str:
         return f"StationarySystem(classes={sorted(self.classes)}, initial={self.initial!r}, model={self.model.kind})"
 
@@ -405,9 +408,10 @@ class _PieceInstance:
 
 
 def _expand(sys: StationarySystem, depth: int):
-    """All piece instances with class-path length ≤ depth, plus the cut
-    endnodes (the continue exits of the deepest layer) as (node, class
-    entered, class path ending in that exit) triples.
+    """All piece instances with class-path length ≤ depth, then the cuts: the
+    instances one level deeper, whose prefix is the cut endnode (a continue
+    exit of the deepest layer), with the class it enters and the class path
+    ending in that exit.
 
     Before building anything, counts the unfolding's quintuples level by
     level from the class multiplicities and raises ResourceCapError past the
@@ -430,15 +434,12 @@ def _expand(sys: StationarySystem, depth: int):
             break
         multiplicity = nxt
 
-    root = _PieceInstance("", sys.initial, ())
-    pieces, frontier = [root], [root]
-    for _ in range(level):  # no piece lies deeper than the last counted level
+    pieces, frontier = [], [_PieceInstance("", sys.initial, ())]
+    for _ in range(level + 1):  # levels 0..level hold the pieces; the level after them, the cuts
+        pieces.extend(frontier)
         frontier = [_PieceInstance(inst.prefix + label, e.next_class, inst.path + (e,))
                     for inst in frontier for label, e in sys._continues[inst.class_id]]
-        pieces.extend(frontier)
-    cuts = [(inst.prefix + label, e.next_class, inst.path + (e,))
-            for inst in frontier for label, e in sys._continues[inst.class_id]]
-    return pieces, cuts
+    return pieces, frontier
 
 
 def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
@@ -466,99 +467,40 @@ def _price(model, path: tuple[Exit, ...], w: Mapping[str, Scalar]) -> Profile:
     return w
 
 
-@dataclass(frozen=True)
-class _Unfolding:
-    """A depth-bounded unfolding: true terminals priced exactly, each cut
-    endnode kept as (node, class entered, class path) until a continuation
-    prices it."""
-
-    form: Pentaform
-    stakeholders: frozenset
-    model: object
-    terminal_utilities: Mapping[str, Profile]
-    cuts: tuple
-
-    def game(self, continuation: Mapping[str, Mapping[str, object]]) -> Game:
-        """Point-instantiate the cut endnodes with one continuation profile per class."""
-        utilities = dict(self.terminal_utilities)
-        for node, class_id, path in self.cuts:
-            if class_id not in continuation:
-                raise ValueError(f"continuation missing class {class_id!r}")
-            w = make_profile(continuation[class_id], self.stakeholders)
-            utilities[node] = _price(self.model, path, w)
-        return Game(self.form, self.stakeholders, utilities)
-
-
-def _unfold(sys: StationarySystem, depth: int) -> _Unfolding:
-    pieces, cuts = _expand(sys, depth)
-    terminal_utilities = {
-        inst.prefix + label: _price(sys.model, inst.path, e.reward)
-        for inst in pieces for label, e in sys.classes[inst.class_id].exits.items() if e.is_terminal
-    }
-    form = validate(_piece_quintuples(sys, pieces))
-    return _Unfolding(form, sys.stakeholders, sys.model, terminal_utilities, tuple(cuts))
-
-
-@dataclass(frozen=True)
-class BoundaryExit:
-    node: str
-    class_id: str
-    accrued: Profile  # discounted rewards earned strictly before entering the class
-    level: int        # class-path length of the boundary subroot
-    low: Profile
-    high: Profile
-
-
-@dataclass(frozen=True)
-class BoundedInstantiation(_Unfolding):
-    """A depth-bounded unfolding whose cut endnodes carry exact value brackets."""
-
-    boundary: Mapping[str, BoundaryExit]
-
-
-def instantiate(sys: StationarySystem, depth: int, mode: str = "structural"):
-    """Unfold all pieces with class-path length ≤ depth.
-
-    Structural mode returns the validated pentaform only.  Bounded mode
-    (discounted models only) additionally prices every true terminal exactly
-    and brackets every cut endnode by the conceivable bounds of the class it
-    enters, priced along its class path.
-    """
-    if mode == "structural":
-        pieces, _ = _expand(sys, depth)
-        return validate(_piece_quintuples(sys, pieces))
-    if mode != "bounded":
-        raise ValueError(f"unknown instantiation mode {mode!r}")
-    if not isinstance(sys.model, DiscountedAccumulation):
-        raise ValueError("bounded instantiation is unsupported for absolute-terminal models")
-    unfolding = _unfold(sys, depth)
-    boundary: dict[str, BoundaryExit] = {}
-    for node, class_id, path in unfolding.cuts:
-        lo, hi = {}, {}
-        for k in sorted(sys.stakeholders):
-            lo[k], hi[k] = conceivable_bounds(sys, class_id, k)
-        boundary[node] = BoundaryExit(node, class_id, _price(sys.model, path, sys.zero_profile()),
-                                      len(path), _price(sys.model, path, lo), _price(sys.model, path, hi))
-    return BoundedInstantiation(**vars(unfolding), boundary=boundary)
+def instantiate(sys: StationarySystem, depth: int) -> Pentaform:
+    """The validated pentaform of all pieces with class-path length ≤ depth."""
+    return validate(_piece_quintuples(sys, _expand(sys, depth)[0]))
 
 
 def truncated_game(sys: StationarySystem, depth: int,
                    continuation: Mapping[str, Mapping[str, object]]) -> Game:
-    """A finite game cut at `depth` with explicit per-class boundary profiles.
+    """The unfolding to `depth` as a finite game, each cut endnode worth the
+    profile `continuation` gives the class it enters, priced back along its
+    class path by folding the model's `step`, as every true terminal is.
 
-    Works for both utility models: every endnode is priced by folding the
-    model's `step` over the continue exits on its class path.
+    With each class's conceivable bounds as the continuation (`{c: {k:
+    conceivable_bounds(sys, c, k)[0]}}`, or `[1]`), every cut carries the inf
+    (sup) over the runs through it, and zero profiles give the rewards accrued
+    before it; `parse_subroot_label` names the class a cut enters and its level.
     """
-    return _unfold(sys, depth).game(continuation)
+    pieces, cuts = _expand(sys, depth)
+    form = validate(_piece_quintuples(sys, pieces))
+    utilities = {inst.prefix + label: _price(sys.model, inst.path, e.reward)
+                 for inst in pieces for label, e in sys.classes[inst.class_id].exits.items() if e.is_terminal}
+    for cut in cuts:
+        if cut.class_id not in continuation:
+            raise ValueError(f"continuation missing class {cut.class_id!r}")
+        w = make_profile(continuation[cut.class_id], sys.stakeholders)
+        utilities[cut.prefix] = _price(sys.model, cut.path, w)
+    return Game(form, sys.stakeholders, utilities)
 
 
 def induced_strategy(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str]],
                      depth: int) -> dict[str, str]:
     """Replicate a stationary strategy over every piece of a truncation."""
     sigma = validate_stationary_strategy(sys, sigma)
-    pieces, _ = _expand(sys, depth)
     out: dict[str, str] = {}
-    for inst in pieces:
+    for inst in _expand(sys, depth)[0]:
         for local_sit, action in sigma[inst.class_id].items():
             out[_relabel_situation(inst.prefix, local_sit)] = action
     return out

@@ -51,7 +51,6 @@ from pentaform.partition import EXIT_TO_SUBROOT, FINAL_ENDNODE, PieceRunClass
 from pentaform.stationary import (
     SOLVE_MAX_SWEEPS,
     SOLVE_TOL,
-    BoundaryExit,
     DiscountedAccumulation,
     Exit,
     PieceClass,
@@ -59,9 +58,11 @@ from pentaform.stationary import (
     StationarySolveFailure,
     StationarySystem,
     canonical_cycle,
+    conceivable_bounds,
     continuation_values,
     parse_subroot_label,
     simple_cycles,
+    truncated_game,
     validate_stationary_strategy,
 )
 from pentaform.strategy import TERMINATED, SubrootSequence
@@ -728,6 +729,18 @@ def reference_piece_form(sys, pieces) -> Pentaform:
 
 
 @dataclass(frozen=True)
+class BoundaryExit:
+    """A cut endnode of a discounted unfolding with its exact value bracket."""
+
+    node: str
+    class_id: str
+    accrued: dict  # discounted rewards earned strictly before entering the class
+    level: int     # class-path length of the boundary subroot
+    low: dict
+    high: dict
+
+
+@dataclass(frozen=True)
 class ReferenceBoundedInstantiation:
     form: Pentaform
     stakeholders: frozenset
@@ -775,6 +788,25 @@ def reference_instantiate(sys, depth: int, mode: str = "structural"):
             hi[k] = accrued[k] + beta ** level * b_hi
         boundary[node] = BoundaryExit(node, class_id, accrued, level, lo, hi)
     return ReferenceBoundedInstantiation(form, sys.stakeholders, beta, terminal_utilities, boundary)
+
+
+def bound_truncations(sys, depth: int) -> tuple[Game, Game, Game]:
+    """`truncated_game` at each class's lower conceivable bounds, at its upper
+    bounds and at zero profiles: every cut endnode's bracket and the rewards
+    accrued before it."""
+    def at(value):
+        return truncated_game(sys, depth, {c: {k: value(c, k) for k in sys.stakeholders} for c in sys.classes})
+
+    return (at(lambda c, k: conceivable_bounds(sys, c, k)[0]), at(lambda c, k: conceivable_bounds(sys, c, k)[1]),
+            at(lambda c, k: 0))
+
+
+def boundary_exit(sys, node: str, truncations) -> BoundaryExit:
+    """Cut endnode `node` as the reference's bounded instantiation records it,
+    read off the three `bound_truncations` and `parse_subroot_label`."""
+    low, high, accrued = (g.utilities[node] for g in truncations)
+    exits, class_id = parse_subroot_label(sys, node)
+    return BoundaryExit(node, class_id, accrued, len(exits), low, high)
 
 
 def reference_truncated_game(sys, depth: int, continuation) -> Game:

@@ -105,6 +105,8 @@ from pentaform.strategy import TERMINATED, SubrootSequence, outcome
 from conftest import (
     ReferencePentaform,
     assert_same_structure,
+    bound_truncations,
+    boundary_exit,
     bounded_predecessor_walk,
     brute_force_admissible,
     brute_force_runs,
@@ -122,6 +124,7 @@ from conftest import (
     reference_check_axioms,
     reference_continuation_values,
     reference_discounted_extremes,
+    reference_expand,
     reference_first_nash_point,
     reference_induced_strategy,
     reference_instantiate,
@@ -393,7 +396,9 @@ def _random_stationary_strategy(sys_: StationarySystem, rng: random.Random) -> d
 
 def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: random.Random) -> None:
     """The unfolding at each depth, value_at at every subroot and the
-    persistence verdicts agree with the reference code."""
+    persistence verdicts agree with the reference code, and the truncations
+    at the conceivable bounds bracket every cut endnode as the reference's
+    bounded instantiation does."""
     sigma = _random_stationary_strategy(sys_, rng)
     w = continuation_values(sys_, sigma)
     assert w == reference_continuation_values(sys_, sigma)
@@ -411,16 +416,23 @@ def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: ra
         game = truncated_game(sys_, depth, continuation)
         assert game == reference_truncated_game(sys_, depth, continuation)
         assert induced_strategy(sys_, sigma, depth) == reference_induced_strategy(sys_, sigma, depth)
+        truncations = bound_truncations(sys_, depth)
+        for g in truncations:
+            assert g.form == form
+            _assert_priced(*g.utilities.values())
         if discounted:
-            bounded = instantiate(sys_, depth, "bounded")
             expected = reference_instantiate(sys_, depth, "bounded")
-            assert bounded.form == expected.form == form
-            assert bounded.terminal_utilities == expected.terminal_utilities
-            assert bounded.boundary == expected.boundary
-            assert bounded.game(continuation) == expected.game(continuation) == game
-            _assert_priced(*bounded.terminal_utilities.values())
-            for b in bounded.boundary.values():
-                _assert_priced(b.accrued, b.low, b.high)
+            assert expected.game(continuation) == game
+            assert set(form.endnodes) == set(expected.terminal_utilities) | set(expected.boundary)
+            for node, utility in expected.terminal_utilities.items():
+                assert all(g.utilities[node] == utility for g in truncations)
+            assert {node: boundary_exit(sys_, node, truncations) for node in expected.boundary} == expected.boundary
+        else:
+            # every cut endnode carries exactly its class's bounds
+            for node, class_id, _, _ in reference_expand(sys_, depth, with_accrued=False)[1]:
+                bounds = {k: reference_absolute_bounds(sys_, class_id, k) for k in sys_.stakeholders}
+                assert [g.utilities[node] for g in truncations[:2]] == [
+                    {k: bound[side] for k, bound in bounds.items()} for side in (0, 1)]
         for t in sorted(subroots(form)):
             v = value_at(sys_, sigma, t)
             assert v == reference_value_at(sys_, sigma, t)

@@ -7,8 +7,7 @@ A name bound by an import must occur as a name somewhere else in the module.
 `from __future__` imports, which bind no name.  A `def` or `class` name must
 occur as a word in the Python files of the source, tests, demos or benchmark
 more often than it is defined.  No function imports anything: every import
-sits at the top of its module, where the import graph shows it, except the
-one listed in `LOCAL_IMPORTS` with its reason."""
+sits at the top of its module, where the import graph shows it."""
 
 from __future__ import annotations
 
@@ -43,13 +42,6 @@ def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-# (module, function, imported module) → why the import cannot be at the top
-LOCAL_IMPORTS = {
-    ("convergence.py", "_convergent", "stationary"):
-        "stationary imports convergence, so convergence imports StationarySystem when it is first called",
-}
-
-
 def local_imports(module: str, source: str) -> list[tuple[str, str, str]]:
     """(module, function, imported module) for each import inside a function."""
     found = []
@@ -65,7 +57,7 @@ def local_imports(module: str, source: str) -> list[tuple[str, str, str]]:
 
 def test_no_function_imports_anything():
     found = [hit for module in MODULES for hit in local_imports(module, (PACKAGE / module).read_text(encoding="utf-8"))]
-    assert sorted(found) == sorted(LOCAL_IMPORTS)
+    assert found == []
 
 
 def _is_dispatched(module: str, name: str) -> bool:

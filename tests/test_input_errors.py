@@ -106,7 +106,6 @@ LIBRARY_ERRORS = {
     "value-at-malformed-label": (lambda: value_at(WOLF, CALM, "69"),
                                  r"^malformed subroot label '69': no continue exit of class 'day' matches '9'$"),
     "continuation-missing-class": (lambda: truncated_game(WOLF, 1, {}), "continuation missing class 'day'"),
-    "instantiate-unknown-mode": (lambda: instantiate(WOLF, 1, "exact"), "unknown instantiation mode 'exact'"),
     "sequence-unknown-start": (lambda: quotient_subroot_sequence(WOLF, CALM, start="night"),
                                "unknown class 'night'"),
 }
@@ -237,3 +236,22 @@ def test_system_template_axiom_failure_is_named_exactly(tmp_path, capsys):
     assert capsys.readouterr() == ("", (
         f"error: {path}: classes.c.template: [Py] predecessor walk from '' never leaves the successor set "
         "(cycle); [Pr] decision nodes that are not successors should be a singleton; found none\n"))
+
+
+def _assert_unwritable(argv, path, capsys) -> None:
+    """Exit 2, empty stdout, and one stderr line naming the output file."""
+    assert main([str(a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1, out.err
+    assert not path.parent.exists()
+
+
+def test_inspect_unwritable_dot_file_exits_2_before_any_stdout(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.dot"
+    _assert_unwritable(["inspect", FIXTURES / "entry.pentaform", "--dot", path], path, capsys)
+
+
+def test_instantiate_unwritable_out_file_exits_2_before_any_stdout(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.pentaform"
+    _assert_unwritable(["stationary", FIXTURES / "crywolf.system", "instantiate", 1, "--out", path], path, capsys)

@@ -7,6 +7,7 @@ import sys
 import time
 import weakref
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -36,7 +37,6 @@ from pentaform.fixtures import (
 from pentaform.game import authentic_value
 from pentaform.stationary import (
     AbsoluteTerminal,
-    BoundaryExit,
     DiscountedAccumulation,
     Exit,
     INCONCLUSIVE,
@@ -61,7 +61,14 @@ from pentaform.stationary import (
 )
 from pentaform.strategy import INFINITE_DETECTED, TERMINATED
 
-from conftest import random_discounted_system, random_ring_system, reference_discounted_extremes
+from conftest import (
+    BoundaryExit,
+    bound_truncations,
+    boundary_exit,
+    random_discounted_system,
+    random_ring_system,
+    reference_discounted_extremes,
+)
 
 WOLF = cry_wolf()
 CALM = cry_wolf_calm_strategy()
@@ -246,20 +253,17 @@ def test_instantiate_structural_consistency():
 
 
 def test_bounded_instantiation_prices_terminals_exactly():
-    bounded = instantiate(WOLF, 2, "bounded")
-    u65 = bounded.terminal_utilities["65"]
-    assert u65 == {"Wolf": F(5, 9), "Kid": F(2, 5), "Town": F(1, 5)}
-    # boundary nodes carry brackets that contain the calm continuation value
-    g = bounded.game(W_CALM)
-    for node, b in bounded.boundary.items():
-        point = g.utilities[node]
-        for k in point:
-            assert b.low[k] <= point[k] <= b.high[k]
-
-
-def test_bounded_instantiation_rejected_for_absolute_model():
-    with pytest.raises(ValueError, match="unsupported"):
-        instantiate(ann_chain(), 2, "bounded")
+    truncations = bound_truncations(WOLF, 2)
+    for g in truncations:
+        assert g.utilities["65"] == {"Wolf": F(5, 9), "Kid": F(2, 5), "Town": F(1, 5)}
+    # the depth-2 cuts are the 27 three-day paths of continue exits 6, 7, 8;
+    # their brackets contain the calm continuation value
+    g = truncated_game(WOLF, 2, W_CALM)
+    for node in ("".join(p) for p in product("678", repeat=3)):
+        b = boundary_exit(WOLF, node, truncations)
+        assert (b.class_id, b.level) == ("day", 3)
+        for k, x in g.utilities[node].items():
+            assert b.low[k] <= x <= b.high[k]
 
 
 def _ring(n: int) -> StationarySystem:
@@ -282,7 +286,7 @@ def test_truncated_game_computes_no_bounds(monkeypatch):
     assert truncated_game(ring, 2, continuation) == uncapped
     assert ring._extremes is None
     assert uncapped.utilities["iii"] == {"p": 1 + F(1, 2) + F(1, 4) + F(1, 8) * F(1, 3)}
-    assert instantiate(_ring(6), 2, "bounded").boundary["iii"].high == {"p": 2}
+    assert bound_truncations(_ring(6), 2)[1].utilities["iii"] == {"p": 2}
 
 
 def test_bounded_instantiation_of_a_ring_with_two_to_the_forty_policies():
@@ -291,10 +295,11 @@ def test_bounded_instantiation_of_a_ring_with_two_to_the_forty_policies():
     ring = _ring(40)
     for c in ring.classes:
         assert conceivable_bounds(ring, c, "p") == (0, 2)
-    bounded = instantiate(ring, 2, "bounded")
+    truncations = bound_truncations(ring, 2)
     accrued = 1 + F(1, 2) + F(1, 4)
-    assert bounded.boundary == {"iii": BoundaryExit("iii", "c3", {"p": accrued}, 3,
-                                                    {"p": accrued}, {"p": accrued + F(1, 8) * 2})}
+    assert truncations[0].form.endnodes == {"x", "ix", "iix", "iii"}
+    assert boundary_exit(ring, "iii", truncations) == BoundaryExit("iii", "c3", {"p": accrued}, 3,
+                                                                   {"p": accrued}, {"p": accrued + F(1, 8) * 2})
 
 
 def test_bounds_make_few_chain_evaluations(monkeypatch):
@@ -727,8 +732,6 @@ def test_solve_stationary_cap_error_names_the_template(monkeypatch):
 
 
 def test_random_discounted_systems_solve_certify_and_truncate():
-    from itertools import product as iproduct
-
     solved = 0
     for seed in range(60):
         sys_ = random_discounted_system(seed)
@@ -738,7 +741,7 @@ def test_random_discounted_systems_solve_certify_and_truncate():
         slots = [(c, j) for c in sorted(sys_.classes)
                  for j in sorted(sys_.classes[c].template.situations)]
         pools = [sorted(sys_.classes[c].template.action_set(j)) for c, j in slots]
-        for combo in iproduct(*pools):
+        for combo in product(*pools):
             sigma = {c: {} for c in sys_.classes}
             for (c, j), a in zip(slots, combo):
                 sigma[c][j] = a

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import convergence, fileio, game as game_mod, stationary as stat_mod
 from .core import ALL_AXIOMS, InvalidPentaform, validate
 from .numbers import render_scalar
-from .partition import piece_owners, subroots, subroots_sorted
+from .partition import _partition, piece_owners, subroots_sorted
 from .strategy import validate_strategy
 
 _PALETTE = ("lightblue", "lightyellow", "lightpink", "lightgreen", "lavender",
@@ -89,11 +89,9 @@ def cmd_validate(args) -> int:
 
 def cmd_inspect(args) -> int:
     form = fileio.load_pentaform(args.path)
-    ts = sorted(subroots(form))
-    owner = piece_owners(form)
-    sizes = dict.fromkeys(ts, 0)  # quintuples per piece
-    for q in form.quintuples:
-        sizes[owner[q.decision_node]] += 1
+    pieces = _partition(form).nodes
+    ts = sorted(pieces)
+    sizes = {t: sum(len(form.children(x)) for x in pieces[t]) for t in ts}  # quintuples per piece
     if args.dot:
         fileio._write(args.dot, _dot(form))
     print(f"inspect {args.path}")
@@ -114,7 +112,7 @@ def _dot(form) -> str:
     """Each piece gets the next palette color in (depth, label) order.  A
     node takes the color of the piece that moves into it, so an exit takes
     the color of the piece it leaves; the root takes its own piece's."""
-    ts = subroots(form)
+    ts = _partition(form).subroots
     owner = piece_owners(form)
     color_of = {t: _PALETTE[idx % len(_PALETTE)] for idx, t in enumerate(subroots_sorted(form))}
     lines = ["digraph pentaform {", "  rankdir=TB;", '  node [style=filled, shape=ellipse];']
@@ -190,7 +188,7 @@ def cmd_stationary(args) -> int:
             fileio._write(args.out, fileio.dumps_pentaform(form))
         print(f"stationary {args.system} instantiate {args.depth}")
         print(f"quintuples: {len(form)}")
-        ts = sorted(subroots(form))
+        ts = sorted(_partition(form).subroots)
         print(f"subroots ({len(ts)}): " + ", ".join(repr(t) for t in ts))
         if args.out:
             print(f"wrote pentaform to {args.out}")

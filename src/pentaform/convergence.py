@@ -15,7 +15,7 @@ models are checked lasso by lasso, with Unknown reserved for systems whose
 aperiodic infinite runs have no declared utility.
 
 `DEFAULT_DEPTH` is only the d at which a discounted certificate prints its
-bound (and the depth an Unknown certificate names).
+bound; an Unknown certificate names its cause, a class on two declared cycles.
 """
 
 from __future__ import annotations

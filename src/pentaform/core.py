@@ -196,7 +196,7 @@ class Pentaform:
         "quintuples", "players", "situations", "decision_nodes", "actions",
         "successors", "nodes", "endnodes", "root",
         "_pred", "_pred_action", "_children", "_situation_of", "_player_of",
-        "_info_sets", "_action_sets", "_next", "_depth", "_hash", "_runs", "_owners",
+        "_info_sets", "_action_sets", "_next", "_depth", "_hash", "_runs", "_partition",
     )
 
     def __init__(self, quintuples: Iterable[Quintuple]):
@@ -250,7 +250,7 @@ class Pentaform:
         self._depth = depth
         self._hash = None
         self._runs = None
-        self._owners = None  # filled by partition.piece_owners
+        self._partition = None  # filled by partition._partition
 
     # -- identity ----------------------------------------------------------
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import fileio
 from .core import Quintuple, validate
 from .game import Game
-from .partition import subroots
+from .partition import _partition
 from .stationary import (
     AbsoluteTerminal,
     DiscountedAccumulation,
@@ -151,7 +151,7 @@ def bob_truncation(depth: int = 8) -> Game:
 
 def constant_values(g: Game, profile: dict) -> dict:
     """A value function constant across all subroots of a finite game."""
-    return {t: dict(profile) for t in subroots(g.form)}
+    return {t: dict(profile) for t in _partition(g.form).subroots}
 
 
 def _write_fixture_files() -> None:

@@ -26,20 +26,20 @@ conceivable bounds and the authentic values.
 Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
 player's full strategy space without materializing it.  Every subgame check
-walks the whole form in place, from a subroot t up to the next subroot or a
-final endnode (`_piece_walks`), and builds no piece form.  The piece checks
-price each exit by the value function, or by the authentic values, which the
-value recursion finds one piece at a time.  No situation straddles a
-subroot, so `spe_check_direct` is the same recursion over each player's best
-deviation value: the exits of the piece at t are priced by the values
-already found at them, deepest subroot first, and each piece is searched
-once per player.
+walks each piece in place on its own decision nodes, from a subroot t up to
+the next subroot or a final endnode (`_piece_walks`), and builds no piece
+form.  The piece checks price each exit by the value function, or by the
+authentic values, which the value recursion finds one piece at a time.  No
+situation straddles a subroot, so `spe_check_direct` is the same recursion
+over each player's best deviation value: the exits of the piece at t are
+priced by the values already found at them, deepest subroot first, and each
+piece is searched once per player.
 
 `solve_backward` is the same in-place recursion: at each subroot, deepest
-first, it enumerates the profiles over the piece's situations, which the
-piece-owner map gives (`partition.piece_owners`), and prices the piece's
-exits by the values already found.  It builds no piece form and no piece
-game; `piece_game` stays as the API's (and the tests') explicit piece game.
+first, it enumerates the profiles over the situations of the piece's
+decision nodes, and prices the piece's exits by the values already found.
+It builds no piece form and no piece game; `piece_game` stays as the API's
+(and the tests') explicit piece game.
 
 Both solvers find the first pure Nash row, a profile over a piece's
 situations paired with the endnode it reaches, with one scan
@@ -65,7 +65,7 @@ from typing import AbstractSet, Iterable, Mapping
 from .convergence import HOLDS, ConvergenceVerdict
 from .core import Pentaform, Quintuple, validate
 from .numbers import Profile, Scalar, make_profile
-from .partition import piece_form, piece_owners, subroots, subroots_sorted
+from .partition import _partition, piece_form, subroots_sorted
 from .strategy import outcome, validate_strategy
 
 PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
@@ -275,20 +275,11 @@ def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Map
 
 def _piece_walks(form: Pentaform, deepest_first: bool = False):
     """Each subroot t in (depth, label) order, or in (−depth, label) order
-    (deepest first), with the decision nodes that a walk of the piece at t
-    moves on: t and every decision node that is not a subroot.  A walk from t
-    therefore stops at the next subroot or at a final endnode, and no piece
-    form is built.  The set is shared between the items: it holds t only
-    until the next one."""
-    through = set(form.decision_nodes)
-    through -= subroots(form)
-    order = subroots_sorted(form)
-    if deepest_first:
-        order.sort(key=form.depth, reverse=True)  # stable: labels stay ascending
-    for t in order:
-        through.add(t)
-        yield t, through
-        through.discard(t)
+    (deepest first), with the decision nodes of the piece at t, which a walk
+    of the piece moves on: a walk from t stops at the next subroot or at a
+    final endnode, and no piece form is built."""
+    part = _partition(form)
+    return ((t, part.nodes[t]) for t in (part.deepest_first if deepest_first else part.nodes))
 
 
 def _piece_nash(obj, s, v) -> Verdict:
@@ -427,7 +418,7 @@ def piece_game(g: Game, values: Mapping[str, Mapping[str, object]], t: str) -> G
     from the piece become bystanders whose values still matter.
     """
     piece = piece_form(g.form, t)
-    ts = subroots(g.form)
+    ts = _partition(g.form).subroots
     utils = {}
     for y in sorted(piece.endnodes):
         if y in ts:
@@ -452,7 +443,7 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
     the piece game at t whose exits are priced by the authentic values."""
     s = validate_strategy(g.form, s)
     end = _conforming_ends(g.form, s)
-    verdict = _piece_nash(g, s, {t: g.utilities[end[t]] for t in subroots(g.form)})
+    verdict = _piece_nash(g, s, {t: g.utilities[end[t]] for t in _partition(g.form).subroots})
     if not verdict:
         del verdict.witness["strategy_endnode"]
         verdict.witness["deviation_endnode"] = end[verdict.witness["deviation_endnode"]]
@@ -530,8 +521,8 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     """Generalized backward induction over the piece partition, in place.
 
     Processes subroots in (−depth, label) order.  At each subroot t it
-    enumerates the profiles over the piece's situations (from the
-    piece-owner map), traces each to the piece's exit, and keeps the
+    enumerates the profiles over the situations of the piece's decision
+    nodes, traces each to the piece's exit, and keeps the
     lexicographically smallest pure Nash row of the piece game whose final
     endnodes pay their utilities and whose exits pay the values found so far
     (`first_nash_point`; each reach set is one deviation walk of the piece
@@ -541,16 +532,14 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     games.
     """
     form = g.form
-    situations: dict[str, set[str]] = {t: set() for t in subroots(form)}
-    for x, t in piece_owners(form).items():
-        situations[t].add(form.situation_of(x))
     prices: dict[str, Profile] = dict(g.utilities)  # final endnodes, then each solved subroot
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
     for t, through in _piece_walks(form, deepest_first=True):
+        situations = {form.situation_of(x) for x in through}
         rows = ((profile, outcome(form, profile, t, through)[-1])
-                for profile in enumerate_piece_profiles(form, situations[t], t))
-        row = first_nash_point(form, situations[t], rows, prices,
+                for profile in enumerate_piece_profiles(form, situations, t))
+        row = first_nash_point(form, situations, rows, prices,
                                lambda i, key, profile: _reachable_exits(form, profile, i, t, through))
         if row is None:
             return NoPureEquilibrium(t)

@@ -7,15 +7,16 @@ subform minus everything weakly after a strictly later subroot.  The piece
 forms partition the whole form, and every piece run ends either at a later
 subroot or at a final endnode (never infinitely, for explicit finite forms).
 
-The partition is fully described by which subroot owns each decision node:
-`piece_owners` fills that map once per form and keeps it on the form.  The
-engine walks pieces in place from it (`piece_decision_nodes`,
-`classify_piece_run`, `classify_piece_endnodes`, the solvers and the CLI's
-piece listing); only the API functions `subform`, `piece_form` and
-`piece_partition` build subforms and pieces.  They are built with the
-trusted ``Pentaform(...)`` constructor: the paper's propositions prove each
-is a pentaform, and the differential tests check them against a reference
-axiom check.
+The partition is derived once per form and kept on it (`_partition`): the
+subroots, the owner of each decision node (the nearest subroot weakly
+before it), and the decision nodes of each piece.  The engine walks pieces
+in place from it; only `subform`, `piece_form` and `piece_partition` build
+subforms and pieces, with the trusted ``Pentaform(...)`` constructor: the
+paper's propositions prove each is a pentaform, and the differential tests
+check them against a reference axiom check.  `subroots`, `subform` and
+`piece_partition` keep module-level caches, whose `cache_info()` the
+benchmark's tracer reads; of the engine only `piece_form` calls one of them,
+so the engine keeps no form alive.
 """
 
 from __future__ import annotations
@@ -28,52 +29,82 @@ from typing import Mapping, Sequence
 from .core import Pentaform, Quintuple
 
 
+@dataclass(frozen=True)
+class _Partition:
+    """A form's piece partition: its subroots, each decision node's owner,
+    each piece's decision nodes in (depth, label) order, and the deepest first."""
+
+    subroots: frozenset
+    owner: Mapping[str, str]
+    nodes: Mapping[str, frozenset]
+    deepest_first: tuple[str, ...]
+
+
+def _partition(p: Pentaform) -> _Partition:
+    """The piece partition of p, filled into its slot on first use."""
+    if p._partition is None:
+        # Euler-tour criterion: in preorder every subtree is a contiguous
+        # block [pos(w), pos(w) + size(w)), so w is a subroot exactly when
+        # every situation met below w has its preorder span [lo, hi] inside
+        # that block.  One post-order sweep folds the spans upwards, which
+        # makes this O(N).  The sweep stores only ints in dicts: no container
+        # per node, so no garbage collection pass lands inside it.
+        order = p.subtree_nodes(p.root)
+        decision = p.decision_nodes
+        lo: dict[str, int] = {}
+        hi: dict[str, int] = {}
+        for i, x in enumerate(order):
+            if x in decision:
+                j = p._situation_of[x]
+                lo.setdefault(j, i)
+                hi[j] = i
+        size: dict[str, int] = {}
+        first: dict[str, int] = {}
+        last: dict[str, int] = {}
+        result = set()
+        for i in range(len(order) - 1, -1, -1):
+            x = order[i]
+            if x not in decision:
+                continue
+            j = p._situation_of[x]
+            n, a, b = 1, lo[j], hi[j]
+            for _, y in p._children[x]:
+                n += size.get(y, 1)
+                if y in first:
+                    a = min(a, first[y])
+                    b = max(b, last[y])
+            size[x], first[x], last[x] = n, a, b
+            if a >= i and b < i + n:
+                result.add(x)
+        assert p.root in result
+        # one preorder pass hands each decision node to its nearest subroot
+        owner: dict[str, str] = {}
+        nodes: dict[str, list[str]] = {}
+        for x in order:
+            if x in decision:
+                t = owner[x] = x if x in result else owner[p._pred[x]]
+                nodes.setdefault(t, []).append(x)
+        ts = sorted(result, key=lambda t: (p._depth[t], t))
+        p._partition = _Partition(
+            frozenset(result), MappingProxyType(owner),
+            MappingProxyType({t: frozenset(nodes[t]) for t in ts}),
+            tuple(sorted(ts, key=p._depth.__getitem__, reverse=True)))  # stable: labels stay ascending
+    return p._partition
+
+
 @lru_cache(maxsize=None)
 def subroots(p: Pentaform) -> frozenset:
     """Decision nodes whose subsequent situations occur nowhere else."""
-    # Euler-tour criterion: in preorder every subtree is a contiguous block
-    # [pos(w), pos(w) + size(w)), so w is a subroot exactly when every
-    # situation met below w has its preorder span [lo, hi] inside that block.
-    # One post-order sweep folds the spans upwards, which makes this O(N).  The
-    # sweep stores only ints in dicts: no container per node, so no garbage
-    # collection pass lands inside it on large heaps.
-    order = p.subtree_nodes(p.root)
-    pos = {x: i for i, x in enumerate(order)}
-    lo: dict[str, int] = {}
-    hi: dict[str, int] = {}
-    for i, x in enumerate(order):
-        if x in p.decision_nodes:
-            j = p.situation_of(x)
-            lo.setdefault(j, i)
-            hi[j] = i
-    size: dict[str, int] = {}
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    result = set()
-    for x in reversed(order):
-        if x not in p.decision_nodes:
-            continue
-        j = p.situation_of(x)
-        n, a, b = 1, lo[j], hi[j]
-        for _, y in p.children(x):
-            n += size.get(y, 1)
-            if y in first:
-                a = min(a, first[y])
-                b = max(b, last[y])
-        size[x], first[x], last[x] = n, a, b
-        if a >= pos[x] and b < pos[x] + n:
-            result.add(x)
-    assert p.root in result
-    return frozenset(result)
+    return _partition(p).subroots
 
 
 def subroots_sorted(p: Pentaform) -> list[str]:
     """Subroots ordered by (depth, label); backward induction reverses this."""
-    return sorted(subroots(p), key=lambda t: (p.depth(t), t))
+    return list(_partition(p).nodes)
 
 
 def _require_subroot(p: Pentaform, t: str) -> None:
-    if t not in subroots(p):
+    if t not in _partition(p).subroots:
         raise ValueError(f"{t!r} is not a subroot")
 
 
@@ -87,30 +118,15 @@ def subform(p: Pentaform, t: str) -> Pentaform:
 
 def piece_owners(p: Pentaform) -> Mapping[str, str]:
     """The piece-owner map: each decision node → the subroot whose piece
-    holds it, the nearest subroot weakly before it.  One preorder pass, once
-    per form; the map is kept on the form."""
-    if p._owners is None:
-        ts = subroots(p)
-        owner: dict[str, str] = {}
-        for x in p.subtree_nodes(p.root):
-            if x in p.decision_nodes:
-                owner[x] = x if x in ts else owner[p.predecessor(x)]
-        p._owners = MappingProxyType(owner)
-    return p._owners
+    holds it, the nearest subroot weakly before it."""
+    return _partition(p).owner
 
 
-def piece_decision_nodes(p: Pentaform, t: str) -> set[str]:
-    """The decision nodes of the piece at subroot t, walked in place from t
-    up to the next subroots and final endnodes."""
+def piece_decision_nodes(p: Pentaform, t: str) -> frozenset:
+    """The decision nodes of the piece at subroot t: a walk from t moves on
+    them up to the next subroots and final endnodes."""
     _require_subroot(p, t)
-    owner = piece_owners(p)
-    nodes, stack = {t}, [t]
-    while stack:
-        for _, y in p.children(stack.pop()):
-            if owner.get(y) == t:
-                nodes.add(y)
-                stack.append(y)
-    return nodes
+    return _partition(p).nodes[t]
 
 
 @lru_cache(maxsize=None)
@@ -120,12 +136,11 @@ def piece_partition(p: Pentaform) -> Mapping[str, Pentaform]:
 
     Each quintuple belongs to the piece that owns its decision node.
     """
-    owner = piece_owners(p)
-    buckets: dict[str, list[Quintuple]] = {t: [] for t in subroots_sorted(p)}
+    part = _partition(p)
+    buckets: dict[str, list[Quintuple]] = {t: [] for t in part.nodes}
     for q in p.quintuples:
-        buckets[owner[q.decision_node]].append(q)
-    pieces = {t: Pentaform(qs) for t, qs in buckets.items()}
-    return MappingProxyType(pieces)
+        buckets[part.owner[q.decision_node]].append(q)
+    return MappingProxyType({t: Pentaform(qs) for t, qs in buckets.items()})
 
 
 def piece_form(p: Pentaform, t: str) -> Pentaform:
@@ -145,17 +160,15 @@ class PieceEndnodes:
 def classify_piece_endnodes(p: Pentaform) -> PieceEndnodes:
     """Split each piece's endnodes and verify they tile T ∪ (Y \\ W).
 
-    A piece's endnodes are the children of its decision nodes that it does
-    not own, read from the piece-owner map: no piece form is built.
-    {{r}} together with the nonempty piece-endnode sets partitions the union
-    of the subroots and the final endnodes; a failure here is an engine bug,
-    not a user error.
+    A piece's endnodes are the children of its decision nodes that are not
+    its own: no piece form is built.  {{r}} together with the nonempty
+    piece-endnode sets partitions the union of the subroots and the final
+    endnodes; a failure here is an engine bug, not a user error.
     """
-    ts = subroots(p)
-    owner = piece_owners(p)
-    ends: dict[str, set[str]] = {t: set() for t in subroots_sorted(p)}
-    for x, t in owner.items():
-        ends[t].update(y for _, y in p.children(x) if owner.get(y) != t)
+    part = _partition(p)
+    ts = part.subroots
+    ends = {t: {y for x in nodes for _, y in p.children(x) if y not in nodes}
+            for t, nodes in part.nodes.items()}
     seen = [p.root] + [y for piece_ends in ends.values() for y in piece_ends]
     expected = sorted(ts | p.endnodes)
     assert sorted(seen) == expected, "piece endnodes do not tile the subroots and final endnodes"
@@ -184,12 +197,12 @@ def classify_piece_run(p: Pentaform, t: str, n: Sequence[str]) -> PieceRunClass:
     endnode completing a full run.  The run is checked in place: it is the
     path from t to a node that the piece at t moves into but does not own."""
     _require_subroot(p, t)
-    owner = piece_owners(p)
+    part = _partition(p)
     nt = tuple(n)
     last = nt[-1] if nt else None
-    if not (last in p.successors and owner[p.predecessor(last)] == t and owner.get(last) != t
+    if not (last in p.successors and p.predecessor(last) in part.nodes[t] and last not in part.nodes[t]
             and nt == p.weak_predecessors(last)[p.depth(t):]):
         raise ValueError(f"{nt!r} is not a run of the piece at {t!r}")
-    if last in subroots(p):
+    if last in part.subroots:
         return PieceRunClass(EXIT_TO_SUBROOT, subroot=last)
     return PieceRunClass(FINAL_ENDNODE, completed_run=p.weak_predecessors(last))

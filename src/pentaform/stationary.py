@@ -64,7 +64,7 @@ from .game import (
     profile_cap,
 )
 from .numbers import Profile, Scalar, is_finite, make_profile
-from .partition import subroots
+from .partition import _partition
 from .strategy import INFINITE_DETECTED, TERMINATED, SubrootSequence, outcome, validate_strategy
 
 
@@ -236,8 +236,8 @@ class AbsoluteTerminal:
         if self.has_aperiodic_runs():
             return ConvergenceVerdict(
                 UNKNOWN,
-                certificate=f"every declared lasso converges, but aperiodic infinite runs exist whose "
-                            f"utility the model does not define (checked to depth {DEFAULT_DEPTH})")
+                certificate="every declared lasso converges, but aperiodic infinite runs exist whose "
+                            "utility the model does not define (a class lies on two declared cycles)")
         return ConvergenceVerdict(HOLDS, certificate=(
             "every infinite run settles into a declared class cycle and its conceivable "
             f"{'increments' if upper else 'decrements'} vanish on the quotient"))
@@ -276,7 +276,7 @@ class StationarySystem:
                 raise ValueError(f"class {cid!r}: template root must be the empty label, got {tmpl.root!r}")
             if not tmpl.players <= self.stakeholders:
                 raise ValueError(f"class {cid!r}: players {sorted(tmpl.players - self.stakeholders)} not stakeholders")
-            if subroots(tmpl) != frozenset({""}):
+            if _partition(tmpl).subroots != frozenset({""}):
                 raise ValueError(
                     f"class {cid!r}: template has interior subroots; pieces would not match classes")
             if set(cls.exits) != set(tmpl.endnodes):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
 from .core import Pentaform
-from .partition import _require_subroot, piece_decision_nodes, subroots
+from .partition import _partition, _require_subroot, piece_decision_nodes
 
 Strategy = dict  # situation -> action
 
@@ -127,9 +127,8 @@ def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> SubrootSequ
     Explicit finite pentaforms always terminate; the infinite tag is reserved
     for the stationary module's class-level sequences.
     """
-    ts = subroots(p)
-    if t0 not in ts:
-        raise ValueError(f"{t0!r} is not a subroot")
+    _require_subroot(p, t0)
+    ts = _partition(p).subroots
     seq = [t0]
     while True:
         last = piece_outcome(p, seq[-1], s)[-1]

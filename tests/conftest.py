@@ -999,8 +999,8 @@ def reference_stationary_convergence(sys, direction: str) -> ConvergenceVerdict:
     if scc_has_aperiodic_runs(sys.continue_graph()):
         return ConvergenceVerdict(
             UNKNOWN,
-            certificate=f"every declared lasso converges, but aperiodic infinite runs exist whose "
-                        f"utility the model does not define (checked to depth {depth})")
+            certificate="every declared lasso converges, but aperiodic infinite runs exist whose "
+                        "utility the model does not define (a class lies on two declared cycles)")
     return ConvergenceVerdict(HOLDS, certificate=(
         "every infinite run settles into a declared class cycle and its conceivable "
         f"{'increments' if direction == 'upper' else 'decrements'} vanish on the quotient"))

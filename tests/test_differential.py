@@ -86,6 +86,7 @@ from pentaform.core import (
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
 from pentaform.game import BackwardSolution, _reachable_exits, enumerate_piece_profiles, first_nash_point, piece_game
 from pentaform.numbers import INF, NEG_INF
+from pentaform.partition import _partition, piece_decision_nodes, piece_owners, subroots_sorted
 from pentaform.stationary import (
     INCONCLUSIVE,
     REFUTED,
@@ -154,12 +155,21 @@ WOLF_TRUNCATIONS = [
 
 
 def _check_owners(form) -> None:
-    """Each quintuple sits in the piece of the nearest subroot weakly before it."""
+    """Each quintuple sits in the piece of the nearest subroot weakly before
+    it, and the partition kept on the form agrees: each owner is that
+    subroot, each piece's decision nodes are its piece form's, and the
+    subroots are kept in (depth, label) order and deepest first."""
     ts = subroots(form)
+    nearest = {x: next(y for y in reversed(form.weak_predecessors(x)) if y in ts) for x in form.decision_nodes}
     for t, piece in piece_partition(form).items():
+        assert piece_decision_nodes(form, t) == piece.decision_nodes
         for q in piece.quintuples:
-            nearest = next(x for x in reversed(form.weak_predecessors(q.decision_node)) if x in ts)
-            assert nearest == t
+            assert nearest[q.decision_node] == t
+    assert dict(piece_owners(form)) == nearest
+    part = _partition(form)
+    assert part is _partition(form) and part.subroots == ts
+    assert list(part.nodes) == subroots_sorted(form) == sorted(ts, key=lambda t: (form.depth(t), t))
+    assert list(part.deepest_first) == sorted(ts, key=lambda t: (-form.depth(t), t))
 
 
 def test_structure_matches_oracles_on_corpus(small_corpus):
@@ -175,6 +185,21 @@ def test_structure_matches_oracles_on_cry_wolf(depth):
     assert subroots(form) == brute_force_subroots(form)
     assert bounded_predecessor_walk(form.quintuples) == []
     _check_owners(form)
+
+
+def test_value_checks_sort_nothing_once_the_partition_is_kept(small_corpus, monkeypatch):
+    """`persistent` and `piecewise_nash` on a game read the subroot order
+    kept on the form: once it is filled, neither asks for a node's depth."""
+    calls = Counter()
+    depth = Pentaform.depth
+    monkeypatch.setattr(Pentaform, "depth", lambda form, x: calls.update(["depth"]) or depth(form, x))
+    for idx, g in enumerate(small_corpus + WOLF_TRUNCATIONS):
+        s = random_strategy(g.form, random.Random(idx))
+        v = authentic_value(g, s)
+        calls.clear()
+        assert persistent(g, s, v)
+        piecewise_nash(g, s, v)
+        assert calls["depth"] == 0, idx
 
 
 def _assert_in_place_matches_subform_games(g: Game, s: dict) -> bool:

@@ -7,7 +7,10 @@ A name bound by an import must occur as a name somewhere else in the module.
 `from __future__` imports, which bind no name.  A `def` or `class` name must
 occur as a word in the Python files of the source, tests, demos or benchmark
 more often than it is defined.  No function imports anything: every import
-sits at the top of its module, where the import graph shows it."""
+sits at the top of its module, where the import graph shows it.  Only the
+three partition functions whose `cache_info()` the benchmark's tracer reads
+are cached, and of the package only `piece_form` calls one of them, so the
+engine keeps no form alive in a module-level cache."""
 
 from __future__ import annotations
 
@@ -77,3 +80,30 @@ def test_every_definition_is_named_elsewhere():
     unnamed = [f"{module}: {name}" for module, name in defined
                if words[name] <= definitions[name] and not _is_dispatched(module, name)]
     assert unnamed == []
+
+
+CACHED = {"subroots", "subform", "piece_partition"}
+
+
+def _name(node: ast.expr) -> str | None:
+    """The name that a call, a decorator or a reference goes through."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _functions(module: str) -> list[ast.FunctionDef]:
+    return [node for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_only_the_traced_partition_functions_are_cached():
+    cached = [(module, func.name) for module in MODULES for func in _functions(module)
+              if any(_name(decorator) in ("lru_cache", "cache") for decorator in func.decorator_list)]
+    assert sorted(cached) == [("partition.py", name) for name in sorted(CACHED)]
+
+
+def test_only_piece_form_calls_a_cached_function():
+    callers = {(module, func.name, _name(node)) for module in MODULES for func in _functions(module)
+               for node in ast.walk(func) if isinstance(node, ast.Call) and _name(node) in CACHED}
+    assert callers == {("partition.py", "piece_form", "piece_partition")}

@@ -2,22 +2,44 @@
 
 from __future__ import annotations
 
+import gc
+import random
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from pentaform import (
+    BackwardSolution,
     Quintuple,
+    admissible,
+    authentic,
+    authentic_value,
     classify_piece_endnodes,
     classify_piece_run,
+    cli,
+    lower_convergent,
+    nash_check,
+    one_piece_unimprovable,
+    persistent,
     piece_form,
     piece_partition,
+    piecewise_nash,
+    random_game,
     situation_slice,
+    solve_backward,
+    spe_check_direct,
     subform,
+    subroot_sequence,
     subroots,
+    upper_convergent,
     validate,
 )
 from pentaform.fixtures import cry_wolf, entry_game
 from pentaform.partition import EXIT_TO_SUBROOT, FINAL_ENDNODE
 from pentaform.stationary import instantiate
+
+from conftest import random_strategy
 
 F1 = entry_game().form
 F3_1 = instantiate(cry_wolf(), 1)
@@ -164,3 +186,69 @@ def test_partition_laws_on_corpus(small_corpus):
                     assert cls.completed_run in form.runs()
                     assert form.run_closure(set(run)) == cls.completed_run
         classify_piece_endnodes(form)  # asserts its own tiling law
+
+
+# -- the engine and the module-level caches --------------------------------------
+
+CACHED = (subroots, subform, piece_partition)
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _library_run(seeds) -> None:
+    """Solve each fresh random game and run every check on it."""
+    for seed in seeds:
+        g = random_game(seed, max_nodes=40)
+        solved = solve_backward(g)
+        s = solved.strategy if isinstance(solved, BackwardSolution) else random_strategy(g.form, random.Random(seed))
+        v = authentic_value(g, s)
+        nash_check(g, s)
+        spe_check_direct(g, s)
+        one_piece_unimprovable(g, s)
+        subroot_sequence(g.form, s, g.form.root)
+        classify_piece_endnodes(g.form)
+        admissible(g, v)
+        persistent(g, s, v)
+        authentic(g, s, v)
+        piecewise_nash(g, s, v)
+        upper_convergent(g)
+        lower_convergent(g)
+
+
+CLI_RUN = (
+    *(["inspect", str(FIXTURES / f), "--pieces"]
+      for f in ("entry.pentaform", "crywolf_depth1.pentaform", "crywolf_depth2.pentaform")),
+    *(["solve", str(FIXTURES / f)] for f in ("entry.game", "ann_trunc.game", "bob_trunc.game")),
+    *(["check", str(FIXTURES / g), str(FIXTURES / s), "--property", "one-piece"]
+      for g, s in (("entry.game", "entry_spe.strategy"), ("entry.game", "entry_enter.strategy"),
+                   ("ann_trunc.game", "ann_trunc_in.strategy"), ("bob_trunc.game", "bob_trunc_out.strategy"))),
+)
+
+
+def test_the_engine_keeps_no_form_alive(capsys):
+    """Neither the library's solver and checks nor the CLI adds an entry to
+    the caches of `subroots`, `subform` and `piece_partition`; they are
+    emptied first, so every form is new to them."""
+    for cached in CACHED:
+        cached.cache_clear()
+    _library_run(range(200))
+    assert [cached.cache_info().currsize for cached in CACHED] == [0, 0, 0]
+    for argv in CLI_RUN:
+        assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    assert [cached.cache_info().currsize for cached in CACHED] == [0, 0, 0]
+
+
+def test_memory_stays_flat_over_many_distinct_forms():
+    """The forms a run analyses are freed with it: no module-level structure
+    keeps them."""
+    _library_run(range(1000, 1010))  # warm up whatever is built once per process
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _library_run(range(1010, 1060))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 50_000, grown

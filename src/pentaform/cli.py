@@ -19,7 +19,7 @@ import sys as _sys
 from fractions import Fraction
 
 from . import convergence, fileio, game as game_mod, stationary as stat_mod
-from .core import ALL_AXIOMS, InvalidPentaform, validate
+from .core import ALL_AXIOMS, _diagnosed
 from .numbers import render_scalar
 from .partition import _partition, piece_owners, subroots_sorted
 from .strategy import validate_strategy
@@ -69,13 +69,10 @@ def _verdict_exit(verdict) -> int:
 
 
 def cmd_validate(args) -> int:
-    quintuples = fileio.load_quintuples(args.path)
-    try:
-        root, violations = validate(quintuples).root, {}
-    except InvalidPentaform as exc:
-        violations = {v.axiom: v for v in exc.violations}
+    form, found = _diagnosed(fileio.load_quintuples(args.path))
+    violations = {v.axiom: v for v in found}
     print(f"validate {args.path}")
-    print(f"quintuples: {len(set(quintuples))}")
+    print(f"quintuples: {len(form)}")
     for axiom in ALL_AXIOMS:
         if axiom in violations:
             print(f"[{axiom}] FAIL  {violations[axiom].witness}")
@@ -83,7 +80,7 @@ def cmd_validate(args) -> int:
             print(f"[{axiom}] pass")
     if violations:
         return EXIT_FAILS
-    print(f"root: {root!r}")
+    print(f"root: {form.root!r}")
     return EXIT_HOLDS
 
 

@@ -14,7 +14,9 @@ iterates in a canonical order and produces deterministic output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress, islice
+from operator import itemgetter, ne
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 AXIOM_PLAYER_OF_SITUATION = "Pi<-j"
 AXIOM_SITUATION_OF_NODE = "Pj<-w"
@@ -39,9 +41,11 @@ ALL_AXIOMS = (
 _COORD_NAMES = {"I": "player", "J": "situation", "W": "decision_node", "A": "action", "Y": "successor"}
 
 
-@dataclass(frozen=True, order=True)
-class Quintuple:
-    """One ⟨player, situation, decision node, action, successor⟩ record."""
+class Quintuple(NamedTuple):
+    """One ⟨player, situation, decision node, action, successor⟩ record.
+
+    A tuple of its five fields: it equals, hashes and orders as the plain
+    5-tuple does, and hashing or comparing one runs no Python code."""
 
     player: str
     situation: str
@@ -52,6 +56,9 @@ class Quintuple:
     def key(self) -> tuple[str, str, str, str, str]:
         """Canonical sort key: (situation, decision node, action) first."""
         return (self.situation, self.decision_node, self.action, self.player, self.successor)
+
+
+_CANONICAL = itemgetter(1, 2, 3, 0, 4)  # Quintuple.key, without a Python call
 
 
 @dataclass(frozen=True)
@@ -108,9 +115,46 @@ def check_axioms(q: Iterable[Quintuple]) -> list[AxiomViolation]:
 
 def _diagnosed(q: Iterable[Quintuple]) -> tuple[Pentaform, list[AxiomViolation]]:
     """Index the set once and diagnose every violated axiom from that index,
-    each with one witness.  The form is not grown: it has no root yet."""
+    each with one witness.  A valid form comes back grown, with the depths
+    of the walk that checked [Py]; the witness search runs only when one of
+    `_valid_depths`' counts disagrees."""
     form = Pentaform.__new__(Pentaform)
-    form._index(q)
+    columns = form._index(q)
+    depth = _valid_depths(form, columns)
+    if depth is not None:
+        form._grow(columns, depth)
+        return form, []
+    return form, _violations(form)
+
+
+def _valid_depths(form: Pentaform, columns) -> dict[str, int] | None:
+    """Each node's depth from the root when all eight axioms hold, else None.
+
+    Each test compares two numbers that are equal exactly when its axioms
+    hold, given the tests before it: one distinct quintuple per successor
+    ([Pw<-y], [Pa<-y]) and per (node, action) pair ([Pwa->y]); one
+    situation per decision node ([Pj<-w]); as many (node, action) pairs as
+    the rectangles of each situation's nodes and actions hold ([Pwa]); each
+    quintuple's player its situation's ([Pi<-j]); one decision node that is
+    no successor ([Pr]); and every successor reached by the walk down from
+    it ([Py]).
+    """
+    n = len(form.quintuples)
+    players, situations = columns[0], columns[1]
+    if not (n == len(form._pred) == len(form._next)
+            and sum(map(len, form._info_sets.values())) == len(form._situation_of)
+            and sum(len(ws) * len(form._action_sets[j]) for j, ws in form._info_sets.items()) == n
+            and tuple(map(form._player_of.__getitem__, situations)) == players):
+        return None
+    roots = form._situation_of.keys() - form._pred.keys()
+    if len(roots) != 1:
+        return None
+    depth = form._depths(*roots)
+    return depth if len(depth) == n + 1 else None
+
+
+def _violations(form: Pentaform) -> list[AxiomViolation]:
+    """Every violated axiom of an indexed form, each with one witness."""
     found: dict[str, str] = {}  # axiom → witness, in order of discovery
     extra_preds: dict[str, set[str]] = {}  # successor → all its predecessors, where several
     pairs_by_situation: dict[str, set[tuple[str, str]]] = {}
@@ -178,7 +222,7 @@ def _diagnosed(q: Iterable[Quintuple]) -> tuple[Pentaform, list[AxiomViolation]]
             AXIOM_SINGLE_ROOT,
             f"decision nodes that are not successors should be a singleton; found {shown}"))
 
-    return form, violations
+    return violations
 
 
 class Pentaform:
@@ -200,57 +244,68 @@ class Pentaform:
     )
 
     def __init__(self, quintuples: Iterable[Quintuple]):
-        self._index(quintuples)
-        self._grow()
+        self._grow(self._index(quintuples))
 
-    def _index(self, q: Iterable[Quintuple]) -> None:
-        """The one place a quintuple set is sorted and indexed.  Each map keeps
-        the first value met in canonical order (the reversed sweep writes it
-        last), against which the diagnosis finds every conflict."""
-        qs = self.quintuples = tuple(sorted(set(q), key=Quintuple.key))
-        first = qs[::-1]
-        self._player_of = {t.situation: t.player for t in first}
-        self._situation_of = {t.decision_node: t.situation for t in first}
-        self._next = {(t.decision_node, t.action): t.successor for t in first}
-        self._pred = {t.successor: t.decision_node for t in first}
-        self._pred_action = {t.successor: t.action for t in first}
+    def _index(self, q: Iterable[Quintuple]) -> tuple[tuple[str, ...], ...]:
+        """The one place a quintuple set is sorted and indexed; returns its
+        five columns in canonical order.  Each map keeps the first value met
+        in canonical order (the reversed columns write it last), against
+        which the diagnosis finds every conflict."""
+        qs = sorted(q, key=_CANONICAL)
+        # equal quintuples lie side by side once sorted: keep the first of each run
+        qs = self.quintuples = tuple(compress(qs, chain((True,), map(ne, islice(qs, 1, None), qs))))
+        columns = tuple(zip(*qs)) or ((),) * 5
+        players, situations, nodes, actions, successors = (c[::-1] for c in columns)
+        self._player_of = dict(zip(situations, players))
+        self._situation_of = dict(zip(nodes, situations))
+        self._next = dict(zip(zip(nodes, actions), successors))
+        self._pred = dict(zip(successors, nodes))
+        self._pred_action = dict(zip(successors, actions))
         children: dict[str, list[tuple[str, str]]] = {}
         info: dict[str, set[str]] = {}
         acts: dict[str, set[str]] = {}
-        for t in qs:
-            children.setdefault(t.decision_node, []).append((t.action, t.successor))
-            info.setdefault(t.situation, set()).add(t.decision_node)
-            acts.setdefault(t.situation, set()).add(t.action)
+        for j, w, a, y in zip(*columns[1:]):
+            children.setdefault(w, []).append((a, y))
+            info.setdefault(j, set()).add(w)
+            acts.setdefault(j, set()).add(a)
         self._children = {w: tuple(sorted(cs)) for w, cs in children.items()}
         self._info_sets = {j: frozenset(v) for j, v in info.items()}
         self._action_sets = {j: frozenset(v) for j, v in acts.items()}
+        return columns
 
-    def _grow(self) -> None:
-        """Node sets, root and depths of an indexed pentaform."""
+    def _grow(self, columns, depth: dict[str, int] | None = None) -> None:
+        """Node sets, root and depths of an indexed pentaform, from the
+        columns `_index` returned; a caller that has walked the depths
+        passes them."""
         # Filled in canonical order as before: a set's iteration order depends
         # on how it was filled, and random_game draws in endnode order.
-        qs = self.quintuples
-        self.players = frozenset(t.player for t in qs)
-        self.situations = frozenset(t.situation for t in qs)
-        self.decision_nodes = frozenset(t.decision_node for t in qs)
-        self.actions = frozenset(t.action for t in qs)
-        self.successors = frozenset(t.successor for t in qs)
+        players, situations, decision_nodes, actions, successors = columns
+        self.players = frozenset(players)
+        self.situations = frozenset(situations)
+        self.decision_nodes = frozenset(decision_nodes)
+        self.actions = frozenset(actions)
+        self.successors = frozenset(successors)
         self.nodes = self.decision_nodes | self.successors
         self.endnodes = self.successors - self.decision_nodes
         (self.root,) = self.decision_nodes - self.successors
-
-        depth = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            w = stack.pop()
-            for _, y in self._children.get(w, ()):
-                depth[y] = depth[w] + 1
-                if y in self.decision_nodes:
-                    stack.append(y)
-        self._depth = depth
+        self._depth = self._depths(self.root) if depth is None else depth
         self._hash = None
         self._runs = None
         self._partition = None  # filled by partition._partition
+
+    def _depths(self, root: str) -> dict[str, int]:
+        """The depth of each node that the walk down from root reaches."""
+        children = self._children
+        depth = {root: 0}
+        stack = [root]
+        while stack:
+            w = stack.pop()
+            d = depth[w] + 1
+            for _, y in children[w]:
+                depth[y] = d
+                if y in children:
+                    stack.append(y)
+        return depth
 
     # -- identity ----------------------------------------------------------
 
@@ -391,5 +446,4 @@ def validate(q: Iterable[Quintuple]) -> Pentaform:
     form, violations = _diagnosed(q)
     if violations:
         raise InvalidPentaform(violations)
-    form._grow()
     return form

@@ -12,6 +12,8 @@ Numbers (profile entries and β) are strings in one grammar: an optional
 '-' then digits with an optional decimal fraction, 'p/q' in digits, or
 'inf'/'-inf', each integer at most 4,300 digits (`numbers.parse_scalar`).
 Anything else fails the load with the file, the field and the text named.
+Each load parses each distinct number text once, however often the file
+repeats it.
 Saving always emits the canonical form, so load(save(x)) == x and
 save(load(text)) == text for canonical inputs.
 """
@@ -19,6 +21,7 @@ save(load(text)) == text for canonical inputs.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -45,7 +48,7 @@ def _dumps(obj) -> str:
 def _read(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -80,13 +83,20 @@ def _is_string_list(value) -> bool:
 # -- quintuples and pentaforms ---------------------------------------------------
 
 
-def _quintuples_payload(quintuples: Iterable[Quintuple]) -> list:
-    qs = sorted(set(quintuples), key=Quintuple.key)
-    return [[q.player, q.situation, q.decision_node, q.action, q.successor] for q in qs]
+def _quintuples_payload(p) -> Iterable[Quintuple]:
+    """A form's quintuples as it holds them, canonical and each once; any
+    other iterable of quintuples sorted and rid of repeats."""
+    if isinstance(p, Pentaform):
+        return p.quintuples
+    return sorted(set(p), key=Quintuple.key)
 
 
 def _parse_quintuples(data, where: str) -> list[Quintuple]:
     _expect(isinstance(data, list), where, "expected a list of quintuples")
+    # one pass over the whole list; the loop below only names the first bad entry
+    if (set(map(type, data)) <= {list} and set(map(len, data)) <= {5}
+            and set(map(type, chain.from_iterable(data))) <= {str}):
+        return list(map(tuple.__new__, repeat(Quintuple), data))
     out = []
     for idx, entry in enumerate(data):
         spot = f"{where}[{idx}]"
@@ -97,8 +107,7 @@ def _parse_quintuples(data, where: str) -> list[Quintuple]:
 
 
 def dumps_pentaform(p) -> str:
-    quintuples = p.quintuples if isinstance(p, Pentaform) else p
-    return _dumps({"quintuples": _quintuples_payload(quintuples)})
+    return _dumps({"quintuples": _quintuples_payload(p)})
 
 
 def save_pentaform(path, p) -> None:
@@ -124,15 +133,18 @@ def _profile_payload(profile: Mapping) -> dict:
     return {k: format_scalar(v) for k, v in sorted(profile.items())}
 
 
-def _parse_profile(data, where: str) -> dict:
+def _parse_profile(data, where: str, numbers: dict) -> dict:
+    """A profile object's numbers; `numbers` keeps each text the load has
+    parsed, with its value."""
     _expect(isinstance(data, dict), where, "expected an object of stakeholder -> number")
     out = {}
     for k, v in data.items():
-        _expect(isinstance(v, str), f"{where}.{k}", "numbers are written as strings")
-        try:
-            out[k] = parse_scalar(v)
-        except ValueError as exc:
-            raise FileFormatError(f"{where}.{k}: {exc}") from exc
+        if not isinstance(v, str):
+            raise FileFormatError(f"{where}.{k}: numbers are written as strings")
+        x = numbers.get(v)
+        if x is None:
+            x = numbers[v] = _checked(f"{where}.{k}", parse_scalar, v)
+        out[k] = x
     return out
 
 
@@ -141,7 +153,7 @@ def _parse_profile(data, where: str) -> dict:
 
 def dumps_game(g: Game) -> str:
     return _dumps({
-        "quintuples": _quintuples_payload(g.form.quintuples),
+        "quintuples": _quintuples_payload(g.form),
         "stakeholders": sorted(g.stakeholders),
         "utilities": {y: _profile_payload(p) for y, p in sorted(g.utilities.items())},
     })
@@ -161,7 +173,8 @@ def load_game(path) -> Game:
     stakeholders = data["stakeholders"]
     _expect(_is_string_list(stakeholders), where, '"stakeholders" must be a list of strings')
     _expect(isinstance(data["utilities"], dict), where, '"utilities" must be an object')
-    utilities = {y: _parse_profile(prof, f"{where}: utilities.{y}")
+    numbers: dict = {}
+    utilities = {y: _parse_profile(prof, f"{where}: utilities.{y}", numbers)
                  for y, prof in data["utilities"].items()}
     return _checked(where, Game, form, stakeholders, utilities)
 
@@ -197,7 +210,8 @@ def load_values(path) -> dict:
     data = _read(path)
     where = str(path)
     _expect(isinstance(data, dict), where, "expected an object mapping subroot -> profile")
-    return {t: _parse_profile(p, f"{where}: {t}") for t, p in data.items()}
+    numbers: dict = {}
+    return {t: _parse_profile(p, f"{where}: {t}", numbers) for t, p in data.items()}
 
 
 # -- stationary systems -------------------------------------------------------------------
@@ -212,7 +226,7 @@ def dumps_system(sys: StationarySystem) -> str:
                 exits[label] = {"terminal": _profile_payload(e.reward)}
             else:
                 exits[label] = {"class": e.next_class, "reward": _profile_payload(e.reward)}
-        classes[cid] = {"template": _quintuples_payload(cls.template.quintuples), "exits": exits}
+        classes[cid] = {"template": _quintuples_payload(cls.template), "exits": exits}
     if isinstance(sys.model, DiscountedAccumulation):
         model = {"kind": "discounted", "beta": format_scalar(sys.model.beta)}
     else:
@@ -242,6 +256,7 @@ def load_system(path) -> StationarySystem:
     _expect(isinstance(data["initial"], str), where, '"initial" must be a class id string')
     _expect(_is_string_list(data["stakeholders"]), where, '"stakeholders" must be a list of strings')
 
+    numbers: dict = {}
     classes = {}
     for cid, spec in data["classes"].items():
         spot = f"{where}: classes.{cid}"
@@ -254,12 +269,12 @@ def load_system(path) -> StationarySystem:
             espot = f"{spot}.exits.{label}"
             _expect(isinstance(entry, dict), espot, "expected an object")
             if "terminal" in entry:
-                exits[label] = Exit(_parse_profile(entry["terminal"], espot))
+                exits[label] = Exit(_parse_profile(entry["terminal"], espot, numbers))
             else:
                 _expect("class" in entry and "reward" in entry, espot,
                         'expected "terminal" or "class"+"reward"')
                 _expect(isinstance(entry["class"], str), espot, '"class" must be a class id string')
-                exits[label] = Exit(_parse_profile(entry["reward"], espot),
+                exits[label] = Exit(_parse_profile(entry["reward"], espot, numbers),
                                     next_class=entry["class"])
         classes[cid] = PieceClass(template, exits)
 
@@ -277,7 +292,7 @@ def load_system(path) -> StationarySystem:
             _expect(isinstance(entry, dict) and "classes" in entry and "utility" in entry,
                     cspot, 'expected "classes" and "utility"')
             _expect(_is_string_list(entry["classes"]), cspot, '"classes" must be a list of class ids')
-            cycles[tuple(entry["classes"])] = _parse_profile(entry["utility"], cspot)
+            cycles[tuple(entry["classes"])] = _parse_profile(entry["utility"], cspot, numbers)
         model = AbsoluteTerminal(cycles)
     else:
         raise FileFormatError(f'{where}: unknown model kind {mspec["kind"]!r}')

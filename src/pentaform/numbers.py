@@ -153,11 +153,12 @@ def render_scalar(x: Scalar) -> str:
 
 
 def make_profile(values: Mapping[str, object], stakeholders: Iterable[str] | None = None) -> Profile:
-    """Normalize a mapping to a profile, optionally checking its domain."""
+    """Normalize a mapping to a profile, optionally checking its domain
+    (a set of stakeholders is used as given, not copied)."""
     prof = {str(k): as_scalar(v) for k, v in values.items()}
     if stakeholders is not None:
-        expected = set(stakeholders)
-        if set(prof) != expected:
+        expected = stakeholders if isinstance(stakeholders, (set, frozenset)) else set(stakeholders)
+        if prof.keys() != expected:
             missing = sorted(expected - set(prof))
             extra = sorted(set(prof) - expected)
             raise ValueError(f"profile domain mismatch: missing {missing}, unexpected {extra}")

@@ -46,7 +46,8 @@ from pentaform.game import (
     enumerate_piece_profiles,
     piece_game,
 )
-from pentaform.numbers import make_profile
+from pentaform.fileio import FileFormatError
+from pentaform.numbers import make_profile, parse_scalar
 from pentaform.partition import EXIT_TO_SUBROOT, FINAL_ENDNODE, PieceRunClass
 from pentaform.stationary import (
     SOLVE_MAX_SWEEPS,
@@ -301,6 +302,125 @@ def assert_same_structure(form: Pentaform, expected) -> None:
         assert value == getattr(expected, name), name
         if isinstance(value, frozenset):
             assert list(value) == list(getattr(expected, name)), name
+
+
+# -- load-path reference oracles: each file's lists parsed entry by entry, and
+# every axiom diagnosed by the full witness search, as before loads went
+# straight into the index -----------------------------------------------------
+
+
+def reference_parse_quintuples(data, where: str) -> list[Quintuple]:
+    """A file's quintuple list, each entry checked on its own."""
+    if not isinstance(data, list):
+        raise FileFormatError(f"{where}: expected a list of quintuples")
+    out = []
+    for idx, entry in enumerate(data):
+        spot = f"{where}[{idx}]"
+        if not (isinstance(entry, list) and len(entry) == 5):
+            raise FileFormatError(f"{spot}: expected a 5-element list")
+        if not all(isinstance(x, str) for x in entry):
+            raise FileFormatError(f"{spot}: all five components must be strings")
+        out.append(Quintuple(*entry))
+    return out
+
+
+def reference_parse_profile(data, where: str) -> dict:
+    """A profile object, each number text parsed where it stands."""
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{where}: expected an object of stakeholder -> number")
+    out = {}
+    for k, v in data.items():
+        if not isinstance(v, str):
+            raise FileFormatError(f"{where}.{k}: numbers are written as strings")
+        try:
+            out[k] = parse_scalar(v)
+        except ValueError as exc:
+            raise FileFormatError(f"{where}.{k}: {exc}") from exc
+    return out
+
+
+def reference_diagnosed(q) -> list[AxiomViolation]:
+    """Every violated axiom, each with one witness, found by the witness
+    search on every input: maps that keep the first value met in canonical
+    order, one sweep for the functional axioms, the first situation whose
+    pairs miss its rectangle, and a reach walk along each successor's
+    smallest predecessor for [Py]."""
+    qs = sorted(set(q), key=Quintuple.key)
+    first = qs[::-1]
+    player_of = {t.situation: t.player for t in first}
+    situation_of = {t.decision_node: t.situation for t in first}
+    next_of = {(t.decision_node, t.action): t.successor for t in first}
+    pred = {t.successor: t.decision_node for t in first}
+    pred_action = {t.successor: t.action for t in first}
+    children: dict[str, list[str]] = {}
+    info: dict[str, set[str]] = {}
+    acts: dict[str, set[str]] = {}
+    for t in qs:
+        children.setdefault(t.decision_node, []).append(t.successor)
+        info.setdefault(t.situation, set()).add(t.decision_node)
+        acts.setdefault(t.situation, set()).add(t.action)
+
+    found: dict[str, str] = {}
+    extra_preds: dict[str, set[str]] = {}
+    pairs_by_situation: dict[str, set[tuple[str, str]]] = {}
+    for t in qs:
+        prev = player_of[t.situation]
+        if prev != t.player and AXIOM_PLAYER_OF_SITUATION not in found:
+            found[AXIOM_PLAYER_OF_SITUATION] = (
+                f"situation {t.situation!r} is assigned players {prev!r} and {t.player!r}")
+        prev = situation_of[t.decision_node]
+        if prev != t.situation and AXIOM_SITUATION_OF_NODE not in found:
+            found[AXIOM_SITUATION_OF_NODE] = (
+                f"decision node {t.decision_node!r} lies in situations {prev!r} and {t.situation!r}")
+        prev = next_of[(t.decision_node, t.action)]
+        if prev != t.successor and AXIOM_SUCCESSOR_FUNCTION not in found:
+            found[AXIOM_SUCCESSOR_FUNCTION] = (
+                f"pair ({t.decision_node!r}, {t.action!r}) leads to both {prev!r} and {t.successor!r}")
+        prev = pred[t.successor]
+        if prev != t.decision_node:
+            extra_preds.setdefault(t.successor, {prev}).add(t.decision_node)
+        prev = pred_action[t.successor]
+        if prev != t.action and AXIOM_ACTION_OF_SUCCESSOR not in found:
+            found[AXIOM_ACTION_OF_SUCCESSOR] = (
+                f"successor {t.successor!r} is reached by actions {prev!r} and {t.action!r}")
+        pairs_by_situation.setdefault(t.situation, set()).add((t.decision_node, t.action))
+    violations = [AxiomViolation(axiom, witness) for axiom, witness in found.items()]
+
+    if extra_preds:
+        y = min(extra_preds)
+        w1, w2 = sorted(extra_preds[y])[:2]
+        violations.append(AxiomViolation(
+            AXIOM_PREDECESSOR_FUNCTION, f"successor {y!r} has two predecessors {w1!r} and {w2!r}"))
+
+    for j, pairs in sorted(pairs_by_situation.items()):
+        nodes, actions = info[j], acts[j]
+        if len(pairs) != len(nodes) * len(actions):
+            w, a = sorted((w, a) for w in nodes for a in actions if (w, a) not in pairs)[0]
+            violations.append(AxiomViolation(
+                AXIOM_ACTION_RECTANGLE,
+                f"situation {j!r}: node {w!r} lacks action {a!r} present elsewhere in the situation"))
+            break
+
+    pred_choice = {**pred, **{y: min(ws) for y, ws in extra_preds.items()}}
+    roots = situation_of.keys() - pred.keys()
+    reached, stack = set(roots), list(roots)
+    while stack:
+        w = stack.pop()
+        for y in children.get(w, ()):
+            if pred_choice[y] == w and y not in reached:
+                reached.add(y)
+                stack.append(y)
+    cycling = pred.keys() - reached
+    if cycling:
+        violations.append(AxiomViolation(
+            AXIOM_NO_CYCLES, f"predecessor walk from {min(cycling)!r} never leaves the successor set (cycle)"))
+
+    if len(roots) != 1:
+        shown = ", ".join(repr(r) for r in sorted(roots)[:3]) if roots else "none"
+        violations.append(AxiomViolation(
+            AXIOM_SINGLE_ROOT,
+            f"decision nodes that are not successors should be a singleton; found {shown}"))
+    return violations
 
 
 def reference_best_deviation(form: Pentaform, s: dict, i: str, start: str,

@@ -34,6 +34,16 @@ F3_1 = instantiate(cry_wolf(), 1)
 F3_2 = instantiate(cry_wolf(), 2)
 
 
+def test_quintuple_is_the_tuple_of_its_five_fields():
+    q = Quintuple("Ent", "jE", "5", "e", "6")
+    fields = ("Ent", "jE", "5", "e", "6")
+    assert q == fields and hash(q) == hash(fields) and tuple(q) == fields
+    assert repr(q) == "Quintuple(player='Ent', situation='jE', decision_node='5', action='e', successor='6')"
+    assert q < Quintuple("Ent", "jE", "5", "e~", "7") and q.key() == ("jE", "5", "e", "Ent", "6")
+    with pytest.raises(AttributeError):
+        q.player = "Inc"
+
+
 # -- projections and slices ------------------------------------------------------
 
 

@@ -890,6 +890,26 @@ def _no_root(qs: list, rng: random.Random) -> list:
     return qs
 
 
+def _other_player_at_one_node(qs: list, rng: random.Random) -> list:
+    """Move every edge at one node of a situation with several nodes to
+    another player: only [Pi<-j] fails."""
+    nodes: dict[str, set[str]] = {}
+    for q in qs:
+        nodes.setdefault(q.situation, set()).add(q.decision_node)
+    w = rng.choice([q for q in qs if len(nodes[q.situation]) > 1] or qs).decision_node
+    return [Quintuple(q.player + "'", q.situation, q.decision_node, q.action, q.successor)
+            if q.decision_node == w else q for q in qs]
+
+
+def _detached_cycle(qs: list, rng: random.Random) -> list:
+    """Add two nodes that lead to each other, apart from the tree: each node
+    keeps one predecessor and the root stays the one root, so only [Py]
+    fails."""
+    player = rng.choice(qs).player
+    qs += [Quintuple(player, "c1", "c1", "a", "c2"), Quintuple(player, "c2", "c2", "a", "c1")]
+    return qs
+
+
 def _two_faults(qs: list, rng: random.Random) -> list:
     """Two of the faults above at random edges, so the order in which the
     diagnosis meets them matters."""
@@ -909,6 +929,8 @@ MUTATIONS = [
     (_second_successor, AXIOM_SUCCESSOR_FUNCTION),
     (_second_action, AXIOM_ACTION_OF_SUCCESSOR),
     (_no_root, AXIOM_SINGLE_ROOT),
+    (_other_player_at_one_node, AXIOM_PLAYER_OF_SITUATION),
+    (_detached_cycle, AXIOM_NO_CYCLES),
     (_two_faults, None),
 ]
 

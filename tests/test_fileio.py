@@ -84,6 +84,13 @@ def test_pentaform_round_trip(tmp_path):
     assert path.read_text() == fileio.dumps_pentaform(g.form)
 
 
+def test_quintuples_save_in_canonical_order_without_repeats():
+    form = bob_truncation(3).form
+    shuffled = list(form.quintuples) * 2
+    random.Random(0).shuffle(shuffled)
+    assert fileio.dumps_pentaform(shuffled) == fileio.dumps_pentaform(form)
+
+
 def test_game_round_trip(tmp_path):
     for g in (entry_game(), bob_truncation(3)):
         path = tmp_path / "x.game"

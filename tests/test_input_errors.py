@@ -255,3 +255,12 @@ def test_inspect_unwritable_dot_file_exits_2_before_any_stdout(tmp_path, capsys)
 def test_instantiate_unwritable_out_file_exits_2_before_any_stdout(tmp_path, capsys):
     path = tmp_path / "missing" / "x.pentaform"
     _assert_unwritable(["stationary", FIXTURES / "crywolf.system", "instantiate", 1, "--out", path], path, capsys)
+
+
+def test_cli_invalid_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.pentaform"
+    path.write_bytes(b'{"quintuples": [["\xff", "j", "w", "a", "y"]]}')
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n"

@@ -109,7 +109,7 @@ def _dot(form) -> str:
     """Each piece gets the next palette color in (depth, label) order.  A
     node takes the color of the piece that moves into it, so an exit takes
     the color of the piece it leaves; the root takes its own piece's."""
-    ts = _partition(form).subroots
+    ts = _partition(form).nodes
     owner = piece_owners(form)
     color_of = {t: _PALETTE[idx % len(_PALETTE)] for idx, t in enumerate(subroots_sorted(form))}
     lines = ["digraph pentaform {", "  rankdir=TB;", '  node [style=filled, shape=ellipse];']
@@ -185,7 +185,7 @@ def cmd_stationary(args) -> int:
             fileio._write(args.out, fileio.dumps_pentaform(form))
         print(f"stationary {args.system} instantiate {args.depth}")
         print(f"quintuples: {len(form)}")
-        ts = sorted(_partition(form).subroots)
+        ts = sorted(_partition(form).nodes)
         print(f"subroots ({len(ts)}): " + ", ".join(repr(t) for t in ts))
         if args.out:
             print(f"wrote pentaform to {args.out}")
@@ -228,8 +228,7 @@ def cmd_stationary(args) -> int:
     print(f"certificate: {cert.kind}")
     for name, verdict in (("upper", cert.upper), ("lower", cert.lower)):
         print(f"{name}-convergence: {verdict.status.upper()}")
-    if cert.continuation_values is not None:
-        _print_profile_table("continuation values:", cert.continuation_values)
+    _print_profile_table("continuation values:", cert.continuation_values)
     if cert.route:
         print(f"route: {cert.route}")
     if cert.reason:

@@ -5,7 +5,9 @@ edge of an extensive-form tree together with who moves there and in which
 information situation.  A finite set of such quintuples that satisfies eight
 axioms is a *pentaform*; its root, predecessor function, precedence order,
 paths, and runs are all derivable from the raw relation, and this module
-derives them.
+derives them.  A form keeps only what its readers read: the node sets, the
+per-label maps, each node's children and depth, and its partition slot; a
+path or a run is walked from the predecessor map when asked for.
 
 All labels are opaque strings ordered lexicographically, so every operation
 iterates in a canonical order and produces deterministic output.
@@ -157,6 +159,7 @@ def _violations(form: Pentaform) -> list[AxiomViolation]:
     """Every violated axiom of an indexed form, each with one witness."""
     found: dict[str, str] = {}  # axiom → witness, in order of discovery
     extra_preds: dict[str, set[str]] = {}  # successor → all its predecessors, where several
+    first_action: dict[str, str] = {}  # successor → the first action met that reaches it
     pairs_by_situation: dict[str, set[tuple[str, str]]] = {}
 
     for t in form.quintuples:
@@ -175,7 +178,7 @@ def _violations(form: Pentaform) -> list[AxiomViolation]:
         prev = form._pred[t.successor]
         if prev != t.decision_node:
             extra_preds.setdefault(t.successor, {prev}).add(t.decision_node)
-        prev = form._pred_action[t.successor]
+        prev = first_action.setdefault(t.successor, t.action)
         if prev != t.action and AXIOM_ACTION_OF_SUCCESSOR not in found:
             found[AXIOM_ACTION_OF_SUCCESSOR] = (
                 f"successor {t.successor!r} is reached by actions {prev!r} and {t.action!r}")
@@ -233,14 +236,15 @@ class Pentaform:
     receive a pentaform.  That constructor is the one trusted way to build a
     form: subforms and pieces are pentaforms by the paper's propositions, so
     `partition` builds them with it, and the differential tests check every
-    one they build.
+    one they build.  Each node's children are kept in the canonical order the
+    quintuples arrive in, which sorts a valid node's children by action.
     """
 
     __slots__ = (
         "quintuples", "players", "situations", "decision_nodes", "actions",
         "successors", "nodes", "endnodes", "root",
-        "_pred", "_pred_action", "_children", "_situation_of", "_player_of",
-        "_info_sets", "_action_sets", "_next", "_depth", "_hash", "_runs", "_partition",
+        "_pred", "_children", "_situation_of", "_player_of",
+        "_info_sets", "_action_sets", "_next", "_depth", "_hash", "_partition",
     )
 
     def __init__(self, quintuples: Iterable[Quintuple]):
@@ -250,7 +254,9 @@ class Pentaform:
         """The one place a quintuple set is sorted and indexed; returns its
         five columns in canonical order.  Each map keeps the first value met
         in canonical order (the reversed columns write it last), against
-        which the diagnosis finds every conflict."""
+        which the diagnosis finds every conflict.  A valid node's quintuples
+        lie side by side sorted by action, so its children need no sort; an
+        invalid form's children are read only by order-free walks."""
         qs = sorted(q, key=_CANONICAL)
         # equal quintuples lie side by side once sorted: keep the first of each run
         qs = self.quintuples = tuple(compress(qs, chain((True,), map(ne, islice(qs, 1, None), qs))))
@@ -260,7 +266,6 @@ class Pentaform:
         self._situation_of = dict(zip(nodes, situations))
         self._next = dict(zip(zip(nodes, actions), successors))
         self._pred = dict(zip(successors, nodes))
-        self._pred_action = dict(zip(successors, actions))
         children: dict[str, list[tuple[str, str]]] = {}
         info: dict[str, set[str]] = {}
         acts: dict[str, set[str]] = {}
@@ -268,7 +273,7 @@ class Pentaform:
             children.setdefault(w, []).append((a, y))
             info.setdefault(j, set()).add(w)
             acts.setdefault(j, set()).add(a)
-        self._children = {w: tuple(sorted(cs)) for w, cs in children.items()}
+        self._children = {w: tuple(cs) for w, cs in children.items()}
         self._info_sets = {j: frozenset(v) for j, v in info.items()}
         self._action_sets = {j: frozenset(v) for j, v in acts.items()}
         return columns
@@ -290,7 +295,6 @@ class Pentaform:
         (self.root,) = self.decision_nodes - self.successors
         self._depth = self._depths(self.root) if depth is None else depth
         self._hash = None
-        self._runs = None
         self._partition = None  # filled by partition._partition
 
     def _depths(self, root: str) -> dict[str, int]:
@@ -416,9 +420,7 @@ class Pentaform:
 
     def runs(self) -> tuple[tuple[str, ...], ...]:
         """All finite runs, one per endnode, sorted by endnode label."""
-        if self._runs is None:
-            self._runs = tuple(self.weak_predecessors(y) for y in sorted(self.endnodes))
-        return self._runs
+        return tuple(self.weak_predecessors(y) for y in sorted(self.endnodes))
 
     def is_run(self, z: Sequence[str]) -> bool:
         zt = tuple(z)

@@ -93,17 +93,14 @@ def _quintuples_payload(p) -> Iterable[Quintuple]:
 
 def _parse_quintuples(data, where: str) -> list[Quintuple]:
     _expect(isinstance(data, list), where, "expected a list of quintuples")
-    # one pass over the whole list; the loop below only names the first bad entry
-    if (set(map(type, data)) <= {list} and set(map(len, data)) <= {5}
+    # one pass over the whole list; only when it fails does the loop look for the bad entry to name
+    if not (set(map(type, data)) <= {list} and set(map(len, data)) <= {5}
             and set(map(type, chain.from_iterable(data))) <= {str}):
-        return list(map(tuple.__new__, repeat(Quintuple), data))
-    out = []
-    for idx, entry in enumerate(data):
-        spot = f"{where}[{idx}]"
-        _expect(isinstance(entry, list) and len(entry) == 5, spot, "expected a 5-element list")
-        _expect(all(isinstance(x, str) for x in entry), spot, "all five components must be strings")
-        out.append(Quintuple(*entry))
-    return out
+        for idx, entry in enumerate(data):
+            spot = f"{where}[{idx}]"
+            _expect(isinstance(entry, list) and len(entry) == 5, spot, "expected a 5-element list")
+            _expect(all(isinstance(x, str) for x in entry), spot, "all five components must be strings")
+    return list(map(tuple.__new__, repeat(Quintuple), data))
 
 
 def dumps_pentaform(p) -> str:

@@ -151,7 +151,7 @@ def bob_truncation(depth: int = 8) -> Game:
 
 def constant_values(g: Game, profile: dict) -> dict:
     """A value function constant across all subroots of a finite game."""
-    return {t: dict(profile) for t in _partition(g.form).subroots}
+    return {t: dict(profile) for t in _partition(g.form).nodes}
 
 
 def _write_fixture_files() -> None:

@@ -418,7 +418,7 @@ def piece_game(g: Game, values: Mapping[str, Mapping[str, object]], t: str) -> G
     from the piece become bystanders whose values still matter.
     """
     piece = piece_form(g.form, t)
-    ts = _partition(g.form).subroots
+    ts = _partition(g.form).nodes
     utils = {}
     for y in sorted(piece.endnodes):
         if y in ts:
@@ -443,7 +443,7 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
     the piece game at t whose exits are priced by the authentic values."""
     s = validate_strategy(g.form, s)
     end = _conforming_ends(g.form, s)
-    verdict = _piece_nash(g, s, {t: g.utilities[end[t]] for t in _partition(g.form).subroots})
+    verdict = _piece_nash(g, s, {t: g.utilities[end[t]] for t in _partition(g.form).nodes})
     if not verdict:
         del verdict.witness["strategy_endnode"]
         verdict.witness["deviation_endnode"] = end[verdict.witness["deviation_endnode"]]

@@ -7,16 +7,18 @@ subform minus everything weakly after a strictly later subroot.  The piece
 forms partition the whole form, and every piece run ends either at a later
 subroot or at a final endnode (never infinitely, for explicit finite forms).
 
-The partition is derived once per form and kept on it (`_partition`): the
-subroots, the owner of each decision node (the nearest subroot weakly
-before it), and the decision nodes of each piece.  The engine walks pieces
-in place from it; only `subform`, `piece_form` and `piece_partition` build
-subforms and pieces, with the trusted ``Pentaform(...)`` constructor: the
-paper's propositions prove each is a pentaform, and the differential tests
-check them against a reference axiom check.  `subroots`, `subform` and
-`piece_partition` keep module-level caches, whose `cache_info()` the
-benchmark's tracer reads; of the engine only `piece_form` calls one of them,
-so the engine keeps no form alive.
+The partition is derived once per form and kept on it (`_partition`) as two
+facts: the decision nodes of each piece, keyed by its subroot in (depth,
+label) order, and the subroots deepest first.  The subroot set is the keys
+of the first; the owner of each decision node (the nearest subroot weakly
+before it) is rebuilt from it by the callers that ask for it.  The engine
+walks pieces in place; only `subform`, `piece_form` and `piece_partition`
+build subforms and pieces, with the trusted ``Pentaform(...)`` constructor:
+the paper's propositions prove each is a pentaform, and the differential
+tests check them against a reference axiom check.  `subroots`, `subform`
+and `piece_partition` keep module-level caches, whose `cache_info()` the
+benchmark's tracer reads; no package function calls them, so only their
+direct callers fill those caches and keep forms alive.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from .core import Pentaform, Quintuple
 
 @dataclass(frozen=True)
 class _Partition:
-    """A form's piece partition: its subroots, each decision node's owner,
-    each piece's decision nodes in (depth, label) order, and the deepest first."""
+    """A form's piece partition: each subroot's piece decision nodes, the
+    subroots in (depth, label) order, and the subroots deepest first."""
 
-    subroots: frozenset
-    owner: Mapping[str, str]
     nodes: Mapping[str, frozenset]
     deepest_first: tuple[str, ...]
 
@@ -86,7 +86,6 @@ def _partition(p: Pentaform) -> _Partition:
                 nodes.setdefault(t, []).append(x)
         ts = sorted(result, key=lambda t: (p._depth[t], t))
         p._partition = _Partition(
-            frozenset(result), MappingProxyType(owner),
             MappingProxyType({t: frozenset(nodes[t]) for t in ts}),
             tuple(sorted(ts, key=p._depth.__getitem__, reverse=True)))  # stable: labels stay ascending
     return p._partition
@@ -95,7 +94,7 @@ def _partition(p: Pentaform) -> _Partition:
 @lru_cache(maxsize=None)
 def subroots(p: Pentaform) -> frozenset:
     """Decision nodes whose subsequent situations occur nowhere else."""
-    return _partition(p).subroots
+    return frozenset(_partition(p).nodes)
 
 
 def subroots_sorted(p: Pentaform) -> list[str]:
@@ -104,7 +103,7 @@ def subroots_sorted(p: Pentaform) -> list[str]:
 
 
 def _require_subroot(p: Pentaform, t: str) -> None:
-    if t not in _partition(p).subroots:
+    if t not in _partition(p).nodes:
         raise ValueError(f"{t!r} is not a subroot")
 
 
@@ -119,7 +118,7 @@ def subform(p: Pentaform, t: str) -> Pentaform:
 def piece_owners(p: Pentaform) -> Mapping[str, str]:
     """The piece-owner map: each decision node → the subroot whose piece
     holds it, the nearest subroot weakly before it."""
-    return _partition(p).owner
+    return {x: t for t, xs in _partition(p).nodes.items() for x in xs}
 
 
 def piece_decision_nodes(p: Pentaform, t: str) -> frozenset:
@@ -136,17 +135,18 @@ def piece_partition(p: Pentaform) -> Mapping[str, Pentaform]:
 
     Each quintuple belongs to the piece that owns its decision node.
     """
-    part = _partition(p)
-    buckets: dict[str, list[Quintuple]] = {t: [] for t in part.nodes}
-    for q in p.quintuples:
-        buckets[part.owner[q.decision_node]].append(q)
-    return MappingProxyType({t: Pentaform(qs) for t, qs in buckets.items()})
+    return MappingProxyType({t: piece_form(p, t) for t in _partition(p).nodes})
 
 
 def piece_form(p: Pentaform, t: str) -> Pentaform:
-    """The piece form at subroot t: the subform minus later subforms."""
-    _require_subroot(p, t)
-    return piece_partition(p)[t]
+    """The piece form at subroot t: the subform minus later subforms, the
+    quintuples at the decision nodes the piece at t holds, read from the
+    form's index in time proportional to the piece."""
+    qs = []
+    for x in piece_decision_nodes(p, t):
+        j = p._situation_of[x]
+        qs += (Quintuple(p._player_of[j], j, x, a, y) for a, y in p._children[x])
+    return Pentaform(qs)
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,10 @@ def classify_piece_endnodes(p: Pentaform) -> PieceEndnodes:
     piece-endnode sets partitions the union of the subroots and the final
     endnodes; a failure here is an engine bug, not a user error.
     """
-    part = _partition(p)
-    ts = part.subroots
+    part = _partition(p).nodes
+    ts = part.keys()
     ends = {t: {y for x in nodes for _, y in p.children(x) if y not in nodes}
-            for t, nodes in part.nodes.items()}
+            for t, nodes in part.items()}
     seen = [p.root] + [y for piece_ends in ends.values() for y in piece_ends]
     expected = sorted(ts | p.endnodes)
     assert sorted(seen) == expected, "piece endnodes do not tile the subroots and final endnodes"
@@ -197,12 +197,12 @@ def classify_piece_run(p: Pentaform, t: str, n: Sequence[str]) -> PieceRunClass:
     endnode completing a full run.  The run is checked in place: it is the
     path from t to a node that the piece at t moves into but does not own."""
     _require_subroot(p, t)
-    part = _partition(p)
+    part = _partition(p).nodes
     nt = tuple(n)
     last = nt[-1] if nt else None
-    if not (last in p.successors and p.predecessor(last) in part.nodes[t] and last not in part.nodes[t]
+    if not (last in p.successors and p.predecessor(last) in part[t] and last not in part[t]
             and nt == p.weak_predecessors(last)[p.depth(t):]):
         raise ValueError(f"{nt!r} is not a run of the piece at {t!r}")
-    if last in part.subroots:
+    if last in part:
         return PieceRunClass(EXIT_TO_SUBROOT, subroot=last)
     return PieceRunClass(FINAL_ENDNODE, completed_run=p.weak_predecessors(last))

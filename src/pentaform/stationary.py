@@ -276,7 +276,7 @@ class StationarySystem:
                 raise ValueError(f"class {cid!r}: template root must be the empty label, got {tmpl.root!r}")
             if not tmpl.players <= self.stakeholders:
                 raise ValueError(f"class {cid!r}: players {sorted(tmpl.players - self.stakeholders)} not stakeholders")
-            if _partition(tmpl).subroots != frozenset({""}):
+            if _partition(tmpl).nodes.keys() != {""}:
                 raise ValueError(
                     f"class {cid!r}: template has interior subroots; pieces would not match classes")
             if set(cls.exits) != set(tmpl.endnodes):
@@ -656,7 +656,7 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class Certificate:
     kind: str
-    continuation_values: Mapping[str, Profile] | None
+    continuation_values: Mapping[str, Profile]
     upper: object
     lower: object
     route: str | None = None

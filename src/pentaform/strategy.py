@@ -128,7 +128,7 @@ def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> SubrootSequ
     for the stationary module's class-level sequences.
     """
     _require_subroot(p, t0)
-    ts = _partition(p).subroots
+    ts = _partition(p).nodes
     seq = [t0]
     while True:
         last = piece_outcome(p, seq[-1], s)[-1]

@@ -250,7 +250,7 @@ class ReferencePentaform:
     FIELDS = (
         "quintuples", "players", "situations", "decision_nodes", "actions",
         "successors", "nodes", "endnodes", "root",
-        "_pred", "_pred_action", "_children", "_situation_of", "_player_of",
+        "_pred", "_children", "_situation_of", "_player_of",
         "_info_sets", "_action_sets", "_next", "_depth",
     )
 
@@ -267,7 +267,6 @@ class ReferencePentaform:
         (self.root,) = self.decision_nodes - self.successors
 
         self._pred = {t.successor: t.decision_node for t in qs}
-        self._pred_action = {t.successor: t.action for t in qs}
         self._next = {(t.decision_node, t.action): t.successor for t in qs}
         self._situation_of = {t.decision_node: t.situation for t in qs}
         self._player_of = {t.situation: t.player for t in qs}

@@ -9,8 +9,8 @@ occur as a word in the Python files of the source, tests, demos or benchmark
 more often than it is defined.  No function imports anything: every import
 sits at the top of its module, where the import graph shows it.  Only the
 three partition functions whose `cache_info()` the benchmark's tracer reads
-are cached, and of the package only `piece_form` calls one of them, so the
-engine keeps no form alive in a module-level cache."""
+are cached, and no package function calls one of them, so only their direct
+callers fill those caches and the engine keeps no form alive in them."""
 
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ def test_only_the_traced_partition_functions_are_cached():
     assert sorted(cached) == [("partition.py", name) for name in sorted(CACHED)]
 
 
-def test_only_piece_form_calls_a_cached_function():
+def test_no_package_function_calls_a_cached_function():
     callers = {(module, func.name, _name(node)) for module in MODULES for func in _functions(module)
                for node in ast.walk(func) if isinstance(node, ast.Call) and _name(node) in CACHED}
-    assert callers == {("partition.py", "piece_form", "piece_partition")}
+    assert callers == set()

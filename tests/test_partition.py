@@ -23,6 +23,7 @@ from pentaform import (
     one_piece_unimprovable,
     persistent,
     piece_form,
+    piece_game,
     piece_partition,
     piecewise_nash,
     random_game,
@@ -236,6 +237,20 @@ def test_the_engine_keeps_no_form_alive(capsys):
         assert cli.main(argv) in (0, 1)
     capsys.readouterr()
     assert [cached.cache_info().currsize for cached in CACHED] == [0, 0, 0]
+
+
+def test_piece_game_fills_no_cache():
+    """`piece_game` builds each piece form, through `piece_form`, from the
+    partition kept on the form, so it adds no entry to the three caches."""
+    for cached in CACHED:
+        cached.cache_clear()
+    g = entry_game()
+    values = authentic_value(g, solve_backward(g).strategy)
+    for t in values:
+        piece = piece_game(g, values, t).form
+        assert [cached.cache_info().currsize for cached in CACHED] == [0, 0, 0]
+        assert piece == piece_partition(g.form)[t]
+        piece_partition.cache_clear()
 
 
 def test_memory_stays_flat_over_many_distinct_forms():

@@ -165,10 +165,10 @@ def classify_piece_endnodes(p: Pentaform) -> PieceEndnodes:
     piece-endnode sets partitions the union of the subroots and the final
     endnodes; a failure here is an engine bug, not a user error.
     """
-    part = _partition(p).nodes
-    ts = part.keys()
+    pieces = _partition(p).nodes
+    ts = pieces.keys()
     ends = {t: {y for x in nodes for _, y in p.children(x) if y not in nodes}
-            for t, nodes in part.items()}
+            for t, nodes in pieces.items()}
     seen = [p.root] + [y for piece_ends in ends.values() for y in piece_ends]
     expected = sorted(ts | p.endnodes)
     assert sorted(seen) == expected, "piece endnodes do not tile the subroots and final endnodes"
@@ -197,12 +197,12 @@ def classify_piece_run(p: Pentaform, t: str, n: Sequence[str]) -> PieceRunClass:
     endnode completing a full run.  The run is checked in place: it is the
     path from t to a node that the piece at t moves into but does not own."""
     _require_subroot(p, t)
-    part = _partition(p).nodes
+    pieces = _partition(p).nodes
     nt = tuple(n)
     last = nt[-1] if nt else None
-    if not (last in p.successors and p.predecessor(last) in part[t] and last not in part[t]
+    if not (last in p.successors and p.predecessor(last) in pieces[t] and last not in pieces[t]
             and nt == p.weak_predecessors(last)[p.depth(t):]):
         raise ValueError(f"{nt!r} is not a run of the piece at {t!r}")
-    if last in part:
+    if last in pieces:
         return PieceRunClass(EXIT_TO_SUBROOT, subroot=last)
     return PieceRunClass(FINAL_ENDNODE, completed_run=p.weak_predecessors(last))

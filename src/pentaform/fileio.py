@@ -13,7 +13,7 @@ Numbers (profile entries and β) are strings in one grammar: an optional
 'inf'/'-inf', each integer at most 4,300 digits (`numbers.parse_scalar`).
 Anything else fails the load with the file, the field and the text named.
 Each load parses each distinct number text once, however often the file
-repeats it.
+repeats it, and a game keeps the profiles as parsed (`Game._parsed`).
 Saving always emits the canonical form, so load(save(x)) == x and
 save(load(text)) == text for canonical inputs.
 """
@@ -173,7 +173,7 @@ def load_game(path) -> Game:
     numbers: dict = {}
     utilities = {y: _parse_profile(prof, f"{where}: utilities.{y}", numbers)
                  for y, prof in data["utilities"].items()}
-    return _checked(where, Game, form, stakeholders, utilities)
+    return _checked(where, Game._parsed, form, stakeholders, utilities)
 
 
 # -- strategies and value functions ----------------------------------------------------

@@ -36,21 +36,26 @@ priced by the values already found at them, deepest subroot first, and each
 piece is searched once per player.
 
 `solve_backward` is the same in-place recursion: at each subroot, deepest
-first, it enumerates the profiles over the situations of the piece's
+first, it scans the profiles over the situations of the piece's
 decision nodes, and prices the piece's exits by the values already found.
 It builds no piece form and no piece game; `piece_game` stays as the API's
 (and the tests') explicit piece game.
 
 Both solvers find the first pure Nash row, a profile over a piece's
-situations paired with the endnode it reaches, with one scan
-(`first_nash_point`), and `enumerate_piece_profiles` is the one enumerator
-of those profiles, counted against the cap first.  The endnodes a player
-can reach by deviating depend only on the other players' choices, so a scan
-asks for them once per (player, others' choices), and the player's best
-deviation value is the best price among them.  One deviation walk lists
-them (`_reachable_exits`): `solve_backward` walks the piece at each
-subroot, and `solve_stationary` keeps each class's reach sets for the whole
-solve.  Both read the chosen endnode, and so the value, from the row.
+situations paired with the endnode it reaches, with one incremental scan
+(`PieceScan`, through `first_nash_point`).  The profiles come from a
+mixed-radix odometer over the piece's sorted situations, so a step changes
+O(1) choices amortized; the scan keeps one profile and its run, walks the
+run again only from the first node whose situation changed, and moves each
+player's index of the others' choices by the changed digits' place values.
+The endnodes a player can reach by deviating depend only on the other
+players' choices, so a scan asks for them once per (player, others'
+choices): one deviation walk (`_reachable_exits`) lists them, and the scan
+keeps the set of those that pay the player the most.  A row is Nash exactly
+when its endnode lies in every player's set, so no scanned row compares
+prices.  `solve_backward` walks the piece at each subroot, and
+`solve_stationary` keeps each class's reach sets for the whole solve.  The
+scan yields the Nash rows in order and can be resumed for the next one.
 """
 
 from __future__ import annotations
@@ -59,12 +64,12 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import AbstractSet, Iterable, Mapping
+from math import prod
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .convergence import HOLDS, ConvergenceVerdict
 from .core import Pentaform, Quintuple, validate
-from .numbers import Profile, Scalar, make_profile
+from .numbers import Profile, Scalar, checked_profile, make_profile
 from .partition import _partition, piece_form, subroots_sorted
 from .strategy import outcome, validate_strategy
 
@@ -91,14 +96,27 @@ class Game:
 
     def __init__(self, form: Pentaform, stakeholders: Iterable[str],
                  utilities: Mapping[str, Mapping[str, object]]):
+        self._fill(form, frozenset(str(k) for k in stakeholders), utilities, make_profile)
+
+    @classmethod
+    def _parsed(cls, form: Pentaform, stakeholders: Iterable[str],
+                utilities: Mapping[str, Profile]) -> Game:
+        """The game of profiles whose numbers the file loader has already
+        parsed into canonical scalars: each profile is kept as given once its
+        domain is checked, with no second parse and no copy."""
+        game = cls.__new__(cls)
+        game._fill(form, frozenset(stakeholders), utilities, checked_profile)
+        return game
+
+    def _fill(self, form: Pentaform, stakeholders: frozenset, utilities: Mapping, normalize) -> None:
         self.form = form
-        self.stakeholders = frozenset(str(k) for k in stakeholders)
-        if not form.players <= self.stakeholders:
-            raise ValueError(f"players {sorted(form.players - self.stakeholders)} missing from stakeholders")
+        self.stakeholders = stakeholders
+        if not form.players <= stakeholders:
+            raise ValueError(f"players {sorted(form.players - stakeholders)} missing from stakeholders")
         _require_domain(form.endnodes, utilities, "utilities missing for endnodes",
                         "utilities given for non-endnodes")
         self.utilities: dict[str, Profile] = {
-            y: make_profile(utilities[y], self.stakeholders) for y in sorted(form.endnodes)
+            y: normalize(utilities[y], stakeholders) for y in sorted(form.endnodes)
         }
 
     @property
@@ -453,80 +471,163 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
 # -- solver ---------------------------------------------------------------------
 
 
-def enumerate_piece_profiles(form: Pentaform, situations: AbstractSet[str], t: str,
-                             largest_first: bool = False):
-    """All strategy profiles of the piece at t, whose situations of `form`
-    are `situations`, in lexicographic order over the sorted situations.
-    The profiles are counted against the cap before the first is made."""
-    cap = profile_cap()
-    sits = sorted(situations)
-    count = 1
-    for j in sits:
-        count *= len(form.action_set(j))
-    if count > cap:
-        raise ResourceCapError(
-            f"piece at {t!r} has {count} strategy profiles, more than the cap of {cap}")
-    pools = [sorted(form.action_set(j), reverse=largest_first) for j in sits]
-    for combo in product(*pools):
-        yield dict(zip(sits, combo))
+class PieceScan:
+    """The scan for pure Nash rows of one piece: its profiles over the
+    piece's `situations` of `form`, in lexicographic order over the sorted
+    situations (each one's actions in sorted order, or largest first), each
+    paired with the endnode that its walk of the piece from t reaches,
+    moving on the decision nodes in `through` (all of form's by default).
 
-
-def first_nash_point(form: Pentaform, situations: AbstractSet[str],
-                     rows: Iterable[tuple[Mapping[str, str], str]],
-                     prices: Mapping[str, Mapping[str, Scalar]], reach
-                     ) -> tuple[Mapping[str, str], str] | None:
-    """The first row that is a pure Nash point, or None.
-
-    Each row (profile, endnode) pairs a profile of a piece of `form`, over
-    the piece's `situations`, with the endnode its walk of the piece
-    reaches, and an endnode y pays prices[y].  The players are the owners of
-    those situations.  reach(i, key, profile) gives the endnodes player i
-    can reach by deviating from profile, and i's best deviation value B_i is
-    the best price among them.  Both depend only on the choices at the
-    situations i does not own, so reach is asked once per (i, s₋ᵢ) and B_i
-    is shared by every later row that agrees there; key is the mixed-radix
-    index of s₋ᵢ over the other players' sorted situations.  A row is Nash
-    exactly when no player's B_i beats their price at its endnode.  The memo
-    lives for one call and holds one dict per player.
+    The profiles are a mixed-radix odometer whose digits are the situations
+    with more than one action, the last turning fastest, so a step changes
+    O(1) digits amortized.  The scan keeps one profile and its run, and
+    re-walks the run only from the first node whose situation changed; when
+    no changed situation lies on the run, the endnode stays.  A player i's
+    key is the mixed-radix index of s₋ᵢ over the other players' digits, moved
+    by each changed digit's place value.  The endnodes i can reach by
+    deviating (`reach`) depend only on s₋ᵢ, and so does the set of those
+    that attain i's best price; the scan keeps that set per (i, key), one
+    object per distinct set.  The row's own endnode is always among the
+    reachable ones, so the row is Nash exactly when its endnode lies in every
+    player's set.  Once a digit sorted before all of i's digits turns, no
+    earlier key of i can recur, and i's sets are dropped.  `reach` walks on
+    every call; `stationary._ClassTable` keeps its results for a whole solve.
     """
-    sits = sorted(situations)
-    players = sorted({form.player_of(j) for j in sits})
-    # per player: each other player's situation with its actions' place values
-    places: dict[str, list[tuple[str, dict]]] = {}
-    for i in players:
-        radix = 1
-        places[i] = []
-        for j in sits:
-            if form.player_of(j) != i:
-                actions = sorted(form.action_set(j))
-                places[i].append((j, {a: k * radix for k, a in enumerate(actions)}))
-                radix *= len(actions)
-    best: dict[str, dict[int, Scalar]] = {i: {} for i in players}
-    for row in rows:
-        profile, end = row
-        base = prices[end]
-        for i in players:
-            memo = best[i]
-            key = sum(place[profile[j]] for j, place in places[i])
-            if key not in memo:
-                memo[key] = max(prices[y][i] for y in reach(i, key, profile))
-            if memo[key] > base[i]:
-                break
-        else:
-            return row
-    return None
+
+    def __init__(self, form: Pentaform, situations: AbstractSet[str], t: str,
+                 through: AbstractSet[str] | None = None, largest_first: bool = False):
+        self.form = form
+        self.t = t
+        self.through = form.decision_nodes if through is None else through
+        self.first_profile: dict[str, str] = {}
+        self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action
+        owners: list[str] = []  # and its player
+        for j in sorted(situations):
+            pool = sorted(form.action_set(j), reverse=largest_first)
+            self.first_profile[j] = pool[0]
+            if len(pool) > 1:
+                self.digits.append((j, pool))
+                owners.append(form.player_of(j))
+        self.count = prod(len(pool) for _, pool in self.digits)
+        self.players = sorted({form.player_of(j) for j in self.first_profile})
+        # per digit: each other player's place value there, and the players
+        # who own no digit up to it
+        radix = dict.fromkeys(self.players, 1)
+        owned: set[str] = set()
+        self.places: list[list[tuple[str, int]]] = []
+        self.expiring: list[list[str]] = []
+        for (_, pool), owner in zip(self.digits, owners):
+            self.places.append([(i, radix[i]) for i in self.players if i != owner])
+            for i in self.players:
+                if i != owner:
+                    radix[i] *= len(pool)
+            owned.add(owner)
+            self.expiring.append([i for i in self.players if i not in owned])
+
+    def reach(self, i: str, key: int, profile: Mapping[str, str]) -> AbstractSet[str]:
+        """The endnodes player i can reach by deviating from profile, whose
+        s₋ᵢ has index key: one deviation walk of the piece."""
+        return _reachable_exits(self.form, profile, i, self.t, self.through)
+
+    def _best_ends(self, i: str, key: int, profile: Mapping[str, str], prices) -> frozenset:
+        """The endnodes among `reach`'s that pay player i the most."""
+        best, top = [], None
+        for y in self.reach(i, key, profile):
+            price = prices[y][i]
+            if top is None or price > top:
+                best, top = [y], price
+            elif price == top:
+                best.append(y)
+        return frozenset(best)
+
+    def nash_rows(self, prices: Mapping[str, Mapping[str, Scalar]]) -> Iterator[tuple[dict, str]]:
+        """Each pure Nash row (a copy of its profile, its endnode) in scan
+        order, an endnode y paying prices[y].  The profiles are counted
+        against the cap before the first row is scanned."""
+        cap = profile_cap()
+        if self.count > cap:
+            raise ResourceCapError(
+                f"piece at {self.t!r} has {self.count} strategy profiles, more than the cap of {cap}")
+        # the run is walked here, not by `outcome`, to keep each node's
+        # situation, which tells where the next step's run changes
+        through, situation_of, next_node = self.through, self.form._situation_of, self.form._next
+        digits, places, expiring, players = self.digits, self.places, self.expiring, self.players
+        profile = dict(self.first_profile)
+        index = [0] * len(digits)
+        tops = [len(pool) - 1 for _, pool in digits]
+        last = len(digits) - 1
+        keys = dict.fromkeys(players, 0)
+        memo: dict[str, dict[int, frozenset]] = {i: {} for i in players}
+        interned: dict[frozenset, frozenset] = {}
+        nodes: list[str] = []  # the run's decision nodes
+        on_run: list[str] = []  # and their situations
+        x = self.t
+        while True:
+            while x in through:  # walk the run on from x; it stops at the endnode
+                j = situation_of[x]
+                nodes.append(x)
+                on_run.append(j)
+                x = next_node[x, profile[j]]
+            for i in players:
+                best = memo[i].get(keys[i])
+                if best is None:
+                    found = self._best_ends(i, keys[i], profile, prices)
+                    best = memo[i][keys[i]] = interned.setdefault(found, found)
+                if x not in best:
+                    break
+            else:
+                yield dict(profile), x
+            # the last digit below its top turns; every later digit goes back to 0
+            k = last
+            while k >= 0 and index[k] == tops[k]:
+                k -= 1
+            if k < 0:
+                return
+            p = length = len(nodes)
+            for m in range(k, last + 1):
+                old = index[m]
+                new = index[m] = old + 1 if m == k else 0
+                j, pool = digits[m]
+                profile[j] = pool[new]
+                for i, place in places[m]:
+                    keys[i] += (new - old) * place
+                if j in on_run:
+                    p = min(p, on_run.index(j))
+            for i in expiring[k]:
+                memo[i].clear()
+            if p < length:  # the run changes from its p-th node on
+                x = nodes[p]
+                del nodes[p:], on_run[p:]
+
+    def is_nash(self, profile: Mapping[str, str], end: str, prices: Mapping[str, Mapping[str, Scalar]]) -> bool:
+        """Whether the row (profile, end) of this piece is a pure Nash point
+        under prices."""
+        keys = dict.fromkeys(self.players, 0)
+        for (j, pool), place in zip(self.digits, self.places):
+            digit = pool.index(profile[j])
+            for i, radix in place:
+                keys[i] += digit * radix
+        return all(end in self._best_ends(i, keys[i], profile, prices) for i in self.players)
+
+
+def first_nash_point(scan: PieceScan, prices: Mapping[str, Mapping[str, Scalar]]) -> tuple[dict, str] | None:
+    """The first pure Nash row of the piece that `scan` walks, a profile over
+    its situations with the endnode it reaches, when an endnode y pays
+    prices[y]; None when the piece has none.  The profiles are counted
+    against the cap before any row is scanned."""
+    return next(scan.nash_rows(prices), None)
 
 
 def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     """Generalized backward induction over the piece partition, in place.
 
     Processes subroots in (−depth, label) order.  At each subroot t it
-    enumerates the profiles over the situations of the piece's decision
-    nodes, traces each to the piece's exit, and keeps the
+    scans the profiles over the situations of the piece's decision nodes,
+    each with the piece exit its run reaches, and keeps the
     lexicographically smallest pure Nash row of the piece game whose final
     endnodes pay their utilities and whose exits pay the values found so far
-    (`first_nash_point`; each reach set is one deviation walk of the piece
-    from t).  The value at t is the price of the row's endnode.  No piece
+    (`first_nash_point` over a `PieceScan` of the piece; each reach set is
+    one deviation walk of the piece from t).  The value at t is the price of the row's endnode.  No piece
     form and no piece game is built.  On success the result satisfies
     persistence and piecewise-Nashness, hence subgame perfection in finite
     games.
@@ -536,11 +637,7 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
     for t, through in _piece_walks(form, deepest_first=True):
-        situations = {form.situation_of(x) for x in through}
-        rows = ((profile, outcome(form, profile, t, through)[-1])
-                for profile in enumerate_piece_profiles(form, situations, t))
-        row = first_nash_point(form, situations, rows, prices,
-                               lambda i, key, profile: _reachable_exits(form, profile, i, t, through))
+        row = first_nash_point(PieceScan(form, {form.situation_of(x) for x in through}, t, through), prices)
         if row is None:
             return NoPureEquilibrium(t)
         profile, end = row

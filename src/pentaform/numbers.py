@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Union
 
 Scalar = Union[Fraction, float]
 Profile = dict[str, Scalar]
@@ -156,12 +156,18 @@ def make_profile(values: Mapping[str, object], stakeholders: Iterable[str] | Non
     """Normalize a mapping to a profile, optionally checking its domain
     (a set of stakeholders is used as given, not copied)."""
     prof = {str(k): as_scalar(v) for k, v in values.items()}
-    if stakeholders is not None:
-        expected = stakeholders if isinstance(stakeholders, (set, frozenset)) else set(stakeholders)
-        if prof.keys() != expected:
-            missing = sorted(expected - set(prof))
-            extra = sorted(set(prof) - expected)
-            raise ValueError(f"profile domain mismatch: missing {missing}, unexpected {extra}")
+    if stakeholders is None:
+        return prof
+    return checked_profile(prof, stakeholders if isinstance(stakeholders, (set, frozenset)) else set(stakeholders))
+
+
+def checked_profile(prof: Profile, stakeholders: AbstractSet[str]) -> Profile:
+    """The profile itself, once its keys are exactly the stakeholders
+    (else ValueError)."""
+    if prof.keys() != stakeholders:
+        missing = sorted(stakeholders - set(prof))
+        extra = sorted(set(prof) - stakeholders)
+        raise ValueError(f"profile domain mismatch: missing {missing}, unexpected {extra}")
     return prof
 
 

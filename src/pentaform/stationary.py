@@ -48,18 +48,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .convergence import DEFAULT_DEPTH, FAILS, HOLDS, UNKNOWN, ConvergenceVerdict, lower_convergent, upper_convergent
 from .core import Pentaform, Quintuple, validate
 from .game import (
     Game,
+    PieceScan,
     ResourceCapError,
     _best_deviation,
     _piece_nash,
     _reachable_exits,
     _require_domain,
-    enumerate_piece_profiles,
     first_nash_point,
     profile_cap,
 )
@@ -755,34 +755,20 @@ SOLVE_TOL = Fraction(1, 10**12)
 SOLVE_MAX_SWEEPS = 500
 
 
-class _ClassTable:
-    """What value iteration scans in one class, none of which depends on the
-    continuation: the rows, the template's profiles in scan order (largest
-    first) each with the exit it reaches, and for each (player i, s₋ᵢ) the
-    exits that i can reach by deviating, which `first_nash_point` prices as
-    its `reach`.  Both are filled on first need, so the rows extend only as
-    far as some sweep's scan has gone, and each reach set is one deviation
-    walk."""
+class _ClassTable(PieceScan):
+    """A class template's scan for value iteration, kept for the whole
+    solve: its profiles largest first, and for each (player i, s₋ᵢ) the
+    exits that i can reach by deviating, walked once on first need, so each
+    sweep's scan and the exact check only price them afresh."""
 
     def __init__(self, template: Pentaform):
-        self.template = template
-        self._rows: list[tuple[dict, str]] = []
-        self._profiles = enumerate_piece_profiles(template, template.situations, template.root,
-                                                  largest_first=True)
-        self._reach: dict[str, dict[int, set[str]]] = {i: {} for i in template.players}
+        super().__init__(template, template.situations, template.root, largest_first=True)
+        self._reach: dict[str, dict[int, AbstractSet[str]]] = {i: {} for i in self.players}
 
-    def rows(self) -> Iterator[tuple[dict, str]]:
-        rows = self._rows
-        yield from rows
-        for profile in self._profiles:
-            row = (profile, outcome(self.template, profile)[-1])
-            rows.append(row)
-            yield row
-
-    def reach(self, i: str, key: int, profile: Mapping[str, str]) -> set[str]:
+    def reach(self, i: str, key: int, profile: Mapping[str, str]) -> AbstractSet[str]:
         reach = self._reach[i]
         if key not in reach:
-            reach[key] = _reachable_exits(self.template, profile, i)
+            reach[key] = super().reach(i, key, profile)
         return reach[key]
 
 
@@ -794,17 +780,17 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     (ties broken toward the lexicographically largest action profile, which
     favors staying in the game when indifferent).  A sweep prices each
     class's exits once against the current values (`_exit_prices`) and scans
-    the rows of the class's table (`_ClassTable`), built once per solve, with
-    `first_nash_point`: a player's best response is the best price among the
-    exits in their stored reach set, and the Nash row gives the class's
-    choices and its exit together.  A sweep builds no game, enumerates no
-    profile twice and walks no deviation again.  When the selected strategy
+    the class's profiles with its table (`_ClassTable`, a `PieceScan` built
+    once per solve) through `first_nash_point`: a player's best responses
+    are the exits in their stored reach set that pay them the most, and the
+    Nash row gives the class's choices and its exit together.  A sweep
+    builds no game and walks no deviation again.  When the selected strategy
     repeats and the sup-norm change is below SOLVE_TOL, the strategy is
     evaluated exactly; it is returned only if every class's row is still
-    Nash under those exact values (read from the same reach sets), and
-    otherwise the sweeps go on from them.  The returned values are therefore
-    always the exact continuation values of a strategy that passes the
-    piecewise-Nash scan.
+    Nash under those exact values (`is_nash`, read from the same reach
+    sets), and otherwise the sweeps go on from them.  The returned values
+    are therefore always the exact continuation values of a strategy that
+    passes the piecewise-Nash scan.
 
     Each sweep is a function of the state (w, σ of the last sweep), so a
     state met twice repeats a cycle that can never settle: the answer is
@@ -829,7 +815,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         ends: dict[str, str] = {}
         for c, table in tables.items():
             prices = _exit_prices(sys, c, w)
-            row = first_nash_point(table.template, table.template.situations, table.rows(), prices, table.reach)
+            row = first_nash_point(table, prices)
             if row is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
             new_sigma[c], ends[c] = row
@@ -839,8 +825,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         w, sigma_prev = new_w, new_sigma
         if settled:
             exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
-            if all(first_nash_point(table.template, table.template.situations, [(new_sigma[c], ends[c])],
-                                    _exit_prices(sys, c, exact), table.reach) is not None
+            if all(table.is_nash(new_sigma[c], ends[c], _exit_prices(sys, c, exact))
                    for c, table in tables.items()):
                 return StationarySolution(new_sigma, exact)
             w = exact

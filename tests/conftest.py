@@ -43,8 +43,9 @@ from pentaform.core import (
 from pentaform.game import (
     BackwardSolution,
     NoPureEquilibrium,
-    enumerate_piece_profiles,
+    ResourceCapError,
     piece_game,
+    profile_cap,
 )
 from pentaform.fileio import FileFormatError
 from pentaform.numbers import make_profile, parse_scalar
@@ -1129,6 +1130,20 @@ def reference_stationary_convergence(sys, direction: str) -> ConvergenceVerdict:
 # both solvers scanned before best responses were shared between profiles ----
 
 
+def reference_piece_profiles(form: Pentaform, situations, t: str, largest_first: bool = False):
+    """All strategy profiles of the piece at t over its `situations`, in
+    lexicographic order over the sorted situations (each one's actions
+    largest first if asked), each a fresh dict; more than `profile_cap()` of
+    them raise the engine's cap error before the first is made."""
+    sits = sorted(situations)
+    count = prod(len(form.action_set(j)) for j in sits)
+    cap = profile_cap()
+    if count > cap:
+        raise ResourceCapError(f"piece at {t!r} has {count} strategy profiles, more than the cap of {cap}")
+    for combo in product(*(sorted(form.action_set(j), reverse=largest_first) for j in sits)):
+        yield dict(zip(sits, combo))
+
+
 def reference_first_nash_point(pg: Game, profiles) -> dict | None:
     """The first Nash point of `profiles`, with best deviation values memoized
     under (player, the other players' choices as a tuple of actions)."""
@@ -1157,7 +1172,7 @@ def reference_solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     order = sorted(subroots_sorted(g.form), key=lambda t: (-g.form.depth(t), t))
     for t in order:
         pg = piece_game(g, values, t)
-        for profile in enumerate_piece_profiles(pg.form, pg.form.situations, t):
+        for profile in reference_piece_profiles(pg.form, pg.form.situations, t):
             if nash_check(pg, profile).holds:
                 values[t] = dict(pg.utilities[outcome(pg.form, profile)[-1]])
                 chosen.update(profile)
@@ -1178,8 +1193,8 @@ def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailu
         for c in sorted(sys.classes):
             qg = reference_quotient_piece_game(sys, c, w)
             chosen = None
-            for profile in enumerate_piece_profiles(qg.form, qg.form.situations, qg.form.root,
-                                                   largest_first=True):
+            for profile in reference_piece_profiles(qg.form, qg.form.situations, qg.form.root,
+                                                    largest_first=True):
                 if nash_check(qg, profile).holds:
                     chosen = profile
                     break

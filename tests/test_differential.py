@@ -14,11 +14,13 @@ model's bounds and convergence verdicts against the per-model reference
 code, the values of every certified stationary SPE against the authentic,
 persistent and admissible checks, the admissible and authentic checks'
 verdicts and witnesses against run enumeration, subform traces and the reference bounds
-and continuation values, both solvers' Nash-point search (best
-responses shared between profiles) against the reference scans that run a
-full Nash check on every profile and against the tuple-keyed memo (results
-and peak memory), value iteration's deviation walks and game builds counted,
-and deep forms that must not exhaust the interpreter's recursion depth."""
+and continuation values, both solvers' Nash-point search (the incremental
+scan, with best endnodes shared between profiles) against the reference
+scans that run a full Nash check on every profile, on tie-heavy and
+absentminded corpora and past the profile cap, and against the tuple-keyed
+memo (results and peak memory), the scan's run walks and deviation walks
+counted, value iteration's deviation walks and game builds counted, and
+deep forms that must not exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
@@ -84,7 +86,7 @@ from pentaform.core import (
     Pentaform,
 )
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
-from pentaform.game import BackwardSolution, _reachable_exits, enumerate_piece_profiles, first_nash_point, piece_game
+from pentaform.game import BackwardSolution, PieceScan, _reachable_exits, first_nash_point, piece_game
 from pentaform.numbers import INF, NEG_INF
 from pentaform.partition import _partition, piece_decision_nodes, piece_owners, subroots_sorted
 from pentaform.stationary import (
@@ -127,6 +129,7 @@ from conftest import (
     reference_discounted_extremes,
     reference_expand,
     reference_first_nash_point,
+    reference_piece_profiles,
     reference_induced_strategy,
     reference_instantiate,
     reference_quotient_piece_game,
@@ -1061,15 +1064,16 @@ def test_subgame_checks_build_no_form(monkeypatch):
 
 
 def _count_games(monkeypatch) -> list:
-    """Record every Game built from now on."""
+    """Record every Game built from now on, by the library constructor or
+    by the file loader's (both fill the game with `Game._fill`)."""
     games = []
-    build = Game.__init__
+    build = Game._fill
 
     def counted(self, *args):
         games.append(args)
         build(self, *args)
 
-    monkeypatch.setattr(Game, "__init__", counted)
+    monkeypatch.setattr(Game, "_fill", counted)
     return games
 
 
@@ -1150,25 +1154,23 @@ def _backward_piece_games(g: Game):
             return
 
 
-def _walked_first_nash_point(pg: Game, profiles) -> dict | None:
-    """The profile of `first_nash_point`'s row on pg's rows, each reach set
-    one deviation walk, as `solve_backward` scans a piece."""
+def _walked_first_nash_point(pg: Game, largest_first: bool = False) -> dict | None:
+    """The profile of `first_nash_point`'s row on pg's one piece, each reach
+    set one deviation walk, as `solve_backward` scans a piece."""
     form = pg.form
-    row = first_nash_point(form, form.situations, ((p, outcome(form, p)[-1]) for p in profiles),
-                           pg.utilities, lambda i, key, profile: _reachable_exits(form, profile, i))
+    row = first_nash_point(PieceScan(form, form.situations, form.root, largest_first=largest_first),
+                           pg.utilities)
     return None if row is None else row[0]
 
 
 def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None:
-    def profiles():
-        return enumerate_piece_profiles(pg.form, pg.form.situations, pg.form.root, largest_first)
-
-    expected = reference_first_nash_point(pg, profiles())
-    assert _walked_first_nash_point(pg, profiles()) == expected
+    expected = reference_first_nash_point(
+        pg, reference_piece_profiles(pg.form, pg.form.situations, pg.form.root, largest_first))
+    assert _walked_first_nash_point(pg, largest_first) == expected
     if largest_first:  # a quotient piece game, scanned from its class table as the sweeps do
         table = _ClassTable(pg.form)
-        for _ in range(2):  # the second scan reads the rows and reach sets the first one stored
-            row = first_nash_point(pg.form, pg.form.situations, table.rows(), pg.utilities, table.reach)
+        for _ in range(2):  # the second scan reads the reach sets the first one stored
+            row = first_nash_point(table, pg.utilities)
             assert (None if row is None else row[0]) == expected
 
 
@@ -1187,16 +1189,17 @@ def test_first_nash_point_matches_reference_on_solver_pools():
                 _assert_same_first_nash_point(reference_quotient_piece_game(sys_, c, w), largest_first=True)
 
 
-def _pennies_piece(m: int) -> Game:
-    """One piece, three players: P1 (the first, binary situation) and P2 (one
-    information set) play matching pennies, then P3, who is indifferent, walks
-    a chain of m binary information sets that each span the four pennies
-    outcomes.  4·2^m profiles, and none is a pure Nash point."""
-    qs = [Quintuple("P1", "j1", "r", "h", "H"), Quintuple("P1", "j1", "r", "t", "T")]
+def _pennies_piece(m: int, p1_situation: str = "j1", p2_situation: str = "j2") -> Game:
+    """One piece, three players: P1 (the binary situation at the root) and P2
+    (one information set) play matching pennies, then P3, who is
+    indifferent, walks a chain of m binary information sets k00, k01, …
+    that each span the four pennies outcomes.  4·2^m profiles, and none is a
+    pure Nash point."""
+    qs = [Quintuple("P1", p1_situation, "r", "h", "H"), Quintuple("P1", p1_situation, "r", "t", "T")]
     utilities = {}
     for a in "HT":
         for b in "ht":
-            qs.append(Quintuple("P2", "j2", a, b, a + b))
+            qs.append(Quintuple("P2", p2_situation, a, b, a + b))
             sign = 1 if (a == "H") == (b == "h") else -1
             pay = {"P1": sign, "P2": -sign, "P3": 0}
             for k in range(m):
@@ -1228,30 +1231,164 @@ def _collision_piece() -> Game:
 def test_first_nash_point_keys_tell_every_choice_of_the_others_apart():
     pg = _collision_piece()
     assert subroots(pg.form) == {"o"}
-    profiles = list(enumerate_piece_profiles(pg.form, pg.form.situations, "o"))
+    profiles = list(reference_piece_profiles(pg.form, pg.form.situations, "o"))
     expected = {"a": "l", "b": "y", "c": "y"}
     assert reference_first_nash_point(pg, profiles) == expected
-    assert _walked_first_nash_point(pg, profiles) == expected
+    assert _walked_first_nash_point(pg) == expected
     assert solve_backward(pg) == BackwardSolution(expected, {"o": {"P1": 1, "P2": 1}})
 
 
-def test_first_nash_point_memo_is_at_most_half_the_tuple_keyed_one():
-    """P1 owns only the binary first situation, so the scan keeps a best
-    response for each of the other players' 2^11 choices.  A tuple-keyed
-    memo in `first_nash_point` fails this at every chain length from 6 to
-    14, so 10 is enough."""
-    pg = _pennies_piece(10)
-    assert subroots(pg.form) == {"r"}
-    assert prod(len(pg.form.action_set(j)) for j in pg.form.situations) == 2**12
+def _scan_peaks(pg: Game) -> list[int]:
+    """Peak traced memory of the scan and of the tuple-keyed reference on pg's
+    one piece, which has no pure Nash point."""
     peaks = []
-    for search in (_walked_first_nash_point, reference_first_nash_point):
+    for search in (lambda: _walked_first_nash_point(pg),
+                   lambda: reference_first_nash_point(
+                       pg, reference_piece_profiles(pg.form, pg.form.situations, pg.form.root))):
         tracemalloc.start()
         try:
-            assert search(pg, enumerate_piece_profiles(pg.form, pg.form.situations, pg.form.root)) is None
+            assert search() is None
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_first_nash_point_memo_is_at_most_half_the_tuple_keyed_one():
+    """P1 owns only the binary first situation, so the scan keeps P1's best
+    endnodes for each of the other players' 2^11 choices, one shared set
+    per distinct set.  A tuple-keyed memo in `first_nash_point` fails this
+    at every chain length from 6 to 14, and a memo that keeps one set per
+    key fails it too, so 10 is enough."""
+    pg = _pennies_piece(10)
+    assert subroots(pg.form) == {"r"}
+    assert prod(len(pg.form.action_set(j)) for j in pg.form.situations) == 2**12
+    peaks = _scan_peaks(pg)
     assert 2 * peaks[0] <= peaks[1], peaks
+
+
+def test_scan_memo_is_bounded_for_every_player_but_the_first_sorted():
+    """With P3's chain sorted first, then P2's and P1's situations, P1 and P2
+    each meet 2^11 keys.  Each key recurs only before a digit sorted ahead of
+    all of its player's digits turns, so the scan drops them there and keeps
+    a few.  A memo that keeps every key peaks at over a third of the
+    tuple-keyed one here."""
+    pg = _pennies_piece(10, p1_situation="z1", p2_situation="y2")
+    assert sorted(pg.form.situations)[-2:] == ["y2", "z1"]
+    peaks = _scan_peaks(pg)
+    assert 8 * peaks[0] <= peaks[1], peaks
+
+
+def _scan_pieces() -> list[Game]:
+    pieces = [_collision_piece(), _pennies_piece(3), _pennies_piece(2, "z1", "y2")]
+    for g in SOLVER_POOL[:20]:
+        pieces.extend(_backward_piece_games(g))
+    return pieces
+
+
+class _RecordedNodes(frozenset):
+    """A node set that records every node tested against it."""
+
+    def __contains__(self, x) -> bool:
+        self.tested.append(x)
+        return frozenset.__contains__(self, x)
+
+
+class _RecordedScan(PieceScan):
+    """A scan whose run walks move on a `_RecordedNodes`; its deviation walks
+    move on the form's own decision nodes, so they record nothing there, and
+    each is recorded as (player, the others' choices)."""
+
+    def __init__(self, form):
+        through = _RecordedNodes(form.decision_nodes)
+        through.tested = []
+        super().__init__(form, form.situations, form.root, through)
+        self.deviations = []
+
+    def reach(self, i, key, profile):
+        self.deviations.append((i, tuple(a for j, a in profile.items() if self.form.player_of(j) != i)))
+        return _reachable_exits(self.form, profile, i, self.t)
+
+
+def test_scan_rewalks_the_run_only_from_a_changed_situation_on_it():
+    """A scan step walks the run again exactly when a situation whose action
+    changed lies on the last run, and from the first such node; otherwise
+    the endnode stays, and only it is looked at.  The scan yields every Nash
+    row, in order, and walks each player's deviations once per choice of the
+    other players."""
+    walked = moves = 0
+    for pg in _scan_pieces():
+        form = pg.form
+        profiles = list(reference_piece_profiles(form, form.situations, form.root))
+        expected = list(outcome(form, profiles[0]))
+        for before, after in zip(profiles, profiles[1:]):
+            run = outcome(form, before)[:-1]
+            changed = [p for p, x in enumerate(run) if before[form.situation_of(x)] != after[form.situation_of(x)]]
+            # from the first changed node on the run, else only the endnode, which stays
+            expected.extend(outcome(form, after)[changed[0] if changed else -1:])
+        scan = _RecordedScan(form)
+        rows = list(scan.nash_rows(pg.utilities))
+        assert scan.through.tested == expected
+        assert len(set(scan.deviations)) == len(scan.deviations)  # no memo entry was dropped too soon
+        assert rows == [(p, outcome(form, p)[-1]) for p in profiles if nash_check(pg, p).holds]
+        walked += len(expected)
+        moves += sum(len(outcome(form, p)) for p in profiles)
+    assert walked < moves / 2, (walked, moves)
+
+
+def _tie_heavy(g: Game, rng: random.Random) -> Game:
+    """g with every utility drawn from {0, 1, 2}."""
+    return Game(g.form, g.stakeholders,
+                {y: {k: rng.choice((0, 1, 2)) for k in sorted(g.stakeholders)} for y in sorted(g.form.endnodes)})
+
+
+def test_solve_backward_matches_reference_on_tie_heavy_corpus():
+    """Utilities from {0, 1, 2}, so a player's best endnodes against the
+    others' choices are often several."""
+    rng = random.Random(0)
+    tied = 0
+    for seed in range(400):
+        g = _tie_heavy(random_game(seed, max_nodes=30, max_info_set=4), rng)
+        assert solve_backward(g) == reference_solve_backward(g), seed
+        form = g.form
+        t = _partition(form).deepest_first[0]  # its exits are all final endnodes
+        s = {j: min(form.action_set(j)) for j in form.situations}
+        for i in sorted(form.players):
+            ends = _reachable_exits(form, s, i, t, _partition(form).nodes[t])
+            best = max(g.utilities[y][i] for y in ends)
+            tied += sum(g.utilities[y][i] == best for y in ends) > 1
+    assert tied >= 50, tied
+
+
+def test_solve_backward_matches_reference_on_absentminded_pieces():
+    """Pieces where one situation is met twice on one run."""
+    games = [g for g in (random_game(seed, max_nodes=20) for seed in range(400)) if is_absentminded(g.form)]
+    assert len(games) >= 150, len(games)
+    for g in games:
+        assert solve_backward(g) == reference_solve_backward(g)
+
+
+def test_solve_backward_meets_the_cap_as_the_reference_does(monkeypatch, tmp_path, capsys):
+    """A piece above PENTAFORM_PROFILE_CAP gives the reference's message,
+    before any row is scanned, and `solve` exits 3 with it."""
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "12")
+    capped = []
+    for seed in range(200):
+        g = random_game(seed, max_nodes=40)
+        results = []
+        for solve in (solve_backward, reference_solve_backward):
+            try:
+                results.append(solve(g))
+            except game.ResourceCapError as error:
+                results.append(str(error))
+        assert results[0] == results[1], seed
+        if isinstance(results[0], str):
+            capped.append((g, results[0]))
+    assert len(capped) >= 10, len(capped)
+    g, message = capped[0]
+    fileio.save_game(tmp_path / "capped.game", g)
+    assert cli.main(["solve", str(tmp_path / "capped.game")]) == cli.EXIT_RESOURCE == 3
+    assert capsys.readouterr() == ("", f"resource cap exceeded: {message}\n")
 
 
 def test_solve_backward_matches_reference_on_corpus():
@@ -1426,16 +1563,16 @@ def test_value_iteration_stops_at_a_repeated_sweep_state(tmp_path, monkeypatch):
     """gen5's sweeps fall into a four-sweep cycle that can never settle, so
     value iteration gives its "no-convergence" once the repeated state is
     seen, within 16 sweeps instead of all SOLVE_MAX_SWEEPS = 500.  A sweep
-    scans each class's rows once."""
+    scans each class's table once."""
     sys_ = _quotient_system("gen5", tmp_path)
-    rows = _ClassTable.rows
+    nash_rows = _ClassTable.nash_rows
     scans = []
 
-    def counted(self):
+    def counted(self, prices):
         scans.append(self)
-        return rows(self)
+        return nash_rows(self, prices)
 
-    monkeypatch.setattr(_ClassTable, "rows", counted)
+    monkeypatch.setattr(_ClassTable, "nash_rows", counted)
     result = stationary.solve_stationary(sys_)
     assert result == stationary.StationarySolveFailure("no-convergence", None)
     assert len(scans) % len(sys_.classes) == 0
@@ -1460,7 +1597,7 @@ def test_solve_stationary_walks_each_deviation_once_and_builds_no_game(name, tmp
         return search(form, s, i, start, value_of_endnode, *through)
 
     games = 0
-    build = Game.__init__
+    build = Game._fill
 
     def built(self, *args):
         nonlocal games
@@ -1469,7 +1606,7 @@ def test_solve_stationary_walks_each_deviation_once_and_builds_no_game(name, tmp
 
     monkeypatch.setattr(game, "_best_deviation", counted)
     monkeypatch.setattr(stationary, "_best_deviation", counted)
-    monkeypatch.setattr(Game, "__init__", built)
+    monkeypatch.setattr(Game, "_fill", built)
     result = stationary.solve_stationary(sys_)
     monkeypatch.undo()
     assert result == reference_solve_stationary(sys_)

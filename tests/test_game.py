@@ -37,10 +37,10 @@ from pentaform.fixtures import (
     entry_game,
     entry_spe_strategy,
 )
-from pentaform.game import BackwardSolution, enumerate_piece_profiles
+from pentaform.game import BackwardSolution
 from pentaform.stationary import continuation_values, induced_strategy, truncated_game
 
-from conftest import brute_force_nash, random_strategy, subform_spe_check_direct
+from conftest import brute_force_nash, random_strategy, reference_piece_profiles, subform_spe_check_direct
 
 G1 = entry_game()
 WOLF = cry_wolf()
@@ -301,7 +301,7 @@ def test_solve_backward_no_pure_equilibrium():
     mp = matching_pennies()
     result = solve_backward(mp)
     assert isinstance(result, NoPureEquilibrium) and result.subroot == "r"
-    profiles = list(enumerate_piece_profiles(mp.form, mp.form.situations, "r"))
+    profiles = list(reference_piece_profiles(mp.form, mp.form.situations, "r"))
     assert len(profiles) == 4
     assert not any(nash_check(mp, p).holds for p in profiles)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from pentaform import cli, fileio
+from pentaform import Game, cli, fileio, numbers
 from pentaform.core import ALL_AXIOMS, InvalidPentaform, Pentaform, Quintuple, check_axioms, validate
 
 from conftest import (
@@ -148,7 +148,8 @@ def _outcome(load, dump, path) -> tuple[str, str]:
 @pytest.mark.parametrize("fixture", sorted(f for f in COMMANDS if Path(f).suffix in LOADERS))
 def test_fuzzed_loads_match_reference(fixture, tmp_path, monkeypatch):
     """Every mutant of the CLI fuzz loads to the same text, or fails with
-    the same error and message, as with the reference parsers and diagnosis."""
+    the same error and message, as with the reference parsers and diagnosis
+    and the library `Game(...)` constructor."""
     load, dump = LOADERS[Path(fixture).suffix]
     rng = random.Random(f"fuzz:{fixture}")
     original = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
@@ -160,6 +161,7 @@ def test_fuzzed_loads_match_reference(fixture, tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "_parse_quintuples", reference_parse_quintuples)
     monkeypatch.setattr(fileio, "_parse_profile", lambda data, where, numbers: reference_parse_profile(data, where))
     monkeypatch.setattr(fileio, "validate", _reference_validate)
+    monkeypatch.setattr(Game, "_parsed", lambda form, stakeholders, utilities: Game(form, stakeholders, utilities))
     assert [_outcome(load, dump, path) for path in paths] == outcomes
     assert "FileFormatError" in {kind for kind, _ in outcomes}
 
@@ -176,6 +178,22 @@ def test_each_number_text_is_parsed_once_per_load(tmp_path, monkeypatch):
     assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts)
     assert fileio.load_game(path) == g
     assert len(parsed) == 2 * len(set(texts))  # nothing is kept between loads
+
+
+def test_load_game_normalizes_no_number_twice(tmp_path, monkeypatch):
+    """`load_game` keeps the profiles it parsed: no number goes through
+    `as_scalar` again, while the library `Game(...)` normalizes every
+    number of the same profiles."""
+    g = WOLF_TRUNCATIONS[3]
+    path = tmp_path / "wolf.game"
+    fileio.save_game(path, g)
+    normalized = []
+    real = numbers.as_scalar
+    monkeypatch.setattr(numbers, "as_scalar", lambda x: normalized.append(x) or real(x))
+    loaded = fileio.load_game(path)
+    assert loaded == g and normalized == []
+    assert Game(loaded.form, loaded.stakeholders, loaded.utilities) == g
+    assert len(normalized) == len(g.utilities) * len(g.stakeholders)
 
 
 def test_validate_walks_a_valid_form_once(monkeypatch):

@@ -55,7 +55,11 @@ keeps the set of those that pay the player the most.  A row is Nash exactly
 when its endnode lies in every player's set, so no scanned row compares
 prices.  `solve_backward` walks the piece at each subroot, and
 `solve_stationary` keeps each class's reach sets for the whole solve.  The
-scan yields the Nash rows in order and can be resumed for the next one.
+scan only compares prices, so any exact numbers that order as the values do
+will serve: `solve_backward` passes the utilities and values themselves,
+and `solve_stationary`'s sweeps pass integers over one common denominator,
+keeping `Fraction`s for the final check.  The scan yields the Nash rows in
+order and can be resumed for the next one.
 """
 
 from __future__ import annotations

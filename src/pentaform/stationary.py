@@ -21,11 +21,13 @@ value of circling a class cycle forever.  Everything else prices by folding
 endnode of an unfolding folds `step` over the continue exits on its class
 path.  One step of the value recursion is `_exit_prices`: every exit of a
 class priced against class values w, a terminal exit at its profile and a
-continue exit at step(reward, w[next]).  Policy iteration, value iteration
-and the value checks of the game module (`admissible`, `persistent`,
-`authentic` and `piecewise_nash`, which take a system as its classes in
-sorted order) all price exits with it: a class's quotient piece game is its
-template with these exit prices, and no code builds it as a game.
+continue exit at step(reward, w[next]).  The value checks of the game
+module (`admissible`, `persistent`, `authentic` and `piecewise_nash`, which
+take a system as its classes in sorted order) and value iteration's exact
+check price exits with it; policy iteration prices the same step for one
+stakeholder, and value iteration's sweeps price it in integers over a
+common denominator.  A class's quotient piece game is its template with
+these exit prices, and no code builds it as a game.
 
 Each model also owns every other decision that depends on it: `validated`
 (β and finite rewards, or exactly the simple class cycles declared),
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .convergence import DEFAULT_DEPTH, FAILS, HOLDS, UNKNOWN, ConvergenceVerdict, lower_convergent, upper_convergent
@@ -606,21 +609,26 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
     """Howard policy iteration for stakeholder k: the per-class sup of k's
     run value (sign 1) or its inf (sign -1).
 
-    Every class starts at its smallest exit label.  Each round evaluates the
-    policy exactly with `_chain_values`, then prices every exit one step
-    ahead of those values (`_exit_prices`) and switches a class to the first
-    exit, in label order, that strictly beats its current one.  A strict
-    switch makes the new policy's value at least as good in every class and
-    strictly better in the switched ones (the policy improvement theorem), so
-    no policy recurs and the rounds end; the policy they end with admits no
-    strict improvement, so its values are the Bellman fixed point."""
-    labels = {c: sorted(cls.exits) for c, cls in sorted(sys.classes.items())}
-    policy = {c: ys[0] for c, ys in labels.items()}
+    Every exit's reward is projected onto k, so each round evaluates and
+    prices one stakeholder only.  Every class starts at its smallest exit
+    label.  Each round evaluates the policy exactly with `_chain_values`,
+    then prices every exit one step ahead of those values, as
+    `_exit_prices` does, and switches a class to the first exit, in label
+    order, that strictly beats its current one.  A strict switch makes the
+    new policy's value at least as good in every class and strictly better
+    in the switched ones (the policy improvement theorem), so no policy
+    recurs and the rounds end; the policy they end with admits no strict
+    improvement, so its values are the Bellman fixed point."""
+    step = sys.model.step
+    exits = {c: {y: Exit({k: e.reward[k]}, e.next_class) for y, e in sorted(cls.exits.items())}
+             for c, cls in sorted(sys.classes.items())}
+    policy = {c: next(iter(ys)) for c, ys in exits.items()}
     while True:
-        w = _chain_values(sys, {c: sys.classes[c].exits[y] for c, y in policy.items()})
+        w = _chain_values(sys, {c: exits[c][y] for c, y in policy.items()})
         switched = False
-        for c, ys in labels.items():
-            ahead = {y: sign * price[k] for y, price in _exit_prices(sys, c, w).items()}
+        for c, ys in exits.items():
+            ahead = {y: sign * (e.reward if e.is_terminal else step(e.reward, w[e.next_class]))[k]
+                     for y, e in ys.items()}
             best = policy[c]
             for y in ys:
                 if ahead[y] > ahead[best]:
@@ -629,7 +637,7 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
                 policy[c] = best
                 switched = True
         if not switched:
-            return {c: w[c][k] for c in labels}
+            return {c: w[c][k] for c in exits}
 
 
 # -- exit prices -------------------------------------------------------------
@@ -772,6 +780,11 @@ class _ClassTable(PieceScan):
         return reach[key]
 
 
+def _numerators(profile: Mapping[str, Fraction], denominator: int) -> dict[str, int]:
+    """Each value of `profile` times `denominator`, a multiple of its own."""
+    return {k: x.numerator * (denominator // x.denominator) for k, x in profile.items()}
+
+
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
     """Value iteration over class profiles for discounted models.
 
@@ -779,56 +792,83 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     Nash point of its quotient piece game under the current continuation
     (ties broken toward the lexicographically largest action profile, which
     favors staying in the game when indifferent).  A sweep prices each
-    class's exits once against the current values (`_exit_prices`) and scans
-    the class's profiles with its table (`_ClassTable`, a `PieceScan` built
-    once per solve) through `first_nash_point`: a player's best responses
-    are the exits in their stored reach set that pay them the most, and the
-    Nash row gives the class's choices and its exit together.  A sweep
-    builds no game and walks no deviation again.  When the selected strategy
-    repeats and the sup-norm change is below SOLVE_TOL, the strategy is
-    evaluated exactly; it is returned only if every class's row is still
-    Nash under those exact values (`is_nash`, read from the same reach
-    sets), and otherwise the sweeps go on from them.  The returned values
-    are therefore always the exact continuation values of a strategy that
-    passes the piecewise-Nash scan.
+    class's exits once against the current values, one step of the value
+    recursion, and scans the class's profiles with its table (`_ClassTable`,
+    a `PieceScan` built once per solve) through `first_nash_point`: a
+    player's best responses are the exits in their stored reach set that pay
+    them the most, and the Nash row gives the class's choices and its exit
+    together.  A sweep builds no game and walks no deviation again.
 
-    Each sweep is a function of the state (w, σ of the last sweep), so a
-    state met twice repeats a cycle that can never settle: the answer is
-    "no-convergence" at once.  Brent's method finds the repeat with one
+    The sweeps run in integers over one common denominator.  With β = p/q
+    in lowest terms and L the lcm of the rewards' denominators, the values
+    are W/S for an integer W per class and stakeholder and one S, a multiple
+    of L (S = L and W = 0 at the start).  A sweep prices every exit over
+    S·q: a terminal exit at R·(S·q/L) and a continue exit at
+    R·(S·q/L) + p·W[next], for R = reward·L; the chosen row's price is the
+    new W over S·q.  The scan compares these integers as it would the
+    values, so every choice is the one exact arithmetic makes.
+
+    When the selected strategy repeats and the sup-norm change is below
+    SOLVE_TOL, the strategy is evaluated exactly (`_chain_values`); it is
+    returned only if every class's row is still Nash under those exact
+    values (`is_nash`, read from the same reach sets, priced by
+    `_exit_prices`), and otherwise the sweeps go on from them, over the lcm
+    of L and their denominators.  Only this check and the answer use
+    `Fraction`s.  The returned values are therefore always the exact
+    continuation values of a strategy that passes the piecewise-Nash scan.
+
+    Each sweep is a function of the state (the values, σ of the last sweep),
+    so a state met twice repeats a cycle that can never settle: the answer
+    is "no-convergence" at once.  Brent's method finds the repeat with one
     marked state, re-marked at power-of-two sweep counts, and one
     comparison per sweep.
     """
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("solve_stationary requires a discounted-accumulation model")
+    p, q = sys.model.beta.numerator, sys.model.beta.denominator
+    tol_num, tol_den = SOLVE_TOL.numerator, SOLVE_TOL.denominator
     tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
-    w = {c: sys.zero_profile() for c in sys.classes}
+    lcd = lcm(*(x.denominator for cls in sys.classes.values() for e in cls.exits.values()
+                for x in e.reward.values()))
+    # each class's exits as (label, reward·L, class entered or None), in label order
+    exits = {c: [(y, _numerators(e.reward, lcd), e.next_class) for y, e in sys.classes[c].exits.items()]
+             for c in tables}
+    W = {c: dict.fromkeys(sys.stakeholders, 0) for c in tables}
+    S = lcd
     sigma_prev: dict | None = None
-    marked = None
+    marked_W, marked_S, marked_sigma = None, S, None
     for sweep in range(SOLVE_MAX_SWEEPS):
-        state = (w, sigma_prev)
-        if state == marked:
+        if marked_W is not None and sigma_prev == marked_sigma and all(
+                W[c][k] * marked_S == x * S for c, old in marked_W.items() for k, x in old.items()):
             break
         if sweep & (sweep - 1) == 0:  # 0 or a power of two
-            marked = state
-        new_w: dict[str, Profile] = {}
+            marked_W, marked_S, marked_sigma = W, S, sigma_prev
+        new_S = S * q
+        scale = new_S // lcd
+        new_W: dict[str, dict[str, int]] = {}
         new_sigma: dict[str, dict] = {}
         ends: dict[str, str] = {}
         for c, table in tables.items():
-            prices = _exit_prices(sys, c, w)
+            prices = {y: {k: r * scale for k, r in R.items()} if nxt is None
+                      else {k: r * scale + p * W[nxt][k] for k, r in R.items()}
+                      for y, R, nxt in exits[c]}
             row = first_nash_point(table, prices)
             if row is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
             new_sigma[c], ends[c] = row
-            new_w[c] = prices[ends[c]]
-        settled = (new_sigma == sigma_prev
-                   and max(abs(new_w[c][k] - w[c][k]) for c in new_w for k in new_w[c]) < SOLVE_TOL)
-        w, sigma_prev = new_w, new_sigma
+            new_W[c] = prices[ends[c]]
+        # |W'/S' - W/S| < SOLVE_TOL with S' = S·q, in integers
+        bound = tol_num * new_S
+        settled = new_sigma == sigma_prev and all(
+            abs(x - q * W[c][k]) * tol_den < bound for c, now in new_W.items() for k, x in now.items())
+        W, S, sigma_prev = new_W, new_S, new_sigma
         if settled:
             exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
             if all(table.is_nash(new_sigma[c], ends[c], _exit_prices(sys, c, exact))
                    for c, table in tables.items()):
                 return StationarySolution(new_sigma, exact)
-            w = exact
+            S = lcm(lcd, *(x.denominator for now in exact.values() for x in now.values()))
+            W = {c: _numerators(now, S) for c, now in exact.items()}
     return StationarySolveFailure("no-convergence", None)
 
 

@@ -19,8 +19,10 @@ scan, with best endnodes shared between profiles) against the reference
 scans that run a full Nash check on every profile, on tie-heavy and
 absentminded corpora and past the profile cap, and against the tuple-keyed
 memo (results and peak memory), the scan's run walks and deviation walks
-counted, value iteration's deviation walks and game builds counted, and
-deep forms that must not exhaust the interpreter's recursion depth."""
+counted, value iteration's deviation walks and game builds counted, its
+integer sweeps against the `Fraction` reference on hard arithmetic (sweep
+counts compared) with the `Fraction`s a solve makes counted, and deep forms
+that must not exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
@@ -1507,6 +1509,140 @@ def test_solve_stationary_matches_reference_on_cry_wolf():
     _assert_solve_stationary_matches_reference(WOLF)
 
 
+# Value iteration sweeps in integers over one common denominator; these
+# systems make that arithmetic hard: β with large terms (997/1000, 1/999),
+# rewards whose denominators mix 3, 7 and 10^20, exact price ties between
+# exits, the sweeps going on from exact values, a repeated sweep state and
+# all SOLVE_MAX_SWEEPS sweeps at q = 1000.  Besides the answer, the sweep
+# count must be the reference's: each scans every class once (the solver's
+# `_ClassTable.nash_rows`, the reference's `reference_piece_profiles`) up to
+# the answer, except that the reference, which has no repeat test, always
+# runs all sweeps before "no-convergence".
+
+_HARD_REWARDS = [Fraction(1, 3), Fraction(1, 7), Fraction(-1, 7), 1 - Fraction(1, 10**20), Fraction(0),
+                 Fraction(1), Fraction(-2, 3)]
+_HARD_BETAS = [Fraction(997, 1000), Fraction(1, 999), Fraction(2, 3)]
+_BIMATRIX_TEMPLATE = validate([
+    Quintuple("p1", "", "", "a0", "1"), Quintuple("p1", "", "", "a1", "2"),
+    Quintuple("p2", "1+2", "1", "b0", "3"), Quintuple("p2", "1+2", "1", "b1", "4"),
+    Quintuple("p2", "1+2", "2", "b0", "6"), Quintuple("p2", "1+2", "2", "b1", "7"),
+])
+_CHOICE_TEMPLATE = validate([Quintuple("p1", "", "", a, y) for a, y in (("a0", "3"), ("a1", "4"), ("a2", "5"))])
+
+
+def _hard_arithmetic_system(seed: int) -> StationarySystem:
+    """Two classes, each a 2×2 simultaneous move or a three-way choice of p1,
+    with rewards drawn from `_HARD_REWARDS` (so equal prices are common) and
+    β from `_HARD_BETAS`; one continue exit of c0 enters c1."""
+    rng = random.Random(f"hard-arithmetic:{seed}")
+    cids = ["c0", "c1"]
+    classes = {}
+    for ci, cid in enumerate(cids):
+        template = rng.choice([_BIMATRIX_TEMPLATE, _CHOICE_TEMPLATE])
+        ends = sorted(template.endnodes)
+        ring = rng.choice(ends) if ci == 0 else None
+        exits = {}
+        for y in ends:
+            reward = {p: rng.choice(_HARD_REWARDS) for p in ("p1", "p2")}
+            if y == ring:
+                exits[y] = Exit(reward, next_class="c1")
+            elif rng.random() < 0.25:
+                exits[y] = Exit(reward, next_class=rng.choice(cids))
+            else:
+                exits[y] = Exit(reward)
+        classes[cid] = PieceClass(template, exits)
+    return StationarySystem(classes, "c0", DiscountedAccumulation(rng.choice(_HARD_BETAS)), ["p1", "p2"])
+
+
+def _assert_same_solve_and_sweeps(sys_: StationarySystem, monkeypatch) -> tuple[object, int]:
+    """The solve equals the reference's, and so does its number of class
+    scans unless the answer is "no-convergence"; returns the answer and the
+    solver's sweep count."""
+    import conftest
+
+    counts = Counter()
+    nash_rows, profiles = _ClassTable.nash_rows, conftest.reference_piece_profiles
+
+    def solver_scan(self, prices):
+        counts["solver"] += 1
+        return nash_rows(self, prices)
+
+    def reference_scan(*args, **kwargs):
+        counts["reference"] += 1
+        return profiles(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_ClassTable, "nash_rows", solver_scan)
+        patch.setattr(conftest, "reference_piece_profiles", reference_scan)
+        result = stationary.solve_stationary(sys_)
+        assert result == reference_solve_stationary(sys_)
+    if _kind(result) == "no-convergence":
+        assert counts["reference"] == len(sys_.classes) * stationary.SOLVE_MAX_SWEEPS
+    else:
+        assert counts["solver"] == counts["reference"]
+    return result, -(-counts["solver"] // len(sys_.classes))
+
+
+def test_solve_stationary_matches_reference_on_hard_arithmetic(monkeypatch):
+    # every outcome the corpus reaches is asserted; equal prices are common
+    # (19 of the 40 systems meet a tie in some best-response set)
+    kinds = Counter()
+    for seed in range(40):
+        sys_ = _hard_arithmetic_system(seed)
+        result, sweeps = _assert_same_solve_and_sweeps(sys_, monkeypatch)
+        kinds[_kind(result), str(sys_.model.beta)] += 1
+        if _kind(result) == "no-convergence":  # a σ-cycle at β = 997/1000: its denominators reach 1000^500
+            assert sweeps == stationary.SOLVE_MAX_SWEEPS
+    assert kinds == {("solved", "2/3"): 15, ("solved", "1/999"): 10, ("solved", "997/1000"): 8,
+                     ("no-convergence", "997/1000"): 3, ("no-pure-equilibrium", "2/3"): 2,
+                     ("no-pure-equilibrium", "1/999"): 1, ("no-pure-equilibrium", "997/1000"): 1}
+
+
+def _one_choice_class(exits: dict[str, Exit], player: str = "P") -> PieceClass:
+    """`player` picks one exit of `exits`, whose labels are also the actions."""
+    return PieceClass(validate([Quintuple(player, "", "", y, y) for y in exits]), exits)
+
+
+def test_solve_stationary_matches_reference_on_hard_arithmetic_cases(monkeypatch):
+    # an exact tie: at β = 2/3, continuing into B (worth 1/2) pays exactly
+    # the 1/3 of stopping, and the largest action, "stop", wins it; when
+    # stopping pays 10^-20 less, continuing wins
+    for stop, choice in ((Fraction(1, 3), "stop"), (Fraction(1, 3) - Fraction(1, 10**20), "go")):
+        sys_ = StationarySystem({
+            "A": _one_choice_class({"go": Exit({"P": 0}, next_class="B"), "stop": Exit({"P": stop})}),
+            "B": _one_choice_class({"x": Exit({"P": Fraction(1, 2)})}),
+        }, "A", DiscountedAccumulation(Fraction(2, 3)), ["P"])
+        result, _ = _assert_same_solve_and_sweeps(sys_, monkeypatch)
+        assert result.strategy["A"] == {"": choice}
+    # the sweeps settle on "stop" before B's value reaches 2, so the exact
+    # check fails and the sweeps go on from the exact values
+    sys_ = StationarySystem({
+        "A": _one_choice_class({"go": Exit({"P": 0}, next_class="B"), "stop": Exit({"P": 1 - Fraction(1, 10**20)})}),
+        "B": _one_choice_class({"go": Exit({"P": 1}, next_class="B")}),
+    }, "A", DiscountedAccumulation(Fraction(1, 2)), ["P"])
+    result, _ = _assert_same_solve_and_sweeps(sys_, monkeypatch)
+    assert result.strategy["A"] == {"": "go"}
+    # a cycle at β = 997/1000 whose value gains 0.3% a sweep never settles
+    # within all the sweeps
+    sys_ = StationarySystem({
+        "A": _one_choice_class({"go": Exit({"P": Fraction(1, 3)}, next_class="A"),
+                                "stop": Exit({"P": Fraction(1, 7)})}),
+    }, "A", DiscountedAccumulation(Fraction(997, 1000)), ["P"])
+    result, sweeps = _assert_same_solve_and_sweeps(sys_, monkeypatch)
+    assert _kind(result) == "no-convergence" and sweeps == stationary.SOLVE_MAX_SWEEPS
+    # p1 continues from A into B while B stops, and p2 continues from B into
+    # A while A continues, which makes p1 stop: the exact values cycle, and
+    # Brent's test meets the repeated state after 8 sweeps
+    sys_ = StationarySystem({
+        "A": _one_choice_class({"go": Exit({"p1": 0, "p2": 8}, next_class="B"),
+                                "stop": Exit({"p1": 1, "p2": 0})}, "p1"),
+        "B": _one_choice_class({"go": Exit({"p1": 0, "p2": 0}, next_class="A"),
+                                "stop": Exit({"p1": 4, "p2": 1})}, "p2"),
+    }, "A", DiscountedAccumulation(Fraction(1, 2)), ["p1", "p2"])
+    result, sweeps = _assert_same_solve_and_sweeps(sys_, monkeypatch)
+    assert _kind(result) == "no-convergence" and sweeps == 8
+
+
 # Counts every deviation search by patching `game._best_deviation`, keyed by
 # (game, walk start, player, s₋ᵢ over the piece's situations): the solver
 # walks each piece of the whole form from its subroot with a profile over the
@@ -1577,6 +1713,77 @@ def test_value_iteration_stops_at_a_repeated_sweep_state(tmp_path, monkeypatch):
     assert result == stationary.StationarySolveFailure("no-convergence", None)
     assert len(scans) % len(sys_.classes) == 0
     assert len(scans) // len(sys_.classes) <= 16 < stationary.SOLVE_MAX_SWEEPS
+
+
+# the exits of the benchmark's generated system gen2 (β = 7/10), copied
+# literally as `test_cli_golden.QUOTIENT_SYSTEMS` copies gen3 and gen5:
+# value iteration runs 89 sweeps on it
+GEN2_EXITS = {
+    "c0": {"3": ("c3", "11", "-6"), "4": ("c0", "11", "11/2"), "5": ("c2", "-1", "-7"),
+           "6": ("c4", "7/2", "1"), "7": ("c1", "-12", "-10")},
+    "c1": {"3": (None, "16", "-11"), "4": ("c4", "15", "9"), "5": (None, "13/2", "1"),
+           "6": ("c3", "0", "14"), "7": ("c2", "-2", "7")},
+    "c2": {"3": ("c2", "9/2", "-16"), "4": ("c3", "5/2", "6"), "5": ("c3", "13", "5/2"),
+           "6": ("c2", "1/2", "11"), "7": ("c4", "-8", "-13")},
+    "c3": {"3": ("c4", "5/2", "19/4"), "4": (None, "6", "19/4"), "5": (None, "-10", "-6"),
+           "6": ("c4", "1", "-2"), "7": ("c1", "15", "0")},
+    "c4": {"3": ("c3", "-9", "5/2"), "4": (None, "-7/4", "9"), "5": ("c0", "4", "-17/2"),
+           "6": ("c3", "6", "17/4"), "7": ("c0", "-19/2", "7/2")},
+}
+
+
+def _count_fractions(monkeypatch) -> list[int]:
+    """Count every `Fraction` made from here on: through the constructor,
+    and through the private constructor that arithmetic uses from Python
+    3.12 on."""
+    made = [0]
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            made[0] += 1
+            return coprime.__func__(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    return made
+
+
+@pytest.mark.parametrize("name", ["gen2", "gen5", "crywolf"])
+def test_solve_stationary_makes_fractions_per_exit_not_per_sweep(name, tmp_path, monkeypatch):
+    """The sweeps run in integers, so the `Fraction`s one solve makes (the
+    exact check and the answer) number at most three per class, exit and
+    stakeholder, however many sweeps run.  Sweeping in `Fraction`s made
+    8,986 on gen2 (89 sweeps), 626 on gen5 (12) and 359 on cry-wolf (14)."""
+    if name == "gen2":
+        from test_cli_golden import _quotient_system as system_data
+
+        path = tmp_path / "gen2.system"
+        path.write_text(json.dumps(system_data("7/10", GEN2_EXITS)), encoding="utf-8")
+        sys_ = fileio.load_system(path)
+    else:
+        sys_ = WOLF if name == "crywolf" else _quotient_system(name, tmp_path)
+    nash_rows = _ClassTable.nash_rows
+    scans = []
+
+    def counted(self, prices):
+        scans.append(self)
+        return nash_rows(self, prices)
+
+    monkeypatch.setattr(_ClassTable, "nash_rows", counted)
+    made = _count_fractions(monkeypatch)
+    result = stationary.solve_stationary(sys_)
+    monkeypatch.undo()
+    exits = sum(len(cls.exits) for cls in sys_.classes.values())
+    assert made[0] <= 3 * exits * len(sys_.stakeholders)
+    assert len(scans) // len(sys_.classes) == {"gen2": 89, "gen5": 12, "crywolf": 14}[name]
+    assert result == reference_solve_stationary(sys_)
 
 
 @pytest.mark.parametrize("name", ["gen5", "crywolf"])

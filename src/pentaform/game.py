@@ -496,6 +496,7 @@ class PieceScan:
     player's set.  Once a digit sorted before all of i's digits turns, no
     earlier key of i can recur, and i's sets are dropped.  `reach` walks on
     every call; `stationary._ClassTable` keeps its results for a whole solve.
+    The cap (`profile_cap()`) is read once, when the scan is made.
     """
 
     def __init__(self, form: Pentaform, situations: AbstractSet[str], t: str,
@@ -503,6 +504,7 @@ class PieceScan:
         self.form = form
         self.t = t
         self.through = form.decision_nodes if through is None else through
+        self.cap = profile_cap()
         self.first_profile: dict[str, str] = {}
         self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action
         owners: list[str] = []  # and its player
@@ -548,10 +550,9 @@ class PieceScan:
         """Each pure Nash row (a copy of its profile, its endnode) in scan
         order, an endnode y paying prices[y].  The profiles are counted
         against the cap before the first row is scanned."""
-        cap = profile_cap()
-        if self.count > cap:
+        if self.count > self.cap:
             raise ResourceCapError(
-                f"piece at {self.t!r} has {self.count} strategy profiles, more than the cap of {cap}")
+                f"piece at {self.t!r} has {self.count} strategy profiles, more than the cap of {self.cap}")
         # the run is walked here, not by `outcome`, to keep each node's
         # situation, which tells where the next step's run changes
         through, situation_of, next_node = self.through, self.form._situation_of, self.form._next

@@ -19,14 +19,16 @@ exit with that reward into a piece worth w (r + β·w, or w as-is), plus the
 value of circling a class cycle forever.  Everything else prices by folding
 `step`: a class value steps back from the class its exit enters, and an
 endnode of an unfolding folds `step` over the continue exits on its class
-path.  One step of the value recursion is `_exit_prices`: every exit of a
-class priced against class values w, a terminal exit at its profile and a
-continue exit at step(reward, w[next]).  The value checks of the game
-module (`admissible`, `persistent`, `authentic` and `piecewise_nash`, which
-take a system as its classes in sorted order) and value iteration's exact
-check price exits with it; policy iteration prices the same step for one
-stakeholder, and value iteration's sweeps price it in integers over a
-common denominator.  A class's quotient piece game is its template with
+path.  One step of the value recursion prices every exit of a class against
+class values w: a terminal exit at its profile and a continue exit at
+step(reward, w[next]).  `_exit_prices` takes that step in `Fraction`s, and
+the value checks of the game module (`admissible`, `persistent`,
+`authentic` and `piecewise_nash`, which take a system as its classes in
+sorted order) and `certify_spe` price exits with it.  The two discounted
+loops take the same step with `_integer_prices`, in integers over one
+common denominator: value iteration's sweeps and its exact Nash check, and
+the rounds of the policy iteration behind the conceivable bounds, there
+for one stakeholder.  A class's quotient piece game is its template with
 these exit prices, and no code builds it as a game.
 
 Each model also owns every other decision that depends on it: `validated`
@@ -134,14 +136,12 @@ class DiscountedAccumulation:
         greedy with respect to that fixed point attains it from every class
         (Howard 1960; Puterman 1994, ch. 6).  The sup over all runs, stationary
         or not, is therefore the value of one stationary exit policy, and so is
-        the inf (maximize -u_k).  `_optimal_values` finds that policy exactly."""
-        table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {c: {} for c in sorted(sys.classes)}
-        for k in sorted(sys.stakeholders):
-            hi = _optimal_values(sys, k, 1)
-            lo = _optimal_values(sys, k, -1)
-            for c in table:
-                table[c][k] = (lo[c], hi[c])
-        return table
+        the inf (maximize -u_k).  `_optimal_values` finds that policy exactly,
+        by policy iteration whose rounds price the exits in integers over one
+        common denominator (`_integer_prices`); only the policies' values
+        are `Fraction`s."""
+        extremes = {k: (_optimal_values(sys, k, -1), _optimal_values(sys, k, 1)) for k in sorted(sys.stakeholders)}
+        return {c: {k: (lo[c], hi[c]) for k, (lo, hi) in extremes.items()} for c in sorted(sys.classes)}
 
     def convergence(self, sys: StationarySystem, direction: str) -> ConvergenceVerdict:
         """Always holds: every continuation value lies in [-M/(1-β), M/(1-β)]
@@ -612,32 +612,36 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
     Every exit's reward is projected onto k, so each round evaluates and
     prices one stakeholder only.  Every class starts at its smallest exit
     label.  Each round evaluates the policy exactly with `_chain_values`,
-    then prices every exit one step ahead of those values, as
-    `_exit_prices` does, and switches a class to the first exit, in label
-    order, that strictly beats its current one.  A strict switch makes the
-    new policy's value at least as good in every class and strictly better
-    in the switched ones (the policy improvement theorem), so no policy
-    recurs and the rounds end; the policy they end with admits no strict
-    improvement, so its values are the Bellman fixed point."""
-    step = sys.model.step
-    exits = {c: {y: Exit({k: e.reward[k]}, e.next_class) for y, e in sorted(cls.exits.items())}
+    then prices every exit one step ahead of those values and moves each
+    class to the first exit, in label order, that pays sign·u_k the most,
+    unless its current exit pays that much: a class switches only to a
+    strictly better exit.  The prices are `_integer_prices`, as value
+    iteration's sweeps take them: with β = p/q and L the lcm of k's reward
+    denominators, the values go over one common denominator S (the lcm of L
+    and theirs) as integers W, and each exit is priced as an integer over
+    S·q, its `_exit_prices` price times S·q, then times the sign.  So every
+    strict switch and every tie is the one `Fraction` arithmetic makes, and
+    only the evaluation and the answer use `Fraction`s.  A strict switch makes
+    the new policy's value at least as good in every class and strictly
+    better in the switched ones (the policy improvement theorem), so no
+    policy recurs and the rounds end; the policy they end with admits no
+    strict improvement, so its values are the Bellman fixed point."""
+    p, q = sys.model.beta.numerator, sys.model.beta.denominator
+    exits = {c: {y: Exit({k: e.reward[k]}, e.next_class) for y, e in cls.exits.items()}
              for c, cls in sorted(sys.classes.items())}
+    rows, lcd = _integer_exits(exits)
     policy = {c: next(iter(ys)) for c, ys in exits.items()}
     while True:
         w = _chain_values(sys, {c: exits[c][y] for c, y in policy.items()})
-        switched = False
-        for c, ys in exits.items():
-            ahead = {y: sign * (e.reward if e.is_terminal else step(e.reward, w[e.next_class]))[k]
-                     for y, e in ys.items()}
-            best = policy[c]
-            for y in ys:
-                if ahead[y] > ahead[best]:
-                    best = y
-            if best != policy[c]:
-                policy[c] = best
-                switched = True
-        if not switched:
+        W, S = _over_common_denominator(w, lcd)
+        scale = S * q // lcd
+        improved = {}
+        for c, ys in rows.items():
+            ahead = {y: sign * price[k] for y, price in _integer_prices(ys, W, scale, p).items()}
+            improved[c] = max(ahead, key=lambda y: (ahead[y], y == policy[c]))
+        if improved == policy:
             return {c: w[c][k] for c in exits}
+        policy = improved
 
 
 # -- exit prices -------------------------------------------------------------
@@ -646,11 +650,38 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
 def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> dict[str, Profile]:
     """What each exit of class cid pays against class values w: a terminal
     exit its profile, a continue exit the model's step into the value of the
-    class it enters.  This is one step of the value recursion, and every
-    quotient check and solver prices a class's exits with it."""
+    class it enters.  This is one step of the value recursion in
+    `Fraction`s, and the value checks and `certify_spe` price a class's exits
+    with it; the solvers' loops price the same step with `_integer_prices`."""
     step = sys.model.step
     return {y: e.reward if e.is_terminal else step(e.reward, w[e.next_class])
             for y, e in sys.classes[cid].exits.items()}
+
+
+def _over_common_denominator(profiles: Mapping, lcd: int) -> tuple[dict, int]:
+    """`Fraction` profiles as integer profiles W over one S, the lcm of `lcd`
+    and their denominators: W[x][k] = profiles[x][k]·S."""
+    S = lcm(lcd, *(v.denominator for profile in profiles.values() for v in profile.values()))
+    return {x: {k: v.numerator * (S // v.denominator) for k, v in profile.items()}
+            for x, profile in profiles.items()}, S
+
+
+def _integer_exits(exits: Mapping[str, Mapping[str, Exit]]) -> tuple[dict[str, list], int]:
+    """Each class's exits as (label, reward·L, class entered or None), in
+    label order, with L the lcm of every reward's denominator."""
+    R, lcd = _over_common_denominator({(c, y): e.reward for c, ys in exits.items() for y, e in ys.items()}, 1)
+    return {c: [(y, R[c, y], e.next_class) for y, e in ys.items()] for c, ys in exits.items()}, lcd
+
+
+def _integer_prices(exits: list, W: Mapping[str, Mapping[str, int]], scale: int, p: int) -> dict[str, dict[str, int]]:
+    """One class's exits, as `_integer_exits` gives them, priced against
+    class values W/S under β = p/q, as integers over S·q (scale = S·q/L): a
+    terminal exit at R·scale and a continue exit at R·scale + p·W[next],
+    for R = reward·L.  Each is its `_exit_prices` price times S·q, a
+    positive factor, so the prices order the exits exactly as it does."""
+    return {y: {k: r * scale for k, r in R.items()} if nxt is None
+            else {k: r * scale + p * W[nxt][k] for k, r in R.items()}
+            for y, R, nxt in exits}
 
 
 # -- certification ------------------------------------------------------------------
@@ -780,11 +811,6 @@ class _ClassTable(PieceScan):
         return reach[key]
 
 
-def _numerators(profile: Mapping[str, Fraction], denominator: int) -> dict[str, int]:
-    """Each value of `profile` times `denominator`, a multiple of its own."""
-    return {k: x.numerator * (denominator // x.denominator) for k, x in profile.items()}
-
-
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
     """Value iteration over class profiles for discounted models.
 
@@ -803,19 +829,20 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     in lowest terms and L the lcm of the rewards' denominators, the values
     are W/S for an integer W per class and stakeholder and one S, a multiple
     of L (S = L and W = 0 at the start).  A sweep prices every exit over
-    S·q: a terminal exit at R·(S·q/L) and a continue exit at
-    R·(S·q/L) + p·W[next], for R = reward·L; the chosen row's price is the
-    new W over S·q.  The scan compares these integers as it would the
-    values, so every choice is the one exact arithmetic makes.
+    S·q with `_integer_prices`: a terminal exit at R·(S·q/L) and a continue
+    exit at R·(S·q/L) + p·W[next], for R = reward·L; the chosen row's price
+    is the new W over S·q.  The scan compares these integers as it would
+    the values, so every choice is the one exact arithmetic makes.
 
     When the selected strategy repeats and the sup-norm change is below
-    SOLVE_TOL, the strategy is evaluated exactly (`_chain_values`); it is
-    returned only if every class's row is still Nash under those exact
-    values (`is_nash`, read from the same reach sets, priced by
-    `_exit_prices`), and otherwise the sweeps go on from them, over the lcm
-    of L and their denominators.  Only this check and the answer use
-    `Fraction`s.  The returned values are therefore always the exact
-    continuation values of a strategy that passes the piecewise-Nash scan.
+    SOLVE_TOL, the strategy is evaluated exactly (`_chain_values`), and
+    those values are put over S, the lcm of L and their denominators, as
+    integers W.  The strategy is returned only if every class's row is
+    still Nash under the exits priced against W/S as a sweep prices them
+    (`is_nash`, read from the same reach sets); otherwise the sweeps go on
+    from W over S.  Only `_chain_values` and the answer use `Fraction`s.
+    The returned values are therefore always the exact continuation values
+    of a strategy that passes the piecewise-Nash scan.
 
     Each sweep is a function of the state (the values, σ of the last sweep),
     so a state met twice repeats a cycle that can never settle: the answer
@@ -828,11 +855,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     p, q = sys.model.beta.numerator, sys.model.beta.denominator
     tol_num, tol_den = SOLVE_TOL.numerator, SOLVE_TOL.denominator
     tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
-    lcd = lcm(*(x.denominator for cls in sys.classes.values() for e in cls.exits.values()
-                for x in e.reward.values()))
-    # each class's exits as (label, reward·L, class entered or None), in label order
-    exits = {c: [(y, _numerators(e.reward, lcd), e.next_class) for y, e in sys.classes[c].exits.items()]
-             for c in tables}
+    exits, lcd = _integer_exits({c: sys.classes[c].exits for c in tables})
     W = {c: dict.fromkeys(sys.stakeholders, 0) for c in tables}
     S = lcd
     sigma_prev: dict | None = None
@@ -849,9 +872,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         new_sigma: dict[str, dict] = {}
         ends: dict[str, str] = {}
         for c, table in tables.items():
-            prices = {y: {k: r * scale for k, r in R.items()} if nxt is None
-                      else {k: r * scale + p * W[nxt][k] for k, r in R.items()}
-                      for y, R, nxt in exits[c]}
+            prices = _integer_prices(exits[c], W, scale, p)
             row = first_nash_point(table, prices)
             if row is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
@@ -864,11 +885,11 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         W, S, sigma_prev = new_W, new_S, new_sigma
         if settled:
             exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
-            if all(table.is_nash(new_sigma[c], ends[c], _exit_prices(sys, c, exact))
+            W, S = _over_common_denominator(exact, lcd)
+            scale = S * q // lcd
+            if all(table.is_nash(new_sigma[c], ends[c], _integer_prices(exits[c], W, scale, p))
                    for c, table in tables.items()):
                 return StationarySolution(new_sigma, exact)
-            S = lcm(lcd, *(x.denominator for now in exact.values() for x in now.values()))
-            W = {c: _numerators(now, S) for c, now in exact.items()}
     return StationarySolveFailure("no-convergence", None)
 
 

@@ -794,6 +794,34 @@ def reference_discounted_extremes(sys) -> dict:
     return table
 
 
+def reference_policy_iteration(sys, k: str, sign: int) -> tuple[dict, int, int]:
+    """Howard policy iteration for stakeholder k, priced in `Fraction`s: every
+    class starts at its smallest exit label, and each round evaluates the
+    policy and moves every class to the first exit, in label order, that
+    pays sign·u_k the most one step ahead, unless its current exit pays that
+    much.  Returns the per-class values (the sup of u_k for sign 1, the inf
+    for -1), the number of rounds, and the number of (round, class) in
+    which a terminal and a continue exit both pay the most."""
+    beta = sys.model.beta
+    exits = {c: dict(sorted(cls.exits.items())) for c, cls in sorted(sys.classes.items())}
+    policy = {c: next(iter(ys)) for c, ys in exits.items()}
+    rounds = ties = 0
+    while True:
+        rounds += 1
+        w = reference_chain_values(sys, {c: exits[c][y] for c, y in policy.items()})
+        improved = {}
+        for c, ys in exits.items():
+            ahead = {y: sign * (e.reward[k] if e.is_terminal else e.reward[k] + beta * w[e.next_class][k])
+                     for y, e in ys.items()}
+            top = max(ahead.values())
+            best = [y for y in ys if ahead[y] == top]
+            ties += len({ys[y].is_terminal for y in best}) == 2
+            improved[c] = policy[c] if policy[c] in best else best[0]
+        if improved == policy:
+            return {c: w[c][k] for c in exits}, rounds, ties
+        policy = improved
+
+
 @dataclass(frozen=True)
 class _ReferencePiece:
     prefix: str

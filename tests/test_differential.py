@@ -21,8 +21,11 @@ absentminded corpora and past the profile cap, and against the tuple-keyed
 memo (results and peak memory), the scan's run walks and deviation walks
 counted, value iteration's deviation walks and game builds counted, its
 integer sweeps against the `Fraction` reference on hard arithmetic (sweep
-counts compared) with the `Fraction`s a solve makes counted, and deep forms
-that must not exhaust the interpreter's recursion depth."""
+counts compared) with the `Fraction`s a solve makes and its reads of the
+profile cap counted, policy iteration's integer rounds against the
+`Fraction`-priced reference on hard arithmetic (round counts compared) with
+the `Fraction`s a bounds call makes counted, and deep forms that must not
+exhaust the interpreter's recursion depth."""
 
 from __future__ import annotations
 
@@ -133,6 +136,7 @@ from conftest import (
     reference_first_nash_point,
     reference_piece_profiles,
     reference_induced_strategy,
+    reference_policy_iteration,
     reference_instantiate,
     reference_quotient_piece_game,
     reference_solve_backward,
@@ -1755,20 +1759,27 @@ def _count_fractions(monkeypatch) -> list[int]:
     return made
 
 
+def _benchmark_system(name: str, tmp_path: Path) -> StationarySystem:
+    """A `quotient` benchmark system by name: gen2 (from `GEN2_EXITS`), one
+    of `test_cli_golden.QUOTIENT_SYSTEMS`, or cry-wolf."""
+    if name == "crywolf":
+        return WOLF
+    if name != "gen2":
+        return _quotient_system(name, tmp_path)
+    from test_cli_golden import _quotient_system as system_data
+
+    path = tmp_path / "gen2.system"
+    path.write_text(json.dumps(system_data("7/10", GEN2_EXITS)), encoding="utf-8")
+    return fileio.load_system(path)
+
+
 @pytest.mark.parametrize("name", ["gen2", "gen5", "crywolf"])
 def test_solve_stationary_makes_fractions_per_exit_not_per_sweep(name, tmp_path, monkeypatch):
     """The sweeps run in integers, so the `Fraction`s one solve makes (the
     exact check and the answer) number at most three per class, exit and
     stakeholder, however many sweeps run.  Sweeping in `Fraction`s made
     8,986 on gen2 (89 sweeps), 626 on gen5 (12) and 359 on cry-wolf (14)."""
-    if name == "gen2":
-        from test_cli_golden import _quotient_system as system_data
-
-        path = tmp_path / "gen2.system"
-        path.write_text(json.dumps(system_data("7/10", GEN2_EXITS)), encoding="utf-8")
-        sys_ = fileio.load_system(path)
-    else:
-        sys_ = WOLF if name == "crywolf" else _quotient_system(name, tmp_path)
+    sys_ = _benchmark_system(name, tmp_path)
     nash_rows = _ClassTable.nash_rows
     scans = []
 
@@ -1784,6 +1795,139 @@ def test_solve_stationary_makes_fractions_per_exit_not_per_sweep(name, tmp_path,
     assert made[0] <= 3 * exits * len(sys_.stakeholders)
     assert len(scans) // len(sys_.classes) == {"gen2": 89, "gen5": 12, "crywolf": 14}[name]
     assert result == reference_solve_stationary(sys_)
+
+
+def test_value_iteration_reads_the_profile_cap_once_per_class(tmp_path, monkeypatch):
+    """Each class table reads the cap once, when the solve makes it, and
+    not on every sweep's scan, which read it 445 times on gen2 (89 sweeps
+    of five classes)."""
+    sys_ = _benchmark_system("gen2", tmp_path)
+    cap, reads = game.profile_cap, []
+
+    def counted():
+        reads.append(None)
+        return cap()
+
+    monkeypatch.setattr(game, "profile_cap", counted)
+    result = stationary.solve_stationary(sys_)
+    assert 0 < len(reads) <= len(sys_.classes)
+    assert result == reference_solve_stationary(sys_)
+
+
+# Policy iteration, behind the discounted conceivable bounds, prices in
+# integers over one common denominator as the sweeps do; these systems make
+# that arithmetic hard (β with large terms, rewards whose denominators mix
+# 3, 7 and 10^20), and their exits often tie exactly, a terminal exit
+# against a continue exit among them.  Each run's values and its number of
+# rounds must be the `Fraction`-priced reference's: a tie broken otherwise
+# changes the rounds, not the values.
+
+_HARD_BOUND_REWARDS = [Fraction(1, 3), Fraction(1, 7), Fraction(-1, 7), 1 - Fraction(1, 10**20), Fraction(0),
+                       Fraction(-2, 3)]
+
+
+def _hard_bounds_system(seed: int) -> StationarySystem:
+    """One to three classes in a ring, each P's choice among its ring exit
+    and one to three exits that stop or continue into any class, with P's
+    and Q's rewards from `_HARD_BOUND_REWARDS` and β from `_HARD_BETAS`."""
+    rng = random.Random(f"hard-bounds:{seed}")
+    cids = [f"c{i}" for i in range(rng.randint(1, 3))]
+
+    def reward():
+        return {k: rng.choice(_HARD_BOUND_REWARDS) for k in ("P", "Q")}
+
+    classes = {}
+    for i, cid in enumerate(cids):
+        exits = {"a": Exit(reward(), next_class=cids[(i + 1) % len(cids)])}
+        for y in "bcd"[:rng.randint(1, 3)]:
+            exits[y] = Exit(reward(), next_class=rng.choice([None, *cids]))
+        classes[cid] = _one_choice_class(exits)
+    return StationarySystem(classes, "c0", DiscountedAccumulation(rng.choice(_HARD_BETAS)), ["P", "Q"])
+
+
+def _assert_bounds_match_policy_reference(sys_: StationarySystem, monkeypatch) -> int:
+    """Each policy iteration (per stakeholder and direction) ends with the
+    reference's values after as many rounds, and every bound is the
+    enumeration's; returns the reference's terminal-against-continue ties."""
+    chain_values, rounds, ties = stationary._chain_values, [], 0
+
+    def counted(*args):
+        rounds.append(None)
+        return chain_values(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stationary, "_chain_values", counted)
+        for k in sorted(sys_.stakeholders):
+            for sign in (1, -1):
+                rounds.clear()
+                values = stationary._optimal_values(sys_, k, sign)
+                expected, expected_rounds, tied = reference_policy_iteration(sys_, k, sign)
+                assert (values, len(rounds)) == (expected, expected_rounds), (k, sign)
+                ties += tied
+    extremes = reference_discounted_extremes(sys_)
+    for c in sorted(sys_.classes):
+        for k in sorted(sys_.stakeholders):
+            assert conceivable_bounds(sys_, c, k) == extremes[c, k], (c, k)
+    return ties
+
+
+def test_bounds_match_reference_on_hard_arithmetic(monkeypatch):
+    systems, tied = Counter(), Counter()
+    for seed in range(60):
+        sys_ = _hard_bounds_system(seed)
+        beta = str(sys_.model.beta)
+        systems[beta] += 1
+        tied[beta] += _assert_bounds_match_policy_reference(sys_, monkeypatch) > 0
+    # every β is drawn, and at every β some system meets a terminal exit and
+    # a continue exit that both pay the most
+    assert systems.keys() == tied.keys() == {str(beta) for beta in _HARD_BETAS}
+
+
+def test_bounds_match_reference_on_hard_arithmetic_cases(monkeypatch):
+    # at β = 2/3, continuing into B (worth 1/2) pays exactly the 1/3 of
+    # stopping, in both directions, whichever exit has the smaller label
+    # and so starts; when stopping pays 10^-20 less, the tie is gone
+    for go, stop in (("go", "stop"), ("b_go", "a_stop")):
+        for below in (Fraction(0), Fraction(1, 10**20)):
+            sys_ = StationarySystem({
+                "A": _one_choice_class({go: Exit({"P": 0}, next_class="B"),
+                                        stop: Exit({"P": Fraction(1, 3) - below})}),
+                "B": _one_choice_class({"x": Exit({"P": Fraction(1, 2)})}),
+            }, "A", DiscountedAccumulation(Fraction(2, 3)), ["P"])
+            assert _assert_bounds_match_policy_reference(sys_, monkeypatch) == (2 if below == 0 else 0)
+    # a self-loop at β = 997/1000 against stopping: the loop's value
+    # (1/3)/(3/1000) = 1000/9 has a denominator that neither the reward nor
+    # β has
+    sys_ = StationarySystem({
+        "A": _one_choice_class({"go": Exit({"P": Fraction(1, 3)}, next_class="A"),
+                                "stop": Exit({"P": 1 - Fraction(1, 10**20)})}),
+    }, "A", DiscountedAccumulation(Fraction(997, 1000)), ["P"])
+    _assert_bounds_match_policy_reference(sys_, monkeypatch)
+    assert conceivable_bounds(sys_, "A", "P") == (1 - Fraction(1, 10**20), Fraction(1000, 9))
+
+
+@pytest.mark.parametrize("name", ["gen2", "gen5", "crywolf"])
+def test_bounds_make_fractions_per_evaluation_not_per_exit(name, tmp_path, monkeypatch):
+    """Policy iteration prices in integers, so the `Fraction`s one bounds
+    call makes come from its evaluations (`_chain_values`) alone: at most
+    six per class and round (a step makes two, a self-loop's cycle value
+    six).  Pricing in `Fraction`s made 1,221 on gen2 (15 rounds), 877 on
+    gen5 (15) and 105 on cry-wolf (9)."""
+    sys_ = _benchmark_system(name, tmp_path)
+    chain_values, rounds = stationary._chain_values, []
+
+    def counted(*args):
+        rounds.append(None)
+        return chain_values(*args)
+
+    monkeypatch.setattr(stationary, "_chain_values", counted)
+    made = _count_fractions(monkeypatch)
+    table = sys_.model.bounds(sys_)
+    monkeypatch.undo()
+    assert made[0] <= 6 * len(sys_.classes) * len(rounds)
+    assert len(rounds) == {"gen2": 15, "gen5": 15, "crywolf": 9}[name]
+    extremes = reference_discounted_extremes(sys_)
+    assert table == {c: {k: extremes[c, k] for k in sorted(sys_.stakeholders)} for c in sorted(sys_.classes)}
 
 
 @pytest.mark.parametrize("name", ["gen5", "crywolf"])

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import convergence, fileio, game as game_mod, stationary as stat_mod
 from .core import ALL_AXIOMS, _diagnosed
 from .numbers import render_scalar
-from .partition import _partition, piece_owners, subroots_sorted
+from .partition import _partition, piece_owners
 from .strategy import validate_strategy
 
 _PALETTE = ("lightblue", "lightyellow", "lightpink", "lightgreen", "lavender",
@@ -111,7 +111,7 @@ def _dot(form) -> str:
     the color of the piece it leaves; the root takes its own piece's."""
     ts = _partition(form).nodes
     owner = piece_owners(form)
-    color_of = {t: _PALETTE[idx % len(_PALETTE)] for idx, t in enumerate(subroots_sorted(form))}
+    color_of = {t: _PALETTE[idx % len(_PALETTE)] for idx, t in enumerate(ts)}
     lines = ["digraph pentaform {", "  rankdir=TB;", '  node [style=filled, shape=ellipse];']
     for x in sorted(form.nodes):
         piece = form.root if x == form.root else owner[form.predecessor(x)]

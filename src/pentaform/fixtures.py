@@ -154,8 +154,8 @@ def constant_values(g: Game, profile: dict) -> dict:
     return {t: dict(profile) for t in _partition(g.form).nodes}
 
 
-def _write_fixture_files() -> None:
-    root = pathlib.Path(__file__).resolve().parents[2] / "fixtures"
+def _write_fixture_files(root: pathlib.Path = pathlib.Path(__file__).resolve().parents[2] / "fixtures") -> None:
+    """Write the golden files into the directory `root`, the repository's fixtures/ by default."""
     root.mkdir(exist_ok=True)
 
     g = entry_game()

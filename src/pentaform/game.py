@@ -26,9 +26,9 @@ conceivable bounds and the authentic values.
 Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
 player's full strategy space without materializing it.  Every subgame check
-walks each piece in place on its own decision nodes, from a subroot t up to
-the next subroot or a final endnode (`_piece_walks`), and builds no piece
-form.  The piece checks price each exit by the value function, or by the
+walks each piece in place on its own decision nodes (`_partition(form).nodes`)
+from a subroot t up to the next subroot or a final endnode, and builds no
+piece form.  The piece checks price each exit by the value function, or by the
 authentic values, which the value recursion finds one piece at a time.  No
 situation straddles a subroot, so `spe_check_direct` is the same recursion
 over each player's best deviation value: the exits of the piece at t are
@@ -74,7 +74,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping
 from .convergence import HOLDS, ConvergenceVerdict
 from .core import Pentaform, Quintuple, validate
 from .numbers import Profile, Scalar, checked_profile, make_profile
-from .partition import _partition, piece_form, subroots_sorted
+from .partition import _partition, piece_form
 from .strategy import outcome, validate_strategy
 
 PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
@@ -139,7 +139,7 @@ class Game:
     witness_key = "subroot"
 
     def _value_domain(self) -> tuple[list[str], str, str]:
-        return subroots_sorted(self.form), "value function missing subroots", "value function defined at non-subroots"
+        return list(_partition(self.form).nodes), "value function missing subroots", "value function defined at non-subroots"
 
     def _valid_strategy(self, s: Mapping[str, str]) -> dict[str, str]:
         return validate_strategy(self.form, s)
@@ -147,7 +147,7 @@ class Game:
     def _pieces(self, s: Mapping[str, str], v: Mapping[str, Profile]):
         """Each subroot t's piece as (t, form, s, t, the nodes its walk moves on, utilities and v)."""
         prices = {**self.utilities, **v}
-        for t, through in _piece_walks(self.form):
+        for t, through in _partition(self.form).nodes.items():
             yield t, self.form, s, t, through, prices
 
     def _conceivable_bounds(self, x: str, k: str) -> tuple[Scalar, Scalar]:
@@ -295,15 +295,6 @@ def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Map
     return None
 
 
-def _piece_walks(form: Pentaform, deepest_first: bool = False):
-    """Each subroot t in (depth, label) order, or in (−depth, label) order
-    (deepest first), with the decision nodes of the piece at t, which a walk
-    of the piece moves on: a walk from t stops at the next subroot or at a
-    final endnode, and no piece form is built."""
-    part = _partition(form)
-    return ((t, part.nodes[t]) for t in (part.deepest_first if deepest_first else part.nodes))
-
-
 def _piece_nash(obj, s, v) -> Verdict:
     """Nash in every piece of a Game or StationarySystem under the valid
     strategy s, the exits priced by the values v, else the first witness in
@@ -341,16 +332,17 @@ def spe_check_direct(g: Game, s: Mapping[str, str]) -> Verdict:
     s = validate_strategy(form, s)
     end = _conforming_ends(form, s)
     players = sorted(form.players)
+    part = _partition(form)
     # player → subroot → (B_i(t), i's choices in the piece at t, the piece exit)
     best: dict[str, dict[str, tuple]] = {i: {} for i in players}
-    for t, through in _piece_walks(form, deepest_first=True):
+    for t in part.deepest_first:
         for i in players:
             deeper = best[i]
             deeper[t] = _best_deviation(
                 form, s, i, t,
                 lambda y, i=i, deeper=deeper: deeper[y][0] if y in deeper else g.utilities[y][i],
-                through)
-    for t in subroots_sorted(form):
+                part.nodes[t])
+    for t in part.nodes:
         base = g.utilities[end[t]]
         for i in players:
             value, choices, y = best[i][t]
@@ -407,15 +399,16 @@ def _conforming_ends(form: Pentaform, s: Mapping[str, str]) -> dict[str, str]:
     """The endnode reached by obeying s from each subroot and endnode: the
     value recursion, one trace per piece, deepest subroot first."""
     end = {y: y for y in form.endnodes}
-    for t, through in _piece_walks(form, deepest_first=True):
-        end[t] = end[outcome(form, s, t, through)[-1]]
+    part = _partition(form)
+    for t in part.deepest_first:
+        end[t] = end[outcome(form, s, t, part.nodes[t])[-1]]
     return end
 
 
 def authentic_value(g: Game, s: Mapping[str, str]) -> dict[str, Profile]:
     """The value function v(t) = utility of obeying s after t, for every t."""
     end = _conforming_ends(g.form, validate_strategy(g.form, s))
-    return {t: dict(g.utilities[end[t]]) for t in subroots_sorted(g.form)}
+    return {t: dict(g.utilities[end[t]]) for t in _partition(g.form).nodes}
 
 
 def authentic(obj, s, values: Mapping[str, Mapping[str, object]]) -> Verdict:
@@ -477,10 +470,10 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
 
 class PieceScan:
     """The scan for pure Nash rows of one piece: its profiles over the
-    piece's `situations` of `form`, in lexicographic order over the sorted
-    situations (each one's actions in sorted order, or largest first), each
-    paired with the endnode that its walk of the piece from t reaches,
-    moving on the decision nodes in `through` (all of form's by default).
+    situations of the decision nodes in `through` (all of form's by
+    default), in lexicographic order over the sorted situations (each one's
+    actions in sorted order, or largest first), each paired with the endnode
+    that its walk of the piece from t reaches, moving on those nodes.
 
     The profiles are a mixed-radix odometer whose digits are the situations
     with more than one action, the last turning fastest, so a step changes
@@ -499,11 +492,12 @@ class PieceScan:
     The cap (`profile_cap()`) is read once, when the scan is made.
     """
 
-    def __init__(self, form: Pentaform, situations: AbstractSet[str], t: str,
-                 through: AbstractSet[str] | None = None, largest_first: bool = False):
+    def __init__(self, form: Pentaform, t: str, through: AbstractSet[str] | None = None,
+                 largest_first: bool = False):
         self.form = form
         self.t = t
         self.through = form.decision_nodes if through is None else through
+        situations = form.situations if through is None else {form._situation_of[x] for x in through}
         self.cap = profile_cap()
         self.first_profile: dict[str, str] = {}
         self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action
@@ -641,8 +635,9 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     prices: dict[str, Profile] = dict(g.utilities)  # final endnodes, then each solved subroot
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
-    for t, through in _piece_walks(form, deepest_first=True):
-        row = first_nash_point(PieceScan(form, {form.situation_of(x) for x in through}, t, through), prices)
+    part = _partition(form)
+    for t in part.deepest_first:
+        row = first_nash_point(PieceScan(form, t, part.nodes[t]), prices)
         if row is None:
             return NoPureEquilibrium(t)
         profile, end = row

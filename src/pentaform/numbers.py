@@ -152,12 +152,10 @@ def render_scalar(x: Scalar) -> str:
     return base
 
 
-def make_profile(values: Mapping[str, object], stakeholders: Iterable[str] | None = None) -> Profile:
-    """Normalize a mapping to a profile, optionally checking its domain
-    (a set of stakeholders is used as given, not copied)."""
+def make_profile(values: Mapping[str, object], stakeholders: Iterable[str]) -> Profile:
+    """Normalize a mapping to a profile over exactly the stakeholders (a set
+    of stakeholders is used as given, not copied)."""
     prof = {str(k): as_scalar(v) for k, v in values.items()}
-    if stakeholders is None:
-        return prof
     return checked_profile(prof, stakeholders if isinstance(stakeholders, (set, frozenset)) else set(stakeholders))
 
 

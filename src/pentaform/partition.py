@@ -98,7 +98,7 @@ def subroots(p: Pentaform) -> frozenset:
 
 
 def subroots_sorted(p: Pentaform) -> list[str]:
-    """Subroots ordered by (depth, label); backward induction reverses this."""
+    """Subroots ordered by (depth, label), as the partition keys its pieces."""
     return list(_partition(p).nodes)
 
 

@@ -45,7 +45,8 @@ concrete subgame is a positive affine image of the quotient, so one Nash scan
 per class settles piecewise-Nashness for all infinitely many pieces at once.
 The scans walk each class template in place and build no game.  One
 breadth-first class-graph walk (`StationarySystem._walk`) serves reachability,
-the absolute-terminal bounds and `certify_spe`'s best stationary deviation.
+the absolute-terminal bounds, `certify_spe`'s best stationary deviation and,
+along the σ-exits (`_sigma_exits`), the quotient subroot sequence.
 """
 
 from __future__ import annotations
@@ -116,12 +117,10 @@ class DiscountedAccumulation:
         beta = self.beta
         return {k: reward[k] + beta * w[k] for k in w}
 
-    def cycle_value(self, cycle: tuple[str, ...], rewards: list[Profile]) -> Profile:
-        """The value at cycle[0] of circling `cycle` forever, earning
-        rewards[m] on leaving cycle[m]: the geometric series of one lap."""
-        lap = {k: Fraction(0) for k in rewards[0]}
-        for reward in reversed(rewards):
-            lap = self.step(reward, lap)
+    def cycle_value(self, cycle: tuple[str, ...], exits: list[Exit]) -> Profile:
+        """The value at cycle[0] of circling `cycle` forever, leaving cycle[m]
+        by exits[m]: the geometric series of one lap, priced by `_price`."""
+        lap = _price(self, exits, {k: Fraction(0) for k in exits[0].reward})
         denom = 1 - self.beta ** len(cycle)
         return {k: x / denom for k, x in lap.items()}
 
@@ -185,7 +184,7 @@ class AbsoluteTerminal:
         """Continue rewards count for nothing: the value is `w` as-is."""
         return dict(w)
 
-    def cycle_value(self, cycle: tuple[str, ...], rewards: list[Profile]) -> Profile:
+    def cycle_value(self, cycle: tuple[str, ...], exits: list[Exit]) -> Profile:
         """The declared utility of runs that settle into `cycle`."""
         return dict(self.cycle_utilities[canonical_cycle(cycle)])
 
@@ -446,19 +445,29 @@ def _expand(sys: StationarySystem, depth: int):
 
 
 def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
-    made: dict[Quintuple, _PieceInstance] = {}  # each relabelled quintuple, with the piece that made it
+    """The pieces' relabelled quintuples.  Two pieces that make the same
+    move, or the same situation, would merge in the unfolding: that raises,
+    naming both pieces and the label."""
+    quintuples = []
+    moves: dict[tuple[str, str], _PieceInstance] = {}  # each relabelled move, with the piece that makes it
+    situations: dict[str, _PieceInstance] = {}  # each relabelled situation, likewise
     for inst in pieces:
         for q in sys.classes[inst.class_id].template.quintuples:
             r = Quintuple(q.player, _relabel_situation(inst.prefix, q.situation), inst.prefix + q.decision_node,
                           q.action, inst.prefix + q.successor)
-            if r in made:
-                first = made[r]
-                raise ValueError(
-                    f"template labels collide when concatenated: the piece of class {first.class_id!r} at "
-                    f"{first.prefix!r} and the piece of class {inst.class_id!r} at {inst.prefix!r} both make "
-                    f"move {r.action!r} at node {r.decision_node!r}; rename template nodes")
-            made[r] = inst
-    return list(made)
+            first = moves.setdefault((r.decision_node, r.action), inst)
+            if first is not inst:
+                _collide(first, inst, f"move {r.action!r} at node {r.decision_node!r}; rename template nodes")
+            first = situations.setdefault(r.situation, inst)
+            if first is not inst:
+                _collide(first, inst, f"situation {r.situation!r}; rename template situations")
+            quintuples.append(r)
+    return quintuples
+
+
+def _collide(first: _PieceInstance, inst: _PieceInstance, what: str):
+    raise ValueError(f"template labels collide when concatenated: the piece of class {first.class_id!r} at "
+                     f"{first.prefix!r} and the piece of class {inst.class_id!r} at {inst.prefix!r} both make {what}")
 
 
 def _price(model, path: tuple[Exit, ...], w: Mapping[str, Scalar]) -> Profile:
@@ -520,9 +529,9 @@ def validate_stationary_strategy(sys: StationarySystem,
     return {c: validate_strategy(sys.classes[c].template, sigma[c]) for c in sorted(sigma)}
 
 
-def _sigma_exit(sys: StationarySystem, sigma: StationaryStrategy, cid: str) -> Exit:
-    cls = sys.classes[cid]
-    return cls.exits[outcome(cls.template, sigma[cid])[-1]]
+def _sigma_exits(sys: StationarySystem, sigma: StationaryStrategy) -> dict[str, str]:
+    """Each class's σ-exit: the label of the template endnode that obeying σ reaches."""
+    return {c: outcome(cls.template, sigma[c])[-1] for c, cls in sys.classes.items()}
 
 
 def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[str, Profile]:
@@ -549,7 +558,7 @@ def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[st
             cur = e.next_class
         if path[-1] not in w and cur in pos:
             cyc = tuple(path[pos[cur]:])
-            w[cur] = model.cycle_value(cyc, [exit_of[d].reward for d in cyc])
+            w[cur] = model.cycle_value(cyc, [exit_of[d] for d in cyc])
         for d in reversed(path):
             if d in w:
                 continue
@@ -562,7 +571,7 @@ def continuation_values(sys: StationarySystem,
                         sigma: Mapping[str, Mapping[str, str]]) -> dict[str, Profile]:
     """The value of entering a fresh piece of each class and obeying σ forever."""
     sigma = validate_stationary_strategy(sys, sigma)
-    return _chain_values(sys, {c: _sigma_exit(sys, sigma, c) for c in sys.classes})
+    return _chain_values(sys, {c: sys.classes[c].exits[y] for c, y in _sigma_exits(sys, sigma).items()})
 
 
 def parse_subroot_label(sys: StationarySystem, label: str) -> tuple[list[Exit], str]:
@@ -721,7 +730,7 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
     sigma = validate_stationary_strategy(sys, sigma)
     up = upper_convergent(sys)
     lo = lower_convergent(sys)
-    w = _chain_values(sys, {c: _sigma_exit(sys, sigma, c) for c in sys.classes})
+    w = _chain_values(sys, {c: sys.classes[c].exits[y] for c, y in _sigma_exits(sys, sigma).items()})
     verdict = _piece_nash(sys, sigma, w)
     if not verdict:
         return Certificate(REFUTED, w, up, lo, witness=verdict.witness,
@@ -801,7 +810,7 @@ class _ClassTable(PieceScan):
     sweep's scan and the exact check only price them afresh."""
 
     def __init__(self, template: Pentaform):
-        super().__init__(template, template.situations, template.root, largest_first=True)
+        super().__init__(template, template.root, largest_first=True)
         self._reach: dict[str, dict[int, AbstractSet[str]]] = {i: {} for i in self.players}
 
     def reach(self, i: str, key: int, profile: Mapping[str, str]) -> AbstractSet[str]:
@@ -894,21 +903,16 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
 
 
 def quotient_subroot_sequence(sys: StationarySystem, sigma, start: str | None = None):
-    """The class chain visited by obeying σ, as a symbolic subroot sequence;
-    a revisited class is an infinite chain with the cycle as witness."""
-    sigma = validate_stationary_strategy(sys, sigma)
-    cur = sys.initial if start is None else start
-    if cur not in sys.classes:
-        raise ValueError(f"unknown class {cur!r}")
-    chain = [cur]
-    seen = {cur: 0}
-    while True:
-        e = _sigma_exit(sys, sigma, chain[-1])
-        if e.is_terminal:
-            return SubrootSequence(tuple(chain), TERMINATED)
-        nxt = e.next_class
-        if nxt in seen:
-            cycle = tuple(chain[seen[nxt]:])
-            return SubrootSequence(tuple(chain), INFINITE_DETECTED, cycle=canonical_cycle(cycle))
-        seen[nxt] = len(chain)
-        chain.append(nxt)
+    """The class chain visited by obeying σ, as a symbolic subroot sequence:
+    the class-graph walk along the σ-exits alone.  When the last class's
+    σ-exit continues, it enters a class already walked, and the chain is
+    infinite with that cycle as witness."""
+    labels = _sigma_exits(sys, validate_stationary_strategy(sys, sigma))
+    start = sys.initial if start is None else start
+    if start not in sys.classes:
+        raise ValueError(f"unknown class {start!r}")
+    chain = tuple(sys._walk(start, {c: {y} for c, y in labels.items()})[0])
+    nxt = sys.classes[chain[-1]].exits[labels[chain[-1]]].next_class
+    if nxt is None:
+        return SubrootSequence(chain, TERMINATED)
+    return SubrootSequence(chain, INFINITE_DETECTED, cycle=canonical_cycle(chain[chain.index(nxt):]))

@@ -67,7 +67,7 @@ from pentaform.stationary import (
     truncated_game,
     validate_stationary_strategy,
 )
-from pentaform.strategy import TERMINATED, SubrootSequence
+from pentaform.strategy import INFINITE_DETECTED, TERMINATED, SubrootSequence
 
 
 def random_strategy(form: Pentaform, rng: random.Random) -> dict:
@@ -778,6 +778,22 @@ def reference_chain_values(sys, exit_of) -> dict:
 def reference_continuation_values(sys, sigma) -> dict:
     sigma = validate_stationary_strategy(sys, sigma)
     return reference_chain_values(sys, {c: _reference_sigma_exit(sys, sigma, c) for c in sys.classes})
+
+
+def reference_quotient_subroot_sequence(sys, sigma, start: str) -> SubrootSequence:
+    """The class chain from start along the σ-exits, followed one class at a
+    time until it terminates or revisits a class."""
+    sigma = validate_stationary_strategy(sys, sigma)
+    chain, seen = [start], {start: 0}
+    while True:
+        e = _reference_sigma_exit(sys, sigma, chain[-1])
+        if e.is_terminal:
+            return SubrootSequence(tuple(chain), TERMINATED)
+        if e.next_class in seen:
+            cycle = canonical_cycle(tuple(chain[seen[e.next_class]:]))
+            return SubrootSequence(tuple(chain), INFINITE_DETECTED, cycle=cycle)
+        seen[e.next_class] = len(chain)
+        chain.append(e.next_class)
 
 
 def reference_discounted_extremes(sys) -> dict:

@@ -104,6 +104,7 @@ from pentaform.stationary import (
     conceivable_bounds,
     continuation_values,
     instantiate,
+    quotient_subroot_sequence,
     simple_cycles,
     truncated_game,
     value_at,
@@ -137,6 +138,7 @@ from conftest import (
     reference_piece_profiles,
     reference_induced_strategy,
     reference_policy_iteration,
+    reference_quotient_subroot_sequence,
     reference_instantiate,
     reference_quotient_piece_game,
     reference_solve_backward,
@@ -429,13 +431,16 @@ def _random_stationary_strategy(sys_: StationarySystem, rng: random.Random) -> d
 
 
 def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: random.Random) -> None:
-    """The unfolding at each depth, value_at at every subroot and the
+    """The continuation values, the quotient subroot sequence from every
+    class, the unfolding at each depth, value_at at every subroot and the
     persistence verdicts agree with the reference code, and the truncations
     at the conceivable bounds bracket every cut endnode as the reference's
     bounded instantiation does."""
     sigma = _random_stationary_strategy(sys_, rng)
     w = continuation_values(sys_, sigma)
     assert w == reference_continuation_values(sys_, sigma)
+    for start in sorted(sys_.classes):
+        assert quotient_subroot_sequence(sys_, sigma, start) == reference_quotient_subroot_sequence(sys_, sigma, start)
     _assert_priced(*w.values())
     for values in (w, _random_class_values(sys_, rng)):
         verdict = persistent(sys_, sigma, values)
@@ -1164,7 +1169,7 @@ def _walked_first_nash_point(pg: Game, largest_first: bool = False) -> dict | No
     """The profile of `first_nash_point`'s row on pg's one piece, each reach
     set one deviation walk, as `solve_backward` scans a piece."""
     form = pg.form
-    row = first_nash_point(PieceScan(form, form.situations, form.root, largest_first=largest_first),
+    row = first_nash_point(PieceScan(form, form.root, largest_first=largest_first),
                            pg.utilities)
     return None if row is None else row[0]
 
@@ -1308,7 +1313,7 @@ class _RecordedScan(PieceScan):
     def __init__(self, form):
         through = _RecordedNodes(form.decision_nodes)
         through.tested = []
-        super().__init__(form, form.situations, form.root, through)
+        super().__init__(form, form.root, through)
         self.deviations = []
 
     def reach(self, i, key, profile):

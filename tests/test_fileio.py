@@ -11,18 +11,15 @@ import pytest
 from pentaform import fileio
 from pentaform.fixtures import (
     ann_chain,
-    ann_truncation,
-    bob_chain,
     bob_truncation,
-    constant_values,
     cry_wolf,
     cry_wolf_calm_strategy,
     eda_chain,
     entry_game,
     entry_spe_strategy,
     entry_values,
+    _write_fixture_files,
 )
-from pentaform.stationary import instantiate
 from pentaform.numbers import MAX_DIGITS, format_scalar, parse_scalar, repeating_decimal, render_scalar
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -129,37 +126,13 @@ def test_stationary_strategy_round_trip(tmp_path):
     assert fileio.load_stationary_strategy(path) == cry_wolf_calm_strategy()
 
 
-def _fixture_texts() -> dict[str, str]:
-    """The canonical text of every file `python -m pentaform.fixtures` writes."""
-    entry, wolf = entry_game(), cry_wolf()
-    ann_tr, bob_tr = ann_truncation(), bob_truncation()
-    return {
-        "entry.pentaform": fileio.dumps_pentaform(entry.form),
-        "entry.game": fileio.dumps_game(entry),
-        "entry_spe.strategy": fileio.dumps_strategy(entry_spe_strategy()),
-        "entry_enter.strategy": fileio.dumps_strategy({"jE": "e", "jI": "f"}),
-        "entry.values": fileio.dumps_values(entry_values()),
-        "crywolf.system": fileio.dumps_system(wolf),
-        "crywolf_calm.strategy": fileio.dumps_stationary_strategy(cry_wolf_calm_strategy()),
-        "crywolf_depth1.pentaform": fileio.dumps_pentaform(instantiate(wolf, 1)),
-        "crywolf_depth2.pentaform": fileio.dumps_pentaform(instantiate(wolf, 2)),
-        "ann.system": fileio.dumps_system(ann_chain()),
-        "bob.system": fileio.dumps_system(bob_chain()),
-        "eda.system": fileio.dumps_system(eda_chain()),
-        "ann_trunc.game": fileio.dumps_game(ann_tr),
-        "ann_trunc_in.strategy": fileio.dumps_strategy({j: "in" for j in ann_tr.form.situations}),
-        "ann_trunc_half.values": fileio.dumps_values(constant_values(ann_tr, {"Ann": F(1, 2)})),
-        "bob_trunc.game": fileio.dumps_game(bob_tr),
-        "bob_trunc_out.strategy": fileio.dumps_strategy({j: "out" for j in bob_tr.form.situations}),
-        "bob_trunc_minus1.values": fileio.dumps_values(constant_values(bob_tr, {"Bob": -1})),
-    }
-
-
-def test_shipped_fixture_files_match_builders():
-    texts = _fixture_texts()
-    assert len(texts) == 18
-    for name, text in texts.items():
-        assert (FIXTURES / name).read_text(encoding="utf-8") == text, name
+def test_shipped_fixture_files_match_builders(tmp_path):
+    """`python -m pentaform.fixtures` writes every shipped fixture file byte for byte."""
+    _write_fixture_files(tmp_path)
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == sorted(path.name for path in FIXTURES.iterdir()) and len(names) == 18
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 # -- schema errors -----------------------------------------------------------------

@@ -89,6 +89,15 @@ def test_game_requires_total_utilities():
         Game(G1.form, ["Ent"], {y: {"Ent": 0} for y in G1.form.endnodes})
 
 
+def test_game_reads_number_texts_as_the_exact_scalars_they_name():
+    texts = {"7": {"Ent": "0", "Inc": "-1/3"}, "8": {"Ent": "-0.25", "Inc": "inf"}, "9": {"Ent": "5/2", "Inc": "-inf"}}
+    exact = {"7": {"Ent": F(0), "Inc": F(-1, 3)}, "8": {"Ent": F(-1, 4), "Inc": float("inf")},
+             "9": {"Ent": F(5, 2), "Inc": float("-inf")}}
+    g = Game(G1.form, ["Ent", "Inc"], texts)
+    assert g == Game(G1.form, ["Ent", "Inc"], exact)
+    assert [type(x) for u in g.utilities.values() for x in u.values()] == [F, F, F, float, F, float]
+
+
 # -- Nash and subgame perfection ------------------------------------------------------
 
 

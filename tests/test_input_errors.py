@@ -67,6 +67,19 @@ def _colliding_system() -> StationarySystem:
     return _one_class_system(qs, exits)
 
 
+def _situation_clash_system() -> StationarySystem:
+    """Two pieces that make no common node but the same situation: class c's
+    situation "xr" is where the piece of class d at exit "x" relabels its
+    situation "r", which would merge the two information sets."""
+    c = validate([Quintuple("P", "xr", "", "a", "x"), Quintuple("P", "xr", "", "b", "m"),
+                  Quintuple("P", "xr", "m", "a", "y"), Quintuple("P", "xr", "m", "b", "z")])
+    d = validate([Quintuple("P", "r", "", "a", "u"), Quintuple("P", "r", "", "b", "v")])
+    return StationarySystem({
+        "c": PieceClass(c, {"x": Exit({"P": 0}, "d"), "y": Exit({"P": 1}), "z": Exit({"P": 2})}),
+        "d": PieceClass(d, {"u": Exit({"P": 0}), "v": Exit({"P": 1})}),
+    }, "c", HALF, ["P"])
+
+
 LIBRARY_ERRORS = {
     "profile-domain": (lambda: make_profile({"Ent": 0}, ["Ent", "Inc"]),
                        r"profile domain mismatch: missing \['Inc'\]"),
@@ -184,6 +197,23 @@ def test_cli_template_label_collision_names_the_file(tmp_path, capsys):
     # a depth below 1 is the argument's fault, not the file's
     assert main(["stationary", str(path), "instantiate", "0"]) == 2
     assert capsys.readouterr() == ("", "error: instantiation depth must be at least 1\n")
+
+
+SITUATION_CLASH = ("template labels collide when concatenated: the piece of class 'c' at '' and the piece of "
+                   "class 'd' at 'x' both make situation 'xr'; rename template situations")
+
+
+def test_template_situation_clash_is_refused():
+    with pytest.raises(ValueError) as caught:
+        instantiate(_situation_clash_system(), 1)
+    assert str(caught.value) == SITUATION_CLASH
+
+
+def test_cli_template_situation_clash_names_the_file(tmp_path, capsys):
+    path = tmp_path / "clash.system"
+    save_system(path, _situation_clash_system())
+    assert main(["stationary", str(path), "instantiate", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {SITUATION_CLASH}\n")
 
 
 def _write(tmp_path: Path, name: str, data) -> str:

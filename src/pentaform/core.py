@@ -57,10 +57,10 @@ class Quintuple(NamedTuple):
 
     def key(self) -> tuple[str, str, str, str, str]:
         """Canonical sort key: (situation, decision node, action) first."""
-        return (self.situation, self.decision_node, self.action, self.player, self.successor)
+        return _CANONICAL(self)
 
 
-_CANONICAL = itemgetter(1, 2, 3, 0, 4)  # Quintuple.key, without a Python call
+_CANONICAL = itemgetter(1, 2, 3, 0, 4)  # the canonical order, as a sort key that runs no Python code
 
 
 @dataclass(frozen=True)

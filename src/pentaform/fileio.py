@@ -56,6 +56,14 @@ def _read(path):
         raise FileFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
+def _read_object(path, what: str) -> tuple[dict, str]:
+    """The JSON object a file holds, with the file's name to report against;
+    anything else raises FileFormatError with the message `what`."""
+    data, where = _read(path), str(path)
+    _expect(isinstance(data, dict), where, what)
+    return data, where
+
+
 def _write(path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
@@ -113,10 +121,10 @@ def save_pentaform(path, p) -> None:
 
 def load_quintuples(path) -> list[Quintuple]:
     """Raw quintuples, unvalidated (cmd_validate reports every axiom itself)."""
-    data = _read(path)
-    _expect(isinstance(data, dict) and "quintuples" in data, str(path),
-            'expected a top-level object with a "quintuples" list')
-    return _parse_quintuples(data["quintuples"], f"{path}: quintuples")
+    what = 'expected a top-level object with a "quintuples" list'
+    data, where = _read_object(path, what)
+    _expect("quintuples" in data, where, what)
+    return _parse_quintuples(data["quintuples"], f"{where}: quintuples")
 
 
 def load_pentaform(path) -> Pentaform:
@@ -161,9 +169,7 @@ def save_game(path, g: Game) -> None:
 
 
 def load_game(path) -> Game:
-    data = _read(path)
-    where = str(path)
-    _expect(isinstance(data, dict), where, "expected a top-level object")
+    data, where = _read_object(path, "expected a top-level object")
     for key in ("quintuples", "stakeholders", "utilities"):
         _expect(key in data, where, f'missing "{key}"')
     form = validate(_parse_quintuples(data["quintuples"], f"{where}: quintuples"))
@@ -188,9 +194,7 @@ def save_strategy(path, s) -> None:
 
 
 def load_strategy(path) -> dict:
-    data = _read(path)
-    where = str(path)
-    _expect(isinstance(data, dict), where, "expected an object mapping situation -> action")
+    data, where = _read_object(path, "expected an object mapping situation -> action")
     _expect(all(isinstance(v, str) for v in data.values()), where, "actions must be strings")
     return dict(data)
 
@@ -204,9 +208,7 @@ def save_values(path, values) -> None:
 
 
 def load_values(path) -> dict:
-    data = _read(path)
-    where = str(path)
-    _expect(isinstance(data, dict), where, "expected an object mapping subroot -> profile")
+    data, where = _read_object(path, "expected an object mapping subroot -> profile")
     numbers: dict = {}
     return {t: _parse_profile(p, f"{where}: {t}", numbers) for t, p in data.items()}
 
@@ -244,9 +246,7 @@ def save_system(path, sys: StationarySystem) -> None:
 
 
 def load_system(path) -> StationarySystem:
-    data = _read(path)
-    where = str(path)
-    _expect(isinstance(data, dict), where, "expected a top-level object")
+    data, where = _read_object(path, "expected a top-level object")
     for key in ("classes", "initial", "model", "stakeholders"):
         _expect(key in data, where, f'missing "{key}"')
     _expect(isinstance(data["classes"], dict), where, '"classes" must be an object')
@@ -307,10 +307,9 @@ def save_stationary_strategy(path, sigma) -> None:
 
 
 def load_stationary_strategy(path) -> dict:
-    data = _read(path)
-    where = str(path)
-    _expect(isinstance(data, dict) and "classes" in data, where,
-            'expected a top-level object with "classes"')
+    what = 'expected a top-level object with "classes"'
+    data, where = _read_object(path, what)
+    _expect("classes" in data, where, what)
     _expect(isinstance(data["classes"], dict), where, '"classes" must be an object')
     out = {}
     for c, m in data["classes"].items():

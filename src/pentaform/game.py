@@ -27,39 +27,17 @@ Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
 player's full strategy space without materializing it.  Every subgame check
 walks each piece in place on its own decision nodes (`_partition(form).nodes`)
-from a subroot t up to the next subroot or a final endnode, and builds no
-piece form.  The piece checks price each exit by the value function, or by the
-authentic values, which the value recursion finds one piece at a time.  No
-situation straddles a subroot, so `spe_check_direct` is the same recursion
-over each player's best deviation value: the exits of the piece at t are
-priced by the values already found at them, deepest subroot first, and each
-piece is searched once per player.
+from a subroot t up to the next subroot or a final endnode.  The piece checks
+price each exit by the value function, or by the authentic values, which the
+value recursion finds one piece at a time.  No situation straddles a subroot,
+so `spe_check_direct` is the same recursion over each player's best deviation
+value, deepest subroot first.
 
 `solve_backward` is the same in-place recursion: at each subroot, deepest
-first, it scans the profiles over the situations of the piece's
-decision nodes, and prices the piece's exits by the values already found.
-It builds no piece form and no piece game; `piece_game` stays as the API's
-(and the tests') explicit piece game.
-
-Both solvers find the first pure Nash row, a profile over a piece's
-situations paired with the endnode it reaches, with one incremental scan
-(`PieceScan`, through `first_nash_point`).  The profiles come from a
-mixed-radix odometer over the piece's sorted situations, so a step changes
-O(1) choices amortized; the scan keeps one profile and its run, walks the
-run again only from the first node whose situation changed, and moves each
-player's index of the others' choices by the changed digits' place values.
-The endnodes a player can reach by deviating depend only on the other
-players' choices, so a scan asks for them once per (player, others'
-choices): one deviation walk (`_reachable_exits`) lists them, and the scan
-keeps the set of those that pay the player the most.  A row is Nash exactly
-when its endnode lies in every player's set, so no scanned row compares
-prices.  `solve_backward` walks the piece at each subroot, and
-`solve_stationary` keeps each class's reach sets for the whole solve.  The
-scan only compares prices, so any exact numbers that order as the values do
-will serve: `solve_backward` passes the utilities and values themselves,
-and `solve_stationary`'s sweeps pass integers over one common denominator,
-keeping `Fraction`s for the final check.  The scan yields the Nash rows in
-order and can be resumed for the next one.
+first, it takes the piece's first pure Nash row from one incremental scan
+(`PieceScan`), its exits priced by the values already found.
+`solve_stationary` scans each class template with the same scan, and
+`piece_game` is the explicit piece game of the API and the tests.
 """
 
 from __future__ import annotations
@@ -273,6 +251,13 @@ def _reachable_exits(form: Pentaform, s: Mapping[str, str], i: str, start: str |
     return ends
 
 
+def _deviation_witness(i: str, deviation: dict, base: Scalar, value: Scalar, base_end: str, end: str) -> dict:
+    """Player i's profitable deviation: its choices, what obeying s and the
+    deviation pay i, and the nodes where each stops."""
+    return {"player": i, "deviation": deviation, "strategy_utility": base, "deviation_utility": value,
+            "strategy_endnode": base_end, "deviation_endnode": end}
+
+
 def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Mapping,
                   through: AbstractSet[str] | None = None) -> dict | None:
     """First profitable unilateral deviation from start in canonical order,
@@ -284,14 +269,7 @@ def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Map
         best, assign, endnode = _best_deviation(form, s, i, start, lambda y, i=i: prices[y][i],
                                                 through)
         if best > base[i]:
-            return {
-                "player": i,
-                "deviation": assign,
-                "strategy_utility": base[i],
-                "deviation_utility": best,
-                "strategy_endnode": base_end,
-                "deviation_endnode": endnode,
-            }
+            return _deviation_witness(i, assign, base[i], best, base_end, endnode)
     return None
 
 
@@ -351,15 +329,7 @@ def spe_check_direct(g: Game, s: Mapping[str, str]) -> Verdict:
                 while y in best[i]:  # follow the best exits down to a final endnode
                     _, choices, y = best[i][y]
                     deviation.update(choices)
-                return Verdict(False, {
-                    "player": i,
-                    "deviation": deviation,
-                    "strategy_utility": base[i],
-                    "deviation_utility": value,
-                    "strategy_endnode": end[t],
-                    "deviation_endnode": y,
-                    "subroot": t,
-                })
+                return Verdict(False, {**_deviation_witness(i, deviation, base[i], value, end[t], y), "subroot": t})
     return Verdict(True)
 
 
@@ -489,7 +459,9 @@ class PieceScan:
     player's set.  Once a digit sorted before all of i's digits turns, no
     earlier key of i can recur, and i's sets are dropped.  `reach` walks on
     every call; `stationary._ClassTable` keeps its results for a whole solve.
-    The cap (`profile_cap()`) is read once, when the scan is made.
+    The scan only compares prices, so any exact numbers that order as the
+    values do serve as prices.  The cap (`profile_cap()`) is read once, when
+    the scan is made.
     """
 
     def __init__(self, form: Pentaform, t: str, through: AbstractSet[str] | None = None,
@@ -626,10 +598,9 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     lexicographically smallest pure Nash row of the piece game whose final
     endnodes pay their utilities and whose exits pay the values found so far
     (`first_nash_point` over a `PieceScan` of the piece; each reach set is
-    one deviation walk of the piece from t).  The value at t is the price of the row's endnode.  No piece
-    form and no piece game is built.  On success the result satisfies
-    persistence and piecewise-Nashness, hence subgame perfection in finite
-    games.
+    one deviation walk of the piece from t).  The value at t is the price of
+    the row's endnode.  On success the result satisfies persistence and
+    piecewise-Nashness, hence subgame perfection in finite games.
     """
     form = g.form
     prices: dict[str, Profile] = dict(g.utilities)  # final endnodes, then each solved subroot

@@ -161,7 +161,7 @@ def classify_piece_endnodes(p: Pentaform) -> PieceEndnodes:
     """Split each piece's endnodes and verify they tile T ∪ (Y \\ W).
 
     A piece's endnodes are the children of its decision nodes that are not
-    its own: no piece form is built.  {{r}} together with the nonempty
+    its own.  {{r}} together with the nonempty
     piece-endnode sets partitions the union of the subroots and the final
     endnodes; a failure here is an engine bug, not a user error.
     """

@@ -21,15 +21,10 @@ value of circling a class cycle forever.  Everything else prices by folding
 endnode of an unfolding folds `step` over the continue exits on its class
 path.  One step of the value recursion prices every exit of a class against
 class values w: a terminal exit at its profile and a continue exit at
-step(reward, w[next]).  `_exit_prices` takes that step in `Fraction`s, and
-the value checks of the game module (`admissible`, `persistent`,
-`authentic` and `piecewise_nash`, which take a system as its classes in
-sorted order) and `certify_spe` price exits with it.  The two discounted
-loops take the same step with `_integer_prices`, in integers over one
-common denominator: value iteration's sweeps and its exact Nash check, and
-the rounds of the policy iteration behind the conceivable bounds, there
-for one stakeholder.  A class's quotient piece game is its template with
-these exit prices, and no code builds it as a game.
+step(reward, w[next]).  `_exit_prices` takes that step in `Fraction`s and
+`_integer_prices` in integers.  A class's quotient piece game is its
+template with these exit prices; the value checks of the game module take a
+system as its classes in sorted order.
 
 Each model also owns every other decision that depends on it: `validated`
 (β and finite rewards, or exactly the simple class cycles declared),
@@ -43,10 +38,10 @@ Everything infinite is analyzed on the finite class quotient: continuation
 values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
 concrete subgame is a positive affine image of the quotient, so one Nash scan
 per class settles piecewise-Nashness for all infinitely many pieces at once.
-The scans walk each class template in place and build no game.  One
-breadth-first class-graph walk (`StationarySystem._walk`) serves reachability,
-the absolute-terminal bounds, `certify_spe`'s best stationary deviation and,
-along the σ-exits (`_sigma_exits`), the quotient subroot sequence.
+The scans walk each class template in place.  One breadth-first class-graph
+walk (`StationarySystem._walk`) serves reachability, the absolute-terminal
+bounds, `certify_spe`'s best stationary deviation and, along the σ-exits
+(`_sigma_exits`), the quotient subroot sequence.
 """
 
 from __future__ import annotations
@@ -136,9 +131,7 @@ class DiscountedAccumulation:
         (Howard 1960; Puterman 1994, ch. 6).  The sup over all runs, stationary
         or not, is therefore the value of one stationary exit policy, and so is
         the inf (maximize -u_k).  `_optimal_values` finds that policy exactly,
-        by policy iteration whose rounds price the exits in integers over one
-        common denominator (`_integer_prices`); only the policies' values
-        are `Fraction`s."""
+        by policy iteration."""
         extremes = {k: (_optimal_values(sys, k, -1), _optimal_values(sys, k, 1)) for k in sorted(sys.stakeholders)}
         return {c: {k: (lo[c], hi[c]) for k, (lo, hi) in extremes.items()} for c in sorted(sys.classes)}
 
@@ -271,6 +264,8 @@ class StationarySystem:
             raise ValueError(f"initial class {initial!r} is not defined")
 
         normalized: dict[str, PieceClass] = {}
+        # the class graph, built once: each class's continue exits as (label, exit), in label order
+        self._continues: dict[str, list[tuple[str, Exit]]] = {}
         for cid in sorted(classes):
             cls = classes[cid]
             tmpl = cls.template
@@ -291,16 +286,12 @@ class StationarySystem:
                 if e.next_class is not None and e.next_class not in classes:
                     raise ValueError(f"class {cid!r}: exit {label!r} continues into unknown class {e.next_class!r}")
                 exits[label] = Exit(make_profile(e.reward, self.stakeholders), e.next_class)
-            cont = [label for label in exits if not exits[label].is_terminal]
-            for a in cont:
-                for b in cont:
-                    if a != b and b.startswith(a):
-                        raise ValueError(f"class {cid!r}: continue labels {a!r} and {b!r} are not prefix-free")
+            continues = self._continues[cid] = [(y, e) for y, e in exits.items() if not e.is_terminal]
+            for (a, _), (b, _) in zip(continues, continues[1:]):  # a label that prefixes a later one prefixes the next
+                if b.startswith(a):
+                    raise ValueError(f"class {cid!r}: continue labels {a!r} and {b!r} are not prefix-free")
             normalized[cid] = PieceClass(tmpl, exits)
         self.classes = normalized
-        # the class graph, built once: each class's continue exits as (label, exit), in label order
-        self._continues = {cid: [(y, e) for y, e in cls.exits.items() if not e.is_terminal]
-                           for cid, cls in normalized.items()}
 
         if not isinstance(model, (DiscountedAccumulation, AbsoluteTerminal)):
             raise ValueError(f"unknown utility model {model!r}")
@@ -446,11 +437,14 @@ def _expand(sys: StationarySystem, depth: int):
 
 def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
     """The pieces' relabelled quintuples.  Two pieces that make the same
-    move, or the same situation, would merge in the unfolding: that raises,
-    naming both pieces and the label."""
+    move, the same situation or the same node would merge in the unfolding:
+    that raises, naming both pieces and the label.  A piece's root is its
+    parent's exit and never a successor in its own template, so a parent and
+    its child, which share that node, do not clash on it."""
     quintuples = []
     moves: dict[tuple[str, str], _PieceInstance] = {}  # each relabelled move, with the piece that makes it
     situations: dict[str, _PieceInstance] = {}  # each relabelled situation, likewise
+    nodes: dict[str, _PieceInstance] = {}  # each relabelled successor, likewise
     for inst in pieces:
         for q in sys.classes[inst.class_id].template.quintuples:
             r = Quintuple(q.player, _relabel_situation(inst.prefix, q.situation), inst.prefix + q.decision_node,
@@ -461,6 +455,9 @@ def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
             first = situations.setdefault(r.situation, inst)
             if first is not inst:
                 _collide(first, inst, f"situation {r.situation!r}; rename template situations")
+            first = nodes.setdefault(r.successor, inst)
+            if first is not inst:
+                _collide(first, inst, f"node {r.successor!r}; rename template nodes")
             quintuples.append(r)
     return quintuples
 
@@ -624,18 +621,13 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
     then prices every exit one step ahead of those values and moves each
     class to the first exit, in label order, that pays sign·u_k the most,
     unless its current exit pays that much: a class switches only to a
-    strictly better exit.  The prices are `_integer_prices`, as value
-    iteration's sweeps take them: with β = p/q and L the lcm of k's reward
-    denominators, the values go over one common denominator S (the lcm of L
-    and theirs) as integers W, and each exit is priced as an integer over
-    S·q, its `_exit_prices` price times S·q, then times the sign.  So every
-    strict switch and every tie is the one `Fraction` arithmetic makes, and
-    only the evaluation and the answer use `Fraction`s.  A strict switch makes
-    the new policy's value at least as good in every class and strictly
-    better in the switched ones (the policy improvement theorem), so no
-    policy recurs and the rounds end; the policy they end with admits no
-    strict improvement, so its values are the Bellman fixed point."""
-    p, q = sys.model.beta.numerator, sys.model.beta.denominator
+    strictly better exit.  The values go over their common denominator and
+    the exits are priced by `_integer_prices`, then times the sign, so every
+    strict switch and every tie is the one exact arithmetic makes.  A strict
+    switch makes the new policy's value at least as good in every class and
+    strictly better in the switched ones (the policy improvement theorem),
+    so no policy recurs and the rounds end; the policy they end with admits
+    no strict improvement, so its values are the Bellman fixed point."""
     exits = {c: {y: Exit({k: e.reward[k]}, e.next_class) for y, e in cls.exits.items()}
              for c, cls in sorted(sys.classes.items())}
     rows, lcd = _integer_exits(exits)
@@ -643,10 +635,9 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
     while True:
         w = _chain_values(sys, {c: exits[c][y] for c, y in policy.items()})
         W, S = _over_common_denominator(w, lcd)
-        scale = S * q // lcd
         improved = {}
         for c, ys in rows.items():
-            ahead = {y: sign * price[k] for y, price in _integer_prices(ys, W, scale, p).items()}
+            ahead = {y: sign * price[k] for y, price in _integer_prices(ys, W, S, sys.model.beta, lcd).items()}
             improved[c] = max(ahead, key=lambda y: (ahead[y], y == policy[c]))
         if improved == policy:
             return {c: w[c][k] for c in exits}
@@ -661,7 +652,8 @@ def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> d
     exit its profile, a continue exit the model's step into the value of the
     class it enters.  This is one step of the value recursion in
     `Fraction`s, and the value checks and `certify_spe` price a class's exits
-    with it; the solvers' loops price the same step with `_integer_prices`."""
+    with it: the values they price (a value file, an absolute-terminal
+    profile) may be infinite, which no integer stands for."""
     step = sys.model.step
     return {y: e.reward if e.is_terminal else step(e.reward, w[e.next_class])
             for y, e in sys.classes[cid].exits.items()}
@@ -682,12 +674,16 @@ def _integer_exits(exits: Mapping[str, Mapping[str, Exit]]) -> tuple[dict[str, l
     return {c: [(y, R[c, y], e.next_class) for y, e in ys.items()] for c, ys in exits.items()}, lcd
 
 
-def _integer_prices(exits: list, W: Mapping[str, Mapping[str, int]], scale: int, p: int) -> dict[str, dict[str, int]]:
-    """One class's exits, as `_integer_exits` gives them, priced against
-    class values W/S under β = p/q, as integers over S·q (scale = S·q/L): a
-    terminal exit at R·scale and a continue exit at R·scale + p·W[next],
-    for R = reward·L.  Each is its `_exit_prices` price times S·q, a
-    positive factor, so the prices order the exits exactly as it does."""
+def _integer_prices(exits: list, W: Mapping[str, Mapping[str, int]], S: int, beta: Fraction,
+                    lcd: int) -> dict[str, dict[str, int]]:
+    """One class's exits, as `_integer_exits` gives them with L = lcd,
+    priced against class values W/S as integers over S·q, for β = p/q in
+    lowest terms and S a multiple of L.  A terminal exit is R·(S·q/L) and a
+    continue exit R·(S·q/L) + p·W[next], for R = reward·L.  Each is its
+    `_exit_prices` price times S·q, a positive factor, so the prices order
+    the exits exactly as `Fraction`s do, and every choice and tie made on
+    them is the one exact arithmetic makes."""
+    p, scale = beta.numerator, S * beta.denominator // lcd
     return {y: {k: r * scale for k, r in R.items()} if nxt is None
             else {k: r * scale + p * W[nxt][k] for k, r in R.items()}
             for y, R, nxt in exits}
@@ -828,30 +824,23 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     (ties broken toward the lexicographically largest action profile, which
     favors staying in the game when indifferent).  A sweep prices each
     class's exits once against the current values, one step of the value
-    recursion, and scans the class's profiles with its table (`_ClassTable`,
-    a `PieceScan` built once per solve) through `first_nash_point`: a
-    player's best responses are the exits in their stored reach set that pay
-    them the most, and the Nash row gives the class's choices and its exit
-    together.  A sweep builds no game and walks no deviation again.
+    recursion, and takes the class's first Nash row from its table
+    (`_ClassTable`, kept for the whole solve), which gives the class's
+    choices and its exit together.
 
-    The sweeps run in integers over one common denominator.  With β = p/q
-    in lowest terms and L the lcm of the rewards' denominators, the values
-    are W/S for an integer W per class and stakeholder and one S, a multiple
-    of L (S = L and W = 0 at the start).  A sweep prices every exit over
-    S·q with `_integer_prices`: a terminal exit at R·(S·q/L) and a continue
-    exit at R·(S·q/L) + p·W[next], for R = reward·L; the chosen row's price
-    is the new W over S·q.  The scan compares these integers as it would
-    the values, so every choice is the one exact arithmetic makes.
+    The values are integers W over one denominator S, which starts at L,
+    the lcm of the rewards' denominators, with W = 0.  A sweep prices every
+    exit with `_integer_prices`, and the chosen row's price is the new W
+    over S·q, for q the denominator of β.
 
     When the selected strategy repeats and the sup-norm change is below
     SOLVE_TOL, the strategy is evaluated exactly (`_chain_values`), and
-    those values are put over S, the lcm of L and their denominators, as
-    integers W.  The strategy is returned only if every class's row is
-    still Nash under the exits priced against W/S as a sweep prices them
-    (`is_nash`, read from the same reach sets); otherwise the sweeps go on
-    from W over S.  Only `_chain_values` and the answer use `Fraction`s.
-    The returned values are therefore always the exact continuation values
-    of a strategy that passes the piecewise-Nash scan.
+    those values are put over their common denominator.  The strategy is
+    returned only if every class's row is still Nash under the exits priced
+    against them as a sweep prices them (`is_nash`, read from the same reach
+    sets); otherwise the sweeps go on from those values.  The returned
+    values are therefore always the exact continuation values of a strategy
+    that passes the piecewise-Nash scan.
 
     Each sweep is a function of the state (the values, σ of the last sweep),
     so a state met twice repeats a cycle that can never settle: the answer
@@ -861,7 +850,8 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     """
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("solve_stationary requires a discounted-accumulation model")
-    p, q = sys.model.beta.numerator, sys.model.beta.denominator
+    beta = sys.model.beta
+    q = beta.denominator
     tol_num, tol_den = SOLVE_TOL.numerator, SOLVE_TOL.denominator
     tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
     exits, lcd = _integer_exits({c: sys.classes[c].exits for c in tables})
@@ -876,12 +866,11 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         if sweep & (sweep - 1) == 0:  # 0 or a power of two
             marked_W, marked_S, marked_sigma = W, S, sigma_prev
         new_S = S * q
-        scale = new_S // lcd
         new_W: dict[str, dict[str, int]] = {}
         new_sigma: dict[str, dict] = {}
         ends: dict[str, str] = {}
         for c, table in tables.items():
-            prices = _integer_prices(exits[c], W, scale, p)
+            prices = _integer_prices(exits[c], W, S, beta, lcd)
             row = first_nash_point(table, prices)
             if row is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
@@ -895,8 +884,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
         if settled:
             exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
             W, S = _over_common_denominator(exact, lcd)
-            scale = S * q // lcd
-            if all(table.is_nash(new_sigma[c], ends[c], _integer_prices(exits[c], W, scale, p))
+            if all(table.is_nash(new_sigma[c], ends[c], _integer_prices(exits[c], W, S, beta, lcd))
                    for c, table in tables.items()):
                 return StationarySolution(new_sigma, exact)
     return StationarySolveFailure("no-convergence", None)

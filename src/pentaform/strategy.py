@@ -9,8 +9,7 @@ ever reads on-path situations, which keeps the restriction algebra exact.
 node, so the outcome of the subgame at a subroot t is `outcome(p, s, t)`.
 A piece run is the same trace confined to the piece's decision nodes, so
 `subform_outcome`, `piece_outcome` and `subroot_sequence` walk the form in
-place and build no subform or piece form.  Single moves are
-`Pentaform.next_node`.
+place.  Single moves are `Pentaform.next_node`.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None,
 def subform_outcome(p: Pentaform, t: str, restriction: Mapping[str, str]) -> tuple[str, ...]:
     """The run of the subform at t under a restriction total on its situations,
     traced in place from t: the subform's situations are those of the
-    decision nodes below t, and no subform is built."""
+    decision nodes below t."""
     _require_subroot(p, t)
     below = {p.situation_of(x) for x in p.subtree_nodes(t) if x in p.decision_nodes}
     _require_total(restriction, below, "subform")

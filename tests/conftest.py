@@ -717,6 +717,18 @@ def random_ring_system(seed: int, shape: tuple[int, int] | None = None) -> Stati
     return StationarySystem(classes, "c0", DiscountedAccumulation(beta), players)
 
 
+def reference_prefix_clash(labels) -> tuple[str, str] | None:
+    """The first pair (a, b) of distinct labels, in label order over a and
+    then over b, where a prefixes b: the prefix-free rule for a class's
+    continue labels, checked over every pair."""
+    cont = sorted(labels)
+    for a in cont:
+        for b in cont:
+            if a != b and b.startswith(a):
+                return a, b
+    return None
+
+
 # -- stationary reference oracles: the unfolding and the value code written
 # with one branch per utility model, as they stood before each model held its
 # own pricing rule -------------------------------------------------------------

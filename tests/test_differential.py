@@ -4,7 +4,8 @@ diagnosis and `validate` against the reference check and structure build
 reference axiom check, subgame and piece checks (each walk runs in place up
 to the next subroot) against searches of built subform and piece games, with
 the moves and form builds they make counted on deep chains, the class graph
-test for aperiodic runs against its SCC definition, the stationary unfolding
+test for aperiodic runs against its SCC definition, the continue-label
+prefix check against the rule over every pair, the stationary unfolding
 and value code (one pricing rule per utility model) against the per-model
 branches they replaced, the in-place piecewise-Nash scan of each class
 template against `nash_check` on the reference quotient piece game (and
@@ -129,6 +130,7 @@ from conftest import (
     random_discounted_system,
     random_ring_system,
     random_strategy,
+    reference_prefix_clash,
     reference_absolute_bounds,
     reference_check_axioms,
     reference_continuation_values,
@@ -476,6 +478,30 @@ def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: ra
             v = value_at(sys_, sigma, t)
             assert v == reference_value_at(sys_, sigma, t)
             _assert_priced(v)
+
+
+def test_prefix_check_matches_pairwise_reference_on_random_labels():
+    """The class check compares neighbouring continue labels only; it names
+    the pair that comparing every pair names, with terminal labels between."""
+    rng = random.Random(2607)
+    clashes = 0
+    for _ in range(400):
+        labels = sorted({"".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+                         for _ in range(rng.randint(1, 6))})
+        continues = [y for y in labels if rng.random() < 0.7]
+        template = validate([Quintuple("p", "j", "", f"m{n}", y) for n, y in enumerate(labels)])
+        cls = PieceClass(template, {y: Exit({"p": 0}, next_class="c" if y in continues else None)
+                                    for y in labels})
+        expected = reference_prefix_clash(continues)
+        if expected is None:
+            assert StationarySystem({"c": cls}, "c", DiscountedAccumulation(Fraction(1, 2)), ["p"]).classes
+            continue
+        clashes += 1
+        with pytest.raises(ValueError) as caught:
+            StationarySystem({"c": cls}, "c", DiscountedAccumulation(Fraction(1, 2)), ["p"])
+        a, b = expected
+        assert str(caught.value) == f"class 'c': continue labels {a!r} and {b!r} are not prefix-free"
+    assert 50 < clashes < 350
 
 
 def test_stationary_piecewise_nash_matches_reference(tmp_path):

@@ -80,6 +80,35 @@ def _situation_clash_system() -> StationarySystem:
     }, "c", HALF, ["P"])
 
 
+def _node_clash_system(c_quintuples, d_quintuples) -> StationarySystem:
+    """Class c, whose exit "x" continues into class d, and d: two templates
+    whose pieces make a common node under the relabelling of exit "x"."""
+    c, d = validate(c_quintuples), validate(d_quintuples)
+    return StationarySystem({
+        "c": PieceClass(c, {y: Exit({"P": 0}, "d") if y == "x" else Exit({"P": 1}) for y in c.endnodes}),
+        "d": PieceClass(d, {y: Exit({"P": 1}) for y in d.endnodes}),
+    }, "c", HALF, ["P"])
+
+
+def _decision_node_clash_system() -> StationarySystem:
+    """Class c's decision node "xq" is where the piece of class d at exit "x"
+    relabels its decision node "q", with other actions and situations."""
+    return _node_clash_system(
+        [Quintuple("P", "s", "", "u", "x"), Quintuple("P", "s", "", "v", "xq"),
+         Quintuple("P", "s", "xq", "u", "xqu"), Quintuple("P", "s", "xq", "v", "xqv")],
+        [Quintuple("P", "t", "", "h", "q"), Quintuple("P", "t", "", "i", "z"),
+         Quintuple("P", "t", "q", "h", "qh"), Quintuple("P", "t", "q", "i", "qi")])
+
+
+def _endnode_clash_system() -> StationarySystem:
+    """Class c's endnode "xb" is where the piece of class d at exit "x"
+    relabels its endnode "b"."""
+    return _node_clash_system(
+        [Quintuple("P", "s", "", "u", "x"), Quintuple("P", "s", "", "v", "a"),
+         Quintuple("P", "s", "a", "u", "xb"), Quintuple("P", "s", "a", "v", "ac")],
+        [Quintuple("P", "t", "", "g", "b"), Quintuple("P", "t", "", "h", "e")])
+
+
 LIBRARY_ERRORS = {
     "profile-domain": (lambda: make_profile({"Ent": 0}, ["Ent", "Inc"]),
                        r"profile domain mismatch: missing \['Inc'\]"),
@@ -214,6 +243,34 @@ def test_cli_template_situation_clash_names_the_file(tmp_path, capsys):
     save_system(path, _situation_clash_system())
     assert main(["stationary", str(path), "instantiate", "1"]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {SITUATION_CLASH}\n")
+
+
+NODE_CLASHES = {
+    "decision-node": (_decision_node_clash_system, "xq"),
+    "endnode": (_endnode_clash_system, "xb"),
+}
+
+
+def _node_clash(node: str) -> str:
+    return ("template labels collide when concatenated: the piece of class 'c' at '' and the piece of "
+            f"class 'd' at 'x' both make node {node!r}; rename template nodes")
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CLASHES))
+def test_template_node_clash_is_refused(case):
+    system, node = NODE_CLASHES[case]
+    with pytest.raises(ValueError) as caught:
+        instantiate(system(), 1)
+    assert str(caught.value) == _node_clash(node)
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CLASHES))
+def test_cli_template_node_clash_names_the_file(case, tmp_path, capsys):
+    system, node = NODE_CLASHES[case]
+    path = tmp_path / "clash.system"
+    save_system(path, system())
+    assert main(["stationary", str(path), "instantiate", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {_node_clash(node)}\n")
 
 
 def _write(tmp_path: Path, name: str, data) -> str:

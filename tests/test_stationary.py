@@ -214,6 +214,16 @@ def test_system_rejects_prefix_sharing_continue_labels():
         StationarySystem({"c": cls}, "c", DiscountedAccumulation(BETA), ["p"])
 
 
+def test_prefix_check_names_the_first_pair_in_label_order():
+    # "a" prefixes "ab" and "abc", and "ab" prefixes "abc": the first pair is named
+    labels = ["a", "ab", "abc", "b"]
+    template = validate([Quintuple("p", "", "", f"m{n}", y) for n, y in enumerate(labels)])
+    cls = PieceClass(template, {y: Exit({"p": 0}, next_class="c") for y in labels})
+    with pytest.raises(ValueError) as caught:
+        StationarySystem({"c": cls}, "c", DiscountedAccumulation(BETA), ["p"])
+    assert str(caught.value) == "class 'c': continue labels 'a' and 'ab' are not prefix-free"
+
+
 # -- instantiation ------------------------------------------------------------------
 
 

@@ -36,8 +36,9 @@ value, deepest subroot first.
 `solve_backward` is the same in-place recursion: at each subroot, deepest
 first, it takes the piece's first pure Nash row from one incremental scan
 (`PieceScan`), its exits priced by the values already found.
-`solve_stationary` scans each class template with the same scan, and
-`piece_game` is the explicit piece game of the API and the tests.
+`solve_stationary` reads each class template's rows from a table that
+steps the same odometer, and `piece_game` is the explicit piece game of
+the API and the tests.
 """
 
 from __future__ import annotations
@@ -458,7 +459,8 @@ class PieceScan:
     reachable ones, so the row is Nash exactly when its endnode lies in every
     player's set.  Once a digit sorted before all of i's digits turns, no
     earlier key of i can recur, and i's sets are dropped.  `reach` walks on
-    every call; `stationary._ClassTable` keeps its results for a whole solve.
+    every call; `stationary._ClassTable` keeps the rows and reach sets of a
+    class template for a whole solve.
     The scan only compares prices, so any exact numbers that order as the
     values do serve as prices.  The cap (`profile_cap()`) is read once, when
     the scan is made.
@@ -569,16 +571,6 @@ class PieceScan:
             if p < length:  # the run changes from its p-th node on
                 x = nodes[p]
                 del nodes[p:], on_run[p:]
-
-    def is_nash(self, profile: Mapping[str, str], end: str, prices: Mapping[str, Mapping[str, Scalar]]) -> bool:
-        """Whether the row (profile, end) of this piece is a pure Nash point
-        under prices."""
-        keys = dict.fromkeys(self.players, 0)
-        for (j, pool), place in zip(self.digits, self.places):
-            digit = pool.index(profile[j])
-            for i, radix in place:
-                keys[i] += digit * radix
-        return all(end in self._best_ends(i, keys[i], profile, prices) for i in self.players)
 
 
 def first_nash_point(scan: PieceScan, prices: Mapping[str, Mapping[str, Scalar]]) -> tuple[dict, str] | None:

@@ -22,9 +22,12 @@ endnode of an unfolding folds `step` over the continue exits on its class
 path.  One step of the value recursion prices every exit of a class against
 class values w: a terminal exit at its profile and a continue exit at
 step(reward, w[next]).  `_exit_prices` takes that step in `Fraction`s and
-`_integer_prices` in integers.  A class's quotient piece game is its
-template with these exit prices; the value checks of the game module take a
-system as its classes in sorted order.
+`_integer_prices` in integers; `_chain_values` evaluates a policy's chains
+in `Fraction`s and `_integer_chain_values` in integers.  The discounted
+solver loops (value iteration and the bounds' policy iteration) use the
+integer pair.  A class's quotient piece game is its template with these
+exit prices; the value checks of the game module take a system as its
+classes in sorted order.
 
 Each model also owns every other decision that depends on it: `validated`
 (β and finite rewards, or exactly the simple class cycles declared),
@@ -38,10 +41,13 @@ Everything infinite is analyzed on the finite class quotient: continuation
 values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
 concrete subgame is a positive affine image of the quotient, so one Nash scan
 per class settles piecewise-Nashness for all infinitely many pieces at once.
-The scans walk each class template in place.  One breadth-first class-graph
-walk (`StationarySystem._walk`) serves reachability, the absolute-terminal
-bounds, `certify_spe`'s best stationary deviation and, along the σ-exits
-(`_sigma_exits`), the quotient subroot sequence.
+The scans walk each class template in place; value iteration reads each
+template's rows from a table kept for the solve (`_ClassTable`).  One
+breadth-first class-graph walk (`StationarySystem._walk`) serves
+reachability, `certify_spe`'s best stationary deviation and, along the
+σ-exits (`_sigma_exits`), the quotient subroot sequence; the
+absolute-terminal bounds take one pass over the class graph's strongly
+connected components (`_components`).
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from .game import (
     _piece_nash,
     _reachable_exits,
     _require_domain,
-    first_nash_point,
     profile_cap,
 )
 from .numbers import Profile, Scalar, is_finite, make_profile
@@ -184,22 +189,35 @@ class AbsoluteTerminal:
     def bounds(self, sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
         """Per-class, per-stakeholder (inf, sup) over the defined runs from a
         fresh class piece: where the runs of a walk from the class can end
-        (every class reaches a terminal exit or a declared cycle)."""
+        (every class reaches a terminal exit or a declared cycle).  The
+        classes of one strongly connected component reach the same ends, so
+        one pass over the components, each after every component it enters
+        (`_components`), combines each component's own terminal exits and
+        declared cycles with the bounds of the components it enters."""
+        stakeholders = sorted(sys.stakeholders)
+        graph = sys.continue_graph()
+        own = {c: [e.reward for e in cls.exits.values() if e.is_terminal] for c, cls in sys.classes.items()}
+        for cyc, profile in self.cycle_utilities.items():
+            own[cyc[0]].append(profile)
         table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {}
-        for c in sorted(sys.classes):
-            runs = [r for r, _, _ in self._run_ends(sys, *sys._walk(c))]
-            table[c] = {k: (min(r[k] for r in runs), max(r[k] for r in runs)) for k in sorted(sys.stakeholders)}
-        return table
+        for component in _components(graph):
+            runs = [r for c in component for r in own[c]]
+            entered = [table[d] for d in {d for c in component for d in graph[c]} - component]
+            row = {k: (min([r[k] for r in runs] + [b[k][0] for b in entered]),
+                       max([r[k] for r in runs] + [b[k][1] for b in entered])) for k in stakeholders}
+            for c in component:
+                table[c] = row
+        return {c: table[c] for c in sorted(sys.classes)}
 
-    def _run_ends(self, sys: StationarySystem, tree, edges, exits=None) -> list[tuple]:
+    def _run_ends(self, sys: StationarySystem, tree, edges, exits) -> list[tuple]:
         """Where the stationary runs along a walk can end, as (utility, where,
-        label): each terminal exit `label` that `exits` allows (all by default)
-        of a walked class `where`, then each declared cycle `where` the walk
-        reaches whose edges `exits` all allows, with label None."""
+        label): each terminal exit `label` that `exits` allows of a walked
+        class `where`, then each declared cycle `where` the walk reaches
+        whose edges `exits` all allows, with label None."""
         ends = [(e.reward, c, y) for c in tree for y, e in sys.classes[c].exits.items()
-                if e.next_class is None and (exits is None or y in exits[c])]
+                if e.next_class is None and y in exits[c]]
         return ends + [(prof, cyc, None) for cyc, prof in sorted(self.cycle_utilities.items()) if cyc[0] in tree
-                       and (exits is None or all(pair in edges for pair in zip(cyc, cyc[1:] + cyc[:1])))]
+                       and all(pair in edges for pair in zip(cyc, cyc[1:] + cyc[:1]))]
 
     def has_aperiodic_runs(self) -> bool:
         """True when some class lies on two declared cycles.  The declared
@@ -362,6 +380,49 @@ def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
         raise ValueError("empty cycle")
     rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
     return min(rotations)
+
+
+def _components(graph: Mapping[str, set[str]]) -> list[set[str]]:
+    """The strongly connected components of a digraph, each after every
+    component it reaches: Tarjan's algorithm (Tarjan 1972), on an explicit
+    stack of (node, its successors still to visit)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    work: list[tuple[str, Iterator[str]]] = []
+    components: list[set[str]] = []
+
+    def visit(x: str) -> None:
+        index[x] = low[x] = len(index)
+        stack.append(x)
+        on_stack.add(x)
+        work.append((x, iter(graph[x])))
+
+    for root in graph:
+        if root not in index:
+            visit(root)
+        while work:
+            v, successors = work[-1]
+            for d in successors:
+                if d not in index:
+                    visit(d)
+                    break
+                if d in on_stack:
+                    low[v] = min(low[v], index[d])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = set()
+                    while v not in component:
+                        d = stack.pop()
+                        on_stack.discard(d)
+                        component.add(d)
+                    components.append(component)
+    return components
 
 
 def simple_cycles(graph: Mapping[str, set[str]]) -> Iterator[tuple[str, ...]]:
@@ -535,8 +596,9 @@ def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[st
     """Exact per-class run values when each class commits to one exit: a
     terminal exit is its profile, the first class of a σ-cycle gets the
     model's cycle value, and every other class steps back from the class its
-    exit enters.
-    """
+    exit enters.  The values are `Fraction`s: `continuation_values` and
+    `certify_spe` evaluate absolute-terminal systems too, whose profiles may
+    be infinite, which no integer stands for."""
     model = sys.model
     w: dict[str, Profile] = {}
     for start in sorted(sys.classes):
@@ -617,30 +679,29 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
 
     Every exit's reward is projected onto k, so each round evaluates and
     prices one stakeholder only.  Every class starts at its smallest exit
-    label.  Each round evaluates the policy exactly with `_chain_values`,
-    then prices every exit one step ahead of those values and moves each
-    class to the first exit, in label order, that pays sign·u_k the most,
-    unless its current exit pays that much: a class switches only to a
-    strictly better exit.  The values go over their common denominator and
-    the exits are priced by `_integer_prices`, then times the sign, so every
-    strict switch and every tie is the one exact arithmetic makes.  A strict
-    switch makes the new policy's value at least as good in every class and
-    strictly better in the switched ones (the policy improvement theorem),
-    so no policy recurs and the rounds end; the policy they end with admits
-    no strict improvement, so its values are the Bellman fixed point."""
-    exits = {c: {y: Exit({k: e.reward[k]}, e.next_class) for y, e in cls.exits.items()}
-             for c, cls in sorted(sys.classes.items())}
-    rows, lcd = _integer_exits(exits)
+    label.  Each round evaluates the policy exactly, in integers over one
+    denominator (`_integer_chain_values`), then prices every exit one step
+    ahead of those values (`_integer_prices`) and moves each class to the
+    first exit, in label order, that pays sign·u_k the most, unless its
+    current exit pays that much: a class switches only to a strictly better
+    exit.  Every strict switch and every tie is the one exact arithmetic
+    makes.  A strict switch makes the new policy's value at least as good in
+    every class and strictly better in the switched ones (the policy
+    improvement theorem), so no policy recurs and the rounds end; the policy
+    they end with admits no strict improvement, so its values are the
+    Bellman fixed point.  Only they become `Fraction`s, one per class."""
+    beta = sys.model.beta
+    exits, lcd = _integer_exits({c: {y: Exit({k: e.reward[k]}, e.next_class) for y, e in cls.exits.items()}
+                                 for c, cls in sorted(sys.classes.items())})
     policy = {c: next(iter(ys)) for c, ys in exits.items()}
     while True:
-        w = _chain_values(sys, {c: exits[c][y] for c, y in policy.items()})
-        W, S = _over_common_denominator(w, lcd)
+        W, S = _integer_chain_values({c: exits[c][y] for c, y in policy.items()}, beta, lcd)
         improved = {}
-        for c, ys in rows.items():
-            ahead = {y: sign * price[k] for y, price in _integer_prices(ys, W, S, sys.model.beta, lcd).items()}
+        for c, ys in exits.items():
+            ahead = {y: sign * price[k] for y, price in _integer_prices(ys, W, S, beta, lcd).items()}
             improved[c] = max(ahead, key=lambda y: (ahead[y], y == policy[c]))
         if improved == policy:
-            return {c: w[c][k] for c in exits}
+            return {c: Fraction(W[c][k], S) for c in exits}
         policy = improved
 
 
@@ -659,22 +720,15 @@ def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> d
             for y, e in sys.classes[cid].exits.items()}
 
 
-def _over_common_denominator(profiles: Mapping, lcd: int) -> tuple[dict, int]:
-    """`Fraction` profiles as integer profiles W over one S, the lcm of `lcd`
-    and their denominators: W[x][k] = profiles[x][k]·S."""
-    S = lcm(lcd, *(v.denominator for profile in profiles.values() for v in profile.values()))
-    return {x: {k: v.numerator * (S // v.denominator) for k, v in profile.items()}
-            for x, profile in profiles.items()}, S
-
-
-def _integer_exits(exits: Mapping[str, Mapping[str, Exit]]) -> tuple[dict[str, list], int]:
-    """Each class's exits as (label, reward·L, class entered or None), in
+def _integer_exits(exits: Mapping[str, Mapping[str, Exit]]) -> tuple[dict[str, dict[str, tuple]], int]:
+    """Each class's exits as label → (reward·L, class entered or None), in
     label order, with L the lcm of every reward's denominator."""
-    R, lcd = _over_common_denominator({(c, y): e.reward for c, ys in exits.items() for y, e in ys.items()}, 1)
-    return {c: [(y, R[c, y], e.next_class) for y, e in ys.items()] for c, ys in exits.items()}, lcd
+    lcd = lcm(*(v.denominator for ys in exits.values() for e in ys.values() for v in e.reward.values()))
+    return {c: {y: ({k: v.numerator * (lcd // v.denominator) for k, v in e.reward.items()}, e.next_class)
+                for y, e in ys.items()} for c, ys in exits.items()}, lcd
 
 
-def _integer_prices(exits: list, W: Mapping[str, Mapping[str, int]], S: int, beta: Fraction,
+def _integer_prices(exits: Mapping[str, tuple], W: Mapping[str, Mapping[str, int]], S: int, beta: Fraction,
                     lcd: int) -> dict[str, dict[str, int]]:
     """One class's exits, as `_integer_exits` gives them with L = lcd,
     priced against class values W/S as integers over S·q, for β = p/q in
@@ -686,7 +740,52 @@ def _integer_prices(exits: list, W: Mapping[str, Mapping[str, int]], S: int, bet
     p, scale = beta.numerator, S * beta.denominator // lcd
     return {y: {k: r * scale for k, r in R.items()} if nxt is None
             else {k: r * scale + p * W[nxt][k] for k, r in R.items()}
-            for y, R, nxt in exits}
+            for y, (R, nxt) in exits.items()}
+
+
+def _integer_chain_values(exit_of: Mapping[str, tuple], beta: Fraction, lcd: int) -> tuple[dict, int]:
+    """The run values of each class committing to one exit, as
+    `_integer_exits` gives it with L = lcd: integers W over one S, the lcm
+    of every class's denominator, so W[c][k]/S is exactly what
+    `_chain_values` gives.  For β = p/q and R = reward·L, a terminal exit is
+    R over L; a continue exit into a class worth N/D, with D a multiple of L,
+    is R·(D/L)·q + p·N over q·D; the first class of a σ-cycle of n classes,
+    leaving the m-th by R_m, is Σₘ pᵐ·qⁿ⁻ᵐ·R_m over L·(qⁿ − pⁿ)."""
+    p, q = beta.numerator, beta.denominator
+    num: dict[str, dict[str, int]] = {}
+    den: dict[str, int] = {}
+    for start in sorted(exit_of):
+        if start in num:
+            continue
+        path: list[str] = []
+        pos: dict[str, int] = {}
+        cur = start
+        while cur not in num and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            R, nxt = exit_of[cur]
+            if nxt is None:
+                num[cur], den[cur] = R, lcd
+                break
+            cur = nxt
+        if path[-1] not in num and cur in pos:
+            cycle = path[pos[cur]:]
+            n = len(cycle)
+            lap = dict.fromkeys(exit_of[cur][0], 0)
+            for m, d in enumerate(cycle):
+                weight = p ** m * q ** (n - m)
+                for k, r in exit_of[d][0].items():
+                    lap[k] += weight * r
+            num[cur], den[cur] = lap, lcd * (q ** n - p ** n)
+        for d in reversed(path):
+            if d in num:
+                continue
+            R, nxt = exit_of[d]
+            N, D = num[nxt], den[nxt]
+            scale = D // lcd * q
+            num[d], den[d] = {k: r * scale + p * N[k] for k, r in R.items()}, q * D
+    S = lcm(*den.values())
+    return {c: {k: x * (S // den[c]) for k, x in num[c].items()} for c in sorted(num)}, S
 
 
 # -- certification ------------------------------------------------------------------
@@ -800,20 +899,118 @@ SOLVE_MAX_SWEEPS = 500
 
 
 class _ClassTable(PieceScan):
-    """A class template's scan for value iteration, kept for the whole
-    solve: its profiles largest first, and for each (player i, s₋ᵢ) the
-    exits that i can reach by deviating, walked once on first need, so each
-    sweep's scan and the exact check only price them afresh."""
+    """A class template's rows for value iteration, kept for the whole
+    solve and walked on first need by `PieceScan`'s odometer, largest
+    action first.
+
+    Row r is the r-th profile of that order, which `profile(r)` rebuilds
+    from r's mixed-radix digits.  The table holds, for each row walked so
+    far, its exit `ends[r]` and `keys[r]`, each player's s₋ᵢ key in
+    `players` order; the profiles themselves are not kept.  For each
+    (player i, key) the table keeps the exits i can reach by deviating,
+    walked once, on first need, from the row that asks.
+
+    A sweep (`first_nash_row`) reads the rows in order up to the first Nash
+    row.  For each (i, key) it meets, it keeps i's top price over the
+    reachable exits for that sweep only.  Row r is Nash when every player's
+    price at r's exit equals that top: r's own exit is among the reachable
+    ones, so this is membership in i's best set.  One comparison of numbers
+    per player costs least when the prices are integers, as
+    `_integer_prices` gives them."""
 
     def __init__(self, template: Pentaform):
         super().__init__(template, template.root, largest_first=True)
+        self.ends: list[str] = []
+        self.keys: list[tuple[int, ...]] = []
         self._reach: dict[str, dict[int, AbstractSet[str]]] = {i: {} for i in self.players}
+        self._rows = self._walk()
 
-    def reach(self, i: str, key: int, profile: Mapping[str, str]) -> AbstractSet[str]:
+    def _walk(self) -> Iterator[bool]:
+        """Append the rows to `ends` and `keys` one at a time, in order."""
+        through, situation_of, next_node = self.through, self.form._situation_of, self.form._next
+        digits = self.digits
+        slot = {i: n for n, i in enumerate(self.players)}
+        places = [[(slot[i], place) for i, place in digit] for digit in self.places]
+        profile = dict(self.first_profile)
+        index = [0] * len(digits)
+        tops = [len(pool) - 1 for _, pool in digits]
+        last = len(digits) - 1
+        keys = [0] * len(self.players)
+        nodes: list[str] = []  # the run's decision nodes
+        on_run: list[str] = []  # and their situations
+        x = self.t
+        while True:
+            while x in through:
+                j = situation_of[x]
+                nodes.append(x)
+                on_run.append(j)
+                x = next_node[x, profile[j]]
+            self.ends.append(x)
+            self.keys.append(tuple(keys))
+            yield True
+            k = last
+            while k >= 0 and index[k] == tops[k]:
+                k -= 1
+            if k < 0:
+                return
+            p = length = len(nodes)
+            for m in range(k, last + 1):
+                old = index[m]
+                new = index[m] = old + 1 if m == k else 0
+                j, pool = digits[m]
+                profile[j] = pool[new]
+                for n, place in places[m]:
+                    keys[n] += (new - old) * place
+                if j in on_run:
+                    p = min(p, on_run.index(j))
+            if p < length:
+                x = nodes[p]
+                del nodes[p:], on_run[p:]
+
+    def profile(self, r: int) -> dict[str, str]:
+        """Row r's profile over the template's situations."""
+        profile = dict(self.first_profile)
+        for j, pool in reversed(self.digits):
+            r, digit = divmod(r, len(pool))
+            profile[j] = pool[digit]
+        return profile
+
+    def _reach_of(self, i: str, key: int, r: int) -> AbstractSet[str]:
+        """The exits player i reaches by deviating from row r, whose s₋ᵢ has
+        index key: one deviation walk per (i, key)."""
         reach = self._reach[i]
         if key not in reach:
-            reach[key] = super().reach(i, key, profile)
+            reach[key] = self.reach(i, key, self.profile(r))
         return reach[key]
+
+    def first_nash_row(self, prices: Mapping[str, Mapping[str, Scalar]]) -> int | None:
+        """The first Nash row when an exit y pays prices[y], or None when the
+        template has none.  The profiles are counted against the cap before
+        any row is read."""
+        if self.count > self.cap:
+            raise ResourceCapError(
+                f"piece at {self.t!r} has {self.count} strategy profiles, more than the cap of {self.cap}")
+        ends, keys, players = self.ends, self.keys, self.players
+        tops: list[dict[int, Scalar]] = [{} for _ in players]
+        r = 0
+        while r < len(ends) or next(self._rows, False):  # walk a row only when the sweep reads past the table
+            price = prices[ends[r]]
+            for i, key, top_of in zip(players, keys[r], tops):
+                top = top_of.get(key)
+                if top is None:
+                    top = top_of[key] = max(prices[y][i] for y in self._reach_of(i, key, r))
+                if price[i] != top:
+                    break
+            else:
+                return r
+            r += 1
+        return None
+
+    def is_nash(self, r: int, prices: Mapping[str, Mapping[str, Scalar]]) -> bool:
+        """Whether row r is a pure Nash point when an exit y pays prices[y]."""
+        price = prices[self.ends[r]]
+        return all(price[i] == max(prices[y][i] for y in self._reach_of(i, key, r))
+                   for i, key in zip(self.players, self.keys[r]))
 
 
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
@@ -824,9 +1021,9 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     (ties broken toward the lexicographically largest action profile, which
     favors staying in the game when indifferent).  A sweep prices each
     class's exits once against the current values, one step of the value
-    recursion, and takes the class's first Nash row from its table
-    (`_ClassTable`, kept for the whole solve), which gives the class's
-    choices and its exit together.
+    recursion, and takes the class's first Nash row from its `_ClassTable`,
+    which gives the class's choices and its exit together.  σ is carried as
+    each class's row number; only the returned strategy becomes profiles.
 
     The values are integers W over one denominator S, which starts at L,
     the lcm of the rewards' denominators, with W = 0.  A sweep prices every
@@ -834,13 +1031,13 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     over S·q, for q the denominator of β.
 
     When the selected strategy repeats and the sup-norm change is below
-    SOLVE_TOL, the strategy is evaluated exactly (`_chain_values`), and
-    those values are put over their common denominator.  The strategy is
-    returned only if every class's row is still Nash under the exits priced
-    against them as a sweep prices them (`is_nash`, read from the same reach
-    sets); otherwise the sweeps go on from those values.  The returned
-    values are therefore always the exact continuation values of a strategy
-    that passes the piecewise-Nash scan.
+    SOLVE_TOL, the strategy is evaluated exactly, in integers over one
+    denominator (`_integer_chain_values`).  The strategy is returned only if
+    every class's row is still Nash under the exits priced against those
+    values as a sweep prices them (`_ClassTable.is_nash`); otherwise the
+    sweeps go on from those values.  The returned values are therefore
+    always the exact continuation values of a strategy that passes the
+    piecewise-Nash scan, and only they become `Fraction`s.
 
     Each sweep is a function of the state (the values, σ of the last sweep),
     so a state met twice repeats a cycle that can never settle: the answer
@@ -867,26 +1064,26 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
             marked_W, marked_S, marked_sigma = W, S, sigma_prev
         new_S = S * q
         new_W: dict[str, dict[str, int]] = {}
-        new_sigma: dict[str, dict] = {}
-        ends: dict[str, str] = {}
+        new_sigma: dict[str, int] = {}
         for c, table in tables.items():
             prices = _integer_prices(exits[c], W, S, beta, lcd)
-            row = first_nash_point(table, prices)
-            if row is None:
+            r = table.first_nash_row(prices)
+            if r is None:
                 return StationarySolveFailure("no-pure-equilibrium", c)
-            new_sigma[c], ends[c] = row
-            new_W[c] = prices[ends[c]]
+            new_sigma[c] = r
+            new_W[c] = prices[table.ends[r]]
         # |W'/S' - W/S| < SOLVE_TOL with S' = S·q, in integers
         bound = tol_num * new_S
         settled = new_sigma == sigma_prev and all(
             abs(x - q * W[c][k]) * tol_den < bound for c, now in new_W.items() for k, x in now.items())
         W, S, sigma_prev = new_W, new_S, new_sigma
         if settled:
-            exact = _chain_values(sys, {c: sys.classes[c].exits[ends[c]] for c in tables})
-            W, S = _over_common_denominator(exact, lcd)
-            if all(table.is_nash(new_sigma[c], ends[c], _integer_prices(exits[c], W, S, beta, lcd))
+            W, S = _integer_chain_values({c: exits[c][table.ends[new_sigma[c]]] for c, table in tables.items()},
+                                         beta, lcd)
+            if all(table.is_nash(new_sigma[c], _integer_prices(exits[c], W, S, beta, lcd))
                    for c, table in tables.items()):
-                return StationarySolution(new_sigma, exact)
+                return StationarySolution({c: table.profile(new_sigma[c]) for c, table in tables.items()},
+                                          {c: {k: Fraction(x, S) for k, x in W[c].items()} for c in tables})
     return StationarySolveFailure("no-convergence", None)
 
 

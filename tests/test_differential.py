@@ -568,7 +568,7 @@ def test_stationary_pricing_matches_reference_on_random_systems():
     assert systems >= 190
 
 
-CHAIN_VALUES = stationary._chain_values
+CHAIN_VALUES = stationary._integer_chain_values
 
 
 def _assert_bounds_match_enumeration(sys_: StationarySystem, monkeypatch) -> None:
@@ -586,7 +586,7 @@ def _assert_bounds_match_enumeration(sys_: StationarySystem, monkeypatch) -> Non
         assert evaluations <= budget, "policy iteration evaluated a policy twice"
         return CHAIN_VALUES(*args)
 
-    monkeypatch.setattr(stationary, "_chain_values", counted)
+    monkeypatch.setattr(stationary, "_integer_chain_values", counted)
     expected = reference_discounted_extremes(sys_)
     for c in sorted(sys_.classes):
         for k in sorted(sys_.stakeholders):
@@ -654,6 +654,25 @@ def test_bounds_and_convergence_match_reference_on_random_systems():
         statuses |= _assert_bounds_and_convergence_match_reference(
             _zero_absolute_twin(_class_graph_system(_random_class_graph(rng))))
     assert statuses == {HOLDS, FAILS, UNKNOWN}
+
+
+def test_absolute_bounds_match_reference_on_random_class_graphs():
+    """Random class graphs, often of several strongly connected components,
+    with random terminal rewards and cycle utilities, some infinite: every
+    class's bounds are the reference's (min, max) over its reachable ends."""
+    rng = random.Random(3)
+    split = 0
+    for _ in range(500):
+        graph = _random_class_graph(rng)
+        classes = {c: PieceClass(cls.template, {y: e if e.next_class else Exit({"p": _random_scalar(rng, True)})
+                                                for y, e in cls.exits.items()})
+                   for c, cls in _class_graph_system(graph).classes.items()}
+        cycles = {cyc: {"p": _random_scalar(rng, True)} for cyc in simple_cycles(graph)}
+        sys_ = StationarySystem(classes, "c0", AbsoluteTerminal(cycles), ["p"])
+        for c in sorted(sys_.classes):
+            assert conceivable_bounds(sys_, c, "p") == reference_absolute_bounds(sys_, c, "p"), c
+        split += len(stationary._components(graph)) > 1
+    assert split > 100
 
 
 @pytest.mark.parametrize("system", [ann_chain, bob_chain, eda_chain, cry_wolf])
@@ -1204,11 +1223,11 @@ def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None
     expected = reference_first_nash_point(
         pg, reference_piece_profiles(pg.form, pg.form.situations, pg.form.root, largest_first))
     assert _walked_first_nash_point(pg, largest_first) == expected
-    if largest_first:  # a quotient piece game, scanned from its class table as the sweeps do
+    if largest_first:  # a quotient piece game, read from its class table as the sweeps read it
         table = _ClassTable(pg.form)
-        for _ in range(2):  # the second scan reads the reach sets the first one stored
-            row = first_nash_point(table, pg.utilities)
-            assert (None if row is None else row[0]) == expected
+        for _ in range(2):  # the second sweep reads the rows and reach sets the first one stored
+            r = table.first_nash_row(pg.utilities)
+            assert (None if r is None else table.profile(r)) == expected
 
 
 def test_first_nash_point_matches_reference_on_solver_pools():
@@ -1550,7 +1569,7 @@ def test_solve_stationary_matches_reference_on_cry_wolf():
 # exits, the sweeps going on from exact values, a repeated sweep state and
 # all SOLVE_MAX_SWEEPS sweeps at q = 1000.  Besides the answer, the sweep
 # count must be the reference's: each scans every class once (the solver's
-# `_ClassTable.nash_rows`, the reference's `reference_piece_profiles`) up to
+# `_ClassTable.first_nash_row`, the reference's `reference_piece_profiles`) up to
 # the answer, except that the reference, which has no repeat test, always
 # runs all sweeps before "no-convergence".
 
@@ -1596,18 +1615,18 @@ def _assert_same_solve_and_sweeps(sys_: StationarySystem, monkeypatch) -> tuple[
     import conftest
 
     counts = Counter()
-    nash_rows, profiles = _ClassTable.nash_rows, conftest.reference_piece_profiles
+    first_nash_row, profiles = _ClassTable.first_nash_row, conftest.reference_piece_profiles
 
     def solver_scan(self, prices):
         counts["solver"] += 1
-        return nash_rows(self, prices)
+        return first_nash_row(self, prices)
 
     def reference_scan(*args, **kwargs):
         counts["reference"] += 1
         return profiles(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(_ClassTable, "nash_rows", solver_scan)
+        patch.setattr(_ClassTable, "first_nash_row", solver_scan)
         patch.setattr(conftest, "reference_piece_profiles", reference_scan)
         result = stationary.solve_stationary(sys_)
         assert result == reference_solve_stationary(sys_)
@@ -1736,14 +1755,14 @@ def test_value_iteration_stops_at_a_repeated_sweep_state(tmp_path, monkeypatch):
     seen, within 16 sweeps instead of all SOLVE_MAX_SWEEPS = 500.  A sweep
     scans each class's table once."""
     sys_ = _quotient_system("gen5", tmp_path)
-    nash_rows = _ClassTable.nash_rows
+    first_nash_row = _ClassTable.first_nash_row
     scans = []
 
     def counted(self, prices):
         scans.append(self)
-        return nash_rows(self, prices)
+        return first_nash_row(self, prices)
 
-    monkeypatch.setattr(_ClassTable, "nash_rows", counted)
+    monkeypatch.setattr(_ClassTable, "first_nash_row", counted)
     result = stationary.solve_stationary(sys_)
     assert result == stationary.StationarySolveFailure("no-convergence", None)
     assert len(scans) % len(sys_.classes) == 0
@@ -1806,19 +1825,20 @@ def _benchmark_system(name: str, tmp_path: Path) -> StationarySystem:
 
 @pytest.mark.parametrize("name", ["gen2", "gen5", "crywolf"])
 def test_solve_stationary_makes_fractions_per_exit_not_per_sweep(name, tmp_path, monkeypatch):
-    """The sweeps run in integers, so the `Fraction`s one solve makes (the
-    exact check and the answer) number at most three per class, exit and
+    """The sweeps and the exact check run in integers, so the `Fraction`s
+    one solve makes (the answer's) number at most three per class, exit and
     stakeholder, however many sweeps run.  Sweeping in `Fraction`s made
-    8,986 on gen2 (89 sweeps), 626 on gen5 (12) and 359 on cry-wolf (14)."""
+    8,986 on gen2 (89 sweeps), 626 on gen5 (12) and 359 on cry-wolf (14);
+    the exact check in `Fraction`s made 36 on gen2 and 14 on cry-wolf."""
     sys_ = _benchmark_system(name, tmp_path)
-    nash_rows = _ClassTable.nash_rows
+    first_nash_row = _ClassTable.first_nash_row
     scans = []
 
     def counted(self, prices):
         scans.append(self)
-        return nash_rows(self, prices)
+        return first_nash_row(self, prices)
 
-    monkeypatch.setattr(_ClassTable, "nash_rows", counted)
+    monkeypatch.setattr(_ClassTable, "first_nash_row", counted)
     made = _count_fractions(monkeypatch)
     result = stationary.solve_stationary(sys_)
     monkeypatch.undo()
@@ -1843,6 +1863,114 @@ def test_value_iteration_reads_the_profile_cap_once_per_class(tmp_path, monkeypa
     result = stationary.solve_stationary(sys_)
     assert 0 < len(reads) <= len(sys_.classes)
     assert result == reference_solve_stationary(sys_)
+
+
+def _generated_exits(index: int) -> tuple[str, dict]:
+    """β and the exits of the benchmark's generated system gen<index>, drawn
+    as `perfbench/workloads.py` draws them and written as `GEN2_EXITS` is."""
+    rng = random.Random(f"quotient-system:{index}")
+    cids = [f"c{i}" for i in range(5)]
+    classes = {}
+    for ci, cid in enumerate(cids):
+        ring = rng.choice("34567")
+        exits = {}
+        for y in "34567":
+            p1, p2 = (str(Fraction(rng.randint(-20, 20), rng.choice([1, 2, 4]))) for _ in "12")
+            nxt = cids[(ci + 1) % len(cids)] if y == ring else rng.choice(cids) if rng.random() < 0.5 else None
+            exits[y] = (nxt, p1, p2)
+        classes[cid] = exits
+    return str(Fraction(rng.randint(1, 9), 10)), classes
+
+
+def _generated_system(index: int, tmp_path: Path) -> StationarySystem:
+    from test_cli_golden import _quotient_system as system_data
+
+    path = tmp_path / f"gen{index}.system"
+    path.write_text(json.dumps(system_data(*_generated_exits(index))), encoding="utf-8")
+    return fileio.load_system(path)
+
+
+def test_class_table_sweeps_match_the_piece_scan(tmp_path, monkeypatch):
+    """On every sweep, the row a class table returns is the first Nash row
+    of a fresh `PieceScan` of the template under the same prices, and the
+    exact check's verdict is the Nash check's: on the hard-arithmetic
+    systems, the benchmark's gen0–gen5 and cry-wolf, and the random
+    discounted and ring systems of seeds 0–399."""
+    from test_cli_golden import QUOTIENT_SYSTEMS, _quotient_system as system_data
+
+    assert _generated_exits(2) == ("7/10", GEN2_EXITS)
+    for name in ("gen3", "gen5"):
+        assert system_data(*_generated_exits(int(name[3:]))) == QUOTIENT_SYSTEMS[name]
+    first_nash_row, is_nash = _ClassTable.first_nash_row, _ClassTable.is_nash
+    calls = Counter()
+    scans = {}  # a scan keeps nothing between calls, so one per table serves every sweep
+
+    def checked_sweep(self, prices):
+        calls["sweeps"] += 1
+        r = first_nash_row(self, prices)
+        if self not in scans:
+            scans[self] = PieceScan(self.form, "", largest_first=True)
+        row = first_nash_point(scans[self], prices)
+        assert (None if r is None else (self.profile(r), self.ends[r])) == row
+        return r
+
+    def checked_check(self, r, prices):
+        calls["checks"] += 1
+        verdict = is_nash(self, r, prices)
+        assert verdict is (game._nash_witness(self.form, self.profile(r), "", prices) is None)
+        return verdict
+
+    monkeypatch.setattr(_ClassTable, "first_nash_row", checked_sweep)
+    monkeypatch.setattr(_ClassTable, "is_nash", checked_check)
+    systems = [_hard_arithmetic_system(seed) for seed in range(40)]
+    systems += [_generated_system(index, tmp_path) for index in range(6)] + [WOLF]
+    for seed in range(400):
+        systems += [random_discounted_system(seed), random_ring_system(seed)]
+    kinds = Counter(_kind(stationary.solve_stationary(sys_)) for sys_ in systems if sys_ is not None)
+    assert sum(kinds.values()) == 40 + 7 + 669
+    assert kinds.keys() == {"solved", "no-pure-equilibrium", "no-convergence"}
+    assert calls["sweeps"] > calls["checks"] > 0
+
+
+def _wide_class() -> PieceClass:
+    """P's class of 3^10 profiles: at the root P continues ("c", paying 1)
+    or enters one of two nine-situation ladders, x and y, whose rungs
+    share a situation, so no rung is a subroot; every other exit stops,
+    paying 0."""
+    qs = [Quintuple("P", "r", "", "c", "c"), Quintuple("P", "r", "", "a", "x1"), Quintuple("P", "r", "", "b", "y1")]
+    for m in range(1, 10):
+        for side in "xy":
+            node = f"{side}{m}"
+            qs += [Quintuple("P", f"s{m}", node, "a", f"{side}{m + 1}" if m < 9 else f"{node}a"),
+                   Quintuple("P", f"s{m}", node, "b", f"{node}b"), Quintuple("P", f"s{m}", node, "c", f"{node}c")]
+    template = validate(qs)
+    return PieceClass(template, {y: Exit({"P": 1}, next_class="k") if y == "c" else Exit({"P": 0})
+                                 for y in template.endnodes})
+
+
+def test_class_table_holds_only_the_rows_its_sweeps_reach(monkeypatch):
+    """The first row of the wide class, continuing, is Nash on every sweep,
+    so the solve ends with its table holding that one row of 3^10.  Under a
+    smaller cap the first sweep raises before any row is walked."""
+    sys_ = StationarySystem({"k": _wide_class()}, "k", DiscountedAccumulation(Fraction(1, 2)), ["P"])
+    first_nash_row, tables = _ClassTable.first_nash_row, []
+
+    def recorded(self, prices):
+        tables.append(self)
+        return first_nash_row(self, prices)
+
+    monkeypatch.setattr(_ClassTable, "first_nash_row", recorded)
+    result = stationary.solve_stationary(sys_)
+    assert tables[0].count == 3**10
+    assert result.strategy == {"k": dict.fromkeys(sys_.classes["k"].template.situations, "c")}
+    assert result.values == {"k": {"P": 2}}
+    assert len(tables) > 2 and len(set(tables)) == 1
+    assert len(tables[0].ends) == len(tables[0].keys) == 1
+    tables.clear()
+    monkeypatch.setenv("PENTAFORM_PROFILE_CAP", str(3**10 - 1))
+    with pytest.raises(game.ResourceCapError, match="59049 strategy profiles"):
+        stationary.solve_stationary(sys_)
+    assert tables[0].ends == []
 
 
 # Policy iteration, behind the discounted conceivable bounds, prices in
@@ -1880,14 +2008,14 @@ def _assert_bounds_match_policy_reference(sys_: StationarySystem, monkeypatch) -
     """Each policy iteration (per stakeholder and direction) ends with the
     reference's values after as many rounds, and every bound is the
     enumeration's; returns the reference's terminal-against-continue ties."""
-    chain_values, rounds, ties = stationary._chain_values, [], 0
+    chain_values, rounds, ties = stationary._integer_chain_values, [], 0
 
     def counted(*args):
         rounds.append(None)
         return chain_values(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(stationary, "_chain_values", counted)
+        patch.setattr(stationary, "_integer_chain_values", counted)
         for k in sorted(sys_.stakeholders):
             for sign in (1, -1):
                 rounds.clear()
@@ -1939,23 +2067,23 @@ def test_bounds_match_reference_on_hard_arithmetic_cases(monkeypatch):
 
 @pytest.mark.parametrize("name", ["gen2", "gen5", "crywolf"])
 def test_bounds_make_fractions_per_evaluation_not_per_exit(name, tmp_path, monkeypatch):
-    """Policy iteration prices in integers, so the `Fraction`s one bounds
-    call makes come from its evaluations (`_chain_values`) alone: at most
-    six per class and round (a step makes two, a self-loop's cycle value
-    six).  Pricing in `Fraction`s made 1,221 on gen2 (15 rounds), 877 on
-    gen5 (15) and 105 on cry-wolf (9)."""
+    """Policy iteration prices and evaluates in integers, so one bounds call
+    makes at most one `Fraction` per class, stakeholder and direction: each
+    answer, however many rounds (`_integer_chain_values` calls) run.
+    Pricing in `Fraction`s made 1,221 on gen2 (15 rounds), 877 on gen5 (15)
+    and 105 on cry-wolf (9); evaluating in `Fraction`s made 246 on gen2."""
     sys_ = _benchmark_system(name, tmp_path)
-    chain_values, rounds = stationary._chain_values, []
+    chain_values, rounds = stationary._integer_chain_values, []
 
     def counted(*args):
         rounds.append(None)
         return chain_values(*args)
 
-    monkeypatch.setattr(stationary, "_chain_values", counted)
+    monkeypatch.setattr(stationary, "_integer_chain_values", counted)
     made = _count_fractions(monkeypatch)
     table = sys_.model.bounds(sys_)
     monkeypatch.undo()
-    assert made[0] <= 6 * len(sys_.classes) * len(rounds)
+    assert made[0] <= len(sys_.classes) * len(sys_.stakeholders) * 2
     assert len(rounds) == {"gen2": 15, "gen5": 15, "crywolf": 9}[name]
     extremes = reference_discounted_extremes(sys_)
     assert table == {c: {k: extremes[c, k] for k in sorted(sys_.stakeholders)} for c in sorted(sys_.classes)}

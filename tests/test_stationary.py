@@ -175,6 +175,17 @@ def test_absolute_ring_past_the_recursion_limit_builds():
     assert list(ring.model.cycle_utilities) == [tuple(sorted(ring.classes, key=lambda c: int(c[1:])))]
 
 
+def test_absolute_bounds_of_a_long_ring_take_one_pass():
+    # 1,600 classes in one strongly connected component: the bounds take one
+    # pass over the components, where a walk per class took seconds.
+    ring = _absolute_ring(1600)
+    start = time.perf_counter()
+    table = ring.model.bounds(ring)
+    assert time.perf_counter() - start < 0.5
+    assert list(table) == sorted(ring.classes)
+    assert all(row == {"p": (0, 1)} for row in table.values())
+
+
 def test_continue_graph_is_a_copy():
     ring = _absolute_ring(3)
     graph = ring.continue_graph()
@@ -314,7 +325,7 @@ def test_bounded_instantiation_of_a_ring_with_two_to_the_forty_policies():
 
 def test_bounds_make_few_chain_evaluations(monkeypatch):
     # Five classes of five exits: 3,125 exit policies, the benchmark's shape.
-    chain_values = stationary._chain_values
+    chain_values = stationary._integer_chain_values
     calls = 0
 
     def counted(*args):
@@ -323,7 +334,7 @@ def test_bounds_make_few_chain_evaluations(monkeypatch):
         assert calls <= 100, "more than 100 policy evaluations for one system"
         return chain_values(*args)
 
-    monkeypatch.setattr(stationary, "_chain_values", counted)
+    monkeypatch.setattr(stationary, "_integer_chain_values", counted)
     for seed in range(20):
         calls = 0
         sys_ = random_ring_system(seed, (5, 5))

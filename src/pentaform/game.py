@@ -35,10 +35,9 @@ value, deepest subroot first.
 
 `solve_backward` is the same in-place recursion: at each subroot, deepest
 first, it takes the piece's first pure Nash row from one incremental scan
-(`PieceScan`), its exits priced by the values already found.
-`solve_stationary` reads each class template's rows from a table that
-steps the same odometer, and `piece_game` is the explicit piece game of
-the API and the tests.
+(`PieceScan`), its exits priced by the values already found;
+`solve_stationary` reads the class templates' rows from the same scan.
+`piece_game` is the explicit piece game of the API and the tests.
 """
 
 from __future__ import annotations
@@ -440,36 +439,21 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
 
 
 class PieceScan:
-    """The scan for pure Nash rows of one piece: its profiles over the
-    situations of the decision nodes in `through` (all of form's by
-    default), in lexicographic order over the sorted situations (each one's
-    actions in sorted order, or largest first), each paired with the endnode
-    that its walk of the piece from t reaches, moving on those nodes.
-
-    The profiles are a mixed-radix odometer whose digits are the situations
-    with more than one action, the last turning fastest, so a step changes
-    O(1) digits amortized.  The scan keeps one profile and its run, and
-    re-walks the run only from the first node whose situation changed; when
-    no changed situation lies on the run, the endnode stays.  A player i's
-    key is the mixed-radix index of s₋ᵢ over the other players' digits, moved
-    by each changed digit's place value.  The endnodes i can reach by
-    deviating (`reach`) depend only on s₋ᵢ, and so does the set of those
-    that attain i's best price; the scan keeps that set per (i, key), one
-    object per distinct set.  The row's own endnode is always among the
-    reachable ones, so the row is Nash exactly when its endnode lies in every
-    player's set.  Once a digit sorted before all of i's digits turns, no
-    earlier key of i can recur, and i's sets are dropped.  `reach` walks on
-    every call; `stationary._ClassTable` keeps the rows and reach sets of a
-    class template for a whole solve.
-    The scan only compares prices, so any exact numbers that order as the
-    values do serve as prices.  The cap (`profile_cap()`) is read once, when
-    the scan is made.
+    """The scan of one piece's pure strategy profiles for Nash rows: the
+    profiles over the situations of the decision nodes in `through` (all of
+    form's by default), in lexicographic order over the sorted situations
+    (each one's actions in sorted order, or largest first), each paired with
+    the endnode that its walk of the piece from t reaches, moving on those
+    nodes.  `rows` steps through them and `nash_rows` keeps the Nash ones.
+    The cap (`profile_cap()`) is read once, when the scan is made, and
+    `where` names the piece in the cap error.
     """
 
     def __init__(self, form: Pentaform, t: str, through: AbstractSet[str] | None = None,
                  largest_first: bool = False):
         self.form = form
         self.t = t
+        self.where = f"piece at {t!r}"
         self.through = form.decision_nodes if through is None else through
         situations = form.situations if through is None else {form._situation_of[x] for x in through}
         self.cap = profile_cap()
@@ -498,15 +482,15 @@ class PieceScan:
             owned.add(owner)
             self.expiring.append([i for i in self.players if i not in owned])
 
-    def reach(self, i: str, key: int, profile: Mapping[str, str]) -> AbstractSet[str]:
-        """The endnodes player i can reach by deviating from profile, whose
-        s₋ᵢ has index key: one deviation walk of the piece."""
+    def reach(self, i: str, profile: Mapping[str, str]) -> AbstractSet[str]:
+        """The endnodes player i can reach by deviating from profile: one
+        deviation walk of the piece."""
         return _reachable_exits(self.form, profile, i, self.t, self.through)
 
-    def _best_ends(self, i: str, key: int, profile: Mapping[str, str], prices) -> frozenset:
+    def _best_ends(self, i: str, profile: Mapping[str, str], prices) -> frozenset:
         """The endnodes among `reach`'s that pay player i the most."""
         best, top = [], None
-        for y in self.reach(i, key, profile):
+        for y in self.reach(i, profile):
             price = prices[y][i]
             if top is None or price > top:
                 best, top = [y], price
@@ -514,42 +498,43 @@ class PieceScan:
                 best.append(y)
         return frozenset(best)
 
-    def nash_rows(self, prices: Mapping[str, Mapping[str, Scalar]]) -> Iterator[tuple[dict, str]]:
-        """Each pure Nash row (a copy of its profile, its endnode) in scan
-        order, an endnode y paying prices[y].  The profiles are counted
-        against the cap before the first row is scanned."""
+    def check_cap(self) -> None:
+        """Raise ResourceCapError when the piece has more profiles than the cap."""
         if self.count > self.cap:
             raise ResourceCapError(
-                f"piece at {self.t!r} has {self.count} strategy profiles, more than the cap of {self.cap}")
+                f"{self.where} has {self.count} strategy profiles, more than the cap of {self.cap}")
+
+    def rows(self, profile: dict[str, str], keys: dict[str, int]) -> Iterator[tuple[str, int]]:
+        """Step `profile` and `keys` through the rows in scan order, in place,
+        yielding each row's endnode and the digit that turned to reach it (-1
+        for the first row).  The caller owns both and starts them at
+        `first_profile` and a key of 0 per player.
+
+        The profiles are a mixed-radix odometer whose digits are the
+        situations with more than one action (`digits`), the last turning
+        fastest, so a step changes O(1) digits amortized.  The run is
+        re-walked only from the first node whose situation changed; when no
+        changed situation lies on it, the endnode stays.  keys[i] is the
+        mixed-radix index of s₋ᵢ over the other players' digits, the first
+        least significant, moved by each changed digit's place value
+        (`places`)."""
         # the run is walked here, not by `outcome`, to keep each node's
         # situation, which tells where the next step's run changes
         through, situation_of, next_node = self.through, self.form._situation_of, self.form._next
-        digits, places, expiring, players = self.digits, self.places, self.expiring, self.players
-        profile = dict(self.first_profile)
+        digits, places = self.digits, self.places
         index = [0] * len(digits)
         tops = [len(pool) - 1 for _, pool in digits]
         last = len(digits) - 1
-        keys = dict.fromkeys(players, 0)
-        memo: dict[str, dict[int, frozenset]] = {i: {} for i in players}
-        interned: dict[frozenset, frozenset] = {}
         nodes: list[str] = []  # the run's decision nodes
         on_run: list[str] = []  # and their situations
-        x = self.t
+        x, k = self.t, -1
         while True:
             while x in through:  # walk the run on from x; it stops at the endnode
                 j = situation_of[x]
                 nodes.append(x)
                 on_run.append(j)
                 x = next_node[x, profile[j]]
-            for i in players:
-                best = memo[i].get(keys[i])
-                if best is None:
-                    found = self._best_ends(i, keys[i], profile, prices)
-                    best = memo[i][keys[i]] = interned.setdefault(found, found)
-                if x not in best:
-                    break
-            else:
-                yield dict(profile), x
+            yield x, k
             # the last digit below its top turns; every later digit goes back to 0
             k = last
             while k >= 0 and index[k] == tops[k]:
@@ -566,11 +551,42 @@ class PieceScan:
                     keys[i] += (new - old) * place
                 if j in on_run:
                     p = min(p, on_run.index(j))
-            for i in expiring[k]:
-                memo[i].clear()
             if p < length:  # the run changes from its p-th node on
                 x = nodes[p]
                 del nodes[p:], on_run[p:]
+
+    def nash_rows(self, prices: Mapping[str, Mapping[str, Scalar]]) -> Iterator[tuple[dict, str]]:
+        """Each pure Nash row (a copy of its profile, its endnode) in scan
+        order, an endnode y paying prices[y].  The profiles are counted
+        against the cap before the first row is scanned.
+
+        The endnodes player i can reach by deviating depend only on s₋ᵢ, and
+        so does the set of those that attain i's best price; the scan keeps
+        that set per (i, key), one object per distinct set.  The row's own
+        endnode is always among the reachable ones, so the row is Nash
+        exactly when its endnode lies in every player's set.  Once a digit
+        sorted before all of i's digits turns, no earlier key of i can
+        recur, and i's sets are dropped (`expiring`).  The scan only
+        compares prices, so any exact numbers that order as the values do
+        serve as prices."""
+        self.check_cap()
+        players, expiring = self.players, self.expiring
+        profile, keys = dict(self.first_profile), dict.fromkeys(players, 0)
+        memo: dict[str, dict[int, frozenset]] = {i: {} for i in players}
+        interned: dict[frozenset, frozenset] = {}
+        for x, turned in self.rows(profile, keys):
+            if turned >= 0:
+                for i in expiring[turned]:
+                    memo[i].clear()
+            for i in players:
+                best = memo[i].get(keys[i])
+                if best is None:
+                    found = self._best_ends(i, profile, prices)
+                    best = memo[i][keys[i]] = interned.setdefault(found, found)
+                if x not in best:
+                    break
+            else:
+                yield dict(profile), x
 
 
 def first_nash_point(scan: PieceScan, prices: Mapping[str, Mapping[str, Scalar]]) -> tuple[dict, str] | None:

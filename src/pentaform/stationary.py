@@ -21,12 +21,12 @@ value of circling a class cycle forever.  Everything else prices by folding
 endnode of an unfolding folds `step` over the continue exits on its class
 path.  One step of the value recursion prices every exit of a class against
 class values w: a terminal exit at its profile and a continue exit at
-step(reward, w[next]).  `_exit_prices` takes that step in `Fraction`s and
-`_integer_prices` in integers; `_chain_values` evaluates a policy's chains
-in `Fraction`s and `_integer_chain_values` in integers.  The discounted
-solver loops (value iteration and the bounds' policy iteration) use the
-integer pair.  A class's quotient piece game is its template with these
-exit prices; the value checks of the game module take a system as its
+step(reward, w[next]), and a policy's values follow its exits back along
+each chain (`_chain_order`).  `_exit_prices` and `_chain_values` work in
+`Fraction`s; `_integer_prices` and `_integer_chain_values`, which the
+discounted solver loops (value iteration and the bounds' policy iteration)
+use, work in integers.  A class's quotient piece game is its template with
+these exit prices; the value checks of the game module take a system as its
 classes in sorted order.
 
 Each model also owns every other decision that depends on it: `validated`
@@ -592,37 +592,47 @@ def _sigma_exits(sys: StationarySystem, sigma: StationaryStrategy) -> dict[str, 
     return {c: outcome(cls.template, sigma[c])[-1] for c, cls in sys.classes.items()}
 
 
+def _chain_order(next_class: Mapping[str, str | None]) -> Iterator[tuple[str, tuple[str, ...] | None]]:
+    """The classes of a policy whose class c's exit enters next_class[c]
+    (None: a terminal exit), in an order that evaluates each chain: every
+    class after the class its exit enters, except the first class met of
+    each σ-cycle, which heads the cycle.  Yields each class with its cycle
+    if it heads one, else None.  The walks start at the classes in sorted
+    order, and each runs until it meets a terminal exit or a class already
+    met; a class met on the same walk closes a cycle."""
+    walk_of: dict[str, int] = {}
+    for n, start in enumerate(sorted(next_class)):
+        path: list[str] = []
+        cur = start
+        while cur is not None and cur not in walk_of:
+            walk_of[cur] = n
+            path.append(cur)
+            cur = next_class[cur]
+        if cur is not None and walk_of[cur] == n:
+            head = path.index(cur)
+            yield cur, tuple(path[head:])
+            del path[head]
+        for c in reversed(path):
+            yield c, None
+
+
 def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[str, Profile]:
-    """Exact per-class run values when each class commits to one exit: a
-    terminal exit is its profile, the first class of a σ-cycle gets the
+    """Exact per-class run values when each class commits to one exit, in
+    `_chain_order`: a terminal exit is its profile, a cycle head gets the
     model's cycle value, and every other class steps back from the class its
     exit enters.  The values are `Fraction`s: `continuation_values` and
     `certify_spe` evaluate absolute-terminal systems too, whose profiles may
     be infinite, which no integer stands for."""
     model = sys.model
     w: dict[str, Profile] = {}
-    for start in sorted(sys.classes):
-        if start in w:
-            continue
-        path: list[str] = []
-        pos: dict[str, int] = {}
-        cur = start
-        while cur not in w and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            e = exit_of[cur]
-            if e.is_terminal:
-                w[cur] = dict(e.reward)
-                break
-            cur = e.next_class
-        if path[-1] not in w and cur in pos:
-            cyc = tuple(path[pos[cur]:])
-            w[cur] = model.cycle_value(cyc, [exit_of[d] for d in cyc])
-        for d in reversed(path):
-            if d in w:
-                continue
-            e = exit_of[d]
-            w[d] = model.step(e.reward, w[e.next_class])
+    for c, cycle in _chain_order({c: e.next_class for c, e in exit_of.items()}):
+        e = exit_of[c]
+        if cycle is not None:
+            w[c] = model.cycle_value(cycle, [exit_of[d] for d in cycle])
+        elif e.is_terminal:
+            w[c] = dict(e.reward)
+        else:
+            w[c] = model.step(e.reward, w[e.next_class])
     return w
 
 
@@ -744,46 +754,33 @@ def _integer_prices(exits: Mapping[str, tuple], W: Mapping[str, Mapping[str, int
 
 
 def _integer_chain_values(exit_of: Mapping[str, tuple], beta: Fraction, lcd: int) -> tuple[dict, int]:
-    """The run values of each class committing to one exit, as
-    `_integer_exits` gives it with L = lcd: integers W over one S, the lcm
-    of every class's denominator, so W[c][k]/S is exactly what
-    `_chain_values` gives.  For β = p/q and R = reward·L, a terminal exit is
-    R over L; a continue exit into a class worth N/D, with D a multiple of L,
-    is R·(D/L)·q + p·N over q·D; the first class of a σ-cycle of n classes,
-    leaving the m-th by R_m, is Σₘ pᵐ·qⁿ⁻ᵐ·R_m over L·(qⁿ − pⁿ)."""
+    """`_chain_values` of a discounted system in integers: each class's
+    exit as `_integer_exits` gives it with L = lcd, evaluated in
+    `_chain_order` to integers W over one S, the lcm of every class's
+    denominator, so that W[c][k]/S is exactly `_chain_values`' value.  For
+    β = p/q and R = reward·L, a terminal exit is R over L; a continue exit
+    into a class worth N/D, with D a multiple of L, is R·(D/L)·q + p·N over
+    q·D; the head of a σ-cycle of n classes, leaving the m-th by R_m, is
+    Σₘ pᵐ·qⁿ⁻ᵐ·R_m over L·(qⁿ − pⁿ)."""
     p, q = beta.numerator, beta.denominator
     num: dict[str, dict[str, int]] = {}
     den: dict[str, int] = {}
-    for start in sorted(exit_of):
-        if start in num:
-            continue
-        path: list[str] = []
-        pos: dict[str, int] = {}
-        cur = start
-        while cur not in num and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            R, nxt = exit_of[cur]
-            if nxt is None:
-                num[cur], den[cur] = R, lcd
-                break
-            cur = nxt
-        if path[-1] not in num and cur in pos:
-            cycle = path[pos[cur]:]
+    for c, cycle in _chain_order({c: nxt for c, (_, nxt) in exit_of.items()}):
+        R, nxt = exit_of[c]
+        if cycle is not None:
             n = len(cycle)
-            lap = dict.fromkeys(exit_of[cur][0], 0)
+            lap = dict.fromkeys(R, 0)
             for m, d in enumerate(cycle):
                 weight = p ** m * q ** (n - m)
                 for k, r in exit_of[d][0].items():
                     lap[k] += weight * r
-            num[cur], den[cur] = lap, lcd * (q ** n - p ** n)
-        for d in reversed(path):
-            if d in num:
-                continue
-            R, nxt = exit_of[d]
+            num[c], den[c] = lap, lcd * (q ** n - p ** n)
+        elif nxt is None:
+            num[c], den[c] = R, lcd
+        else:
             N, D = num[nxt], den[nxt]
             scale = D // lcd * q
-            num[d], den[d] = {k: r * scale + p * N[k] for k, r in R.items()}, q * D
+            num[c], den[c] = {k: r * scale + p * N[k] for k, r in R.items()}, q * D
     S = lcm(*den.values())
     return {c: {k: x * (S // den[c]) for k, x in num[c].items()} for c in sorted(num)}, S
 
@@ -899,9 +896,9 @@ SOLVE_MAX_SWEEPS = 500
 
 
 class _ClassTable(PieceScan):
-    """A class template's rows for value iteration, kept for the whole
-    solve and walked on first need by `PieceScan`'s odometer, largest
-    action first.
+    """Class cid's template rows for value iteration, kept for the whole
+    solve and read from `PieceScan.rows`, largest action first, on first
+    need.
 
     Row r is the r-th profile of that order, which `profile(r)` rebuilds
     from r's mixed-radix digits.  The table holds, for each row walked so
@@ -918,8 +915,9 @@ class _ClassTable(PieceScan):
     per player costs least when the prices are integers, as
     `_integer_prices` gives them."""
 
-    def __init__(self, template: Pentaform):
+    def __init__(self, cid: str, template: Pentaform):
         super().__init__(template, template.root, largest_first=True)
+        self.where = f"class {cid!r}"
         self.ends: list[str] = []
         self.keys: list[tuple[int, ...]] = []
         self._reach: dict[str, dict[int, AbstractSet[str]]] = {i: {} for i in self.players}
@@ -927,45 +925,11 @@ class _ClassTable(PieceScan):
 
     def _walk(self) -> Iterator[bool]:
         """Append the rows to `ends` and `keys` one at a time, in order."""
-        through, situation_of, next_node = self.through, self.form._situation_of, self.form._next
-        digits = self.digits
-        slot = {i: n for n, i in enumerate(self.players)}
-        places = [[(slot[i], place) for i, place in digit] for digit in self.places]
-        profile = dict(self.first_profile)
-        index = [0] * len(digits)
-        tops = [len(pool) - 1 for _, pool in digits]
-        last = len(digits) - 1
-        keys = [0] * len(self.players)
-        nodes: list[str] = []  # the run's decision nodes
-        on_run: list[str] = []  # and their situations
-        x = self.t
-        while True:
-            while x in through:
-                j = situation_of[x]
-                nodes.append(x)
-                on_run.append(j)
-                x = next_node[x, profile[j]]
-            self.ends.append(x)
-            self.keys.append(tuple(keys))
+        profile, keys = dict(self.first_profile), dict.fromkeys(self.players, 0)
+        for end, _ in self.rows(profile, keys):
+            self.ends.append(end)
+            self.keys.append(tuple(keys.values()))
             yield True
-            k = last
-            while k >= 0 and index[k] == tops[k]:
-                k -= 1
-            if k < 0:
-                return
-            p = length = len(nodes)
-            for m in range(k, last + 1):
-                old = index[m]
-                new = index[m] = old + 1 if m == k else 0
-                j, pool = digits[m]
-                profile[j] = pool[new]
-                for n, place in places[m]:
-                    keys[n] += (new - old) * place
-                if j in on_run:
-                    p = min(p, on_run.index(j))
-            if p < length:
-                x = nodes[p]
-                del nodes[p:], on_run[p:]
 
     def profile(self, r: int) -> dict[str, str]:
         """Row r's profile over the template's situations."""
@@ -980,16 +944,14 @@ class _ClassTable(PieceScan):
         index key: one deviation walk per (i, key)."""
         reach = self._reach[i]
         if key not in reach:
-            reach[key] = self.reach(i, key, self.profile(r))
+            reach[key] = self.reach(i, self.profile(r))
         return reach[key]
 
     def first_nash_row(self, prices: Mapping[str, Mapping[str, Scalar]]) -> int | None:
         """The first Nash row when an exit y pays prices[y], or None when the
         template has none.  The profiles are counted against the cap before
         any row is read."""
-        if self.count > self.cap:
-            raise ResourceCapError(
-                f"piece at {self.t!r} has {self.count} strategy profiles, more than the cap of {self.cap}")
+        self.check_cap()
         ends, keys, players = self.ends, self.keys, self.players
         tops: list[dict[int, Scalar]] = [{} for _ in players]
         r = 0
@@ -1050,7 +1012,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     beta = sys.model.beta
     q = beta.denominator
     tol_num, tol_den = SOLVE_TOL.numerator, SOLVE_TOL.denominator
-    tables = {c: _ClassTable(sys.classes[c].template) for c in sorted(sys.classes)}
+    tables = {c: _ClassTable(c, sys.classes[c].template) for c in sorted(sys.classes)}
     exits, lcd = _integer_exits({c: sys.classes[c].exits for c in tables})
     W = {c: dict.fromkeys(sys.stakeholders, 0) for c in tables}
     S = lcd

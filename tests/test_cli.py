@@ -183,7 +183,8 @@ def test_solve_cap_exit_code(capsys, monkeypatch):
 
 def test_stationary_solve_cap_exit_code(capsys, monkeypatch, tmp_path):
     # gen5's classes share a template of 6 profiles; the first class to be
-    # scanned meets the cap before any stdout, so not even the header is printed.
+    # scanned, c0, meets the cap before any stdout, so not even the header is
+    # printed, and the error names that class.
     import sys
 
     sys.path.insert(0, str(Path(__file__).parent))
@@ -195,7 +196,7 @@ def test_stationary_solve_cap_exit_code(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "stationary", path, "solve")
     assert code == cli.EXIT_RESOURCE == 3
     assert out == ""
-    assert err == "resource cap exceeded: piece at '' has 6 strategy profiles, more than the cap of 5\n"
+    assert err == "resource cap exceeded: class 'c0' has 6 strategy profiles, more than the cap of 5\n"
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5"])

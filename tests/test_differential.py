@@ -1224,7 +1224,7 @@ def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None
         pg, reference_piece_profiles(pg.form, pg.form.situations, pg.form.root, largest_first))
     assert _walked_first_nash_point(pg, largest_first) == expected
     if largest_first:  # a quotient piece game, read from its class table as the sweeps read it
-        table = _ClassTable(pg.form)
+        table = _ClassTable("c", pg.form)
         for _ in range(2):  # the second sweep reads the rows and reach sets the first one stored
             r = table.first_nash_row(pg.utilities)
             assert (None if r is None else table.profile(r)) == expected
@@ -1361,7 +1361,7 @@ class _RecordedScan(PieceScan):
         super().__init__(form, form.root, through)
         self.deviations = []
 
-    def reach(self, i, key, profile):
+    def reach(self, i, profile):
         self.deviations.append((i, tuple(a for j, a in profile.items() if self.form.player_of(j) != i)))
         return _reachable_exits(self.form, profile, i, self.t)
 
@@ -1390,6 +1390,49 @@ def test_scan_rewalks_the_run_only_from_a_changed_situation_on_it():
         walked += len(expected)
         moves += sum(len(outcome(form, p)) for p in profiles)
     assert walked < moves / 2, (walked, moves)
+
+
+def _reference_rows(form, largest_first: bool):
+    """Each profile of form's one piece in scan order, with the endnode its
+    run reaches, each player's key (the index of the other players' choices
+    in a mixed radix over their situations with more than one action, the
+    first sorted least significant) and the first such situation, of all
+    players, whose action differs from the profile before (-1 at the
+    first)."""
+    digits = [j for j in sorted(form.situations) if len(form.action_set(j)) > 1]
+    pools = {j: sorted(form.action_set(j), reverse=largest_first) for j in digits}
+    before = None
+    for profile in reference_piece_profiles(form, form.situations, form.root, largest_first):
+        keys = {}
+        for i in sorted(form.players):
+            keys[i], place = 0, 1
+            for j in digits:
+                if form.player_of(j) != i:
+                    keys[i] += pools[j].index(profile[j]) * place
+                    place *= len(pools[j])
+        turned = -1 if before is None else next(m for m, j in enumerate(digits) if profile[j] != before[j])
+        yield profile, outcome(form, profile)[-1], keys, turned
+        before = profile
+
+
+def test_scan_rows_step_profile_and_keys_as_the_reference_orders_them(tmp_path):
+    """`PieceScan.rows` steps the caller's profile and keys through every
+    row in the reference's order, each with its endnode, each player's key
+    and the digit that turned: on the scan pieces and on the class templates
+    of gen0–gen5 and cry-wolf, actions smallest and largest first."""
+    forms = {pg.form for pg in _scan_pieces()}
+    for sys_ in [_generated_system(index, tmp_path) for index in range(6)] + [WOLF]:
+        forms |= {cls.template for cls in sys_.classes.values()}
+    rows = multi = 0
+    for form in sorted(forms, key=lambda form: sorted(form.quintuples)):
+        for largest_first in (False, True):
+            scan = PieceScan(form, form.root, largest_first=largest_first)
+            profile, keys = dict(scan.first_profile), dict.fromkeys(scan.players, 0)
+            walked = [(dict(profile), end, dict(keys), turned) for end, turned in scan.rows(profile, keys)]
+            assert walked == list(_reference_rows(form, largest_first))
+            rows += len(walked)
+            multi += len(walked) * (len(scan.players) > 1)
+    assert rows > 25000 and multi > 25000, (rows, multi)
 
 
 def _tie_heavy(g: Game, rng: random.Random) -> Game:

@@ -749,7 +749,7 @@ def test_solve_stationary_cap_error_names_the_template(monkeypatch):
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", "5")
     with pytest.raises(ResourceCapError) as caught:
         solve_stationary(sys_)
-    assert str(caught.value) == "piece at '' has 6 strategy profiles, more than the cap of 5"
+    assert str(caught.value) == "class 'b' has 6 strategy profiles, more than the cap of 5"
 
 
 def test_random_discounted_systems_solve_certify_and_truncate():

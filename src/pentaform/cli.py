@@ -143,9 +143,15 @@ _VALUE_PROPERTIES = {"admissible", "persistent", "authentic", "piecewise-nash"}
 
 
 def cmd_check(args) -> int:
+    prop = args.property
+    # a value flag that the property would not read is refused, not ignored
+    if prop not in _VALUE_PROPERTIES and (args.values or args.authentic_value):
+        flag = "--values" if args.values else "--authentic-value"
+        raise fileio.FileFormatError(f"property {prop!r} reads no value function, so it takes no {flag}")
+    if args.values and args.authentic_value:
+        raise fileio.FileFormatError(f"property {prop!r} takes --values FILE or --authentic-value, not both")
     g = fileio.load_game(args.game)
     s = fileio._checked(args.strategy, validate_strategy, g.form, fileio.load_strategy(args.strategy))
-    prop = args.property
     values = None
     if prop in _VALUE_PROPERTIES:
         if args.values:

@@ -36,7 +36,8 @@ value, deepest subroot first.
 `solve_backward` is the same in-place recursion: at each subroot, deepest
 first, it takes the piece's first pure Nash row from one incremental scan
 (`PieceScan`), its exits priced by the values already found;
-`solve_stationary` reads the class templates' rows from the same scan.
+`solve_stationary` reads the class templates' rows from the same scan, and
+both test a row by one rule (`_best_ends`).
 `piece_game` is the explicit piece game of the API and the tests.
 """
 
@@ -256,6 +257,20 @@ def _deviation_witness(i: str, deviation: dict, base: Scalar, value: Scalar, bas
     deviation pay i, and the nodes where each stops."""
     return {"player": i, "deviation": deviation, "strategy_utility": base, "deviation_utility": value,
             "strategy_endnode": base_end, "deviation_endnode": end}
+
+
+def _best_ends(ends: Iterable[str], i: str, prices: Mapping[str, Mapping[str, Scalar]]) -> frozenset:
+    """The nodes among `ends` that pay player i the most, y paying prices[y]:
+    a row is a pure Nash point exactly when its endnode lies in every
+    player's best set over the endnodes that player reaches by deviating."""
+    best, top = [], None
+    for y in ends:
+        price = prices[y][i]
+        if top is None or price > top:
+            best, top = [y], price
+        elif price == top:
+            best.append(y)
+    return frozenset(best)
 
 
 def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Mapping,
@@ -487,17 +502,6 @@ class PieceScan:
         deviation walk of the piece."""
         return _reachable_exits(self.form, profile, i, self.t, self.through)
 
-    def _best_ends(self, i: str, profile: Mapping[str, str], prices) -> frozenset:
-        """The endnodes among `reach`'s that pay player i the most."""
-        best, top = [], None
-        for y in self.reach(i, profile):
-            price = prices[y][i]
-            if top is None or price > top:
-                best, top = [y], price
-            elif price == top:
-                best.append(y)
-        return frozenset(best)
-
     def check_cap(self) -> None:
         """Raise ResourceCapError when the piece has more profiles than the cap."""
         if self.count > self.cap:
@@ -561,10 +565,9 @@ class PieceScan:
         against the cap before the first row is scanned.
 
         The endnodes player i can reach by deviating depend only on s₋ᵢ, and
-        so does the set of those that attain i's best price; the scan keeps
-        that set per (i, key), one object per distinct set.  The row's own
-        endnode is always among the reachable ones, so the row is Nash
-        exactly when its endnode lies in every player's set.  Once a digit
+        so does i's best set among them (`_best_ends`); the scan keeps that
+        set per (i, key), one object per distinct set, and a row is Nash
+        when its endnode lies in every player's set.  Once a digit
         sorted before all of i's digits turns, no earlier key of i can
         recur, and i's sets are dropped (`expiring`).  The scan only
         compares prices, so any exact numbers that order as the values do
@@ -581,7 +584,7 @@ class PieceScan:
             for i in players:
                 best = memo[i].get(keys[i])
                 if best is None:
-                    found = self._best_ends(i, profile, prices)
+                    found = _best_ends(self.reach(i, profile), i, prices)
                     best = memo[i][keys[i]] = interned.setdefault(found, found)
                 if x not in best:
                     break

@@ -15,18 +15,17 @@ infinite runs that settle into a cycle get that profile, and systems whose
 class graph admits aperiodic infinite runs are only partially specified.
 
 Each model holds one pricing rule, `step(reward, w)`: the value of a continue
-exit with that reward into a piece worth w (r + β·w, or w as-is), plus the
-value of circling a class cycle forever.  Everything else prices by folding
-`step`: a class value steps back from the class its exit enters, and an
+exit with that reward into a piece worth w (r + β·w, or w as-is).  An
 endnode of an unfolding folds `step` over the continue exits on its class
 path.  One step of the value recursion prices every exit of a class against
 class values w: a terminal exit at its profile and a continue exit at
-step(reward, w[next]), and a policy's values follow its exits back along
-each chain (`_chain_order`).  `_exit_prices` and `_chain_values` work in
-`Fraction`s; `_integer_prices` and `_integer_chain_values`, which the
-discounted solver loops (value iteration and the bounds' policy iteration)
-use, work in integers.  A class's quotient piece game is its template with
-these exit prices; the value checks of the game module take a system as its
+step(reward, w[next]), in `Fraction`s for the value checks and `certify_spe`,
+whose values may be infinite (`_exit_prices`), and in integers for the
+discounted solver loops (`_integer_prices`).  Each model evaluates a
+policy's chains itself (`policy_values`, along `_chain_order`): discounting
+in integers (`_integer_chain_values`), the absolute-terminal model by
+copying profiles.  A class's quotient piece game is its template with these
+exit prices; the value checks of the game module take a system as its
 classes in sorted order.
 
 Each model also owns every other decision that depends on it: `validated`
@@ -64,6 +63,7 @@ from .game import (
     PieceScan,
     ResourceCapError,
     _best_deviation,
+    _best_ends,
     _piece_nash,
     _reachable_exits,
     _require_domain,
@@ -117,12 +117,13 @@ class DiscountedAccumulation:
         beta = self.beta
         return {k: reward[k] + beta * w[k] for k in w}
 
-    def cycle_value(self, cycle: tuple[str, ...], exits: list[Exit]) -> Profile:
-        """The value at cycle[0] of circling `cycle` forever, leaving cycle[m]
-        by exits[m]: the geometric series of one lap, priced by `_price`."""
-        lap = _price(self, exits, {k: Fraction(0) for k in exits[0].reward})
-        denom = 1 - self.beta ** len(cycle)
-        return {k: x / denom for k, x in lap.items()}
+    def policy_values(self, sys: StationarySystem, labels: Mapping[str, str]) -> dict[str, Profile]:
+        """Each class's run value when every class c leaves by its exit
+        labels[c] forever: the chains evaluated in integers
+        (`_integer_chain_values`), and only the answers made `Fraction`s."""
+        exits, lcd = _integer_exits({c: {y: sys.classes[c].exits[y]} for c, y in labels.items()})
+        W, S = _integer_chain_values({c: exits[c][y] for c, y in labels.items()}, self.beta, lcd)
+        return {c: {k: Fraction(x, S) for k, x in W[c].items()} for c in W}
 
     def bounds(self, sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
         """Per-class, per-stakeholder (inf, sup) of run values.
@@ -182,9 +183,18 @@ class AbsoluteTerminal:
         """Continue rewards count for nothing: the value is `w` as-is."""
         return dict(w)
 
-    def cycle_value(self, cycle: tuple[str, ...], exits: list[Exit]) -> Profile:
-        """The declared utility of runs that settle into `cycle`."""
-        return dict(self.cycle_utilities[canonical_cycle(cycle)])
+    def policy_values(self, sys: StationarySystem, labels: Mapping[str, str]) -> dict[str, Profile]:
+        """Each class's run value when every class c leaves by its exit
+        labels[c] forever, in `_chain_order`: a terminal exit's profile, the
+        declared utility of a cycle the exits close, or else a copy of the
+        value of the class its exit enters.  The profiles may be infinite."""
+        exit_of = {c: sys.classes[c].exits[y] for c, y in labels.items()}
+        w: dict[str, Profile] = {}
+        for c, cycle in _chain_order({c: e.next_class for c, e in exit_of.items()}):
+            e = exit_of[c]
+            w[c] = dict(self.cycle_utilities[canonical_cycle(cycle)] if cycle is not None
+                        else e.reward if e.is_terminal else w[e.next_class])
+        return w
 
     def bounds(self, sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
         """Per-class, per-stakeholder (inf, sup) over the defined runs from a
@@ -616,31 +626,15 @@ def _chain_order(next_class: Mapping[str, str | None]) -> Iterator[tuple[str, tu
             yield c, None
 
 
-def _chain_values(sys: StationarySystem, exit_of: Mapping[str, Exit]) -> dict[str, Profile]:
-    """Exact per-class run values when each class commits to one exit, in
-    `_chain_order`: a terminal exit is its profile, a cycle head gets the
-    model's cycle value, and every other class steps back from the class its
-    exit enters.  The values are `Fraction`s: `continuation_values` and
-    `certify_spe` evaluate absolute-terminal systems too, whose profiles may
-    be infinite, which no integer stands for."""
-    model = sys.model
-    w: dict[str, Profile] = {}
-    for c, cycle in _chain_order({c: e.next_class for c, e in exit_of.items()}):
-        e = exit_of[c]
-        if cycle is not None:
-            w[c] = model.cycle_value(cycle, [exit_of[d] for d in cycle])
-        elif e.is_terminal:
-            w[c] = dict(e.reward)
-        else:
-            w[c] = model.step(e.reward, w[e.next_class])
-    return w
+def _sigma_values(sys: StationarySystem, sigma: StationaryStrategy) -> dict[str, Profile]:
+    """The continuation values of the valid σ: its σ-exits, evaluated by the model."""
+    return sys.model.policy_values(sys, _sigma_exits(sys, sigma))
 
 
 def continuation_values(sys: StationarySystem,
                         sigma: Mapping[str, Mapping[str, str]]) -> dict[str, Profile]:
     """The value of entering a fresh piece of each class and obeying σ forever."""
-    sigma = validate_stationary_strategy(sys, sigma)
-    return _chain_values(sys, {c: sys.classes[c].exits[y] for c, y in _sigma_exits(sys, sigma).items()})
+    return _sigma_values(sys, validate_stationary_strategy(sys, sigma))
 
 
 def parse_subroot_label(sys: StationarySystem, label: str) -> tuple[list[Exit], str]:
@@ -754,10 +748,10 @@ def _integer_prices(exits: Mapping[str, tuple], W: Mapping[str, Mapping[str, int
 
 
 def _integer_chain_values(exit_of: Mapping[str, tuple], beta: Fraction, lcd: int) -> tuple[dict, int]:
-    """`_chain_values` of a discounted system in integers: each class's
-    exit as `_integer_exits` gives it with L = lcd, evaluated in
-    `_chain_order` to integers W over one S, the lcm of every class's
-    denominator, so that W[c][k]/S is exactly `_chain_values`' value.  For
+    """A discounted policy's run values in integers: each class's exit as
+    `_integer_exits` gives it with L = lcd, evaluated in `_chain_order` to
+    integers W over one S, the lcm of every class's denominator, so that
+    W[c][k]/S is exactly class c's value for stakeholder k.  For
     β = p/q and R = reward·L, a terminal exit is R over L; a continue exit
     into a class worth N/D, with D a multiple of L, is R·(D/L)·q + p·N over
     q·D; the head of a σ-cycle of n classes, leaving the m-th by R_m, is
@@ -822,7 +816,7 @@ def certify_spe(sys: StationarySystem, sigma) -> Certificate:
     sigma = validate_stationary_strategy(sys, sigma)
     up = upper_convergent(sys)
     lo = lower_convergent(sys)
-    w = _chain_values(sys, {c: sys.classes[c].exits[y] for c, y in _sigma_exits(sys, sigma).items()})
+    w = _sigma_values(sys, sigma)
     verdict = _piece_nash(sys, sigma, w)
     if not verdict:
         return Certificate(REFUTED, w, up, lo, witness=verdict.witness,
@@ -907,13 +901,10 @@ class _ClassTable(PieceScan):
     (player i, key) the table keeps the exits i can reach by deviating,
     walked once, on first need, from the row that asks.
 
-    A sweep (`first_nash_row`) reads the rows in order up to the first Nash
-    row.  For each (i, key) it meets, it keeps i's top price over the
-    reachable exits for that sweep only.  Row r is Nash when every player's
-    price at r's exit equals that top: r's own exit is among the reachable
-    ones, so this is membership in i's best set.  One comparison of numbers
-    per player costs least when the prices are integers, as
-    `_integer_prices` gives them."""
+    Row r is Nash when its exit lies in every player's best set over the
+    exits that player reaches (`_best_ends`), as in the finite scan.  A
+    sweep (`first_nash_row`) keeps each best set it computes for that sweep
+    only; the exact check tests one row by the same method (`is_nash`)."""
 
     def __init__(self, cid: str, template: Pentaform):
         super().__init__(template, template.root, largest_first=True)
@@ -939,40 +930,37 @@ class _ClassTable(PieceScan):
             profile[j] = pool[digit]
         return profile
 
-    def _reach_of(self, i: str, key: int, r: int) -> AbstractSet[str]:
-        """The exits player i reaches by deviating from row r, whose s₋ᵢ has
-        index key: one deviation walk per (i, key)."""
-        reach = self._reach[i]
-        if key not in reach:
-            reach[key] = self.reach(i, self.profile(r))
-        return reach[key]
-
     def first_nash_row(self, prices: Mapping[str, Mapping[str, Scalar]]) -> int | None:
         """The first Nash row when an exit y pays prices[y], or None when the
         template has none.  The profiles are counted against the cap before
         any row is read."""
         self.check_cap()
-        ends, keys, players = self.ends, self.keys, self.players
-        tops: list[dict[int, Scalar]] = [{} for _ in players]
+        best: list[dict[int, frozenset]] = [{} for _ in self.players]
         r = 0
-        while r < len(ends) or next(self._rows, False):  # walk a row only when the sweep reads past the table
-            price = prices[ends[r]]
-            for i, key, top_of in zip(players, keys[r], tops):
-                top = top_of.get(key)
-                if top is None:
-                    top = top_of[key] = max(prices[y][i] for y in self._reach_of(i, key, r))
-                if price[i] != top:
-                    break
-            else:
+        while r < len(self.ends) or next(self._rows, False):  # walk a row only when the sweep reads past the table
+            if self.is_nash(r, prices, best):
                 return r
             r += 1
         return None
 
-    def is_nash(self, r: int, prices: Mapping[str, Mapping[str, Scalar]]) -> bool:
-        """Whether row r is a pure Nash point when an exit y pays prices[y]."""
-        price = prices[self.ends[r]]
-        return all(price[i] == max(prices[y][i] for y in self._reach_of(i, key, r))
-                   for i, key in zip(self.players, self.keys[r]))
+    def is_nash(self, r: int, prices: Mapping[str, Mapping[str, Scalar]],
+                best: list[dict[int, frozenset]] | None = None) -> bool:
+        """Whether row r is a pure Nash point when an exit y pays prices[y]:
+        whether its exit lies in every player's best set for the row's key.
+        `best` keeps those sets, per player by key, for one sweep's prices."""
+        if best is None:
+            best = [{} for _ in self.players]
+        end = self.ends[r]
+        for i, key, sets in zip(self.players, self.keys[r], best):
+            found = sets.get(key)
+            if found is None:
+                reach = self._reach[i]
+                if key not in reach:
+                    reach[key] = self.reach(i, self.profile(r))
+                found = sets[key] = _best_ends(reach[key], i, prices)
+            if end not in found:
+                return False
+        return True
 
 
 def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySolveFailure:
@@ -995,11 +983,11 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     When the selected strategy repeats and the sup-norm change is below
     SOLVE_TOL, the strategy is evaluated exactly, in integers over one
     denominator (`_integer_chain_values`).  The strategy is returned only if
-    every class's row is still Nash under the exits priced against those
-    values as a sweep prices them (`_ClassTable.is_nash`); otherwise the
-    sweeps go on from those values.  The returned values are therefore
-    always the exact continuation values of a strategy that passes the
-    piecewise-Nash scan, and only they become `Fraction`s.
+    every class's row still passes the sweeps' row test (`_ClassTable.is_nash`)
+    under the exits priced against those values as a sweep prices them;
+    otherwise the sweeps go on from those values.  The returned values are
+    therefore always the exact continuation values of a strategy that passes
+    the piecewise-Nash scan, and only they become `Fraction`s.
 
     Each sweep is a function of the state (the values, σ of the last sweep),
     so a state met twice repeats a cycle that can never settle: the answer

@@ -294,6 +294,18 @@ CHECKED_INPUTS = {
         lambda tmp: ["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"),
                      "--property", "persistent"],
         None, "property 'persistent' needs --values FILE or --authentic-value"),
+    "check-nash-with-values": (
+        lambda tmp: ["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"),
+                     "--property", "nash", "--values", str(tmp / "nonexistent.values")],
+        None, "property 'nash' reads no value function, so it takes no --values"),
+    "check-spe-with-authentic-value": (
+        lambda tmp: ["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"),
+                     "--property", "spe", "--authentic-value"],
+        None, "property 'spe' reads no value function, so it takes no --authentic-value"),
+    "check-values-and-authentic-value": (
+        lambda tmp: ["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"),
+                     "--property", "admissible", "--values", str(FIXTURES / "entry.values"), "--authentic-value"],
+        None, "property 'admissible' takes --values FILE or --authentic-value, not both"),
     "certify-invalid-strategy": (
         lambda tmp: ["stationary", str(FIXTURES / "bob.system"), "certify",
                      _write(tmp, "sideways.strategy", {"classes": {"c": {"": "sideways"}}})],

@@ -37,7 +37,9 @@ value, deepest subroot first.
 first, it takes the piece's first pure Nash row from one incremental scan
 (`PieceScan`), its exits priced by the values already found;
 `solve_stationary` reads the class templates' rows from the same scan, and
-both test a row by one rule (`_best_ends`).
+both test a row by one rule (`_best_ends`).  The finite scan jumps past rows
+that must fail the same best set as the row before them (the rule is in
+`PieceScan.nash_rows`).
 `piece_game` is the explicit piece game of the API and the tests.
 """
 
@@ -459,7 +461,8 @@ class PieceScan:
     form's by default), in lexicographic order over the sorted situations
     (each one's actions in sorted order, or largest first), each paired with
     the endnode that its walk of the piece from t reaches, moving on those
-    nodes.  `rows` steps through them and `nash_rows` keeps the Nash ones.
+    nodes.  `rows` steps through them and `nash_rows` keeps the Nash ones,
+    jumping past rows that cannot be Nash (the rule is in `nash_rows`).
     The cap (`profile_cap()`) is read once, when the scan is made, and
     `where` names the piece in the cap error.
     """
@@ -474,11 +477,13 @@ class PieceScan:
         self.cap = profile_cap()
         self.first_profile: dict[str, str] = {}
         self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action
+        self.digit_of: dict[str, int] = {}  # and its place in `digits`
         owners: list[str] = []  # and its player
         for j in sorted(situations):
             pool = sorted(form.action_set(j), reverse=largest_first)
             self.first_profile[j] = pool[0]
             if len(pool) > 1:
+                self.digit_of[j] = len(self.digits)
                 self.digits.append((j, pool))
                 owners.append(form.player_of(j))
         self.count = prod(len(pool) for _, pool in self.digits)
@@ -496,6 +501,13 @@ class PieceScan:
                     radix[i] *= len(pool)
             owned.add(owner)
             self.expiring.append([i for i in self.players if i not in owned])
+        # the player who owns the fastest digits, and the first of them: the
+        # block of rows `nash_rows` may jump through (`_jump`)
+        self.tail = len(self.digits)
+        while self.tail and owners[self.tail - 1] == owners[-1]:
+            self.tail -= 1
+        self.tail_owner = owners[-1] if owners else None
+        self._paths: dict[str, tuple] = {}  # endnode paths, each found on the first jump that needs it
 
     def reach(self, i: str, profile: Mapping[str, str]) -> AbstractSet[str]:
         """The endnodes player i can reach by deviating from profile: one
@@ -510,9 +522,11 @@ class PieceScan:
 
     def rows(self, profile: dict[str, str], keys: dict[str, int]) -> Iterator[tuple[str, int]]:
         """Step `profile` and `keys` through the rows in scan order, in place,
-        yielding each row's endnode and the digit that turned to reach it (-1
-        for the first row).  The caller owns both and starts them at
-        `first_profile` and a key of 0 per player.
+        yielding each row's endnode and the first digit that changed to reach
+        it (-1 for the first row).  The caller owns both and starts them at
+        `first_profile` and a key of 0 per player.  Sent a best set of
+        `tail_owner` after a row that set fails, the odometer jumps instead
+        of stepping (`_jump`; the rule is in `nash_rows`).
 
         The profiles are a mixed-radix odometer whose digits are the
         situations with more than one action (`digits`), the last turning
@@ -538,17 +552,20 @@ class PieceScan:
                 nodes.append(x)
                 on_run.append(j)
                 x = next_node[x, profile[j]]
-            yield x, k
-            # the last digit below its top turns; every later digit goes back to 0
-            k = last
-            while k >= 0 and index[k] == tops[k]:
-                k -= 1
+            best = yield x, k
+            k, goal = last, None  # goal: every digit's index after a jump
+            if best is not None:
+                k, goal = self._jump(index, tops, best)
+            if goal is None:
+                # the last digit from k down below its top turns; every later digit goes back to 0
+                while k >= 0 and index[k] == tops[k]:
+                    k -= 1
             if k < 0:
                 return
             p = length = len(nodes)
             for m in range(k, last + 1):
                 old = index[m]
-                new = index[m] = old + 1 if m == k else 0
+                new = index[m] = goal[m] if goal else old + 1 if m == k else 0
                 j, pool = digits[m]
                 profile[j] = pool[new]
                 for i, place in places[m]:
@@ -558,6 +575,62 @@ class PieceScan:
             if p < length:  # the run changes from its p-th node on
                 x = nodes[p]
                 del nodes[p:], on_run[p:]
+
+    def _jump(self, index: list[int], tops: list[int], best: AbstractSet[str]) -> tuple[int, list[int] | None]:
+        """Where the odometer at `index` goes when its row's endnode is not in
+        `best`, a best set of `tail_owner`: the first digit that changes and
+        every digit's new index, at the next row that can reach some y in
+        `best`; else the digit before `tail` and None, for a step from there
+        past the block of rows that share the digits before `tail`."""
+        tail = self.tail
+        target = None
+        for y in best:
+            before, along = self._paths.get(y) or self._path(y)
+            for m, a in before:
+                if index[m] != a:
+                    break
+            else:
+                # the first tail digit where this row leaves y's path; there
+                # is one, for the row's run ends elsewhere
+                f = tail
+                while along[f] < 0 or along[f] == index[f]:
+                    f += 1
+                k = f
+                if along[f] < index[f]:  # a digit that y's path leaves free must turn before f
+                    k -= 1
+                    while k >= tail and (along[k] >= 0 or index[k] == tops[k]):
+                        k -= 1
+                    if k < tail:
+                        continue
+                goal = index[:k]
+                goal.append(along[k] if along[k] >= 0 else index[k] + 1)
+                goal.extend(a if a >= 0 else 0 for a in along[k + 1:])
+                if target is None or goal < target[1]:
+                    target = k, goal
+        return target or (tail - 1, None)
+
+    def _path(self, y: str) -> tuple[list[tuple[int, int]], list[int]]:
+        """The digits that endnode y's path from t fixes: (digit, action
+        index) pairs before `tail`, and per digit the action index from
+        `tail` on, -1 where the path leaves it free and before `tail`.  y is
+        one that a walk of the piece reaches, so its path takes one action
+        at each situation it meets."""
+        pred, situation_of, children = self.form._pred, self.form._situation_of, self.form._children
+        before: list[tuple[int, int]] = []
+        along = [-1] * len(self.digits)
+        x = y
+        while x != self.t:
+            w = pred[x]
+            m = self.digit_of.get(situation_of[w])
+            if m is not None:
+                n = self.digits[m][1].index(next(a for a, z in children[w] if z == x))
+                if m < self.tail:
+                    before.append((m, n))
+                else:
+                    along[m] = n
+            x = w
+        path = self._paths[y] = before, along
+        return path
 
     def nash_rows(self, prices: Mapping[str, Mapping[str, Scalar]]) -> Iterator[tuple[dict, str]]:
         """Each pure Nash row (a copy of its profile, its endnode) in scan
@@ -571,13 +644,34 @@ class PieceScan:
         sorted before all of i's digits turns, no earlier key of i can
         recur, and i's sets are dropped (`expiring`).  The scan only
         compares prices, so any exact numbers that order as the values do
-        serve as prices."""
+        serve as prices.
+
+        The jump rule.  Say row r fails the test of `tail_owner`, the player
+        i who owns the fastest digits, those from `tail` on: r's endnode is
+        not in i's best set B.  Every row that differs from r only in those
+        digits has i's key, so B, and passes i's test only if its run ends
+        at some y in B, which needs y's path from t to take r's actions at
+        every digit before `tail`.  So `rows` is sent B and jumps to the next
+        row in scan order whose digits follow some such y's path (`_jump`,
+        reading each y's (digit, action index) pairs from `_path`), or past
+        the block of rows that share r's digits before `tail` when no y
+        qualifies.  Every row skipped fails i's test, so the Nash rows and
+        their order are those of a plain step; only the rows walked and the
+        deviation walks are fewer.  This is conflict-directed backjumping
+        (Gaschnig 1979) on the odometer."""
         self.check_cap()
-        players, expiring = self.players, self.expiring
+        players, expiring, tail_owner = self.players, self.expiring, self.tail_owner
         profile, keys = dict(self.first_profile), dict.fromkeys(players, 0)
         memo: dict[str, dict[int, frozenset]] = {i: {} for i in players}
         interned: dict[frozenset, frozenset] = {}
-        for x, turned in self.rows(profile, keys):
+        step = self.rows(profile, keys).send
+        jump = None
+        while True:
+            try:
+                x, turned = step(jump)
+            except StopIteration:
+                return
+            jump = None
             if turned >= 0:
                 for i in expiring[turned]:
                     memo[i].clear()
@@ -587,6 +681,8 @@ class PieceScan:
                     found = _best_ends(self.reach(i, profile), i, prices)
                     best = memo[i][keys[i]] = interned.setdefault(found, found)
                 if x not in best:
+                    if i == tail_owner:
+                        jump = best
                     break
             else:
                 yield dict(profile), x

@@ -1199,11 +1199,12 @@ def _fixture_games(tmp_path) -> list[Game]:
     return [fileio.load_game(work / "fixtures" / name) for name in names]
 
 
-def _backward_piece_games(g: Game):
+def _backward_piece_games(g: Game, values: dict | None = None):
     """The piece games that solve_backward scans, deepest subroot first,
-    priced by the reference solver's values."""
-    solution = reference_solve_backward(g)
-    values = solution.values if isinstance(solution, BackwardSolution) else {}
+    priced by `values`, by default the reference solver's values."""
+    if values is None:
+        solution = reference_solve_backward(g)
+        values = solution.values if isinstance(solution, BackwardSolution) else {}
     for t in sorted(subroots(g.form), key=lambda t: (-g.form.depth(t), t)):
         yield piece_game(g, values, t)
         if t not in values:
@@ -1335,11 +1336,28 @@ def test_scan_memo_is_bounded_for_every_player_but_the_first_sorted():
     assert 8 * peaks[0] <= peaks[1], peaks
 
 
+def _absentminded_piece() -> Game:
+    """One piece whose situation z, P1's, repeats along a run: at the root z
+    stops ("rs") or continues to m, where z is met again and must continue
+    again, so "ms" is reached by no profile.  Then P2's a ends the run
+    ("kr") or hands it to P1's y.  P1 owns the two fastest digits, y and z,
+    and (a, y, z) = (r, u, c) is the first Nash point."""
+    qs = [Quintuple("P1", "z", "r", "c", "m"), Quintuple("P1", "z", "r", "s", "rs"),
+          Quintuple("P1", "z", "m", "c", "k"), Quintuple("P1", "z", "m", "s", "ms"),
+          Quintuple("P2", "a", "k", "l", "kl"), Quintuple("P2", "a", "k", "r", "kr"),
+          Quintuple("P1", "y", "kl", "u", "klu"), Quintuple("P1", "y", "kl", "v", "klv")]
+    u1 = {"rs": 1, "ms": 3, "kr": 2, "klu": 0, "klv": 2}
+    u2 = {"rs": 0, "ms": 0, "kr": 1, "klu": 1, "klv": 0}
+    return Game(validate(qs), ["P1", "P2"], {y: {"P1": u1[y], "P2": u2[y]} for y in u1})
+
+
+def _scan_games() -> list[Game]:
+    return [_collision_piece(), _pennies_piece(3), _pennies_piece(2, "z1", "y2"), _absentminded_piece(),
+            *SOLVER_POOL[:20]]
+
+
 def _scan_pieces() -> list[Game]:
-    pieces = [_collision_piece(), _pennies_piece(3), _pennies_piece(2, "z1", "y2")]
-    for g in SOLVER_POOL[:20]:
-        pieces.extend(_backward_piece_games(g))
-    return pieces
+    return [pg for g in _scan_games() for pg in _backward_piece_games(g)]
 
 
 class _RecordedNodes(frozenset):
@@ -1367,11 +1385,12 @@ class _RecordedScan(PieceScan):
 
 
 def test_scan_rewalks_the_run_only_from_a_changed_situation_on_it():
-    """A scan step walks the run again exactly when a situation whose action
-    changed lies on the last run, and from the first such node; otherwise
-    the endnode stays, and only it is looked at.  The scan yields every Nash
-    row, in order, and walks each player's deviations once per choice of the
-    other players."""
+    """A step of `rows`, iterated without feedback, walks the run again
+    exactly when a situation whose action changed lies on the last run, and
+    from the first such node; otherwise the endnode stays, and only it is
+    looked at.  `nash_rows` walks each player's deviations once per choice
+    of the other players; its rows are checked by
+    `test_nash_rows_jump_only_past_rows_that_are_not_nash`."""
     walked = moves = 0
     for pg in _scan_pieces():
         form = pg.form
@@ -1383,10 +1402,12 @@ def test_scan_rewalks_the_run_only_from_a_changed_situation_on_it():
             # from the first changed node on the run, else only the endnode, which stays
             expected.extend(outcome(form, after)[changed[0] if changed else -1:])
         scan = _RecordedScan(form)
-        rows = list(scan.nash_rows(pg.utilities))
+        profile, keys = dict(scan.first_profile), dict.fromkeys(scan.players, 0)
+        assert [end for end, _ in scan.rows(profile, keys)] == [outcome(form, p)[-1] for p in profiles]
         assert scan.through.tested == expected
+        scan = _RecordedScan(form)
+        list(scan.nash_rows(pg.utilities))
         assert len(set(scan.deviations)) == len(scan.deviations)  # no memo entry was dropped too soon
-        assert rows == [(p, outcome(form, p)[-1]) for p in profiles if nash_check(pg, p).holds]
         walked += len(expected)
         moves += sum(len(outcome(form, p)) for p in profiles)
     assert walked < moves / 2, (walked, moves)
@@ -1419,8 +1440,11 @@ def test_scan_rows_step_profile_and_keys_as_the_reference_orders_them(tmp_path):
     """`PieceScan.rows` steps the caller's profile and keys through every
     row in the reference's order, each with its endnode, each player's key
     and the digit that turned: on the scan pieces and on the class templates
-    of gen0–gen5 and cry-wolf, actions smallest and largest first."""
-    forms = {pg.form for pg in _scan_pieces()}
+    of gen0–gen5 and cry-wolf, actions smallest and largest first.  The
+    scan pieces drawn from SOLVER_POOL change with the hash seed, so a
+    three-player piece of 2^11 rows, drawn from no pool, keeps the
+    multi-player rows above the floor under every seed."""
+    forms = {pg.form for pg in _scan_pieces()} | {_pennies_piece(9, "z1", "y2").form}
     for sys_ in [_generated_system(index, tmp_path) for index in range(6)] + [WOLF]:
         forms |= {cls.template for cls in sys_.classes.values()}
     rows = multi = 0
@@ -1433,6 +1457,69 @@ def test_scan_rows_step_profile_and_keys_as_the_reference_orders_them(tmp_path):
             rows += len(walked)
             multi += len(walked) * (len(scan.players) > 1)
     assert rows > 25000 and multi > 25000, (rows, multi)
+
+
+def _priced_scan_forms(tmp_path) -> list[Game]:
+    """The scan pieces and the class templates of gen0–gen5 and cry-wolf,
+    each priced three ways.  The utilities: a piece's exits at the values
+    of obeying every situation's smallest action, a template's exits at
+    their rewards.  Tie-heavy prices in {0, 1}.  The values the solvers
+    find: the reference solver's, which `solve_backward` matches, for a
+    piece, and the continuation values of `solve_stationary`'s answer for a
+    template (where it finds one)."""
+    rng = random.Random(30)
+    priced = []
+    for g in _scan_games():
+        smallest = {j: min(g.form.action_set(j)) for j in g.form.situations}
+        priced += _backward_piece_games(g, authentic_value(g, smallest))
+        priced += _backward_piece_games(g)
+    for sys_ in [_generated_system(index, tmp_path) for index in range(6)] + [WOLF]:
+        solved = stationary.solve_stationary(sys_)
+        found = [solved.values] if _kind(solved) == "solved" else []
+        for w in [{c: sys_.zero_profile() for c in sys_.classes}, *found]:
+            priced += [reference_quotient_piece_game(sys_, c, w) for c in sorted(sys_.classes)]
+    forms = {pg.form: pg.stakeholders for pg in priced}
+    priced += [Game(form, stakeholders, {y: {k: rng.choice((0, 1)) for k in sorted(stakeholders)}
+                                         for y in sorted(form.endnodes)})
+               for form, stakeholders in forms.items()]
+    return priced
+
+
+def test_nash_rows_jump_only_past_rows_that_are_not_nash(tmp_path):
+    """`nash_rows`, which jumps past rows that fail their tail owner's best
+    set, yields exactly the reference's Nash rows, in order: every profile
+    in scan order that `nash_check` passes, with its endnode, on each priced
+    scan form, actions smallest and largest first.  The jumps leave out
+    rows."""
+    rows = walked = 0
+    for pg in _priced_scan_forms(tmp_path):
+        form = pg.form
+        nash = {tuple(sorted(p.items())) for p in reference_piece_profiles(form, form.situations, form.root)
+                if nash_check(pg, p).holds}
+        for largest_first in (False, True):
+            profiles = list(reference_piece_profiles(form, form.situations, form.root, largest_first))
+            expected = [(p, outcome(form, p)[-1]) for p in profiles if tuple(sorted(p.items())) in nash]
+            scan = _CountedScan(form, form.root, largest_first=largest_first)
+            assert list(scan.nash_rows(pg.utilities)) == expected
+            rows += len(profiles)
+            walked += scan.walked
+    assert walked < rows, (walked, rows)
+
+
+class _CountedScan(PieceScan):
+    """A scan that counts the rows `rows` yields, jumps included."""
+
+    walked = 0
+
+    def rows(self, profile, keys):
+        rows, sent = super().rows(profile, keys), None
+        while True:
+            try:
+                row = rows.send(sent)
+            except StopIteration:
+                return
+            self.walked += 1
+            sent = yield row
 
 
 def _tie_heavy(g: Game, rng: random.Random) -> Game:
@@ -1744,35 +1831,60 @@ def test_solve_stationary_matches_reference_on_hard_arithmetic_cases(monkeypatch
 # (game, walk start, player, s₋ᵢ over the piece's situations): the solver
 # walks each piece of the whole form from its subroot with a profile over the
 # piece's situations, and the reference walks the built piece form from its
-# root, which is the same subroot.  The pool is SOLVER_POOL's, drawn under a
-# fixed hash seed in a subprocess: random_game draws its utilities in set
-# order, so the pool, and with it the ratio of the two counts, changes with
-# the interpreter's hash seed.
+# root, which is the same subroot.  Counts the rows each solver walks too: the
+# rows `PieceScan.rows` yields, and the profiles the reference enumerates.
+# The pool is SOLVER_POOL's, drawn under a fixed hash seed in a subprocess:
+# random_game draws its utilities in set order, so the pool, and with it the
+# ratio of the two counts, changes with the interpreter's hash seed.
 _SEARCH_COUNT = """
 import json
+import conftest
 from pentaform import game, random_game, solve_backward
-from conftest import reference_solve_backward
-search = game._best_deviation
+search, rows, profiles = game._best_deviation, game.PieceScan.rows, conftest.reference_piece_profiles
 keys = []
+walked = []
 def counted(form, s, i, start, value_of_endnode, *through):
     others = tuple((j, s[j]) for j in sorted(s) if form.player_of(j) != i)
     keys.append((index, start, i, others))
     return search(form, s, i, start, value_of_endnode, *through)
+def counted_rows(self, profile, keys):
+    step, sent = rows(self, profile, keys).send, None
+    while True:
+        try:
+            row = step(sent)
+        except StopIteration:
+            return
+        walked[-1] += 1
+        sent = yield row
+def counted_profiles(*args, **kwargs):
+    for profile in profiles(*args, **kwargs):
+        walked[-1] += 1
+        yield profile
 game._best_deviation = counted
+game.PieceScan.rows = counted_rows
+conftest.reference_piece_profiles = counted_profiles
 counts = {}
-for name, solve in (("shared", solve_backward), ("reference", reference_solve_backward)):
+found = {}
+for name, solve in (("shared", solve_backward), ("reference", conftest.reference_solve_backward)):
     keys.clear()
+    walked.clear()
     for index in range(100):
+        walked.append(0)
         solve(random_game(index, max_nodes=60, max_info_set=6))
     counts[name] = len(keys)
-    counts[name + "_keys"] = len(set(keys))
+    counts[name + "_rows"] = list(walked)
+    found[name] = set(keys)
+counts["shared_keys"] = len(found["shared"])
+counts["keys_in_reference"] = found["shared"] <= found["reference"]
 print(json.dumps(counts))
 """
 
 
 def test_solve_backward_searches_each_best_response_once():
-    """No (game, walk start, player, s₋ᵢ) key is searched twice, and the
-    reference scan runs at least four times as many searches."""
+    """No (game, walk start, player, s₋ᵢ) key is searched twice, each is one
+    the reference searches, and the reference runs at least four times as
+    many searches.  No game walks more rows than the reference enumerates
+    profiles, and the pool walks at most half as many."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     proc = subprocess.run([sys.executable, "-c", _SEARCH_COUNT],
@@ -1780,8 +1892,11 @@ def test_solve_backward_searches_each_best_response_once():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
-    assert counts["shared"] == counts["shared_keys"] == counts["reference_keys"]
+    assert counts["shared"] == counts["shared_keys"] and counts["keys_in_reference"]
     assert 4 * counts["shared"] <= counts["reference"]
+    shared, reference = counts["shared_rows"], counts["reference_rows"]
+    assert all(mine <= theirs for mine, theirs in zip(shared, reference)), (shared, reference)
+    assert 2 * sum(shared) <= sum(reference), (sum(shared), sum(reference))
 
 
 def _quotient_system(name: str, tmp_path: Path) -> StationarySystem:

@@ -25,7 +25,6 @@ from .partition import (
     piece_partition,
     subform,
     subroots,
-    subroots_sorted,
 )
 from .strategy import (
     SubrootSequence,

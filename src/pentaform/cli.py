@@ -120,12 +120,17 @@ def _dot(form) -> str:
             attrs.append("peripheries=2")
         if x in form.endnodes:
             attrs.append("shape=box")
-        lines.append(f'  "{x}" [{", ".join(attrs)}];')
+        lines.append(f'  {_quoted(x)} [{", ".join(attrs)}];')
     for q in form.quintuples:
-        lines.append(f'  "{q.decision_node}" -> "{q.successor}" '
-                     f'[label="{q.action} ({q.player})"];')
+        lines.append(f'  {_quoted(q.decision_node)} -> {_quoted(q.successor)} '
+                     f'[label={_quoted(f"{q.action} ({q.player})")}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _quoted(label: str) -> str:
+    """A DOT quoted string holding label: each backslash and double quote escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # each --property, in the order `check --help` lists them, with its check of

@@ -241,7 +241,7 @@ class Pentaform:
     """
 
     __slots__ = (
-        "quintuples", "players", "situations", "decision_nodes", "actions",
+        "quintuples", "players", "situations", "decision_nodes",
         "successors", "nodes", "endnodes", "root",
         "_pred", "_children", "_situation_of", "_player_of",
         "_info_sets", "_action_sets", "_next", "_depth", "_hash", "_partition",
@@ -284,11 +284,10 @@ class Pentaform:
         passes them."""
         # Filled in canonical order as before: a set's iteration order depends
         # on how it was filled, and random_game draws in endnode order.
-        players, situations, decision_nodes, actions, successors = columns
+        players, situations, decision_nodes, _, successors = columns
         self.players = frozenset(players)
         self.situations = frozenset(situations)
         self.decision_nodes = frozenset(decision_nodes)
-        self.actions = frozenset(actions)
         self.successors = frozenset(successors)
         self.nodes = self.decision_nodes | self.successors
         self.endnodes = self.successors - self.decision_nodes

@@ -34,8 +34,9 @@ so `spe_check_direct` is the same recursion over each player's best deviation
 value, deepest subroot first.
 
 `solve_backward` is the same in-place recursion: at each subroot, deepest
-first, it takes the piece's first pure Nash row from one incremental scan
-(`PieceScan`), its exits priced by the values already found;
+first, it takes the piece's first pure Nash row from one scan (`PieceScan`:
+an odometer over the piece's profiles, each row's run walked whole from the
+subroot), its exits priced by the values already found;
 `solve_stationary` reads the class templates' rows from the same scan, and
 both test a row by one rule (`_best_ends`).  The finite scan jumps past rows
 that must fail the same best set as the row before them (the rule is in
@@ -530,28 +531,20 @@ class PieceScan:
 
         The profiles are a mixed-radix odometer whose digits are the
         situations with more than one action (`digits`), the last turning
-        fastest, so a step changes O(1) digits amortized.  The run is
-        re-walked only from the first node whose situation changed; when no
-        changed situation lies on it, the endnode stays.  keys[i] is the
-        mixed-radix index of s₋ᵢ over the other players' digits, the first
-        least significant, moved by each changed digit's place value
-        (`places`)."""
-        # the run is walked here, not by `outcome`, to keep each node's
-        # situation, which tells where the next step's run changes
+        fastest, so a step changes O(1) digits amortized.  Each row's run is
+        walked whole from t to its endnode.  keys[i] is the mixed-radix index
+        of s₋ᵢ over the other players' digits, the first least significant,
+        moved by each changed digit's place value (`places`)."""
         through, situation_of, next_node = self.through, self.form._situation_of, self.form._next
         digits, places = self.digits, self.places
         index = [0] * len(digits)
         tops = [len(pool) - 1 for _, pool in digits]
         last = len(digits) - 1
-        nodes: list[str] = []  # the run's decision nodes
-        on_run: list[str] = []  # and their situations
-        x, k = self.t, -1
+        k = -1
         while True:
-            while x in through:  # walk the run on from x; it stops at the endnode
-                j = situation_of[x]
-                nodes.append(x)
-                on_run.append(j)
-                x = next_node[x, profile[j]]
+            x = self.t
+            while x in through:
+                x = next_node[x, profile[situation_of[x]]]
             best = yield x, k
             k, goal = last, None  # goal: every digit's index after a jump
             if best is not None:
@@ -562,7 +555,6 @@ class PieceScan:
                     k -= 1
             if k < 0:
                 return
-            p = length = len(nodes)
             for m in range(k, last + 1):
                 old = index[m]
                 new = index[m] = goal[m] if goal else old + 1 if m == k else 0
@@ -570,11 +562,6 @@ class PieceScan:
                 profile[j] = pool[new]
                 for i, place in places[m]:
                     keys[i] += (new - old) * place
-                if j in on_run:
-                    p = min(p, on_run.index(j))
-            if p < length:  # the run changes from its p-th node on
-                x = nodes[p]
-                del nodes[p:], on_run[p:]
 
     def _jump(self, index: list[int], tops: list[int], best: AbstractSet[str]) -> tuple[int, list[int] | None]:
         """Where the odometer at `index` goes when its row's endnode is not in

@@ -97,11 +97,6 @@ def subroots(p: Pentaform) -> frozenset:
     return frozenset(_partition(p).nodes)
 
 
-def subroots_sorted(p: Pentaform) -> list[str]:
-    """Subroots ordered by (depth, label), as the partition keys its pieces."""
-    return list(_partition(p).nodes)
-
-
 def _require_subroot(p: Pentaform, t: str) -> None:
     if t not in _partition(p).nodes:
         raise ValueError(f"{t!r} is not a subroot")

@@ -43,8 +43,7 @@ per class settles piecewise-Nashness for all infinitely many pieces at once.
 The scans walk each class template in place; value iteration reads each
 template's rows from a table kept for the solve (`_ClassTable`).  One
 breadth-first class-graph walk (`StationarySystem._walk`) serves
-reachability, `certify_spe`'s best stationary deviation and, along the
-σ-exits (`_sigma_exits`), the quotient subroot sequence; the
+reachability and `certify_spe`'s best stationary deviation; the
 absolute-terminal bounds take one pass over the class graph's strongly
 connected components (`_components`).
 """
@@ -71,7 +70,7 @@ from .game import (
 )
 from .numbers import Profile, Scalar, is_finite, make_profile
 from .partition import _partition
-from .strategy import INFINITE_DETECTED, TERMINATED, SubrootSequence, outcome, validate_strategy
+from .strategy import outcome, validate_strategy
 
 
 @dataclass(frozen=True)
@@ -1036,18 +1035,3 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
                                           {c: {k: Fraction(x, S) for k, x in W[c].items()} for c in tables})
     return StationarySolveFailure("no-convergence", None)
 
-
-def quotient_subroot_sequence(sys: StationarySystem, sigma, start: str | None = None):
-    """The class chain visited by obeying σ, as a symbolic subroot sequence:
-    the class-graph walk along the σ-exits alone.  When the last class's
-    σ-exit continues, it enters a class already walked, and the chain is
-    infinite with that cycle as witness."""
-    labels = _sigma_exits(sys, validate_stationary_strategy(sys, sigma))
-    start = sys.initial if start is None else start
-    if start not in sys.classes:
-        raise ValueError(f"unknown class {start!r}")
-    chain = tuple(sys._walk(start, {c: {y} for c, y in labels.items()})[0])
-    nxt = sys.classes[chain[-1]].exits[labels[chain[-1]]].next_class
-    if nxt is None:
-        return SubrootSequence(chain, TERMINATED)
-    return SubrootSequence(chain, INFINITE_DETECTED, cycle=canonical_cycle(chain[chain.index(nxt):]))

@@ -9,7 +9,8 @@ ever reads on-path situations, which keeps the restriction algebra exact.
 node, so the outcome of the subgame at a subroot t is `outcome(p, s, t)`.
 A piece run is the same trace confined to the piece's decision nodes, so
 `subform_outcome`, `piece_outcome` and `subroot_sequence` walk the form in
-place.  Single moves are `Pentaform.next_node`.
+place.  A subroot sequence of an explicit form is finite, so it always ends
+`TERMINATED`.  Single moves are `Pentaform.next_node`.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def _require_total(restriction: Mapping[str, str], situations: AbstractSet[str],
 
 
 TERMINATED = "terminated"
-INFINITE_DETECTED = "infinite-detected"  # stationary symbolic sequences only
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,11 @@ class SubrootSequence:
 
     subroots: tuple[str, ...]
     termination: str
-    cycle: tuple[str, ...] | None = None
 
 
 def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> SubrootSequence:
     """Iterate t ↦ last node of the piece outcome at t while it is a subroot.
-
-    Explicit finite pentaforms always terminate; the infinite tag is reserved
-    for the stationary module's class-level sequences.
-    """
+    Explicit finite pentaforms always terminate."""
     _require_subroot(p, t0)
     ts = _partition(p).nodes
     seq = [t0]
@@ -137,7 +133,7 @@ def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> SubrootSequ
 
 
 __all__ = [
-    "Strategy", "SubrootSequence", "TERMINATED", "INFINITE_DETECTED",
+    "Strategy", "SubrootSequence", "TERMINATED",
     "validate_strategy", "player_situations", "restrict", "restrict_to_player",
     "restrict_to_opponents", "outcome", "subform_outcome", "piece_outcome",
     "subroot_sequence",

@@ -21,7 +21,6 @@ from pentaform import (
     restrict,
     subform,
     subroots,
-    subroots_sorted,
     utility_of_run,
     validate_strategy,
 )
@@ -67,7 +66,7 @@ from pentaform.stationary import (
     truncated_game,
     validate_stationary_strategy,
 )
-from pentaform.strategy import INFINITE_DETECTED, TERMINATED, SubrootSequence
+from pentaform.strategy import TERMINATED, SubrootSequence
 
 
 def random_strategy(form: Pentaform, rng: random.Random) -> dict:
@@ -249,7 +248,7 @@ class ReferencePentaform:
     the same attribute names as `Pentaform`."""
 
     FIELDS = (
-        "quintuples", "players", "situations", "decision_nodes", "actions",
+        "quintuples", "players", "situations", "decision_nodes",
         "successors", "nodes", "endnodes", "root",
         "_pred", "_children", "_situation_of", "_player_of",
         "_info_sets", "_action_sets", "_next", "_depth",
@@ -261,7 +260,6 @@ class ReferencePentaform:
         self.players = frozenset(t.player for t in qs)
         self.situations = frozenset(t.situation for t in qs)
         self.decision_nodes = frozenset(t.decision_node for t in qs)
-        self.actions = frozenset(t.action for t in qs)
         self.successors = frozenset(t.successor for t in qs)
         self.nodes = self.decision_nodes | self.successors
         self.endnodes = self.successors - self.decision_nodes
@@ -479,6 +477,11 @@ def reference_nash_witness(g: Game, s: dict, start: str) -> dict | None:
     return None
 
 
+def sorted_subroots(form: Pentaform) -> list[str]:
+    """The subroots in (depth, label) order, the order the checks search them in."""
+    return sorted(subroots(form), key=lambda t: (form.depth(t), t))
+
+
 def _subgame(g: Game, t: str) -> Game:
     sub = subform(g.form, t)
     return Game(sub, g.stakeholders, {y: g.utilities[y] for y in sub.endnodes})
@@ -488,7 +491,7 @@ def subform_spe_check_direct(g: Game, s: dict) -> Verdict:
     """Subgame perfection with a subform Game built and searched at every
     subroot; the reference for the in-place `spe_check_direct`."""
     s = validate_strategy(g.form, s)
-    for t in subroots_sorted(g.form):
+    for t in sorted_subroots(g.form):
         sub_game = _subgame(g, t)
         witness = reference_nash_witness(sub_game, restrict(s, sub_game.form.situations), sub_game.form.root)
         if witness is not None:
@@ -500,7 +503,7 @@ def subform_spe_check_direct(g: Game, s: dict) -> Verdict:
 def subform_one_piece_unimprovable(g: Game, s: dict) -> Verdict:
     """One-piece unimprovability searched inside the subform at each subroot."""
     s = validate_strategy(g.form, s)
-    for t in subroots_sorted(g.form):
+    for t in sorted_subroots(g.form):
         sub = subform(g.form, t)
         piece = piece_form(g.form, t)
         base = g.utilities[outcome(sub, s)[-1]]
@@ -520,14 +523,14 @@ def subform_one_piece_unimprovable(g: Game, s: dict) -> Verdict:
 def subform_authentic_value(g: Game, s: dict) -> dict:
     """The authentic value function traced on the subform at each subroot."""
     s = validate_strategy(g.form, s)
-    return {t: dict(g.utilities[outcome(subform(g.form, t), s)[-1]]) for t in subroots_sorted(g.form)}
+    return {t: dict(g.utilities[outcome(subform(g.form, t), s)[-1]]) for t in sorted_subroots(g.form)}
 
 
 def piece_game_piecewise_nash(g: Game, s: dict, values: dict) -> Verdict:
     """Piecewise Nashness with the piece game at each subroot built and
     searched; the reference for the in-place `piecewise_nash`."""
     s = validate_strategy(g.form, s)
-    for t in subroots_sorted(g.form):
+    for t in sorted_subroots(g.form):
         pg = piece_game(g, values, t)
         witness = reference_nash_witness(pg, restrict(s, pg.form.situations), pg.form.root)
         if witness is not None:
@@ -541,7 +544,7 @@ def piece_form_persistent(g: Game, s: dict, values: dict) -> Verdict:
     reference for the in-place `persistent`."""
     s = validate_strategy(g.form, s)
     v = {t: make_profile(p, g.stakeholders) for t, p in values.items()}
-    for t in subroots_sorted(g.form):
+    for t in sorted_subroots(g.form):
         last = outcome(piece_form(g.form, t), s)[-1]
         expected = v[last] if last in v else g.utilities[last]
         if v[t] != expected:
@@ -790,22 +793,6 @@ def reference_chain_values(sys, exit_of) -> dict:
 def reference_continuation_values(sys, sigma) -> dict:
     sigma = validate_stationary_strategy(sys, sigma)
     return reference_chain_values(sys, {c: _reference_sigma_exit(sys, sigma, c) for c in sys.classes})
-
-
-def reference_quotient_subroot_sequence(sys, sigma, start: str) -> SubrootSequence:
-    """The class chain from start along the σ-exits, followed one class at a
-    time until it terminates or revisits a class."""
-    sigma = validate_stationary_strategy(sys, sigma)
-    chain, seen = [start], {start: 0}
-    while True:
-        e = _reference_sigma_exit(sys, sigma, chain[-1])
-        if e.is_terminal:
-            return SubrootSequence(tuple(chain), TERMINATED)
-        if e.next_class in seen:
-            cycle = canonical_cycle(tuple(chain[seen[e.next_class]:]))
-            return SubrootSequence(tuple(chain), INFINITE_DETECTED, cycle=cycle)
-        seen[e.next_class] = len(chain)
-        chain.append(e.next_class)
 
 
 def reference_discounted_extremes(sys) -> dict:
@@ -1225,7 +1212,7 @@ def reference_first_nash_point(pg: Game, profiles) -> dict | None:
 def reference_solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     values: dict = {}
     chosen: dict = {}
-    order = sorted(subroots_sorted(g.form), key=lambda t: (-g.form.depth(t), t))
+    order = sorted(subroots(g.form), key=lambda t: (-g.form.depth(t), t))
     for t in order:
         pg = piece_game(g, values, t)
         for profile in reference_piece_profiles(pg.form, pg.form.situations, t):

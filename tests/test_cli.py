@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from pentaform import cli
+from pentaform import Quintuple, cli, validate
 from pentaform.cli import main
+from pentaform.fileio import save_pentaform
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -65,6 +66,23 @@ def test_inspect_dot_export(capsys, tmp_path):
     assert text.count("{") == text.count("}")
     assert '"5" -> "6"' in text
     assert "peripheries=2" in text  # subroots marked
+
+
+def test_inspect_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    """Node ids, edge ends and edge labels that hold a double quote or a
+    backslash are written as escaped DOT strings, which read back as the
+    labels; nothing outside the quoted strings holds either character."""
+    path, dot = tmp_path / "quoted.pentaform", tmp_path / "quoted.dot"
+    save_pentaform(path, validate([Quintuple('P"1', "j", 'x"y', "a", "y\\"),
+                                   Quintuple('P"1', "j", 'x"y', 'b\\"', "z")]))
+    code, _, _ = run(capsys, "inspect", path, "--dot", dot)
+    assert code == 0
+    lines = dot.read_text().splitlines()
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    assert not [line for line in lines if re.search(r'["\\]', quoted.sub("", line))]
+    strings = {re.sub(r"\\(.)", r"\1", s) for line in lines for s in quoted.findall(line)}
+    assert {'x"y', "y\\", "z", 'a (P"1)', 'b\\" (P"1)'} <= strings
+    assert '  "x\\"y" -> "y\\\\" [label="a (P\\"1)"];' in lines
 
 
 def test_check_spe_holds(capsys):

@@ -15,7 +15,7 @@ from pentaform import (
     upper_convergent,
     validate,
 )
-from pentaform.convergence import FAILS, HOLDS, UNKNOWN
+from pentaform.convergence import FAILS, HOLDS, UNKNOWN, ConvergenceVerdict
 from pentaform.fixtures import (
     ann_chain,
     bob_chain,
@@ -53,6 +53,12 @@ def test_inf_conceivable_cry_wolf_truncation():
 def test_unknown_stakeholder_rejected():
     with pytest.raises(ValueError):
         sup_conceivable(G1, "5", "Wolf")
+
+
+def test_a_convergence_verdict_is_true_only_when_it_holds():
+    assert bool(upper_convergent(WOLF)) is True
+    assert bool(lower_convergent(bob_chain())) is False
+    assert bool(ConvergenceVerdict(UNKNOWN)) is False
 
 
 def test_conceivable_monotone_along_runs(small_corpus):

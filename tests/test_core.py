@@ -44,6 +44,19 @@ def test_quintuple_is_the_tuple_of_its_five_fields():
         q.player = "Inc"
 
 
+def test_pentaform_repr_names_its_root_and_size():
+    assert repr(F1) == "Pentaform(root='5', quintuples=4)"
+
+
+def test_local_lookups_reject_unknown_labels():
+    with pytest.raises(ValueError, match="^'7' is not a decision node$"):
+        F1.situation_of("7")
+    with pytest.raises(ValueError, match="^unknown situation 'jX'$"):
+        F1.player_of("jX")
+    with pytest.raises(ValueError, match="^unknown situation 'jX'$"):
+        F1.action_set("jX")
+
+
 # -- projections and slices ------------------------------------------------------
 
 

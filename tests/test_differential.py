@@ -94,7 +94,7 @@ from pentaform.core import (
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
 from pentaform.game import BackwardSolution, PieceScan, _reachable_exits, first_nash_point, piece_game
 from pentaform.numbers import INF, NEG_INF
-from pentaform.partition import _partition, piece_decision_nodes, piece_owners, subroots_sorted
+from pentaform.partition import _partition, piece_decision_nodes, piece_owners
 from pentaform.stationary import (
     INCONCLUSIVE,
     REFUTED,
@@ -105,7 +105,6 @@ from pentaform.stationary import (
     conceivable_bounds,
     continuation_values,
     instantiate,
-    quotient_subroot_sequence,
     simple_cycles,
     truncated_game,
     value_at,
@@ -140,7 +139,6 @@ from conftest import (
     reference_piece_profiles,
     reference_induced_strategy,
     reference_policy_iteration,
-    reference_quotient_subroot_sequence,
     reference_instantiate,
     reference_quotient_piece_game,
     reference_solve_backward,
@@ -181,7 +179,7 @@ def _check_owners(form) -> None:
     assert dict(piece_owners(form)) == nearest
     part = _partition(form)
     assert part is _partition(form) and part.nodes.keys() == ts
-    assert list(part.nodes) == subroots_sorted(form) == sorted(ts, key=lambda t: (form.depth(t), t))
+    assert list(part.nodes) == sorted(ts, key=lambda t: (form.depth(t), t))
     assert list(part.deepest_first) == sorted(ts, key=lambda t: (-form.depth(t), t))
 
 
@@ -433,16 +431,13 @@ def _random_stationary_strategy(sys_: StationarySystem, rng: random.Random) -> d
 
 
 def _assert_stationary_matches_reference(sys_: StationarySystem, depths, rng: random.Random) -> None:
-    """The continuation values, the quotient subroot sequence from every
-    class, the unfolding at each depth, value_at at every subroot and the
-    persistence verdicts agree with the reference code, and the truncations
+    """The continuation values, the unfolding at each depth, value_at at
+    every subroot and the persistence verdicts agree with the reference code, and the truncations
     at the conceivable bounds bracket every cut endnode as the reference's
     bounded instantiation does."""
     sigma = _random_stationary_strategy(sys_, rng)
     w = continuation_values(sys_, sigma)
     assert w == reference_continuation_values(sys_, sigma)
-    for start in sorted(sys_.classes):
-        assert quotient_subroot_sequence(sys_, sigma, start) == reference_quotient_subroot_sequence(sys_, sigma, start)
     _assert_priced(*w.values())
     for values in (w, _random_class_values(sys_, rng)):
         verdict = persistent(sys_, sigma, values)
@@ -1360,57 +1355,33 @@ def _scan_pieces() -> list[Game]:
     return [pg for g in _scan_games() for pg in _backward_piece_games(g)]
 
 
-class _RecordedNodes(frozenset):
-    """A node set that records every node tested against it."""
-
-    def __contains__(self, x) -> bool:
-        self.tested.append(x)
-        return frozenset.__contains__(self, x)
-
-
 class _RecordedScan(PieceScan):
-    """A scan whose run walks move on a `_RecordedNodes`; its deviation walks
-    move on the form's own decision nodes, so they record nothing there, and
-    each is recorded as (player, the others' choices)."""
+    """A scan of form's one piece that records each deviation walk as
+    (player, the others' choices)."""
 
     def __init__(self, form):
-        through = _RecordedNodes(form.decision_nodes)
-        through.tested = []
-        super().__init__(form, form.root, through)
+        super().__init__(form, form.root)
         self.deviations = []
 
     def reach(self, i, profile):
         self.deviations.append((i, tuple(a for j, a in profile.items() if self.form.player_of(j) != i)))
-        return _reachable_exits(self.form, profile, i, self.t)
+        return super().reach(i, profile)
 
 
-def test_scan_rewalks_the_run_only_from_a_changed_situation_on_it():
-    """A step of `rows`, iterated without feedback, walks the run again
-    exactly when a situation whose action changed lies on the last run, and
-    from the first such node; otherwise the endnode stays, and only it is
-    looked at.  `nash_rows` walks each player's deviations once per choice
-    of the other players; its rows are checked by
+def test_scan_rows_end_where_the_runs_do_and_deviations_are_walked_once():
+    """`rows`, iterated without feedback, yields each profile's endnode in
+    scan order, and `nash_rows` walks each player's deviations once per
+    choice of the other players; its rows are checked by
     `test_nash_rows_jump_only_past_rows_that_are_not_nash`."""
-    walked = moves = 0
     for pg in _scan_pieces():
         form = pg.form
         profiles = list(reference_piece_profiles(form, form.situations, form.root))
-        expected = list(outcome(form, profiles[0]))
-        for before, after in zip(profiles, profiles[1:]):
-            run = outcome(form, before)[:-1]
-            changed = [p for p, x in enumerate(run) if before[form.situation_of(x)] != after[form.situation_of(x)]]
-            # from the first changed node on the run, else only the endnode, which stays
-            expected.extend(outcome(form, after)[changed[0] if changed else -1:])
-        scan = _RecordedScan(form)
+        scan = PieceScan(form, form.root)
         profile, keys = dict(scan.first_profile), dict.fromkeys(scan.players, 0)
         assert [end for end, _ in scan.rows(profile, keys)] == [outcome(form, p)[-1] for p in profiles]
-        assert scan.through.tested == expected
         scan = _RecordedScan(form)
         list(scan.nash_rows(pg.utilities))
         assert len(set(scan.deviations)) == len(scan.deviations)  # no memo entry was dropped too soon
-        walked += len(expected)
-        moves += sum(len(outcome(form, p)) for p in profiles)
-    assert walked < moves / 2, (walked, moves)
 
 
 def _reference_rows(form, largest_first: bool):

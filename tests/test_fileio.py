@@ -20,7 +20,7 @@ from pentaform.fixtures import (
     entry_values,
     _write_fixture_files,
 )
-from pentaform.numbers import MAX_DIGITS, format_scalar, parse_scalar, repeating_decimal, render_scalar
+from pentaform.numbers import INF, MAX_DIGITS, NEG_INF, format_scalar, parse_scalar, repeating_decimal, render_scalar
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -68,6 +68,11 @@ def test_repeating_decimal_rendering():
     assert repeating_decimal(F(11, 20)) == ".55"
     assert repeating_decimal(F(-1)) == "-1"
     assert render_scalar(F(5, 9)) == "5/9 (= .5̅)"
+
+
+def test_repeating_decimal_renders_the_infinities():
+    assert repeating_decimal(INF) == "inf"
+    assert repeating_decimal(NEG_INF) == "-inf"
 
 
 # -- round trips ----------------------------------------------------------------

@@ -31,7 +31,7 @@ from pentaform.fileio import save_system
 from pentaform.fixtures import cry_wolf, cry_wolf_calm_strategy, entry_game, entry_spe_strategy, entry_values
 from pentaform.game import check_value_function
 from pentaform.numbers import as_scalar, make_profile
-from pentaform.stationary import quotient_subroot_sequence, validate_stationary_strategy
+from pentaform.stationary import validate_stationary_strategy
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 G1 = entry_game()
@@ -148,8 +148,6 @@ LIBRARY_ERRORS = {
     "value-at-malformed-label": (lambda: value_at(WOLF, CALM, "69"),
                                  r"^malformed subroot label '69': no continue exit of class 'day' matches '9'$"),
     "continuation-missing-class": (lambda: truncated_game(WOLF, 1, {}), "continuation missing class 'day'"),
-    "sequence-unknown-start": (lambda: quotient_subroot_sequence(WOLF, CALM, start="night"),
-                               "unknown class 'night'"),
 }
 
 

@@ -53,13 +53,11 @@ from pentaform.stationary import (
     induced_strategy,
     instantiate,
     parse_subroot_label,
-    quotient_subroot_sequence,
     simple_cycles,
     solve_stationary,
     truncated_game,
     value_at,
 )
-from pentaform.strategy import INFINITE_DETECTED, TERMINATED
 
 from conftest import (
     BoundaryExit,
@@ -525,6 +523,12 @@ def test_certify_refutes_bob_always_out():
     assert cert.lower.status == "fails"
 
 
+def test_a_certificate_is_true_only_when_it_certifies():
+    assert bool(certify_spe(WOLF, CALM)) is True
+    bob = bob_chain()
+    assert bool(certify_spe(bob, always_out(bob))) is False
+
+
 def test_certify_ignores_the_profile_cap(monkeypatch):
     # Lower-convergence fails for Bob, so only the stationary deviation
     # search can refute; it enumerates no choice profiles, so no cap applies.
@@ -781,25 +785,13 @@ def test_random_discounted_systems_solve_certify_and_truncate():
     assert solved >= 30
 
 
-def test_quotient_subroot_sequence():
-    seq = quotient_subroot_sequence(WOLF, CALM)
-    assert seq.termination == INFINITE_DETECTED and seq.cycle == ("day",)
-    bob = bob_chain()
-    seq2 = quotient_subroot_sequence(bob, always_out(bob))
-    assert seq2.termination == TERMINATED and seq2.subroots == ("c",)
-
-
-def test_quotient_subroot_sequence_across_two_classes():
-    eda = eda_chain()
-    seq = quotient_subroot_sequence(eda, always_in(eda))
-    assert seq.subroots == ("odd", "even")
-    assert seq.termination == INFINITE_DETECTED and seq.cycle == ("even", "odd")
-    seq2 = quotient_subroot_sequence(eda, {"odd": {"": "in"}, "even": {"": "out"}}, start="even")
-    assert seq2.termination == TERMINATED and seq2.subroots == ("even",)
-
-
 def test_cycle_helpers():
     assert canonical_cycle(("b", "a")) == ("a", "b")
     graph = {"a": {"b"}, "b": {"a", "b"}}
     assert list(simple_cycles(graph)) == [("a", "b"), ("b",)]
     assert eda_chain().model.has_aperiodic_runs() is False
+
+
+def test_system_repr_names_its_classes_initial_class_and_model():
+    assert repr(WOLF) == "StationarySystem(classes=['day'], initial='day', model=discounted)"
+    assert repr(ann_chain()) == "StationarySystem(classes=['c'], initial='c', model=absolute-terminal)"

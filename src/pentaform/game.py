@@ -55,7 +55,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .convergence import HOLDS, ConvergenceVerdict
 from .core import Pentaform, Quintuple, validate
-from .numbers import Profile, Scalar, checked_profile, make_profile
+from .numbers import MAX_DIGITS, Profile, Scalar, _shown, checked_profile, make_profile
 from .partition import _partition, piece_form
 from .strategy import outcome, validate_strategy
 
@@ -64,13 +64,17 @@ PROFILE_CAP = 10**6  # refuse exhaustive piece enumerations beyond this
 
 def profile_cap() -> int:
     """The exhaustive-search cap; PENTAFORM_PROFILE_CAP overrides the default
-    with a positive integer (anything else raises ValueError)."""
+    with a positive integer of at most MAX_DIGITS ASCII digits, as in the file
+    number grammar (anything else raises ValueError naming the variable)."""
     raw = os.environ.get("PENTAFORM_PROFILE_CAP")
     if not raw:
         return PROFILE_CAP
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"PENTAFORM_PROFILE_CAP must be a positive integer, not {raw!r}")
-    return int(raw)
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdigit()) or not digits.strip("0"):
+        raise ValueError(f"PENTAFORM_PROFILE_CAP must be a positive integer, not {_shown(raw)}")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"PENTAFORM_PROFILE_CAP {_shown(raw)} has more than {MAX_DIGITS} digits")
+    return int(digits)
 
 
 class ResourceCapError(RuntimeError):

@@ -73,6 +73,18 @@ def random_strategy(form: Pentaform, rng: random.Random) -> dict:
     return {j: rng.choice(sorted(form.action_set(j))) for j in sorted(form.situations)}
 
 
+def chain_game(n: int, player: str = "Bob") -> Game:
+    """One-player in/out chain of n decision nodes: "out" pays -1, the end 0."""
+    qs, utilities = [], {}
+    for k in range(n):
+        nxt = f"w{k + 1:05d}" if k + 1 < n else "end"
+        qs.append(Quintuple(player, f"s{k:05d}", f"w{k:05d}", "in", nxt))
+        qs.append(Quintuple(player, f"s{k:05d}", f"w{k:05d}", "out", f"x{k:05d}"))
+        utilities[f"x{k:05d}"] = {player: -1}
+    utilities["end"] = {player: 0}
+    return Game(validate(qs), [player], utilities)
+
+
 def enumerate_paths_from_root(form: Pentaform) -> dict[str, tuple[str, ...]]:
     """Root-to-node paths by plain DFS over the edge relation (no use of the
     predecessor machinery); the independent oracle for path/run questions."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 from pentaform import Quintuple, cli, validate
 from pentaform.cli import main
-from pentaform.fileio import save_pentaform
+from pentaform.fileio import save_game, save_pentaform
+
+from conftest import chain_game
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -217,12 +220,18 @@ def test_stationary_solve_cap_exit_code(capsys, monkeypatch, tmp_path):
     assert err == "resource cap exceeded: class 'c0' has 6 strategy profiles, more than the cap of 5\n"
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+_CAP_ERRORS = {"9" * 5000: "PENTAFORM_PROFILE_CAP '99999999999999999999'… (5000 characters) "
+                           "has more than 4300 digits"}
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", pytest.param("\u0663", id="arabic-indic-3"),
+                                 pytest.param("9" * 5000, id="5000-digits")])
 def test_bad_profile_cap_is_input_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", raw)
     code, out, err = run(capsys, "solve", FIXTURES / "entry.game")
     assert code == 2
-    assert err == f"error: PENTAFORM_PROFILE_CAP must be a positive integer, not {raw!r}\n"
+    message = _CAP_ERRORS.get(raw, f"PENTAFORM_PROFILE_CAP must be a positive integer, not {raw!r}")
+    assert err == f"error: {message}\n"
 
 
 def test_instantiation_cap_exit_code(capsys):
@@ -305,3 +314,80 @@ def test_interpreter_limits_exit_without_traceback(capsys, monkeypatch, error):
     assert out == ""
     assert err.startswith("resource limit exceeded: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def collector():
+    """Sets the collector on or off for a test and gives back the setting it found."""
+    found = gc.isenabled()
+
+    def turn(on: bool) -> None:
+        gc.enable() if on else gc.disable()
+
+    yield turn
+    turn(found)
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_main_gives_back_the_callers_collector_setting(capsys, monkeypatch, tmp_path, collector, on):
+    empty = tmp_path / "empty.pentaform"
+    empty.write_text('{"quintuples": []}')
+    for argv, code in [(["validate", FIXTURES / "entry.pentaform"], 0), (["validate", empty], 1),
+                       (["validate", "no/such/file.pentaform"], 2),
+                       (["stationary", FIXTURES / "crywolf.system", "instantiate", 30], 3)]:
+        collector(on)
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is on
+
+    def escapes(args):
+        raise KeyError("a fault of the program")
+
+    monkeypatch.setattr(cli, "cmd_solve", escapes)
+    collector(on)
+    with pytest.raises(KeyError):
+        main(["solve", str(FIXTURES / "entry.game")])
+    assert gc.isenabled() is on
+
+
+def test_solve_starts_no_collection(capsys, tmp_path, collector):
+    path = tmp_path / "chain.game"
+    save_game(path, chain_game(1000))
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    collector(True)
+    gc.collect()  # no allocation count left over to start a collection before the command
+    gc.callbacks.append(note)
+    try:
+        code = main(["solve", str(path)])
+    finally:
+        gc.callbacks.remove(note)
+    assert code == 0
+    assert started == []
+
+
+def _garbage(capsys, *argv) -> int:
+    """The unreachable objects in cycles that one command leaves, run from a
+    collected heap with the collector off, as main runs every command."""
+    gc.collect()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return gc.collect()
+
+
+def test_garbage_a_command_leaves_does_not_grow_with_its_input(capsys, tmp_path, collector):
+    collector(False)
+    small, large = tmp_path / "n125.game", tmp_path / "n1000.game"
+    save_game(small, chain_game(125))
+    save_game(large, chain_game(1000))
+    _garbage(capsys, "solve", small)  # first use of each code path
+    assert _garbage(capsys, "solve", large) <= _garbage(capsys, "solve", small)
+
+    def instantiate(depth):
+        return ["stationary", FIXTURES / "crywolf.system", "instantiate", depth, "--out", tmp_path / f"d{depth}"]
+
+    _garbage(capsys, *instantiate(2))
+    assert _garbage(capsys, *instantiate(5)) <= _garbage(capsys, *instantiate(2))

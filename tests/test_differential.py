@@ -113,6 +113,7 @@ from pentaform.strategy import TERMINATED, SubrootSequence, outcome
 
 from conftest import (
     ReferencePentaform,
+    chain_game,
     assert_same_structure,
     bound_truncations,
     boundary_exit,
@@ -1050,21 +1051,9 @@ def test_trusted_pieces_and_subforms_are_pentaforms_on_cry_wolf(depth):
     assert _assert_trusted_parts_are_pentaforms(WOLF_TRUNCATIONS[depth - 1].form) > 1
 
 
-def _chain(n: int, player: str = "Bob") -> Game:
-    """One-player in/out chain of n decision nodes: "out" pays -1, the end 0."""
-    qs, utilities = [], {}
-    for k in range(n):
-        nxt = f"w{k + 1:05d}" if k + 1 < n else "end"
-        qs.append(Quintuple(player, f"s{k:05d}", f"w{k:05d}", "in", nxt))
-        qs.append(Quintuple(player, f"s{k:05d}", f"w{k:05d}", "out", f"x{k:05d}"))
-        utilities[f"x{k:05d}"] = {player: -1}
-    utilities["end"] = {player: 0}
-    return Game(validate(qs), [player], utilities)
-
-
 def test_deep_chain_needs_no_recursion():
     n = 5000
-    g = _chain(n)
+    g = chain_game(n)
     assert len(subroots(g.form)) == n
     assert len(piece_partition(g.form)) == n
     always_in = {f"s{k:05d}": "in" for k in range(n)}
@@ -1091,7 +1080,7 @@ def test_spe_check_walks_each_piece_once_on_chains(n, monkeypatch):
     """The value recursion walks each one-node piece once per player, plus
     one conforming trace: at most 3n moves, where searching every subgame to
     the end of the chain takes 3n(n + 1)/2."""
-    g = _chain(n)
+    g = chain_game(n)
     always_in = {f"s{k:05d}": "in" for k in range(n)}
     moves = _count_calls(monkeypatch, "next_node")
     assert spe_check_direct(g, always_in).holds
@@ -1102,7 +1091,7 @@ def test_subgame_checks_build_no_form(monkeypatch):
     """On a fresh form, no subgame or piece check builds a Pentaform:
     every walk runs in place up to the next subroot.  The player's name keeps
     the form unequal to every other test's, so no cached partition exists."""
-    g = _chain(1000, "Fresh")
+    g = chain_game(1000, "Fresh")
     s = {f"s{k:05d}": "in" for k in range(1000)}
     s["s00500"] = "out"
     builds = _count_calls(monkeypatch, "_grow")
@@ -1133,7 +1122,7 @@ def test_solve_and_inspect_build_no_piece_form(tmp_path, monkeypatch, capsys):
     listing build no piece form and no piece game: the library solver builds
     no form at all, and each command builds only the form (and game) it
     loads."""
-    g = _chain(1000, "Solo")
+    g = chain_game(1000, "Solo")
     fileio.save_game(tmp_path / "chain.game", g)
     fileio.save_pentaform(tmp_path / "chain.pentaform", g.form)
     grows = _count_calls(monkeypatch, "_grow")
@@ -1155,7 +1144,7 @@ def test_subroot_sequences_build_no_piece_form(monkeypatch):
     """A one-step sequence from the last subroot of a fresh 1,000-node chain
     builds no form (it built all 1,000 piece forms when each step traced a
     built piece form), and neither does the whole sequence from the root."""
-    g = _chain(1000, "Tail")
+    g = chain_game(1000, "Tail")
     s = {f"s{k:05d}": "in" for k in range(1000)}
     grows = _count_calls(monkeypatch, "_grow")
     assert subroot_sequence(g.form, s, "w00999") == SubrootSequence(("w00999",), TERMINATED)
@@ -1166,7 +1155,7 @@ def test_subroot_sequences_build_no_piece_form(monkeypatch):
 def test_subform_outcome_and_piece_endnodes_build_no_form(monkeypatch):
     """On a fresh 1,000-node chain, the subform outcome at a subroot and the
     piece-endnode split walk the form in place: no form is built."""
-    g = _chain(1000, "Walker")
+    g = chain_game(1000, "Walker")
     s = {f"s{k:05d}": "in" for k in range(1000)}
     grows = _count_calls(monkeypatch, "_grow")
     assert subform_outcome(g.form, "w00500", s)[-1] == outcome(g.form, s)[-1]

@@ -7,7 +7,8 @@ A name bound by an import must occur as a name somewhere else in the module.
 `from __future__` imports, which bind no name.  A `def` or `class` name must
 occur as a word in the Python files of the source, tests, demos or benchmark
 more often than it is defined.  No function imports anything: every import
-sits at the top of its module, where the import graph shows it.  Only the
+sits at the top of its module, where the import graph shows it, and only
+`cli` imports `gc`, the process-wide collector switch.  Only the
 three partition functions whose `cache_info()` the benchmark's tracer reads
 are cached, and no package function calls one of them, so only their direct
 callers fill those caches and the engine keeps no form alive in them."""
@@ -61,6 +62,16 @@ def local_imports(module: str, source: str) -> list[tuple[str, str, str]]:
 def test_no_function_imports_anything():
     found = [hit for module in MODULES for hit in local_imports(module, (PACKAGE / module).read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_only_the_cli_imports_gc():
+    """The collector's setting is process-wide and belongs to the host
+    application: only `cli.main` pauses it, for one command, and gives it back."""
+    importers = [module for module in MODULES
+                 for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "gc"]
+    assert importers == ["cli.py"]
 
 
 def _is_dispatched(module: str, name: str) -> bool:

@@ -27,7 +27,6 @@ from .partition import (
     subroots,
 )
 from .strategy import (
-    SubrootSequence,
     outcome,
     piece_outcome,
     player_situations,

@@ -1,18 +1,19 @@
 """Conceivable-utility bounds and the upper/lower-convergence checkers.
 
-After reaching a node x, the runs still conceivable are exactly those passing
-through x; sup/inf of a stakeholder's utility over them bound what can still
-happen.  A game finds both at once in one walk of x's subtree
-(`Game._conceivable_bounds`), which `inf_conceivable` and `sup_conceivable`
-read.  A utility function is upper-convergent when that sup collapses to
-the run's own utility along every run (lower-convergence is the mirror
-image).  Each object gives its own verdict (`_convergence`), as it gives
-its own bounds: finite games always converge, and generated infinite-horizon
-systems are decided exactly on their class quotient by their utility model,
-which owns its validation, conceivable bounds and convergence verdicts:
-discounted accumulation gives a geometric certificate, and absolute-terminal
-models are checked lasso by lasso, with Unknown reserved for systems whose
-aperiodic infinite runs have no declared utility.
+After reaching a node x, the runs still conceivable are exactly those
+passing through x; sup/inf of a stakeholder's utility over them bound what
+can still happen.  A game finds both for every node at once, in one pass
+over its nodes on first use (`Game._conceivable_bounds`), which
+`inf_conceivable` and `sup_conceivable` read.  A utility function is
+upper-convergent when that sup collapses to the run's own utility along
+every run (lower-convergence is the mirror image).  Each object gives its
+own verdict (`_convergence`), as it gives its own bounds: finite games
+always converge, and generated infinite-horizon systems are decided exactly
+on their class quotient by their utility model, which owns its validation,
+conceivable bounds and convergence verdicts: discounted accumulation gives a
+geometric certificate, and absolute-terminal models are checked lasso by
+lasso, with Unknown reserved for systems whose aperiodic infinite runs have
+no declared utility.
 
 `DEFAULT_DEPTH` is only the d at which a discounted certificate prints its
 bound; an Unknown certificate names its cause, a class on two declared cycles.

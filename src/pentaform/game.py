@@ -101,6 +101,7 @@ class Game:
     def _fill(self, form: Pentaform, stakeholders: frozenset, utilities: Mapping, normalize) -> None:
         self.form = form
         self.stakeholders = stakeholders
+        self._extremes = None  # every node's conceivable bounds, filled on first use
         if not form.players <= stakeholders:
             raise ValueError(f"players {sorted(form.players - stakeholders)} missing from stakeholders")
         _require_domain(form.endnodes, utilities, "utilities missing for endnodes",
@@ -137,11 +138,19 @@ class Game:
             yield t, self.form, s, t, through, prices
 
     def _conceivable_bounds(self, x: str, k: str) -> tuple[Scalar, Scalar]:
-        """(min, max) of stakeholder k's utility over the runs through x, from one walk of x's subtree."""
+        """(min, max) of stakeholder k's utility over the runs through x: one
+        entry of a table of every node's bounds, filled once per game by one
+        pass over the nodes, each decision node after its children."""
         if k not in self.stakeholders:
             raise ValueError(f"unknown stakeholder {k!r}")
-        ends = [self.utilities[y][k] for y in self.form.subtree_nodes(x) if y in self.form.endnodes]
-        return min(ends), max(ends)
+        self.form._require_node(x)
+        if self._extremes is None:
+            self._extremes, children = {}, self.form._children
+            for y in reversed(self.form.subtree_nodes(self.form.root)):
+                below = [self._extremes[z] for _, z in children.get(y, ())]
+                self._extremes[y] = {h: (min(b[h][0] for b in below), max(b[h][1] for b in below)) if below
+                                     else (self.utilities[y][h],) * 2 for h in self.stakeholders}
+        return self._extremes[x][k]
 
     def _authentic_values(self, s: Mapping[str, str]) -> dict[str, Profile]:
         return authentic_value(self, s)
@@ -203,19 +212,16 @@ def _require_domain(domain: Iterable[str], given: Mapping, missing: str, extra: 
 
 
 def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str, value_of_endnode,
-                    through: AbstractSet[str] | None = None) -> tuple[Scalar, dict, str]:
+                    through: AbstractSet[str]) -> tuple[Scalar, dict, str]:
     """Exact maximum of value_of_endnode over player i's deviations from start.
 
     Branches at i's situations the first time each is reached and keeps the
     choice fixed afterwards (so absentminded repeats stay consistent); every
     other move follows s.  The walk moves on the decision nodes in `through`
-    (all of form's by default) and stops at any other node, which it prices.
-    Returns the best value, the branch choices achieving it, and the node
-    reached.  Deterministic: actions are explored in sorted order and the
+    and stops at any other node, which it prices.  Returns the best value,
+    the branch choices achieving it, and the node reached.  Deterministic: actions are explored in sorted order and the
     first maximum is kept.
     """
-    if through is None:
-        through = form.decision_nodes
     best: tuple = (None, None, None)
     assign: dict[str, str] = {}
     # One frame per open branch point: [node, situation, sorted actions, index].
@@ -249,13 +255,12 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str, v
             return best
 
 
-def _reachable_exits(form: Pentaform, s: Mapping[str, str], i: str, start: str | None = None,
-                     through: AbstractSet[str] | None = None) -> set[str]:
-    """The nodes where player i's deviations from start (form's root by
-    default) stop against s, walking on the decision nodes in `through`:
-    one deviation walk."""
+def _reachable_exits(form: Pentaform, s: Mapping[str, str], i: str, start: str,
+                     through: AbstractSet[str]) -> set[str]:
+    """The nodes where player i's deviations from start stop against s,
+    walking on the decision nodes in `through`: one deviation walk."""
     ends: set[str] = set()
-    _best_deviation(form, s, i, form.root if start is None else start, lambda y: ends.add(y) or 0, through)
+    _best_deviation(form, s, i, start, lambda y: ends.add(y) or 0, through)
     return ends
 
 
@@ -281,10 +286,10 @@ def _best_ends(ends: Iterable[str], i: str, prices: Mapping[str, Mapping[str, Sc
 
 
 def _nash_witness(form: Pentaform, s: Mapping[str, str], start: str, prices: Mapping,
-                  through: AbstractSet[str] | None = None) -> dict | None:
+                  through: AbstractSet[str]) -> dict | None:
     """First profitable unilateral deviation from start in canonical order,
-    walking on the decision nodes in `through` (all of form's by default),
-    with each node y where a walk stops worth the profile prices[y]."""
+    walking on the decision nodes in `through`, with each node y where a
+    walk stops worth the profile prices[y]."""
     base_end = outcome(form, s, start, through)[-1]
     base = prices[base_end]
     for i in sorted(form.players):
@@ -313,7 +318,7 @@ def nash_check(g: Game, s: Mapping[str, str]) -> Verdict:
     Bystanders take no decisions and are ignored.
     """
     s = validate_strategy(g.form, s)
-    witness = _nash_witness(g.form, s, g.form.root, g.utilities)
+    witness = _nash_witness(g.form, s, g.form.root, g.utilities, g.form.decision_nodes)
     return Verdict(witness is None, witness)
 
 
@@ -462,23 +467,22 @@ def one_piece_unimprovable(g: Game, s: Mapping[str, str]) -> Verdict:
 
 class PieceScan:
     """The scan of one piece's pure strategy profiles for Nash rows: the
-    profiles over the situations of the decision nodes in `through` (all of
-    form's by default), in lexicographic order over the sorted situations
-    (each one's actions in sorted order, or largest first), each paired with
-    the endnode that its walk of the piece from t reaches, moving on those
-    nodes.  `rows` steps through them and `nash_rows` keeps the Nash ones,
-    jumping past rows that cannot be Nash (the rule is in `nash_rows`).
-    The cap (`profile_cap()`) is read once, when the scan is made, and
-    `where` names the piece in the cap error.
+    profiles over the situations of the decision nodes in `through` (the
+    piece's, or all of a class template's), in lexicographic order over the
+    sorted situations (each one's actions in sorted order, or largest
+    first), each paired with the endnode that its walk of the piece from t
+    reaches, moving on those nodes.  `rows` steps through them and
+    `nash_rows` keeps the Nash ones, jumping past rows that cannot be Nash
+    (the rule is in `nash_rows`).  The cap (`profile_cap()`) is read once,
+    when the scan is made, and `where` names the piece in the cap error.
     """
 
-    def __init__(self, form: Pentaform, t: str, through: AbstractSet[str] | None = None,
-                 largest_first: bool = False):
+    def __init__(self, form: Pentaform, t: str, through: AbstractSet[str], largest_first: bool = False):
         self.form = form
         self.t = t
         self.where = f"piece at {t!r}"
-        self.through = form.decision_nodes if through is None else through
-        situations = form.situations if through is None else {form._situation_of[x] for x in through}
+        self.through = through
+        situations = {form._situation_of[x] for x in through}
         self.cap = profile_cap()
         self.first_profile: dict[str, str] = {}
         self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action

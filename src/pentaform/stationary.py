@@ -352,9 +352,6 @@ class StationarySystem:
                         queue.append(d)
         return tree, edges
 
-    def zero_profile(self) -> Profile:
-        return {k: Fraction(0) for k in self.stakeholders}
-
     # what the value checks (`game.admissible` and the rest) read of a system
     witness_key = "class"
 
@@ -365,10 +362,10 @@ class StationarySystem:
         return validate_stationary_strategy(self, sigma)
 
     def _pieces(self, sigma: StationaryStrategy, w: Mapping[str, Profile]):
-        """Each class c's template as (c, template, σ(c), root, None, exit prices against w)."""
+        """Each class c's template as (c, template, σ(c), root, its decision nodes, exit prices against w)."""
         for c in sorted(self.classes):
             template = self.classes[c].template
-            yield c, template, sigma[c], template.root, None, _exit_prices(self, c, w)
+            yield c, template, sigma[c], template.root, template.decision_nodes, _exit_prices(self, c, w)
 
     def _conceivable_bounds(self, c: str, k: str) -> tuple[Scalar, Scalar]:
         return conceivable_bounds(self, c, k)
@@ -849,7 +846,8 @@ def _best_stationary_deviation(sys: StationarySystem, sigma: StationaryStrategy,
     order; an indicator-priced deviation walk gives each class's choices."""
     base = w[sys.initial]
     for i in sorted({p for cls in sys.classes.values() for p in cls.template.players}):
-        reach = {c: _reachable_exits(cls.template, sigma[c], i) for c, cls in sys.classes.items()}
+        reach = {c: _reachable_exits(cls.template, sigma[c], i, cls.template.root, cls.template.decision_nodes)
+                 for c, cls in sys.classes.items()}
         tree, edges = sys._walk(sys.initial, reach)
         value, where, label = max(sys.model._run_ends(sys, tree, edges, reach), key=lambda end: end[0][i])
         if not value[i] > base[i]:
@@ -863,7 +861,8 @@ def _best_stationary_deviation(sys: StationarySystem, sigma: StationaryStrategy,
         deviation = {}
         for c in sorted(chosen):
             template = sys.classes[c].template
-            _, assign, _ = _best_deviation(template, sigma[c], i, template.root, lambda y, c=c: y == chosen[c])
+            _, assign, _ = _best_deviation(template, sigma[c], i, template.root, lambda y, c=c: y == chosen[c],
+                                           template.decision_nodes)
             deviation.update({f"{c}:{j}": a for j, a in sorted(assign.items()) if sigma[c][j] != a})
         return {"player": i, "deviation": deviation, "strategy_utility": base[i], "deviation_utility": value[i]}
     return None
@@ -893,10 +892,9 @@ class _ClassTable(PieceScan):
     solve and read from `PieceScan.rows`, largest action first, on first
     need.
 
-    Row r is the r-th profile of that order, which `profile(r)` rebuilds
-    from r's mixed-radix digits.  The table holds, for each row walked so
-    far, its exit `ends[r]` and `keys[r]`, each player's s₋ᵢ key in
-    `players` order; the profiles themselves are not kept.  For each
+    Row r is the r-th profile of that order.  The table holds, for each row
+    walked so far, a copy of its profile `profiles[r]`, its exit `ends[r]`
+    and `keys[r]`, each player's s₋ᵢ key in `players` order.  For each
     (player i, key) the table keeps the exits i can reach by deviating,
     walked once, on first need, from the row that asks.
 
@@ -906,28 +904,22 @@ class _ClassTable(PieceScan):
     only; the exact check tests one row by the same method (`is_nash`)."""
 
     def __init__(self, cid: str, template: Pentaform):
-        super().__init__(template, template.root, largest_first=True)
+        super().__init__(template, template.root, template.decision_nodes, largest_first=True)
         self.where = f"class {cid!r}"
+        self.profiles: list[dict[str, str]] = []
         self.ends: list[str] = []
         self.keys: list[tuple[int, ...]] = []
         self._reach: dict[str, dict[int, AbstractSet[str]]] = {i: {} for i in self.players}
         self._rows = self._walk()
 
     def _walk(self) -> Iterator[bool]:
-        """Append the rows to `ends` and `keys` one at a time, in order."""
+        """Append the rows to `profiles`, `ends` and `keys` one at a time, in order."""
         profile, keys = dict(self.first_profile), dict.fromkeys(self.players, 0)
         for end, _ in self.rows(profile, keys):
+            self.profiles.append(dict(profile))
             self.ends.append(end)
             self.keys.append(tuple(keys.values()))
             yield True
-
-    def profile(self, r: int) -> dict[str, str]:
-        """Row r's profile over the template's situations."""
-        profile = dict(self.first_profile)
-        for j, pool in reversed(self.digits):
-            r, digit = divmod(r, len(pool))
-            profile[j] = pool[digit]
-        return profile
 
     def first_nash_row(self, prices: Mapping[str, Mapping[str, Scalar]]) -> int | None:
         """The first Nash row when an exit y pays prices[y], or None when the
@@ -955,7 +947,7 @@ class _ClassTable(PieceScan):
             if found is None:
                 reach = self._reach[i]
                 if key not in reach:
-                    reach[key] = self.reach(i, self.profile(r))
+                    reach[key] = self.reach(i, self.profiles[r])
                 found = sets[key] = _best_ends(reach[key], i, prices)
             if end not in found:
                 return False
@@ -1031,7 +1023,7 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
                                          beta, lcd)
             if all(table.is_nash(new_sigma[c], _integer_prices(exits[c], W, S, beta, lcd))
                    for c, table in tables.items()):
-                return StationarySolution({c: table.profile(new_sigma[c]) for c, table in tables.items()},
+                return StationarySolution({c: table.profiles[new_sigma[c]] for c, table in tables.items()},
                                           {c: {k: Fraction(x, S) for k, x in W[c].items()} for c in tables})
     return StationarySolveFailure("no-convergence", None)
 

@@ -9,13 +9,11 @@ ever reads on-path situations, which keeps the restriction algebra exact.
 node, so the outcome of the subgame at a subroot t is `outcome(p, s, t)`.
 A piece run is the same trace confined to the piece's decision nodes, so
 `subform_outcome`, `piece_outcome` and `subroot_sequence` walk the form in
-place.  A subroot sequence of an explicit form is finite, so it always ends
-`TERMINATED`.  Single moves are `Pentaform.next_node`.
+place.  Single moves are `Pentaform.next_node`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
 from .core import Pentaform
@@ -108,32 +106,22 @@ def _require_total(restriction: Mapping[str, str], situations: AbstractSet[str],
         raise ValueError(f"restriction is partial on the {what}: missing {missing}")
 
 
-TERMINATED = "terminated"
-
-
-@dataclass(frozen=True)
-class SubrootSequence:
-    """The strictly increasing chain of subroots visited by obeying s."""
-
-    subroots: tuple[str, ...]
-    termination: str
-
-
-def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> SubrootSequence:
-    """Iterate t ↦ last node of the piece outcome at t while it is a subroot.
-    Explicit finite pentaforms always terminate."""
+def subroot_sequence(p: Pentaform, s: Mapping[str, str], t0: str) -> tuple[str, ...]:
+    """The strictly increasing chain of subroots visited by obeying s from
+    t0: iterate t ↦ last node of the piece outcome at t while it is a
+    subroot.  A finite form's chain always ends."""
     _require_subroot(p, t0)
     ts = _partition(p).nodes
     seq = [t0]
     while True:
         last = piece_outcome(p, seq[-1], s)[-1]
         if last not in ts:
-            return SubrootSequence(tuple(seq), TERMINATED)
+            return tuple(seq)
         seq.append(last)
 
 
 __all__ = [
-    "Strategy", "SubrootSequence", "TERMINATED",
+    "Strategy",
     "validate_strategy", "player_situations", "restrict", "restrict_to_player",
     "restrict_to_opponents", "outcome", "subform_outcome", "piece_outcome",
     "subroot_sequence",

@@ -66,7 +66,11 @@ from pentaform.stationary import (
     truncated_game,
     validate_stationary_strategy,
 )
-from pentaform.strategy import TERMINATED, SubrootSequence
+
+
+def zero_profile(sys: StationarySystem) -> dict:
+    """The zero profile over the system's stakeholders."""
+    return {k: Fraction(0) for k in sys.stakeholders}
 
 
 def random_strategy(form: Pentaform, rng: random.Random) -> dict:
@@ -588,6 +592,16 @@ def brute_force_admissible(g: Game, values: dict) -> Verdict:
     return Verdict(True)
 
 
+def reference_conceivable_bounds(g: Game, x: str, k: str) -> tuple:
+    """(min, max) of stakeholder k's utility over the runs through x, from a
+    fresh walk of x's subtree on every call: `Game._conceivable_bounds`
+    before it kept a table of every node's bounds."""
+    if k not in g.stakeholders:
+        raise ValueError(f"unknown stakeholder {k!r}")
+    ends = [g.utilities[y][k] for y in g.form.subtree_nodes(x) if y in g.form.endnodes]
+    return min(ends), max(ends)
+
+
 def subform_authentic(g: Game, s: dict, values: dict) -> Verdict:
     """Authenticity against the values traced on the subform at each subroot."""
     truth = subform_authentic_value(g, s)
@@ -611,7 +625,7 @@ def piece_form_piece_outcome(p: Pentaform, t: str, restriction: dict) -> tuple:
     return outcome(piece, restriction)
 
 
-def piece_form_subroot_sequence(p: Pentaform, s: dict, t0: str) -> SubrootSequence:
+def piece_form_subroot_sequence(p: Pentaform, s: dict, t0: str) -> tuple[str, ...]:
     ts = subroots(p)
     if t0 not in ts:
         raise ValueError(f"{t0!r} is not a subroot")
@@ -619,7 +633,7 @@ def piece_form_subroot_sequence(p: Pentaform, s: dict, t0: str) -> SubrootSequen
     while True:
         run = piece_form_piece_outcome(p, seq[-1], restrict(s, piece_form(p, seq[-1]).situations))
         if run[-1] not in ts:
-            return SubrootSequence(tuple(seq), TERMINATED)
+            return tuple(seq)
         seq.append(run[-1])
 
 
@@ -781,7 +795,7 @@ def reference_chain_values(sys, exit_of) -> dict:
         if path[-1] not in w and cur in pos:
             cyc = path[pos[cur]:]
             if discounted:
-                total = sys.zero_profile()
+                total = zero_profile(sys)
                 for m, d in enumerate(cyc):
                     r = exit_of[d].reward
                     total = {k: total[k] + beta**m * r[k] for k in total}
@@ -861,7 +875,7 @@ def reference_expand(sys, depth: int, with_accrued: bool):
     if depth < 1:
         raise ValueError("instantiation depth must be at least 1")
     beta = sys.model.beta if with_accrued else None
-    zero = tuple(sorted(sys.zero_profile().items()))
+    zero = tuple(sorted(zero_profile(sys).items()))
     pieces = [_ReferencePiece("", sys.initial, 0, zero)]
     boundary = []
     frontier = pieces[:]
@@ -1014,7 +1028,7 @@ def reference_value_at(sys, sigma, label: str) -> dict:
     if not isinstance(sys.model, DiscountedAccumulation):
         return dict(w[cid])
     beta = sys.model.beta
-    total = sys.zero_profile()
+    total = zero_profile(sys)
     for m, e in enumerate(exits):
         total = {k: total[k] + beta**m * e.reward[k] for k in total}
     factor = beta ** len(exits)
@@ -1240,7 +1254,7 @@ def reference_solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
 def reference_solve_stationary(sys) -> StationarySolution | StationarySolveFailure:
     if not isinstance(sys.model, DiscountedAccumulation):
         raise ValueError("solve_stationary requires a discounted-accumulation model")
-    w = {c: sys.zero_profile() for c in sys.classes}
+    w = {c: zero_profile(sys) for c in sys.classes}
     sigma_prev: dict | None = None
     for _ in range(SOLVE_MAX_SWEEPS):
         new_w: dict = {}

@@ -109,7 +109,7 @@ from pentaform.stationary import (
     truncated_game,
     value_at,
 )
-from pentaform.strategy import TERMINATED, SubrootSequence, outcome
+from pentaform.strategy import outcome
 
 from conftest import (
     ReferencePentaform,
@@ -133,6 +133,7 @@ from conftest import (
     reference_prefix_clash,
     reference_absolute_bounds,
     reference_check_axioms,
+    reference_conceivable_bounds,
     reference_continuation_values,
     reference_discounted_extremes,
     reference_expand,
@@ -157,6 +158,7 @@ from conftest import (
     subform_authentic_value,
     subform_one_piece_unimprovable,
     subform_spe_check_direct,
+    zero_profile,
 )
 
 WOLF = cry_wolf()
@@ -378,7 +380,7 @@ def _class_graph_system(graph: dict) -> StationarySystem:
 def _zero_absolute_twin(sys_: StationarySystem) -> StationarySystem:
     """The same classes under the absolute-terminal model, with utility 0
     declared for every simple class cycle."""
-    zero = AbsoluteTerminal({cyc: sys_.zero_profile() for cyc in simple_cycles(sys_.continue_graph())})
+    zero = AbsoluteTerminal({cyc: zero_profile(sys_) for cyc in simple_cycles(sys_.continue_graph())})
     return StationarySystem(sys_.classes, sys_.initial, zero, sys_.stakeholders)
 
 
@@ -831,6 +833,33 @@ def test_conceivable_bounds_match_runs_at_every_node(small_corpus):
             bound(g, "nowhere", "nobody")
 
 
+def test_conceivable_bounds_table_matches_per_call_walks(small_corpus):
+    """The bounds a game reads from its table are, at every node and
+    stakeholder, the ones a fresh walk of the node's subtree finds, the
+    same numbers of the same types, and a bad stakeholder or node raises
+    the same error, the stakeholder checked first: on the small corpus, on
+    chains and on the cry-wolf truncations."""
+    games = [*small_corpus, *(chain_game(n) for n in (1, 2, 50, 300)), *WOLF_TRUNCATIONS[:3]]
+    for g in games:
+        for x in sorted(g.form.nodes):
+            for k in sorted(g.stakeholders):
+                assert repr(g._conceivable_bounds(x, k)) == repr(reference_conceivable_bounds(g, x, k))
+    g = games[0]
+    for x, k in ((g.form.root, "nobody"), ("nowhere", min(g.stakeholders)), ("nowhere", "nobody")):
+        assert _result(lambda: g._conceivable_bounds(x, k)) == _result(lambda: reference_conceivable_bounds(g, x, k))
+
+
+def test_admissible_walks_the_form_once_on_a_chain(monkeypatch):
+    """`admissible` on a 2,000-node chain fills the game's bounds table in
+    one walk of the form, where a walk of each subroot's subtree made 2,000
+    walks and took time quadratic in the chain."""
+    g = chain_game(2000, "Once")
+    values = authentic_value(g, {f"s{k:05d}": "in" for k in range(2000)})
+    walks = _count_calls(monkeypatch, "subtree_nodes")
+    assert admissible(g, values).holds
+    assert len(walks) <= 1
+
+
 def test_admissible_and_authentic_match_reference_on_stationary_systems():
     """Verdicts and witnesses of both value checks agree with the reference
     bounds and continuation values on random and ring systems, their
@@ -1147,8 +1176,8 @@ def test_subroot_sequences_build_no_piece_form(monkeypatch):
     g = chain_game(1000, "Tail")
     s = {f"s{k:05d}": "in" for k in range(1000)}
     grows = _count_calls(monkeypatch, "_grow")
-    assert subroot_sequence(g.form, s, "w00999") == SubrootSequence(("w00999",), TERMINATED)
-    assert len(subroot_sequence(g.form, s, "w00000").subroots) == 1000
+    assert subroot_sequence(g.form, s, "w00999") == ("w00999",)
+    assert len(subroot_sequence(g.form, s, "w00000")) == 1000
     assert grows == []
 
 
@@ -1199,7 +1228,7 @@ def _walked_first_nash_point(pg: Game, largest_first: bool = False) -> dict | No
     """The profile of `first_nash_point`'s row on pg's one piece, each reach
     set one deviation walk, as `solve_backward` scans a piece."""
     form = pg.form
-    row = first_nash_point(PieceScan(form, form.root, largest_first=largest_first),
+    row = first_nash_point(PieceScan(form, form.root, form.decision_nodes, largest_first=largest_first),
                            pg.utilities)
     return None if row is None else row[0]
 
@@ -1212,7 +1241,7 @@ def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None
         table = _ClassTable("c", pg.form)
         for _ in range(2):  # the second sweep reads the rows and reach sets the first one stored
             r = table.first_nash_row(pg.utilities)
-            assert (None if r is None else table.profile(r)) == expected
+            assert (None if r is None else table.profiles[r]) == expected
 
 
 def test_first_nash_point_matches_reference_on_solver_pools():
@@ -1224,7 +1253,7 @@ def test_first_nash_point_matches_reference_on_solver_pools():
         sys_ = random_discounted_system(seed)
         if sys_ is None:
             continue
-        for w in ({c: sys_.zero_profile() for c in sys_.classes},
+        for w in ({c: zero_profile(sys_) for c in sys_.classes},
                   continuation_values(sys_, _random_stationary_strategy(sys_, rng))):
             for c in sorted(sys_.classes):
                 _assert_same_first_nash_point(reference_quotient_piece_game(sys_, c, w), largest_first=True)
@@ -1349,7 +1378,7 @@ class _RecordedScan(PieceScan):
     (player, the others' choices)."""
 
     def __init__(self, form):
-        super().__init__(form, form.root)
+        super().__init__(form, form.root, form.decision_nodes)
         self.deviations = []
 
     def reach(self, i, profile):
@@ -1365,7 +1394,7 @@ def test_scan_rows_end_where_the_runs_do_and_deviations_are_walked_once():
     for pg in _scan_pieces():
         form = pg.form
         profiles = list(reference_piece_profiles(form, form.situations, form.root))
-        scan = PieceScan(form, form.root)
+        scan = PieceScan(form, form.root, form.decision_nodes)
         profile, keys = dict(scan.first_profile), dict.fromkeys(scan.players, 0)
         assert [end for end, _ in scan.rows(profile, keys)] == [outcome(form, p)[-1] for p in profiles]
         scan = _RecordedScan(form)
@@ -1410,7 +1439,7 @@ def test_scan_rows_step_profile_and_keys_as_the_reference_orders_them(tmp_path):
     rows = multi = 0
     for form in sorted(forms, key=lambda form: sorted(form.quintuples)):
         for largest_first in (False, True):
-            scan = PieceScan(form, form.root, largest_first=largest_first)
+            scan = PieceScan(form, form.root, form.decision_nodes, largest_first=largest_first)
             profile, keys = dict(scan.first_profile), dict.fromkeys(scan.players, 0)
             walked = [(dict(profile), end, dict(keys), turned) for end, turned in scan.rows(profile, keys)]
             assert walked == list(_reference_rows(form, largest_first))
@@ -1436,7 +1465,7 @@ def _priced_scan_forms(tmp_path) -> list[Game]:
     for sys_ in [_generated_system(index, tmp_path) for index in range(6)] + [WOLF]:
         solved = stationary.solve_stationary(sys_)
         found = [solved.values] if _kind(solved) == "solved" else []
-        for w in [{c: sys_.zero_profile() for c in sys_.classes}, *found]:
+        for w in [{c: zero_profile(sys_) for c in sys_.classes}, *found]:
             priced += [reference_quotient_piece_game(sys_, c, w) for c in sorted(sys_.classes)]
     forms = {pg.form: pg.stakeholders for pg in priced}
     priced += [Game(form, stakeholders, {y: {k: rng.choice((0, 1)) for k in sorted(stakeholders)}
@@ -1459,7 +1488,7 @@ def test_nash_rows_jump_only_past_rows_that_are_not_nash(tmp_path):
         for largest_first in (False, True):
             profiles = list(reference_piece_profiles(form, form.situations, form.root, largest_first))
             expected = [(p, outcome(form, p)[-1]) for p in profiles if tuple(sorted(p.items())) in nash]
-            scan = _CountedScan(form, form.root, largest_first=largest_first)
+            scan = _CountedScan(form, form.root, form.decision_nodes, largest_first=largest_first)
             assert list(scan.nash_rows(pg.utilities)) == expected
             rows += len(profiles)
             walked += scan.walked
@@ -2045,16 +2074,17 @@ def test_class_table_sweeps_match_the_piece_scan(tmp_path, monkeypatch):
         calls["sweeps"] += 1
         r = first_nash_row(self, prices)
         if self not in scans:
-            scans[self] = PieceScan(self.form, "", largest_first=True)
+            scans[self] = PieceScan(self.form, "", self.form.decision_nodes, largest_first=True)
         row = first_nash_point(scans[self], prices)
-        assert (None if r is None else (self.profile(r), self.ends[r])) == row
+        assert (None if r is None else (self.profiles[r], self.ends[r])) == row
         return r
 
     def checked_check(self, r, prices, best=None):
         verdict = is_nash(self, r, prices, best)
         if best is None:  # the exact check; a sweep's row tests pass the sweep's best sets
             calls["checks"] += 1
-            assert verdict is (game._nash_witness(self.form, self.profile(r), "", prices) is None)
+            assert verdict is (game._nash_witness(self.form, self.profiles[r], "", prices,
+                                                  self.form.decision_nodes) is None)
         return verdict
 
     monkeypatch.setattr(_ClassTable, "first_nash_row", checked_sweep)
@@ -2102,12 +2132,12 @@ def test_class_table_holds_only_the_rows_its_sweeps_reach(monkeypatch):
     assert result.strategy == {"k": dict.fromkeys(sys_.classes["k"].template.situations, "c")}
     assert result.values == {"k": {"P": 2}}
     assert len(tables) > 2 and len(set(tables)) == 1
-    assert len(tables[0].ends) == len(tables[0].keys) == 1
+    assert len(tables[0].profiles) == len(tables[0].ends) == len(tables[0].keys) == 1
     tables.clear()
     monkeypatch.setenv("PENTAFORM_PROFILE_CAP", str(3**10 - 1))
     with pytest.raises(game.ResourceCapError, match="59049 strategy profiles"):
         stationary.solve_stationary(sys_)
-    assert tables[0].ends == []
+    assert tables[0].profiles == tables[0].ends == []
 
 
 # Policy iteration, behind the discounted conceivable bounds, prices in

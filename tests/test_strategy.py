@@ -26,7 +26,7 @@ from pentaform.fixtures import (
 )
 from pentaform.core import Quintuple, validate
 from pentaform.stationary import induced_strategy, instantiate
-from pentaform.strategy import TERMINATED, restrict_to_opponents, restrict_to_player
+from pentaform.strategy import restrict_to_opponents, restrict_to_player
 
 from conftest import random_strategy
 
@@ -149,17 +149,12 @@ def test_subform_and_piece_outcomes():
 
 
 def test_subroot_sequence_examples():
-    seq = subroot_sequence(F3_3, CALM_3, "")
-    assert seq.subroots == ("", "7", "77", "777")
-    assert seq.termination == TERMINATED
-
-    seq1 = subroot_sequence(F1, {"jE": "e", "jI": "f"}, "6")
-    assert seq1.subroots == ("6",)
+    assert subroot_sequence(F3_3, CALM_3, "") == ("", "7", "77", "777")
+    assert subroot_sequence(F1, {"jE": "e", "jI": "f"}, "6") == ("6",)
 
     bob = bob_truncation(4)
     s_out = {j: "out" for j in bob.form.situations}
-    seq2 = subroot_sequence(bob.form, s_out, bob.form.root)
-    assert seq2.subroots == (bob.form.root,) and seq2.termination == TERMINATED
+    assert subroot_sequence(bob.form, s_out, bob.form.root) == (bob.form.root,)
 
 
 def test_subroot_sequences_increase_and_lie_on_the_run(small_corpus):
@@ -167,7 +162,7 @@ def test_subroot_sequences_increase_and_lie_on_the_run(small_corpus):
     for g in small_corpus[:50]:
         s = random_strategy(g.form, rng)
         for t0 in sorted(subroots(g.form)):
-            seq = subroot_sequence(g.form, s, t0).subroots
+            seq = subroot_sequence(g.form, s, t0)
             for m in range(1, len(seq)):
                 assert g.form.precedes(seq[m - 1], seq[m], strict=True)
             run = subform_outcome(g.form, t0, restrict(s, subform(g.form, t0).situations))

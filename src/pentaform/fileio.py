@@ -289,6 +289,7 @@ def load_system(path) -> StationarySystem:
             _expect(isinstance(entry, dict) and "classes" in entry and "utility" in entry,
                     cspot, 'expected "classes" and "utility"')
             _expect(_is_string_list(entry["classes"]), cspot, '"classes" must be a list of class ids')
+            _expect(tuple(entry["classes"]) not in cycles, cspot, f'cycle {entry["classes"]} is declared twice')
             cycles[tuple(entry["classes"])] = _parse_profile(entry["utility"], cspot, numbers)
         model = AbsoluteTerminal(cycles)
     else:

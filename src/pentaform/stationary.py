@@ -44,8 +44,9 @@ The scans walk each class template in place; value iteration reads each
 template's rows from a table kept for the solve (`_ClassTable`).  One
 breadth-first class-graph walk (`StationarySystem._walk`) serves
 reachability and `certify_spe`'s best stationary deviation; the
-absolute-terminal bounds take one pass over the class graph's strongly
-connected components (`_components`).
+absolute-terminal bounds take one backward walk from the ends per
+stakeholder and side, worst end first for the inf and best end first for
+the sup (`_first_reached`).
 """
 
 from __future__ import annotations
@@ -165,9 +166,15 @@ class AbsoluteTerminal:
         """This model with canonical cycles and profiles, once it declares
         exactly the simple class cycles.  A declared cycle is checked on the
         class graph directly; the walk over the simple cycles stops at the
-        first one that is not declared, which alone is named."""
-        declared = {canonical_cycle(tuple(cyc)): make_profile(prof, sys.stakeholders)
-                    for cyc, prof in self.cycle_utilities.items()}
+        first one that is not declared, which alone is named.  A cycle
+        declared twice, in two rotations, is refused, since only one of its
+        utilities could hold."""
+        declared: dict[tuple[str, ...], Profile] = {}
+        for cyc, prof in self.cycle_utilities.items():
+            key = canonical_cycle(tuple(cyc))
+            if key in declared:
+                raise ValueError(f"absolute-terminal model declares the cycle {list(key)} twice")
+            declared[key] = make_profile(prof, sys.stakeholders)
         graph = sys.continue_graph()
         unknown = sorted(cyc for cyc in declared if len(set(cyc)) < len(cyc)
                          or any(d not in graph.get(c, ()) for c, d in zip(cyc, cyc[1:] + cyc[:1])))
@@ -197,26 +204,25 @@ class AbsoluteTerminal:
 
     def bounds(self, sys: StationarySystem) -> dict[str, dict[str, tuple[Scalar, Scalar]]]:
         """Per-class, per-stakeholder (inf, sup) over the defined runs from a
-        fresh class piece: where the runs of a walk from the class can end
-        (every class reaches a terminal exit or a declared cycle).  The
-        classes of one strongly connected component reach the same ends, so
-        one pass over the components, each after every component it enters
-        (`_components`), combines each component's own terminal exits and
-        declared cycles with the bounds of the components it enters."""
-        stakeholders = sorted(sys.stakeholders)
-        graph = sys.continue_graph()
-        own = {c: [e.reward for e in cls.exits.values() if e.is_terminal] for c, cls in sys.classes.items()}
-        for cyc, profile in self.cycle_utilities.items():
-            own[cyc[0]].append(profile)
-        table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {}
-        for component in _components(graph):
-            runs = [r for c in component for r in own[c]]
-            entered = [table[d] for d in {d for c in component for d in graph[c]} - component]
-            row = {k: (min([r[k] for r in runs] + [b[k][0] for b in entered]),
-                       max([r[k] for r in runs] + [b[k][1] for b in entered])) for k in stakeholders}
-            for c in component:
-                table[c] = row
-        return {c: table[c] for c in sorted(sys.classes)}
+        fresh class piece: the worst and best end a walk from the class can
+        reach, where an end is a terminal exit at its class or a declared
+        cycle at its first class (every class reaches one).  For each
+        stakeholder the ends are taken worst first for the inf and best first
+        for the sup, and each class gets the value of the first end it
+        reaches (`_first_reached`)."""
+        entering: dict[str, list[str]] = {c: [] for c in sys.classes}
+        for c, targets in sys.continue_graph().items():
+            for d in targets:
+                entering[d].append(c)
+        ends = [(e.reward, c) for c, cls in sys.classes.items() for e in cls.exits.values() if e.is_terminal]
+        ends += [(profile, cyc[0]) for cyc, profile in self.cycle_utilities.items()]
+        table: dict[str, dict[str, tuple[Scalar, Scalar]]] = {c: {} for c in sorted(sys.classes)}
+        for k in sorted(sys.stakeholders):
+            ranked = sorted(ends, key=lambda end: end[0][k])
+            inf, sup = _first_reached(ranked, entering, k), _first_reached(reversed(ranked), entering, k)
+            for c, row in table.items():
+                row[k] = (inf[c], sup[c])
+        return table
 
     def _run_ends(self, sys: StationarySystem, tree, edges, exits) -> list[tuple]:
         """Where the stationary runs along a walk can end, as (utility, where,
@@ -388,47 +394,22 @@ def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
     return min(rotations)
 
 
-def _components(graph: Mapping[str, set[str]]) -> list[set[str]]:
-    """The strongly connected components of a digraph, each after every
-    component it reaches: Tarjan's algorithm (Tarjan 1972), on an explicit
-    stack of (node, its successors still to visit)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    work: list[tuple[str, Iterator[str]]] = []
-    components: list[set[str]] = []
-
-    def visit(x: str) -> None:
-        index[x] = low[x] = len(index)
-        stack.append(x)
-        on_stack.add(x)
-        work.append((x, iter(graph[x])))
-
-    for root in graph:
-        if root not in index:
-            visit(root)
-        while work:
-            v, successors = work[-1]
-            for d in successors:
-                if d not in index:
-                    visit(d)
-                    break
-                if d in on_stack:
-                    low[v] = min(low[v], index[d])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    component = set()
-                    while v not in component:
-                        d = stack.pop()
-                        on_stack.discard(d)
-                        component.add(d)
-                    components.append(component)
-    return components
+def _first_reached(ends: Iterable[tuple[Mapping[str, Scalar], str]], entering: Mapping[str, list[str]],
+                   k: str) -> dict[str, Scalar]:
+    """Each class's value for k of the first end in `ends`, as (profile,
+    class), that the class can reach: from each end's class a walk backward
+    along the class graph, on an explicit stack, values the classes it
+    meets and stops at those already valued, which an earlier end reaches
+    together with every class that enters them."""
+    value: dict[str, Scalar] = {}
+    for profile, c in ends:
+        stack = [c]
+        while stack:
+            d = stack.pop()
+            if d not in value:
+                value[d] = profile[k]
+                stack.extend(entering[d])
+    return value
 
 
 def simple_cycles(graph: Mapping[str, set[str]]) -> Iterator[tuple[str, ...]]:

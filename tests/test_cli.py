@@ -277,6 +277,18 @@ def test_malformed_system_is_input_error(capsys, tmp_path, edit, message):
     assert err.count("template") <= 1
 
 
+def test_system_declaring_a_cycle_twice_is_input_error(capsys, tmp_path):
+    # the file's second entry repeats the first's classes with another
+    # utility; a load that kept one of them would answer by list order
+    data = json.loads((FIXTURES / "eda.system").read_text())
+    data["model"]["cycles"] = [{"classes": ["even", "odd"], "utility": {"Eda": u}} for u in ("0", "5")]
+    path = tmp_path / "twice.system"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "stationary", path, "convergence")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: model.cycles[1]: cycle ['even', 'odd'] is declared twice\n"
+
+
 def test_unknown_property_lists_the_choices_in_order(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
     with pytest.raises(SystemExit) as caught:

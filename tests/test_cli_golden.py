@@ -513,6 +513,17 @@ def test_readme_commands_match_golden_under_optimize(tmp_path):
             assert written == _golden_file(name, argv).read_text(encoding="utf-8"), name
 
 
+def test_ci_runs_every_readme_command_through_the_console_script():
+    """CI's console-script step diffs each README command against its golden,
+    and each file a command writes."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    for name, argv in _README:
+        assert f"run_golden {name} {' '.join(argv)}\n" in workflow, name
+        written = _written_file(argv)
+        if written is not None:
+            assert f"diff {written} tests/golden/{_golden_file(name, argv).name}\n" in workflow, name
+
+
 def _record() -> None:
     import tempfile
 

@@ -656,21 +656,34 @@ def test_bounds_and_convergence_match_reference_on_random_systems():
 
 def test_absolute_bounds_match_reference_on_random_class_graphs():
     """Random class graphs, often of several strongly connected components,
-    with random terminal rewards and cycle utilities, some infinite: every
-    class's bounds are the reference's (min, max) over its reachable ends."""
+    with terminal rewards and cycle utilities drawn for two stakeholders
+    independently, some infinite, so the two rank the ends differently:
+    every class's bounds are the reference's (min, max) over its reachable
+    ends.  A graph has several components exactly when some class cannot
+    reach c0."""
     rng = random.Random(3)
-    split = 0
+    split = ranked_apart = 0
+
+    def draw() -> dict:
+        return {k: _random_scalar(rng, True) for k in ("p", "q")}
+
     for _ in range(500):
         graph = _random_class_graph(rng)
-        classes = {c: PieceClass(cls.template, {y: e if e.next_class else Exit({"p": _random_scalar(rng, True)})
-                                                for y, e in cls.exits.items()})
+        classes = {c: PieceClass(cls.template, {y: Exit({"p": 0, "q": 0}, e.next_class) if e.next_class
+                                                else Exit(draw()) for y, e in cls.exits.items()})
                    for c, cls in _class_graph_system(graph).classes.items()}
-        cycles = {cyc: {"p": _random_scalar(rng, True)} for cyc in simple_cycles(graph)}
-        sys_ = StationarySystem(classes, "c0", AbsoluteTerminal(cycles), ["p"])
+        cycles = {cyc: draw() for cyc in simple_cycles(graph)}
+        sys_ = StationarySystem(classes, "c0", AbsoluteTerminal(cycles), ["p", "q"])
         for c in sorted(sys_.classes):
-            assert conceivable_bounds(sys_, c, "p") == reference_absolute_bounds(sys_, c, "p"), c
-        split += len(stationary._components(graph)) > 1
+            for k in ("p", "q"):
+                assert conceivable_bounds(sys_, c, k) == reference_absolute_bounds(sys_, c, k), (c, k)
+        split += any("c0" not in sys_.reachable_from(c) for c in sys_.classes)
+        ends = [e.reward for cls in classes.values() for e in cls.exits.values() if e.is_terminal]
+        ends += list(cycles.values())
+        order = {k: sorted(range(len(ends)), key=lambda i: ends[i][k]) for k in ("p", "q")}
+        ranked_apart += order["p"] != order["q"]
     assert split > 100
+    assert ranked_apart > 200
 
 
 @pytest.mark.parametrize("system", [ann_chain, bob_chain, eda_chain, cry_wolf])

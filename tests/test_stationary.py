@@ -156,13 +156,27 @@ def test_absolute_model_names_the_undeclared_loop():
                                  "missing [('c',)], unknown []")
 
 
-def _absolute_ring(n: int) -> StationarySystem:
+@pytest.mark.parametrize("first, second", [(0, 5), (5, 0)])
+def test_absolute_model_refuses_a_cycle_declared_in_two_rotations(first, second):
+    # Eda's two classes, their one cycle declared twice with two utilities:
+    # keeping either would make the verdicts depend on the order of the list.
+    eda = eda_chain()
+    model = AbsoluteTerminal({("even", "odd"): {"Eda": first}, ("odd", "even"): {"Eda": second}})
+    with pytest.raises(ValueError) as caught:
+        StationarySystem(eda.classes, eda.initial, model, eda.stakeholders)
+    assert str(caught.value) == "absolute-terminal model declares the cycle ['even', 'odd'] twice"
+
+
+def _absolute_ring(n: int, stakeholders: tuple[str, ...] = ("p",)) -> StationarySystem:
+    """n classes on one cycle of utility 0, where class c<m> may stop with
+    1 for p, m for q and -m for r."""
     names = [f"c{m}" for m in range(n)]
     template = validate([Quintuple("p", "", "", "go", "i"), Quintuple("p", "", "", "stop", "x")])
-    classes = {c: PieceClass(template, {"i": Exit({"p": 0}, next_class=names[(m + 1) % n]),
-                                        "x": Exit({"p": 1})})
+    zero = dict.fromkeys(stakeholders, 0)
+    classes = {c: PieceClass(template, {"i": Exit(zero, next_class=names[(m + 1) % n]),
+                                        "x": Exit({k: {"p": 1, "q": m, "r": -m}[k] for k in stakeholders})})
                for m, c in enumerate(names)}
-    return StationarySystem(classes, "c0", AbsoluteTerminal({tuple(names): {"p": 0}}), ["p"])
+    return StationarySystem(classes, "c0", AbsoluteTerminal({tuple(names): zero}), stakeholders)
 
 
 def test_absolute_ring_past_the_recursion_limit_builds():
@@ -174,14 +188,18 @@ def test_absolute_ring_past_the_recursion_limit_builds():
 
 
 def test_absolute_bounds_of_a_long_ring_take_one_pass():
-    # 1,600 classes in one strongly connected component: the bounds take one
-    # pass over the components, where a walk per class took seconds.
-    ring = _absolute_ring(1600)
-    start = time.perf_counter()
-    table = ring.model.bounds(ring)
-    assert time.perf_counter() - start < 0.5
-    assert list(table) == sorted(ring.classes)
-    assert all(row == {"p": (0, 1)} for row in table.values())
+    # 1,600 classes in one strongly connected component: per stakeholder and
+    # side, the walk back from the first end values every class, and the
+    # walk from each later end stops at once, where a walk per class took
+    # seconds.  With three stakeholders the ends rank three ways.
+    expected = {"p": (0, 1), "q": (0, 1599), "r": (-1599, 0)}
+    for stakeholders in [("p",), ("p", "q", "r")]:
+        ring = _absolute_ring(1600, stakeholders)
+        start = time.perf_counter()
+        table = ring.model.bounds(ring)
+        assert time.perf_counter() - start < 0.5
+        assert list(table) == sorted(ring.classes)
+        assert all(row == {k: expected[k] for k in stakeholders} for row in table.values())
 
 
 def test_continue_graph_is_a_copy():

@@ -5,7 +5,9 @@ each template endnode either ends the game with a terminal profile or
 continues into a fresh copy of some class.  Unfolding from the initial class
 generates an infinite pentaform whose subroots are exactly the class paths;
 node labels concatenate exit labels, so the piece at path p of class c uses
-labels p ⊕ (local label).
+labels p ⊕ (local label).  An unfolded piece is therefore its label and its
+class, and `parse_subroot_label`, the one reader of class paths, reads the
+path back from the label.
 
 Two utility models are supported.  DiscountedAccumulation sums per-visit
 rewards with a factor β ∈ (0,1) (terminal profiles are the final summand,
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .convergence import DEFAULT_DEPTH, FAILS, HOLDS, UNKNOWN, ConvergenceVerdict, lower_convergent, upper_convergent
 from .core import Pentaform, Quintuple, validate
@@ -69,7 +71,7 @@ from .game import (
     _require_domain,
     profile_cap,
 )
-from .numbers import Profile, Scalar, is_finite, make_profile
+from .numbers import MAX_DIGITS, Profile, Scalar, is_finite, make_profile
 from .partition import _partition
 from .strategy import outcome, validate_strategy
 
@@ -144,15 +146,28 @@ class DiscountedAccumulation:
     def convergence(self, sys: StationarySystem, direction: str) -> ConvergenceVerdict:
         """Always holds: every continuation value lies in [-M/(1-β), M/(1-β)]
         for M = max absolute reward, so the conceivable increment (decrement)
-        after d pieces is at most β^d · 2M/(1-β)."""
+        after d pieces is at most β^d · 2M/(1-β).  The certificate states
+        each number as `_stated` writes it."""
         beta = self.beta
         bound_const = 2 * max(abs(x) for cls in sys.classes.values()
                               for e in cls.exits.values() for x in e.reward.values()) / (1 - beta)
         return ConvergenceVerdict(HOLDS, certificate=(
             f"discounted accumulation with bounded rewards: the conceivable "
             f"{'increment' if direction == 'upper' else 'decrement'} after d pieces is at most "
-            f"beta^d * {bound_const} with beta = {beta}, which vanishes "
-            f"(at d = {DEFAULT_DEPTH} the bound is {beta**DEFAULT_DEPTH * bound_const})"))
+            f"beta^d * {_stated(bound_const)} with beta = {_stated(beta)}, which vanishes "
+            f"(at d = {DEFAULT_DEPTH} the bound is {_stated(beta**DEFAULT_DEPTH * bound_const)})"))
+
+
+_TOO_LONG = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
+
+
+def _stated(x: Fraction) -> str:
+    """x as `str` writes it, or, when its numerator or denominator has more
+    than MAX_DIGITS digits, which no integer conversion to text takes, that
+    fact."""
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        return f"a number with more than {MAX_DIGITS} digits"
+    return str(x)
 
 
 @dataclass(frozen=True)
@@ -387,11 +402,12 @@ class StationarySystem:
 
 
 def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
-    """Rotate a simple cycle so it starts at its smallest class id."""
+    """Rotate a simple cycle so it starts at its smallest class id: the
+    least rotation, taken among the rotations at that class only."""
     if not cycle:
         raise ValueError("empty cycle")
-    rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-    return min(rotations)
+    least = min(cycle)
+    return min(cycle[i:] + cycle[:i] for i, c in enumerate(cycle) if c == least)
 
 
 def _first_reached(ends: Iterable[tuple[Mapping[str, Scalar], str]], entering: Mapping[str, list[str]],
@@ -416,8 +432,16 @@ def simple_cycles(graph: Mapping[str, set[str]]) -> Iterator[tuple[str, ...]]:
     """Yield the simple cycles of a digraph, each starting at its min node,
     in sorted order: from each start, a depth-first walk on an explicit stack
     through larger nodes in sorted order, which meets each cycle before its
-    extensions."""
+    extensions.  A cycle enters its min node from that node itself or from a
+    larger one, so a start that only smaller nodes enter is skipped: one pass
+    first records each node's largest predecessor."""
+    largest_entering: dict[str, str] = {}
+    for c, targets in graph.items():
+        for d in targets:
+            largest_entering[d] = max(largest_entering.get(d, c), c)
     for start in sorted(graph):
+        if start not in largest_entering or largest_entering[start] < start:
+            continue
         path, on_path = [start], {start}
         branches = [iter(sorted(graph[start]))]
         while branches:
@@ -441,18 +465,13 @@ def _relabel_situation(prefix: str, local: str) -> str:
     return "+".join(prefix + part for part in local.split("+"))
 
 
-@dataclass(frozen=True)
-class _PieceInstance:
-    prefix: str
-    class_id: str
-    path: tuple[Exit, ...]  # the continue exits taken from the root to this piece
-
-
 def _expand(sys: StationarySystem, depth: int):
-    """All piece instances with class-path length ≤ depth, then the cuts: the
-    instances one level deeper, whose prefix is the cut endnode (a continue
-    exit of the deepest layer), with the class it enters and the class path
-    ending in that exit.
+    """All pieces with class-path length ≤ depth, then the cuts: the pieces
+    one level deeper, whose prefix is the cut endnode (a continue exit of
+    the deepest layer), with the class it enters.  A piece is its label and
+    its class, a (prefix, class) pair, built level by level as (prefix +
+    exit label, class entered); the label spells out the class path, which
+    `parse_subroot_label` reads back, so no piece keeps its exits.
 
     Before building anything, counts the unfolding's quintuples level by
     level from the class multiplicities and raises ResourceCapError past the
@@ -475,11 +494,10 @@ def _expand(sys: StationarySystem, depth: int):
             break
         multiplicity = nxt
 
-    pieces, frontier = [], [_PieceInstance("", sys.initial, ())]
+    pieces, frontier = [], [("", sys.initial)]
     for _ in range(level + 1):  # levels 0..level hold the pieces; the level after them, the cuts
         pieces.extend(frontier)
-        frontier = [_PieceInstance(inst.prefix + label, e.next_class, inst.path + (e,))
-                    for inst in frontier for label, e in sys._continues[inst.class_id]]
+        frontier = [(prefix + label, e.next_class) for prefix, c in frontier for label, e in sys._continues[c]]
     return pieces, frontier
 
 
@@ -490,32 +508,34 @@ def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
     parent's exit and never a successor in its own template, so a parent and
     its child, which share that node, do not clash on it."""
     quintuples = []
-    moves: dict[tuple[str, str], _PieceInstance] = {}  # each relabelled move, with the piece that makes it
-    situations: dict[str, _PieceInstance] = {}  # each relabelled situation, likewise
-    nodes: dict[str, _PieceInstance] = {}  # each relabelled successor, likewise
-    for inst in pieces:
-        for q in sys.classes[inst.class_id].template.quintuples:
-            r = Quintuple(q.player, _relabel_situation(inst.prefix, q.situation), inst.prefix + q.decision_node,
-                          q.action, inst.prefix + q.successor)
-            first = moves.setdefault((r.decision_node, r.action), inst)
-            if first is not inst:
-                _collide(first, inst, f"move {r.action!r} at node {r.decision_node!r}; rename template nodes")
-            first = situations.setdefault(r.situation, inst)
-            if first is not inst:
-                _collide(first, inst, f"situation {r.situation!r}; rename template situations")
-            first = nodes.setdefault(r.successor, inst)
-            if first is not inst:
-                _collide(first, inst, f"node {r.successor!r}; rename template nodes")
+    moves: dict[tuple[str, str], tuple[str, str]] = {}  # each relabelled move, with the piece that makes it
+    situations: dict[str, tuple[str, str]] = {}  # each relabelled situation, likewise
+    nodes: dict[str, tuple[str, str]] = {}  # each relabelled successor, likewise
+    for piece in pieces:
+        prefix, cid = piece
+        for q in sys.classes[cid].template.quintuples:
+            r = Quintuple(q.player, _relabel_situation(prefix, q.situation), prefix + q.decision_node,
+                          q.action, prefix + q.successor)
+            first = moves.setdefault((r.decision_node, r.action), piece)
+            if first is not piece:
+                _collide(first, piece, f"move {r.action!r} at node {r.decision_node!r}; rename template nodes")
+            first = situations.setdefault(r.situation, piece)
+            if first is not piece:
+                _collide(first, piece, f"situation {r.situation!r}; rename template situations")
+            first = nodes.setdefault(r.successor, piece)
+            if first is not piece:
+                _collide(first, piece, f"node {r.successor!r}; rename template nodes")
             quintuples.append(r)
     return quintuples
 
 
-def _collide(first: _PieceInstance, inst: _PieceInstance, what: str):
-    raise ValueError(f"template labels collide when concatenated: the piece of class {first.class_id!r} at "
-                     f"{first.prefix!r} and the piece of class {inst.class_id!r} at {inst.prefix!r} both make {what}")
+def _collide(first: tuple[str, str], piece: tuple[str, str], what: str):
+    (first_prefix, first_class), (prefix, cid) = first, piece
+    raise ValueError(f"template labels collide when concatenated: the piece of class {first_class!r} at "
+                     f"{first_prefix!r} and the piece of class {cid!r} at {prefix!r} both make {what}")
 
 
-def _price(model, path: tuple[Exit, ...], w: Mapping[str, Scalar]) -> Profile:
+def _price(model, path: Sequence[Exit], w: Mapping[str, Scalar]) -> Profile:
     """The value at the start of a class path of reaching its end worth `w`:
     the model's `step` folded over the path's continue exits, last one first."""
     w = dict(w)
@@ -534,6 +554,9 @@ def truncated_game(sys: StationarySystem, depth: int,
     """The unfolding to `depth` as a finite game, each cut endnode worth the
     profile `continuation` gives the class it enters, priced back along its
     class path by folding the model's `step`, as every true terminal is.
+    Each piece is its label and its class (`_expand`): its class path is
+    read back from its label by `parse_subroot_label`, once per piece for
+    the piece's terminal exits, and once per cut for the cut.
 
     With each class's conceivable bounds as the continuation (`{c: {k:
     conceivable_bounds(sys, c, k)[0]}}`, or `[1]`), every cut carries the inf
@@ -542,13 +565,17 @@ def truncated_game(sys: StationarySystem, depth: int,
     """
     pieces, cuts = _expand(sys, depth)
     form = validate(_piece_quintuples(sys, pieces))
-    utilities = {inst.prefix + label: _price(sys.model, inst.path, e.reward)
-                 for inst in pieces for label, e in sys.classes[inst.class_id].exits.items() if e.is_terminal}
-    for cut in cuts:
-        if cut.class_id not in continuation:
-            raise ValueError(f"continuation missing class {cut.class_id!r}")
-        w = make_profile(continuation[cut.class_id], sys.stakeholders)
-        utilities[cut.prefix] = _price(sys.model, cut.path, w)
+    utilities: dict[str, Profile] = {}
+    for prefix, cid in pieces:
+        path = parse_subroot_label(sys, prefix)[0]
+        for label, e in sys.classes[cid].exits.items():
+            if e.is_terminal:
+                utilities[prefix + label] = _price(sys.model, path, e.reward)
+    for prefix, cid in cuts:
+        if cid not in continuation:
+            raise ValueError(f"continuation missing class {cid!r}")
+        w = make_profile(continuation[cid], sys.stakeholders)
+        utilities[prefix] = _price(sys.model, parse_subroot_label(sys, prefix)[0], w)
     return Game(form, sys.stakeholders, utilities)
 
 
@@ -557,9 +584,9 @@ def induced_strategy(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str
     """Replicate a stationary strategy over every piece of a truncation."""
     sigma = validate_stationary_strategy(sys, sigma)
     out: dict[str, str] = {}
-    for inst in _expand(sys, depth)[0]:
-        for local_sit, action in sigma[inst.class_id].items():
-            out[_relabel_situation(inst.prefix, local_sit)] = action
+    for prefix, cid in _expand(sys, depth)[0]:
+        for local_sit, action in sigma[cid].items():
+            out[_relabel_situation(prefix, local_sit)] = action
     return out
 
 
@@ -616,18 +643,19 @@ def continuation_values(sys: StationarySystem,
 
 def parse_subroot_label(sys: StationarySystem, label: str) -> tuple[list[Exit], str]:
     """Split a subroot label into its continue-exit path; returns the exits
-    taken and the class reached."""
-    cur = sys.initial
-    rest = label
+    taken and the class reached.  The label is walked by position: at each
+    step the one continue exit of the current class whose label starts
+    there (continue labels are prefix-free) is taken."""
+    cur, at = sys.initial, 0
     exits: list[Exit] = []
-    while rest:
-        match = next(((lab, e) for lab, e in sys._continues[cur] if rest.startswith(lab)), None)
+    while at < len(label):
+        match = next(((lab, e) for lab, e in sys._continues[cur] if label.startswith(lab, at)), None)
         if match is None:
             raise ValueError(f"malformed subroot label {label!r}: no continue exit of class "
-                             f"{cur!r} matches {rest!r}")
+                             f"{cur!r} matches {label[at:]!r}")
         lab, e = match
         exits.append(e)
-        rest = rest[len(lab):]
+        at += len(lab)
         cur = e.next_class
     return exits, cur
 

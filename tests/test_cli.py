@@ -152,6 +152,19 @@ def test_stationary_convergence_exit_codes(capsys):
     assert code == 0
 
 
+def test_stationary_convergence_holds_at_a_beta_of_69_digits(capsys, tmp_path):
+    # β = 1/10^68: β^64 times the bound has more than 4,300 digits, which no
+    # integer conversion to text takes; the certificate says so instead.
+    data = json.loads((FIXTURES / "crywolf.system").read_text())
+    data["model"]["beta"] = "1/1" + "0" * 68
+    path = tmp_path / "crywolf.system"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "stationary", path, "convergence")
+    assert (code, err) == (0, "")
+    assert "upper: HOLDS" in out and "lower: HOLDS" in out
+    assert "(at d = 64 the bound is a number with more than 4300 digits)" in out
+
+
 def test_stationary_solve(capsys):
     code, out, _ = run(capsys, "stationary", FIXTURES / "crywolf.system", "solve")
     assert code == 0

@@ -16,12 +16,15 @@ as-is and requires an explicit utility profile for every simple class cycle;
 infinite runs that settle into a cycle get that profile, and systems whose
 class graph admits aperiodic infinite runs are only partially specified.
 
-Each model holds one pricing rule, `step(reward, w)`: the value of a continue
-exit with that reward into a piece worth w (r + β·w, or w as-is).  An
-endnode of an unfolding folds `step` over the continue exits on its class
-path.  One step of the value recursion prices every exit of a class against
-class values w: a terminal exit at its profile and a continue exit at
-step(reward, w[next]), in `Fraction`s for the value checks and `certify_spe`,
+Each model holds one pricing rule, `continue_map(reward)`: a continue exit
+with that reward as an affine map (accrued, scale), under which entering a
+piece worth w is worth accrued + scale·w (`_priced`): (reward, β) under
+discounting, (0, 1) under the absolute-terminal model.  An unfolding
+composes these maps down its levels, so each piece carries the one map of
+its class path and prices each of its exits once (`truncated_game`).  One
+step of the value recursion prices every exit of a class against class
+values w: a terminal exit at its profile and a continue exit at its map
+applied to w[next], in `Fraction`s for the value checks and `certify_spe`,
 whose values may be infinite (`_exit_prices`), and in integers for the
 discounted solver loops (`_integer_prices`).  Each model evaluates a
 policy's chains itself (`policy_values`, along `_chain_order`): discounting
@@ -39,9 +42,10 @@ hooks; only `solve_stationary`, which supports discounting alone, still
 tests the model's type.
 
 Everything infinite is analyzed on the finite class quotient: continuation
-values solve w_c = step(r(σ-exit), w_next) exactly, and the utility of any
-concrete subgame is a positive affine image of the quotient, so one Nash scan
-per class settles piecewise-Nashness for all infinitely many pieces at once.
+values solve w_c = accrued + scale·w_next along each class's σ-exit exactly,
+and the utility of any concrete subgame is a positive affine image of its
+class's value, under the map its class path composes, so one Nash scan per
+class settles piecewise-Nashness for all infinitely many pieces at once.
 The scans walk each class template in place; value iteration reads each
 template's rows from a table kept for the solve (`_ClassTable`).  One
 breadth-first class-graph walk (`StationarySystem._walk`) serves
@@ -56,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .convergence import DEFAULT_DEPTH, FAILS, HOLDS, UNKNOWN, ConvergenceVerdict, lower_convergent, upper_convergent
 from .core import Pentaform, Quintuple, validate
@@ -114,10 +118,9 @@ class DiscountedAccumulation:
                     raise ValueError(f"class {cid!r}: discounted accumulation requires finite rewards ({label!r})")
         return self
 
-    def step(self, reward: Mapping[str, Scalar], w: Mapping[str, Scalar]) -> Profile:
-        """The value of a continue exit with `reward` into a piece worth `w`."""
-        beta = self.beta
-        return {k: reward[k] + beta * w[k] for k in w}
+    def continue_map(self, reward: Mapping[str, Scalar]) -> tuple[Mapping[str, Scalar], Fraction]:
+        """A continue exit with `reward` as the affine map w ↦ reward + β·w."""
+        return reward, self.beta
 
     def policy_values(self, sys: StationarySystem, labels: Mapping[str, str]) -> dict[str, Profile]:
         """Each class's run value when every class c leaves by its exit
@@ -200,9 +203,9 @@ class AbsoluteTerminal:
                 f"missing {missing}, unknown {unknown}")
         return AbsoluteTerminal(declared)
 
-    def step(self, reward: Mapping[str, Scalar], w: Mapping[str, Scalar]) -> Profile:
-        """Continue rewards count for nothing: the value is `w` as-is."""
-        return dict(w)
+    def continue_map(self, reward: Mapping[str, Scalar]) -> tuple[Mapping[str, Scalar], int]:
+        """Continue rewards count for nothing: the map is w ↦ w."""
+        return dict.fromkeys(reward, 0), 1
 
     def policy_values(self, sys: StationarySystem, labels: Mapping[str, str]) -> dict[str, Profile]:
         """Each class's run value when every class c leaves by its exit
@@ -466,12 +469,12 @@ def _relabel_situation(prefix: str, local: str) -> str:
 
 
 def _expand(sys: StationarySystem, depth: int):
-    """All pieces with class-path length ≤ depth, then the cuts: the pieces
-    one level deeper, whose prefix is the cut endnode (a continue exit of
-    the deepest layer), with the class it enters.  A piece is its label and
-    its class, a (prefix, class) pair, built level by level as (prefix +
-    exit label, class entered); the label spells out the class path, which
-    `parse_subroot_label` reads back, so no piece keeps its exits.
+    """All pieces with class-path length ≤ depth, in level order.  A piece
+    is its label and its class, a (prefix, class) pair, built level by level
+    as (prefix + exit label, class entered); the label spells out the class
+    path, which `parse_subroot_label` reads back, so no piece keeps its
+    exits.  The cuts, the continue exits of the deepest level, are not
+    built: `truncated_game` reaches them from their pieces.
 
     Before building anything, counts the unfolding's quintuples level by
     level from the class multiplicities and raises ResourceCapError past the
@@ -494,11 +497,11 @@ def _expand(sys: StationarySystem, depth: int):
             break
         multiplicity = nxt
 
-    pieces, frontier = [], [("", sys.initial)]
-    for _ in range(level + 1):  # levels 0..level hold the pieces; the level after them, the cuts
-        pieces.extend(frontier)
+    pieces, frontier = [("", sys.initial)], [("", sys.initial)]
+    for _ in range(level):
         frontier = [(prefix + label, e.next_class) for prefix, c in frontier for label, e in sys._continues[c]]
-    return pieces, frontier
+        pieces.extend(frontier)
+    return pieces
 
 
 def _piece_quintuples(sys: StationarySystem, pieces) -> list[Quintuple]:
@@ -535,47 +538,56 @@ def _collide(first: tuple[str, str], piece: tuple[str, str], what: str):
                      f"{first_prefix!r} and the piece of class {cid!r} at {prefix!r} both make {what}")
 
 
-def _price(model, path: Sequence[Exit], w: Mapping[str, Scalar]) -> Profile:
-    """The value at the start of a class path of reaching its end worth `w`:
-    the model's `step` folded over the path's continue exits, last one first."""
-    w = dict(w)
-    for e in reversed(path):
-        w = model.step(e.reward, w)
-    return w
+def _priced(m: tuple[Mapping[str, Scalar], Scalar], w: Mapping[str, Scalar]) -> Profile:
+    """w under the affine map m = (accrued, scale): accrued + scale·w."""
+    return {k: m[0][k] + m[1] * w[k] for k in w}
 
 
 def instantiate(sys: StationarySystem, depth: int) -> Pentaform:
     """The validated pentaform of all pieces with class-path length ≤ depth."""
-    return validate(_piece_quintuples(sys, _expand(sys, depth)[0]))
+    return validate(_piece_quintuples(sys, _expand(sys, depth)))
 
 
 def truncated_game(sys: StationarySystem, depth: int,
                    continuation: Mapping[str, Mapping[str, object]]) -> Game:
     """The unfolding to `depth` as a finite game, each cut endnode worth the
     profile `continuation` gives the class it enters, priced back along its
-    class path by folding the model's `step`, as every true terminal is.
-    Each piece is its label and its class (`_expand`): its class path is
-    read back from its label by `parse_subroot_label`, once per piece for
-    the piece's terminal exits, and once per cut for the cut.
+    class path as every true terminal is.
+
+    Each piece is priced once.  The pieces (`_expand`) are walked in level
+    order, each with its map (accrued, scale): reaching the piece's root
+    worth w is worth accrued + scale·w at the unfolding's root (`_priced`).
+    The root piece's map is (0, 1).  A terminal exit is priced with its
+    piece's map; a continue exit, whose model map is (A, s) =
+    `continue_map(reward)`, gives the piece it enters the map (accrued +
+    scale·A, scale·s).  A piece's map is dropped once the piece is priced,
+    so only two levels' maps are held, and the maps left are the cuts'.
 
     With each class's conceivable bounds as the continuation (`{c: {k:
     conceivable_bounds(sys, c, k)[0]}}`, or `[1]`), every cut carries the inf
     (sup) over the runs through it, and zero profiles give the rewards accrued
     before it; `parse_subroot_label` names the class a cut enters and its level.
     """
-    pieces, cuts = _expand(sys, depth)
+    pieces = _expand(sys, depth)
     form = validate(_piece_quintuples(sys, pieces))
+    maps = {pieces[0]: (dict.fromkeys(sys.stakeholders, 0), 1)}
     utilities: dict[str, Profile] = {}
     for prefix, cid in pieces:
-        path = parse_subroot_label(sys, prefix)[0]
+        m = maps.pop((prefix, cid))
         for label, e in sys.classes[cid].exits.items():
             if e.is_terminal:
-                utilities[prefix + label] = _price(sys.model, path, e.reward)
-    for prefix, cid in cuts:
+                utilities[prefix + label] = _priced(m, e.reward)
+            else:
+                accrued, scale = sys.model.continue_map(e.reward)
+                maps[prefix + label, e.next_class] = _priced(m, accrued), m[1] * scale
+    for (prefix, cid), m in maps.items():
         if cid not in continuation:
             raise ValueError(f"continuation missing class {cid!r}")
-        w = make_profile(continuation[cid], sys.stakeholders)
-        utilities[prefix] = _price(sys.model, parse_subroot_label(sys, prefix)[0], w)
+        try:
+            w = make_profile(continuation[cid], sys.stakeholders)
+        except ValueError as err:
+            raise ValueError(f"continuation for class {cid!r}: {err}") from None
+        utilities[prefix] = _priced(m, w)
     return Game(form, sys.stakeholders, utilities)
 
 
@@ -584,7 +596,7 @@ def induced_strategy(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str
     """Replicate a stationary strategy over every piece of a truncation."""
     sigma = validate_stationary_strategy(sys, sigma)
     out: dict[str, str] = {}
-    for prefix, cid in _expand(sys, depth)[0]:
+    for prefix, cid in _expand(sys, depth):
         for local_sit, action in sigma[cid].items():
             out[_relabel_situation(prefix, local_sit)] = action
     return out
@@ -662,9 +674,13 @@ def parse_subroot_label(sys: StationarySystem, label: str) -> tuple[list[Exit], 
 
 def value_at(sys: StationarySystem, sigma: Mapping[str, Mapping[str, str]], label: str) -> Profile:
     """Authentic value at a concrete subroot: the continuation of its class,
-    priced back along the subroot's class path."""
+    priced back along the subroot's class path, each continue exit's
+    `continue_map` applied in turn from the last."""
     exits, cid = parse_subroot_label(sys, label)
-    return _price(sys.model, exits, continuation_values(sys, sigma)[cid])
+    w = continuation_values(sys, sigma)[cid]
+    for e in reversed(exits):
+        w = _priced(sys.model.continue_map(e.reward), w)
+    return w
 
 
 # -- conceivable bounds -----------------------------------------------------------
@@ -719,13 +735,13 @@ def _optimal_values(sys: StationarySystem, k: str, sign: int) -> dict[str, Scala
 
 def _exit_prices(sys: StationarySystem, cid: str, w: Mapping[str, Profile]) -> dict[str, Profile]:
     """What each exit of class cid pays against class values w: a terminal
-    exit its profile, a continue exit the model's step into the value of the
-    class it enters.  This is one step of the value recursion in
+    exit its profile, a continue exit the value of the class it enters under
+    the exit's `continue_map`.  This is one step of the value recursion in
     `Fraction`s, and the value checks and `certify_spe` price a class's exits
     with it: the values they price (a value file, an absolute-terminal
     profile) may be infinite, which no integer stands for."""
-    step = sys.model.step
-    return {y: e.reward if e.is_terminal else step(e.reward, w[e.next_class])
+    continue_map = sys.model.continue_map
+    return {y: e.reward if e.is_terminal else _priced(continue_map(e.reward), w[e.next_class])
             for y, e in sys.classes[cid].exits.items()}
 
 

@@ -538,6 +538,16 @@ def test_stationary_pricing_matches_reference_on_cry_wolf(depth):
         assert value_at(WOLF, calm, t) == reference_value_at(WOLF, calm, t)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_discounted_truncation_prices_infinite_continuations(depth):
+    # the random class values are finite under discounting; here β^level
+    # scales an infinite cut value and leaves it infinite
+    continuation = {"day": {"Wolf": INF, "Kid": NEG_INF, "Town": Fraction(1, 3)}}
+    game = truncated_game(WOLF, depth, continuation)
+    assert game == reference_truncated_game(WOLF, depth, continuation)
+    _assert_priced(*game.utilities.values())
+
+
 @pytest.mark.parametrize("system", [ann_chain, bob_chain, eda_chain])
 def test_stationary_pricing_matches_reference_on_chains(system):
     sys_ = system()

@@ -148,6 +148,9 @@ LIBRARY_ERRORS = {
     "value-at-malformed-label": (lambda: value_at(WOLF, CALM, "69"),
                                  r"^malformed subroot label '69': no continue exit of class 'day' matches '9'$"),
     "continuation-missing-class": (lambda: truncated_game(WOLF, 1, {}), "continuation missing class 'day'"),
+    "continuation-bad-profile": (lambda: truncated_game(WOLF, 1, {"day": {"Wolf": 0}}),
+                                 r"^continuation for class 'day': profile domain mismatch: "
+                                 r"missing \['Kid', 'Town'\], unexpected \[\]$"),
 }
 
 

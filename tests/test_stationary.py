@@ -68,6 +68,7 @@ from conftest import (
     random_discounted_system,
     random_ring_system,
     reference_discounted_extremes,
+    reference_truncated_game,
 )
 
 WOLF = cry_wolf()
@@ -336,6 +337,27 @@ def test_truncated_game_computes_no_bounds(monkeypatch):
     assert ring._extremes is None
     assert uncapped.utilities["iii"] == {"p": 1 + F(1, 2) + F(1, 4) + F(1, 8) * F(1, 3)}
     assert bound_truncations(_ring(6), 2)[1].utilities["iii"] == {"p": 2}
+
+
+def test_truncated_game_prices_each_piece_once(monkeypatch):
+    # Depth 4 holds 1 + 3 + 9 + 27 + 81 = 121 pieces of three continue exits
+    # each: one model map per continue exit, and no class path read back.
+    expected = reference_truncated_game(WOLF, 4, W_CALM)
+    continue_map = DiscountedAccumulation.continue_map
+    calls = 0
+
+    def counted(model, reward):
+        nonlocal calls
+        calls += 1
+        return continue_map(model, reward)
+
+    def unread(sys_, label):
+        raise AssertionError(f"class path of {label!r} read back from its label")
+
+    monkeypatch.setattr(DiscountedAccumulation, "continue_map", counted)
+    monkeypatch.setattr(stationary, "parse_subroot_label", unread)
+    assert truncated_game(WOLF, 4, W_CALM) == expected
+    assert calls == 121 * 3
 
 
 def test_bounded_instantiation_of_a_ring_with_two_to_the_forty_policies():

@@ -6,8 +6,9 @@ information situation.  A finite set of such quintuples that satisfies eight
 axioms is a *pentaform*; its root, predecessor function, precedence order,
 paths, and runs are all derivable from the raw relation, and this module
 derives them.  A form keeps only what its readers read: the node sets, the
-per-label maps, each node's children and depth, and its partition slot; a
-path or a run is walked from the predecessor map when asked for.
+per-label maps, each node's children and depth, the decision nodes in the
+preorder of the walk that found the depths, and its partition slot; a path
+or a run is walked from the predecessor map when asked for.
 
 All labels are opaque strings ordered lexicographically, so every operation
 iterates in a canonical order and produces deterministic output.
@@ -244,7 +245,7 @@ class Pentaform:
         "quintuples", "players", "situations", "decision_nodes",
         "successors", "nodes", "endnodes", "root",
         "_pred", "_children", "_situation_of", "_player_of",
-        "_info_sets", "_action_sets", "_next", "_depth", "_hash", "_partition",
+        "_info_sets", "_action_sets", "_next", "_depth", "_preorder", "_hash", "_partition",
     )
 
     def __init__(self, quintuples: Iterable[Quintuple]):
@@ -297,12 +298,17 @@ class Pentaform:
         self._partition = None  # filled by partition._partition
 
     def _depths(self, root: str) -> dict[str, int]:
-        """The depth of each node that the walk down from root reaches."""
+        """The depth of each node that the walk down from root reaches.  The
+        decision nodes go to `_preorder` in the order the walk pops them: a
+        depth-first preorder, so each subtree's decision nodes are one
+        contiguous block of it, which `partition._partition` sweeps."""
         children = self._children
         depth = {root: 0}
         stack = [root]
+        order = self._preorder = []
         while stack:
             w = stack.pop()
+            order.append(w)
             d = depth[w] + 1
             for _, y in children[w]:
                 depth[y] = d

@@ -139,17 +139,18 @@ class Game:
 
     def _conceivable_bounds(self, x: str, k: str) -> tuple[Scalar, Scalar]:
         """(min, max) of stakeholder k's utility over the runs through x: one
-        entry of a table of every node's bounds, filled once per game by one
-        pass over the nodes, each decision node after its children."""
+        entry of a table of every node's bounds, filled once per game: the
+        endnodes first, then one pass over the form's decision-node preorder
+        in reverse, each decision node after its children."""
         if k not in self.stakeholders:
             raise ValueError(f"unknown stakeholder {k!r}")
         self.form._require_node(x)
         if self._extremes is None:
-            self._extremes, children = {}, self.form._children
-            for y in reversed(self.form.subtree_nodes(self.form.root)):
-                below = [self._extremes[z] for _, z in children.get(y, ())]
-                self._extremes[y] = {h: (min(b[h][0] for b in below), max(b[h][1] for b in below)) if below
-                                     else (self.utilities[y][h],) * 2 for h in self.stakeholders}
+            ks, children = self.stakeholders, self.form._children
+            table = self._extremes = {y: {h: (u[h],) * 2 for h in ks} for y, u in self.utilities.items()}
+            for y in reversed(self.form._preorder):
+                below = [table[z] for _, z in children[y]]
+                table[y] = {h: (min(b[h][0] for b in below), max(b[h][1] for b in below)) for h in ks}
         return self._extremes[x][k]
 
     def _authentic_values(self, s: Mapping[str, str]) -> dict[str, Profile]:
@@ -473,17 +474,19 @@ class PieceScan:
     first), each paired with the endnode that its walk of the piece from t
     reaches, moving on those nodes.  `rows` steps through them and
     `nash_rows` keeps the Nash ones, jumping past rows that cannot be Nash
-    (the rule is in `nash_rows`).  The cap (`profile_cap()`) is read once,
-    when the scan is made, and `where` names the piece in the cap error.
+    (the rule is in `nash_rows`).  The cap is `cap`, which `solve_backward`
+    reads once for all its pieces, or else `profile_cap()` read when the
+    scan is made; `where` names the piece in the cap error.
     """
 
-    def __init__(self, form: Pentaform, t: str, through: AbstractSet[str], largest_first: bool = False):
+    def __init__(self, form: Pentaform, t: str, through: AbstractSet[str], largest_first: bool = False,
+                 cap: int | None = None):
         self.form = form
         self.t = t
         self.where = f"piece at {t!r}"
         self.through = through
         situations = {form._situation_of[x] for x in through}
-        self.cap = profile_cap()
+        self.cap = profile_cap() if cap is None else cap
         self.first_profile: dict[str, str] = {}
         self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action
         self.digit_of: dict[str, int] = {}  # and its place in `digits`
@@ -709,8 +712,9 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     values: dict[str, Profile] = {}
     chosen: dict[str, str] = {}
     part = _partition(form)
+    cap = profile_cap()
     for t in part.deepest_first:
-        row = first_nash_point(PieceScan(form, t, part.nodes[t]), prices)
+        row = first_nash_point(PieceScan(form, t, part.nodes[t], cap=cap), prices)
         if row is None:
             return NoPureEquilibrium(t)
         profile, end = row

@@ -7,7 +7,9 @@ subform minus everything weakly after a strictly later subroot.  The piece
 forms partition the whole form, and every piece run ends either at a later
 subroot or at a final endnode (never infinitely, for explicit finite forms).
 
-The partition is derived once per form and kept on it (`_partition`) as two
+The partition is derived once per form, by sweeps over the decision-node
+preorder that the form's construction walk recorded (`Pentaform._preorder`),
+with no second walk of the tree, and kept on it (`_partition`) as two
 facts: the decision nodes of each piece, keyed by its subroot in (depth,
 label) order, and the subroots deepest first.  The subroot set is the keys
 of the first; the owner of each decision node (the nearest subroot weakly
@@ -43,36 +45,37 @@ class _Partition:
 def _partition(p: Pentaform) -> _Partition:
     """The piece partition of p, filled into its slot on first use."""
     if p._partition is None:
-        # Euler-tour criterion: in preorder every subtree is a contiguous
-        # block [pos(w), pos(w) + size(w)), so w is a subroot exactly when
-        # every situation met below w has its preorder span [lo, hi] inside
-        # that block.  One post-order sweep folds the spans upwards, which
-        # makes this O(N).  The sweep stores only ints in dicts: no container
-        # per node, so no garbage collection pass lands inside it.
-        order = p.subtree_nodes(p.root)
-        decision = p.decision_nodes
+        # Euler-tour criterion on the decision-node preorder of the walk that
+        # built p (`_preorder`): every subtree's decision nodes are a
+        # contiguous block [pos(w), pos(w) + size(w)) of it, so w is a
+        # subroot exactly when every situation met below w has its span
+        # [lo, hi] of positions inside that block.  One post-order sweep
+        # folds the spans upwards, which makes this O(N); an endnode adds
+        # nothing to a block.  The fold stores only ints in dicts: no
+        # container per node, so no garbage collection pass lands inside it.
+        order, situation_of, children, pred = p._preorder, p._situation_of, p._children, p._pred
         lo: dict[str, int] = {}
         hi: dict[str, int] = {}
         for i, x in enumerate(order):
-            if x in decision:
-                j = p._situation_of[x]
-                lo.setdefault(j, i)
-                hi[j] = i
+            j = situation_of[x]
+            if j not in lo:
+                lo[j] = i
+            hi[j] = i
         size: dict[str, int] = {}
         first: dict[str, int] = {}
         last: dict[str, int] = {}
         result = set()
         for i in range(len(order) - 1, -1, -1):
             x = order[i]
-            if x not in decision:
-                continue
-            j = p._situation_of[x]
+            j = situation_of[x]
             n, a, b = 1, lo[j], hi[j]
-            for _, y in p._children[x]:
-                n += size.get(y, 1)
-                if y in first:
-                    a = min(a, first[y])
-                    b = max(b, last[y])
+            for _, y in children[x]:
+                if y in size:
+                    n += size[y]
+                    if first[y] < a:
+                        a = first[y]
+                    if last[y] > b:
+                        b = last[y]
             size[x], first[x], last[x] = n, a, b
             if a >= i and b < i + n:
                 result.add(x)
@@ -81,9 +84,8 @@ def _partition(p: Pentaform) -> _Partition:
         owner: dict[str, str] = {}
         nodes: dict[str, list[str]] = {}
         for x in order:
-            if x in decision:
-                t = owner[x] = x if x in result else owner[p._pred[x]]
-                nodes.setdefault(t, []).append(x)
+            t = owner[x] = x if x in result else owner[pred[x]]
+            nodes.setdefault(t, []).append(x)
         ts = sorted(result, key=lambda t: (p._depth[t], t))
         p._partition = _Partition(
             MappingProxyType({t: frozenset(nodes[t]) for t in ts}),

@@ -186,19 +186,41 @@ def _check_owners(form) -> None:
     assert list(part.deepest_first) == sorted(ts, key=lambda t: (-form.depth(t), t))
 
 
+def _check_structure(form) -> None:
+    """The subroots and owners match their oracles on form, as built and as
+    rebuilt fresh by the trusted constructor and by `validate`, and each
+    build's construction walk leaves a decision-node preorder
+    (`_preorder`): each decision node once, the root first, and every
+    decision node's subtree one contiguous block, which `_partition` reads."""
+    assert bounded_predecessor_walk(form.quintuples) == []
+    for built in (form, Pentaform(form.quintuples), validate(form.quintuples)):
+        assert subroots(built) == brute_force_subroots(built)
+        _check_owners(built)
+        order = built._preorder
+        assert sorted(order) == sorted(built.decision_nodes) and order[0] == built.root
+        pos = {x: i for i, x in enumerate(order)}
+        for w in order:
+            below = {x for x in built.subtree_nodes(w) if x in built.decision_nodes}
+            assert set(order[pos[w]:pos[w] + len(below)]) == below
+
+
 def test_structure_matches_oracles_on_corpus(small_corpus):
     for g in small_corpus:
-        assert subroots(g.form) == brute_force_subroots(g.form)
-        assert bounded_predecessor_walk(g.form.quintuples) == []
-        _check_owners(g.form)
+        _check_structure(g.form)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_structure_matches_oracles_on_cry_wolf(depth):
-    form = WOLF_TRUNCATIONS[depth - 1].form
-    assert subroots(form) == brute_force_subroots(form)
-    assert bounded_predecessor_walk(form.quintuples) == []
-    _check_owners(form)
+    _check_structure(WOLF_TRUNCATIONS[depth - 1].form)
+
+
+def test_structure_matches_oracles_on_the_solve_pool_shape():
+    """Forms of the random-solve pool's shape, up to 60 nodes with
+    information sets of up to 6 (the small corpus stops at 12 and 3), and
+    cry-wolf unfolded to depth 3."""
+    for i in range(200):
+        _check_structure(random_game(i, max_nodes=60, max_info_set=6).form)
+    _check_structure(instantiate(cry_wolf(), 3))
 
 
 def test_value_checks_sort_nothing_once_the_partition_is_kept(small_corpus, monkeypatch):
@@ -881,6 +903,25 @@ def test_admissible_walks_the_form_once_on_a_chain(monkeypatch):
     walks = _count_calls(monkeypatch, "subtree_nodes")
     assert admissible(g, values).holds
     assert len(walks) <= 1
+
+
+def test_engine_walks_no_subtree_on_a_fresh_chain(tmp_path, monkeypatch, capsys):
+    """On a fresh 2,000-node chain, the partition, the solver, the subgame
+    checks, the bounds table and the CLI's piece listing each read the
+    preorder that the form's construction walk recorded: none walks a
+    subtree again."""
+    g = chain_game(2000, "Unwalked")
+    s = {f"s{k:05d}": "in" for k in range(2000)}
+    values = authentic_value(g, s)
+    fileio.save_pentaform(tmp_path / "chain.pentaform", g.form)
+    walks = _count_calls(monkeypatch, "subtree_nodes")
+    assert len(_partition(g.form).nodes) == 2000
+    assert isinstance(solve_backward(g), BackwardSolution)
+    assert spe_check_direct(g, s).holds and one_piece_unimprovable(g, s).holds
+    assert admissible(g, values).holds
+    assert cli.main(["inspect", str(tmp_path / "chain.pentaform"), "--pieces"]) == 0
+    assert "in 2000 pieces" in capsys.readouterr().out
+    assert walks == []
 
 
 def test_admissible_and_authentic_match_reference_on_stationary_systems():
@@ -2034,6 +2075,22 @@ def test_continuation_values_make_one_fraction_per_class_and_stakeholder(name, t
         monkeypatch.undo()
         assert made[0] <= len(sys_.classes) * len(sys_.stakeholders)
         assert values == reference_continuation_values(sys_, sigma)
+
+
+def test_backward_solve_reads_the_profile_cap_once(monkeypatch):
+    """One `solve_backward` reads the cap once and hands it to every
+    piece's scan, where each scan read it: 1,000 reads on a 1,000-node
+    chain."""
+    g = chain_game(1000, "Capped")
+    cap, reads = game.profile_cap, []
+
+    def counted():
+        reads.append(None)
+        return cap()
+
+    monkeypatch.setattr(game, "profile_cap", counted)
+    assert solve_backward(g) == reference_solve_backward(g)
+    assert len(reads) == 1
 
 
 def test_value_iteration_reads_the_profile_cap_once_per_class(tmp_path, monkeypatch):

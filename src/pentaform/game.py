@@ -25,7 +25,10 @@ conceivable bounds and the authentic values.
 
 Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
-player's full strategy space without materializing it.  Every subgame check
+player's full strategy space without materializing it.  The walk reads the
+form's own tables, bound once per call, and calls no checked accessor; at a
+branch point it takes the node's stored (action, successor) pairs, which
+are in action order, so backtracking needs no sort.  Every subgame check
 walks each piece in place on its own decision nodes (`_partition(form).nodes`)
 from a subroot t up to the next subroot or a final endnode.  The piece checks
 price each exit by the value function, or by the authentic values, which the
@@ -220,37 +223,44 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str, v
     choice fixed afterwards (so absentminded repeats stay consistent); every
     other move follows s.  The walk moves on the decision nodes in `through`
     and stops at any other node, which it prices.  Returns the best value,
-    the branch choices achieving it, and the node reached.  Deterministic: actions are explored in sorted order and the
-    first maximum is kept.
+    the branch choices achieving it, and the node reached.  Deterministic:
+    actions are explored in sorted order and the first maximum is kept.
+
+    The walk reads the form's own tables, with no checked accessor: s is a
+    valid strategy and every node it moves on is a decision node.  At a new
+    branch point it takes the node's stored (action, successor) pairs,
+    which a valid form keeps in action order, so trying the next action is
+    one step along them; a repeat of a situation already assigned moves by
+    `_next`.
     """
+    situation_of, player_of, next_node, children = form._situation_of, form._player_of, form._next, form._children
     best: tuple = (None, None, None)
     assign: dict[str, str] = {}
-    # One frame per open branch point: [node, situation, sorted actions, index].
+    # One frame per open branch point: [situation, the node's pairs, index].
     # An explicit stack keeps the Python call depth fixed however deep the form.
     stack: list[list] = []
     x = start
     while True:
         while x in through:
-            j = form.situation_of(x)
-            if form.player_of(j) == i:
-                if j not in assign:
-                    actions = sorted(form.action_set(j))
-                    stack.append([x, j, actions, 0])
-                    assign[j] = actions[0]
-                x = form.next_node(x, assign[j])
+            j = situation_of[x]
+            if player_of[j] != i:
+                x = next_node[x, s[j]]
+            elif j in assign:
+                x = next_node[x, assign[j]]
             else:
-                x = form.next_node(x, s[j])
+                pairs = children[x]
+                stack.append([j, pairs, 0])
+                assign[j], x = pairs[0]
         v = value_of_endnode(x)
         if best[0] is None or v > best[0]:
             best = (v, dict(assign), x)
         while stack:
             frame = stack[-1]
-            frame[3] += 1
-            if frame[3] < len(frame[2]):
-                assign[frame[1]] = frame[2][frame[3]]
-                x = form.next_node(frame[0], assign[frame[1]])
+            frame[2] += 1
+            if frame[2] < len(frame[1]):
+                assign[frame[0]], x = frame[1][frame[2]]
                 break
-            del assign[frame[1]]
+            del assign[frame[0]]
             stack.pop()
         else:
             return best
@@ -476,7 +486,8 @@ class PieceScan:
     `nash_rows` keeps the Nash ones, jumping past rows that cannot be Nash
     (the rule is in `nash_rows`).  The cap is `cap`, which `solve_backward`
     reads once for all its pieces, or else `profile_cap()` read when the
-    scan is made; `where` names the piece in the cap error.
+    scan is made; `where` names the piece in the cap error.  The scan reads
+    the form's own tables, never a checked accessor.
     """
 
     def __init__(self, form: Pentaform, t: str, through: AbstractSet[str], largest_first: bool = False,
@@ -485,21 +496,22 @@ class PieceScan:
         self.t = t
         self.where = f"piece at {t!r}"
         self.through = through
-        situations = {form._situation_of[x] for x in through}
+        situation_of, player_of, action_sets = form._situation_of, form._player_of, form._action_sets
+        situations = {situation_of[x] for x in through}
         self.cap = profile_cap() if cap is None else cap
         self.first_profile: dict[str, str] = {}
         self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action
         self.digit_of: dict[str, int] = {}  # and its place in `digits`
         owners: list[str] = []  # and its player
         for j in sorted(situations):
-            pool = sorted(form.action_set(j), reverse=largest_first)
+            pool = sorted(action_sets[j], reverse=largest_first)
             self.first_profile[j] = pool[0]
             if len(pool) > 1:
                 self.digit_of[j] = len(self.digits)
                 self.digits.append((j, pool))
-                owners.append(form.player_of(j))
+                owners.append(player_of[j])
         self.count = prod(len(pool) for _, pool in self.digits)
-        self.players = sorted({form.player_of(j) for j in self.first_profile})
+        self.players = sorted({player_of[j] for j in self.first_profile})
         # per digit: each other player's place value there, and the players
         # who own no digit up to it
         radix = dict.fromkeys(self.players, 1)

@@ -150,15 +150,18 @@ class DiscountedAccumulation:
         """Always holds: every continuation value lies in [-M/(1-β), M/(1-β)]
         for M = max absolute reward, so the conceivable increment (decrement)
         after d pieces is at most β^d · 2M/(1-β).  The certificate states
-        each number as `_stated` writes it."""
-        beta = self.beta
-        bound_const = 2 * max(abs(x) for cls in sys.classes.values()
-                              for e in cls.exits.values() for x in e.reward.values()) / (1 - beta)
+        each number as `_stated` writes it; the statement of the bound, the
+        same in both directions, is kept on the system on first use."""
+        if sys._discounted_bound is None:
+            beta = self.beta
+            bound_const = 2 * max(abs(x) for cls in sys.classes.values()
+                                  for e in cls.exits.values() for x in e.reward.values()) / (1 - beta)
+            sys._discounted_bound = (
+                f"after d pieces is at most beta^d * {_stated(bound_const)} with beta = {_stated(beta)}, "
+                f"which vanishes (at d = {DEFAULT_DEPTH} the bound is {_stated(beta**DEFAULT_DEPTH * bound_const)})")
         return ConvergenceVerdict(HOLDS, certificate=(
             f"discounted accumulation with bounded rewards: the conceivable "
-            f"{'increment' if direction == 'upper' else 'decrement'} after d pieces is at most "
-            f"beta^d * {_stated(bound_const)} with beta = {_stated(beta)}, which vanishes "
-            f"(at d = {DEFAULT_DEPTH} the bound is {_stated(beta**DEFAULT_DEPTH * bound_const)})"))
+            f"{'increment' if direction == 'upper' else 'decrement'} {sys._discounted_bound}"))
 
 
 _TOO_LONG = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
@@ -309,6 +312,7 @@ class StationarySystem:
         self.stakeholders = frozenset(str(k) for k in stakeholders)
         self.initial = initial
         self._extremes = None  # the model's conceivable bounds, filled on first use
+        self._discounted_bound = None  # the discounted certificate's stated bound, filled on first use
         if not classes:
             raise ValueError("a stationary system needs at least one class")
         if initial not in classes:

@@ -9,7 +9,8 @@ ever reads on-path situations, which keeps the restriction algebra exact.
 node, so the outcome of the subgame at a subroot t is `outcome(p, s, t)`.
 A piece run is the same trace confined to the piece's decision nodes, so
 `subform_outcome`, `piece_outcome` and `subroot_sequence` walk the form in
-place.  Single moves are `Pentaform.next_node`.
+place.  Single moves are `Pentaform.next_node`; the trace itself reads the
+form's own tables, and names what it cannot follow in the accessors' words.
 """
 
 from __future__ import annotations
@@ -25,17 +26,20 @@ Strategy = dict  # situation -> action
 def validate_strategy(p: Pentaform, choices: Mapping[str, str]) -> Strategy:
     """Accept a mapping iff it is total on J and feasible at every situation."""
     problems = []
-    for j in sorted(p.situations):
+    action_sets = p._action_sets
+    situations = sorted(p.situations)
+    for j in situations:
         if j not in choices:
             problems.append(f"missing situation {j!r}")
-        elif choices[j] not in p.action_set(j):
+        elif choices[j] not in action_sets[j]:
             problems.append(f"action {choices[j]!r} is infeasible at situation {j!r}")
     extra = sorted(set(choices) - p.situations)
     if extra:
         problems.append(f"unknown situations {extra}")
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))
-    return {j: choices[j] for j in sorted(choices)}
+    # no situation is missing and none is extra: the keys are the situations
+    return {j: choices[j] for j in situations}
 
 
 def player_situations(p: Pentaform, i: str) -> frozenset:
@@ -66,18 +70,22 @@ def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None,
     are read, so s may be any restriction that covers them.  `through` is the
     set of decision nodes the trace may move on (all of p's by default); it
     stops at the first node outside it, so a piece run stops at the next
-    subroot."""
+    subroot.  The trace reads the form's own tables."""
+    situation_of, next_node = p._situation_of, p._next
     x = p.root if start is None else start
     if through is None:
         through = p.decision_nodes
     nodes = [x]
     while x in through:
-        j = p.situation_of(x)
+        j = situation_of[x]
         try:
             a = s[j]
         except KeyError:
             raise ValueError(f"strategy does not cover situation {j!r}") from None
-        x = p.next_node(x, a)
+        try:
+            x = next_node[x, a]
+        except KeyError:
+            raise ValueError(f"({x!r}, {a!r}) is not a feasible decision-node/action pair") from None
         nodes.append(x)
     return tuple(nodes)
 

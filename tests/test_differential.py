@@ -132,6 +132,7 @@ from conftest import (
     random_strategy,
     reference_prefix_clash,
     reference_absolute_bounds,
+    reference_best_deviation,
     reference_check_axioms,
     reference_conceivable_bounds,
     reference_continuation_values,
@@ -191,7 +192,10 @@ def _check_structure(form) -> None:
     rebuilt fresh by the trusted constructor and by `validate`, and each
     build's construction walk leaves a decision-node preorder
     (`_preorder`): each decision node once, the root first, and every
-    decision node's subtree one contiguous block, which `_partition` reads."""
+    decision node's subtree one contiguous block, which `_partition` reads.
+    Each decision node's stored (action, successor) pairs list exactly its
+    situation's actions in sorted order, the order in which the deviation
+    walk branches along them."""
     assert bounded_predecessor_walk(form.quintuples) == []
     for built in (form, Pentaform(form.quintuples), validate(form.quintuples)):
         assert subroots(built) == brute_force_subroots(built)
@@ -202,6 +206,7 @@ def _check_structure(form) -> None:
         for w in order:
             below = {x for x in built.subtree_nodes(w) if x in built.decision_nodes}
             assert set(order[pos[w]:pos[w] + len(below)]) == below
+            assert [a for a, _ in built._children[w]] == sorted(built.action_set(built.situation_of(w)))
 
 
 def test_structure_matches_oracles_on_corpus(small_corpus):
@@ -924,6 +929,88 @@ def test_engine_walks_no_subtree_on_a_fresh_chain(tmp_path, monkeypatch, capsys)
     assert walks == []
 
 
+def _deviation(result: tuple) -> tuple:
+    """A deviation walk's value, its choices with their key order, and the node it reaches."""
+    value, choices, end = result
+    return repr(value), list(choices.items()), end
+
+
+def test_best_deviation_matches_the_reference_walk(small_corpus):
+    """The deviation walk, which reads the form's tables and branches along
+    each node's stored pairs, returns what the reference walk returns, which
+    calls the checked accessors and sorts each action set: the best value,
+    the choices in the same key order, and the node reached.  Every player
+    walks under a random strategy, with every node priced at random (ties
+    included), from every subroot over the whole form, and over each piece
+    in place against the walk of its explicit piece form: on the random
+    corpus, at least 100 absentminded games and the class templates of the
+    fixture systems."""
+    absentminded = [g for g in (random_game(seed, max_nodes=20) for seed in range(400)) if is_absentminded(g.form)]
+    assert len(absentminded) >= 100, len(absentminded)
+    forms = [g.form for g in (*small_corpus, *absentminded)]
+    forms += [cls.template for system in (ann_chain, bob_chain, eda_chain, cry_wolf)
+              for _, cls in sorted(system().classes.items())]
+    rng = random.Random(3838)
+    improved = walks = 0
+    for form in forms:
+        s = random_strategy(form, rng)
+        worth = {y: Fraction(rng.randint(-2, 2)) for y in sorted(form.nodes)}.__getitem__
+        part = _partition(form)
+        for t, through in part.nodes.items():
+            piece = piece_form(form, t)
+            for i in sorted(form.players):
+                whole = game._best_deviation(form, s, i, t, worth, form.decision_nodes)
+                assert _deviation(whole) == _deviation(
+                    reference_best_deviation(form, s, i, t, form.situations, worth))
+                inside = game._best_deviation(form, s, i, t, worth, through)
+                assert _deviation(inside) == _deviation(
+                    reference_best_deviation(piece, s, i, t, piece.situations, worth))
+                improved += whole[0] > worth(outcome(form, s, t)[-1])
+                walks += 2
+    assert improved > 100 and walks > 1000, (improved, walks)
+
+
+def _refuse_checked_accessors(monkeypatch) -> None:
+    """Make the checked accessors of every Pentaform raise from now on."""
+    def refuse(self, *args):
+        raise AssertionError(f"a walk called a checked accessor with {args!r}")
+
+    for name in ("situation_of", "player_of", "action_set", "next_node"):
+        monkeypatch.setattr(Pentaform, name, refuse)
+
+
+def test_walks_call_no_checked_accessor(monkeypatch):
+    """Every walk reads the form's own tables.  With `situation_of`,
+    `player_of`, `action_set` and `next_node` made to raise, the solver, the
+    Nash-type checks, the authentic values and the value checks give the
+    same answers on a fresh pool-shaped random game and a fresh 2,000-node
+    chain, and so do `certify_spe` and `solve_stationary` on the cry-wolf
+    fixture system."""
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    calm = fileio.load_stationary_strategy(fixtures / "crywolf_calm.strategy")
+    half_in = {f"s{k:05d}": "in" if k != 500 else "out" for k in range(2000)}
+
+    def fresh() -> tuple:
+        g = random_game(23, max_nodes=60, max_info_set=6)
+        return ((g, random_strategy(g.form, random.Random(23))), (chain_game(2000, "Tabled"), half_in),
+                fileio.load_system(fixtures / "crywolf.system"))
+
+    def answers(games, wolf) -> str:
+        out = []
+        for g, s in games:
+            values = authentic_value(g, s)
+            out += [solve_backward(g), nash_check(g, s), spe_check_direct(g, s), one_piece_unimprovable(g, s),
+                    values, persistent(g, s, values), piecewise_nash(g, s, values)]
+        out += [certify_spe(wolf, calm), stationary.solve_stationary(wolf)]
+        return repr(out)
+
+    *expected_games, expected_wolf = fresh()
+    *games, wolf = fresh()
+    expected = answers(expected_games, expected_wolf)
+    _refuse_checked_accessors(monkeypatch)
+    assert answers(games, wolf) == expected
+
+
 def test_admissible_and_authentic_match_reference_on_stationary_systems():
     """Verdicts and witnesses of both value checks agree with the reference
     bounds and continuation values on random and ring systems, their
@@ -1168,16 +1255,29 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+class _CountedReads(dict):
+    """A form's table that counts the reads made by subscript."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return dict.__getitem__(self, key)
+
+
 @pytest.mark.parametrize("n", [500, 1000])
-def test_spe_check_walks_each_piece_once_on_chains(n, monkeypatch):
+def test_spe_check_walks_each_piece_once_on_chains(n):
     """The value recursion walks each one-node piece once per player, plus
-    one conforming trace: at most 3n moves, where searching every subgame to
-    the end of the chain takes 3n(n + 1)/2."""
+    one conforming trace.  Every walk reads the situation of each decision
+    node it enters from the form's table, so the check reads it at most 2n
+    times, where searching every subgame to the end of the chain reads it
+    n(n + 1) times."""
     g = chain_game(n)
     always_in = {f"s{k:05d}": "in" for k in range(n)}
-    moves = _count_calls(monkeypatch, "next_node")
+    _partition(g.form)  # the partition's own sweeps read the table too
+    entered = g.form._situation_of = _CountedReads(g.form._situation_of)
     assert spe_check_direct(g, always_in).holds
-    assert len(moves) <= 3 * n
+    assert 0 < entered.reads <= 2 * n
 
 
 def test_subgame_checks_build_no_form(monkeypatch):

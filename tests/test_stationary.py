@@ -9,6 +9,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ from pentaform import (
     subroots,
     validate,
 )
-from pentaform import stationary
+from pentaform import fileio, stationary
 from pentaform.fixtures import (
     always_in,
     always_out,
@@ -700,6 +701,24 @@ def test_certify_validates_the_strategy_once(monkeypatch):
     monkeypatch.setattr(stationary, "validate_stationary_strategy", counted)
     assert certify_spe(WOLF, CALM).kind == SPE_CERTIFIED
     assert len(calls) == 1
+
+
+def test_certify_states_the_discounted_bound_once(monkeypatch):
+    """One `certify_spe` on the cry-wolf fixture asks for both convergence
+    directions, but the discounted bound and its three stated numbers (the
+    bound, β and the bound at d = 64) are worked out once and kept on the
+    system: a second certificate states none again.  The two certificates
+    differ only in the word "increment" or "decrement"."""
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    wolf = fileio.load_system(fixtures / "crywolf.system")
+    calm = fileio.load_stationary_strategy(fixtures / "crywolf_calm.strategy")
+    stated = []
+    state = stationary._stated
+    monkeypatch.setattr(stationary, "_stated", lambda x: stated.append(x) or state(x))
+    cert = certify_spe(wolf, calm)
+    assert cert.kind == SPE_CERTIFIED and len(stated) == 3
+    assert certify_spe(wolf, calm) == cert and len(stated) == 3
+    assert cert.upper.certificate.replace("increment", "decrement") == cert.lower.certificate != cert.upper.certificate
 
 
 def test_conceivable_bounds_ignore_the_profile_cap(monkeypatch):

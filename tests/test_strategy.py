@@ -108,6 +108,19 @@ def test_outcome_names_the_first_uncovered_situation_on_its_run():
         outcome(F1, {"jE": "e"})
 
 
+def test_outcome_keeps_its_errors_for_a_strategy_it_cannot_follow():
+    """The trace reads the form's tables, and still names an uncovered
+    situation or an infeasible action as the checked accessors did, on the
+    whole form and on a piece."""
+    for s, text in [({"jE": "e"}, "strategy does not cover situation 'jI'"),
+                    ({"jE": "x"}, "('5', 'x') is not a feasible decision-node/action pair"),
+                    ({"jE": "e", "jI": "e"}, "('6', 'e') is not a feasible decision-node/action pair")]:
+        for through in (None, F1.decision_nodes):
+            with pytest.raises(ValueError) as error:
+                outcome(F1, s, None, through)
+            assert str(error.value) == text
+
+
 def naive_outcome(form, s):
     """Re-derives the situation of each node by scanning the raw quintuples."""
     quintuples = list(form.quintuples)

@@ -98,7 +98,7 @@ def cmd_inspect(args) -> int:
     form = fileio.load_pentaform(args.path)
     pieces = _partition(form).nodes
     ts = sorted(pieces)
-    sizes = {t: sum(len(form.children(x)) for x in pieces[t]) for t in ts}  # quintuples per piece
+    sizes = {t: sum(len(form._children[x]) for x in pieces[t]) for t in ts}  # quintuples per piece
     if args.dot:
         fileio._write(args.dot, _dot(form))
     print(f"inspect {args.path}")

@@ -5,10 +5,15 @@ edge of an extensive-form tree together with who moves there and in which
 information situation.  A finite set of such quintuples that satisfies eight
 axioms is a *pentaform*; its root, predecessor function, precedence order,
 paths, and runs are all derivable from the raw relation, and this module
-derives them.  A form keeps only what its readers read: the node sets, the
-per-label maps, each node's children and depth, the decision nodes in the
-preorder of the walk that found the depths, and its partition slot; a path
-or a run is walked from the predecessor map when asked for.
+derives them.  ``Pentaform(q)`` is the one way to build a form, and it
+checks all eight axioms: a set that fails one raises `InvalidPentaform`
+with every violation (`validate` is the same call under its module-level
+name).  A form keeps only what its readers read: the node sets, the
+per-label maps, each decision node's moves as one table action → successor
+(the successor function of [Pwa->y], stored once), each node's depth, the
+decision nodes in the preorder of the walk that found the depths, and its
+partition slot; a path or a run is walked from the predecessor map when
+asked for.
 
 All labels are opaque strings ordered lexicographically, so every operation
 iterates in a canonical order and produces deterministic output.
@@ -74,7 +79,8 @@ class AxiomViolation:
 
 
 class InvalidPentaform(ValueError):
-    """Raised by validate(); carries every violated axiom with a witness."""
+    """Raised by ``Pentaform(...)`` and validate(); carries every violated
+    axiom with a witness."""
 
     def __init__(self, violations: Sequence[AxiomViolation]):
         self.violations = tuple(violations)
@@ -117,17 +123,11 @@ def check_axioms(q: Iterable[Quintuple]) -> list[AxiomViolation]:
 
 
 def _diagnosed(q: Iterable[Quintuple]) -> tuple[Pentaform, list[AxiomViolation]]:
-    """Index the set once and diagnose every violated axiom from that index,
-    each with one witness.  A valid form comes back grown, with the depths
-    of the walk that checked [Py]; the witness search runs only when one of
-    `_valid_depths`' counts disagrees."""
+    """The indexed form of the set and every violated axiom, each with one
+    witness, as the constructor finds them, but returned instead of
+    raised: a valid form comes back grown."""
     form = Pentaform.__new__(Pentaform)
-    columns = form._index(q)
-    depth = _valid_depths(form, columns)
-    if depth is not None:
-        form._grow(columns, depth)
-        return form, []
-    return form, _violations(form)
+    return form, form._index(q)
 
 
 def _valid_depths(form: Pentaform, columns) -> dict[str, int] | None:
@@ -140,11 +140,12 @@ def _valid_depths(form: Pentaform, columns) -> dict[str, int] | None:
     the rectangles of each situation's nodes and actions hold ([Pwa]); each
     quintuple's player its situation's ([Pi<-j]); one decision node that is
     no successor ([Pr]); and every successor reached by the walk down from
-    it ([Py]).
+    it ([Py]).  The depth walk runs only once the counts pass, so it never
+    meets a cycle.
     """
     n = len(form.quintuples)
     players, situations = columns[0], columns[1]
-    if not (n == len(form._pred) == len(form._next)
+    if not (n == len(form._pred) == sum(map(len, form._children.values()))
             and sum(map(len, form._info_sets.values())) == len(form._situation_of)
             and sum(len(ws) * len(form._action_sets[j]) for j, ws in form._info_sets.items()) == n
             and tuple(map(form._player_of.__getitem__, situations)) == players):
@@ -172,7 +173,7 @@ def _violations(form: Pentaform) -> list[AxiomViolation]:
         if prev != t.situation and AXIOM_SITUATION_OF_NODE not in found:
             found[AXIOM_SITUATION_OF_NODE] = (
                 f"decision node {t.decision_node!r} lies in situations {prev!r} and {t.situation!r}")
-        prev = form._next[(t.decision_node, t.action)]
+        prev = form._children[t.decision_node][t.action]
         if prev != t.successor and AXIOM_SUCCESSOR_FUNCTION not in found:
             found[AXIOM_SUCCESSOR_FUNCTION] = (
                 f"pair ({t.decision_node!r}, {t.action!r}) leads to both {prev!r} and {t.successor!r}")
@@ -204,16 +205,16 @@ def _violations(form: Pentaform) -> list[AxiomViolation]:
     # [Py]: every predecessor walk must leave Y.  Where [Pw<-y] fails, a walk
     # follows the lexicographically smallest predecessor.  A walk from y
     # leaves Y exactly when y is reached from a root (a decision node outside
-    # Y) along the edges that the walks follow backwards.
-    pred_choice = {**form._pred, **{y: min(ws) for y, ws in extra_preds.items()}}
+    # Y) along the inverse of the predecessor the walks choose.
+    below: dict[str, list[str]] = {}
+    for y, w in {**form._pred, **{y: min(ws) for y, ws in extra_preds.items()}}.items():
+        below.setdefault(w, []).append(y)
     roots = form._situation_of.keys() - form._pred.keys()
     reached, stack = set(roots), list(roots)
     while stack:
-        w = stack.pop()
-        for _, y in form._children.get(w, ()):
-            if pred_choice[y] == w and y not in reached:
-                reached.add(y)
-                stack.append(y)
+        for y in below.get(stack.pop(), ()):
+            reached.add(y)
+            stack.append(y)
     cycling = form._pred.keys() - reached
     if cycling:
         y = min(cycling)
@@ -232,57 +233,68 @@ def _violations(form: Pentaform) -> list[AxiomViolation]:
 class Pentaform:
     """A validated quintuple set with its derived tree structure.
 
-    Instances are immutable and are produced by :func:`validate` or by trusted
-    ``Pentaform(...)`` construction, which checks no axiom and must only
-    receive a pentaform.  That constructor is the one trusted way to build a
-    form: subforms and pieces are pentaforms by the paper's propositions, so
-    `partition` builds them with it, and the differential tests check every
-    one they build.  Each node's children are kept in the canonical order the
-    quintuples arrive in, which sorts a valid node's children by action.
+    ``Pentaform(q)`` checks all eight axioms and raises `InvalidPentaform`
+    with every violation, exactly those `check_axioms(q)` returns, so every
+    instance is a pentaform; :func:`validate` is the same call.  Instances
+    are immutable.  Subforms and pieces are pentaforms by the paper's
+    propositions, and `partition` builds them with this constructor too.
+
+    Each decision node's moves are one table, ``_children[w]``, a dict
+    action → successor in action order: the successor function of
+    [Pwa->y], stored once.  The walks read it directly, a move as
+    ``_children[x][a]`` and a branch point as ``_children[x].items()``.
     """
 
     __slots__ = (
         "quintuples", "players", "situations", "decision_nodes",
         "successors", "nodes", "endnodes", "root",
         "_pred", "_children", "_situation_of", "_player_of",
-        "_info_sets", "_action_sets", "_next", "_depth", "_preorder", "_hash", "_partition",
+        "_info_sets", "_action_sets", "_depth", "_preorder", "_hash", "_partition",
     )
 
     def __init__(self, quintuples: Iterable[Quintuple]):
-        self._grow(self._index(quintuples))
+        violations = self._index(quintuples)
+        if violations:
+            raise InvalidPentaform(violations)
 
-    def _index(self, q: Iterable[Quintuple]) -> tuple[tuple[str, ...], ...]:
-        """The one place a quintuple set is sorted and indexed; returns its
-        five columns in canonical order.  Each map keeps the first value met
-        in canonical order (the reversed columns write it last), against
-        which the diagnosis finds every conflict.  A valid node's quintuples
-        lie side by side sorted by action, so its children need no sort; an
-        invalid form's children are read only by order-free walks."""
+    def _index(self, q: Iterable[Quintuple]) -> list[AxiomViolation]:
+        """The one place a quintuple set is sorted, indexed and checked:
+        returns every violated axiom, and grows the form when there is
+        none.  Each map keeps the first value met in canonical order (the
+        reversed columns write it last), against which the diagnosis finds
+        every conflict; so does each move table, which `setdefault` fills.
+        A valid node's quintuples lie side by side sorted by action, so its
+        table needs no sort; an invalid form's tables are read only by
+        order-free walks.  The witness search runs only when one of
+        `_valid_depths`' counts disagrees."""
         qs = sorted(q, key=_CANONICAL)
         # equal quintuples lie side by side once sorted: keep the first of each run
         qs = self.quintuples = tuple(compress(qs, chain((True,), map(ne, islice(qs, 1, None), qs))))
         columns = tuple(zip(*qs)) or ((),) * 5
-        players, situations, nodes, actions, successors = (c[::-1] for c in columns)
+        players, situations, nodes, _, successors = (c[::-1] for c in columns)
         self._player_of = dict(zip(situations, players))
         self._situation_of = dict(zip(nodes, situations))
-        self._next = dict(zip(zip(nodes, actions), successors))
         self._pred = dict(zip(successors, nodes))
-        children: dict[str, list[tuple[str, str]]] = {}
+        children: dict[str, dict[str, str]] = {}
         info: dict[str, set[str]] = {}
         acts: dict[str, set[str]] = {}
         for j, w, a, y in zip(*columns[1:]):
-            children.setdefault(w, []).append((a, y))
+            children.setdefault(w, {}).setdefault(a, y)
             info.setdefault(j, set()).add(w)
             acts.setdefault(j, set()).add(a)
-        self._children = {w: tuple(cs) for w, cs in children.items()}
+        self._children = children
         self._info_sets = {j: frozenset(v) for j, v in info.items()}
         self._action_sets = {j: frozenset(v) for j, v in acts.items()}
-        return columns
+        depth = _valid_depths(self, columns)
+        if depth is None:
+            return _violations(self)
+        self._grow(columns, depth)
+        return []
 
-    def _grow(self, columns, depth: dict[str, int] | None = None) -> None:
-        """Node sets, root and depths of an indexed pentaform, from the
-        columns `_index` returned; a caller that has walked the depths
-        passes them."""
+    def _grow(self, columns, depth: dict[str, int]) -> None:
+        """Node sets, root and depths of an indexed pentaform, from its
+        five columns in canonical order and the depths `_valid_depths`
+        walked."""
         # Filled in canonical order as before: a set's iteration order depends
         # on how it was filled, and random_game draws in endnode order.
         players, situations, decision_nodes, _, successors = columns
@@ -293,7 +305,7 @@ class Pentaform:
         self.nodes = self.decision_nodes | self.successors
         self.endnodes = self.successors - self.decision_nodes
         (self.root,) = self.decision_nodes - self.successors
-        self._depth = self._depths(self.root) if depth is None else depth
+        self._depth = depth
         self._hash = None
         self._partition = None  # filled by partition._partition
 
@@ -310,7 +322,7 @@ class Pentaform:
             w = stack.pop()
             order.append(w)
             d = depth[w] + 1
-            for _, y in children[w]:
+            for y in children[w].values():
                 depth[y] = d
                 if y in children:
                     stack.append(y)
@@ -359,11 +371,11 @@ class Pentaform:
 
     def children(self, w: str) -> tuple[tuple[str, str], ...]:
         """Sorted (action, successor) pairs at a decision node."""
-        return self._children.get(w, ())
+        return tuple(self._children[w].items()) if w in self._children else ()
 
     def next_node(self, w: str, a: str) -> str:
         try:
-            return self._next[(w, a)]
+            return self._children[w][a]
         except KeyError:
             raise ValueError(f"({w!r}, {a!r}) is not a feasible decision-node/action pair") from None
 
@@ -439,18 +451,16 @@ class Pentaform:
         while stack:
             n = stack.pop()
             out.append(n)
-            for _, y in reversed(self._children.get(n, ())):
-                stack.append(y)
+            if n in self._children:
+                stack.extend(reversed(self._children[n].values()))
         return out
 
 
 def validate(q: Iterable[Quintuple]) -> Pentaform:
-    """Check all eight axioms and build the derived structure.
+    """``Pentaform(q)``: check all eight axioms and build the derived
+    structure.
 
     Raises :class:`InvalidPentaform` carrying every violated axiom with a
     concrete witness; an empty set fails the single-root axiom.
     """
-    form, violations = _diagnosed(q)
-    if violations:
-        raise InvalidPentaform(violations)
-    return form
+    return Pentaform(q)

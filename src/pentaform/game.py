@@ -27,8 +27,8 @@ Deviation searches are exact: a backtracking walk branches only at the
 deviating player's situations actually reached, which maximizes over the
 player's full strategy space without materializing it.  The walk reads the
 form's own tables, bound once per call, and calls no checked accessor; at a
-branch point it takes the node's stored (action, successor) pairs, which
-are in action order, so backtracking needs no sort.  Every subgame check
+branch point it iterates the node's move table (action → successor), which
+is in action order, so backtracking needs no sort.  Every subgame check
 walks each piece in place on its own decision nodes (`_partition(form).nodes`)
 from a subroot t up to the next subroot or a final endnode.  The piece checks
 price each exit by the value function, or by the authentic values, which the
@@ -152,7 +152,7 @@ class Game:
             ks, children = self.stakeholders, self.form._children
             table = self._extremes = {y: {h: (u[h],) * 2 for h in ks} for y, u in self.utilities.items()}
             for y in reversed(self.form._preorder):
-                below = [table[z] for _, z in children[y]]
+                below = [table[z] for z in children[y].values()]
                 table[y] = {h: (min(b[h][0] for b in below), max(b[h][1] for b in below)) for h in ks}
         return self._extremes[x][k]
 
@@ -228,39 +228,39 @@ def _best_deviation(form: Pentaform, s: Mapping[str, str], i: str, start: str, v
 
     The walk reads the form's own tables, with no checked accessor: s is a
     valid strategy and every node it moves on is a decision node.  At a new
-    branch point it takes the node's stored (action, successor) pairs,
-    which a valid form keeps in action order, so trying the next action is
-    one step along them; a repeat of a situation already assigned moves by
-    `_next`.
+    branch point it iterates the node's move table, which a valid form
+    keeps in action order, so trying the next action is one step of that
+    iterator; every other move is one lookup in the table.
     """
-    situation_of, player_of, next_node, children = form._situation_of, form._player_of, form._next, form._children
+    situation_of, player_of, children = form._situation_of, form._player_of, form._children
     best: tuple = (None, None, None)
     assign: dict[str, str] = {}
-    # One frame per open branch point: [situation, the node's pairs, index].
-    # An explicit stack keeps the Python call depth fixed however deep the form.
-    stack: list[list] = []
+    # One frame per open branch point: (situation, an iterator over the
+    # node's moves).  An explicit stack keeps the Python call depth fixed
+    # however deep the form.
+    stack: list[tuple] = []
     x = start
     while True:
         while x in through:
             j = situation_of[x]
             if player_of[j] != i:
-                x = next_node[x, s[j]]
+                x = children[x][s[j]]
             elif j in assign:
-                x = next_node[x, assign[j]]
+                x = children[x][assign[j]]
             else:
-                pairs = children[x]
-                stack.append([j, pairs, 0])
-                assign[j], x = pairs[0]
+                moves = iter(children[x].items())
+                stack.append((j, moves))
+                assign[j], x = next(moves)
         v = value_of_endnode(x)
         if best[0] is None or v > best[0]:
             best = (v, dict(assign), x)
         while stack:
-            frame = stack[-1]
-            frame[2] += 1
-            if frame[2] < len(frame[1]):
-                assign[frame[0]], x = frame[1][frame[2]]
+            j, moves = stack[-1]
+            move = next(moves, None)
+            if move is not None:
+                assign[j], x = move
                 break
-            del assign[frame[0]]
+            del assign[j]
             stack.pop()
         else:
             return best
@@ -484,21 +484,21 @@ class PieceScan:
     first), each paired with the endnode that its walk of the piece from t
     reaches, moving on those nodes.  `rows` steps through them and
     `nash_rows` keeps the Nash ones, jumping past rows that cannot be Nash
-    (the rule is in `nash_rows`).  The cap is `cap`, which `solve_backward`
-    reads once for all its pieces, or else `profile_cap()` read when the
-    scan is made; `where` names the piece in the cap error.  The scan reads
-    the form's own tables, never a checked accessor.
+    (the rule is in `nash_rows`).  The cap is `cap`, which each solver
+    reads once (`profile_cap()`) for all its scans; `where` names the piece
+    in the cap error.  The scan reads the form's own tables, never a
+    checked accessor.
     """
 
-    def __init__(self, form: Pentaform, t: str, through: AbstractSet[str], largest_first: bool = False,
-                 cap: int | None = None):
+    def __init__(self, form: Pentaform, t: str, through: AbstractSet[str], cap: int,
+                 largest_first: bool = False):
         self.form = form
         self.t = t
         self.where = f"piece at {t!r}"
         self.through = through
         situation_of, player_of, action_sets = form._situation_of, form._player_of, form._action_sets
         situations = {situation_of[x] for x in through}
-        self.cap = profile_cap() if cap is None else cap
+        self.cap = cap
         self.first_profile: dict[str, str] = {}
         self.digits: list[tuple[str, list[str]]] = []  # each situation with more than one action
         self.digit_of: dict[str, int] = {}  # and its place in `digits`
@@ -558,7 +558,7 @@ class PieceScan:
         walked whole from t to its endnode.  keys[i] is the mixed-radix index
         of s₋ᵢ over the other players' digits, the first least significant,
         moved by each changed digit's place value (`places`)."""
-        through, situation_of, next_node = self.through, self.form._situation_of, self.form._next
+        through, situation_of, children = self.through, self.form._situation_of, self.form._children
         digits, places = self.digits, self.places
         index = [0] * len(digits)
         tops = [len(pool) - 1 for _, pool in digits]
@@ -567,7 +567,7 @@ class PieceScan:
         while True:
             x = self.t
             while x in through:
-                x = next_node[x, profile[situation_of[x]]]
+                x = children[x][profile[situation_of[x]]]
             best = yield x, k
             k, goal = last, None  # goal: every digit's index after a jump
             if best is not None:
@@ -633,7 +633,7 @@ class PieceScan:
             w = pred[x]
             m = self.digit_of.get(situation_of[w])
             if m is not None:
-                n = self.digits[m][1].index(next(a for a, z in children[w] if z == x))
+                n = self.digits[m][1].index(next(a for a, z in children[w].items() if z == x))
                 if m < self.tail:
                     before.append((m, n))
                 else:
@@ -726,7 +726,7 @@ def solve_backward(g: Game) -> BackwardSolution | NoPureEquilibrium:
     part = _partition(form)
     cap = profile_cap()
     for t in part.deepest_first:
-        row = first_nash_point(PieceScan(form, t, part.nodes[t], cap=cap), prices)
+        row = first_nash_point(PieceScan(form, t, part.nodes[t], cap), prices)
         if row is None:
             return NoPureEquilibrium(t)
         profile, end = row

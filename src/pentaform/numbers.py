@@ -47,6 +47,7 @@ def as_scalar(x) -> Scalar:
 
 
 MAX_DIGITS = 4300  # CPython's default limit on int ↔ str conversion
+_TOO_LONG = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 # an optional '-', then digits with an optional decimal fraction or a '/q' in digits
 _NUMBER = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
@@ -75,6 +76,20 @@ def parse_scalar(text: str) -> Scalar:
     return Fraction(-n if sign else n, d)
 
 
+def _over_long(x: Scalar) -> str | None:
+    """The fact that x is over long, when it is a Fraction whose numerator
+    or denominator has more than MAX_DIGITS digits, which no integer
+    conversion to text takes; else None."""
+    if isinstance(x, Fraction) and max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        return f"a number with more than {MAX_DIGITS} digits"
+    return None
+
+
+def _stated(x: Fraction) -> str:
+    """x as `str` writes it, or the fact that it is over long."""
+    return _over_long(x) or str(x)
+
+
 def _shown(text: str) -> str:
     """The text for an error message, cut short past 40 characters."""
     if len(text) <= 40:
@@ -83,16 +98,16 @@ def _shown(text: str) -> str:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form: 'inf', '-inf', integers, terminating decimals,
-    and 'p/q' for everything else.  ``parse_scalar`` round-trips exactly."""
+    """Canonical text form: 'inf', '-inf', integers, terminating decimals
+    of at most MAX_DIGITS digits, and 'p/q' for everything else.
+    ``parse_scalar`` round-trips exactly."""
     x = as_scalar(x)
     if not isinstance(x, Fraction):
         return "inf" if x > 0 else "-inf"
     if x.denominator == 1:
         return str(x.numerator)
     terminating = _terminating_digits(x.denominator)
-    if terminating is not None:
-        scaled = x.numerator * 10**terminating // x.denominator
+    if terminating is not None and abs(scaled := x.numerator * 10**terminating // x.denominator) < _TOO_LONG:
         sign = "-" if scaled < 0 else ""
         digits = str(abs(scaled)).rjust(terminating + 1, "0")
         return f"{sign}{digits[:-terminating]}.{digits[-terminating:]}"
@@ -118,7 +133,9 @@ def repeating_decimal(x: Scalar) -> str:
     """Exact decimal expansion with the repeating block overlined.
 
     5/9 renders as '.5̄' and 19/45 as '.42̄'; terminating fractions render
-    plainly ('.55'); values with |x| < 1 drop the leading zero.
+    plainly ('.55'); values with |x| < 1 drop the leading zero.  Raises
+    ValueError once the expansion passes MAX_DIGITS digits after the point:
+    the repetend of p/q can be q - 1 digits long.
     """
     x = as_scalar(x)
     if not isinstance(x, Fraction):
@@ -131,6 +148,8 @@ def repeating_decimal(x: Scalar) -> str:
     digits: list[str] = []
     seen: dict[int, int] = {}
     while rem and rem not in seen:
+        if len(digits) == MAX_DIGITS:
+            raise ValueError(f"the decimal expansion of {x} has more than {MAX_DIGITS} digits")
         seen[rem] = len(digits)
         rem *= 10
         digit, rem = divmod(rem, d)
@@ -145,10 +164,19 @@ def repeating_decimal(x: Scalar) -> str:
 
 
 def render_scalar(x: Scalar) -> str:
-    """Report form: exact rational plus decimal, e.g. '5/9 (= .5̄)'."""
+    """Report form: exact rational plus decimal, e.g. '5/9 (= .5̄)'; the
+    rational alone when the decimal expansion passes MAX_DIGITS digits, and
+    the fact that x is over long when its numerator or denominator has more
+    than MAX_DIGITS digits."""
+    over_long = _over_long(x)
+    if over_long:
+        return over_long
     base = format_scalar(x)
     if isinstance(x, Fraction) and x.denominator != 1 and _terminating_digits(x.denominator) is None:
-        return f"{base} (= {repeating_decimal(x)})"
+        try:
+            return f"{base} (= {repeating_decimal(x)})"
+        except ValueError:
+            pass
     return base
 
 

@@ -75,7 +75,7 @@ from .game import (
     _require_domain,
     profile_cap,
 )
-from .numbers import MAX_DIGITS, Profile, Scalar, is_finite, make_profile
+from .numbers import Profile, Scalar, _stated, is_finite, make_profile
 from .partition import _partition
 from .strategy import outcome, validate_strategy
 
@@ -162,18 +162,6 @@ class DiscountedAccumulation:
         return ConvergenceVerdict(HOLDS, certificate=(
             f"discounted accumulation with bounded rewards: the conceivable "
             f"{'increment' if direction == 'upper' else 'decrement'} {sys._discounted_bound}"))
-
-
-_TOO_LONG = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
-
-
-def _stated(x: Fraction) -> str:
-    """x as `str` writes it, or, when its numerator or denominator has more
-    than MAX_DIGITS digits, which no integer conversion to text takes, that
-    fact."""
-    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
-        return f"a number with more than {MAX_DIGITS} digits"
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -919,7 +907,8 @@ SOLVE_MAX_SWEEPS = 500
 class _ClassTable(PieceScan):
     """Class cid's template rows for value iteration, kept for the whole
     solve and read from `PieceScan.rows`, largest action first, on first
-    need.
+    need; `cap` is the profile cap, which the solve reads once for every
+    class.
 
     Row r is the r-th profile of that order.  The table holds, for each row
     walked so far, a copy of its profile `profiles[r]`, its exit `ends[r]`
@@ -932,8 +921,8 @@ class _ClassTable(PieceScan):
     sweep (`first_nash_row`) keeps each best set it computes for that sweep
     only; the exact check tests one row by the same method (`is_nash`)."""
 
-    def __init__(self, cid: str, template: Pentaform):
-        super().__init__(template, template.root, template.decision_nodes, largest_first=True)
+    def __init__(self, cid: str, template: Pentaform, cap: int):
+        super().__init__(template, template.root, template.decision_nodes, cap, largest_first=True)
         self.where = f"class {cid!r}"
         self.profiles: list[dict[str, str]] = []
         self.ends: list[str] = []
@@ -1020,7 +1009,8 @@ def solve_stationary(sys: StationarySystem) -> StationarySolution | StationarySo
     beta = sys.model.beta
     q = beta.denominator
     tol_num, tol_den = SOLVE_TOL.numerator, SOLVE_TOL.denominator
-    tables = {c: _ClassTable(c, sys.classes[c].template) for c in sorted(sys.classes)}
+    cap = profile_cap()
+    tables = {c: _ClassTable(c, sys.classes[c].template, cap) for c in sorted(sys.classes)}
     exits, lcd = _integer_exits({c: sys.classes[c].exits for c in tables})
     W = {c: dict.fromkeys(sys.stakeholders, 0) for c in tables}
     S = lcd

@@ -71,7 +71,7 @@ def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None,
     set of decision nodes the trace may move on (all of p's by default); it
     stops at the first node outside it, so a piece run stops at the next
     subroot.  The trace reads the form's own tables."""
-    situation_of, next_node = p._situation_of, p._next
+    situation_of, children = p._situation_of, p._children
     x = p.root if start is None else start
     if through is None:
         through = p.decision_nodes
@@ -83,7 +83,7 @@ def outcome(p: Pentaform, s: Mapping[str, str], start: str | None = None,
         except KeyError:
             raise ValueError(f"strategy does not cover situation {j!r}") from None
         try:
-            x = next_node[x, a]
+            x = children[x][a]
         except KeyError:
             raise ValueError(f"({x!r}, {a!r}) is not a feasible decision-node/action pair") from None
         nodes.append(x)

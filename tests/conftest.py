@@ -261,13 +261,14 @@ def reference_check_axioms(q) -> list[AxiomViolation]:
 
 class ReferencePentaform:
     """The derived structure built from its own sort of the quintuples, with
-    the same attribute names as `Pentaform`."""
+    the same attribute names as `Pentaform`: each decision node's moves a
+    dict action → successor, built from the node's sorted pairs."""
 
     FIELDS = (
         "quintuples", "players", "situations", "decision_nodes",
         "successors", "nodes", "endnodes", "root",
         "_pred", "_children", "_situation_of", "_player_of",
-        "_info_sets", "_action_sets", "_next", "_depth",
+        "_info_sets", "_action_sets", "_depth",
     )
 
     def __init__(self, quintuples):
@@ -282,7 +283,6 @@ class ReferencePentaform:
         (self.root,) = self.decision_nodes - self.successors
 
         self._pred = {t.successor: t.decision_node for t in qs}
-        self._next = {(t.decision_node, t.action): t.successor for t in qs}
         self._situation_of = {t.decision_node: t.situation for t in qs}
         self._player_of = {t.situation: t.player for t in qs}
         children: dict[str, list[tuple[str, str]]] = {}
@@ -292,7 +292,7 @@ class ReferencePentaform:
             children.setdefault(t.decision_node, []).append((t.action, t.successor))
             info.setdefault(t.situation, set()).add(t.decision_node)
             acts.setdefault(t.situation, set()).add(t.action)
-        self._children = {w: tuple(sorted(cs)) for w, cs in children.items()}
+        self._children = {w: dict(sorted(cs)) for w, cs in children.items()}
         self._info_sets = {j: frozenset(v) for j, v in info.items()}
         self._action_sets = {j: frozenset(v) for j, v in acts.items()}
 
@@ -300,7 +300,7 @@ class ReferencePentaform:
         stack = [self.root]
         while stack:
             w = stack.pop()
-            for _, y in self._children.get(w, ()):
+            for y in self._children.get(w, {}).values():
                 depth[y] = depth[w] + 1
                 if y in self.decision_nodes:
                     stack.append(y)
@@ -308,14 +308,17 @@ class ReferencePentaform:
 
 
 def assert_same_structure(form: Pentaform, expected) -> None:
-    """Every derived field of `form` equals the reference structure's, and
-    every node set iterates in the same order (random_game draws its
-    utilities in endnode iteration order)."""
+    """Every derived field of `form` equals the reference structure's, every
+    node set iterates in the same order (random_game draws its utilities in
+    endnode iteration order), and each node's moves are listed in the same
+    order (dict equality ignores order, so their item lists are compared)."""
     for name in ReferencePentaform.FIELDS:
         value = getattr(form, name)
         assert value == getattr(expected, name), name
         if isinstance(value, frozenset):
             assert list(value) == list(getattr(expected, name)), name
+    assert {w: list(moves.items()) for w, moves in form._children.items()} == {
+        w: list(moves.items()) for w, moves in expected._children.items()}
 
 
 # -- load-path reference oracles: each file's lists parsed entry by entry, and

@@ -12,6 +12,11 @@ each result's `repr`, in pool order; the first 16 hex digits are printed.
 `nash_check`, `spe_check_direct` and `one_piece_unimprovable` on each pool
 game under one strategy drawn from `random.Random(index)`; the checks run
 before the counters are installed, so they add to neither count.
+`forms_sha256` hashes the form layer through public accessors only, so it
+does not depend on how a form stores its structure: for each pool form, a
+1,000-node `conftest.chain_game` and the cry-wolf depth-3 unfolding, the
+root, each node's depth, each decision node's `children` in order, the
+sorted subroots and each piece's sorted `piece_decision_nodes`.
 Prints one JSON object.  `random_game` draws in set order, so the pool,
 and with it every figure, depends on the hash seed: compare runs under
 one `PYTHONHASHSEED`.  Run it from a checkout: it imports that checkout's
@@ -29,10 +34,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _form_layer(form) -> str:
+    """The form's structure as read through its public accessors."""
+    from pentaform.partition import piece_decision_nodes, subroots
+
+    ts = sorted(subroots(form))
+    return repr((form.root,
+                 [(x, form.depth(x)) for x in sorted(form.nodes)],
+                 [(x, form.children(x)) for x in sorted(form.decision_nodes)],
+                 ts, [sorted(piece_decision_nodes(form, t)) for t in ts]))
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
-    from pentaform import game, nash_check, one_piece_unimprovable, random_game, solve_backward, spe_check_direct
+    from conftest import chain_game
+    from pentaform import (game, instantiate, nash_check, one_piece_unimprovable, random_game, solve_backward,
+                           spe_check_direct)
+    from pentaform.fixtures import cry_wolf
+
+    forms = hashlib.sha256()
+    for index in workloads.RANDOM_POOL:
+        forms.update(_form_layer(random_game(index, **workloads.RANDOM_SHAPE).form).encode())
+    forms.update(_form_layer(chain_game(1000).form).encode())
+    forms.update(_form_layer(instantiate(cry_wolf(), 3)).encode())
 
     checks = hashlib.sha256()
     for index in workloads.RANDOM_POOL:
@@ -65,7 +90,7 @@ def main() -> int:
     for index in workloads.RANDOM_POOL:
         answers.update(repr(solve_backward(random_game(index, **workloads.RANDOM_SHAPE))).encode())
     print(json.dumps({**counts, "answers_sha256": answers.hexdigest()[:16],
-                      "checks_sha256": checks.hexdigest()[:16]}))
+                      "checks_sha256": checks.hexdigest()[:16], "forms_sha256": forms.hexdigest()[:16]}))
     return 0
 
 

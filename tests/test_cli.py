@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,46 @@ def test_stationary_convergence_holds_at_a_beta_of_69_digits(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert "upper: HOLDS" in out and "lower: HOLDS" in out
     assert "(at d = 64 the bound is a number with more than 4300 digits)" in out
+
+
+def test_solve_states_a_repetend_too_long_to_print(capsys, tmp_path):
+    # The repetend of 1/1000000007 runs to 10^9 digits; the report gives
+    # the fraction alone instead of expanding it.
+    data = json.loads((FIXTURES / "entry.game").read_text())
+    data["utilities"] = {y: dict.fromkeys(u, "1/1000000007") for y, u in data["utilities"].items()}
+    path = tmp_path / "long.game"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", path)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == (f"solve {path}\nstrategy:\n  jE: e\n  jI: f\nvalues:\n"
+                   "  5: {Ent: 1/1000000007, Inc: 1/1000000007}\n"
+                   "  6: {Ent: 1/1000000007, Inc: 1/1000000007}\n")
+
+
+def test_certify_states_values_too_long_to_print(capsys, tmp_path):
+    # At β = (10^2200 - 1)/10^2200 the values of a three-class ring have
+    # denominators of more than 4,300 digits, which no integer conversion
+    # to text takes; the table says so instead.
+    template = [["p", "", "", "in", "i"], ["p", "", "", "out", "x"]]
+    classes = {f"c{m}": {"exits": {"i": {"class": f"c{(m + 1) % 3}", "reward": {"p": str(m + 1)}},
+                                   "x": {"terminal": {"p": "0"}}}, "template": template}
+               for m in range(3)}
+    beta = "9" * 2200 + "/1" + "0" * 2200
+    system, strategy = tmp_path / "ring.system", tmp_path / "in.strategy"
+    system.write_text(json.dumps({"classes": classes, "initial": "c0", "stakeholders": ["p"],
+                                  "model": {"kind": "discounted", "beta": beta}}))
+    strategy.write_text(json.dumps({"classes": {c: {"": "in"} for c in classes}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "stationary", system, "certify", strategy)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == (f"stationary {system} certify {strategy}\ncertificate: spe-certified\n"
+                   "upper-convergence: HOLDS\nlower-convergence: HOLDS\ncontinuation values:\n"
+                   + "".join(f"  c{m}: {{p: a number with more than 4300 digits}}\n" for m in range(3))
+                   + "route: authentic values + piecewise-Nash under lower-convergence; "
+                   "upper-convergence holds as well\n")
 
 
 def test_stationary_solve(capsys):

@@ -23,11 +23,12 @@ from pentaform.core import (
     AXIOM_SINGLE_ROOT,
     AXIOM_SITUATION_OF_NODE,
     AXIOM_SUCCESSOR_FUNCTION,
+    Pentaform,
 )
 from pentaform.fixtures import cry_wolf, entry_game
 from pentaform.stationary import instantiate
 
-from conftest import brute_force_runs, enumerate_paths_from_root
+from conftest import brute_force_runs, enumerate_paths_from_root, reference_diagnosed
 
 F1 = entry_game().form
 F3_1 = instantiate(cry_wolf(), 1)
@@ -323,3 +324,36 @@ def test_run_closure_agrees_with_path_enumeration(small_corpus):
                 assert got is not None and frozenset(got) == closure
             else:
                 assert got is None
+
+
+# -- the one constructor ---------------------------------------------------------
+
+
+def _assert_constructor_raises(qs, axioms) -> None:
+    """`Pentaform(qs)` raises with exactly the violations that
+    `check_axioms` and the reference diagnosis find, of the given axioms."""
+    with pytest.raises(InvalidPentaform) as raised:
+        Pentaform(qs)
+    assert raised.value.violations == tuple(check_axioms(qs)) == tuple(reference_diagnosed(qs))
+    assert {v.axiom for v in raised.value.violations} == set(axioms)
+
+
+def test_constructor_rejects_a_move_with_two_successors():
+    qs = [Quintuple("i", "j", "r", "x", "a"), Quintuple("i", "j", "r", "x", "b")]
+    _assert_constructor_raises(qs, [AXIOM_SUCCESSOR_FUNCTION])
+
+
+def test_constructor_rejects_the_empty_set():
+    _assert_constructor_raises([], [AXIOM_SINGLE_ROOT])
+
+
+def test_constructor_rejects_a_cycle_below_the_root(monkeypatch):
+    # r → a → b → a: a walk down from r would go round the cycle forever, so
+    # the depth walk must not start on a set that fails the counts
+    def walk(self, root):
+        raise AssertionError(f"the depth walk from {root!r} ran on a set that fails the counts")
+
+    monkeypatch.setattr(Pentaform, "_depths", walk)
+    qs = [Quintuple("i", "j0", "r", "x", "a"), Quintuple("i", "j1", "a", "x", "b"),
+          Quintuple("i", "j2", "b", "x", "a")]
+    _assert_constructor_raises(qs, [AXIOM_PREDECESSOR_FUNCTION, AXIOM_NO_CYCLES])

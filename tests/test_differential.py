@@ -1,8 +1,9 @@
 """The linear-time structure layer against its brute-force oracles, the axiom
 diagnosis and `validate` against the reference check and structure build
-(on every axiom's mutations too), trusted subforms and pieces against the
-reference axiom check, subgame and piece checks (each walk runs in place up
-to the next subroot) against searches of built subform and piece games, with
+(on every axiom's mutations too), the subforms and pieces that `partition`
+builds against the reference axiom check, subgame and piece checks (each
+walk runs in place up to the next subroot) against searches of built
+subform and piece games, with
 the moves and form builds they make counted on deep chains, the class graph
 test for aperiodic runs against its SCC definition, the continue-label
 prefix check against the rule over every pair, the stationary unfolding
@@ -92,7 +93,7 @@ from pentaform.core import (
     Pentaform,
 )
 from pentaform.fixtures import ann_chain, bob_chain, cry_wolf, cry_wolf_calm_strategy, eda_chain
-from pentaform.game import BackwardSolution, PieceScan, _reachable_exits, first_nash_point, piece_game
+from pentaform.game import BackwardSolution, PieceScan, _reachable_exits, first_nash_point, piece_game, profile_cap
 from pentaform.numbers import INF, NEG_INF
 from pentaform.partition import _partition, piece_decision_nodes, piece_owners
 from pentaform.stationary import (
@@ -134,6 +135,7 @@ from conftest import (
     reference_absolute_bounds,
     reference_best_deviation,
     reference_check_axioms,
+    reference_diagnosed,
     reference_conceivable_bounds,
     reference_continuation_values,
     reference_discounted_extremes,
@@ -189,13 +191,12 @@ def _check_owners(form) -> None:
 
 def _check_structure(form) -> None:
     """The subroots and owners match their oracles on form, as built and as
-    rebuilt fresh by the trusted constructor and by `validate`, and each
-    build's construction walk leaves a decision-node preorder
-    (`_preorder`): each decision node once, the root first, and every
-    decision node's subtree one contiguous block, which `_partition` reads.
-    Each decision node's stored (action, successor) pairs list exactly its
-    situation's actions in sorted order, the order in which the deviation
-    walk branches along them."""
+    rebuilt fresh by the constructor and by `validate`, and each build's
+    construction walk leaves a decision-node preorder (`_preorder`): each
+    decision node once, the root first, and every decision node's subtree
+    one contiguous block, which `_partition` reads.  Each decision node's
+    move table lists exactly its situation's actions in sorted order (its
+    keys), the order in which the deviation walk branches along them."""
     assert bounded_predecessor_walk(form.quintuples) == []
     for built in (form, Pentaform(form.quintuples), validate(form.quintuples)):
         assert subroots(built) == brute_force_subroots(built)
@@ -206,7 +207,7 @@ def _check_structure(form) -> None:
         for w in order:
             below = {x for x in built.subtree_nodes(w) if x in built.decision_nodes}
             assert set(order[pos[w]:pos[w] + len(below)]) == below
-            assert [a for a, _ in built._children[w]] == sorted(built.action_set(built.situation_of(w)))
+            assert list(built._children[w]) == sorted(built.action_set(built.situation_of(w)))
 
 
 def test_structure_matches_oracles_on_corpus(small_corpus):
@@ -1172,22 +1173,24 @@ MUTATIONS = [
 
 @pytest.mark.parametrize("mutate, axiom", MUTATIONS, ids=[m.__name__.strip("_") for m, _ in MUTATIONS])
 def test_axiom_diagnosis_matches_reference_on_mutations(small_corpus, mutate, axiom):
-    """Full violation lists, witness text included, equal the reference check;
-    `validate` raises exactly them, or builds the reference structure."""
+    """Full violation lists, witness text included, equal the reference check
+    and the reference diagnosis; the constructor and `validate` raise
+    exactly them, or build the reference structure."""
     rng = random.Random(mutate.__name__)
     reached = 0
     for g in small_corpus:
         qs = mutate(list(g.form.quintuples), rng)
         rng.shuffle(qs)
         expected = reference_check_axioms(qs)
-        assert check_axioms(qs) == expected
+        assert check_axioms(qs) == reference_diagnosed(qs) == expected
         reached += any(v.axiom == axiom for v in expected)
-        if expected:
-            with pytest.raises(InvalidPentaform) as raised:
-                validate(qs)
-            assert raised.value.violations == tuple(expected)
-        else:
-            assert_same_structure(validate(qs), ReferencePentaform(qs))
+        for build in (Pentaform, validate):
+            if expected:
+                with pytest.raises(InvalidPentaform) as raised:
+                    build(qs)
+                assert raised.value.violations == tuple(expected)
+            else:
+                assert_same_structure(build(qs), ReferencePentaform(qs))
     if axiom is not None:
         assert reached > 0
 
@@ -1211,8 +1214,8 @@ def test_validate_matches_reference_structure_on_cry_wolf(depth):
 
 
 def _assert_trusted_parts_are_pentaforms(form) -> int:
-    """Every subform and piece, built trusted, passes the reference axiom
-    check and equals the validated form of its quintuples."""
+    """Every subform and piece that `partition` builds passes the reference
+    axiom check and equals the validated form of its quintuples."""
     parts = piece_partition(form)
     for t in subroots(form):
         for part in (subform(form, t), parts[t]):
@@ -1392,7 +1395,7 @@ def _walked_first_nash_point(pg: Game, largest_first: bool = False) -> dict | No
     """The profile of `first_nash_point`'s row on pg's one piece, each reach
     set one deviation walk, as `solve_backward` scans a piece."""
     form = pg.form
-    row = first_nash_point(PieceScan(form, form.root, form.decision_nodes, largest_first=largest_first),
+    row = first_nash_point(PieceScan(form, form.root, form.decision_nodes, profile_cap(), largest_first=largest_first),
                            pg.utilities)
     return None if row is None else row[0]
 
@@ -1402,7 +1405,7 @@ def _assert_same_first_nash_point(pg: Game, largest_first: bool = False) -> None
         pg, reference_piece_profiles(pg.form, pg.form.situations, pg.form.root, largest_first))
     assert _walked_first_nash_point(pg, largest_first) == expected
     if largest_first:  # a quotient piece game, read from its class table as the sweeps read it
-        table = _ClassTable("c", pg.form)
+        table = _ClassTable("c", pg.form, profile_cap())
         for _ in range(2):  # the second sweep reads the rows and reach sets the first one stored
             r = table.first_nash_row(pg.utilities)
             assert (None if r is None else table.profiles[r]) == expected
@@ -1542,7 +1545,7 @@ class _RecordedScan(PieceScan):
     (player, the others' choices)."""
 
     def __init__(self, form):
-        super().__init__(form, form.root, form.decision_nodes)
+        super().__init__(form, form.root, form.decision_nodes, profile_cap())
         self.deviations = []
 
     def reach(self, i, profile):
@@ -1558,7 +1561,7 @@ def test_scan_rows_end_where_the_runs_do_and_deviations_are_walked_once():
     for pg in _scan_pieces():
         form = pg.form
         profiles = list(reference_piece_profiles(form, form.situations, form.root))
-        scan = PieceScan(form, form.root, form.decision_nodes)
+        scan = PieceScan(form, form.root, form.decision_nodes, profile_cap())
         profile, keys = dict(scan.first_profile), dict.fromkeys(scan.players, 0)
         assert [end for end, _ in scan.rows(profile, keys)] == [outcome(form, p)[-1] for p in profiles]
         scan = _RecordedScan(form)
@@ -1603,7 +1606,7 @@ def test_scan_rows_step_profile_and_keys_as_the_reference_orders_them(tmp_path):
     rows = multi = 0
     for form in sorted(forms, key=lambda form: sorted(form.quintuples)):
         for largest_first in (False, True):
-            scan = PieceScan(form, form.root, form.decision_nodes, largest_first=largest_first)
+            scan = PieceScan(form, form.root, form.decision_nodes, profile_cap(), largest_first=largest_first)
             profile, keys = dict(scan.first_profile), dict.fromkeys(scan.players, 0)
             walked = [(dict(profile), end, dict(keys), turned) for end, turned in scan.rows(profile, keys)]
             assert walked == list(_reference_rows(form, largest_first))
@@ -1652,7 +1655,7 @@ def test_nash_rows_jump_only_past_rows_that_are_not_nash(tmp_path):
         for largest_first in (False, True):
             profiles = list(reference_piece_profiles(form, form.situations, form.root, largest_first))
             expected = [(p, outcome(form, p)[-1]) for p in profiles if tuple(sorted(p.items())) in nash]
-            scan = _CountedScan(form, form.root, form.decision_nodes, largest_first=largest_first)
+            scan = _CountedScan(form, form.root, form.decision_nodes, profile_cap(), largest_first=largest_first)
             assert list(scan.nash_rows(pg.utilities)) == expected
             rows += len(profiles)
             walked += scan.walked
@@ -2194,9 +2197,11 @@ def test_backward_solve_reads_the_profile_cap_once(monkeypatch):
 
 
 def test_value_iteration_reads_the_profile_cap_once_per_class(tmp_path, monkeypatch):
-    """Each class table reads the cap once, when the solve makes it, and
-    not on every sweep's scan, which read it 445 times on gen2 (89 sweeps
-    of five classes)."""
+    """One solve reads the cap once and hands it to every class table, and
+    no sweep's scan reads it: on gen2 every sweep's scan once read it, 445
+    times (89 sweeps of five classes), and then each table once.
+    `stationary` imports `profile_cap` by name, so the count is of the
+    binding the solve calls, and of `game`'s, where a scan would read it."""
     sys_ = _benchmark_system("gen2", tmp_path)
     cap, reads = game.profile_cap, []
 
@@ -2205,8 +2210,9 @@ def test_value_iteration_reads_the_profile_cap_once_per_class(tmp_path, monkeypa
         return cap()
 
     monkeypatch.setattr(game, "profile_cap", counted)
+    monkeypatch.setattr(stationary, "profile_cap", counted)
     result = stationary.solve_stationary(sys_)
-    assert 0 < len(reads) <= len(sys_.classes)
+    assert len(reads) == 1
     assert result == reference_solve_stationary(sys_)
 
 
@@ -2254,7 +2260,7 @@ def test_class_table_sweeps_match_the_piece_scan(tmp_path, monkeypatch):
         calls["sweeps"] += 1
         r = first_nash_row(self, prices)
         if self not in scans:
-            scans[self] = PieceScan(self.form, "", self.form.decision_nodes, largest_first=True)
+            scans[self] = PieceScan(self.form, "", self.form.decision_nodes, self.cap, largest_first=True)
         row = first_nash_point(scans[self], prices)
         assert (None if r is None else (self.profiles[r], self.ends[r])) == row
         return r

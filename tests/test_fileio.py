@@ -70,6 +70,24 @@ def test_repeating_decimal_rendering():
     assert render_scalar(F(5, 9)) == "5/9 (= .5̅)"
 
 
+def test_long_decimals_and_long_numbers_are_not_written_out():
+    """An expansion of more than MAX_DIGITS digits after the point raises,
+    and the report shows p/q alone; a terminating decimal of more than
+    MAX_DIGITS digits is written p/q; a number whose denominator has more
+    than MAX_DIGITS digits is reported as that fact."""
+    at_limit, past_limit = F(1, 3 * 2 ** (MAX_DIGITS - 1)), F(1, 3 * 2**MAX_DIGITS)
+    assert len(repeating_decimal(at_limit)) == 1 + MAX_DIGITS + 1  # the point, the digits, one overline
+    for x in (past_limit, F(1, 1000000007)):
+        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+            repeating_decimal(x)
+        assert render_scalar(x) == format_scalar(x) == f"1/{x.denominator}"
+    tiny = F(1, 2**14000)  # a denominator of 4,215 digits, a decimal of 14,000
+    assert format_scalar(tiny) == render_scalar(tiny) == f"1/{2**14000}"
+    assert parse_scalar(format_scalar(tiny)) == tiny
+    for x in (F(1, 10**MAX_DIGITS), F(-(10**MAX_DIGITS), 3)):
+        assert render_scalar(x) == f"a number with more than {MAX_DIGITS} digits"
+
+
 def test_repeating_decimal_renders_the_infinities():
     assert repeating_decimal(INF) == "inf"
     assert repeating_decimal(NEG_INF) == "-inf"

@@ -166,6 +166,43 @@ def test_fuzzed_loads_match_reference(fixture, tmp_path, monkeypatch):
     assert "FileFormatError" in {kind for kind, _ in outcomes}
 
 
+def _constructor_diagnoses(qs) -> bool:
+    """`Pentaform(qs)` raises `InvalidPentaform` with exactly the violations
+    of `check_axioms` and the reference diagnosis, or builds the reference
+    structure when there are none; whether it raised."""
+    expected = reference_diagnosed(qs)
+    if not expected:
+        assert_same_structure(Pentaform(qs), ReferencePentaform(qs))
+        return False
+    with pytest.raises(InvalidPentaform) as raised:
+        Pentaform(qs)
+    assert raised.value.violations == tuple(check_axioms(qs)) == tuple(expected)
+    return True
+
+
+@pytest.mark.parametrize("fixture", sorted(f for f in COMMANDS if Path(f).suffix in (".pentaform", ".game", ".system")))
+def test_constructor_raises_the_diagnosis_on_fuzzed_loads(fixture, tmp_path, monkeypatch):
+    """Every quintuple set that a load of the CLI fuzz's mutants validates,
+    a class template's too, goes through `Pentaform(...)` to the reference
+    diagnosis: the same mutants as `test_fuzzed_loads_match_reference`."""
+    load = LOADERS[Path(fixture).suffix][0]
+    rng = random.Random(f"fuzz:{fixture}")
+    original = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    validated = []
+
+    def recorded(q):
+        validated.append(list(q))
+        return validate(validated[-1])
+
+    monkeypatch.setattr(fileio, "validate", recorded)
+    path = tmp_path / fixture
+    for _ in range(MUTANTS_PER_FILE):
+        path.write_bytes(_mutant(original, rng))
+        with contextlib.suppress(ValueError):
+            load(path)
+    assert sum(map(_constructor_diagnoses, validated)) > 0
+
+
 def test_each_number_text_is_parsed_once_per_load(tmp_path, monkeypatch):
     g = WOLF_TRUNCATIONS[3]
     path = tmp_path / "wolf.game"

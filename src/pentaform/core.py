@@ -8,12 +8,13 @@ paths, and runs are all derivable from the raw relation, and this module
 derives them.  ``Pentaform(q)`` is the one way to build a form, and it
 checks all eight axioms: a set that fails one raises `InvalidPentaform`
 with every violation (`validate` is the same call under its module-level
-name).  A form keeps only what its readers read: the node sets, the
-per-label maps, each decision node's moves as one table action → successor
-(the successor function of [Pwa->y], stored once), each node's depth, the
-decision nodes in the preorder of the walk that found the depths, and its
-partition slot; a path or a run is walked from the predecessor map when
-asked for.
+name).  A form keeps only what its readers read, each fact once: the node
+sets, the per-label maps, each decision node's moves as one table action →
+successor (the successor function of [Pwa->y]), each situation's actions as
+a reference to its first node's table, each node's depth, the decision
+nodes in the preorder of the walk that found the depths, and its partition
+slot.  A situation's information set is read off the node → situation map
+when asked for, and a path or a run is walked from the predecessor map.
 
 All labels are opaque strings ordered lexicographically, so every operation
 iterates in a canonical order and produces deterministic output.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from operator import itemgetter, ne
+from operator import eq, itemgetter, ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 AXIOM_PLAYER_OF_SITUATION = "Pi<-j"
@@ -133,28 +134,29 @@ def _diagnosed(q: Iterable[Quintuple]) -> tuple[Pentaform, list[AxiomViolation]]
 def _valid_depths(form: Pentaform, columns) -> dict[str, int] | None:
     """Each node's depth from the root when all eight axioms hold, else None.
 
-    Each test compares two numbers that are equal exactly when its axioms
-    hold, given the tests before it: one distinct quintuple per successor
-    ([Pw<-y], [Pa<-y]) and per (node, action) pair ([Pwa->y]); one
-    situation per decision node ([Pj<-w]); as many (node, action) pairs as
-    the rectangles of each situation's nodes and actions hold ([Pwa]); each
-    quintuple's player its situation's ([Pi<-j]); one decision node that is
-    no successor ([Pr]); and every successor reached by the walk down from
-    it ([Py]).  The depth walk runs only once the counts pass, so it never
-    meets a cycle.
+    Each test passes exactly when its axioms hold, given the tests before
+    it: one distinct quintuple per successor ([Pw<-y], [Pa<-y]) and per
+    (node, action) pair ([Pwa->y]); each quintuple's situation its node's
+    ([Pj<-w]); each node's move table keyed by its situation's actions, the
+    first node's ([Pwa]); each quintuple's player its situation's
+    ([Pi<-j]); one decision node that is no successor ([Pr]); and every
+    successor reached by the walk down from it ([Py]).  The depth walk runs
+    only once the tests before it pass, so it never meets a cycle.
     """
-    n = len(form.quintuples)
-    players, situations = columns[0], columns[1]
-    if not (n == len(form._pred) == sum(map(len, form._children.values()))
-            and sum(map(len, form._info_sets.values())) == len(form._situation_of)
-            and sum(len(ws) * len(form._action_sets[j]) for j, ws in form._info_sets.items()) == n
+    players, situations, nodes = columns[:3]
+    children, situation_of = form._children, form._situation_of
+    # per decision node, the move table of its situation's first node
+    tables = map(form._actions.__getitem__, map(situation_of.__getitem__, children))
+    if not (len(form.quintuples) == len(form._pred) == sum(map(len, children.values()))
+            and tuple(map(situation_of.__getitem__, nodes)) == situations
+            and all(map(eq, map(dict.keys, children.values()), map(dict.keys, tables)))
             and tuple(map(form._player_of.__getitem__, situations)) == players):
         return None
     roots = form._situation_of.keys() - form._pred.keys()
     if len(roots) != 1:
         return None
     depth = form._depths(*roots)
-    return depth if len(depth) == n + 1 else None
+    return depth if len(depth) == len(form._pred) + 1 else None
 
 
 def _violations(form: Pentaform) -> list[AxiomViolation]:
@@ -194,7 +196,7 @@ def _violations(form: Pentaform) -> list[AxiomViolation]:
             AXIOM_PREDECESSOR_FUNCTION, f"successor {y!r} has two predecessors {w1!r} and {w2!r}"))
 
     for j, pairs in sorted(pairs_by_situation.items()):
-        nodes, acts = form._info_sets[j], form._action_sets[j]
+        nodes, acts = {w for w, _ in pairs}, {a for _, a in pairs}
         if len(pairs) != len(nodes) * len(acts):
             w, a = sorted((w, a) for w in nodes for a in acts if (w, a) not in pairs)[0]
             violations.append(AxiomViolation(
@@ -243,13 +245,17 @@ class Pentaform:
     action → successor in action order: the successor function of
     [Pwa->y], stored once.  The walks read it directly, a move as
     ``_children[x][a]`` and a branch point as ``_children[x].items()``.
+    A situation's facts are stored once too: its actions are the move
+    table of its first node, ``_actions[j]`` ([Pwa] gives every node of j
+    the same keys), and its information set is the inverse of
+    ``_situation_of`` ([Pj<-w]), which `information_set` reads on demand.
     """
 
     __slots__ = (
         "quintuples", "players", "situations", "decision_nodes",
         "successors", "nodes", "endnodes", "root",
         "_pred", "_children", "_situation_of", "_player_of",
-        "_info_sets", "_action_sets", "_depth", "_preorder", "_hash", "_partition",
+        "_actions", "_depth", "_preorder", "_hash", "_partition",
     )
 
     def __init__(self, quintuples: Iterable[Quintuple]):
@@ -265,8 +271,9 @@ class Pentaform:
         every conflict; so does each move table, which `setdefault` fills.
         A valid node's quintuples lie side by side sorted by action, so its
         table needs no sort; an invalid form's tables are read only by
-        order-free walks.  The witness search runs only when one of
-        `_valid_depths`' counts disagrees."""
+        order-free walks.  A situation's actions are its first node's move
+        table, the same dict, not a copy.  The witness search runs only
+        when one of `_valid_depths`' tests fails."""
         qs = sorted(q, key=_CANONICAL)
         # equal quintuples lie side by side once sorted: keep the first of each run
         qs = self.quintuples = tuple(compress(qs, chain((True,), map(ne, islice(qs, 1, None), qs))))
@@ -276,15 +283,10 @@ class Pentaform:
         self._situation_of = dict(zip(nodes, situations))
         self._pred = dict(zip(successors, nodes))
         children: dict[str, dict[str, str]] = {}
-        info: dict[str, set[str]] = {}
-        acts: dict[str, set[str]] = {}
-        for j, w, a, y in zip(*columns[1:]):
+        for w, a, y in zip(*columns[2:]):
             children.setdefault(w, {}).setdefault(a, y)
-            info.setdefault(j, set()).add(w)
-            acts.setdefault(j, set()).add(a)
         self._children = children
-        self._info_sets = {j: frozenset(v) for j, v in info.items()}
-        self._action_sets = {j: frozenset(v) for j, v in acts.items()}
+        self._actions = {j: children[w] for j, w in dict(zip(situations, nodes)).items()}
         depth = _valid_depths(self, columns)
         if depth is None:
             return _violations(self)
@@ -360,17 +362,20 @@ class Pentaform:
         return self._player_of[j]
 
     def information_set(self, j: str) -> frozenset:
-        if j not in self._info_sets:
+        """The decision nodes in situation j: the inverse of node → situation."""
+        if j not in self._actions:
             raise ValueError(f"unknown situation {j!r}")
-        return self._info_sets[j]
+        return frozenset(w for w, i in self._situation_of.items() if i == j)
 
     def action_set(self, j: str) -> frozenset:
-        if j not in self._action_sets:
+        """The actions feasible in situation j: its first node's move table's keys."""
+        if j not in self._actions:
             raise ValueError(f"unknown situation {j!r}")
-        return self._action_sets[j]
+        return frozenset(self._actions[j])
 
     def children(self, w: str) -> tuple[tuple[str, str], ...]:
-        """Sorted (action, successor) pairs at a decision node."""
+        """Sorted (action, successor) pairs at a node; none at an endnode."""
+        self._require_node(w)
         return tuple(self._children[w].items()) if w in self._children else ()
 
     def next_node(self, w: str, a: str) -> str:

@@ -15,7 +15,10 @@ Anything else fails the load with the file, the field and the text named.
 Each load parses each distinct number text once, however often the file
 repeats it, and a game keeps the profiles as parsed (`Game._parsed`).
 Saving always emits the canonical form, so load(save(x)) == x and
-save(load(text)) == text for canonical inputs.
+save(load(text)) == text for canonical inputs.  A number the grammar
+cannot hold (more than 4,300 digits) raises ValueError instead of being
+written, and every save writes through `_write`, so a file that cannot be
+written raises FileFormatError naming it.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ def _read_object(path, what: str) -> tuple[dict, str]:
 
 
 def _write(path, text: str) -> None:
+    """Write a file's text; an OSError becomes FileFormatError naming the path."""
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -116,7 +120,7 @@ def dumps_pentaform(p) -> str:
 
 
 def save_pentaform(path, p) -> None:
-    Path(path).write_text(dumps_pentaform(p), encoding="utf-8")
+    _write(path, dumps_pentaform(p))
 
 
 def load_quintuples(path) -> list[Quintuple]:
@@ -165,7 +169,7 @@ def dumps_game(g: Game) -> str:
 
 
 def save_game(path, g: Game) -> None:
-    Path(path).write_text(dumps_game(g), encoding="utf-8")
+    _write(path, dumps_game(g))
 
 
 def load_game(path) -> Game:
@@ -190,7 +194,7 @@ def dumps_strategy(s: Mapping[str, str]) -> str:
 
 
 def save_strategy(path, s) -> None:
-    Path(path).write_text(dumps_strategy(s), encoding="utf-8")
+    _write(path, dumps_strategy(s))
 
 
 def load_strategy(path) -> dict:
@@ -204,7 +208,7 @@ def dumps_values(values: Mapping[str, Mapping]) -> str:
 
 
 def save_values(path, values) -> None:
-    Path(path).write_text(dumps_values(values), encoding="utf-8")
+    _write(path, dumps_values(values))
 
 
 def load_values(path) -> dict:
@@ -242,7 +246,7 @@ def dumps_system(sys: StationarySystem) -> str:
 
 
 def save_system(path, sys: StationarySystem) -> None:
-    Path(path).write_text(dumps_system(sys), encoding="utf-8")
+    _write(path, dumps_system(sys))
 
 
 def load_system(path) -> StationarySystem:
@@ -304,7 +308,7 @@ def dumps_stationary_strategy(sigma: Mapping[str, Mapping[str, str]]) -> str:
 
 
 def save_stationary_strategy(path, sigma) -> None:
-    Path(path).write_text(dumps_stationary_strategy(sigma), encoding="utf-8")
+    _write(path, dumps_stationary_strategy(sigma))
 
 
 def load_stationary_strategy(path) -> dict:

@@ -480,14 +480,15 @@ class PieceScan:
     """The scan of one piece's pure strategy profiles for Nash rows: the
     profiles over the situations of the decision nodes in `through` (the
     piece's, or all of a class template's), in lexicographic order over the
-    sorted situations (each one's actions in sorted order, or largest
-    first), each paired with the endnode that its walk of the piece from t
-    reaches, moving on those nodes.  `rows` steps through them and
-    `nash_rows` keeps the Nash ones, jumping past rows that cannot be Nash
-    (the rule is in `nash_rows`).  The cap is `cap`, which each solver
-    reads once (`profile_cap()`) for all its scans; `where` names the piece
-    in the cap error.  The scan reads the form's own tables, never a
-    checked accessor.
+    sorted situations (each one's actions in the order of its move table
+    `_actions[j]`, which a valid form keeps in action order, or reversed
+    for largest first, so no pool is sorted), each paired with the endnode
+    that its walk of the piece from t reaches, moving on those nodes.
+    `rows` steps through them and `nash_rows` keeps the Nash ones, jumping
+    past rows that cannot be Nash (the rule is in `nash_rows`).  The cap is
+    `cap`, which each solver reads once (`profile_cap()`) for all its
+    scans; `where` names the piece in the cap error.  The scan reads the
+    form's own tables, never a checked accessor.
     """
 
     def __init__(self, form: Pentaform, t: str, through: AbstractSet[str], cap: int,
@@ -496,7 +497,7 @@ class PieceScan:
         self.t = t
         self.where = f"piece at {t!r}"
         self.through = through
-        situation_of, player_of, action_sets = form._situation_of, form._player_of, form._action_sets
+        situation_of, player_of, actions = form._situation_of, form._player_of, form._actions
         situations = {situation_of[x] for x in through}
         self.cap = cap
         self.first_profile: dict[str, str] = {}
@@ -504,7 +505,7 @@ class PieceScan:
         self.digit_of: dict[str, int] = {}  # and its place in `digits`
         owners: list[str] = []  # and its player
         for j in sorted(situations):
-            pool = sorted(action_sets[j], reverse=largest_first)
+            pool = [*reversed(actions[j])] if largest_first else [*actions[j]]
             self.first_profile[j] = pool[0]
             if len(pool) > 1:
                 self.digit_of[j] = len(self.digits)

@@ -100,10 +100,14 @@ def _shown(text: str) -> str:
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: 'inf', '-inf', integers, terminating decimals
     of at most MAX_DIGITS digits, and 'p/q' for everything else.
-    ``parse_scalar`` round-trips exactly."""
+    ``parse_scalar`` round-trips exactly.  A number whose numerator or
+    denominator has more than MAX_DIGITS digits has no such text, since
+    ``parse_scalar`` could not read it back: it raises ValueError."""
     x = as_scalar(x)
     if not isinstance(x, Fraction):
         return "inf" if x > 0 else "-inf"
+    if over_long := _over_long(x):
+        raise ValueError(f"cannot write {over_long}")
     if x.denominator == 1:
         return str(x.numerator)
     terminating = _terminating_digits(x.denominator)

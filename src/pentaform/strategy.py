@@ -26,12 +26,12 @@ Strategy = dict  # situation -> action
 def validate_strategy(p: Pentaform, choices: Mapping[str, str]) -> Strategy:
     """Accept a mapping iff it is total on J and feasible at every situation."""
     problems = []
-    action_sets = p._action_sets
+    actions = p._actions
     situations = sorted(p.situations)
     for j in situations:
         if j not in choices:
             problems.append(f"missing situation {j!r}")
-        elif choices[j] not in action_sets[j]:
+        elif choices[j] not in actions[j]:
             problems.append(f"action {choices[j]!r} is infeasible at situation {j!r}")
     extra = sorted(set(choices) - p.situations)
     if extra:

@@ -262,13 +262,15 @@ def reference_check_axioms(q) -> list[AxiomViolation]:
 class ReferencePentaform:
     """The derived structure built from its own sort of the quintuples, with
     the same attribute names as `Pentaform`: each decision node's moves a
-    dict action → successor, built from the node's sorted pairs."""
+    dict action → successor, built from the node's sorted pairs.  Each
+    situation's information set and action set are collected from the
+    quintuples and kept, and answered by the same accessors as
+    `Pentaform`'s."""
 
     FIELDS = (
         "quintuples", "players", "situations", "decision_nodes",
         "successors", "nodes", "endnodes", "root",
-        "_pred", "_children", "_situation_of", "_player_of",
-        "_info_sets", "_action_sets", "_depth",
+        "_pred", "_children", "_situation_of", "_player_of", "_depth",
     )
 
     def __init__(self, quintuples):
@@ -306,12 +308,20 @@ class ReferencePentaform:
                     stack.append(y)
         self._depth = depth
 
+    def information_set(self, j):
+        return self._info_sets[j]
+
+    def action_set(self, j):
+        return self._action_sets[j]
+
 
 def assert_same_structure(form: Pentaform, expected) -> None:
     """Every derived field of `form` equals the reference structure's, every
     node set iterates in the same order (random_game draws its utilities in
-    endnode iteration order), and each node's moves are listed in the same
-    order (dict equality ignores order, so their item lists are compared)."""
+    endnode iteration order), each node's moves are listed in the same
+    order (dict equality ignores order, so their item lists are compared),
+    and each situation's information set and action set, read through the
+    accessors, equal the reference's."""
     for name in ReferencePentaform.FIELDS:
         value = getattr(form, name)
         assert value == getattr(expected, name), name
@@ -319,6 +329,9 @@ def assert_same_structure(form: Pentaform, expected) -> None:
             assert list(value) == list(getattr(expected, name)), name
     assert {w: list(moves.items()) for w, moves in form._children.items()} == {
         w: list(moves.items()) for w, moves in expected._children.items()}
+    for j in form.situations:
+        assert form.information_set(j) == expected.information_set(j), j
+        assert form.action_set(j) == expected.action_set(j), j
 
 
 # -- load-path reference oracles: each file's lists parsed entry by entry, and

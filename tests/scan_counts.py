@@ -15,8 +15,9 @@ before the counters are installed, so they add to neither count.
 `forms_sha256` hashes the form layer through public accessors only, so it
 does not depend on how a form stores its structure: for each pool form, a
 1,000-node `conftest.chain_game` and the cry-wolf depth-3 unfolding, the
-root, each node's depth, each decision node's `children` in order, the
-sorted subroots and each piece's sorted `piece_decision_nodes`.
+root, each node's depth, each decision node's `children` in order, each
+situation's sorted `information_set` and `action_set`, the sorted
+subroots and each piece's sorted `piece_decision_nodes`.
 Prints one JSON object.  `random_game` draws in set order, so the pool,
 and with it every figure, depends on the hash seed: compare runs under
 one `PYTHONHASHSEED`.  Run it from a checkout: it imports that checkout's
@@ -42,6 +43,7 @@ def _form_layer(form) -> str:
     return repr((form.root,
                  [(x, form.depth(x)) for x in sorted(form.nodes)],
                  [(x, form.children(x)) for x in sorted(form.decision_nodes)],
+                 [(j, sorted(form.information_set(j)), sorted(form.action_set(j))) for j in sorted(form.situations)],
                  ts, [sorted(piece_decision_nodes(form, t)) for t in ts]))
 
 

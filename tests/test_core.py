@@ -58,6 +58,15 @@ def test_local_lookups_reject_unknown_labels():
         F1.action_set("jX")
 
 
+def test_children_lists_a_nodes_moves_and_rejects_a_non_node():
+    assert F1.children("5") == (("e", "6"), ("e~", "7"))
+    assert F1.children("7") == ()  # an endnode has no moves
+    with pytest.raises(ValueError, match="^unknown node 'zzz'$"):
+        F1.children("zzz")
+    with pytest.raises(ValueError, match="^unknown node 'zzz'$"):
+        F1.depth("zzz")
+
+
 # -- projections and slices ------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -88,6 +89,18 @@ def test_long_decimals_and_long_numbers_are_not_written_out():
         assert render_scalar(x) == f"a number with more than {MAX_DIGITS} digits"
 
 
+def test_over_long_numbers_are_not_written_to_files():
+    """A number the loader could not read back is refused with the fact,
+    not with the interpreter's integer conversion limit."""
+    message = f"^cannot write a number with more than {MAX_DIGITS} digits$"
+    for x in (F(1, 3 * 10**MAX_DIGITS), F(1, 10**MAX_DIGITS), F(10**MAX_DIGITS), F(-(10**MAX_DIGITS), 3)):
+        with pytest.raises(ValueError, match=message):
+            format_scalar(x)
+        with pytest.raises(ValueError, match=message):
+            fileio.dumps_values({"5": {"Ent": x, "Inc": F(1)}})
+    assert format_scalar(F(10**MAX_DIGITS - 1)) == "9" * MAX_DIGITS
+
+
 def test_repeating_decimal_renders_the_infinities():
     assert repeating_decimal(INF) == "inf"
     assert repeating_decimal(NEG_INF) == "-inf"
@@ -128,6 +141,21 @@ def test_strategy_and_values_round_trip(tmp_path):
     fileio.save_values(vpath, entry_values())
     loaded = fileio.load_values(vpath)
     assert loaded == {t: {k: F(x) for k, x in p.items()} for t, p in entry_values().items()}
+
+
+def test_every_save_names_a_file_it_cannot_write(tmp_path):
+    missing = tmp_path / "no-such-dir"
+    g = entry_game()
+    saves = [
+        (fileio.save_pentaform, g.form), (fileio.save_game, g),
+        (fileio.save_strategy, entry_spe_strategy()), (fileio.save_values, entry_values()),
+        (fileio.save_system, cry_wolf()), (fileio.save_stationary_strategy, {"c": {"j": "a"}}),
+    ]
+    for save, obj in saves:
+        path = missing / "x.out"
+        with pytest.raises(fileio.FileFormatError, match=f"^{re.escape(str(path))}: "):
+            save(path, obj)
+    assert not missing.exists()
 
 
 def test_system_round_trip(tmp_path):

@@ -8,13 +8,18 @@ paths, and runs are all derivable from the raw relation, and this module
 derives them.  ``Pentaform(q)`` is the one way to build a form, and it
 checks all eight axioms: a set that fails one raises `InvalidPentaform`
 with every violation (`validate` is the same call under its module-level
-name).  A form keeps only what its readers read, each fact once: the node
-sets, the per-label maps, each decision node's moves as one table action →
+name).  A form keeps only what its readers read, each fact once: the
+per-label maps, each decision node's moves as one table action →
 successor (the successor function of [Pwa->y]), each situation's actions as
 a reference to its first node's table, each node's depth, the decision
-nodes in the preorder of the walk that found the depths, and its partition
-slot.  A situation's information set is read off the node → situation map
-when asked for, and a path or a run is walked from the predecessor map.
+nodes in the preorder of the walk that found the depths, the endnodes and
+players as frozensets, and its partition slot.  The decision nodes,
+successors, situations and nodes are the key views of the maps that hold
+them, not copies.  Only the endnodes and players are sets of their own,
+because their iteration order is read: `random_game` draws its utilities
+in endnode order.  A situation's information set is read off the node →
+situation map when asked for, and a path or a run is walked from the
+predecessor map.
 
 All labels are opaque strings ordered lexicographically, so every operation
 iterates in a canonical order and produces deterministic output.
@@ -249,6 +254,15 @@ class Pentaform:
     table of its first node, ``_actions[j]`` ([Pwa] gives every node of j
     the same keys), and its information set is the inverse of
     ``_situation_of`` ([Pj<-w]), which `information_set` reads on demand.
+
+    The node sets are stored once as well.  ``decision_nodes``,
+    ``successors``, ``situations`` and ``nodes`` are the key views of
+    ``_children``, ``_pred``, ``_player_of`` and ``_depth``, and ``root`` is
+    where the depth walk starts.  Only ``endnodes`` and ``players`` are
+    frozensets of their own, filled from the canonical columns: a set's
+    iteration order depends on how it was filled, and `random_game` draws
+    its utilities in endnode order.  A form pickles and copies as its
+    quintuples, so the copy is built by the constructor.
     """
 
     __slots__ = (
@@ -297,19 +311,22 @@ class Pentaform:
         """Node sets, root and depths of an indexed pentaform, from its
         five columns in canonical order and the depths `_valid_depths`
         walked."""
-        # Filled in canonical order as before: a set's iteration order depends
-        # on how it was filled, and random_game draws in endnode order.
-        players, situations, decision_nodes, _, successors = columns
-        self.players = frozenset(players)
-        self.situations = frozenset(situations)
-        self.decision_nodes = frozenset(decision_nodes)
-        self.successors = frozenset(successors)
-        self.nodes = self.decision_nodes | self.successors
-        self.endnodes = self.successors - self.decision_nodes
-        (self.root,) = self.decision_nodes - self.successors
-        self._depth = depth
-        self._hash = None
+        # Four node sets are key views of the maps that hold them, not copies.
+        # endnodes and players are frozensets filled from the canonical columns:
+        # a set's iteration order depends on how it was filled, and random_game
+        # draws its utilities in endnode order.
+        self.decision_nodes, self.successors = self._children.keys(), self._pred.keys()
+        self.situations, self.nodes = self._player_of.keys(), depth.keys()
+        self.players = frozenset(columns[0])
+        self.endnodes = frozenset(columns[4]).difference(self._children)
+        self.root = self._preorder[0]  # the depth walk starts at the root
+        self._depth, self._hash = depth, None
         self._partition = None  # filled by partition._partition
+
+    def __reduce__(self):
+        """Pickle and copy a form as its quintuples: the copy is built, and its
+        axioms checked, by the constructor."""
+        return Pentaform, (self.quintuples,)
 
     def _depths(self, root: str) -> dict[str, int]:
         """The depth of each node that the walk down from root reaches.  The

@@ -316,9 +316,11 @@ class ReferencePentaform:
 
 
 def assert_same_structure(form: Pentaform, expected) -> None:
-    """Every derived field of `form` equals the reference structure's, every
-    node set iterates in the same order (random_game draws its utilities in
-    endnode iteration order), each node's moves are listed in the same
+    """Every derived field of `form` equals the reference structure's, each
+    frozenset field (the endnodes and players) iterates in the same order
+    (random_game draws its utilities in endnode iteration order; the other
+    node sets are key views of the form's maps, in the maps' own order, and
+    are compared as sets), each node's moves are listed in the same
     order (dict equality ignores order, so their item lists are compared),
     and each situation's information set and action set, read through the
     accessors, equal the reference's."""

@@ -15,7 +15,9 @@ before the counters are installed, so they add to neither count.
 `forms_sha256` hashes the form layer through public accessors only, so it
 does not depend on how a form stores its structure: for each pool form, a
 1,000-node `conftest.chain_game` and the cry-wolf depth-3 unfolding, the
-root, each node's depth, each decision node's `children` in order, each
+root, the sorted decision nodes, successors, situations and nodes, the
+endnodes in their iteration order (`random_game` draws utilities in it),
+each node's depth, each decision node's `children` in order, each
 situation's sorted `information_set` and `action_set`, the sorted
 subroots and each piece's sorted `piece_decision_nodes`.
 Prints one JSON object.  `random_game` draws in set order, so the pool,
@@ -40,7 +42,8 @@ def _form_layer(form) -> str:
     from pentaform.partition import piece_decision_nodes, subroots
 
     ts = sorted(subroots(form))
-    return repr((form.root,
+    return repr((form.root, sorted(form.decision_nodes), sorted(form.successors), sorted(form.situations),
+                 sorted(form.nodes), list(form.endnodes),
                  [(x, form.depth(x)) for x in sorted(form.nodes)],
                  [(x, form.children(x)) for x in sorted(form.decision_nodes)],
                  [(j, sorted(form.information_set(j)), sorted(form.action_set(j))) for j in sorted(form.situations)],

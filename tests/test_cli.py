@@ -343,18 +343,19 @@ def test_system_declaring_a_cycle_twice_is_input_error(capsys, tmp_path):
     assert err == f"error: {path}: model.cycles[1]: cycle ['even', 'odd'] is declared twice\n"
 
 
-def test_unknown_property_lists_the_choices_in_order(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
+def test_unknown_property_lists_the_choices_in_order(capsys):
+    # argparse writes this text, and its line breaks and quoting differ
+    # across Python versions: check only what pentaform decides
     with pytest.raises(SystemExit) as caught:
         main(["check", str(FIXTURES / "entry.game"), str(FIXTURES / "entry_spe.strategy"), "--property", "bogus"])
     assert caught.value.code == 2
-    assert capsys.readouterr() == ("", (
-        "usage: pentaform check [-h] --property\n"
-        "                       {nash,spe,admissible,persistent,authentic,piecewise-nash,one-piece}\n"
-        "                       [--values FILE] [--authentic-value]\n"
-        "                       game strategy\n"
-        "pentaform check: error: argument --property: invalid choice: 'bogus' (choose from 'nash', "
-        "'spe', 'admissible', 'persistent', 'authentic', 'piecewise-nash', 'one-piece')\n"))
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.split("\npentaform check: error: argument --property: invalid choice: ")
+    assert usage.startswith("usage: pentaform check ")
+    assert "{" + ",".join(cli._PROPERTIES) + "}" in usage.split()
+    named, choices = re.fullmatch(r"(\S+) \(choose from (.*)\)\n", error).groups()
+    assert named == "'bogus'" and choices.replace("'", "").split(", ") == list(cli._PROPERTIES)
 
 
 def test_readme_lists_the_check_properties_in_order():

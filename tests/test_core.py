@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -26,9 +28,11 @@ from pentaform.core import (
     Pentaform,
 )
 from pentaform.fixtures import cry_wolf, entry_game
-from pentaform.stationary import instantiate
+from pentaform.game import solve_backward
+from pentaform.partition import subroots
+from pentaform.stationary import instantiate, solve_stationary
 
-from conftest import brute_force_runs, enumerate_paths_from_root, reference_diagnosed
+from conftest import assert_same_structure, brute_force_runs, enumerate_paths_from_root, reference_diagnosed
 
 F1 = entry_game().form
 F3_1 = instantiate(cry_wolf(), 1)
@@ -366,3 +370,37 @@ def test_constructor_rejects_a_cycle_below_the_root(monkeypatch):
     qs = [Quintuple("i", "j0", "r", "x", "a"), Quintuple("i", "j1", "a", "x", "b"),
           Quintuple("i", "j2", "b", "x", "a")]
     _assert_constructor_raises(qs, [AXIOM_PREDECESSOR_FUNCTION, AXIOM_NO_CYCLES])
+
+
+# -- pickling and copying --------------------------------------------------------
+
+
+def _copies(obj) -> list:
+    return [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)]
+
+
+def test_a_form_pickles_and_copies_as_its_quintuples():
+    for form in (Pentaform(F1.quintuples), instantiate(cry_wolf(), 2)):
+        assert form.__reduce__() == (Pentaform, (form.quintuples,))
+        for copied in _copies(form):
+            assert copied == form and copied is not form
+            assert_same_structure(copied, form)
+        subroots(form)  # fills the form's partition slot
+        for copied in _copies(form):
+            assert copied == form and subroots(copied) == subroots(form)
+
+
+def test_a_solved_game_pickles_and_copies():
+    g = entry_game()
+    solution = solve_backward(g)
+    for copied in _copies(g):
+        assert copied == g and copied.form is not g.form
+        assert solve_backward(copied) == solution
+
+
+def test_a_stationary_system_pickles_and_copies():
+    system = cry_wolf()
+    solution = solve_stationary(system)
+    for copied in _copies(system):
+        assert solve_stationary(copied) == solution
+        assert instantiate(copied, 2) == instantiate(system, 2)

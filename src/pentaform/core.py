@@ -242,8 +242,10 @@ class Pentaform:
 
     ``Pentaform(q)`` checks all eight axioms and raises `InvalidPentaform`
     with every violation, exactly those `check_axioms(q)` returns, so every
-    instance is a pentaform; :func:`validate` is the same call.  Instances
-    are immutable.  Subforms and pieces are pentaforms by the paper's
+    instance is a pentaform; :func:`validate` is the same call.  A form is
+    read-only by contract: every field in ``__slots__`` can still be
+    assigned, nothing checks an assignment, and one would leave the tables
+    below stale.  Subforms and pieces are pentaforms by the paper's
     propositions, and `partition` builds them with this constructor too.
 
     Each decision node's moves are one table, ``_children[w]``, a dict

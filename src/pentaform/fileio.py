@@ -8,6 +8,15 @@
 * system: classes with template/exits, model section, initial class.
 * stationary strategy: {"classes": {class → {situation → action}}}.
 
+Each JSON object with fixed keys has one key table below (`_GAME`,
+`_SYSTEM`, ...), and every loader checks its objects through `_fields`: a
+missing key, a value of another JSON type and any key the table does not
+hold fail the load, naming the file, the path to the object and the key.
+A `.pentaform` load also reads a `.game` file's quintuples.  Flat maps (a
+strategy, a value file, a profile) have data keys and are checked against
+the form or the stakeholders instead.  A key written twice in one object
+fails every load.
+
 Numbers (profile entries and β) are strings in one grammar: an optional
 '-' then digits with an optional decimal fraction, 'p/q' in digits, or
 'inf'/'-inf', each integer at most 4,300 digits (`numbers.parse_scalar`).
@@ -24,6 +33,7 @@ written raises FileFormatError naming it.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -54,17 +64,20 @@ def _read(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=partial(_unique_keys, path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _read_object(path, what: str) -> tuple[dict, str]:
-    """The JSON object a file holds, with the file's name to report against;
-    anything else raises FileFormatError with the message `what`."""
-    data, where = _read(path), str(path)
-    _expect(isinstance(data, dict), where, what)
-    return data, where
+def _unique_keys(path, pairs: list) -> dict:
+    """A decoded JSON object; a key written twice in it raises FileFormatError
+    (`json` would keep the last copy)."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise FileFormatError(f"{path}: key {key!r} is repeated in one object")
+    return data
 
 
 def _write(path, text: str) -> None:
@@ -88,8 +101,39 @@ def _checked(where, make, *args):
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+# -- the keys of each JSON object a file holds ------------------------------------
+#
+# Each table maps every key of one object kind to the JSON type of its value:
+# str, list, dict (an object), or [str] for a list of strings.
+
+_PENTAFORM = {"quintuples": list}
+_GAME = {"quintuples": list, "stakeholders": [str], "utilities": dict}
+_SYSTEM = {"classes": dict, "initial": str, "model": dict, "stakeholders": [str]}
+_CLASS = {"template": list, "exits": dict}
+_EXITS = ({"terminal": dict}, {"class": str, "reward": dict})
+_MODELS = {"discounted": {"kind": str, "beta": str}, "absolute-terminal": {"kind": str, "cycles": list}}
+_CYCLE = {"classes": [str], "utility": dict}
+_STATIONARY_STRATEGY = {"classes": dict}
+_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _fields(data, where, *tables: dict) -> dict:
+    """data, checked against the table that shares the most keys with it
+    (the first on a tie): a JSON object with no other key, every key of the
+    table, and each value of its type.  Anything else raises FileFormatError."""
+    _expect(isinstance(data, dict), where, "expected an object")
+    table = max(tables, key=lambda t: len(data.keys() & t.keys()))
+    unknown = sorted(data.keys() - table.keys())
+    if unknown:
+        raise FileFormatError(f"{where}: unknown key {unknown[0]!r}")
+    for key, kind in table.items():
+        _expect(key in data, where, f'missing "{key}"')
+        if kind == [str]:
+            _expect(isinstance(data[key], list) and all(isinstance(x, str) for x in data[key]),
+                    where, f'"{key}" must be a list of strings')
+        else:
+            _expect(isinstance(data[key], kind), where, f'"{key}" must be {_TYPE_NAMES[kind]}')
+    return data
 
 
 # -- quintuples and pentaforms ---------------------------------------------------
@@ -103,8 +147,7 @@ def _quintuples_payload(p) -> Iterable[Quintuple]:
     return sorted(set(p), key=Quintuple.key)
 
 
-def _parse_quintuples(data, where: str) -> list[Quintuple]:
-    _expect(isinstance(data, list), where, "expected a list of quintuples")
+def _parse_quintuples(data: list, where: str) -> list[Quintuple]:
     # one pass over the whole list; only when it fails does the loop look for the bad entry to name
     if not (set(map(type, data)) <= {list} and set(map(len, data)) <= {5}
             and set(map(type, chain.from_iterable(data))) <= {str}):
@@ -124,11 +167,10 @@ def save_pentaform(path, p) -> None:
 
 
 def load_quintuples(path) -> list[Quintuple]:
-    """Raw quintuples, unvalidated (cmd_validate reports every axiom itself)."""
-    what = 'expected a top-level object with a "quintuples" list'
-    data, where = _read_object(path, what)
-    _expect("quintuples" in data, where, what)
-    return _parse_quintuples(data["quintuples"], f"{where}: quintuples")
+    """Raw quintuples, unvalidated (cmd_validate reports every axiom itself),
+    of a `.pentaform` file or of a `.game` file."""
+    data = _fields(_read(path), path, _PENTAFORM, _GAME)
+    return _parse_quintuples(data["quintuples"], f"{path}: quintuples")
 
 
 def load_pentaform(path) -> Pentaform:
@@ -173,17 +215,12 @@ def save_game(path, g: Game) -> None:
 
 
 def load_game(path) -> Game:
-    data, where = _read_object(path, "expected a top-level object")
-    for key in ("quintuples", "stakeholders", "utilities"):
-        _expect(key in data, where, f'missing "{key}"')
-    form = validate(_parse_quintuples(data["quintuples"], f"{where}: quintuples"))
-    stakeholders = data["stakeholders"]
-    _expect(_is_string_list(stakeholders), where, '"stakeholders" must be a list of strings')
-    _expect(isinstance(data["utilities"], dict), where, '"utilities" must be an object')
+    data = _fields(_read(path), path, _GAME)
+    form = validate(_parse_quintuples(data["quintuples"], f"{path}: quintuples"))
     numbers: dict = {}
-    utilities = {y: _parse_profile(prof, f"{where}: utilities.{y}", numbers)
+    utilities = {y: _parse_profile(prof, f"{path}: utilities.{y}", numbers)
                  for y, prof in data["utilities"].items()}
-    return _checked(where, Game._parsed, form, stakeholders, utilities)
+    return _checked(path, Game._parsed, form, data["stakeholders"], utilities)
 
 
 # -- strategies and value functions ----------------------------------------------------
@@ -198,8 +235,9 @@ def save_strategy(path, s) -> None:
 
 
 def load_strategy(path) -> dict:
-    data, where = _read_object(path, "expected an object mapping situation -> action")
-    _expect(all(isinstance(v, str) for v in data.values()), where, "actions must be strings")
+    data = _read(path)
+    _expect(isinstance(data, dict), path, "expected an object mapping situation -> action")
+    _expect(all(isinstance(v, str) for v in data.values()), path, "actions must be strings")
     return dict(data)
 
 
@@ -212,9 +250,10 @@ def save_values(path, values) -> None:
 
 
 def load_values(path) -> dict:
-    data, where = _read_object(path, "expected an object mapping subroot -> profile")
+    data = _read(path)
+    _expect(isinstance(data, dict), path, "expected an object mapping subroot -> profile")
     numbers: dict = {}
-    return {t: _parse_profile(p, f"{where}: {t}", numbers) for t, p in data.items()}
+    return {t: _parse_profile(p, f"{path}: {t}", numbers) for t, p in data.items()}
 
 
 # -- stationary systems -------------------------------------------------------------------
@@ -250,56 +289,38 @@ def save_system(path, sys: StationarySystem) -> None:
 
 
 def load_system(path) -> StationarySystem:
-    data, where = _read_object(path, "expected a top-level object")
-    for key in ("classes", "initial", "model", "stakeholders"):
-        _expect(key in data, where, f'missing "{key}"')
-    _expect(isinstance(data["classes"], dict), where, '"classes" must be an object')
-    _expect(isinstance(data["initial"], str), where, '"initial" must be a class id string')
-    _expect(_is_string_list(data["stakeholders"]), where, '"stakeholders" must be a list of strings')
-
+    data = _fields(_read(path), path, _SYSTEM)
     numbers: dict = {}
     classes = {}
     for cid, spec in data["classes"].items():
-        spot = f"{where}: classes.{cid}"
-        _expect(isinstance(spec, dict) and "template" in spec and "exits" in spec,
-                spot, 'expected "template" and "exits"')
+        spot = f"{path}: classes.{cid}"
+        _fields(spec, spot, _CLASS)
         template = _checked(f"{spot}.template", validate, _parse_quintuples(spec["template"], f"{spot}.template"))
         exits = {}
-        _expect(isinstance(spec["exits"], dict), spot, '"exits" must be an object')
         for label, entry in spec["exits"].items():
             espot = f"{spot}.exits.{label}"
-            _expect(isinstance(entry, dict), espot, "expected an object")
-            if "terminal" in entry:
-                exits[label] = Exit(_parse_profile(entry["terminal"], espot, numbers))
-            else:
-                _expect("class" in entry and "reward" in entry, espot,
-                        'expected "terminal" or "class"+"reward"')
-                _expect(isinstance(entry["class"], str), espot, '"class" must be a class id string')
-                exits[label] = Exit(_parse_profile(entry["reward"], espot, numbers),
-                                    next_class=entry["class"])
+            _fields(entry, espot, *_EXITS)
+            reward = _parse_profile(entry["terminal"] if "terminal" in entry else entry["reward"], espot, numbers)
+            exits[label] = Exit(reward, next_class=entry.get("class"))
         classes[cid] = PieceClass(template, exits)
 
-    mspec = data["model"]
-    _expect(isinstance(mspec, dict) and "kind" in mspec, where, '"model" needs a "kind"')
-    if mspec["kind"] == "discounted":
-        _expect(isinstance(mspec.get("beta"), str), where,
-                'discounted model needs "beta" written as a string')
-        model = DiscountedAccumulation(_checked(f"{where}: model.beta", parse_scalar, mspec["beta"]))
-    elif mspec["kind"] == "absolute-terminal":
-        _expect(isinstance(mspec.get("cycles"), list), where, 'absolute-terminal model needs "cycles"')
+    mspec, mspot = data["model"], f"{path}: model"
+    kind = mspec.get("kind")
+    _expect("kind" in mspec, mspot, 'missing "kind"')
+    _expect(isinstance(kind, str) and kind in _MODELS, path, f"unknown model kind {kind!r}")
+    _fields(mspec, mspot, _MODELS[kind])
+    if kind == "discounted":
+        model = DiscountedAccumulation(_checked(f"{mspot}.beta", parse_scalar, mspec["beta"]))
+    else:
         cycles = {}
         for idx, entry in enumerate(mspec["cycles"]):
-            cspot = f"{where}: model.cycles[{idx}]"
-            _expect(isinstance(entry, dict) and "classes" in entry and "utility" in entry,
-                    cspot, 'expected "classes" and "utility"')
-            _expect(_is_string_list(entry["classes"]), cspot, '"classes" must be a list of class ids')
-            _expect(tuple(entry["classes"]) not in cycles, cspot, f'cycle {entry["classes"]} is declared twice')
-            cycles[tuple(entry["classes"])] = _parse_profile(entry["utility"], cspot, numbers)
+            cspot = f"{mspot}.cycles[{idx}]"
+            cycle = tuple(_fields(entry, cspot, _CYCLE)["classes"])
+            _expect(cycle not in cycles, cspot, f"cycle {list(cycle)} is declared twice")
+            cycles[cycle] = _parse_profile(entry["utility"], cspot, numbers)
         model = AbsoluteTerminal(cycles)
-    else:
-        raise FileFormatError(f'{where}: unknown model kind {mspec["kind"]!r}')
 
-    return _checked(where, StationarySystem, classes, data["initial"], model, data["stakeholders"])
+    return _checked(path, StationarySystem, classes, data["initial"], model, data["stakeholders"])
 
 
 def dumps_stationary_strategy(sigma: Mapping[str, Mapping[str, str]]) -> str:
@@ -312,13 +333,10 @@ def save_stationary_strategy(path, sigma) -> None:
 
 
 def load_stationary_strategy(path) -> dict:
-    what = 'expected a top-level object with "classes"'
-    data, where = _read_object(path, what)
-    _expect("classes" in data, where, what)
-    _expect(isinstance(data["classes"], dict), where, '"classes" must be an object')
+    data = _fields(_read(path), path, _STATIONARY_STRATEGY)
     out = {}
     for c, m in data["classes"].items():
         _expect(isinstance(m, dict) and all(isinstance(v, str) for v in m.values()),
-                f"{where}: classes.{c}", "expected an object of situation -> action")
+                f"{path}: classes.{c}", "expected an object of situation -> action")
         out[c] = dict(m)
     return out

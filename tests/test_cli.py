@@ -309,12 +309,12 @@ def _set(path, value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set(["initial"], ["c"]), '"initial" must be a class id string'),
-    (_set(["classes", "c", "exits", "i", "class"], ["c"]), 'classes.c.exits.i: "class" must be a class id string'),
+    (_set(["initial"], ["c"]), '"initial" must be a string'),
+    (_set(["classes", "c", "exits", "i", "class"], ["c"]), 'classes.c.exits.i: "class" must be a string'),
     (_set(["stakeholders"], 5), '"stakeholders" must be a list of strings'),
-    (_set(["model", "cycles", 0, "classes"], 5), 'model.cycles[0]: "classes" must be a list of class ids'),
-    (_set(["model", "cycles", 0, "classes"], [["c"]]), 'model.cycles[0]: "classes" must be a list of class ids'),
-    (_set(["model"], {"kind": "discounted", "beta": 0.5}), 'discounted model needs "beta" written as a string'),
+    (_set(["model", "cycles", 0, "classes"], 5), 'model.cycles[0]: "classes" must be a list of strings'),
+    (_set(["model", "cycles", 0, "classes"], [["c"]]), 'model.cycles[0]: "classes" must be a list of strings'),
+    (_set(["model"], {"kind": "discounted", "beta": 0.5}), 'model: "beta" must be a string'),
     (_set(["classes", "c", "template"], [["Ann", "", ""]]), "classes.c.template[0]: expected a 5-element list"),
     (_set(["classes", "c", "template"], [["Ann", "", "", "in", ""]]), "classes.c.template: [Py]"),
 ], ids=["initial-list", "exit-class-list", "stakeholders-int", "cycle-classes-int",

@@ -20,6 +20,7 @@ from pentaform import (
     StationarySystem,
     admissible,
     authentic,
+    fileio,
     instantiate,
     nash_check,
     truncated_game,
@@ -32,6 +33,8 @@ from pentaform.fixtures import cry_wolf, cry_wolf_calm_strategy, entry_game, ent
 from pentaform.game import check_value_function
 from pentaform.numbers import as_scalar, make_profile
 from pentaform.stationary import validate_stationary_strategy
+
+from test_cli_fuzz import _nodes
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 G1 = entry_game()
@@ -167,10 +170,19 @@ def _entry_game_data(**utilities) -> dict:
     return data
 
 
-def _bob_system_data(edit) -> dict:
-    data = json.loads((FIXTURES / "bob.system").read_text(encoding="utf-8"))
+def _system_data(edit, name: str = "bob") -> dict:
+    data = json.loads((FIXTURES / f"{name}.system").read_text(encoding="utf-8"))
     edit(data)
     return data
+
+
+def _repeated(path: Path, key: str, first: str, second: str) -> str:
+    """The text of `path` with `key` written twice in one object: the copy
+    holding `first`, then one holding `second`."""
+    text = json.dumps(json.loads(path.read_text(encoding="utf-8")))
+    written = f'"{key}": "{first}"'
+    assert text.count(written) == 1
+    return text.replace(written, f'{written}, "{key}": "{second}"')
 
 
 def _root_at_r(data: dict) -> None:
@@ -183,16 +195,40 @@ CLI_ERRORS = {
                                  r"profile domain mismatch: missing \['Inc'\]"),
     "game-non-endnode": ("solve", "bad.game", _entry_game_data(**{"6": {"Ent": "0", "Inc": "0"}}),
                          r"utilities given for non-endnodes \['6'\]"),
-    "system-no-classes": ("stationary", "bad.system", _bob_system_data(lambda d: d.update(classes={})),
+    "system-no-classes": ("stationary", "bad.system", _system_data(lambda d: d.update(classes={})),
                           "needs at least one class"),
-    "system-template-root": ("stationary", "bad.system", _bob_system_data(_root_at_r),
+    "system-template-root": ("stationary", "bad.system", _system_data(_root_at_r),
                              "template root must be the empty label"),
     "system-player-not-stakeholder": ("stationary", "bad.system",
-                                      _bob_system_data(lambda d: d.update(stakeholders=["Ann"])),
+                                      _system_data(lambda d: d.update(stakeholders=["Ann"])),
                                       r"players \['Bob'\] not stakeholders"),
     "system-unknown-next-class": ("stationary", "bad.system",
-                                  _bob_system_data(lambda d: d["classes"]["c"]["exits"]["i"].update({"class": "d"})),
+                                  _system_data(lambda d: d["classes"]["c"]["exits"]["i"].update({"class": "d"})),
                                   "continues into unknown class 'd'"),
+    # a key outside its object's key table, or one written twice in an object
+    # (json keeps the last copy), would change the input without a word
+    "system-beta-at-top-level": ("stationary", "bad.system",
+                                 _system_data(lambda d: d.update(beta="0.99"), "crywolf"),
+                                 ": unknown key 'beta'$"),
+    "system-exit-terminal-and-class": (
+        "stationary", "bad.system",
+        _system_data(lambda d: d["classes"]["day"]["exits"]["6"].update(
+            terminal={"Kid": "100", "Town": "100", "Wolf": "100"}), "crywolf"),
+        ": classes.day.exits.6: unknown key 'terminal'$"),
+    "system-discounted-with-cycles": (
+        "stationary", "bad.system",
+        _system_data(lambda d: d["model"].update(
+            cycles=[{"classes": ["day"], "utility": {"Kid": "0", "Town": "0", "Wolf": "0"}}]), "crywolf"),
+        ": model: unknown key 'cycles'$"),
+    "system-extra-top-level-key": ("stationary", "bad.system",
+                                   _system_data(lambda d: d.update(comment="draft"), "crywolf"),
+                                   ": unknown key 'comment'$"),
+    "game-extra-utility-key": ("solve", "bad.game", _entry_game_data() | {"utility": {"Ent": "1"}},
+                               ": unknown key 'utility'$"),
+    "system-beta-repeated": ("stationary", "bad.system", _repeated(FIXTURES / "crywolf.system", "beta", "0.1", "0.99"),
+                             ": key 'beta' is repeated in one object$"),
+    "game-endnode-key-repeated": ("solve", "bad.game", _repeated(FIXTURES / "entry.game", "Ent", "-1", "5"),
+                                  ": key 'Ent' is repeated in one object$"),
 }
 
 
@@ -200,7 +236,7 @@ CLI_ERRORS = {
 def test_cli_input_error_exits_2_naming_the_file(case, tmp_path, capsys):
     command, name, data, message = CLI_ERRORS[case]
     path = tmp_path / name
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
     argv = [command, str(path)] + (["convergence"] if command == "stationary" else [])
     assert main(argv) == 2
     out = capsys.readouterr()
@@ -330,7 +366,7 @@ def test_cli_checks_every_input_before_any_stdout(case, tmp_path, capsys):
 
 
 def test_system_template_axiom_failure_is_named_exactly(tmp_path, capsys):
-    data = _bob_system_data(lambda d: d["classes"]["c"].update(template=[["Bob", "", "", "in", ""]]))
+    data = _system_data(lambda d: d["classes"]["c"].update(template=[["Bob", "", "", "in", ""]]))
     path = _write(tmp_path, "cycle.system", data)
     assert main(["stationary", path, "convergence"]) == 2
     assert capsys.readouterr() == ("", (
@@ -364,3 +400,56 @@ def test_cli_invalid_utf8_names_the_file(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n"
+
+
+# -- every object with a key table refuses any other key ---------------------------
+
+
+def _spot(path: tuple) -> str:
+    """A JSON path as the loaders name it: `classes.day.exits.6`, `model.cycles[0]`."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+# the objects of each file kind that have a key table, as paths with None for
+# any key; a stationary `.strategy` has one at its top level, a plain one none
+SCHEMA_OBJECTS = {
+    ".pentaform": [()],
+    ".game": [()],
+    ".system": [(), ("classes", None), ("classes", None, "exits", None), ("model",), ("model", "cycles", None)],
+    ".strategy": [()],
+    ".values": [],
+}
+
+
+def _has_table(suffix: str, doc: dict, path: tuple) -> bool:
+    if suffix == ".strategy" and "classes" not in doc:
+        return False
+    return any(len(shape) == len(path) and all(s is None or s == k for s, k in zip(shape, path))
+               for shape in SCHEMA_OBJECTS[suffix])
+
+
+def test_every_schema_object_refuses_an_unknown_key(tmp_path):
+    """Each object with a key table in each shipped fixture, given one more
+    key "zz", fails its load naming the object's path and "zz"; the
+    fixtures hold an object of every table."""
+    loaders = {".pentaform": [fileio.load_quintuples], ".game": [fileio.load_game, fileio.load_quintuples],
+               ".system": [fileio.load_system], ".strategy": [fileio.load_stationary_strategy]}
+    reached = set()
+    for fixture in sorted(FIXTURES.iterdir()):
+        doc = json.loads(fixture.read_text(encoding="utf-8"))
+        for path, value in _nodes(doc):
+            if not _has_table(fixture.suffix, doc, path):
+                continue
+            reached.add(frozenset(value))
+            value["zz"] = "1"
+            target = tmp_path / fixture.name
+            target.write_text(json.dumps(doc), encoding="utf-8")
+            del value["zz"]
+            expected = f"{target}: {_spot(path) + ': ' if path else ''}unknown key 'zz'"
+            for load in loaders[fixture.suffix]:
+                with pytest.raises(fileio.FileFormatError) as caught:
+                    load(target)
+                assert str(caught.value) == expected
+    tables = [fileio._PENTAFORM, fileio._GAME, fileio._SYSTEM, fileio._CLASS, *fileio._EXITS,
+              *fileio._MODELS.values(), fileio._CYCLE, fileio._STATIONARY_STRATEGY]
+    assert reached == {frozenset(table) for table in tables} and len(tables) == 10
